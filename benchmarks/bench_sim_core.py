@@ -6,7 +6,10 @@ wall time of the Figure-3 LAN panel, and emits ``BENCH_sim_core.json``.
 The same workloads also run on the struct-of-arrays batch kernel
 (:mod:`repro.sim.batch`) and are recorded as ``star_batch`` /
 ``tree_batch`` — bit-identical observable counts, compared against the
-same pinned pre-optimisation baselines.
+same pinned pre-optimisation baselines.  ``fat_tree_ircache_batch`` is
+the catalog-scale case (an 11 250-request Ircache stream, ~7k distinct
+names, over the 20-router fat tree): it records compile and kernel time
+apart, and compiling must not cost more than running.
 
 The ``baseline_*`` meta fields pin the pre-optimisation numbers measured
 at the commit immediately before the fast path landed (interned names,
@@ -29,7 +32,13 @@ import os
 import time
 
 from repro.analysis.experiments import run_fig3
-from repro.perf.simcore import run_star, run_star_batch, run_tree, run_tree_batch
+from repro.perf.simcore import (
+    run_fat_tree_ircache_batch,
+    run_star,
+    run_star_batch,
+    run_tree,
+    run_tree_batch,
+)
 from repro.perf.timing import BenchReporter
 
 #: Pre-fast-path numbers (best of 3) at the scales used below.
@@ -66,6 +75,7 @@ def test_sim_core_throughput(benchmark):
     tree = _best(run_tree)
     star_batch = _best(run_star_batch)
     tree_batch = _best(run_tree_batch)
+    fat_tree = _best(run_fat_tree_ircache_batch)
 
     fig3_best = None
     for _ in range(ROUNDS):
@@ -83,6 +93,7 @@ def test_sim_core_throughput(benchmark):
             "star_consumers": 16,
             "star_requests_per_consumer": 200,
             "tree_requests_per_consumer": 150,
+            "fat_tree_ircache_requests": fat_tree.requests,
             "fig3_objects": 60,
             "fig3_trials": 6,
         },
@@ -109,6 +120,20 @@ def test_sim_core_throughput(benchmark):
                 result.hops_per_sec / base["hops_per_sec"], 2
             ),
         )
+    fat_tree_total_s = fat_tree.compile_s + fat_tree.wall_s
+    reporter.record(
+        "fat_tree_ircache_batch",
+        fat_tree_total_s,
+        requests=fat_tree.requests,
+        events=fat_tree.events,
+        packet_hops=fat_tree.packet_hops,
+        hops_per_sec=round(fat_tree.packet_hops / fat_tree_total_s, 1),
+        compile_s=fat_tree.compile_s,
+        kernel_s=fat_tree.wall_s,
+        names=fat_tree.names,
+        delivered=fat_tree.delivered,
+        cache_hits=fat_tree.cache_hits,
+    )
     reporter.record(
         "fig3a_lan_end_to_end",
         fig3_best,
@@ -121,6 +146,8 @@ def test_sim_core_throughput(benchmark):
         f"star {star.hops_per_sec:,.0f} hops/s, tree {tree.hops_per_sec:,.0f} "
         f"hops/s, batch star {star_batch.hops_per_sec:,.0f} hops/s, "
         f"batch tree {tree_batch.hops_per_sec:,.0f} hops/s, "
+        f"fat tree x ircache compile {fat_tree.compile_s:.3f}s + kernel "
+        f"{fat_tree.wall_s:.3f}s over {fat_tree.names} names, "
         f"fig3a_lan {fig3_best:.3f}s ({path})"
     )
 
@@ -136,6 +163,10 @@ def test_sim_core_throughput(benchmark):
         assert result.events == expected["events"]
         assert result.delivered == expected["delivered"] == result.requests
         assert result.cache_hits == expected["cache_hits"]
+
+    # Set-up at catalog scale must stay the smaller half of the run.
+    assert fat_tree.delivered == fat_tree.requests
+    assert fat_tree.compile_s <= fat_tree.wall_s
 
     # The batch kernel must clear 5x baseline even on noisy hosts.
     assert star_batch.hops_per_sec >= 5 * BASELINE["star"]["hops_per_sec"]

@@ -9,7 +9,8 @@ miss path instead of a timeout).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ndn.link import Face
 from repro.ndn.name import Name, name_of
@@ -19,7 +20,23 @@ from repro.sim.monitor import Monitor
 
 
 class Producer:
-    """An end host serving content under one prefix."""
+    """An end host serving content under one prefix.
+
+    Lookup rule for an interest under the prefix, in order: the object
+    published (or earlier synthesized) under exactly that name; else the
+    *smallest* published name the interest name is a proper prefix of,
+    skipping objects published ``exact_match_only``; else, with
+    ``auto_generate``, a new object synthesized under the interest name
+    and kept in the repo; else nothing.
+
+    Cost: the exact hit is one dict lookup.  The repo's names are also
+    kept as an ordered index of component tuples, in which the extensions
+    of a name are contiguous, so a prefix miss is one ``bisect`` —
+    O(log n) comparisons — plus a scan over only those extensions, and a
+    synthesized name is inserted in place.  ``publish`` appends to the
+    index in O(1); the next prefix miss after a run of publishes re-sorts
+    it once.
+    """
 
     def __init__(
         self,
@@ -42,9 +59,10 @@ class Producer:
         self.monitor = monitor if monitor is not None else Monitor()
         self.face: Optional[Face] = None
         self.repo: Dict[Name, Data] = {}
-        # Sorted view of repo names, rebuilt lazily after inserts so the
-        # prefix-miss path in _resolve is not O(n log n) per interest.
-        self._sorted_names: Optional[List[Name]] = None
+        # The component tuples of exactly the repo's names; sorted unless
+        # a publish has appended since the last prefix miss.
+        self._index: List[Tuple[str, ...]] = []
+        self._index_sorted = True
 
     # ------------------------------------------------------------------
     # Wiring
@@ -78,8 +96,10 @@ class Producer:
             size=self.content_size if size is None else size,
             exact_match_only=exact_match_only,
         )
+        if full not in self.repo:
+            self._index.append(full.components)
+            self._index_sorted = False
         self.repo[full] = data
-        self._sorted_names = None
         return data
 
     def publish_many(self, count: int, stem: str = "object", **kwargs) -> list:
@@ -110,17 +130,32 @@ class Producer:
         else:
             face.send_data(data)
 
+    def smallest_extension(self, name: Name) -> Optional[Data]:
+        """The object under the smallest published name that ``name`` is
+        a proper prefix of, ``exact_match_only`` objects skipped."""
+        index = self._index
+        if not self._index_sorted:
+            index.sort()
+            self._index_sorted = True
+        comps = name.components
+        depth = len(comps)
+        # Extensions of ``comps`` sort directly after it, contiguously.
+        for pos in range(bisect_left(index, comps), len(index)):
+            published = index[pos]
+            if published[:depth] != comps:
+                break
+            if len(published) > depth:
+                data = self.repo[Name(published)]
+                if not data.exact_match_only:
+                    return data
+        return None
+
     def _resolve(self, name: Name) -> Optional[Data]:
         data = self.repo.get(name)
         if data is not None:
             return data
-        # Prefix match: serve the smallest published name under the prefix.
-        if self._sorted_names is None:
-            self._sorted_names = sorted(self.repo)
-        for published in self._sorted_names:
-            if name.is_prefix_of(published) and not self.repo[published].exact_match_only:
-                return self.repo[published]
-        if self.auto_generate:
+        data = self.smallest_extension(name)
+        if data is None and self.auto_generate:
             data = Data(
                 name=name,
                 producer=self.producer_id,
@@ -128,9 +163,8 @@ class Producer:
                 size=self.content_size,
             )
             self.repo[name] = data
-            self._sorted_names = None
-            return data
-        return None
+            insort(self._index, name.components)
+        return data
 
     def receive_data(self, data: Data, face: Face) -> None:
         """Producers do not consume content."""

@@ -247,6 +247,15 @@ class Network:
             if isinstance(entity, Forwarder)
         }
 
+    @property
+    def consumers(self) -> Dict[str, Consumer]:
+        """All registered consumers by name."""
+        return {
+            name: entity
+            for name, entity in self._entities.items()
+            if isinstance(entity, Consumer)
+        }
+
     def router_summaries(self) -> Dict[str, Dict[str, float]]:
         """Per-router overload observables (PIT/CS sizes, drops, Nacks).
 

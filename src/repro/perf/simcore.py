@@ -15,7 +15,13 @@ Two fixed topologies:
   event ties and therefore stresses the engine's insertion-order
   determinism.
 
-Both are deterministic per seed and expressed as
+A third, batch-only case prices set-up at catalog scale: ``fat_tree``
+(the k=4 fat tree of :mod:`repro.ndn.topology`) driven by an Ircache
+stream through :func:`~repro.sim.workload_driver.scripts_from_workload`
+— thousands of distinct names over 20 routers, where compile time, not
+the kernel, is what a per-name cost would show up in.
+
+All are deterministic per seed and expressed as
 :class:`~repro.sim.batch.script.ConsumerScript` workloads, so the same
 topology+workload pair runs on either engine: ``run_star``/``run_tree``
 drive the reference object-graph engine, ``run_star_batch``/
@@ -34,15 +40,14 @@ from typing import List, Tuple
 
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
+from repro.ndn.topology import CONTENT_PREFIX, fat_tree
+from repro.perf.parallel import build_scheme
 from repro.sim.batch.compile import compile_topology
 from repro.sim.batch.kernel import run_compiled
-from repro.sim.batch.script import (
-    ConsumerScript,
-    FetchStep,
-    TopologyObservables,
-    _script_process,
-)
+from repro.sim.batch.script import ConsumerScript, FetchStep, _script_process
 from repro.sim.rng import RngRegistry
+from repro.sim.workload_driver import scripts_from_workload
+from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 
 #: Prefix the sim-core object universe lives under.
 SIMCORE_PREFIX = "/content"
@@ -61,6 +66,10 @@ class SimCoreResult:
     cache_hits: int
     sim_end_ms: float
     wall_s: float
+    #: Batch runs only: wall seconds in ``compile_topology`` (outside
+    #: ``wall_s``) and the size of the compiled vocabulary.
+    compile_s: float = 0.0
+    names: int = 0
 
     @property
     def hops_per_sec(self) -> float:
@@ -136,45 +145,33 @@ def _drive(
 
 
 def _drive_batch(
-    net: Network,
-    topology: str,
-    consumer_names: List[str],
-    requests_per_consumer: int,
-    universe: int,
+    net: Network, topology: str, scripts: List[ConsumerScript]
 ) -> SimCoreResult:
-    """Run the same scripts on the batch kernel, timing only the kernel
-    dispatch loop (compilation stays outside the clock, mirroring how
-    :func:`_drive` keeps spawning outside it)."""
-    scripts = simcore_scripts(consumer_names, requests_per_consumer, universe)
+    """Run ``scripts`` on the batch kernel.  ``wall_s`` times only the
+    kernel dispatch loop (mirroring how :func:`_drive` keeps spawning
+    outside the clock); compilation is timed apart, as ``compile_s``."""
+    start = time.perf_counter()
     compiled = compile_topology(net, scripts)
+    compile_s = time.perf_counter() - start
 
     start = time.perf_counter()
     obs = run_compiled(compiled)
     wall = time.perf_counter() - start
 
-    return _result_from_observables(
-        topology, obs, len(consumer_names), requests_per_consumer, wall
-    )
-
-
-def _result_from_observables(
-    topology: str,
-    obs: TopologyObservables,
-    consumers: int,
-    requests_per_consumer: int,
-    wall_s: float,
-) -> SimCoreResult:
-    """Fold the observables contract into the sim-core result shape."""
     return SimCoreResult(
         topology=topology,
-        consumers=consumers,
-        requests=requests_per_consumer * consumers,
+        consumers=len(scripts),
+        requests=sum(
+            isinstance(step, FetchStep) for script in scripts for step in script.steps
+        ),
         delivered=obs.total_delivered,
         packet_hops=obs.total_hops,
         events=obs.events_processed,
         cache_hits=obs.total_cache_hits,
         sim_end_ms=obs.end_time,
-        wall_s=wall_s,
+        wall_s=wall,
+        compile_s=compile_s,
+        names=len(compiled.names),
     )
 
 
@@ -257,7 +254,8 @@ def run_star_batch(
 ) -> SimCoreResult:
     """The star workload on the batch kernel (bit-identical counts)."""
     net, names, universe = build_star(consumers, seed, cache_capacity)
-    return _drive_batch(net, "star_batch", names, requests_per_consumer, universe)
+    scripts = simcore_scripts(names, requests_per_consumer, universe)
+    return _drive_batch(net, "star_batch", scripts)
 
 
 def run_tree_batch(
@@ -267,7 +265,51 @@ def run_tree_batch(
 ) -> SimCoreResult:
     """The tree workload on the batch kernel (bit-identical counts)."""
     net, names, universe = build_tree(seed, cache_capacity)
-    return _drive_batch(net, "tree_batch", names, requests_per_consumer, universe)
+    scripts = simcore_scripts(names, requests_per_consumer, universe)
+    return _drive_batch(net, "tree_batch", scripts)
+
+
+def build_fat_tree_ircache(
+    requests: int = 11_250, seed: int = 0
+) -> Tuple[Network, List[ConsumerScript]]:
+    """Fat tree x Ircache: returns ``(net, scripts)``.
+
+    LCD placement, 256-object caches, a uniform scheme on the probe
+    router; every host replays its share of one ``requests``-long
+    Ircache stream (2000 users over a 20k-object catalog, so roughly
+    two fetches in three name something new), every fifth fetch private.
+    """
+    net = fat_tree(
+        seed=seed,
+        scheme=build_scheme("uniform", seed=seed),
+        cache_capacity=256,
+        caching="lcd",
+    ).network
+    config = IrcacheConfig(
+        requests=requests,
+        users=2000,
+        objects=20_000,
+        sites=200,
+        session_locality=0.3,
+        duration_hours=1.0,
+        seed=seed,
+    )
+    scripts = scripts_from_workload(
+        IrcacheGenerator(config).stream(),
+        list(net.consumers),
+        uri_prefix=CONTENT_PREFIX,
+        time_scale=1e-3,
+        private_period=5,
+    )
+    return net, scripts
+
+
+def run_fat_tree_ircache_batch(
+    requests: int = 11_250, seed: int = 0
+) -> SimCoreResult:
+    """The fat-tree Ircache workload on the batch kernel."""
+    net, scripts = build_fat_tree_ircache(requests, seed)
+    return _drive_batch(net, "fat_tree_ircache_batch", scripts)
 
 
 RUNNERS = {

@@ -14,7 +14,9 @@ hot path:
   (``2*link`` and ``2*link+1``); the reverse direction is ``edge ^ 1``,
   which is how the kernel recovers a packet's arrival face,
 * **FIB** — per (router, name) next-hop candidate lists of send-edge
-  ids, precomputed from the longest-prefix match in FIB cost order,
+  ids in FIB cost order, resolved once per *route class* (the names
+  sharing one longest match in the union of all routers' FIB prefixes
+  — every FIB answers them alike) rather than once per name,
 * **CS/PIT/schemes** — capacities, replacement-policy kinds (and their
   RNG streams), :class:`~repro.core.schemes.base.SchemeKernel` instances
   and delay-policy modes; PIT state itself is runtime kernel state.
@@ -233,18 +235,53 @@ def _collect_entities(net: Network):
 
 
 def _intern_vocabulary(
-    scripts: Sequence[ConsumerScript],
-) -> Tuple[List[Name], Dict[Name, int]]:
-    """The workload vocabulary in first-seen order, prefix-free checked."""
+    scripts: Sequence[ConsumerScript], routers: List[Forwarder]
+) -> Tuple[List[Name], Dict[object, int], List[int], List[Name]]:
+    """One pass over the scripts: vocabulary, name ids, route classes.
+
+    Returns ``(names, name_ids, name_class, class_reps)``: the workload
+    vocabulary in first-seen order (prefix-free checked), the name id of
+    every fetch name *as the scripts spell it* (so lowering the steps
+    parses nothing twice), the route class of each name id, and the
+    first-seen member of each class.
+
+    A name's route class is its longest match in the union of all
+    routers' FIB prefixes (or "no match").  Every prefix of the name
+    that any single FIB registers is in the union, hence a prefix of
+    that longest match — so each router's longest-prefix match, and with
+    it the candidate next hops, is the same for all names of a class.
+    """
+    prefixes = {
+        prefix.components for router in routers for prefix in router.fib.prefixes
+    }
+    lengths = sorted({len(prefix) for prefix in prefixes}, reverse=True)
     names: List[Name] = []
-    ids: Dict[Name, int] = {}
+    name_ids: Dict[object, int] = {}
+    name_class: List[int] = []
+    class_ids: Dict[Optional[Tuple[str, ...]], int] = {}
+    class_reps: List[Name] = []
     for script in scripts:
         for step in script.steps:
-            if isinstance(step, FetchStep):
-                name = Name.intern(step.name)
-                if name not in ids:
-                    ids[name] = len(names)
-                    names.append(name)
+            if not isinstance(step, FetchStep) or step.name in name_ids:
+                continue
+            name = Name.intern(step.name)
+            nid = name_ids.get(name)
+            if nid is None:
+                nid = name_ids[name] = len(names)
+                names.append(name)
+                comps = name.components
+                matched = None
+                for length in lengths:
+                    candidate = comps[:length]
+                    if len(candidate) == length and candidate in prefixes:
+                        matched = candidate
+                        break
+                cid = class_ids.get(matched)
+                if cid is None:
+                    cid = class_ids[matched] = len(class_reps)
+                    class_reps.append(name)
+                name_class.append(cid)
+            name_ids[step.name] = nid
     _require(bool(names), "scripts contain no fetch steps")
     # Prefix-freeness: sorted component tuples put any prefix immediately
     # before an extension of it.
@@ -255,7 +292,7 @@ def _intern_vocabulary(
                 f"vocabulary is not prefix-free: {'/' + '/'.join(a)} is a "
                 f"prefix of {'/' + '/'.join(b)}"
             )
-    return names, ids
+    return names, name_ids, name_class, class_reps
 
 
 def _compile_link(link) -> CompiledLink:
@@ -305,12 +342,11 @@ def _scheme_delay_mode(scheme: CacheScheme) -> Tuple[int, float]:
 
 
 def _compile_router(
-    router: Forwarder,
-    names: List[Name],
-    face_to_edge: Dict[int, int],
-    kernel_cache: Dict[int, SchemeKernel],
-    scheme_owner: Dict[int, str],
+    router: Forwarder, scheme_owner: Dict[int, str]
 ) -> CompiledRouter:
+    """Everything about ``router`` that does not depend on the workload
+    vocabulary; ``kernel`` and ``next_hops`` are left for
+    :func:`compile_topology` to fill once the names are known."""
     name = router.name
     _require(router.up, f"router {name}: crashed routers are not supported")
     _require(
@@ -394,7 +430,7 @@ def _compile_router(
 
     scheme = router.scheme
     key = id(scheme)
-    if key in kernel_cache:
+    if key in scheme_owner:
         # One scheme instance on two routers shares RNG *and* per-content
         # state in the reference; the int-keyed kernel cannot mirror the
         # cross-router entry bookkeeping, so refuse rather than diverge.
@@ -402,47 +438,59 @@ def _compile_router(
             f"scheme instance shared between routers "
             f"{scheme_owner[key]!r} and {name!r}"
         )
-    kernel = scheme.make_kernel(names)
-    if kernel is None:
-        raise BatchCompileError(
-            f"router {name}: scheme {type(scheme).__name__} provides no kernel"
-        )
-    kernel_cache[key] = kernel
     scheme_owner[key] = name
     delay_mode, delay_gamma = _scheme_delay_mode(scheme)
-
-    next_hops: List[Tuple[int, ...]] = []
-    for content in names:
-        hops = router.fib.longest_prefix_match(content)
-        if not hops:
-            next_hops.append(())
-            continue
-        edges = []
-        for hop in hops:
-            edge = face_to_edge.get(id(hop.face))
-            if edge is None:
-                raise BatchCompileError(
-                    f"router {name}: FIB face {hop.face!r} is not attached "
-                    f"to a compiled link"
-                )
-            edges.append(edge)
-        next_hops.append(tuple(edges))
 
     return CompiledRouter(
         name=name,
         capacity=cs.capacity,
         policy_kind=policy_kind,
         policy_rng=policy_rng,
-        kernel=kernel,
+        kernel=None,
         delay_mode=delay_mode,
         delay_gamma=delay_gamma,
         processing_delay=router.processing_delay,
-        next_hops=next_hops,
+        next_hops=[],
         strategy_kind=strategy_kind,
         strategy_param=strategy_param,
         strategy_rng=strategy_rng,
         degree=len(router.faces),
     )
+
+
+def _scheme_kernel(router: Forwarder, names: List[Name]) -> SchemeKernel:
+    scheme = router.scheme
+    kernel = scheme.make_kernel(names)
+    if kernel is None:
+        raise BatchCompileError(
+            f"router {router.name}: scheme {type(scheme).__name__} "
+            f"provides no kernel"
+        )
+    return kernel
+
+
+def _class_next_hops(
+    router: Forwarder, class_reps: List[Name], face_to_edge: Dict[int, int]
+) -> List[Tuple[int, ...]]:
+    """Per route class: ``router``'s candidate send-edge ids in FIB cost
+    order — one longest-prefix match per class, on its representative."""
+    class_hops: List[Tuple[int, ...]] = []
+    for representative in class_reps:
+        hops = router.fib.longest_prefix_match(representative)
+        if not hops:
+            class_hops.append(())
+            continue
+        edges = []
+        for hop in hops:
+            edge = face_to_edge.get(id(hop.face))
+            if edge is None:
+                raise BatchCompileError(
+                    f"router {router.name}: FIB face {hop.face!r} is not "
+                    f"attached to a compiled link"
+                )
+            edges.append(edge)
+        class_hops.append(tuple(edges))
+    return class_hops
 
 
 def _compile_producer(
@@ -464,14 +512,12 @@ def _compile_producer(
             # The reference would serve a *differently named* published
             # object if one extends this name — the kernel cannot (data
             # ids are exact), so refuse that shape.
-            for published in producer.repo:
-                if content.is_prefix_of(published) and not producer.repo[
-                    published
-                ].exact_match_only:
-                    raise BatchCompileError(
-                        f"producer {producer.producer_id}: published name "
-                        f"{published} extends workload name {content}"
-                    )
+            extension = producer.smallest_extension(content)
+            if extension is not None:
+                raise BatchCompileError(
+                    f"producer {producer.producer_id}: published name "
+                    f"{extension.name} extends workload name {content}"
+                )
             if not producer.auto_generate:
                 continue
             flag = producer.private_by_default or content.marked_private
@@ -494,7 +540,7 @@ def _compile_producer(
 def _compile_consumer_scripts(
     net: Network,
     scripts: Sequence[ConsumerScript],
-    name_ids: Dict[Name, int],
+    name_ids: Dict[object, int],
     face_to_edge: Dict[int, int],
 ) -> List[CompiledConsumer]:
     compiled: List[CompiledConsumer] = []
@@ -546,7 +592,7 @@ def _compile_consumer_scripts(
                 steps.append(
                     (
                         "F",
-                        name_ids[Name.intern(step.name)],
+                        name_ids[step.name],
                         step.timeout,
                         step.lifetime,
                         bool(step.private),
@@ -559,28 +605,27 @@ def _compile_consumer_scripts(
 
 
 def _check_acyclic_routes(
-    routers: List[CompiledRouter],
+    class_hops: List[List[Tuple[int, ...]]],
     dest_kind: List[int],
     dest_idx: List[int],
-    n_names: int,
 ) -> None:
     """Refuse route graphs where an interest could revisit a router.
 
     A revisit would make the reference's nonce-based retransmission test
     observable; on a per-name acyclic candidate graph every nonce visits
     every router at most once, so ``arrival face already in PIT faces``
-    is exactly the reference predicate.
+    is exactly the reference predicate.  ``class_hops[router][class]``
+    is the candidate graph of every name in the class, so one search per
+    route class decides it for the whole vocabulary.
     """
-    for nid in range(n_names):
-        # Edges: router index -> set of successor router indices.
-        successors: List[List[int]] = []
-        for router in routers:
-            succ = []
-            for edge in router.next_hops[nid]:
-                if dest_kind[edge] == DEST_ROUTER:
-                    succ.append(dest_idx[edge])
-            successors.append(succ)
-        color = [0] * len(routers)  # 0 unvisited, 1 in-stack, 2 done
+    n_routers = len(class_hops)
+    for hops_by_router in zip(*class_hops):  # one column per route class
+        # Edges: router index -> successor router indices.
+        successors: List[List[int]] = [
+            [dest_idx[edge] for edge in hops if dest_kind[edge] == DEST_ROUTER]
+            for hops in hops_by_router
+        ]
+        color = [0] * n_routers  # 0 unvisited, 1 in-stack, 2 done
 
         def visit(start: int) -> None:
             stack = [(start, iter(successors[start]))]
@@ -603,7 +648,7 @@ def _check_acyclic_routes(
                     color[node] = 2
                     stack.pop()
 
-        for start in range(len(routers)):
+        for start in range(n_routers):
             if color[start] == 0:
                 visit(start)
 
@@ -623,7 +668,6 @@ def compile_topology(
         "origin hops network-wide or not at all)",
     )
     count_origin_hops = bool(hop_flags and hop_flags.pop())
-    names, name_ids = _intern_vocabulary(scripts)
 
     # Directed edges from links, in insertion order.
     links: List[CompiledLink] = []
@@ -656,12 +700,18 @@ def compile_topology(
             dest_kind.append(kind)
             dest_idx.append(idx)
 
-    kernel_cache: Dict[int, SchemeKernel] = {}
     scheme_owner: Dict[int, str] = {}
-    compiled_routers = [
-        _compile_router(r, names, face_to_edge, kernel_cache, scheme_owner)
-        for r in routers
-    ]
+    compiled_routers = [_compile_router(r, scheme_owner) for r in routers]
+
+    # Everything above is per link or per router, so a network that
+    # cannot lower is refused before any per-name work is spent on it.
+    names, name_ids, name_class, class_reps = _intern_vocabulary(scripts, routers)
+    class_hops: List[List[Tuple[int, ...]]] = []
+    for router, compiled_router in zip(routers, compiled_routers):
+        compiled_router.kernel = _scheme_kernel(router, names)
+        hops = _class_next_hops(router, class_reps, face_to_edge)
+        compiled_router.next_hops = [hops[cid] for cid in name_class]
+        class_hops.append(hops)
 
     name_private: List[Optional[bool]] = [None] * len(names)
     compiled_producers = [
@@ -675,7 +725,7 @@ def compile_topology(
     for pos, compiled_consumer in enumerate(compiled_consumers):
         entity = net[compiled_consumer.name]
         consumer_script_of_entity[consumer_index[id(entity)]] = pos
-    _check_acyclic_routes(compiled_routers, dest_kind, dest_idx, len(names))
+    _check_acyclic_routes(class_hops, dest_kind, dest_idx)
 
     return CompiledTopology(
         net=net,

@@ -79,6 +79,29 @@ class TestProducer:
         assert signal.triggered
         assert producer.monitor.counter("data_served") == 1
 
+    def test_republish_flips_exact_only_without_duplicating(self, engine):
+        producer = Producer(engine, prefix="/shop", auto_generate=False)
+        producer.publish("/shop/rand/0", exact_match_only=True)
+        assert producer.smallest_extension(Name.parse("/shop/rand")) is None
+        data = producer.publish("/shop/rand/0")
+        assert producer.smallest_extension(Name.parse("/shop/rand")) is data
+        producer.publish("/shop/rand/0", exact_match_only=True)
+        assert producer.smallest_extension(Name.parse("/shop/rand")) is None
+        assert producer._index == [("shop", "rand", "0")]
+
+    def test_publish_after_auto_generated_entry_is_found(self, engine):
+        consumer, producer = wire_pair(engine)
+        consumer.express_interest("/shop/m")  # synthesized, indexed in place
+        engine.run()
+        producer.publish("/shop/a/late")
+        producer.publish("/shop/z/late")
+        producer.publish("/shop/m")  # overwrites the synthesized object
+        signal = consumer.express_interest("/shop/a")
+        engine.run()
+        assert signal.payload.data.name == Name.parse("/shop/a/late")
+        assert sorted(producer._index) == sorted(n.components for n in producer.repo)
+        assert len(producer._index) == len(producer.repo) == 3
+
     def test_foreign_interest_ignored(self, engine):
         consumer, producer = wire_pair(engine)
         signal = consumer.express_interest("/not-shop/x", lifetime=50.0)

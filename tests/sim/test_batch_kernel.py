@@ -128,6 +128,23 @@ def test_batch_kernel_raises_on_unsupported_topology():
         run_scripts_batch(net, scripts)
 
 
+def test_unsupported_topology_is_refused_before_any_per_name_work():
+    # Both a lossy link and a vocabulary that is not prefix-free: the
+    # per-link check must win, because it costs nothing per name.
+    net, names = small_star(loss_rate=0.1)
+    scripts = [
+        ConsumerScript(
+            names[0], (FetchStep("/content/a"), FetchStep("/content/a/b"))
+        )
+    ]
+    with pytest.raises(BatchCompileError, match="loss"):
+        run_scripts_batch(net, scripts)
+    net, names = small_star()
+    scripts = [ConsumerScript(names[0], scripts[0].steps)]
+    with pytest.raises(BatchCompileError, match="prefix-free"):
+        run_scripts_batch(net, scripts)
+
+
 def test_shared_scheme_instance_is_rejected():
     from repro.core.schemes.uniform import UniformRandomCache
     import numpy as np
