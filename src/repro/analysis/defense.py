@@ -1,8 +1,9 @@
 """Detection frontier: attack success vs. detection latency vs. utility.
 
 ROADMAP item 5's quantitative deliverable.  For every (defense preset,
-attack) cell the sweep runs the closed-loop scenario twice — an
-attack-free baseline and an attacked run sharing every other spec field
+attack) cell the sweep compares two closed-loop scenario runs — an
+attack-free baseline (run once per preset and shared across attacks)
+and an attacked run sharing every other spec field
 (:func:`repro.defense.scenario.run_closed_loop`) — and reads off the
 three axes the defense loop trades between:
 
@@ -27,10 +28,16 @@ timing record (schema v2) via :class:`~repro.perf.timing.BenchReporter`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.defense.agent import DEFENSE_PRESETS
-from repro.defense.scenario import ClosedLoopReport, run_closed_loop
+from repro.defense.scenario import (
+    ClosedLoopReport,
+    DefenseRunResult,
+    DefenseScenarioSpec,
+    closed_loop_report,
+    run_closed_loop,
+)
 from repro.perf.timing import BenchReporter
 
 #: Attacks the frontier sweeps by default (the closed-loop demo's seeded
@@ -179,7 +186,10 @@ def run_defense_sweep(
     Pass a :class:`~repro.perf.timing.BenchReporter` to also collect one
     timing record per point (the caller owns ``reporter.write()``) — the
     ``repro-experiments defend`` command uses this to produce
-    ``BENCH_detection.json``.
+    ``BENCH_detection.json``.  Each preset's attack-free baseline runs
+    inside the first point that needs it, so that record's time covers
+    two scenario runs and later ones one; the record meta says which
+    (``ran_baseline``).
     """
     unknown = [d for d in defenses if d not in DEFENSE_PRESETS]
     if unknown:
@@ -187,19 +197,29 @@ def run_defense_sweep(
             f"unknown defenses {unknown!r}; choose from {DEFENSE_PRESETS}"
         )
     frontier = DefenseFrontier(seed=seed)
+    # The attack-free baseline depends on (defense, seed, overrides) but
+    # not on the attack, so each preset's is run once and shared by every
+    # attack of this sweep (scenario runs are pure functions of the spec).
+    baselines: Dict[DefenseScenarioSpec, DefenseRunResult] = {}
+
+    def run_point(defense: str, attack: str) -> DefensePoint:
+        spec = DefenseScenarioSpec(
+            defense=defense, attack=attack, seed=seed, **spec_overrides
+        )
+        return DefensePoint.from_report(closed_loop_report(spec, baselines))
+
     for attack in attacks:
         for defense in defenses:
-            label = f"{defense}/{attack}"
             if reporter is not None:
                 # reporter.time treats keyword arguments as record meta,
                 # not call arguments — close over them explicitly.
+                shared = len(baselines)
                 point, record = reporter.time(
-                    label,
-                    lambda d=defense, a=attack: run_defense_point(
-                        d, a, seed=seed, **spec_overrides
-                    ),
+                    f"{defense}/{attack}",
+                    lambda d=defense, a=attack: run_point(d, a),
                 )
                 record.meta.update(
+                    ran_baseline=len(baselines) > shared,
                     attack_success=point.attack_success,
                     recovery_ratio=point.recovery_ratio,
                     detection_latency=point.detection_latency,
@@ -210,8 +230,6 @@ def run_defense_sweep(
                     mitigations=point.mitigations,
                 )
             else:
-                point = run_defense_point(
-                    defense, attack, seed=seed, **spec_overrides
-                )
+                point = run_point(defense, attack)
             frontier.points.append(point)
     return frontier

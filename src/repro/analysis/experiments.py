@@ -50,6 +50,9 @@ class Fig3Result:
     hit_mean: float
     miss_mean: float
     separation: float
+    #: Simulation engine behind the samples: ``"batch"``, or
+    #: ``"reference: <reason>"`` when the batch compiler had to refuse.
+    engine: str = "batch"
 
     def render(self) -> str:
         """The panel as a printed table (PDF series + headline numbers)."""
@@ -110,6 +113,7 @@ def run_fig3(
         hit_mean=float(np.mean(dists.hit_rtts)),
         miss_mean=float(np.mean(dists.miss_rtts)),
         separation=separation_score(dists.hit_rtts, dists.miss_rtts),
+        engine=dists.engine,
     )
 
 

@@ -11,9 +11,11 @@ the network instead of burning it in delays.
 
 :func:`run_placement_sweep` quantifies that frontier.  For every
 (topology, scheme, strategy) point it runs the *actual* adversary
-procedure (:class:`~repro.attacks.timing.CacheProbeAttack` with ground
-truth, as in :func:`~repro.attacks.timing.attack_accuracy`) over fresh
-seeded topologies and reads the router counters afterwards:
+procedure (:func:`~repro.attacks.timing.run_probe_attack`: the
+:class:`~repro.attacks.timing.CacheProbeAttack` decision procedure with
+ground truth, scripted so it rides the batch kernel, as in
+:func:`~repro.attacks.timing.attack_accuracy`) over fresh seeded
+topologies and reads the router counters afterwards:
 
 * ``probe_accuracy`` — fraction of the adversary's hit/miss verdicts
   that match ground truth (0.5 ≈ coin flip, the privacy goal),
@@ -24,7 +26,9 @@ seeded topologies and reads the router counters afterwards:
   over all cache-resident requests,
   ``cs_hit / (cs_hit + cs_disguised_hit + cs_forced_miss)``,
 * ``cache_declined`` — admissions refused by the strategy network-wide
-  (0 for LCE, by construction).
+  (0 for LCE, by construction),
+* ``engine`` — which simulation engine produced the point: ``"batch"``,
+  or ``"reference: <reason>"`` when the batch compiler had to refuse.
 
 Use ``repro-experiments strategy`` to run the sweep from a shell; it
 writes the frontier as a JSON artifact plus a ``BENCH_strategy.json``
@@ -33,11 +37,11 @@ timing record (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.attacks.timing import CacheProbeAttack
-from repro.ndn.name import name_of
+from repro.attacks.timing import run_probe_attack
 from repro.ndn.strategy import STRATEGIES
 from repro.ndn.topology import (
     AttackTopology,
@@ -48,7 +52,6 @@ from repro.ndn.topology import (
 )
 from repro.perf.parallel import build_scheme
 from repro.perf.timing import BenchReporter
-from repro.sim.process import Timeout
 
 #: Topologies the sweep runs on by default: the paper's LAN panel (the
 #: single-router baseline, where placement cannot matter) plus the
@@ -80,6 +83,7 @@ class PlacementPoint:
     utility: float
     cache_declined: int
     verdicts: int
+    engine: str = "batch"
 
 
 @dataclass
@@ -144,8 +148,9 @@ def run_placement_point(
     a fresh scheme instance at the probe router — scheme objects are
     RNG-stateful and must never be reused across trials).  The user
     prefetches half the target set, the adversary runs the full probe
-    procedure, and the verdicts are scored against ground truth; router
-    counters accumulate over trials before the rates are formed.
+    procedure (as a scripted campaign), and the verdicts are scored
+    against ground truth; router counters accumulate over trials before
+    the rates are formed.
     """
     builder = SWEEP_TOPOLOGIES[topology]
     if strategy not in STRATEGIES:
@@ -157,10 +162,10 @@ def run_placement_point(
             f"targets_per_trial must be >= 2, got {targets_per_trial}"
         )
     correct = total = 0
-    probe_ctr = {"interest_in": 0, "cs_hit": 0, "cs_disguised_hit": 0,
-                 "cs_forced_miss": 0}
-    net_ctr = {"interest_in": 0, "cs_hit": 0, "cs_disguised_hit": 0}
-    declined = 0
+    probe_ctr: Counter = Counter()  # the probe router's monitor counters
+    net_ctr: Counter = Counter()  # every router's, summed
+    engine = "batch"  # or the first trial's fallback reason
+    half = targets_per_trial // 2
     for trial in range(trials):
         seed = base_seed + trial
         topo = builder(
@@ -170,46 +175,29 @@ def run_placement_point(
             caching=strategy,
         )
         prefix = str(topo.content_prefix)
-        half = targets_per_trial // 2
         # The victim's content carries the reserved ``/private/`` component
         # (producer-driven marking): consumer-only marking is demoted by
         # the adversary's own unmarked probe under the trigger rule, which
         # would measure every scheme as no-privacy.
         hot = [f"{prefix}/private/p{trial}-hot-{i}" for i in range(half)]
         cold = [f"{prefix}/private/p{trial}-cold-{i}" for i in range(half)]
-        attack = CacheProbeAttack(topo)
-
-        def user_proc():
-            # The victim marks their requests private — the paper's trigger
-            # rule: only marked content is disguised by the scheme, so an
-            # unmarked prefetch would measure every scheme as no-privacy.
-            for name in hot:
-                result = yield from topo.user.fetch(name, private=True)
-                if result is None:
-                    raise RuntimeError(f"user prefetch of {name} failed")
-                yield Timeout(2.0)
-
-        def adversary_proc():
-            yield Timeout(1000.0 + targets_per_trial * 10.0)
-            yield from attack.run(
-                targets=hot + cold, reference=f"{prefix}/p{trial}-ref"
-            )
-
-        topo.engine.spawn(user_proc(), label=f"user-{trial}")
-        topo.engine.spawn(adversary_proc(), label=f"adv-{trial}")
-        topo.engine.run()
-
-        hot_set = {name_of(n) for n in hot}
-        for verdict in attack.verdicts:
-            correct += int(verdict.decided_hit == (verdict.target in hot_set))
-            total += 1
-        probe = topo.router.monitor
-        for key in probe_ctr:
-            probe_ctr[key] += probe.counter(key)
-        for router in topo.network.routers.values():
-            for key in net_ctr:
-                net_ctr[key] += router.monitor.counter(key)
-            declined += router.monitor.counter("cache_declined")
+        # The victim also marks their requests private (the paper's
+        # trigger rule: only marked content is disguised by the scheme).
+        verdicts, right, observed = run_probe_attack(
+            topo,
+            hot,
+            cold,
+            reference=f"{prefix}/p{trial}-ref",
+            warmup=1000.0 + targets_per_trial * 10.0,
+            private=True,
+        )
+        correct += right
+        total += len(verdicts)
+        if engine == "batch":
+            engine = observed.engine
+        probe_ctr.update(observed.router_counters[topo.router.name])
+        for counters in observed.router_counters.values():
+            net_ctr.update(counters)
     if total == 0:
         raise RuntimeError(
             f"{topology}/{scheme}/{strategy}: attack produced no verdicts"
@@ -233,8 +221,9 @@ def run_placement_point(
             net_ctr["interest_in"],
         ),
         utility=_ratio(probe_ctr["cs_hit"], resident),
-        cache_declined=declined,
+        cache_declined=net_ctr["cache_declined"],
         verdicts=total,
+        engine=engine,
     )
 
 
@@ -291,6 +280,7 @@ def run_placement_sweep(
                         probe_hit_rate=point.probe_hit_rate,
                         utility=point.utility,
                         cache_declined=point.cache_declined,
+                        engine=point.engine,
                     )
                 else:
                     point = run_placement_point(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.attacks.timing import RttDistributions
+from repro.attacks.timing import RttDistributions, pooled_campaigns
 from repro.ndn.topology import AttackTopology
 from repro.sim.process import Timeout
 
@@ -38,47 +38,24 @@ def collect_producer_probe_distributions(
     Per trial: U (a consumer behind its own access path) prefetches half
     the objects through R.  Adv then fetches every object once; first-probe
     delays are labeled **hit** (object was recently requested, cached at R)
-    or **miss** (Adv's interest had to reach P).
+    or **miss** (Adv's interest had to reach P) — the consumer-privacy
+    panels' scripted campaign (:func:`~repro.attacks.timing.pooled_campaigns`)
+    with WAN-scale waits.
     """
     if objects_per_trial < 2:
         raise ValueError(f"objects_per_trial must be >= 2, got {objects_per_trial}")
-    kwargs = dict(builder_kwargs or {})
-    pooled = RttDistributions()
     half = objects_per_trial // 2
-    for trial in range(trials):
-        topo = topology_builder(seed=base_seed + trial, **kwargs)
-        prefix = str(topo.content_prefix)
-        requested = [f"{prefix}/pp{trial}-req-{i}" for i in range(half)]
-        unrequested = [f"{prefix}/pp{trial}-quiet-{i}" for i in range(half)]
-        trial_hits: List[float] = []
-        trial_misses: List[float] = []
-
-        def user_proc():
-            for name in requested:
-                result = yield from topo.user.fetch(name, timeout=10_000.0)
-                if result is None:
-                    raise RuntimeError(f"user prefetch of {name} failed")
-                yield Timeout(probe_gap)
-
-        def adversary_proc():
-            yield Timeout(5000.0 + half * (probe_gap + 500.0))
-            for name in requested:
-                result = yield from topo.adversary.fetch(name, timeout=10_000.0)
-                if result is not None:
-                    trial_hits.append(result.rtt)
-                yield Timeout(probe_gap)
-            for name in unrequested:
-                result = yield from topo.adversary.fetch(name, timeout=10_000.0)
-                if result is not None:
-                    trial_misses.append(result.rtt)
-                yield Timeout(probe_gap)
-
-        topo.engine.spawn(user_proc(), label=f"user-pp{trial}")
-        topo.engine.spawn(adversary_proc(), label=f"adv-pp{trial}")
-        topo.engine.run()
-        pooled.hit_rtts.extend(trial_hits)
-        pooled.miss_rtts.extend(trial_misses)
-    return pooled
+    return pooled_campaigns(
+        topology_builder,
+        trials,
+        base_seed,
+        builder_kwargs,
+        stem="pp",
+        count=half,
+        warmup=5000.0 + half * (probe_gap + 500.0),
+        gap=probe_gap,
+        timeout=10_000.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -8,22 +8,45 @@ recently requested content C:
    certainly served from R's cache, giving the reference delay d2,
 3. decide "U requested C" iff d1 ≈ d2 (cache hit at R).
 
-Two layers are provided: :class:`CacheProbeAttack` runs the actual
-adversary procedure inside a simulation, and
-:func:`collect_rtt_distributions` runs the paper's *measurement* protocol
-(prefetch-and-probe over many trials) to produce the labeled hit/miss RTT
-samples behind the Figure-3 PDFs.
+Two layers are provided.  :class:`CacheProbeAttack` runs the adversary
+procedure *inside* a simulation, as a process (the README example, and
+the oracle the scripted verdicts are tested against).  The measurement
+campaigns — :func:`collect_rtt_distributions` (the prefetch-and-probe
+protocol behind the Figure-3 PDFs) and :func:`run_probe_attack` (the
+same d1-vs-d2 procedure with ground truth) — are *non-adaptive*: what U
+prefetches and what Adv probes is fixed up front and every verdict is a
+function of the recorded RTTs.  They are therefore emitted as two
+:class:`~repro.sim.batch.script.ConsumerScript` s by the one campaign
+builder, :func:`probe_campaign`, run by :func:`run_campaign` through
+:func:`repro.sim.batch.run_scripts` — on the batch kernel whenever the
+topology lowers, bit-identically on the reference engine otherwise —
+and the adversary's RTT list is labelled by position afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.classifier import ThresholdClassifier, bayes_success
 from repro.ndn.name import Name, name_of
 from repro.ndn.topology import AttackTopology
+from repro.sim.batch import run_scripts
+from repro.sim.batch.script import (
+    ConsumerScript,
+    FetchStep,
+    SleepStep,
+    TopologyObservables,
+)
 from repro.sim.process import Timeout
+
+
+class CampaignError(RuntimeError):
+    """A scripted campaign fetch was not delivered.
+
+    Campaign RTTs are labelled by their position in the script, so one
+    missing sample would silently shift every later label.
+    """
 
 
 @dataclass(frozen=True)
@@ -42,6 +65,9 @@ class RttDistributions:
 
     hit_rtts: List[float] = field(default_factory=list)
     miss_rtts: List[float] = field(default_factory=list)
+    #: :attr:`TopologyObservables.engine` behind the samples: ``"batch"``,
+    #: or the first pooled fallback's ``"reference: <reason>"``.
+    engine: str = "batch"
 
     @property
     def bayes_success_probability(self) -> float:
@@ -52,12 +78,23 @@ class RttDistributions:
         """Merge another campaign's samples."""
         self.hit_rtts.extend(other.hit_rtts)
         self.miss_rtts.extend(other.miss_rtts)
+        if self.engine == "batch":
+            self.engine = other.engine
 
 
 class CacheProbeAttack:
     """The adversary's probe procedure, run as a simulation process."""
 
-    def __init__(self, topology: AttackTopology, margin_sigmas: float = 4.0) -> None:
+    #: Priming fetch excluded, how often the reference is re-fetched.
+    REFERENCE_PROBES = 5
+    #: Think time between the adversary's fetches (ms).
+    GAP = 5.0
+    #: Hit threshold: this many standard deviations above the mean d2.
+    MARGIN_SIGMAS = 4.0
+
+    def __init__(
+        self, topology: AttackTopology, margin_sigmas: float = MARGIN_SIGMAS
+    ) -> None:
         self.topology = topology
         self.adversary = topology.adversary
         self.margin_sigmas = margin_sigmas
@@ -67,8 +104,8 @@ class CacheProbeAttack:
         self,
         targets: Sequence[Union[str, Name]],
         reference: Union[str, Name],
-        reference_probes: int = 5,
-        gap: float = 5.0,
+        reference_probes: int = REFERENCE_PROBES,
+        gap: float = GAP,
     ):
         """Coroutine: probe each target, deciding hit/miss via the d2 reference.
 
@@ -109,6 +146,88 @@ class CacheProbeAttack:
         return self.verdicts
 
 
+def probe_campaign(
+    topo: AttackTopology,
+    prefetch: Sequence[str],
+    probes: Sequence[str],
+    warmup: float,
+    user_gap: float,
+    probe_gap: float,
+    timeout: float = 4000.0,
+    private: bool = False,
+) -> List[ConsumerScript]:
+    """One prefetch-and-probe trial as two consumer scripts.
+
+    U fetches ``prefetch`` in order (marked ``private`` if asked),
+    thinking ``user_gap`` ms after each; Adv sleeps ``warmup`` ms, then
+    fetches ``probes`` the same way — so after :func:`run_campaign`,
+    ``rtts[topo.adversary.name][i]`` is the RTT of ``probes[i]``.
+    """
+    user: list = []
+    for name in prefetch:
+        user += FetchStep(name, timeout=timeout, private=private), SleepStep(user_gap)
+    adversary: list = [SleepStep(warmup)]
+    for name in probes:
+        adversary += FetchStep(name, timeout=timeout), SleepStep(probe_gap)
+    return [
+        ConsumerScript(topo.user.name, user),
+        ConsumerScript(topo.adversary.name, adversary),
+    ]
+
+
+def run_campaign(
+    topo: AttackTopology, scripts: Sequence[ConsumerScript]
+) -> TopologyObservables:
+    """Run a campaign on ``topo`` (fresh: empty caches, engine at 0).
+
+    Batch kernel when the topology lowers, reference engine otherwise;
+    raises :class:`CampaignError` if any scripted fetch went undelivered.
+    """
+    observed = run_scripts(topo.network, list(scripts))
+    for script in scripts:
+        wanted = sum(isinstance(step, FetchStep) for step in script.steps)
+        got = observed.delivered[script.consumer]
+        if got != wanted:
+            raise CampaignError(
+                f"{script.consumer}: {wanted - got} of {wanted} scripted "
+                f"fetches were not delivered"
+            )
+    return observed
+
+
+def pooled_campaigns(
+    topology_builder: Callable[..., AttackTopology],
+    trials: int,
+    base_seed: int,
+    builder_kwargs: Optional[dict],
+    stem: str,
+    count: int,
+    warmup: float,
+    gap: float,
+    timeout: float = 4000.0,
+) -> RttDistributions:
+    """``trials`` labelled prefetch-and-probe campaigns, pooled.
+
+    Per trial (fresh topology ⇒ empty caches, new RNG streams) U
+    prefetches ``count`` objects; Adv waits ``warmup`` ms, then probes
+    those — **hit** samples — and as many never-requested ones —
+    **miss** samples; both think ``gap`` ms between fetches.  ``stem``
+    names the objects (``{prefix}/{stem}{trial}-hot-{i}`` / ``-cold-``).
+    """
+    pooled = RttDistributions()
+    for trial in range(trials):
+        topo = topology_builder(seed=base_seed + trial, **(builder_kwargs or {}))
+        base = f"{topo.content_prefix}/{stem}{trial}"
+        hot = [f"{base}-hot-{i}" for i in range(count)]
+        cold = [f"{base}-cold-{i}" for i in range(count)]
+        observed = run_campaign(
+            topo, probe_campaign(topo, hot, hot + cold, warmup, gap, gap, timeout)
+        )
+        rtts = observed.rtts[topo.adversary.name]
+        pooled.extend(RttDistributions(rtts[:count], rtts[count:], observed.engine))
+    return pooled
+
+
 def collect_rtt_distributions(
     topology_builder: Callable[..., AttackTopology],
     objects_per_trial: int = 100,
@@ -134,42 +253,53 @@ def collect_rtt_distributions(
         raise ValueError(f"objects_per_trial must be >= 1, got {objects_per_trial}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    kwargs = dict(builder_kwargs or {})
-    pooled = RttDistributions()
-    for trial in range(trials):
-        topo = topology_builder(seed=base_seed + trial, **kwargs)
-        prefix = str(topo.content_prefix)
-        hit_names = [f"{prefix}/t{trial}-hot-{i}" for i in range(objects_per_trial)]
-        miss_names = [f"{prefix}/t{trial}-cold-{i}" for i in range(objects_per_trial)]
-        trial_hits: List[float] = []
-        trial_misses: List[float] = []
+    return pooled_campaigns(
+        topology_builder,
+        trials,
+        base_seed,
+        builder_kwargs,
+        stem="t",
+        count=objects_per_trial,
+        warmup=warmup_gap + objects_per_trial * probe_gap * 4,
+        gap=probe_gap,
+    )
 
-        def user_proc():
-            for name in hit_names:
-                result = yield from topo.user.fetch(name)
-                if result is None:
-                    raise RuntimeError(f"user prefetch of {name} failed")
-                yield Timeout(probe_gap)
 
-        def adversary_proc():
-            yield Timeout(warmup_gap + objects_per_trial * probe_gap * 4)
-            for name in hit_names:
-                result = yield from topo.adversary.fetch(name)
-                if result is not None:
-                    trial_hits.append(result.rtt)
-                yield Timeout(probe_gap)
-            for name in miss_names:
-                result = yield from topo.adversary.fetch(name)
-                if result is not None:
-                    trial_misses.append(result.rtt)
-                yield Timeout(probe_gap)
+def run_probe_attack(
+    topo: AttackTopology,
+    hot: Sequence[str],
+    cold: Sequence[str],
+    reference: str,
+    warmup: float,
+    private: bool = False,
+) -> Tuple[List[ProbeVerdict], int, TopologyObservables]:
+    """:meth:`CacheProbeAttack.run` against a half-prefetched target set,
+    scripted, then judged and scored afterwards.
 
-        topo.engine.spawn(user_proc(), label=f"user-trial{trial}")
-        topo.engine.spawn(adversary_proc(), label=f"adv-trial{trial}")
-        topo.engine.run()
-        pooled.hit_rtts.extend(trial_hits)
-        pooled.miss_rtts.extend(trial_misses)
-    return pooled
+    U prefetches ``hot``; Adv primes ``reference``, samples it
+    :attr:`~CacheProbeAttack.REFERENCE_PROBES` times, then probes
+    ``hot + cold`` once each.  The adversary's classifier is a function
+    of the reference RTTs alone, so judging the recorded RTTs post hoc
+    yields exactly the verdicts the in-simulation adversary reaches.
+    Returns them, how many match ground truth (``hot`` was prefetched,
+    ``cold`` was not), and the run's observables.
+    """
+    sampled = 1 + CacheProbeAttack.REFERENCE_PROBES  # priming fetch: no sample
+    probes = [reference] * sampled + [*hot, *cold]
+    gap = CacheProbeAttack.GAP
+    observed = run_campaign(
+        topo, probe_campaign(topo, hot, probes, warmup, 2.0, gap, private=private)
+    )
+    rtts = observed.rtts[topo.adversary.name]
+    classifier = ThresholdClassifier.from_reference(
+        rtts[1:sampled], margin_sigmas=CacheProbeAttack.MARGIN_SIGMAS
+    )
+    verdicts = [
+        ProbeVerdict(name_of(t), rtt, classifier.is_hit(rtt), classifier.threshold)
+        for t, rtt in zip(probes[sampled:], rtts[sampled:])
+    ]
+    correct = sum(v.decided_hit == (i < len(hot)) for i, v in enumerate(verdicts))
+    return verdicts, correct, observed
 
 
 def attack_accuracy(
@@ -181,44 +311,27 @@ def attack_accuracy(
 ) -> float:
     """End-to-end adversary accuracy with ground truth.
 
-    Runs :class:`CacheProbeAttack` against a half-prefetched target set and
-    scores its verdicts; unlike :func:`collect_rtt_distributions` this
-    exercises the *actual decision procedure* (reference probing included),
-    not just the distribution gap.
+    Runs the :class:`CacheProbeAttack` procedure (:func:`run_probe_attack`)
+    against a half-prefetched target set and scores its verdicts; unlike
+    :func:`collect_rtt_distributions` this exercises the *actual decision
+    procedure* (reference probing included), not just the distribution gap.
     """
     if targets_per_trial < 2:
         raise ValueError(f"targets_per_trial must be >= 2, got {targets_per_trial}")
-    kwargs = dict(builder_kwargs or {})
-    correct = 0
-    total = 0
+    correct = total = 0
     for trial in range(trials):
-        topo = topology_builder(seed=base_seed + trial, **kwargs)
-        prefix = str(topo.content_prefix)
-        hot = [f"{prefix}/acc{trial}-hot-{i}" for i in range(targets_per_trial // 2)]
-        cold = [f"{prefix}/acc{trial}-cold-{i}" for i in range(targets_per_trial // 2)]
-        attack = CacheProbeAttack(topo)
-
-        def user_proc():
-            for name in hot:
-                result = yield from topo.user.fetch(name)
-                if result is None:
-                    raise RuntimeError(f"user prefetch of {name} failed")
-                yield Timeout(2.0)
-
-        def adversary_proc():
-            yield Timeout(1000.0 + targets_per_trial * 10.0)
-            yield from attack.run(
-                targets=hot + cold, reference=f"{prefix}/acc{trial}-ref"
-            )
-
-        topo.engine.spawn(user_proc(), label=f"user-acc{trial}")
-        topo.engine.spawn(adversary_proc(), label=f"adv-acc{trial}")
-        topo.engine.run()
-        hot_set = {name_of(n) for n in hot}
-        for verdict in attack.verdicts:
-            truth_hit = verdict.target in hot_set
-            correct += int(verdict.decided_hit == truth_hit)
-            total += 1
+        topo = topology_builder(seed=base_seed + trial, **(builder_kwargs or {}))
+        base = f"{topo.content_prefix}/acc{trial}"
+        half = range(targets_per_trial // 2)
+        verdicts, right, _ = run_probe_attack(
+            topo,
+            hot=[f"{base}-hot-{i}" for i in half],
+            cold=[f"{base}-cold-{i}" for i in half],
+            reference=f"{base}-ref",
+            warmup=1000.0 + targets_per_trial * 10.0,
+        )
+        correct += right
+        total += len(verdicts)
     if total == 0:
         raise RuntimeError("attack produced no verdicts")
     return correct / total

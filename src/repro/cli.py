@@ -206,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cProfile sort key")
     profile.add_argument("--timers", action="store_true",
                          help="also enable the per-subsystem counter timers "
-                              "and print their report")
+                              "(reference-engine call sites; fig3 panels run "
+                              "on the batch kernel) and print their report")
 
     deploy = sub.add_parser(
         "deploy",
@@ -309,6 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not settings:
             print("error: give a setting or --all", file=sys.stderr)
             return 2
+        engines = {}
         for setting in settings:
             result = run_fig3(
                 setting,
@@ -316,8 +318,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 trials=args.trials,
                 seed=args.seed,
             )
+            engines[setting] = result.engine
             print(result.render())
             print()
+        print(_engine_summary("panels", engines))
         return 0
 
     if args.command == "fig4a":
@@ -494,6 +498,23 @@ def _run_validate(args) -> int:
     return 1 if failed else 0
 
 
+def _engine_summary(what: str, engines) -> str:
+    """One line saying which simulation engine ran: ``engines`` maps a
+    label to ``"batch"`` or ``"reference: <why the compiler refused>"``."""
+    fallbacks = [
+        f"{label} ({engine})"
+        for label, engine in engines.items()
+        if engine != "batch"
+    ]
+    line = (
+        f"engine: {len(engines) - len(fallbacks)}/{len(engines)} {what} "
+        f"on the batch kernel"
+    )
+    if fallbacks:
+        line += "; fell back: " + "; ".join(fallbacks)
+    return line
+
+
 def _run_strategy(args) -> int:
     """Privacy-vs-placement frontier sweep; writes artifact + bench record."""
     import json
@@ -538,6 +559,15 @@ def _run_strategy(args) -> int:
     print(
         f"\nbest privacy point: {best.topology}/{best.scheme}/{best.strategy} "
         f"(accuracy {best.probe_accuracy:.3f}, u(c) {best.utility:.3f})"
+    )
+    print(
+        _engine_summary(
+            "points",
+            {
+                f"{p.topology}/{p.scheme}/{p.strategy}": p.engine
+                for p in frontier.points
+            },
+        )
     )
     out = Path(args.out)
     out.write_text(

@@ -28,7 +28,7 @@ punish bystanders — the deployment guidance encoded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -434,13 +434,26 @@ def run_closed_loop(
     Both runs share every spec field except ``attack``, so the baseline
     is the counterfactual the recovery ratio is measured against.
     """
-    attacked_spec = DefenseScenarioSpec(
+    spec = DefenseScenarioSpec(
         defense=defense, attack=attack, seed=seed, **overrides
     )
-    baseline_spec = DefenseScenarioSpec(
-        defense=defense, attack="none", seed=seed, **overrides
-    )
+    return closed_loop_report(spec, {})
+
+
+def closed_loop_report(
+    attacked_spec: DefenseScenarioSpec,
+    baselines: Dict[DefenseScenarioSpec, DefenseRunResult],
+) -> ClosedLoopReport:
+    """:func:`run_closed_loop` for a ready spec, sharing baselines.
+
+    The attack-free baseline is a pure function of the spec with
+    ``attack="none"``; it is looked up in (and added to) ``baselines``,
+    so a sweep passing one dict runs each distinct baseline once.
+    """
+    baseline_spec = replace(attacked_spec, attack="none")
+    if baseline_spec not in baselines:
+        baselines[baseline_spec] = run_defense_scenario(baseline_spec)
     return ClosedLoopReport(
-        baseline=run_defense_scenario(baseline_spec),
+        baseline=baselines[baseline_spec],
         attacked=run_defense_scenario(attacked_spec),
     )

@@ -91,6 +91,19 @@ _NACK_OUT_COUNTERS = {
 }
 
 
+def never_cache(data: Data) -> bool:
+    """The constant ``cache_filter``: this router takes no copies.
+
+    Install *this object* (``router.cache_filter = never_cache``) for a
+    pass-through router.  The batch compiler lowers exactly it — by
+    identity, since an arbitrary callable's verdict cannot be known
+    without running it — so such a router counts ``cache_skipped`` and
+    inserts nothing on either engine; any other filter rides the
+    reference fallback.
+    """
+    return False
+
+
 class Forwarder:
     """An NDN node: CS + PIT + FIB + privacy scheme."""
 

@@ -23,7 +23,11 @@ from repro.ndn.pit import Pit
 from repro.ndn.link import DelayModel, Face, Link
 from repro.ndn.name import Name, name_of
 from repro.ndn.replacement import make_policy
-from repro.ndn.strategy import CachingStrategy, strategy_of
+from repro.ndn.strategy import (
+    RANDOMIZED_STRATEGIES,
+    CachingStrategy,
+    strategy_of,
+)
 from repro.sim.engine import Engine
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RngRegistry
@@ -81,9 +85,10 @@ class Network:
         ``caching`` selects the on-path cache-admission strategy
         (:mod:`repro.ndn.strategy`): a registered kind string (``"lce"``,
         ``"lcd"``, ``"probcache"``, ``"edge"``, ``"cl4m"``,
-        ``"bernoulli"``) builds a per-router instance whose RNG stream is
-        ``caching:{name}`` (worker-count-independent, like the policy and
-        link streams), or pass a prebuilt
+        ``"bernoulli"``) builds a per-router instance — the randomized
+        kinds draw from the stream ``caching:{name}``
+        (worker-count-independent, like the ``policy:{name}`` stream of
+        ``random`` replacement and the link streams) — or pass a prebuilt
         :class:`~repro.ndn.strategy.CachingStrategy`.  ``None`` keeps the
         paper's cache-everywhere baseline.  Installing a hop-counting
         strategy (LCD, ProbCache) turns ``Data.origin_hops`` maintenance
@@ -95,15 +100,24 @@ class Network:
         :class:`~repro.ndn.forwarder.Forwarder` for the Nack semantics of
         each rejection path.
         """
-        if isinstance(caching, str):
-            caching = strategy_of(
-                caching, rng=self.rng.stream(f"caching:{name}")
-            )
-        else:
-            caching = strategy_of(caching)
+        # Named streams are derived only for the components that draw
+        # (randomized admission, random replacement): a stream's state
+        # depends on its name alone, so skipping the unused ones changes
+        # no draw anywhere.
+        caching = strategy_of(
+            caching,
+            rng=(
+                self.rng.stream(f"caching:{name}")
+                if caching in RANDOMIZED_STRATEGIES
+                else None
+            ),
+        )
         cs = ContentStore(
             capacity=capacity,
-            policy=make_policy(policy, self.rng.stream(f"policy:{name}")),
+            policy=make_policy(
+                policy,
+                self.rng.stream(f"policy:{name}") if policy == "random" else None,
+            ),
         )
         router = Forwarder(
             engine=self.engine,

@@ -44,7 +44,7 @@ the documented ``BatchCompileError`` reference fallback).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.ndn.name import Name
@@ -268,10 +268,10 @@ class Cl4mStrategy(CachingStrategy):
     shortest paths cross.  This implementation computes **exact**
     betweenness centrality with Brandes' algorithm over the full network
     graph — routers *and* end hosts, discovered by BFS over the live
-    face/peer object graph — once per strategy instance, at the first
-    admission decision (the topology is complete by then; construction
-    happens while the network is still being wired).  The verdict is a
-    topology constant thereafter:
+    face/peer object graph — once per network, at the first admission
+    decision any of its CL4M routers takes (the topology is complete by
+    then; construction happens while the network is still being wired).
+    The verdict is a topology constant thereafter:
 
         admit  ⇔  own centrality ≥ the ``quantile``-quantile of the
                   betweenness distribution over all *routers*
@@ -296,14 +296,26 @@ class Cl4mStrategy(CachingStrategy):
     def compute_verdict(self, forwarder) -> bool:
         """The (cached) topology-constant admission verdict for this node."""
         if self._verdict is None:
-            self._verdict = self._betweenness_verdict(forwarder)
+            self._resolve_network(forwarder)
         return self._verdict
 
-    def _betweenness_verdict(self, forwarder) -> bool:
+    def _resolve_network(self, forwarder) -> None:
+        """One Brandes pass settles the whole network, not just this node.
+
+        Betweenness is a property of the graph, so the pass that ranks
+        ``forwarder`` also fills the verdict of every still-unresolved
+        CL4M router it discovered, each against its own quantile —
+        ``n`` routers cost one pass, not ``n``.  Every verdict is thereby
+        fixed at the network's *first* decision: links added after it
+        are ignored, also for routers that have not asked yet.  An
+        instance shared by several routers is left out of the fill, so
+        it keeps the verdict of the first of them that asks.
+        """
         adjacency, nodes = discover_graph(forwarder)
         label = _node_label(forwarder)
         if not adjacency or label not in adjacency:
-            return True  # isolated node: nothing to rank against
+            self._verdict = True  # isolated node: nothing to rank against
+            return
         centrality = brandes_betweenness(adjacency)
         # Rank against *routers* only (end hosts sit at path endpoints,
         # score ~0, and would drag the quantile down to "everyone
@@ -313,13 +325,30 @@ class Cl4mStrategy(CachingStrategy):
             for node_label, score in centrality.items()
             if getattr(nodes[node_label], "fib", None) is not None
         )
+        self._verdict = self._admits(centrality[label], router_scores)
+        holders = Counter(
+            id(getattr(node, "caching", None)) for node in nodes.values()
+        )
+        for node_label, node in nodes.items():
+            strategy = getattr(node, "caching", None)
+            if (
+                isinstance(strategy, Cl4mStrategy)
+                and strategy._verdict is None
+                and holders[id(strategy)] == 1
+            ):
+                strategy._verdict = strategy._admits(
+                    centrality[node_label], router_scores
+                )
+
+    def _admits(self, score: float, router_scores: List[float]) -> bool:
+        """``score`` reaches this strategy's quantile of ``router_scores``
+        (sorted ascending)."""
         if not router_scores:
             return True
         # The q-quantile by rank: threshold = scores[ceil(q*n) - 1].
         index = math.ceil(self.quantile * len(router_scores)) - 1
         index = min(max(index, 0), len(router_scores) - 1)
-        threshold = router_scores[index]
-        return centrality[label] >= threshold
+        return score >= router_scores[index]
 
     def admit(self, name, origin_hops, forwarder, downstreams=()) -> bool:
         return self.compute_verdict(forwarder)
@@ -356,8 +385,9 @@ STRATEGIES: Dict[str, Type[CachingStrategy]] = {
     "bernoulli": BernoulliStrategy,
 }
 
-#: Strategies whose decisions consume RNG draws (need a stream).
-_RANDOMIZED = ("probcache", "bernoulli")
+#: Strategies whose decisions consume RNG draws (the only kinds that
+#: need — and therefore derive — a per-router ``caching:`` stream).
+RANDOMIZED_STRATEGIES = ("probcache", "bernoulli")
 
 
 def make_strategy(
@@ -377,7 +407,7 @@ def make_strategy(
             f"unknown caching strategy {kind!r}; choose from "
             f"{sorted(STRATEGIES)}"
         ) from None
-    if kind in _RANDOMIZED:
+    if kind in RANDOMIZED_STRATEGIES:
         return cls(rng=rng, **params)
     return cls(**params)
 

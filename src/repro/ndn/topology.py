@@ -26,7 +26,7 @@ from repro.core.schemes.base import CacheScheme
 from repro.ndn.apps.consumer import Consumer
 from repro.ndn.apps.producer import Producer
 from repro.ndn.errors import TopologyError
-from repro.ndn.forwarder import Forwarder
+from repro.ndn.forwarder import Forwarder, never_cache
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.name import Name
 from repro.ndn.network import Network
@@ -194,7 +194,7 @@ def wan_producer(
             name = f"{tag}{i}"
             node = net.add_router(name, caching=caching)
             if not cache_on_access_path:
-                node.cache_filter = lambda data: False
+                node.cache_filter = never_cache
             routers.append(node)
             chain.append(name)
         chain.append("R")

@@ -62,8 +62,10 @@ def run_scripts(
     otherwise — never raises for unsupported combinations),
     ``"batch"`` (raise :class:`BatchCompileError` when unsupported), or
     ``"reference"``.  The returned observables carry the engine actually
-    used in :attr:`TopologyObservables.kernel`, so callers can assert on
-    (or log) fallbacks without ever getting silently divergent numbers.
+    used in :attr:`TopologyObservables.kernel` — and, after a fallback,
+    the compiler's reason in :attr:`TopologyObservables.fallback_reason`
+    — so callers can assert on (or log) fallbacks without ever getting
+    silently divergent numbers.
     """
     if kernel == "reference":
         return run_scripts_reference(net, scripts)
@@ -75,6 +77,8 @@ def run_scripts(
         )
     try:
         compiled = compile_topology(net, scripts)
-    except BatchCompileError:
-        return run_scripts_reference(net, scripts)
+    except BatchCompileError as refused:
+        observed = run_scripts_reference(net, scripts)
+        observed.fallback_reason = str(refused)
+        return observed
     return run_compiled(compiled)

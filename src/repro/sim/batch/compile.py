@@ -43,7 +43,7 @@ from repro.core.schemes.delay_policies import ConstantDelay, ContentSpecificDela
 from repro.core.schemes.marking import MarkingPolicy
 from repro.ndn.apps.consumer import Consumer
 from repro.ndn.apps.producer import Producer
-from repro.ndn.forwarder import Forwarder
+from repro.ndn.forwarder import Forwarder, never_cache
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.name import Name
 from repro.ndn.network import Network
@@ -92,6 +92,7 @@ COUNTER_NAMES: Tuple[str, ...] = (
     "cs_insert",
     "data_out",
     "cache_declined",
+    "cache_skipped",
 )
 
 #: Node kinds for the edge destination table.
@@ -156,6 +157,9 @@ class CompiledRouter:
     strategy_param: float = 0.0
     strategy_rng: object = None
     degree: int = 0
+    #: ``cache_filter is never_cache``: arriving data is counted as
+    #: ``cache_skipped`` and never inserted.
+    never_cache: bool = False
 
 
 @dataclass
@@ -362,9 +366,13 @@ def _compile_router(
         f"router {name}: online defense agents are not supported "
         f"(defended runs ride the reference engine)",
     )
+    # An arbitrary callable's verdict is unknowable without running it;
+    # the one named constant filter is lowered by identity.
+    skips_caching = router.cache_filter is never_cache
     _require(
-        router.cache_filter is None,
-        f"router {name}: cache filters are not supported",
+        router.cache_filter is None or skips_caching,
+        f"router {name}: cache filters other than never_cache are not "
+        f"supported",
     )
     _require(
         not router.nack_on_no_route,
@@ -455,6 +463,7 @@ def _compile_router(
         strategy_param=strategy_param,
         strategy_rng=strategy_rng,
         degree=len(router.faces),
+        never_cache=skips_caching,
     )
 
 

@@ -77,7 +77,8 @@ from repro.workload.fast_replay import _FastLfu, _FastRandom
     C_CS_INSERT,
     C_DATA_OUT,
     C_DECLINED,
-) = range(17)
+    C_SKIPPED,
+) = range(len(COUNTER_NAMES))
 
 # Event kinds.  Entries are tuples (time, seq, kind, ...); comparison only
 # ever reaches (time, seq) because seq is unique.
@@ -162,7 +163,7 @@ def run_compiled(
     r_cached = [bytearray(n_names) for _ in range(n_routers)]
     r_priv = [bytearray(n_names) for _ in range(n_routers)]
     r_fd = [[0.0] * n_names for _ in range(n_routers)]
-    r_ctr = [[0] * 17 for _ in range(n_routers)]
+    r_ctr = [[0] * len(COUNTER_NAMES) for _ in range(n_routers)]
     r_pit: List[Dict[int, list]] = [{} for _ in range(n_routers)]
     r_size = [0] * n_routers
     r_evict = [0] * n_routers
@@ -182,6 +183,7 @@ def run_compiled(
     s_kind = [cr.strategy_kind for cr in ct.routers]
     s_param = [cr.strategy_param for cr in ct.routers]
     s_rng = [cr.strategy_rng for cr in ct.routers]
+    r_never = [cr.never_cache for cr in ct.routers]
     track = ct.count_origin_hops
 
     # ---- producers -----------------------------------------------------
@@ -376,9 +378,11 @@ def run_compiled(
         ctr[C_PIT_SATISFIED] += 1
         cancel(entry[4])  # a live PIT entry always has a pending timer
         fetch_delay = t - entry[1]
-        # _maybe_cache
+        # _maybe_cache (the cache filter is consulted before anything else)
         cached = r_cached[rid]
-        if cached[nid]:
+        if r_never[rid]:
+            ctr[C_SKIPPED] += 1
+        elif cached[nid]:
             pol_access[rid](nid)  # refresh in place: recency only
         else:
             # Strategy admission precedes the eviction loop, so a
@@ -514,7 +518,7 @@ def run_compiled(
     for rid, cr in enumerate(ct.routers):
         ctr = r_ctr[rid]
         router_counters[cr.name] = {
-            counter_names[i]: ctr[i] for i in range(17) if ctr[i]
+            counter_names[i]: ctr[i] for i in range(len(ctr)) if ctr[i]
         }
         cap = cr.capacity
         router_stats[cr.name] = {

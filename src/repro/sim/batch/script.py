@@ -14,7 +14,7 @@ single-outstanding-fetch consumer state exact rather than approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ndn.network import Network
 from repro.sim.process import Timeout
@@ -57,8 +57,10 @@ class TopologyObservables:
     """Everything the differential harness compares between engines.
 
     ``kernel`` records which engine actually produced the numbers
-    ("reference" or "batch") and is excluded from comparison — it is how
-    fallback transparency stays observable.
+    ("reference" or "batch") and ``fallback_reason`` why the batch
+    compiler refused when ``run_scripts`` fell back; both are excluded
+    from comparison — they are how fallback transparency stays
+    observable.
     """
 
     kernel: str
@@ -76,6 +78,17 @@ class TopologyObservables:
     events_processed: int
     #: Simulated time when the event queue drained.
     end_time: float
+    #: The :class:`BatchCompileError` message behind a transparent
+    #: fallback (``None`` when the requested engine ran).
+    fallback_reason: Optional[str] = None
+
+    @property
+    def engine(self) -> str:
+        """``kernel``, plus the compiler's reason after a fallback
+        (``"batch"`` or ``"reference: <why it could not lower>"``)."""
+        if self.fallback_reason is None:
+            return self.kernel
+        return f"{self.kernel}: {self.fallback_reason}"
 
     @property
     def total_delivered(self) -> int:
@@ -96,11 +109,11 @@ class TopologyObservables:
 def diff_observables(
     oracle: TopologyObservables, fast: TopologyObservables
 ) -> List[str]:
-    """Field-by-field differences (``kernel`` excluded); empty when
-    bit-identical."""
+    """Field-by-field differences (``kernel``/``fallback_reason``
+    excluded); empty when bit-identical."""
     mismatches: List[str] = []
     for f in fields(TopologyObservables):
-        if f.name == "kernel":
+        if f.name in ("kernel", "fallback_reason"):
             continue
         a = getattr(oracle, f.name)
         b = getattr(fast, f.name)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
-from repro.ndn.topology import fat_tree, local_lan
+from repro.ndn.topology import TOPOLOGIES, fat_tree, rocketfuel_isp
 from repro.perf.parallel import build_scheme
 from repro.sim.batch.script import (
     ConsumerScript,
@@ -193,7 +193,12 @@ class TopologyCase:
     """One (topology, scheme, policy, workload) configuration to
     cross-check between the reference engine and the batch kernel."""
 
-    topology: str  # "star" | "tree" | "fig3a_lan" | "fat_tree"
+    #: "star" | "tree" | a Figure 3 panel (the keys of
+    #: :data:`repro.ndn.topology.TOPOLOGIES`) | "fat_tree" run the
+    #: interleaved workload of :func:`_topology_scripts`; "rocketfuel"
+    #: runs the placement sweep's probe campaign (the workload fields
+    #: below do not apply).
+    topology: str
     scheme: str = "no-privacy"
     policy: str = "lru"
     #: Cache-admission strategy kind (:mod:`repro.ndn.strategy`) on every
@@ -230,10 +235,12 @@ class TopologyCase:
 
 
 def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
-    """The CI grid: sim-core shapes plus the fig3 LAN panel and a fat
-    tree, covering NoPrivacy and the privacy schemes, all four
-    replacement policies, every caching strategy, a small-timeout
-    retransmission case, and one asserted compiler fallback."""
+    """The CI grid: sim-core shapes plus the fig3 LAN, producer-privacy
+    and local-host panels, a fat tree and one placement campaign on the
+    ISP graph, covering NoPrivacy and the privacy schemes, all four
+    replacement policies, every caching strategy, never-cache routers,
+    a small-timeout retransmission case, and one asserted compiler
+    fallback."""
     return [
         TopologyCase("star", "no-privacy", "lru", seed=seed),
         TopologyCase("star", "uniform", "random", seed=seed),
@@ -244,6 +251,11 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
         TopologyCase("fig3a_lan", "no-privacy", "lru", seed=seed),
         TopologyCase("fig3a_lan", "uniform", "lru", seed=seed),
         TopologyCase("fig3a_lan", "always-delay", "lru", seed=seed),
+        # Fig. 3(c): never_cache access routers (cache_skipped must
+        # agree); Fig. 3(d): sub-millisecond IPC faces.
+        TopologyCase("fig3c_wan_producer", "no-privacy", "lru", seed=seed),
+        TopologyCase("fig3c_wan_producer", "uniform", "lru", caching="lcd", seed=seed),
+        TopologyCase("fig3d_local_host", "exponential", "lru", seed=seed),
         # Strategy × scheme × replacement: every registered caching
         # strategy, crossed with randomized replacement and the privacy
         # schemes so strategy and policy draws interleave on one stream
@@ -257,6 +269,8 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
         TopologyCase("fat_tree", "uniform", "lru", caching="lcd", seed=seed),
         TopologyCase("fat_tree", "no-privacy", "random", caching="probcache", seed=seed),
         TopologyCase("fat_tree", "exponential", "lru", caching="cl4m", seed=seed),
+        # The frontier's own workload: one probe campaign, 42 CL4M routers.
+        TopologyCase("rocketfuel", "uniform", "lru", caching="cl4m", seed=seed),
         # Multicast forwarding is outside the kernel's subset: the case
         # must *fall back* transparently, not diverge (the tree has one
         # upstream per prefix, so multicast forwards identically).
@@ -373,15 +387,43 @@ def _build_topology_case(
                 names.append(name)
         return net, _topology_scripts(names, case, universe=10)
 
-    if case.topology == "fig3a_lan":
-        topo = local_lan(
+    if case.topology in TOPOLOGIES:  # the Figure 3 panels' builders
+        topo = TOPOLOGIES[case.topology](
             seed=case.seed,
             scheme=scheme(),
             cache_capacity=case.cache_capacity,
             caching=case.caching,
         )
-        names = ["U", "Adv"]
+        names = [topo.user.name, topo.adversary.name]
         return topo.network, _topology_scripts(names, case, universe=8)
+
+    if case.topology == "rocketfuel":
+        # Imported here: the attack suite is not needed by the replay and
+        # deployment differentials that share this module.
+        from repro.attacks.timing import CacheProbeAttack, probe_campaign
+
+        topo = rocketfuel_isp(
+            seed=case.seed,
+            scheme=scheme(),
+            cache_capacity=case.cache_capacity,
+            caching=case.caching,
+            policy=case.policy,
+        )
+        hot = [f"{_TOPO_PREFIX}/private/hot-{i}" for i in range(10)]
+        cold = [f"{_TOPO_PREFIX}/private/cold-{i}" for i in range(10)]
+        # The placement frontier's campaign (``run_probe_attack``): prime
+        # and sample the reference, then probe every target once.
+        primed = [f"{_TOPO_PREFIX}/ref"] * (1 + CacheProbeAttack.REFERENCE_PROBES)
+        campaign = probe_campaign(
+            topo,
+            prefetch=hot,
+            probes=primed + hot + cold,
+            warmup=1200.0,
+            user_gap=2.0,
+            probe_gap=CacheProbeAttack.GAP,
+            private=True,
+        )
+        return topo.network, campaign
 
     if case.topology == "fat_tree":
         topo = fat_tree(
@@ -395,8 +437,8 @@ def _build_topology_case(
         return topo.network, _topology_scripts(names, case, universe=16)
 
     raise ValueError(
-        f"unknown topology {case.topology!r}; "
-        "choose from 'star', 'tree', 'fig3a_lan', 'fat_tree'"
+        f"unknown topology {case.topology!r}; choose from 'star', 'tree', "
+        f"{', '.join(map(repr, TOPOLOGIES))}, 'fat_tree', 'rocketfuel'"
     )
 
 

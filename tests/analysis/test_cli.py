@@ -30,6 +30,7 @@ class TestFig3Command:
         assert main(["fig3", "fig3a_lan", "--objects", "8", "--trials", "1"]) == 0
         out = capsys.readouterr().out
         assert "Figure 3 [fig3a_lan]" in out
+        assert "engine: 1/1 panels on the batch kernel" in out
         assert "Bayes success" in out
 
     def test_unknown_setting_rejected(self):

@@ -127,13 +127,26 @@ class TestStrategyCommand:
         ]) == 0
         printed = capsys.readouterr().out
         assert "best privacy point" in printed
+        assert "engine: 1/1 points on the batch kernel" in printed
         artifact = json.loads(out.read_text())
         assert artifact["experiment"] == "strategy_placement_frontier"
         assert len(artifact["points"]) == 1
+        assert artifact["points"][0]["engine"] == "batch"
         bench = json.loads((tmp_path / "BENCH_strategy.json").read_text())
         assert bench["schema_version"] == 2
         assert bench["scale"]["strategies"] == ["lce"]
         assert len(bench["records"]) == 1
+        assert bench["records"][0]["meta"]["engine"] == "batch"
+
+    def test_engine_summary_names_each_fallback_and_its_reason(self):
+        from repro.cli import _engine_summary
+
+        assert _engine_summary(
+            "panels", {"a": "batch", "b": "reference: lossy link"}
+        ) == (
+            "engine: 1/2 panels on the batch kernel; "
+            "fell back: b (reference: lossy link)"
+        )
 
     def test_no_bench_flag_skips_record(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))

@@ -67,6 +67,33 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown defenses"):
             run_defense_sweep(defenses=("off", "rubber"), attacks=("pollution",))
 
+    def test_baseline_runs_once_per_defense_and_changes_no_point(self, monkeypatch):
+        from repro.defense import scenario as scenario_module
+
+        specs = []
+        real = scenario_module.run_defense_scenario
+
+        def recording(spec):
+            specs.append((spec.defense, spec.attack))
+            return real(spec)
+
+        monkeypatch.setattr(scenario_module, "run_defense_scenario", recording)
+        tiny = dict(horizon=2000.0, attack_start=400.0, attack_end=1400.0)
+        frontier = run_defense_sweep(
+            defenses=("off", "adaptive"), attacks=("pollution", "flood"),
+            seed=2, **tiny,
+        )
+        # 2 shared baselines + 4 attacked runs, where 4 + 4 used to run.
+        assert sorted(specs) == sorted(
+            [("off", "none"), ("adaptive", "none")]
+            + [(d, a) for d in ("off", "adaptive") for a in ("pollution", "flood")]
+        )
+        assert frontier.points == [
+            run_defense_point(d, a, seed=2, **tiny)
+            for a in ("pollution", "flood")
+            for d in ("off", "adaptive")
+        ]
+
     def test_default_attack_axis(self):
         assert SWEEP_ATTACKS == ("pollution", "flood", "adaptive")
 
@@ -108,6 +135,8 @@ class TestBenchIntegration:
         assert meta["attack_success"] == point.attack_success
         assert meta["detection_latency"] == point.detection_latency
         assert meta["false_alarms"] == point.false_alarms
+        # One attack: every record's time includes its preset's baseline.
+        assert [r.meta["ran_baseline"] for r in reporter.records] == [True, True]
 
     def test_bench_artifact_round_trips(self, tmp_path):
         reporter = BenchReporter("detection-test", scale={"cells": 1})

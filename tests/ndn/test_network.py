@@ -137,3 +137,35 @@ class TestEndToEnd:
             return rtts[0]
 
         assert run_once() == run_once()
+
+
+class TestRouterStreams:
+    """Per-router RNG streams exist only for the components that draw."""
+
+    def test_deterministic_routers_derive_no_policy_or_caching_stream(self):
+        from repro.ndn.topology import fat_tree
+
+        names = fat_tree(seed=5, caching="lce").network.rng.stream_names
+        assert names  # the jittery links still have theirs
+        assert not [n for n in names if n.startswith(("policy:", "caching:"))]
+
+    def test_drawing_routers_keep_their_parent_commit_sequences(self):
+        import json
+        from pathlib import Path
+
+        from repro.ndn.topology import fat_tree
+
+        golden = json.loads(
+            (
+                Path(__file__).parents[1]
+                / "analysis"
+                / "golden_probe_campaigns.json"
+            ).read_text("utf-8")
+        )["rng_draws"]
+        topo = fat_tree(seed=golden["seed"], caching="probcache", policy="random")
+        router = topo.network[golden["router"]]
+        names = topo.network.rng.stream_names
+        assert f"policy:{router.name}" in names
+        assert f"caching:{router.name}" in names
+        assert router.cs.policy._rng.random(4).tolist() == golden["policy"]
+        assert router.caching._rng.random(4).tolist() == golden["caching"]

@@ -145,6 +145,47 @@ def test_unsupported_topology_is_refused_before_any_per_name_work():
         run_scripts_batch(net, scripts)
 
 
+def pass_through_chain(cache_filter):
+    """C - A (cache_filter) - R - P."""
+    net = Network(rng=RngRegistry(3))
+    net.add_router("A", capacity=4).cache_filter = cache_filter
+    net.add_router("R", capacity=4)
+    net.add_producer("P", "/content")
+    net.add_consumer("C")
+    net.connect("C", "A", GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5))
+    net.connect("A", "R", LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8))
+    net.connect("R", "P", FixedDelay(0.5))
+    net.add_route_chain("/content", "A", "R", "P")
+    return net, star_scripts(["C"], requests=8, universe=4)
+
+
+def test_never_cache_filter_lowers_and_counts_skips():
+    from repro.ndn.forwarder import never_cache
+
+    oracle = run_scripts_reference(*pass_through_chain(never_cache))
+    batch = run_scripts(*pass_through_chain(never_cache))
+    assert batch.kernel == "batch" and batch.fallback_reason is None
+    assert diff_observables(oracle, batch) == []
+    # Nothing sticks at A, so all 8 fetches reach R: 4 distinct objects
+    # are cached there once, and every returning data is skipped at A.
+    assert batch.router_counters["A"]["cache_skipped"] == 8
+    assert "cs_insert" not in batch.router_counters["A"]
+    assert batch.router_counters["R"]["cs_insert"] == 4
+
+
+def test_any_other_cache_filter_rides_the_fallback_with_its_reason():
+    with pytest.raises(BatchCompileError, match="never_cache"):
+        run_scripts_batch(*pass_through_chain(lambda data: False))
+    observed = run_scripts(*pass_through_chain(lambda data: False))
+    assert observed.kernel == "reference"
+    assert "cache filters" in observed.fallback_reason
+    assert observed.engine == f"reference: {observed.fallback_reason}"
+    # Same verdicts as never_cache, so the numbers agree across engines.
+    from repro.ndn.forwarder import never_cache
+
+    assert diff_observables(observed, run_scripts(*pass_through_chain(never_cache))) == []
+
+
 def test_shared_scheme_instance_is_rejected():
     from repro.core.schemes.uniform import UniformRandomCache
     import numpy as np

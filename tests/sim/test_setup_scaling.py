@@ -48,6 +48,30 @@ def test_fat_tree_compile_matches_fibs_once_per_route_class(monkeypatch):
         assert len(router.fib._lpm_cache) <= classes
 
 
+def test_cl4m_compile_runs_brandes_once_per_network(monkeypatch):
+    from repro.ndn import strategy
+    from repro.ndn.topology import rocketfuel_isp
+    from repro.sim.batch import ConsumerScript, FetchStep
+
+    topo = rocketfuel_isp(seed=7, caching="cl4m")
+    assert len(topo.network.routers) == 42
+    passes = 0
+    real = strategy.brandes_betweenness
+
+    def counting(adjacency):
+        nonlocal passes
+        passes += 1
+        return real(adjacency)
+
+    monkeypatch.setattr(strategy, "brandes_betweenness", counting)
+    compiled = compile_topology(
+        topo.network, [ConsumerScript("U", (FetchStep("/content/x"),))]
+    )
+    assert passes == 1
+    admitting = sum(router.strategy_param for router in compiled.routers)
+    assert 0 < admitting < 42
+
+
 class CountingTuple(tuple):
     """Name components that count every ordering comparison made on them
     (``bisect`` and ``sort`` order tuples with ``<``; ``>`` is its

@@ -25,13 +25,22 @@ def test_default_grid_is_bit_identical():
     report = validate_topology_differential()
     assert report.ok, report.summary()
     assert report.failures == []
-    # The grid covers the advertised surface: all three topologies, the
-    # privacy schemes next to no-privacy, every replacement policy, and
-    # a sub-RTT timeout case.
+    # The grid covers the advertised surface: the sim-core shapes, the
+    # Figure 3 panels (never_cache access routers included), the scale
+    # graphs with the frontier's own probe campaign, the privacy schemes
+    # next to no-privacy, every replacement policy, and a sub-RTT
+    # timeout case.
     cases = [r.case for r in report.results]
     assert {c.topology for c in cases} == {
-        "star", "tree", "fig3a_lan", "fat_tree",
+        "star", "tree", "fig3a_lan", "fig3c_wan_producer",
+        "fig3d_local_host", "fat_tree", "rocketfuel",
     }
+    skipped = [
+        sum(c.get("cache_skipped", 0) for c in r.batch.router_counters.values())
+        for r in report.results
+        if r.case.topology == "fig3c_wan_producer"
+    ]
+    assert skipped and all(skipped)
     assert {c.scheme for c in cases} >= {
         "no-privacy",
         "uniform",
