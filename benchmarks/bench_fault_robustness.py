@@ -14,7 +14,7 @@ flipping; retransmission keeps delivery high under every scenario.
 Scale knobs: ``REPRO_BENCH_FAULT_TRIALS`` (attack trials per scenario,
 default 3), ``REPRO_BENCH_FAULT_TARGETS`` (probe targets per trial,
 default 24), ``REPRO_BENCH_FAULT_REQUESTS`` (fetches in the delivery
-workload, default 400).  Results land in ``BENCH_fault_robustness.json``.
+workload, default 400).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.faults import (
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
 from repro.ndn.topology import local_lan
-from repro.perf.timing import BenchReporter
 from repro.sim.process import Timeout
 from repro.sim.rng import RngRegistry
 from repro.validation import InvariantChecker
@@ -46,15 +45,6 @@ FAULT_REQUESTS = int(os.environ.get("REPRO_BENCH_FAULT_REQUESTS", 400))
 
 MEAN_LOSS = 0.05
 BURST_LENGTH = 8.0
-
-_REPORTER = BenchReporter(
-    "fault_robustness",
-    scale={
-        "trials": FAULT_TRIALS,
-        "targets": FAULT_TARGETS,
-        "requests": FAULT_REQUESTS,
-    },
-)
 
 RETRY = RetryPolicy(retries=5, timeout=60.0, backoff=2.0)
 
@@ -207,13 +197,6 @@ def test_probe_accuracy_under_faults(benchmark):
     print()
     for name, value in accuracy.items():
         print(f"  probe accuracy [{name:>12}]: {value:.3f}")
-    _REPORTER.record(
-        "probe_accuracy",
-        benchmark.stats.stats.mean,
-        requests=FAULT_TRIALS * FAULT_TARGETS * len(scenarios),
-        accuracy={k: round(v, 4) for k, v in accuracy.items()},
-    )
-    _REPORTER.write()
 
     # Clean LAN: the paper's near-certain attack.
     assert accuracy["baseline"] > 0.9
@@ -295,16 +278,6 @@ def test_delivery_under_faults(benchmark):
             f"latency={row['mean_latency']:.2f}ms "
             f"retransmits={row['retransmits']}"
         )
-    _REPORTER.record(
-        "delivery",
-        benchmark.stats.stats.mean,
-        requests=FAULT_REQUESTS * len(scenarios),
-        scenarios={
-            name: {k: round(float(v), 4) for k, v in row.items()}
-            for name, row in stats.items()
-        },
-    )
-    _REPORTER.write()
 
     baseline = stats["baseline"]
     assert baseline["delivered"] == 1.0

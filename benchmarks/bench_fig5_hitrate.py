@@ -12,34 +12,13 @@ trace's popularity skew — the default configuration lands in the paper's
 10–50% band.
 
 Both sweeps run through :func:`repro.perf.parallel.run_replay_sweep`
-(fast-replay kernel, ``REPRO_WORKERS`` processes) and emit wall-clock /
-throughput records to ``BENCH_fig5.json`` (see ``repro.perf.timing``).
+(fast-replay kernel, ``REPRO_WORKERS`` processes); their throughput is
+the perf ledger's ``fig5_grid`` workload (``benchmarks/ledger``).
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 from repro.analysis.experiments import run_fig5a, run_fig5b
-from repro.perf.timing import BenchReporter
-
-BENCH_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", 100_000))
-
-_REPORTER = BenchReporter("fig5", scale={"requests": BENCH_REQUESTS})
-
-
-def _report(label: str, result, wall_s: float, points: int) -> None:
-    _REPORTER.record(
-        label,
-        wall_s,
-        requests=points * BENCH_REQUESTS,
-        sweep_points=points,
-        series={k: [round(v, 4) for v in vs] for k, vs in result.hit_rates.items()},
-    )
-    # Rewrite after every test so the file is complete whichever subset ran.
-    _REPORTER.write()
 
 
 def test_fig5a(benchmark, ircache_trace):
@@ -48,7 +27,6 @@ def test_fig5a(benchmark, ircache_trace):
     )
     print()
     print(result.render())
-    _report("fig5a", result, benchmark.stats.stats.mean, len(result.stats))
     schemes = ["no-privacy", "exponential", "uniform", "always-delay"]
     sizes = result.cache_sizes
     for i in range(len(sizes)):
@@ -69,7 +47,6 @@ def test_fig5b(benchmark, ircache_trace):
     )
     print()
     print(result.render())
-    _report("fig5b", result, benchmark.stats.stats.mean, len(result.stats))
     labels = ["5% private", "10% private", "20% private", "40% private"]
     for i in range(len(result.cache_sizes)):
         rates = [result.hit_rates[label][i] for label in labels]

@@ -20,8 +20,7 @@ Scale knobs: ``REPRO_BENCH_OVERLOAD_FETCHES`` (legitimate fetches per
 scenario, default 200), ``REPRO_BENCH_OVERLOAD_PIT_CAP`` (bounded PIT
 capacity, default 64), ``REPRO_BENCH_OVERLOAD_FLOOD_INTERVAL`` (ms
 between flood interests, default 2.0), ``REPRO_BENCH_OVERLOAD_REQUESTS``
-(differential trace length, default 2000).  Results land in
-``BENCH_overload.json`` (with process peak RSS alongside wall time).
+(differential trace length, default 2000).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.attacks.classifier import ThresholdClassifier
 from repro.faults.retry import RetryPolicy
 from repro.ndn.admission import InterestRateLimit
 from repro.ndn.topology import local_lan
-from repro.perf.timing import BenchReporter
 from repro.sim.process import Timeout
 from repro.validation import (
     InvariantChecker,
@@ -49,16 +47,6 @@ OVERLOAD_FLOOD_INTERVAL = float(
 OVERLOAD_REQUESTS = int(os.environ.get("REPRO_BENCH_OVERLOAD_REQUESTS", 2000))
 
 RATE_LIMIT = InterestRateLimit(rate=200.0, burst=50.0)
-
-_REPORTER = BenchReporter(
-    "overload",
-    scale={
-        "fetches": OVERLOAD_FETCHES,
-        "pit_capacity": OVERLOAD_PIT_CAP,
-        "flood_interval": OVERLOAD_FLOOD_INTERVAL,
-        "differential_requests": OVERLOAD_REQUESTS,
-    },
-)
 
 
 def _scenario(**kwargs):
@@ -97,21 +85,6 @@ def test_flood_bounded_vs_unbounded(benchmark):
             f"nacks_out={int(res.router_summary['nack_out'])} "
             f"rate_limited={int(res.router_summary['rate_limited'])}"
         )
-    _REPORTER.record(
-        "flood",
-        benchmark.stats.stats.mean,
-        events=sum(res.events for res in results.values()),
-        scenarios={
-            name: {
-                "delivery": round(res.delivery_rate, 4),
-                "peak_pit": res.peak_pit_size,
-                "invariant_checks": res.checker.checks_run,
-                "violations": len(res.checker.violations),
-            }
-            for name, res in results.items()
-        },
-    )
-    _REPORTER.write()
 
     # The invariant checker ran and found nothing, in every scenario.
     for name, res in results.items():
@@ -156,20 +129,6 @@ def test_pollution_churns_but_delivery_holds(benchmark):
             f"  [{name:>16}] delivery={res.delivery_rate:.3f} "
             f"cs_evictions={int(res.router_summary['cs_evictions'])}"
         )
-    _REPORTER.record(
-        "pollution",
-        benchmark.stats.stats.mean,
-        events=sum(res.events for res in results.values()),
-        scenarios={
-            name: {
-                "delivery": round(res.delivery_rate, 4),
-                "cs_evictions": int(res.router_summary["cs_evictions"]),
-                "violations": len(res.checker.violations),
-            }
-            for name, res in results.items()
-        },
-    )
-    _REPORTER.write()
 
     for name, res in results.items():
         res.checker.assert_ok()
@@ -230,13 +189,6 @@ def test_invariants_on_attack_topology(benchmark):
         return checker, verdicts
 
     (checker, verdicts) = benchmark.pedantic(run, rounds=1, iterations=1)
-    _REPORTER.record(
-        "attack_topology_invariants",
-        benchmark.stats.stats.mean,
-        checks=checker.checks_run,
-        violations=len(checker.violations),
-    )
-    _REPORTER.write()
     assert checker.checks_run > 0
     checker.assert_ok()
     # The probe attack still works on the clean LAN (sanity anchor).
@@ -255,12 +207,4 @@ def test_differential_parity(benchmark):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
     print("  " + report.summary().replace("\n", "\n  "))
-    _REPORTER.record(
-        "differential",
-        benchmark.stats.stats.mean,
-        requests=OVERLOAD_REQUESTS * len(report.results) * 2,
-        configs=len(report.results),
-        ok=report.ok,
-    )
-    _REPORTER.write()
     assert report.ok, report.summary()

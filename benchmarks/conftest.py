@@ -1,4 +1,8 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the figure benches.
+
+The ``bench_*.py`` files regenerate the paper's figures, ablations and
+extensions and assert their shapes; they write no files.  Performance
+is measured by the ledger (``benchmarks/ledger``, ``BENCHMARK.json``).
 
 Scale knobs (environment variables):
 

@@ -21,8 +21,9 @@ The presets span the frontier's corners: ``off`` (maximum damage, no
 detection), ``static`` (rate limiting without detection), ``monitor``
 (detection without mitigation — pure latency measurement), ``adaptive``
 (the closed loop).  ``repro-experiments defend`` runs the sweep from a
-shell and writes ``defense_frontier.json`` plus a ``BENCH_detection.json``
-timing record (schema v2) via :class:`~repro.perf.timing.BenchReporter`.
+shell and writes the frontier to ``--out`` (default
+``defense_frontier.json``).  How fast the sweep runs is the perf
+ledger's ``frontier_sweep`` workload.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.defense.scenario import (
     closed_loop_report,
     run_closed_loop,
 )
-from repro.perf.timing import BenchReporter
 
 #: Attacks the frontier sweeps by default (the closed-loop demo's seeded
 #: pollution and flood, plus the Thompson-sampling adaptive attacker).
@@ -178,19 +178,9 @@ def run_defense_sweep(
     defenses: Sequence[str] = DEFENSE_PRESETS,
     attacks: Sequence[str] = SWEEP_ATTACKS,
     seed: int = 0,
-    reporter: Optional[BenchReporter] = None,
     **spec_overrides,
 ) -> DefenseFrontier:
-    """The full defense × attack frontier sweep.
-
-    Pass a :class:`~repro.perf.timing.BenchReporter` to also collect one
-    timing record per point (the caller owns ``reporter.write()``) — the
-    ``repro-experiments defend`` command uses this to produce
-    ``BENCH_detection.json``.  Each preset's attack-free baseline runs
-    inside the first point that needs it, so that record's time covers
-    two scenario runs and later ones one; the record meta says which
-    (``ran_baseline``).
-    """
+    """The full defense × attack frontier sweep."""
     unknown = [d for d in defenses if d not in DEFENSE_PRESETS]
     if unknown:
         raise ValueError(
@@ -202,34 +192,12 @@ def run_defense_sweep(
     # attack of this sweep (scenario runs are pure functions of the spec).
     baselines: Dict[DefenseScenarioSpec, DefenseRunResult] = {}
 
-    def run_point(defense: str, attack: str) -> DefensePoint:
-        spec = DefenseScenarioSpec(
-            defense=defense, attack=attack, seed=seed, **spec_overrides
-        )
-        return DefensePoint.from_report(closed_loop_report(spec, baselines))
-
     for attack in attacks:
         for defense in defenses:
-            if reporter is not None:
-                # reporter.time treats keyword arguments as record meta,
-                # not call arguments — close over them explicitly.
-                shared = len(baselines)
-                point, record = reporter.time(
-                    f"{defense}/{attack}",
-                    lambda d=defense, a=attack: run_point(d, a),
-                )
-                record.meta.update(
-                    ran_baseline=len(baselines) > shared,
-                    attack_success=point.attack_success,
-                    recovery_ratio=point.recovery_ratio,
-                    detection_latency=point.detection_latency,
-                    attacker_requests_before_alarm=(
-                        point.attacker_requests_before_alarm
-                    ),
-                    false_alarms=point.false_alarms,
-                    mitigations=point.mitigations,
-                )
-            else:
-                point = run_point(defense, attack)
-            frontier.points.append(point)
+            spec = DefenseScenarioSpec(
+                defense=defense, attack=attack, seed=seed, **spec_overrides
+            )
+            frontier.points.append(
+                DefensePoint.from_report(closed_loop_report(spec, baselines))
+            )
     return frontier

@@ -31,8 +31,9 @@ topologies and reads the router counters afterwards:
   or ``"reference: <reason>"`` when the batch compiler had to refuse.
 
 Use ``repro-experiments strategy`` to run the sweep from a shell; it
-writes the frontier as a JSON artifact plus a ``BENCH_strategy.json``
-timing record (see EXPERIMENTS.md).
+writes the frontier as a JSON artifact (the committed
+``strategy_frontier.json`` is its output at the defaults).  How fast
+the sweep runs is the perf ledger's ``frontier_sweep`` workload.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.ndn.topology import (
     rocketfuel_isp,
 )
 from repro.perf.parallel import build_scheme
-from repro.perf.timing import BenchReporter
 
 #: Topologies the sweep runs on by default: the paper's LAN panel (the
 #: single-router baseline, where placement cannot matter) plus the
@@ -235,13 +235,8 @@ def run_placement_sweep(
     targets_per_trial: int = 20,
     cache_capacity: Optional[int] = 32,
     seed: int = 0,
-    reporter: Optional[BenchReporter] = None,
 ) -> PlacementFrontier:
-    """The full strategy × scheme × topology sweep.
-
-    Pass a :class:`~repro.perf.timing.BenchReporter` to also collect one
-    timing record per point (the caller owns ``reporter.write()``).
-    """
+    """The full strategy × scheme × topology sweep."""
     unknown = [t for t in topologies if t not in SWEEP_TOPOLOGIES]
     if unknown:
         raise ValueError(
@@ -257,34 +252,15 @@ def run_placement_sweep(
     for topology in topologies:
         for scheme in schemes:
             for strategy in strategies:
-                label = f"{topology}/{scheme}/{strategy}"
-                kwargs = dict(
-                    trials=trials,
-                    targets_per_trial=targets_per_trial,
-                    cache_capacity=cache_capacity,
-                    base_seed=1000 + seed,
+                frontier.points.append(
+                    run_placement_point(
+                        topology,
+                        scheme,
+                        strategy,
+                        trials=trials,
+                        targets_per_trial=targets_per_trial,
+                        cache_capacity=cache_capacity,
+                        base_seed=1000 + seed,
+                    )
                 )
-                if reporter is not None:
-                    # reporter.time treats keyword arguments as record
-                    # meta, not call arguments — close over them so the
-                    # benched sweep runs the same configuration as the
-                    # unbenched one.
-                    point, record = reporter.time(
-                        label,
-                        lambda t=topology, sch=scheme, st=strategy: (
-                            run_placement_point(t, sch, st, **kwargs)
-                        ),
-                    )
-                    record.meta.update(
-                        probe_accuracy=point.probe_accuracy,
-                        probe_hit_rate=point.probe_hit_rate,
-                        utility=point.utility,
-                        cache_declined=point.cache_declined,
-                        engine=point.engine,
-                    )
-                else:
-                    point = run_placement_point(
-                        topology, scheme, strategy, **kwargs
-                    )
-                frontier.points.append(point)
     return frontier

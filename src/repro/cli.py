@@ -157,8 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     strategy.add_argument("--seed", type=int, default=0)
     strategy.add_argument("--out", default="strategy_frontier.json",
                           help="frontier JSON artifact path")
-    strategy.add_argument("--no-bench", action="store_true",
-                          help="skip writing the BENCH_strategy.json record")
 
     defend = sub.add_parser(
         "defend",
@@ -174,8 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     defend.add_argument("--seed", type=int, default=0)
     defend.add_argument("--out", default="defense_frontier.json",
                         help="frontier JSON artifact path")
-    defend.add_argument("--no-bench", action="store_true",
-                        help="skip writing the BENCH_detection.json record")
 
     profile = sub.add_parser(
         "profile",
@@ -192,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="fig3 panels: trials")
     profile.add_argument("--requests", type=int, default=None,
                          help="sim-core targets: requests per consumer")
-    profile.add_argument("--consumers", type=int, default=None,
+    profile.add_argument("--consumers", type=int, default=16,
                          help="sim-core-star: number of consumers")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--kernel", choices=["reference", "batch"],
@@ -516,7 +512,7 @@ def _engine_summary(what: str, engines) -> str:
 
 
 def _run_strategy(args) -> int:
-    """Privacy-vs-placement frontier sweep; writes artifact + bench record."""
+    """Privacy-vs-placement frontier sweep; writes the frontier artifact."""
     import json
     from pathlib import Path
 
@@ -525,25 +521,10 @@ def _run_strategy(args) -> int:
         SWEEP_STRATEGIES,
         run_placement_sweep,
     )
-    from repro.perf.timing import BenchReporter
 
     capacity = args.cache_capacity if args.cache_capacity > 0 else None
     schemes = args.schemes if args.schemes else SWEEP_SCHEMES
     strategies = args.strategies if args.strategies else SWEEP_STRATEGIES
-    reporter = None
-    if not args.no_bench:
-        reporter = BenchReporter(
-            "strategy",
-            scale={
-                "topologies": list(args.topologies),
-                "schemes": list(schemes),
-                "strategies": list(strategies),
-                "trials": args.trials,
-                "targets_per_trial": args.targets,
-                "cache_capacity": capacity,
-                "seed": args.seed,
-            },
-        )
     frontier = run_placement_sweep(
         topologies=args.topologies,
         schemes=schemes,
@@ -552,7 +533,6 @@ def _run_strategy(args) -> int:
         targets_per_trial=args.targets,
         cache_capacity=capacity,
         seed=args.seed,
-        reporter=reporter,
     )
     print(frontier.render())
     best = frontier.best_privacy()
@@ -575,38 +555,23 @@ def _run_strategy(args) -> int:
         encoding="utf-8",
     )
     print(f"wrote frontier artifact to {out}")
-    if reporter is not None:
-        bench_path = reporter.write()
-        print(f"wrote bench record to {bench_path}")
     return 0
 
 
 def _run_defend(args) -> int:
-    """Detection-frontier sweep; writes artifact + bench record."""
+    """Detection-frontier sweep; writes the frontier artifact."""
     import json
     from pathlib import Path
 
     from repro.analysis.defense import SWEEP_ATTACKS, run_defense_sweep
     from repro.defense import DEFENSE_PRESETS
-    from repro.perf.timing import BenchReporter
 
     defenses = args.defenses if args.defenses else list(DEFENSE_PRESETS)
     attacks = args.attacks if args.attacks else list(SWEEP_ATTACKS)
-    reporter = None
-    if not args.no_bench:
-        reporter = BenchReporter(
-            "detection",
-            scale={
-                "defenses": list(defenses),
-                "attacks": list(attacks),
-                "seed": args.seed,
-            },
-        )
     frontier = run_defense_sweep(
         defenses=defenses,
         attacks=attacks,
         seed=args.seed,
-        reporter=reporter,
     )
     print(frontier.render())
     for attack in attacks:
@@ -627,9 +592,6 @@ def _run_defend(args) -> int:
         encoding="utf-8",
     )
     print(f"\nwrote frontier artifact to {out}")
-    if reporter is not None:
-        bench_path = reporter.write()
-        print(f"wrote bench record to {bench_path}")
     return 0
 
 
@@ -769,34 +731,32 @@ def _run_profile(args) -> int:
 
     from repro.sim import profiling
 
-    batch = args.kernel == "batch"
-    if batch and args.target not in ("sim-core-star", "sim-core-tree"):
+    sim_core = args.target in ("sim-core-star", "sim-core-tree")
+    if args.kernel == "batch" and not sim_core:
         print(
             "error: --kernel batch only applies to sim-core targets",
             file=sys.stderr,
         )
         return 2
 
-    if args.target == "sim-core-star":
-        from repro.perf.simcore import run_star, run_star_batch
+    if sim_core:
+        from repro.perf.simcore import build_star, build_tree, simcore_scripts
+        from repro.sim.batch import run_scripts
 
-        kwargs = {"seed": args.seed}
-        if args.consumers is not None:
-            kwargs["consumers"] = args.consumers
+        if args.target == "sim-core-star":
+            built = build_star(args.consumers, seed=args.seed)
+            shape, requests = "star", 200
+        else:
+            built = build_tree(seed=args.seed)
+            shape, requests = "3-level tree", 150
+        net, names, universe = built
         if args.requests is not None:
-            kwargs["requests_per_consumer"] = args.requests
-        runner = run_star_batch if batch else run_star
-        workload = lambda: runner(**kwargs)  # noqa: E731
-        label = f"sim-core star topology ({args.kernel} kernel)"
-    elif args.target == "sim-core-tree":
-        from repro.perf.simcore import run_tree, run_tree_batch
-
-        kwargs = {"seed": args.seed}
-        if args.requests is not None:
-            kwargs["requests_per_consumer"] = args.requests
-        runner = run_tree_batch if batch else run_tree
-        workload = lambda: runner(**kwargs)  # noqa: E731
-        label = f"sim-core 3-level tree topology ({args.kernel} kernel)"
+            requests = args.requests
+        label = f"sim-core {shape} topology ({args.kernel} kernel)"
+        scripts = simcore_scripts(names, requests, universe)
+        workload = lambda: run_scripts(  # noqa: E731
+            net, scripts, kernel=args.kernel
+        )
     else:
         workload = lambda: run_fig3(  # noqa: E731
             args.target,

@@ -1,11 +1,15 @@
-"""Performance infrastructure: parallel sweep running and timing.
+"""Performance infrastructure: the parallel sweep runner and the
+sim-core workload builders.
 
 * :mod:`repro.perf.parallel` — a process-pool sweep runner for Figure-5
   style (scheme × cache-size × trial) grids, with deterministic per-task
   seeding and an on-disk trace cache shared between workers,
-* :mod:`repro.perf.timing` — a small wall-clock harness plus the
-  ``BENCH_*.json`` record writer the benchmarks emit for the perf
-  trajectory.
+* :mod:`repro.perf.simcore` — the star / tree / fat-tree packet-level
+  workloads both simulation engines run.
+
+Nothing here times anything: every performance number comes from the
+perf ledger (``python3 benchmarks/ledger/run.py``, declared in
+``BENCHMARK.json``).
 """
 
 from repro.perf.parallel import (
@@ -17,7 +21,6 @@ from repro.perf.parallel import (
     run_replay_sweep,
     trace_cache_dir,
 )
-from repro.perf.timing import BenchReporter, StopWatch, TimingRecord, time_call
 
 __all__ = [
     "ReplaySpec",
@@ -27,8 +30,4 @@ __all__ = [
     "resolve_workers",
     "run_replay_sweep",
     "trace_cache_dir",
-    "BenchReporter",
-    "StopWatch",
-    "TimingRecord",
-    "time_call",
 ]

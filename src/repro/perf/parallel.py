@@ -86,6 +86,7 @@ from repro.workload.sharded import (
     ShardedCompiledTrace,
     ShardIntegrityError,
     compile_stream,
+    file_sha256,
 )
 from repro.workload.trace import Trace
 
@@ -289,13 +290,9 @@ def _digest_sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_digest(path: Path, digest: Optional[str] = None) -> None:
     if digest is None:
-        digest = _file_digest(path)
+        digest = file_sha256(path)
     _atomic_write(
         _digest_sidecar(path), lambda tmp: tmp.write_text(digest, encoding="utf-8")
     )
@@ -313,7 +310,7 @@ def verify_trace_cache(path: Union[str, Path]) -> bool:
     if not path.exists() or not sidecar.exists():
         return False
     recorded = sidecar.read_text(encoding="utf-8").strip()
-    return bool(recorded) and recorded == _file_digest(path)
+    return bool(recorded) and recorded == file_sha256(path)
 
 
 def ensure_trace_cached(config: IrcacheConfig) -> Path:
@@ -391,7 +388,7 @@ def _cache_trace_object(trace: Trace) -> Path:
     payload = _trace_payload(trace)
     digest = hashlib.sha256(payload).hexdigest()
     path = trace_cache_dir() / f"trace-{digest[:16]}.tsv"
-    if not path.exists() or _file_digest(path) != digest:
+    if not path.exists() or file_sha256(path) != digest:
         _atomic_write(path, lambda tmp: tmp.write_bytes(payload))
         _write_digest(path, digest)
     elif not _digest_sidecar(path).exists():

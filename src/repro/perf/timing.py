@@ -1,50 +1,9 @@
-"""Wall-clock timing harness and the ``BENCH_*.json`` record format.
-
-The benchmarks use this to emit machine-readable perf records next to
-their printed tables, starting the repo's performance trajectory: each
-bench writes ``BENCH_<name>.json`` so successive PRs can be compared on
-requests/sec and events/sec at a pinned scale.
-
-File format (one JSON object)::
-
-    {
-      "bench": "fig5",                  # BENCH_<bench>.json
-      "schema_version": 2,              # record-format version
-      "git_rev": "a1e51ee",             # HEAD at write time ("" if unknown)
-      "created_unix": 1730000000.0,     # time.time() at write
-      "scale": {"requests": 100000},    # knobs the numbers depend on
-      "peak_rss_bytes": 123456789,      # process peak RSS at write time
-      "records": [
-        {"label": "fig5a", "wall_s": 1.9, "requests": 2400000,
-         "requests_per_sec": 1263157.9, "events": 0,
-         "events_per_sec": 0.0, "peak_rss_bytes": 98765432,
-         "meta": {...}},
-        ...
-      ]
-    }
-
-Schema history: v1 had no ``schema_version``/``git_rev`` fields (their
-absence identifies a v1 file); v2 added both so cross-PR comparisons can
-pin which commit produced which numbers, and made ``peak_rss_bytes``
-universal — once at the top level (whole-process high-water at write
-time) and once per record (the high-water when the record was taken, or
-a subprocess-reported per-leg peak).
-"""
+"""The commit stamp the perf ledger writes into its result files."""
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-ENV_BENCH_DIR = "REPRO_BENCH_DIR"
-
-#: Version of the BENCH_*.json record format (bump on breaking changes).
-SCHEMA_VERSION = 2
 
 
 def git_rev() -> str:
@@ -61,160 +20,3 @@ def git_rev() -> str:
     except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
         return ""
     return out.stdout.strip() if out.returncode == 0 else ""
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process in bytes (0 if unknown).
-
-    Uses ``resource.getrusage``; Linux reports ``ru_maxrss`` in KiB,
-    macOS in bytes.  The high-water mark covers the whole process
-    lifetime, so record it once at the end of a bench.
-    """
-    try:
-        import resource
-        import sys
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - platform specific
-        return int(peak)
-    return int(peak) * 1024
-
-
-@dataclass
-class TimingRecord:
-    """One timed quantity: wall seconds plus optional throughput bases."""
-
-    label: str
-    wall_s: float
-    #: Requests processed during the timed section (0 = not applicable).
-    requests: int = 0
-    #: Simulation events processed during the timed section.
-    events: int = 0
-    #: Process peak RSS when the record was taken (0 = not captured).
-    #: A process high-water mark: within one bench it is non-decreasing
-    #: across records; subprocess-isolated benches report true per-leg
-    #: peaks.
-    peak_rss_bytes: int = 0
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def requests_per_sec(self) -> float:
-        """Replay throughput; 0 when no requests were counted."""
-        return self.requests / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def events_per_sec(self) -> float:
-        """Event-loop throughput; 0 when no events were counted."""
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON-serializable form written into ``BENCH_*.json``."""
-        return {
-            "label": self.label,
-            "wall_s": self.wall_s,
-            "requests": self.requests,
-            "requests_per_sec": self.requests_per_sec,
-            "events": self.events,
-            "events_per_sec": self.events_per_sec,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "meta": self.meta,
-        }
-
-
-class StopWatch:
-    """Context manager measuring wall time via ``perf_counter``."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "StopWatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-
-def time_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
-    """Call ``fn`` and return ``(result, wall_seconds)``."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
-
-
-class BenchReporter:
-    """Collects :class:`TimingRecord`s and writes ``BENCH_<name>.json``.
-
-    Output directory: ``REPRO_BENCH_DIR`` if set, else the current
-    working directory (the repo root under the normal pytest invocation).
-    """
-
-    def __init__(
-        self, bench: str, scale: Optional[Dict[str, Any]] = None
-    ) -> None:
-        self.bench = bench
-        self.scale = dict(scale) if scale else {}
-        self.records: List[TimingRecord] = []
-
-    def record(
-        self,
-        label: str,
-        wall_s: float,
-        requests: int = 0,
-        events: int = 0,
-        rss_bytes: Optional[int] = None,
-        **meta: Any,
-    ) -> TimingRecord:
-        """Append one record; returns it for chaining/assertions.
-
-        ``rss_bytes`` overrides the RSS stamp (subprocess-isolated
-        benches pass the child's own peak); by default the record
-        captures this process's current high-water mark.
-        """
-        entry = TimingRecord(
-            label=label,
-            wall_s=wall_s,
-            requests=requests,
-            events=events,
-            peak_rss_bytes=peak_rss_bytes() if rss_bytes is None else rss_bytes,
-            meta=meta,
-        )
-        self.records.append(entry)
-        return entry
-
-    def time(
-        self,
-        label: str,
-        fn: Callable[..., Any],
-        *args: Any,
-        requests: int = 0,
-        events: int = 0,
-        **meta: Any,
-    ) -> Tuple[Any, TimingRecord]:
-        """Time ``fn(*args)`` and record it; returns (result, record)."""
-        result, wall = time_call(fn, *args)
-        return result, self.record(
-            label, wall, requests=requests, events=events, **meta
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "bench": self.bench,
-            "schema_version": SCHEMA_VERSION,
-            "git_rev": git_rev(),
-            "created_unix": time.time(),
-            "scale": self.scale,
-            "peak_rss_bytes": peak_rss_bytes(),
-            "records": [record.to_dict() for record in self.records],
-        }
-
-    def write(self, directory: Union[str, Path, None] = None) -> Path:
-        """Write ``BENCH_<bench>.json``; returns the path written."""
-        if directory is None:
-            directory = os.environ.get(ENV_BENCH_DIR) or Path.cwd()
-        target = Path(directory) / f"BENCH_{self.bench}.json"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-        return target

@@ -187,8 +187,7 @@ def run_scripts_reference(
     """Run the scripts on the reference engine (the oracle path).
 
     Scripts spawn in list order; each spawn executes the script inline up
-    to its first suspension, exactly like the hand-written fetch loops in
-    :mod:`repro.perf.simcore`.
+    to its first suspension.
     """
     delivered = {s.consumer: 0 for s in scripts}
     for script in scripts:

@@ -61,7 +61,8 @@ class ShardIntegrityError(Exception):
     """A shard file is missing or fails its manifest checksum."""
 
 
-def _file_sha256(path: Path) -> str:
+def file_sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB blocks (bounded memory)."""
     digest = hashlib.sha256()
     with path.open("rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
@@ -122,7 +123,7 @@ class _ShardWriter:
         for field, _ in _FIELDS:
             path = self.out_dir / _shard_file(index, field)
             np.save(path, columns[field])
-            checksums[field] = _file_sha256(path)
+            checksums[field] = file_sha256(path)
         self.shards.append(
             {"index": index, "start": self.written, "count": count,
              "checksums": checksums}
@@ -237,7 +238,7 @@ def compile_stream(
         "shard_size": shard_size,
         "fields": {field: dtype for field, dtype in _FIELDS},
         "names_file": NAMES_FILE,
-        "names_sha256": _file_sha256(out / NAMES_FILE),
+        "names_sha256": file_sha256(out / NAMES_FILE),
         "shards": writer.shards,
         "source": source if source is not None else {},
     }
@@ -381,14 +382,14 @@ class ShardedCompiledTrace:
         names_path = self.path / self.manifest.get("names_file", NAMES_FILE)
         if not names_path.is_file():
             raise ShardIntegrityError(f"{names_path}: missing name table")
-        if _file_sha256(names_path) != self.manifest.get("names_sha256"):
+        if file_sha256(names_path) != self.manifest.get("names_sha256"):
             raise ShardIntegrityError(f"{names_path}: checksum mismatch")
         for shard in self.manifest["shards"]:
             for field, expected in shard["checksums"].items():
                 path = self.path / _shard_file(shard["index"], field)
                 if not path.is_file():
                     raise ShardIntegrityError(f"{path}: missing shard file")
-                if _file_sha256(path) != expected:
+                if file_sha256(path) != expected:
                     raise ShardIntegrityError(f"{path}: checksum mismatch")
 
     # ------------------------------------------------------------------
@@ -437,7 +438,7 @@ class ShardedCompiledTrace:
             path = self.path / _shard_file(meta["index"], field)
             if not path.is_file():
                 raise ShardIntegrityError(f"{path}: missing shard file")
-            if verify and _file_sha256(path) != meta["checksums"][field]:
+            if verify and file_sha256(path) != meta["checksums"][field]:
                 raise ShardIntegrityError(f"{path}: checksum mismatch")
             arrays[field] = np.load(path, mmap_mode="r")
         if len(arrays["ids"]) != meta["count"]:

@@ -18,7 +18,6 @@ from repro.analysis.placement import (
 from repro.cli import main
 from repro.ndn.strategy import STRATEGIES
 from repro.ndn.topology import SCALE_TOPOLOGIES
-from repro.perf.timing import BenchReporter
 
 
 class TestRegistries:
@@ -83,21 +82,15 @@ class TestPoint:
 
 class TestSweep:
     def test_sweep_and_frontier_shape(self):
-        reporter = BenchReporter("strategy", scale={"test": True})
         frontier = run_placement_sweep(
             topologies=["fig3a_lan"],
             schemes=["no-privacy"],
             strategies=["lce", "lcd"],
             trials=1,
             targets_per_trial=8,
-            reporter=reporter,
         )
         assert len(frontier.points) == 2
         assert all(isinstance(p, PlacementPoint) for p in frontier.points)
-        assert len(reporter.records) == 2
-        assert all(
-            "probe_accuracy" in r.meta for r in reporter.records
-        )
         payload = frontier.to_dict()
         assert payload["experiment"] == "strategy_placement_frontier"
         assert len(payload["points"]) == 2
@@ -117,8 +110,7 @@ class TestSweep:
 
 
 class TestStrategyCommand:
-    def test_writes_artifact_and_bench_record(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    def test_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "frontier.json"
         assert main([
             "strategy", "--topologies", "fig3a_lan",
@@ -132,11 +124,6 @@ class TestStrategyCommand:
         assert artifact["experiment"] == "strategy_placement_frontier"
         assert len(artifact["points"]) == 1
         assert artifact["points"][0]["engine"] == "batch"
-        bench = json.loads((tmp_path / "BENCH_strategy.json").read_text())
-        assert bench["schema_version"] == 2
-        assert bench["scale"]["strategies"] == ["lce"]
-        assert len(bench["records"]) == 1
-        assert bench["records"][0]["meta"]["engine"] == "batch"
 
     def test_engine_summary_names_each_fallback_and_its_reason(self):
         from repro.cli import _engine_summary
@@ -147,15 +134,3 @@ class TestStrategyCommand:
             "engine: 1/2 panels on the batch kernel; "
             "fell back: b (reference: lossy link)"
         )
-
-    def test_no_bench_flag_skips_record(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        out = tmp_path / "frontier.json"
-        assert main([
-            "strategy", "--topologies", "fig3a_lan",
-            "--strategies", "lce", "--schemes", "no-privacy",
-            "--trials", "1", "--targets", "8", "--out", str(out),
-            "--no-bench",
-        ]) == 0
-        assert out.exists()
-        assert not (tmp_path / "BENCH_strategy.json").exists()

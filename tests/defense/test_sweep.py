@@ -13,7 +13,6 @@ from repro.analysis.defense import (
     run_defense_point,
     run_defense_sweep,
 )
-from repro.perf.timing import BenchReporter
 
 #: Short spec so a sweep cell runs in a fraction of the default demo.
 FAST = dict(horizon=8000.0, attack_start=1500.0, attack_end=6000.0)
@@ -110,45 +109,6 @@ class TestSweep:
         assert "defense" in table.splitlines()[0]
         assert len(table.splitlines()) == 2 + len(small_frontier.points)
         assert "adaptive" in table
-
-
-class TestBenchIntegration:
-    def test_benched_sweep_runs_the_requested_cells(self, small_frontier):
-        """Regression: reporter.time treats kwargs as record meta, so a
-        naive call would silently run every cell with default arguments.
-        The benched sweep must produce the exact same points."""
-        reporter = BenchReporter("detection-test")
-        benched = run_defense_sweep(
-            defenses=("off", "adaptive"),
-            attacks=("pollution",),
-            seed=0,
-            reporter=reporter,
-            **FAST,
-        )
-        assert benched.points == small_frontier.points
-        assert [r.label for r in reporter.records] == [
-            "off/pollution",
-            "adaptive/pollution",
-        ]
-        meta = reporter.records[-1].meta
-        point = benched.points[-1]
-        assert meta["attack_success"] == point.attack_success
-        assert meta["detection_latency"] == point.detection_latency
-        assert meta["false_alarms"] == point.false_alarms
-        # One attack: every record's time includes its preset's baseline.
-        assert [r.meta["ran_baseline"] for r in reporter.records] == [True, True]
-
-    def test_bench_artifact_round_trips(self, tmp_path):
-        reporter = BenchReporter("detection-test", scale={"cells": 1})
-        run_defense_sweep(
-            defenses=("monitor",), attacks=("pollution",), seed=0,
-            reporter=reporter, **FAST,
-        )
-        path = reporter.write(tmp_path)
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] >= 2
-        assert payload["scale"] == {"cells": 1}
-        assert len(payload["records"]) == 1
 
 
 class TestFromReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -14,6 +15,7 @@ from repro.perf.parallel import (
     resolve_workers,
     run_replay_sweep,
     trace_cache_dir,
+    verify_trace_cache,
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking
@@ -108,6 +110,14 @@ def test_trace_cache_reused(tmp_path, monkeypatch):
     assert path.exists()
     stamp = path.stat().st_mtime_ns
     # Second call must reuse the file, not regenerate it.
+    assert ensure_trace_cached(config) == path
+    assert path.stat().st_mtime_ns == stamp
+    # So must an entry whose sidecar was written with the whole-file
+    # expression earlier versions used: streaming the hash kept the digest.
+    path.with_name(path.name + ".sha256").write_text(
+        hashlib.sha256(path.read_bytes()).hexdigest(), encoding="utf-8"
+    )
+    assert verify_trace_cache(path)
     assert ensure_trace_cached(config) == path
     assert path.stat().st_mtime_ns == stamp
     # A different config gets a different key.

@@ -1,54 +1,12 @@
-"""The timing harness and the BENCH_*.json record format."""
+"""The commit stamp the perf ledger writes into its result files."""
 
 from __future__ import annotations
 
-import json
-import time
-
-import pytest
-
-from repro.perf.timing import BenchReporter, StopWatch, TimingRecord, time_call
+from repro.perf.timing import git_rev
 
 
-def test_timing_record_throughputs():
-    record = TimingRecord(label="x", wall_s=2.0, requests=100, events=50)
-    assert record.requests_per_sec == 50.0
-    assert record.events_per_sec == 25.0
-    zero = TimingRecord(label="x", wall_s=0.0, requests=100)
-    assert zero.requests_per_sec == 0.0
-
-
-def test_stopwatch_and_time_call():
-    with StopWatch() as watch:
-        time.sleep(0.01)
-    assert watch.elapsed >= 0.005
-    result, wall = time_call(sum, [1, 2, 3])
-    assert result == 6
-    assert wall >= 0.0
-
-
-def test_reporter_writes_bench_json(tmp_path):
-    reporter = BenchReporter("smoke", scale={"requests": 1000})
-    reporter.record("a", 0.5, requests=1000, note="hello")
-    _, record = reporter.time("b", sum, [1, 2, 3], requests=3)
-    assert record.wall_s >= 0.0
-
-    path = reporter.write(tmp_path)
-    assert path == tmp_path / "BENCH_smoke.json"
-    payload = json.loads(path.read_text())
-    assert payload["bench"] == "smoke"
-    assert payload["schema_version"] == 2
-    # Short hex hash inside a checkout, "" when git is unavailable.
-    assert all(c in "0123456789abcdef" for c in payload["git_rev"])
-    assert payload["scale"] == {"requests": 1000}
-    labels = [r["label"] for r in payload["records"]]
-    assert labels == ["a", "b"]
-    assert payload["records"][0]["requests_per_sec"] == 2000.0
-    assert payload["records"][0]["meta"] == {"note": "hello"}
-
-
-def test_reporter_honors_env_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "out"))
-    path = BenchReporter("envtest").write()
-    assert path == tmp_path / "out" / "BENCH_envtest.json"
-    assert path.exists()
+def test_git_rev_is_a_short_hex_hash_or_empty():
+    # "" outside a checkout or without git; never an error message.
+    rev = git_rev()
+    assert len(rev) <= 40
+    assert all(c in "0123456789abcdef" for c in rev)

@@ -6,12 +6,7 @@ import pytest
 
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
-from repro.perf.simcore import (
-    run_star,
-    run_star_batch,
-    run_tree,
-    run_tree_batch,
-)
+from repro.perf.simcore import build_star, build_tree, simcore_scripts
 from repro.sim.batch import (
     BatchCompileError,
     ConsumerScript,
@@ -217,22 +212,21 @@ def test_unknown_kernel_name_rejected():
 
 
 def test_simcore_batch_matches_reference_counts():
-    ref = run_star(consumers=4, requests_per_consumer=25)
-    fast = run_star_batch(consumers=4, requests_per_consumer=25)
-    assert (fast.packet_hops, fast.events, fast.delivered, fast.cache_hits) == (
-        ref.packet_hops,
-        ref.events,
-        ref.delivered,
-        ref.cache_hits,
-    )
-    assert fast.sim_end_ms == ref.sim_end_ms
-
-    ref = run_tree(requests_per_consumer=20)
-    fast = run_tree_batch(requests_per_consumer=20)
-    assert (fast.packet_hops, fast.events, fast.delivered, fast.cache_hits) == (
-        ref.packet_hops,
-        ref.events,
-        ref.delivered,
-        ref.cache_hits,
-    )
-    assert fast.sim_end_ms == ref.sim_end_ms
+    """The pinned sim-core golden: both engines at the default scale."""
+    for build, requests, expected in (
+        (build_star, 200, (6528, 6592, 3200, 2960)),
+        (build_tree, 150, (2848, 3072, 1200, 1113)),
+    ):
+        observed = {}
+        for kernel in ("reference", "batch"):
+            net, names, universe = build()
+            scripts = simcore_scripts(names, requests, universe)
+            observed[kernel] = obs = run_scripts(net, scripts, kernel=kernel)
+            assert obs.kernel == kernel
+            assert (
+                obs.total_hops,
+                obs.events_processed,
+                obs.total_delivered,
+                obs.total_cache_hits,
+            ) == expected
+        assert diff_observables(observed["reference"], observed["batch"]) == []
