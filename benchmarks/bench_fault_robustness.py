@@ -12,8 +12,7 @@ a CS-flushing crash wipes the evidence and drags accuracy toward coin
 flipping; retransmission keeps delivery high under every scenario.
 
 Scale knobs: ``REPRO_BENCH_FAULT_TRIALS`` (attack trials per scenario,
-default 3), ``REPRO_BENCH_FAULT_TARGETS`` (probe targets per trial,
-default 24), ``REPRO_BENCH_FAULT_REQUESTS`` (fetches in the delivery
+default 3), ``REPRO_BENCH_FAULT_REQUESTS`` (fetches in the delivery
 workload, default 400).
 """
 
@@ -40,7 +39,8 @@ from repro.sim.rng import RngRegistry
 from repro.validation import InvariantChecker
 
 FAULT_TRIALS = int(os.environ.get("REPRO_BENCH_FAULT_TRIALS", 3))
-FAULT_TARGETS = int(os.environ.get("REPRO_BENCH_FAULT_TARGETS", 24))
+#: Probe targets per attack trial.
+FAULT_TARGETS = 24
 FAULT_REQUESTS = int(os.environ.get("REPRO_BENCH_FAULT_REQUESTS", 400))
 
 MEAN_LOSS = 0.05

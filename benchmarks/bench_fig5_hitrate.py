@@ -29,10 +29,15 @@ def test_fig5a(benchmark, ircache_trace):
     print(result.render())
     schemes = ["no-privacy", "exponential", "uniform", "always-delay"]
     sizes = result.cache_sizes
+    # One request's worth of hit rate (%): the two Random-Cache schemes
+    # draw their k_C from different streams, so they may land a single
+    # request apart either way; 0.001 at the default 100k requests.
+    quantum = 100.0 / len(ircache_trace) + 1e-9
     for i in range(len(sizes)):
         rates = [result.hit_rates[s][i] for s in schemes]
         # The paper's ordering at every cache size.
-        assert rates[0] > rates[1] >= rates[2] >= rates[3] - 0.2
+        assert rates[0] > rates[1] >= rates[2] - quantum
+        assert rates[2] >= rates[3] - 0.2
     for scheme in schemes:
         series = result.hit_rates[scheme]
         assert all(a <= b + 1e-9 for a, b in zip(series, series[1:]))

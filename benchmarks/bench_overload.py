@@ -16,45 +16,32 @@ holds its PIT at the cap.  Every scenario runs under the
 hold throughout), and the fast-replay kernel must stay bit-identical to
 the oracle across the fig5-style scheme grid.
 
-Scale knobs: ``REPRO_BENCH_OVERLOAD_FETCHES`` (legitimate fetches per
-scenario, default 200), ``REPRO_BENCH_OVERLOAD_PIT_CAP`` (bounded PIT
-capacity, default 64), ``REPRO_BENCH_OVERLOAD_FLOOD_INTERVAL`` (ms
-between flood interests, default 2.0), ``REPRO_BENCH_OVERLOAD_REQUESTS``
-(differential trace length, default 2000).
+The router configurations are :data:`repro.validation.OVERLOAD_CONFIGS`,
+the same four ``repro-experiments validate`` audits, at the scenario's
+default scale (200 legitimate fetches, one flood interest every 2 ms).
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.attacks.classifier import ThresholdClassifier
 from repro.faults.retry import RetryPolicy
-from repro.ndn.admission import InterestRateLimit
 from repro.ndn.topology import local_lan
 from repro.sim.process import Timeout
 from repro.validation import (
+    OVERLOAD_CONFIGS,
     InvariantChecker,
     run_overload_scenario,
     validate_differential,
 )
 from repro.validation.differential import small_validation_trace
+from repro.validation.scenario import OVERLOAD_PIT_CAPACITY
 
-OVERLOAD_FETCHES = int(os.environ.get("REPRO_BENCH_OVERLOAD_FETCHES", 200))
-OVERLOAD_PIT_CAP = int(os.environ.get("REPRO_BENCH_OVERLOAD_PIT_CAP", 64))
-OVERLOAD_FLOOD_INTERVAL = float(
-    os.environ.get("REPRO_BENCH_OVERLOAD_FLOOD_INTERVAL", 2.0)
-)
-OVERLOAD_REQUESTS = int(os.environ.get("REPRO_BENCH_OVERLOAD_REQUESTS", 2000))
-
-RATE_LIMIT = InterestRateLimit(rate=200.0, burst=50.0)
+#: Trace length of the oracle-vs-fast differential.
+DIFFERENTIAL_REQUESTS = 2000
 
 
-def _scenario(**kwargs):
-    return run_overload_scenario(
-        fetches=OVERLOAD_FETCHES,
-        flood_interval=OVERLOAD_FLOOD_INTERVAL,
-        **kwargs,
-    )
+def _scenario(config):
+    return run_overload_scenario(**OVERLOAD_CONFIGS[config])
 
 
 # ----------------------------------------------------------------------
@@ -63,17 +50,8 @@ def _scenario(**kwargs):
 def test_flood_bounded_vs_unbounded(benchmark):
     def run():
         return {
-            "unbounded": _scenario(pit_capacity=None),
-            "bounded": _scenario(
-                pit_capacity=OVERLOAD_PIT_CAP,
-                pit_overflow="evict-oldest-expiry",
-                rate_limit=RATE_LIMIT,
-            ),
-            "bounded-drop-new": _scenario(
-                pit_capacity=OVERLOAD_PIT_CAP,
-                pit_overflow="drop-new",
-                rate_limit=RATE_LIMIT,
-            ),
+            config: _scenario(config)
+            for config in ("unbounded-baseline", "bounded-evict", "bounded-drop-new")
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -91,12 +69,12 @@ def test_flood_bounded_vs_unbounded(benchmark):
         assert res.checker.checks_run > 0, name
         res.checker.assert_ok()
 
-    baseline, bounded = results["unbounded"], results["bounded"]
+    baseline, bounded = results["unbounded-baseline"], results["bounded-evict"]
     # The flood drives the unbounded PIT past 10x the bounded capacity...
-    assert baseline.peak_pit_size > 10 * OVERLOAD_PIT_CAP
+    assert baseline.peak_pit_size > 10 * OVERLOAD_PIT_CAPACITY
     # ...while the bounded table never exceeds its cap.
-    assert bounded.peak_pit_size <= OVERLOAD_PIT_CAP
-    assert results["bounded-drop-new"].peak_pit_size <= OVERLOAD_PIT_CAP
+    assert bounded.peak_pit_size <= OVERLOAD_PIT_CAPACITY
+    assert results["bounded-drop-new"].peak_pit_size <= OVERLOAD_PIT_CAPACITY
     # The hardened router sustains legitimate delivery through the attack.
     assert bounded.delivery_rate >= 0.9
     # Congestion was signaled, not silently swallowed.
@@ -109,17 +87,8 @@ def test_flood_bounded_vs_unbounded(benchmark):
 def test_pollution_churns_but_delivery_holds(benchmark):
     def run():
         return {
-            "flood-only": _scenario(
-                pit_capacity=OVERLOAD_PIT_CAP,
-                pit_overflow="evict-oldest-expiry",
-                rate_limit=RATE_LIMIT,
-            ),
-            "flood+pollution": _scenario(
-                pit_capacity=OVERLOAD_PIT_CAP,
-                pit_overflow="evict-oldest-expiry",
-                rate_limit=RATE_LIMIT,
-                pollution=True,
-            ),
+            "flood-only": _scenario("bounded-evict"),
+            "flood+pollution": _scenario("bounded-polluted"),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -199,7 +168,7 @@ def test_invariants_on_attack_topology(benchmark):
 # Differential: fast kernel bit-identical to the oracle
 # ----------------------------------------------------------------------
 def test_differential_parity(benchmark):
-    trace = small_validation_trace(requests=OVERLOAD_REQUESTS, seed=3)
+    trace = small_validation_trace(requests=DIFFERENTIAL_REQUESTS, seed=3)
 
     def run():
         return validate_differential(trace=trace, seed=3)

@@ -25,7 +25,7 @@ from repro.core.privacy.utility import (
     uniform_utility,
 )
 from repro.core.schemes.base import CacheScheme
-from repro.ndn import topology
+from repro.ndn.topology import FIG3_PANELS, TOPOLOGIES
 from repro.perf.parallel import ReplaySpec, build_scheme, run_replay_sweep
 from repro.workload.ircache import IrcacheConfig
 from repro.workload.marking import ContentMarking
@@ -73,12 +73,9 @@ class Fig3Result:
         return header + "\n" + table
 
 
-_FIG3_COLLECTORS = {
-    "fig3a_lan": (topology.local_lan, collect_rtt_distributions),
-    "fig3b_wan": (topology.wan, collect_rtt_distributions),
-    "fig3c_wan_producer": (topology.wan_producer, collect_producer_probe_distributions),
-    "fig3d_local_host": (topology.local_host, collect_rtt_distributions),
-}
+#: Fig. 3(c) measures *producer* privacy with the fetch-twice probe;
+#: every other panel runs the plain hit/miss campaign.
+_FIG3_COLLECTORS = {"fig3c_wan_producer": collect_producer_probe_distributions}
 
 
 def run_fig3(
@@ -93,12 +90,12 @@ def run_fig3(
     ``setting`` is one of ``fig3a_lan``, ``fig3b_wan``,
     ``fig3c_wan_producer``, ``fig3d_local_host``.
     """
-    try:
-        builder, collector = _FIG3_COLLECTORS[setting]
-    except KeyError:
+    if setting not in FIG3_PANELS:
         raise ValueError(
-            f"unknown setting {setting!r}; choose from {sorted(_FIG3_COLLECTORS)}"
-        ) from None
+            f"unknown setting {setting!r}; choose from {sorted(FIG3_PANELS)}"
+        )
+    builder = TOPOLOGIES[setting]
+    collector = _FIG3_COLLECTORS.get(setting, collect_rtt_distributions)
     dists = collector(
         builder, objects_per_trial=objects_per_trial, trials=trials, base_seed=seed
     )

@@ -44,23 +44,15 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.timing import run_probe_attack
 from repro.ndn.strategy import STRATEGIES
-from repro.ndn.topology import (
-    AttackTopology,
-    fat_tree,
-    geant_backbone,
-    local_lan,
-    rocketfuel_isp,
-)
+from repro.ndn.topology import SCALE_GRAPHS, TOPOLOGIES, AttackTopology
 from repro.perf.parallel import build_scheme
 
-#: Topologies the sweep runs on by default: the paper's LAN panel (the
-#: single-router baseline, where placement cannot matter) plus the
-#: multi-hop scale graphs (where it does).
+#: The sweep's own grid, a view of the registry: the paper's LAN panel
+#: (the single-router baseline, where placement cannot matter) plus the
+#: multi-hop scale graphs (where it does).  Any registry name is a valid
+#: sweep topology; these four are what the committed frontier covers.
 SWEEP_TOPOLOGIES: Dict[str, Callable[..., AttackTopology]] = {
-    "fig3a_lan": local_lan,
-    "fat_tree": fat_tree,
-    "rocketfuel": rocketfuel_isp,
-    "geant": geant_backbone,
+    name: TOPOLOGIES[name] for name in ("fig3a_lan", *SCALE_GRAPHS)
 }
 
 #: Scheme grid: the no-privacy baseline plus the two tunable schemes.
@@ -152,7 +144,7 @@ def run_placement_point(
     against ground truth; router counters accumulate over trials before
     the rates are formed.
     """
-    builder = SWEEP_TOPOLOGIES[topology]
+    builder = TOPOLOGIES[topology]
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
@@ -237,11 +229,10 @@ def run_placement_sweep(
     seed: int = 0,
 ) -> PlacementFrontier:
     """The full strategy × scheme × topology sweep."""
-    unknown = [t for t in topologies if t not in SWEEP_TOPOLOGIES]
+    unknown = [t for t in topologies if t not in TOPOLOGIES]
     if unknown:
         raise ValueError(
-            f"unknown topologies {unknown!r}; "
-            f"choose from {sorted(SWEEP_TOPOLOGIES)}"
+            f"unknown topologies {unknown!r}; choose from {sorted(TOPOLOGIES)}"
         )
     frontier = PlacementFrontier(
         trials=trials,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.experiments import (
     FIG5_CACHE_SIZES,
@@ -34,9 +34,51 @@ from repro.analysis.experiments import (
     run_fig5a,
     run_fig5b,
 )
-from repro.ndn.topology import TOPOLOGIES
+from repro.defense import defense_transparency_mismatches
+from repro.ndn.topology import FIG3_PANELS
+from repro.validation import (
+    OVERLOAD_CONFIGS,
+    DifferentialReport,
+    validate_differential,
+    validate_overload,
+    validate_streaming_differential,
+)
+from repro.validation.differential import (
+    CaseResult,
+    small_validation_trace,
+    validate_topology_differential,
+)
 
-FIG3_SETTINGS = sorted(TOPOLOGIES)
+#: Everything ``validate`` runs, in order: name -> check(seed, requests)
+#: returning a report.  Conservation laws A-D over the overload
+#: configurations, then each fast path against its oracle.
+VALIDATION_CHECKS: Dict[str, Callable[[int, int], DifferentialReport]] = {
+    **{
+        f"invariants [{config}]": (
+            lambda seed, requests, config=config: validate_overload(
+                config, seed=seed + 7
+            )
+        )
+        for config in OVERLOAD_CONFIGS
+    },
+    "differential": lambda seed, requests: validate_differential(
+        trace=small_validation_trace(requests=requests, seed=seed), seed=seed
+    ),
+    "topology differential": lambda seed, requests: (
+        validate_topology_differential(seed=seed)
+    ),
+    "streaming differential": lambda seed, requests: (
+        validate_streaming_differential(seed=seed, requests=min(requests, 2500))
+    ),
+    "defense transparency": lambda seed, requests: DifferentialReport(
+        [
+            CaseResult(
+                "off vs monitor, benign + attacked",
+                defense_transparency_mismatches(seed=seed),
+            )
+        ]
+    ),
+}
 
 
 def _parse_sizes(tokens: Optional[List[str]]):
@@ -59,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig3 = sub.add_parser("fig3", help="timing-attack RTT distributions")
-    fig3.add_argument("setting", nargs="?", choices=FIG3_SETTINGS)
+    fig3.add_argument("setting", nargs="?", choices=FIG3_PANELS)
     fig3.add_argument("--all", action="store_true", help="run all four panels")
     fig3.add_argument("--objects", type=int, default=60)
     fig3.add_argument("--trials", type=int, default=6)
@@ -119,19 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--requests", type=int, default=2000,
                           help="trace length for the differential cross-check")
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--skip-differential", action="store_true",
-                          help="skip the oracle-vs-fast-kernel cross-check")
-    validate.add_argument("--skip-invariants", action="store_true",
-                          help="skip the packet-level overload scenarios")
-    validate.add_argument("--skip-topology-differential", action="store_true",
-                          help="skip the reference-engine-vs-batch-kernel "
-                               "topology cross-check")
-    validate.add_argument("--skip-defense", action="store_true",
-                          help="skip the defense-off/monitor bit-identity "
-                               "transparency check")
-    validate.add_argument("--skip-streaming-differential", action="store_true",
-                          help="skip the streaming-vs-materialized workload "
-                               "cross-check (sharded replay + simulator)")
 
     strategy = sub.add_parser(
         "strategy",
@@ -140,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     strategy.add_argument("--topologies", nargs="+",
                           default=["fig3a_lan", "fat_tree"],
-                          help="topology names (see "
-                               "repro.analysis.placement.SWEEP_TOPOLOGIES)")
+                          help="topology names (any key of "
+                               "repro.ndn.topology.TOPOLOGIES)")
     strategy.add_argument("--schemes", nargs="+", default=None,
                           help="privacy schemes (default: no-privacy, "
                                "uniform, exponential)")
@@ -179,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "target",
-        choices=FIG3_SETTINGS + ["sim-core-star", "sim-core-tree"],
+        choices=[*FIG3_PANELS, "sim-core-star", "sim-core-tree"],
         help="workload to profile: a fig3 panel or a sim-core topology",
     )
     profile.add_argument("--objects", type=int, default=60,
@@ -302,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "fig3":
-        settings = FIG3_SETTINGS if args.all or not args.setting else [args.setting]
+        settings = FIG3_PANELS if args.all or not args.setting else [args.setting]
         if not settings:
             print("error: give a setting or --all", file=sys.stderr)
             return 2
@@ -396,100 +425,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run_validate(args) -> int:
-    """Invariant + differential validation; 0 only when everything holds."""
-    from repro.ndn.admission import InterestRateLimit
-    from repro.validation import run_overload_scenario, validate_differential
-    from repro.validation.differential import small_validation_trace
-
+    """Run every :data:`VALIDATION_CHECKS` entry; 0 only when all hold."""
     failed = False
-
-    if not args.skip_invariants:
-        scenarios = {
-            "unbounded-baseline": dict(pit_capacity=None),
-            "bounded-evict": dict(
-                pit_capacity=64,
-                pit_overflow="evict-oldest-expiry",
-                rate_limit=InterestRateLimit(rate=200, burst=50),
-            ),
-            "bounded-drop-new": dict(pit_capacity=64, pit_overflow="drop-new"),
-            "bounded-polluted": dict(
-                pit_capacity=64,
-                pit_overflow="evict-oldest-expiry",
-                rate_limit=InterestRateLimit(rate=200, burst=50),
-                pollution=True,
-            ),
-        }
-        for label, kwargs in scenarios.items():
-            result = run_overload_scenario(seed=args.seed + 7, **kwargs)
-            violations = result.checker.violations
-            status = "ok" if not violations else f"{len(violations)} VIOLATION(S)"
-            print(
-                f"invariants [{label}]: {status} "
-                f"(checks={result.checker.checks_run}, "
-                f"delivery={result.delivery_rate:.3f}, "
-                f"peak_pit={result.peak_pit_size})"
-            )
-            for violation in violations:
-                print(f"  - {violation}")
-                failed = True
-
-    if not args.skip_differential:
-        trace = small_validation_trace(requests=args.requests, seed=args.seed)
-        report = validate_differential(trace=trace, seed=args.seed)
-        print(
-            f"differential: {'ok' if report.ok else 'MISMATCH'} "
-            f"({len(report.results)} configs, {report.trace_requests} requests)"
-        )
-        if not report.ok:
+    for name, check in VALIDATION_CHECKS.items():
+        report = check(args.seed, args.requests)
+        print(f"{name}: {report.status()}")
+        for failure in report.failures:
             failed = True
-            for case in report.failures:
-                print(f"  - {case.case.label}: " + "; ".join(case.mismatches))
-
-    if not args.skip_topology_differential:
-        from repro.validation.differential import validate_topology_differential
-
-        topo_report = validate_topology_differential(seed=args.seed)
-        print(
-            f"topology differential: "
-            f"{'ok' if topo_report.ok else 'MISMATCH'} "
-            f"({len(topo_report.results)} topology/scheme/policy cases)"
-        )
-        if not topo_report.ok:
-            failed = True
-            for case in topo_report.failures:
-                print(f"  - {case.case.label}: " + "; ".join(case.mismatches))
-
-    if not args.skip_streaming_differential:
-        from repro.validation.differential import validate_streaming_differential
-
-        stream_report = validate_streaming_differential(
-            seed=args.seed, requests=min(args.requests, 2500)
-        )
-        print(
-            f"streaming differential: "
-            f"{'ok' if stream_report.ok else 'MISMATCH'} "
-            f"({len(stream_report.results)} comparisons, "
-            f"{stream_report.trace_requests} requests)"
-        )
-        if not stream_report.ok:
-            failed = True
-            for case in stream_report.failures:
-                print(f"  - {case.label}: " + "; ".join(case.mismatches))
-
-    if not args.skip_defense:
-        from repro.defense import defense_transparency_mismatches
-
-        mismatches = defense_transparency_mismatches(seed=args.seed)
-        print(
-            f"defense transparency: "
-            f"{'ok' if not mismatches else 'MISMATCH'} "
-            f"(off vs monitor, benign + attacked)"
-        )
-        if mismatches:
-            failed = True
-            for mismatch in mismatches[:20]:
-                print(f"  - {mismatch}")
-
+            print(f"  - {failure.label}: " + "; ".join(failure.mismatches[:20]))
     print("validation", "FAILED" if failed else "passed")
     return 1 if failed else 0
 
@@ -805,7 +748,7 @@ def _write_report(args) -> None:
 
     sections.append("## Figure 3 — timing attacks\n")
     producer_success = None
-    for setting in FIG3_SETTINGS:
+    for setting in FIG3_PANELS:
         result = run_fig3(
             setting, objects_per_trial=args.objects, trials=args.trials,
             seed=args.seed,

@@ -1,10 +1,21 @@
-"""Topology builders for the paper's four measurement settings (Figure 3).
+"""The topology registry: every named network the simulator runs on.
+
+:data:`TOPOLOGIES` maps a name to a builder, and every builder takes the
+same keywords — ``seed``, ``scheme``, ``cache_capacity``, ``caching``,
+``policy``, ``forwarding`` — plus its own shape parameters, so a scenario
+is "a registry name and those six settings" wherever it is described (the
+Figure 3 campaigns, the placement sweep, the differential grid, the
+sim-core workloads).  ``policy``, ``forwarding`` and ``caching`` apply to
+every router; an unknown value raises.  ``scheme`` is per-router state: a
+:class:`~repro.core.schemes.base.CacheScheme` instance guards the probe
+router only, a zero-argument factory is called once per router in
+creation order.
 
 Each builder returns an :class:`AttackTopology` wiring the entities of
 Figure 1 (user U, shared first-hop router R, producer P, adversary Adv) or
-Figure 2 (applications sharing a local ``ccnd`` daemon) with link-delay
-models calibrated so the *shape* of the hit/miss RTT distributions matches
-the corresponding paper subfigure:
+Figure 2 (applications sharing a local ``ccnd`` daemon).  The four
+Figure 3 panels have link-delay models calibrated so the *shape* of the
+hit/miss RTT distributions matches the corresponding paper subfigure:
 
 * :func:`local_lan` — Fig. 3(a): Fast-Ethernet LAN, wide hit/miss gap,
 * :func:`wan` — Fig. 3(b): several hops to R, jittery but separable,
@@ -14,13 +25,16 @@ the corresponding paper subfigure:
   cache, microsecond-scale hits.
 
 Absolute milliseconds are calibrated, not measured on the NDN testbed the
-paper used; EXPERIMENTS.md records the substitution.
+paper used; EXPERIMENTS.md records the substitution.  Beyond the paper
+the registry holds three multi-hop scale graphs (:func:`fat_tree`,
+:func:`rocketfuel_isp`, :func:`geant_backbone`) and the two sim-core
+shapes (:func:`star`, :func:`tree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.schemes.base import CacheScheme
 from repro.ndn.apps.consumer import Consumer
@@ -37,6 +51,11 @@ from repro.sim.rng import RngRegistry
 #: string (instantiated per router with its own RNG stream) or ``None``.
 CachingSpec = Union[str, CachingStrategy, None]
 
+#: A privacy-scheme spec accepted by every builder: one instance (placed
+#: on the probe router), a zero-argument factory (called once per router,
+#: in creation order) or ``None``.
+SchemeSpec = Union[CacheScheme, Callable[[], CacheScheme], None]
+
 #: Default prefix all experiment content lives under.
 CONTENT_PREFIX = "/content"
 
@@ -50,12 +69,15 @@ class AttackTopology:
     adversary: Consumer
     router: Forwarder
     producer: Producer
-    content_prefix: Name
     description: str
     #: Routers between Adv/U and R (empty in the LAN/local-host settings).
     access_path: List[Forwarder] = field(default_factory=list)
     #: Routers between R and P (empty when P is adjacent to R).
     producer_path: List[Forwarder] = field(default_factory=list)
+    #: The prefix P serves; every registry topology uses the shared one.
+    content_prefix: Name = field(
+        default_factory=lambda: Name.parse(CONTENT_PREFIX)
+    )
 
     @property
     def engine(self):
@@ -67,15 +89,57 @@ class AttackTopology:
         self.network.flush_caches()
 
 
-def _network(seed: int) -> Network:
-    return Network(rng=RngRegistry(seed))
+def _start(
+    seed: int,
+    probe: str,
+    scheme: SchemeSpec,
+    cache_capacity: Optional[int],
+    caching: CachingSpec,
+    policy: str,
+    forwarding: str,
+):
+    """A fresh network plus its ``add_router(name)``.
+
+    Every router of a topology is created through the returned function,
+    which is what makes the shared builder keywords mean the same thing
+    everywhere: they reach ``Network.add_router`` (which rejects unknown
+    values) for each router, and the scheme lands as :data:`SchemeSpec`
+    says.  ``probe`` names the router U and Adv share.  A builder may
+    override one router's ``capacity`` or give it a ``processing_delay``.
+    """
+    net = Network(rng=RngRegistry(seed))
+
+    def add_router(
+        name: str,
+        capacity: Optional[int] = cache_capacity,
+        processing_delay: float = 0.0,
+    ) -> Forwarder:
+        if scheme is None or isinstance(scheme, CacheScheme):
+            # An instance is per-router state and must not be shared
+            # between forwarders: it guards the probe point only.
+            guard = scheme if name == probe else None
+        else:
+            guard = scheme()
+        return net.add_router(
+            name,
+            capacity=capacity,
+            scheme=guard,
+            policy=policy,
+            processing_delay=processing_delay,
+            strategy=forwarding,
+            caching=caching,
+        )
+
+    return net, add_router
 
 
 def local_lan(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
 ) -> AttackTopology:
     """Fig. 3(a): U, Adv and R on one Fast-Ethernet segment, P behind R.
 
@@ -83,10 +147,10 @@ def local_lan(
     queueing tail — comfortably separable (the paper reports >99.9%
     classification success).
     """
-    net = _network(seed)
-    router = net.add_router(
-        "R", capacity=cache_capacity, scheme=scheme, caching=caching
+    net, add_router = _start(
+        seed, "R", scheme, cache_capacity, caching, policy, forwarding
     )
+    router = add_router("R")
     user = net.add_consumer("U")
     adversary = net.add_consumer("Adv")
     producer = net.add_producer("P", CONTENT_PREFIX)
@@ -101,17 +165,18 @@ def local_lan(
         adversary=adversary,
         router=router,
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description="LAN: U/Adv on Fast Ethernet to shared first-hop router R",
     )
 
 
 def wan(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
-    producer_hops: int = 3,
     caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
+    producer_hops: int = 3,
 ) -> AttackTopology:
     """Fig. 3(b): U/Adv several (non-NDN) hops from R; P ``producer_hops``
     NDN hops past R.
@@ -121,22 +186,22 @@ def wan(
     """
     if producer_hops < 1:
         raise ValueError(f"producer_hops must be >= 1, got {producer_hops}")
-    net = _network(seed)
-    router = net.add_router(
-        "R", capacity=cache_capacity, scheme=scheme, caching=caching
+    net, add_router = _start(
+        seed, "R", scheme, cache_capacity, caching, policy, forwarding
     )
+    router = add_router("R")
     user = net.add_consumer("U")
     adversary = net.add_consumer("Adv")
     producer = net.add_producer("P", CONTENT_PREFIX)
     access = lambda: LogNormalDelay(base=2.2, tail_scale=0.35, sigma=0.9)  # noqa: E731
     net.connect("U", "R", access())
     net.connect("Adv", "R", access())
-    # Chain R - R1 - ... - P; intermediate routers cache normally.
+    # Chain R - R1 - ... - P; intermediate routers cache without bound.
     producer_path: List[Forwarder] = []
     chain = ["R"]
     for i in range(1, producer_hops):
         name = f"R{i}"
-        producer_path.append(net.add_router(name, caching=caching))
+        producer_path.append(add_router(name, capacity=None))
         chain.append(name)
     chain.append("P")
     wan_link = lambda: LogNormalDelay(base=1.0, tail_scale=0.4, sigma=0.9)  # noqa: E731
@@ -149,7 +214,6 @@ def wan(
         adversary=adversary,
         router=router,
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description=f"WAN: shared first-hop R, producer {producer_hops} hops upstream",
         producer_path=producer_path,
     )
@@ -157,11 +221,13 @@ def wan(
 
 def wan_producer(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
+    caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
     access_hops: int = 3,
     cache_on_access_path: bool = False,
-    caching: CachingSpec = None,
 ) -> AttackTopology:
     """Fig. 3(c): producer privacy.  P adjacent to R; U/Adv ``access_hops``
     WAN hops away.
@@ -178,10 +244,10 @@ def wan_producer(
     """
     if access_hops < 1:
         raise ValueError(f"access_hops must be >= 1, got {access_hops}")
-    net = _network(seed)
-    router = net.add_router(
-        "R", capacity=cache_capacity, scheme=scheme, caching=caching
+    net, add_router = _start(
+        seed, "R", scheme, cache_capacity, caching, policy, forwarding
     )
+    router = add_router("R")
     user = net.add_consumer("U")
     adversary = net.add_consumer("Adv")
     producer = net.add_producer("P", CONTENT_PREFIX)
@@ -192,7 +258,7 @@ def wan_producer(
         routers = []
         for i in range(1, access_hops):
             name = f"{tag}{i}"
-            node = net.add_router(name, caching=caching)
+            node = add_router(name, capacity=None)
             if not cache_on_access_path:
                 node.cache_filter = never_cache
             routers.append(node)
@@ -213,7 +279,6 @@ def wan_producer(
         adversary=adversary,
         router=router,
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description=(
             f"WAN producer privacy: P adjacent to R, U/Adv {access_hops} hops away"
         ),
@@ -223,9 +288,11 @@ def wan_producer(
 
 def local_host(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
 ) -> AttackTopology:
     """Fig. 3(d) / Fig. 2: malicious app probing the node-local cache.
 
@@ -234,10 +301,10 @@ def local_host(
     across the network.  Calibration: hits ≈ 0.4–0.9 ms, misses ≈ 2–12 ms
     — the cleanest separation of the four settings.
     """
-    net = _network(seed)
-    daemon = net.add_router(
-        "ccnd", capacity=cache_capacity, scheme=scheme, caching=caching
+    net, add_router = _start(
+        seed, "ccnd", scheme, cache_capacity, caching, policy, forwarding
     )
+    daemon = add_router("ccnd")
     honest = net.add_consumer("honest-app")
     malicious = net.add_consumer("malicious-app")
     producer = net.add_producer("P", CONTENT_PREFIX)
@@ -252,7 +319,6 @@ def local_host(
         adversary=malicious,
         router=daemon,
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description="Local host: malicious application probing the ccnd cache",
     )
 
@@ -266,8 +332,8 @@ def local_host(
 # a k-ary fat tree, a Rocketfuel-like ISP (backbone ring + chords with
 # gateway/leaf tiers), and a GEANT-style European backbone.  All three
 # install loop-free routes along a deterministic BFS tree toward the
-# producer, keep U/Adv on one shared first-hop router (the probe point
-# of Figure 1), and accept the same ``caching`` spec as ``add_router``.
+# producer and keep U/Adv on one shared first-hop router (the probe point
+# of Figure 1).
 
 
 def _install_bfs_routes(
@@ -316,12 +382,13 @@ def _path_to_root(parent: Dict[str, Optional[str]], start: str) -> List[str]:
 
 def fat_tree(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
-    k: int = 4,
-    hosts_per_edge: int = 2,
     caching: CachingSpec = None,
     policy: str = "lru",
+    forwarding: str = "best-route",
+    k: int = 4,
+    hosts_per_edge: int = 2,
 ) -> AttackTopology:
     """A k-ary fat tree: (k/2)² cores, k pods of k/2 aggregation and k/2
     edge routers, full bipartite wiring inside each pod.
@@ -339,21 +406,15 @@ def fat_tree(
         raise TopologyError(
             f"need at least U and Adv per edge router, got {hosts_per_edge}"
         )
-    net = _network(seed)
     half = k // 2
     probe = "edge0-0"
+    net, add_router = _start(
+        seed, probe, scheme, cache_capacity, caching, policy, forwarding
+    )
     adjacency: Dict[str, List[str]] = {}
 
     def router(name: str) -> str:
-        # The privacy scheme guards the probe point only (it is per-
-        # router state and must not be shared between forwarders).
-        net.add_router(
-            name,
-            capacity=cache_capacity,
-            scheme=scheme if name == probe else None,
-            policy=policy,
-            caching=caching,
-        )
+        add_router(name)
         adjacency[name] = []
         return name
 
@@ -398,7 +459,6 @@ def fat_tree(
         adversary=adversary,
         router=net[probe],
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description=f"fat tree k={k}: U/Adv under edge0-0, producer behind core0",
         producer_path=[net[name] for name in _path_to_root(parent, probe)],
     )
@@ -406,14 +466,15 @@ def fat_tree(
 
 def rocketfuel_isp(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
+    caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
     backbones: int = 6,
     gateways_per_backbone: int = 2,
     leaves_per_gateway: int = 2,
     extra_chords: int = 2,
-    caching: CachingSpec = None,
-    policy: str = "lru",
 ) -> AttackTopology:
     """A Rocketfuel-like ISP map: backbone ring plus seeded chords, with
     gateway and leaf (access) tiers hanging off it.
@@ -425,18 +486,14 @@ def rocketfuel_isp(
     """
     if backbones < 3:
         raise TopologyError(f"need >= 3 backbone nodes, got {backbones}")
-    net = _network(seed)
     probe = "l0-0-0"
+    net, add_router = _start(
+        seed, probe, scheme, cache_capacity, caching, policy, forwarding
+    )
     adjacency: Dict[str, List[str]] = {}
 
     def router(name: str) -> str:
-        net.add_router(
-            name,
-            capacity=cache_capacity,
-            scheme=scheme if name == probe else None,
-            policy=policy,
-            caching=caching,
-        )
+        add_router(name)
         adjacency[name] = []
         return name
 
@@ -485,7 +542,6 @@ def rocketfuel_isp(
         adversary=adversary,
         router=net[probe],
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description=(
             f"Rocketfuel-like ISP: {backbones}-node backbone ring + "
             f"{added} chords, U/Adv on leaf {probe}, producer behind b0"
@@ -518,10 +574,11 @@ _GEANT_EDGES = (
 
 def geant_backbone(
     seed: int = 0,
-    scheme: Optional[CacheScheme] = None,
+    scheme: SchemeSpec = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
+    forwarding: str = "best-route",
 ) -> AttackTopology:
     """A GEANT-style European research backbone (fixed 12-city map).
 
@@ -530,18 +587,14 @@ def geant_backbone(
     mesh.  ``seed`` only feeds the per-link jitter streams — the graph
     itself is fixed.
     """
-    net = _network(seed)
+    net, add_router = _start(
+        seed, "madrid", scheme, cache_capacity, caching, policy, forwarding
+    )
     adjacency: Dict[str, List[str]] = {}
     for a, b in _GEANT_EDGES:
         for city in (a, b):
             if city not in adjacency:
-                net.add_router(
-                    city,
-                    capacity=cache_capacity,
-                    scheme=scheme if city == "madrid" else None,
-                    policy=policy,
-                    caching=caching,
-                )
+                add_router(city)
                 adjacency[city] = []
         net.connect(a, b, LogNormalDelay(base=3.0, tail_scale=0.5, sigma=0.7))
         adjacency[a].append(b)
@@ -563,23 +616,128 @@ def geant_backbone(
         adversary=adversary,
         router=net["madrid"],
         producer=producer,
-        content_prefix=Name.parse(CONTENT_PREFIX),
         description="GEANT-style backbone: U/Adv at Madrid, producer behind Frankfurt",
         producer_path=[net[name] for name in _path_to_root(parent, "madrid")],
     )
 
 
-#: Builder registry keyed by the Figure-3 subfigure each reproduces.
-TOPOLOGIES = {
+# ----------------------------------------------------------------------
+# Sim-core shapes (packet-path throughput and differential workloads)
+# ----------------------------------------------------------------------
+def star(
+    seed: int = 0,
+    scheme: SchemeSpec = None,
+    cache_capacity: Optional[int] = None,
+    caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
+    consumers: int = 16,
+) -> AttackTopology:
+    """The Figure-1 shape at scale: ``consumers`` hosts ``C0..`` on
+    jittery LAN links around one router R, the producer behind it.
+
+    ``C0`` and ``C1`` stand in for U and Adv (every consumer shares the
+    probe router anyway).
+    """
+    if consumers < 2:
+        raise TopologyError(f"need at least U and Adv, got {consumers} consumers")
+    net, add_router = _start(
+        seed, "R", scheme, cache_capacity, caching, policy, forwarding
+    )
+    router = add_router("R")
+    producer = net.add_producer("P", CONTENT_PREFIX)
+    net.connect("R", "P", LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8))
+    net.add_route("R", CONTENT_PREFIX, "P")
+    hosts = []
+    for j in range(consumers):
+        hosts.append(net.add_consumer(f"C{j}"))
+        net.connect(
+            f"C{j}", "R", GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5)
+        )
+    return AttackTopology(
+        network=net,
+        user=hosts[0],
+        adversary=hosts[1],
+        router=router,
+        producer=producer,
+        description=f"star: {consumers} consumers around one router R",
+    )
+
+
+def tree(
+    seed: int = 0,
+    scheme: SchemeSpec = None,
+    cache_capacity: Optional[int] = None,
+    caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
+    processing_delay: float = 0.0,
+    producer_delay: float = 0.0,
+) -> AttackTopology:
+    """A 3-level router tree (root - 2 aggregation - 4 leaves, two
+    consumers per leaf) on deterministic links, which maximizes
+    equal-time event ties and therefore stresses the engines'
+    insertion-order determinism.
+
+    ``processing_delay`` is every router's per-packet service time and
+    ``producer_delay`` the producer's.  U and Adv are the two consumers
+    of the first leaf ``R2-00``.
+    """
+    probe = "R2-00"
+    net, add_router = _start(
+        seed, probe, scheme, cache_capacity, caching, policy, forwarding
+    )
+    producer = net.add_producer(
+        "P", CONTENT_PREFIX, processing_delay=producer_delay
+    )
+    add_router("R0", processing_delay=processing_delay)
+    net.connect("R0", "P", FixedDelay(1.0))
+    net.add_route("R0", CONTENT_PREFIX, "P")
+    hosts = []
+    for a in range(2):
+        agg = f"R1-{a}"
+        add_router(agg, processing_delay=processing_delay)
+        net.connect(agg, "R0", FixedDelay(0.8))
+        net.add_route(agg, CONTENT_PREFIX, "R0")
+        for l in range(2):
+            leaf = f"R2-{a}{l}"
+            add_router(leaf, processing_delay=processing_delay)
+            net.connect(leaf, agg, FixedDelay(0.5))
+            net.add_route(leaf, CONTENT_PREFIX, agg)
+            for c in range(2):
+                hosts.append(net.add_consumer(f"C{a}{l}{c}"))
+                net.connect(f"C{a}{l}{c}", leaf, FixedDelay(0.3))
+    return AttackTopology(
+        network=net,
+        user=hosts[0],
+        adversary=hosts[1],
+        router=net[probe],
+        producer=producer,
+        description="3-level tree: U/Adv under leaf R2-00, producer behind R0",
+        producer_path=[net["R1-0"], net["R0"]],
+    )
+
+
+#: The one name -> builder registry.  Every other mapping in the package
+#: (the Figure 3 panels, the placement sweep's defaults, the differential
+#: grid, the sim-core workloads) is a view of it.
+TOPOLOGIES: Dict[str, Callable[..., AttackTopology]] = {
     "fig3a_lan": local_lan,
     "fig3b_wan": wan,
     "fig3c_wan_producer": wan_producer,
     "fig3d_local_host": local_host,
-}
-
-#: Scale-topology registry (multi-hop graphs for the strategy sweep).
-SCALE_TOPOLOGIES = {
     "fat_tree": fat_tree,
     "rocketfuel": rocketfuel_isp,
     "geant": geant_backbone,
+    "star": star,
+    "tree": tree,
 }
+
+#: The paper's four measurement settings, keyed by Figure 3 subfigure.
+FIG3_PANELS = tuple(name for name in TOPOLOGIES if name.startswith("fig3"))
+
+#: The multi-hop scale graphs (where cache placement can matter).
+SCALE_GRAPHS = ("fat_tree", "rocketfuel", "geant")
+
+#: The sim-core shapes (:mod:`repro.perf.simcore` drives them).
+SIM_CORE_SHAPES = ("star", "tree")

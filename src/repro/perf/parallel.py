@@ -80,7 +80,7 @@ from repro.workload.ircache import (
     IrcacheGenerator,
 )
 from repro.workload.marking import MarkingRule
-from repro.workload.replay import ReplayStats, replay
+from repro.workload.replay import ReplayStats
 from repro.workload.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedCompiledTrace,
@@ -442,13 +442,12 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
 # Execution
 # ======================================================================
 def _execute(
-    trace: Union[Trace, ShardedCompiledTrace], spec: ReplaySpec, engine: str
+    trace: Union[Trace, ShardedCompiledTrace], spec: ReplaySpec
 ) -> ReplayStats:
     scheme = spec.scheme
     if isinstance(scheme, str):
         scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
-    run = fast_replay if engine == "fast" else replay
-    return run(
+    return fast_replay(
         trace,
         scheme=scheme,
         marking=spec.marking,
@@ -482,13 +481,13 @@ def _maybe_inject_chaos() -> None:
 
 
 def _worker_run(args: tuple) -> ReplayStats:
-    trace_path, spec, engine, layout = args
+    trace_path, spec, layout = args
     _maybe_inject_chaos()
     if layout == "sharded":
         workload = _load_sharded(trace_path)
     else:
         workload = _load_trace(trace_path)
-    return _execute(workload, spec, engine)
+    return _execute(workload, spec)
 
 
 class _SweepStalled(RuntimeError):
@@ -549,11 +548,8 @@ def _run_hardened(
             _drain_pool(pool)
 
 
-def _sweep_fingerprint(
-    spec_list: List[ReplaySpec], engine: str, trace_key: str
-) -> str:
+def _sweep_fingerprint(spec_list: List[ReplaySpec], trace_key: str) -> str:
     digest = hashlib.sha256()
-    digest.update(engine.encode("utf-8"))
     digest.update(trace_key.encode("utf-8"))
     for spec in spec_list:
         digest.update(pickle.dumps(spec))
@@ -565,7 +561,6 @@ def run_replay_sweep(
     trace: Optional[Trace] = None,
     trace_config: Optional[IrcacheConfig] = None,
     workers: Optional[int] = None,
-    engine: str = "fast",
     timeout: Optional[float] = None,
     max_restarts: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
@@ -579,20 +574,18 @@ def run_replay_sweep(
     on-disk cache; a raw ``trace`` is persisted there (content-addressed)
     only when worker processes actually need to load it.
 
-    ``sharded=True`` (requires ``trace_config`` and the fast engine)
-    routes the sweep through the memory-mapped sharded trace cache
+    ``sharded=True`` (requires ``trace_config``) routes the sweep through the memory-mapped sharded trace cache
     instead of the TSV one: the cache is built by streaming generation
     (never materializing the trace) and each worker replays shard by
     shard, so worker RSS is bounded by one shard plus O(n_names) state
     rather than the whole request log.  Results are bit-identical to the
     materialized path.
 
-    ``engine`` selects the replay implementation: ``"fast"`` (default,
-    the interned kernel with reference fallback) or ``"reference"``.
-    Results are bit-identical either way — and independent of
-    ``workers``, because every spec carries its own seed and schemes are
-    isolated per task (pickle round-trip in the serial path, process
-    transport otherwise).
+    Every point runs on :func:`~repro.workload.fast_replay.fast_replay`
+    (the interned kernel, bit-identical to the reference ``replay()``).
+    Results are independent of ``workers``, because every spec carries
+    its own seed and schemes are isolated per task (pickle round-trip in
+    the serial path, process transport otherwise).
 
     Failure handling (parallel path): a dead worker or a stall longer
     than ``timeout`` seconds rebuilds the pool and resubmits the
@@ -602,18 +595,10 @@ def run_replay_sweep(
     killed sweep resumes from where it died (a checkpoint written by a
     different sweep is detected by fingerprint and ignored).
     """
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
     if (trace is None) == (trace_config is None):
         raise ValueError("provide exactly one of trace= or trace_config=")
-    if sharded:
-        if trace_config is None:
-            raise ValueError("sharded sweeps require trace_config=")
-        if engine != "fast":
-            raise ValueError(
-                "sharded sweeps run on the fast engine only "
-                "(the reference engine needs a materialized Trace)"
-            )
+    if sharded and trace_config is None:
+        raise ValueError("sharded sweeps require trace_config=")
     spec_list = list(specs)
     if not spec_list:
         return []
@@ -636,7 +621,7 @@ def run_replay_sweep(
                 "trace:" + hashlib.sha256(_trace_payload(trace)).hexdigest()[:16]
             )
         sweep_checkpoint = SweepCheckpoint(
-            checkpoint, _sweep_fingerprint(spec_list, engine, trace_key)
+            checkpoint, _sweep_fingerprint(spec_list, trace_key)
         )
         completed = {
             index: stats
@@ -663,9 +648,7 @@ def run_replay_sweep(
         for index, spec in enumerate(spec_list):
             if index in completed:
                 continue
-            deliver(
-                index, _execute(workload, pickle.loads(pickle.dumps(spec)), engine)
-            )
+            deliver(index, _execute(workload, pickle.loads(pickle.dumps(spec))))
         return [completed[index] for index in range(count)]
 
     if sharded:
@@ -675,7 +658,7 @@ def run_replay_sweep(
     else:
         path = _cache_trace_object(trace)
     layout = "sharded" if sharded else "tsv"
-    tasks = [(str(path), spec, engine, layout) for spec in spec_list]
+    tasks = [(str(path), spec, layout) for spec in spec_list]
     remaining = {index for index in range(count) if index not in completed}
     _run_hardened(tasks, remaining, workers, timeout, max_restarts, deliver)
     return [completed[index] for index in range(count)]

@@ -6,7 +6,7 @@ object universe.  Every :meth:`Link.transmit` is one packet-hop, so
 packet-hops per second on these prices exactly the per-hop fast path the
 full-topology experiments (Figure 3, amplification, overload) pay.
 
-Two fixed topologies:
+Two fixed topologies, both from the :mod:`repro.ndn.topology` registry:
 
 * ``star`` — N consumers on jittery LAN links around one router R with
   the producer behind it (the Figure-1 shape at scale),
@@ -35,27 +35,33 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
-from repro.ndn.topology import CONTENT_PREFIX, fat_tree
+from repro.ndn.topology import CONTENT_PREFIX, TOPOLOGIES, fat_tree
 from repro.perf.parallel import build_scheme
 from repro.sim.batch.script import ConsumerScript, FetchStep
-from repro.sim.rng import RngRegistry
 from repro.sim.workload_driver import scripts_from_workload
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 
 #: Prefix the sim-core object universe lives under.
-SIMCORE_PREFIX = "/content"
+SIMCORE_PREFIX = CONTENT_PREFIX
 
 
 def simcore_scripts(
-    consumer_names: List[str], requests_per_consumer: int, universe: int
+    consumer_names: List[str],
+    requests_per_consumer: int,
+    universe: int,
+    timeout: float = 4000.0,
+    private_period: int = 0,
 ) -> List[ConsumerScript]:
     """The canonical sim-core workload as declarative consumer scripts.
 
     Consumer ``j`` fetches object ``(i * 3 + j) % universe`` on step ``i``
     — a deterministic interleaving that mixes cache hits and misses
     across consumers without any RNG draws in the workload itself.
+    ``timeout`` is each fetch's wait budget (set it below the topology
+    RTT to exercise timeout, PIT expiry and retransmission);
+    ``private_period`` > 0 marks every N-th fetch of the interleaving
+    private.
     """
     return [
         ConsumerScript(
@@ -63,7 +69,8 @@ def simcore_scripts(
             steps=tuple(
                 FetchStep(
                     f"{SIMCORE_PREFIX}/obj-{(i * 3 + j) % universe}",
-                    timeout=4000.0,
+                    timeout=timeout,
+                    private=private_period > 0 and (i + j) % private_period == 0,
                 )
                 for i in range(requests_per_consumer)
             ),
@@ -76,49 +83,18 @@ def build_star(
     consumers: int = 16, seed: int = 0, cache_capacity: int = 64
 ) -> Tuple[Network, List[str], int]:
     """Star topology: returns ``(net, consumer_names, universe)``."""
-    net = Network(rng=RngRegistry(seed))
-    net.add_router("R", capacity=cache_capacity)
-    net.add_producer("P", SIMCORE_PREFIX)
-    net.connect("R", "P", LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8))
-    net.add_route("R", SIMCORE_PREFIX, "P")
-    names = []
-    for j in range(consumers):
-        name = f"C{j}"
-        net.add_consumer(name)
-        net.connect(
-            name, "R", GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5)
-        )
-        names.append(name)
-    return net, names, max(4, consumers * 4)
+    net = TOPOLOGIES["star"](
+        seed=seed, cache_capacity=cache_capacity, consumers=consumers
+    ).network
+    return net, list(net.consumers), max(4, consumers * 4)
 
 
 def build_tree(
     seed: int = 0, cache_capacity: int = 32
 ) -> Tuple[Network, List[str], int]:
     """3-level tree topology: returns ``(net, consumer_names, universe)``."""
-    net = Network(rng=RngRegistry(seed))
-    net.add_producer("P", SIMCORE_PREFIX)
-    net.add_router("R0", capacity=cache_capacity)
-    net.connect("R0", "P", FixedDelay(1.0))
-    net.add_route("R0", SIMCORE_PREFIX, "P")
-
-    names: List[str] = []
-    for a in range(2):
-        agg = f"R1-{a}"
-        net.add_router(agg, capacity=cache_capacity)
-        net.connect(agg, "R0", FixedDelay(0.8))
-        net.add_route(agg, SIMCORE_PREFIX, "R0")
-        for l in range(2):
-            leaf = f"R2-{a}{l}"
-            net.add_router(leaf, capacity=cache_capacity)
-            net.connect(leaf, agg, FixedDelay(0.5))
-            net.add_route(leaf, SIMCORE_PREFIX, agg)
-            for c in range(2):
-                name = f"C{a}{l}{c}"
-                net.add_consumer(name)
-                net.connect(name, leaf, FixedDelay(0.3))
-                names.append(name)
-    return net, names, 32
+    net = TOPOLOGIES["tree"](seed=seed, cache_capacity=cache_capacity).network
+    return net, list(net.consumers), 32
 
 
 def build_fat_tree_ircache(

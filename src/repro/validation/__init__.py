@@ -1,6 +1,7 @@
 """Runtime validation: conservation-law invariants and differential replay.
 
-Two independent nets under the simulator:
+Two independent nets under the simulator, reporting in one shape
+(:class:`DifferentialReport`):
 
 * :class:`InvariantChecker` audits live packet-level state — every
   interest a forwarder admits must be accounted for exactly once
@@ -13,14 +14,15 @@ Two independent nets under the simulator:
   and demands bit-identical :class:`~repro.workload.replay.ReplayStats` —
   the guard that keeps the performance path honest.
 
-Both are wired into ``repro validate`` (CLI), ``bench_overload``, and CI.
+Both are wired into ``repro validate`` (CLI, one table of checks next to
+the topology, streaming and defense-transparency differentials),
+``bench_overload``, and CI.
 """
 
 from repro.validation.differential import (
     DifferentialCase,
     DifferentialReport,
     StreamingCase,
-    StreamingDifferentialReport,
     default_differential_cases,
     default_streaming_cases,
     diff_replay_stats,
@@ -32,21 +34,27 @@ from repro.validation.invariants import (
     InvariantError,
     Violation,
 )
-from repro.validation.scenario import OverloadResult, run_overload_scenario
+from repro.validation.scenario import (
+    OVERLOAD_CONFIGS,
+    OverloadResult,
+    run_overload_scenario,
+    validate_overload,
+)
 
 __all__ = [
     "DifferentialCase",
     "DifferentialReport",
     "InvariantChecker",
     "InvariantError",
+    "OVERLOAD_CONFIGS",
     "OverloadResult",
     "Violation",
     "StreamingCase",
-    "StreamingDifferentialReport",
     "default_differential_cases",
     "default_streaming_cases",
     "diff_replay_stats",
     "run_overload_scenario",
     "validate_differential",
+    "validate_overload",
     "validate_streaming_differential",
 ]

@@ -1,35 +1,40 @@
-"""Differential validation: oracle replay vs the interned fast kernel.
+"""Differential validation: every fast path against its oracle.
 
-:func:`repro.workload.fast_replay.fast_replay` exists purely for speed;
-its contract is *bit-identical* :class:`~repro.workload.replay.ReplayStats`
-to the reference implementation :func:`repro.workload.replay.replay` for
-any (trace, scheme, marking, cache-size) configuration.  This module
-turns that contract into a checkable artifact: run both engines over a
-grid of configurations and diff the stats field by field.
+Three bit-identity contracts, one report shape
+(:class:`CaseResult` / :class:`DifferentialReport`):
+
+* :func:`validate_differential` — the interned
+  :func:`~repro.workload.fast_replay.fast_replay` kernel vs the reference
+  :func:`~repro.workload.replay.replay`: identical
+  :class:`~repro.workload.replay.ReplayStats` for any (trace, scheme,
+  marking, cache-size) configuration,
+* :func:`validate_topology_differential` — the batch simulation kernel
+  vs the reference engine over whole registry topologies: identical
+  :class:`~repro.sim.batch.script.TopologyObservables`,
+* :func:`validate_streaming_differential` — the streamed/sharded
+  workload representation vs the materialized one.
 
 Scheme and marking objects are stateful (they own RNG streams), so each
-engine gets a **freshly built** pair from the same seed — sharing one
+leg gets a **freshly built** set from the same seed — sharing one
 object would advance its RNG in the first run and desynchronize the
 second, reporting a false mismatch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
-from repro.ndn.topology import TOPOLOGIES, fat_tree, rocketfuel_isp
+from repro.ndn.topology import CONTENT_PREFIX, TOPOLOGIES
 from repro.perf.parallel import build_scheme
+from repro.perf.simcore import simcore_scripts
 from repro.sim.batch.script import (
     ConsumerScript,
-    FetchStep,
-    TopologyObservables,
     diff_observables,
     run_scripts_reference,
 )
-from repro.sim.rng import RngRegistry
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import RequestMarking
@@ -78,16 +83,26 @@ def default_differential_cases(seed: int = 0) -> List[DifferentialCase]:
 
 @dataclass
 class CaseResult:
-    """Outcome of one cross-checked configuration."""
+    """Outcome of one cross-checked configuration.
 
-    case: DifferentialCase
-    oracle: ReplayStats
-    fast: ReplayStats
+    ``label`` and ``mismatches`` are the verdict every differential
+    fills in.  The rest is the evidence a test may want to read, set by
+    the differentials that have it: the ``case`` that was run, the
+    ``oracle`` leg's payload, and the leg under test — ``fast`` (replay
+    kernel :class:`ReplayStats`) or ``batch`` (batch simulation kernel
+    :class:`~repro.sim.batch.script.TopologyObservables`).
+    """
+
+    label: str
     mismatches: List[str]
+    case: object = None
+    oracle: object = None
+    fast: object = None
+    batch: object = None
 
     @property
     def ok(self) -> bool:
-        """True when the two engines agreed bit-for-bit."""
+        """True when the two legs agreed bit-for-bit."""
         return not self.mismatches
 
 
@@ -96,7 +111,10 @@ class DifferentialReport:
     """All case results of one differential validation run."""
 
     results: List[CaseResult]
-    trace_requests: int
+    #: Length of the replayed trace (replay-based differentials only).
+    trace_requests: Optional[int] = None
+    #: Free-form evidence for the status line (e.g. checks run).
+    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -108,12 +126,22 @@ class DifferentialReport:
         """The disagreeing configurations."""
         return [r for r in self.results if not r.ok]
 
+    def status(self) -> str:
+        """One line: the verdict and what it covered."""
+        n = len(self.results)
+        scope = f"{n} case{'' if n == 1 else 's'}"
+        if self.trace_requests is not None:
+            scope += f", {self.trace_requests} requests"
+        if self.note:
+            scope += f"; {self.note}"
+        return f"{'ok' if self.ok else 'MISMATCH'} ({scope})"
+
     def summary(self) -> str:
         """One line per case, pass/fail."""
         lines = []
         for r in self.results:
             status = "ok" if r.ok else "MISMATCH " + "; ".join(r.mismatches)
-            lines.append(f"{r.case.label}: {status}")
+            lines.append(f"{r.label}: {status}")
         return "\n".join(lines)
 
 
@@ -171,10 +199,11 @@ def validate_differential(
         fast_stats = _run_case(trace, case, fast_replay)
         results.append(
             CaseResult(
+                label=case.label,
+                mismatches=diff_replay_stats(oracle_stats, fast_stats),
                 case=case,
                 oracle=oracle_stats,
                 fast=fast_stats,
-                mismatches=diff_replay_stats(oracle_stats, fast_stats),
             )
         )
     return DifferentialReport(results=results, trace_requests=len(trace))
@@ -183,22 +212,22 @@ def validate_differential(
 # ======================================================================
 # Topology differential: reference engine vs the batch kernel
 # ======================================================================
-#: Prefix the topology-differential object universe lives under (matches
-#: both the sim-core workloads and the fig3 attack topologies).
-_TOPO_PREFIX = "/content"
-
-
 @dataclass(frozen=True)
 class TopologyCase:
     """One (topology, scheme, policy, workload) configuration to
-    cross-check between the reference engine and the batch kernel."""
+    cross-check between the reference engine and the batch kernel.
 
-    #: "star" | "tree" | a Figure 3 panel (the keys of
-    #: :data:`repro.ndn.topology.TOPOLOGIES`) | "fat_tree" run the
-    #: interleaved workload of :func:`_topology_scripts`; "rocketfuel"
-    #: runs the placement sweep's probe campaign (the workload fields
-    #: below do not apply).
+    Every field either reaches the registry builder / the script helper
+    or the case fails to build: there is no silently ignored setting.
+    """
+
+    #: A :data:`repro.ndn.topology.TOPOLOGIES` name.  Every topology runs
+    #: the interleaved workload of
+    #: :func:`~repro.perf.simcore.simcore_scripts` on all its consumers,
+    #: except "rocketfuel", which runs the placement sweep's probe
+    #: campaign (the workload fields below do not apply).
     topology: str
+    #: Privacy scheme kind, a fresh instance on *every* router.
     scheme: str = "no-privacy"
     policy: str = "lru"
     #: Cache-admission strategy kind (:mod:`repro.ndn.strategy`) on every
@@ -234,6 +263,16 @@ class TopologyCase:
         return tag
 
 
+#: Shape parameters the grid builds a registry topology with (anything
+#: not listed is the builder's default): a small star, and non-zero
+#: per-packet service times on the tree's routers and producer so equal-
+#: time ties between forwarding and processing events are exercised.
+_GRID_SHAPES = {
+    "star": {"consumers": 4},
+    "tree": {"processing_delay": 0.2, "producer_delay": 0.4},
+}
+
+
 def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
     """The CI grid: sim-core shapes plus the fig3 LAN, producer-privacy
     and local-host panels, a fat tree and one placement campaign on the
@@ -245,9 +284,13 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
         TopologyCase("star", "no-privacy", "lru", seed=seed),
         TopologyCase("star", "uniform", "random", seed=seed),
         TopologyCase("tree", "exponential", "lfu", seed=seed),
-        # Fixed-delay tree RTT is >= 5.2 ms; a 2.4 ms budget forces
-        # consumer timeouts, PIT expiry, and same-name refetch races.
-        TopologyCase("tree", "no-privacy", "fifo", timeout=2.4, seed=seed),
+        # On the grid's tree a producer round trip takes 6.8 ms (5.2 ms of
+        # links, six router crossings at 0.2 ms, 0.4 ms at the producer)
+        # and a hit at the root 4.2 ms: a 4.3 ms budget delivers what some
+        # cache on the path still holds (about a third of the fetches) and
+        # times out on the rest, racing late Data against the consumer's
+        # next, same-name-aggregating interests.
+        TopologyCase("tree", "no-privacy", "fifo", timeout=4.3, seed=seed),
         TopologyCase("fig3a_lan", "no-privacy", "lru", seed=seed),
         TopologyCase("fig3a_lan", "uniform", "lru", seed=seed),
         TopologyCase("fig3a_lan", "always-delay", "lru", seed=seed),
@@ -286,28 +329,6 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
     ]
 
 
-def _topology_scripts(
-    consumer_names: Sequence[str], case: TopologyCase, universe: int
-) -> List[ConsumerScript]:
-    """Deterministic interleaved workload with a fixed fraction of
-    privacy-marked fetches (no RNG draws in the workload itself)."""
-    period = case.private_period
-    return [
-        ConsumerScript(
-            consumer=name,
-            steps=tuple(
-                FetchStep(
-                    f"{_TOPO_PREFIX}/obj-{(i * 3 + j) % universe}",
-                    timeout=case.timeout,
-                    private=(period > 0 and (i + j) % period == 0),
-                )
-                for i in range(case.requests_per_consumer)
-            ),
-        )
-        for j, name in enumerate(consumer_names)
-    ]
-
-
 def _build_topology_case(
     case: TopologyCase,
 ) -> Tuple[Network, List[ConsumerScript]]:
@@ -317,104 +338,36 @@ def _build_topology_case(
     so sharing a network between runs would desynchronize the second run
     and report a false mismatch (same rule as :func:`_run_case`).
     """
-    scheme_n = 0
-
-    def scheme():
-        # Distinct instance per router (the batch compiler rejects shared
-        # scheme objects), deterministic per (case seed, router ordinal).
-        nonlocal scheme_n
-        scheme_n += 1
-        return build_scheme(case.scheme, seed=case.seed * 101 + scheme_n)
-
-    if case.topology == "star":
-        net = Network(rng=RngRegistry(case.seed))
-        net.add_router(
-            "R",
-            capacity=case.cache_capacity,
-            scheme=scheme(),
-            policy=case.policy,
-            strategy=case.forwarding,
-            caching=case.caching,
+    if case.topology not in TOPOLOGIES:
+        raise ValueError(
+            f"unknown topology {case.topology!r}; "
+            f"choose from {sorted(TOPOLOGIES)}"
         )
-        net.add_producer("P", _TOPO_PREFIX)
-        net.connect(
-            "R", "P", LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8)
-        )
-        net.add_route("R", _TOPO_PREFIX, "P")
-        names = []
-        for j in range(4):
-            name = f"C{j}"
-            net.add_consumer(name)
-            net.connect(
-                name,
-                "R",
-                GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5),
-            )
-            names.append(name)
-        return net, _topology_scripts(names, case, universe=12)
-
-    if case.topology == "tree":
-        net = Network(rng=RngRegistry(case.seed))
-        net.add_producer("P", _TOPO_PREFIX, processing_delay=0.4)
-        net.add_router(
-            "R0",
-            capacity=case.cache_capacity,
-            scheme=scheme(),
-            policy=case.policy,
-            processing_delay=0.2,
-            strategy=case.forwarding,
-            caching=case.caching,
-        )
-        net.connect("R0", "P", FixedDelay(1.0))
-        net.add_route("R0", _TOPO_PREFIX, "P")
-        names: List[str] = []
-        for a in range(2):
-            leaf = f"R1-{a}"
-            net.add_router(
-                leaf,
-                capacity=case.cache_capacity,
-                scheme=scheme(),
-                policy=case.policy,
-                strategy=case.forwarding,
-                caching=case.caching,
-            )
-            net.connect(leaf, "R0", FixedDelay(0.5))
-            net.add_route(leaf, _TOPO_PREFIX, "R0")
-            for c in range(2):
-                name = f"C{a}{c}"
-                net.add_consumer(name)
-                net.connect(name, leaf, FixedDelay(0.3))
-                names.append(name)
-        return net, _topology_scripts(names, case, universe=10)
-
-    if case.topology in TOPOLOGIES:  # the Figure 3 panels' builders
-        topo = TOPOLOGIES[case.topology](
-            seed=case.seed,
-            scheme=scheme(),
-            cache_capacity=case.cache_capacity,
-            caching=case.caching,
-        )
-        names = [topo.user.name, topo.adversary.name]
-        return topo.network, _topology_scripts(names, case, universe=8)
-
+    # Distinct scheme instance per router (the batch compiler rejects
+    # shared scheme objects), deterministic per (case seed, router ordinal).
+    ordinal = itertools.count(1)
+    topo = TOPOLOGIES[case.topology](
+        seed=case.seed,
+        scheme=lambda: build_scheme(
+            case.scheme, seed=case.seed * 101 + next(ordinal)
+        ),
+        cache_capacity=case.cache_capacity,
+        caching=case.caching,
+        policy=case.policy,
+        forwarding=case.forwarding,
+        **_GRID_SHAPES.get(case.topology, {}),
+    )
     if case.topology == "rocketfuel":
         # Imported here: the attack suite is not needed by the replay and
         # deployment differentials that share this module.
         from repro.attacks.timing import CacheProbeAttack, probe_campaign
 
-        topo = rocketfuel_isp(
-            seed=case.seed,
-            scheme=scheme(),
-            cache_capacity=case.cache_capacity,
-            caching=case.caching,
-            policy=case.policy,
-        )
-        hot = [f"{_TOPO_PREFIX}/private/hot-{i}" for i in range(10)]
-        cold = [f"{_TOPO_PREFIX}/private/cold-{i}" for i in range(10)]
+        hot = [f"{CONTENT_PREFIX}/private/hot-{i}" for i in range(10)]
+        cold = [f"{CONTENT_PREFIX}/private/cold-{i}" for i in range(10)]
         # The placement frontier's campaign (``run_probe_attack``): prime
         # and sample the reference, then probe every target once.
-        primed = [f"{_TOPO_PREFIX}/ref"] * (1 + CacheProbeAttack.REFERENCE_PROBES)
-        campaign = probe_campaign(
+        primed = [f"{CONTENT_PREFIX}/ref"] * (1 + CacheProbeAttack.REFERENCE_PROBES)
+        return topo.network, probe_campaign(
             topo,
             prefetch=hot,
             probes=primed + hot + cold,
@@ -423,69 +376,21 @@ def _build_topology_case(
             probe_gap=CacheProbeAttack.GAP,
             private=True,
         )
-        return topo.network, campaign
-
-    if case.topology == "fat_tree":
-        topo = fat_tree(
-            seed=case.seed,
-            scheme=scheme(),
-            cache_capacity=case.cache_capacity,
-            caching=case.caching,
-            policy=case.policy,
-        )
-        names = ["U", "Adv"]
-        return topo.network, _topology_scripts(names, case, universe=16)
-
-    raise ValueError(
-        f"unknown topology {case.topology!r}; choose from 'star', 'tree', "
-        f"{', '.join(map(repr, TOPOLOGIES))}, 'fat_tree', 'rocketfuel'"
+    names = list(topo.network.consumers)
+    # Four objects per consumer, the sim-core workloads' own ratio.
+    return topo.network, simcore_scripts(
+        names,
+        case.requests_per_consumer,
+        universe=4 * len(names),
+        timeout=case.timeout,
+        private_period=case.private_period,
     )
-
-
-@dataclass
-class TopologyCaseResult:
-    """Outcome of one cross-checked topology configuration."""
-
-    case: TopologyCase
-    oracle: TopologyObservables
-    batch: TopologyObservables
-    mismatches: List[str]
-
-    @property
-    def ok(self) -> bool:
-        """True when the two engines agreed bit-for-bit."""
-        return not self.mismatches
-
-
-@dataclass
-class TopologyDifferentialReport:
-    """All case results of one topology differential run."""
-
-    results: List[TopologyCaseResult]
-
-    @property
-    def ok(self) -> bool:
-        """True when every configuration agreed."""
-        return all(r.ok for r in self.results)
-
-    @property
-    def failures(self) -> List[TopologyCaseResult]:
-        """The disagreeing configurations."""
-        return [r for r in self.results if not r.ok]
-
-    def summary(self) -> str:
-        """One line per case, pass/fail."""
-        lines = []
-        for r in self.results:
-            status = "ok" if r.ok else "MISMATCH " + "; ".join(r.mismatches)
-            lines.append(f"{r.case.label}: {status}")
-        return "\n".join(lines)
 
 
 def validate_topology_differential(
     cases: Optional[Sequence[TopologyCase]] = None,
     seed: int = 0,
-) -> TopologyDifferentialReport:
+) -> DifferentialReport:
     """Cross-check the reference engine vs the batch kernel over whole
     topologies: delivery counts, per-consumer RTT streams, per-link
     packet tallies, per-router counters and ``stats_summary``, event
@@ -505,7 +410,7 @@ def validate_topology_differential(
 
     if cases is None:
         cases = default_topology_cases(seed=seed)
-    results: List[TopologyCaseResult] = []
+    results: List[CaseResult] = []
     for case in cases:
         net, scripts = _build_topology_case(case)
         oracle = run_scripts_reference(net, scripts)
@@ -522,14 +427,15 @@ def validate_topology_differential(
             batch = run_scripts_batch(net, scripts)
             mismatches = diff_observables(oracle, batch)
         results.append(
-            TopologyCaseResult(
+            CaseResult(
+                label=case.label,
+                mismatches=mismatches,
                 case=case,
                 oracle=oracle,
                 batch=batch,
-                mismatches=mismatches,
             )
         )
-    return TopologyDifferentialReport(results=results)
+    return DifferentialReport(results=results)
 
 
 # ======================================================================
@@ -565,41 +471,6 @@ def default_streaming_cases(seed: int = 0) -> List[StreamingCase]:
     ]
 
 
-@dataclass
-class StreamingCaseResult:
-    """Outcome of one streaming-vs-materialized comparison."""
-
-    label: str
-    mismatches: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-@dataclass
-class StreamingDifferentialReport:
-    """All comparisons of one streaming-differential run."""
-
-    results: List[StreamingCaseResult]
-    trace_requests: int
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    @property
-    def failures(self) -> List[StreamingCaseResult]:
-        return [r for r in self.results if not r.ok]
-
-    def summary(self) -> str:
-        lines = []
-        for r in self.results:
-            status = "ok" if r.ok else "MISMATCH " + "; ".join(r.mismatches)
-            lines.append(f"{r.label}: {status}")
-        return "\n".join(lines)
-
-
 def _streaming_marking(kind: str, fraction: float, seed: int):
     """Fresh marking instance per replay leg (RequestMarking is RNG-
     stateful: sharing one across legs would continue its stream)."""
@@ -614,26 +485,12 @@ def _streaming_marking(kind: str, fraction: float, seed: int):
     raise ValueError(f"unknown marking kind {kind!r}")
 
 
-def _star_edge_network(seed: int, consumers: Sequence[str]) -> Network:
-    """A fresh deterministic star edge (same shape as the defense
-    suites): consumers → one caching router → one root producer."""
-    net = Network(rng=RngRegistry(seed))
-    net.add_router("E", capacity=64, scheme=build_scheme("uniform", seed=seed))
-    net.add_producer("P", "/")
-    for name in consumers:
-        net.add_consumer(name)
-        net.connect(name, "E", FixedDelay(0.5))
-    net.connect("E", "P", FixedDelay(2.0))
-    net.add_route("E", "/", "P")
-    return net
-
-
 def validate_streaming_differential(
     cases: Optional[Sequence[StreamingCase]] = None,
     seed: int = 0,
     requests: int = 2500,
     sim_requests: int = 500,
-) -> StreamingDifferentialReport:
+) -> DifferentialReport:
     """Cross-check the streaming pipeline against the materialized one.
 
     Three layers, all bit-identity:
@@ -655,7 +512,6 @@ def validate_streaming_differential(
     """
     import tempfile
 
-    from repro.sim.batch.script import run_scripts_reference
     from repro.sim.workload_driver import scripts_from_workload
     from repro.workload.sharded import compile_stream
     from repro.workload.streaming import TraceWorkload
@@ -672,7 +528,7 @@ def validate_streaming_differential(
         seed=seed,
     )
     trace = IrcacheGenerator(config).generate()
-    results: List[StreamingCaseResult] = []
+    results: List[CaseResult] = []
     with tempfile.TemporaryDirectory(prefix="repro-streamdiff-") as tmp:
         sharded = compile_stream(
             IrcacheGenerator(config).stream(),
@@ -695,9 +551,8 @@ def validate_streaming_differential(
             in_ram = run(trace, case, fast_replay)
             streamed = run(sharded, case, fast_replay)
             results.append(
-                StreamingCaseResult(
-                    label=f"replay:{case.label}",
-                    mismatches=diff_replay_stats(in_ram, streamed),
+                CaseResult(
+                    f"replay:{case.label}", diff_replay_stats(in_ram, streamed)
                 )
             )
 
@@ -706,9 +561,9 @@ def validate_streaming_differential(
         oracle = run(trace, anchor, replay)
         streamed = run(sharded, anchor, fast_replay)
         results.append(
-            StreamingCaseResult(
-                label=f"oracle-anchor:{anchor.label}",
-                mismatches=diff_replay_stats(oracle, streamed),
+            CaseResult(
+                f"oracle-anchor:{anchor.label}",
+                diff_replay_stats(oracle, streamed),
             )
         )
 
@@ -724,8 +579,24 @@ def validate_streaming_differential(
         duration_hours=0.25,
         seed=seed + 1,
     )
-    consumers = [f"F{i}" for i in range(4)]
-    driver_kwargs = dict(time_scale=1e-3, timeout=5000.0, private_period=7)
+
+    def edge() -> Network:
+        # Fresh per leg: the registry star, a uniform scheme on its router.
+        return TOPOLOGIES["star"](
+            seed=seed,
+            scheme=build_scheme("uniform", seed=seed),
+            cache_capacity=64,
+            consumers=4,
+        ).network
+
+    net_mat, net_stream = edge(), edge()
+    consumers = list(net_mat.consumers)
+    driver_kwargs = dict(
+        uri_prefix=CONTENT_PREFIX,
+        time_scale=1e-3,
+        timeout=5000.0,
+        private_period=7,
+    )
     sim_trace = IrcacheGenerator(sim_config).generate()
     scripts_mat = scripts_from_workload(
         TraceWorkload(sim_trace), consumers, **driver_kwargs
@@ -736,18 +607,10 @@ def validate_streaming_differential(
     mismatches: List[str] = []
     if scripts_mat != scripts_stream:
         mismatches.append("driver scripts differ between representations")
-    obs_mat = run_scripts_reference(
-        _star_edge_network(seed, consumers), scripts_mat
-    )
-    obs_stream = run_scripts_reference(
-        _star_edge_network(seed, consumers), scripts_stream
-    )
+    obs_mat = run_scripts_reference(net_mat, scripts_mat)
+    obs_stream = run_scripts_reference(net_stream, scripts_stream)
     mismatches.extend(diff_observables(obs_mat, obs_stream))
     if obs_stream.total_delivered == 0:
         mismatches.append("streaming simulator leg delivered nothing")
-    results.append(
-        StreamingCaseResult(label="simulator:star-edge", mismatches=mismatches)
-    )
-    return StreamingDifferentialReport(
-        results=results, trace_requests=requests
-    )
+    results.append(CaseResult("simulator:star-edge", mismatches))
+    return DifferentialReport(results=results, trace_requests=requests)

@@ -74,3 +74,57 @@ class TestUtilityCommands:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestValidateCommand:
+    CHECKS = (
+        "invariants [unbounded-baseline]",
+        "invariants [bounded-evict]",
+        "invariants [bounded-drop-new]",
+        "invariants [bounded-polluted]",
+        "differential",
+        "topology differential",
+        "streaming differential",
+        "defense transparency",
+    )
+
+    def test_one_status_line_per_check_then_a_doctored_failure(
+        self, capsys, monkeypatch
+    ):
+        from repro import cli
+        from repro.validation.differential import CaseResult, DifferentialReport
+
+        assert tuple(cli.VALIDATION_CHECKS) == self.CHECKS
+        assert main(["validate", "--requests", "2000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == list(self.CHECKS)
+        assert all(": ok (" in line for line in lines[:-1])
+        assert "2000 requests" in lines[4] and "2000 requests" in lines[6]
+        assert lines[-1] == "validation passed"
+
+        # One failing entry: its mismatch is printed, the rest still run.
+        ran = []
+        for name in self.CHECKS:
+            monkeypatch.setitem(
+                cli.VALIDATION_CHECKS,
+                name,
+                lambda seed, requests, name=name: ran.append(name)
+                or DifferentialReport([CaseResult("stub", [])]),
+            )
+        monkeypatch.setitem(
+            cli.VALIDATION_CHECKS,
+            "topology differential",
+            lambda seed, requests: DifferentialReport(
+                [
+                    CaseResult("star/ok", []),
+                    CaseResult("tree/bad", ["end_time: oracle=1.0 batch=2.0"]),
+                ]
+            ),
+        )
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert "topology differential: MISMATCH (2 cases)" in out
+        assert "  - tree/bad: end_time: oracle=1.0 batch=2.0" in out
+        assert "star/ok" not in out
+        assert out.splitlines()[-1] == "validation FAILED"
+        assert ran == [n for n in self.CHECKS if n != "topology differential"]

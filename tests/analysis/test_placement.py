@@ -17,12 +17,13 @@ from repro.analysis.placement import (
 )
 from repro.cli import main
 from repro.ndn.strategy import STRATEGIES
-from repro.ndn.topology import SCALE_TOPOLOGIES
+from repro.ndn.topology import SCALE_GRAPHS, TOPOLOGIES
 
 
 class TestRegistries:
     def test_sweep_topologies_cover_lan_and_scale_graphs(self):
-        assert set(SWEEP_TOPOLOGIES) == {"fig3a_lan"} | set(SCALE_TOPOLOGIES)
+        assert set(SWEEP_TOPOLOGIES) == {"fig3a_lan"} | set(SCALE_GRAPHS)
+        assert all(SWEEP_TOPOLOGIES[n] is TOPOLOGIES[n] for n in SWEEP_TOPOLOGIES)
 
     def test_sweep_strategies_cover_registry(self):
         assert set(SWEEP_STRATEGIES) == set(STRATEGIES)

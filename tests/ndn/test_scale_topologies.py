@@ -7,7 +7,8 @@ import pytest
 from repro.ndn.errors import TopologyError
 from repro.ndn.name import Name
 from repro.ndn.topology import (
-    SCALE_TOPOLOGIES,
+    SCALE_GRAPHS,
+    TOPOLOGIES,
     fat_tree,
     geant_backbone,
     rocketfuel_isp,
@@ -52,33 +53,34 @@ def fetch_roundtrip(topo, name="/content/smoke"):
 
 class TestRegistry:
     def test_scale_registry(self):
-        assert set(SCALE_TOPOLOGIES) == {"fat_tree", "rocketfuel", "geant"}
+        assert set(SCALE_GRAPHS) == {"fat_tree", "rocketfuel", "geant"}
+        assert set(SCALE_GRAPHS) <= set(TOPOLOGIES)
 
-    @pytest.mark.parametrize("name", sorted(SCALE_TOPOLOGIES))
+    @pytest.mark.parametrize("name", sorted(SCALE_GRAPHS))
     def test_end_to_end_fetch(self, name):
-        topo = SCALE_TOPOLOGIES[name](seed=3)
+        topo = TOPOLOGIES[name](seed=3)
         outcome = fetch_roundtrip(topo)
         assert outcome["first"] is not None
         assert outcome["second"] is not None
         # Second fetch is served from the shared probe router's cache.
         assert outcome["second"].rtt < outcome["first"].rtt
 
-    @pytest.mark.parametrize("name", sorted(SCALE_TOPOLOGIES))
+    @pytest.mark.parametrize("name", sorted(SCALE_GRAPHS))
     def test_routes_loop_free_from_every_router(self, name):
-        topo = SCALE_TOPOLOGIES[name](seed=0)
+        topo = TOPOLOGIES[name](seed=0)
         for router in topo.network.routers:
             path = follow_route(topo.network, router)
             assert path[-1] == "P"
 
-    @pytest.mark.parametrize("name", sorted(SCALE_TOPOLOGIES))
+    @pytest.mark.parametrize("name", sorted(SCALE_GRAPHS))
     def test_producer_path_matches_fib_walk(self, name):
-        topo = SCALE_TOPOLOGIES[name](seed=0)
+        topo = TOPOLOGIES[name](seed=0)
         walked = follow_route(topo.network, topo.router.name)
         assert [f.name for f in topo.producer_path] == walked[1:-1]
 
-    @pytest.mark.parametrize("name", sorted(SCALE_TOPOLOGIES))
+    @pytest.mark.parametrize("name", sorted(SCALE_GRAPHS))
     def test_caching_spec_threads_to_all_routers(self, name):
-        topo = SCALE_TOPOLOGIES[name](seed=0, caching="lcd")
+        topo = TOPOLOGIES[name](seed=0, caching="lcd")
         for router in topo.network.routers.values():
             assert router.caching is not None
             assert router.caching.kind == "lcd"

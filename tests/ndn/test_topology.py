@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.ndn.topology import (
+    FIG3_PANELS,
+    SCALE_GRAPHS,
+    SIM_CORE_SHAPES,
     TOPOLOGIES,
     local_host,
     local_lan,
@@ -40,14 +43,17 @@ def measure_hit_miss(topo, n=10):
 
 class TestRegistry:
     def test_all_four_settings_present(self):
-        assert set(TOPOLOGIES) == {
+        assert set(FIG3_PANELS) == {
             "fig3a_lan",
             "fig3b_wan",
             "fig3c_wan_producer",
             "fig3d_local_host",
         }
+        # The named views partition the one registry.
+        views = FIG3_PANELS + SCALE_GRAPHS + SIM_CORE_SHAPES
+        assert sorted(views) == sorted(TOPOLOGIES)
 
-    @pytest.mark.parametrize("builder", list(TOPOLOGIES.values()))
+    @pytest.mark.parametrize("builder", [TOPOLOGIES[name] for name in FIG3_PANELS])
     def test_builders_produce_working_topologies(self, builder):
         topo = builder(seed=0)
         hits, misses = measure_hit_miss(topo, n=3)

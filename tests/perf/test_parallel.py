@@ -19,6 +19,7 @@ from repro.perf.parallel import (
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking
+from repro.workload.replay import replay
 from repro.workload.trace import Trace
 
 
@@ -55,10 +56,20 @@ def test_sweep_independent_of_worker_count(trace, tmp_path, monkeypatch):
 
 
 def test_sweep_engines_agree(trace, monkeypatch):
+    """The sweep (fast kernel) against direct reference ``replay()`` calls."""
     monkeypatch.setenv("REPRO_WORKERS", "1")
     specs = _grid_specs([0])
-    fast = run_replay_sweep(specs, trace=trace, engine="fast")
-    reference = run_replay_sweep(specs, trace=trace, engine="reference")
+    fast = run_replay_sweep(specs, trace=trace)
+    reference = [
+        replay(
+            trace,
+            scheme=build_scheme(spec.scheme, seed=spec.seed, **dict(spec.scheme_params)),
+            marking=spec.marking,
+            cache_size=spec.cache_size,
+            seed=spec.seed,
+        )
+        for spec in specs
+    ]
     assert fast == reference
 
 
@@ -78,8 +89,6 @@ def test_sweep_input_validation(trace):
         run_replay_sweep([], trace=trace, trace_config=IrcacheConfig())
     with pytest.raises(ValueError):
         run_replay_sweep([])
-    with pytest.raises(ValueError):
-        run_replay_sweep([], trace=trace, engine="warp")
     assert run_replay_sweep([ ], trace=trace) == []
 
 

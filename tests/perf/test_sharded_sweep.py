@@ -110,7 +110,3 @@ def test_sharded_mode_input_validation(tmp_path):
         run_replay_sweep(
             SPECS[:1], trace=object(), sharded=True  # type: ignore[arg-type]
         )
-    with pytest.raises(ValueError, match="fast engine"):
-        run_replay_sweep(
-            SPECS[:1], trace_config=CONFIG, sharded=True, engine="reference"
-        )

@@ -80,6 +80,7 @@ class TestValidateDifferential:
             cases=[DifferentialCase(scheme="no-privacy", seed=1)],
         ).results[0]
         doctored = CaseResult(
+            label=good.label,
             case=good.case,
             oracle=good.oracle,
             fast=dataclasses.replace(good.fast, misses=good.fast.misses + 7),

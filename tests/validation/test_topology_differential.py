@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ndn.errors import CacheError
+from repro.ndn.replacement import RandomPolicy
+from repro.ndn.topology import TOPOLOGIES
+from repro.perf.parallel import build_scheme
 from repro.sim.batch import (
     ConsumerScript,
     FetchStep,
@@ -14,6 +19,7 @@ from repro.sim.batch import (
 )
 from repro.validation.differential import (
     TopologyCase,
+    _build_topology_case,
     default_topology_cases,
     validate_topology_differential,
 )
@@ -60,6 +66,20 @@ def test_default_grid_is_bit_identical():
         expected = "reference" if result.case.expect_fallback else "batch"
         assert result.batch.kernel == expected
         assert result.oracle.total_delivered > 0
+    # Every router of the grid's tree guards with its own scheme instance
+    # and both the routers and the producer have a service time.
+    tree_case = next(c for c in cases if c.topology == "tree")
+    net, _ = _build_topology_case(tree_case)
+    routers = list(net.routers.values())
+    assert len({id(r.scheme) for r in routers}) == len(routers) == 7
+    scheme = type(build_scheme(tree_case.scheme, seed=0))
+    assert all(type(r.scheme) is scheme for r in routers)
+    assert all(r.processing_delay > 0 for r in routers)
+    assert net["P"].processing_delay > 0
+    # The sub-RTT budget yields a real mix of deliveries and timeouts.
+    (sub_rtt,) = [r for r in report.results if r.case.timeout < 10.0]
+    fetches = sum(len(s.steps) for s in _build_topology_case(sub_rtt.case)[1])
+    assert 0.1 * fetches < sub_rtt.oracle.total_delivered < 0.9 * fetches
 
 
 def test_summary_reports_one_line_per_case():
@@ -76,12 +96,37 @@ def test_case_labels_are_unique():
 
 
 def test_unknown_topology_rejected():
-    import pytest
-
     with pytest.raises(ValueError, match="unknown topology"):
         validate_topology_differential(
             cases=[TopologyCase(topology="ring")]
         )
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_case_settings_reach_every_router(topology):
+    """A case configures every field it names, on every registry
+    topology — or fails to build; nothing is silently defaulted."""
+    case = TopologyCase(
+        topology, scheme="uniform", policy="random", caching="lcd",
+        forwarding="multicast", cache_capacity=5,
+    )
+    net, _ = _build_topology_case(case)
+    scheme = type(build_scheme("uniform", seed=0))
+    schemes = set()
+    for router in net.routers.values():
+        assert type(router.cs.policy) is RandomPolicy
+        assert router.strategy == "multicast"
+        assert router.caching.kind == "lcd"
+        assert type(router.scheme) is scheme
+        schemes.add(id(router.scheme))
+    assert len(schemes) == len(net.routers)
+    assert TOPOLOGIES[topology](cache_capacity=5).router.cs.capacity == 5
+    for field, bogus in (("policy", "mru"), ("forwarding", "anycast"),
+                         ("caching", "everywhere"), ("scheme", "rot13")):
+        with pytest.raises((ValueError, CacheError)):
+            _build_topology_case(TopologyCase(topology, **{field: bogus}))
+    with pytest.raises(TypeError):
+        TOPOLOGIES[topology](no_such_shape_parameter=1)
 
 
 # Fuzz: random fault/workload schedules — arbitrary interleavings of
