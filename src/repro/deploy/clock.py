@@ -25,7 +25,7 @@ import asyncio
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import ClockError
-from repro.sim.events import Event
+from repro.sim.events import Event, EventState
 
 
 class RealTimeEngine:
@@ -130,8 +130,6 @@ class RealTimeEngine:
     def _fire(self, event: Event) -> None:
         if not event.pending:  # cancelled between expiry and callback
             return
-        from repro.sim.events import EventState
-
         event.state = EventState.FIRED
         self._pending -= 1
         self._events_processed += 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -65,6 +65,12 @@ class FetchFailed(Exception):
         super().__init__(f"fetch {name} failed ({reason}) after {attempts} attempt(s)")
 
 
+def _resolve(future: asyncio.Future, outcome) -> None:
+    """Complete an attempt with Data, a Nack, or None for its timeout."""
+    if not future.done():
+        future.set_result(outcome)
+
+
 class AsyncConsumer:
     """An end host requesting content over a UDP face."""
 
@@ -72,10 +78,9 @@ class AsyncConsumer:
         self.engine = engine
         self.name = name
         self.face: Optional[AsyncUdpFace] = None
-        # nonce -> (future, send_time); name -> [nonce, ...] oldest first.
-        self._by_nonce: Dict[int, Tuple[asyncio.Future, float]] = {}
+        # nonce -> future; name -> [nonce, ...] oldest first, never empty.
+        self._by_nonce: Dict[int, asyncio.Future] = {}
         self._by_name: Dict[Name, List[int]] = {}
-        self.rtts: List[float] = []
         self.fetches_ok = 0
         self.fetch_failures = 0
         self.fetch_timeouts = 0
@@ -129,6 +134,7 @@ class AsyncConsumer:
                 retry.deadline if retry.deadline is not None else retry.total_budget()
             )
         target = name_of(name)
+        loop = asyncio.get_running_loop()
         start = self.engine.now
         attempts = 0
         reason = "timeout"
@@ -145,17 +151,21 @@ class AsyncConsumer:
                 private=private,
                 lifetime=max(wait, 1.0),
             )
-            future: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._register(target, interest.nonce, future, self.engine.now)
+            future: asyncio.Future = loop.create_future()
+            self._register(target, interest.nonce, future)
             attempts += 1
             if attempt > 0:
                 self.fetch_retransmits += 1
             self.face.send_interest(interest)
+            # One timer per attempt; it resolves the future with None.
+            timer = loop.call_later(
+                self.engine._to_loop_delay(wait), _resolve, future, None
+            )
             try:
-                outcome = await asyncio.wait_for(
-                    future, timeout=self.engine._to_loop_delay(wait)
-                )
-            except asyncio.TimeoutError:
+                outcome = await future
+            finally:
+                timer.cancel()
+            if outcome is None:
                 self.fetch_timeouts += 1
                 self._withdraw(target, interest.nonce)
                 continue
@@ -177,7 +187,6 @@ class AsyncConsumer:
                 receive_time=self.engine.now,
                 attempts=attempts,
             )
-            self.rtts.append(result.rtt)
             self.fetches_ok += 1
             return result
         self.fetch_failures += 1
@@ -193,10 +202,8 @@ class AsyncConsumer:
     # ------------------------------------------------------------------
     # Pending-state bookkeeping
     # ------------------------------------------------------------------
-    def _register(
-        self, name: Name, nonce: int, future: asyncio.Future, send_time: float
-    ) -> None:
-        self._by_nonce[nonce] = (future, send_time)
+    def _register(self, name: Name, nonce: int, future: asyncio.Future) -> None:
+        self._by_nonce[nonce] = future
         self._by_name.setdefault(name, []).append(nonce)
 
     def _withdraw(self, name: Name, nonce: int) -> None:
@@ -211,25 +218,30 @@ class AsyncConsumer:
                 del self._by_name[name]
 
     def _resolve_oldest(self, name: Name, payload) -> bool:
-        """Trigger the oldest live waiter whose name matches ``name``."""
-        for pending_name in list(self._by_name):
-            if not pending_name.is_prefix_of(name):
-                continue
-            nonces = self._by_name[pending_name]
-            while nonces:
-                nonce = nonces.pop(0)
-                entry = self._by_nonce.pop(nonce, None)
-                if entry is None:
-                    continue
-                future, _send_time = entry
-                if future.done():
-                    continue
-                if not nonces:
-                    del self._by_name[pending_name]
+        """Trigger the oldest live waiter whose name is a prefix of ``name``.
+
+        Looks up the name and its prefixes (depth + 1 keys), not every
+        pending name.  Nonces are monotonic, so among the matching names
+        the list with the smallest head nonce was registered first.
+        """
+        by_name = self._by_name
+        while True:
+            oldest = None
+            for prefix in name.prefixes():
+                nonces = by_name.get(prefix)
+                if nonces is not None and (
+                    oldest is None or nonces[0] < by_name[oldest][0]
+                ):
+                    oldest = prefix
+            if oldest is None:
+                return False
+            nonces = by_name[oldest]
+            future = self._by_nonce.pop(nonces.pop(0), None)
+            if not nonces:
+                del by_name[oldest]
+            if future is not None and not future.done():
                 future.set_result(payload)
                 return True
-            del self._by_name[pending_name]
-        return False
 
     # ------------------------------------------------------------------
     # PacketHandler interface (called from the face dispatch task)
@@ -251,11 +263,10 @@ class AsyncConsumer:
         preemption Nack), which falls back to oldest-waiter delivery.
         """
         if nack.nonce != 0:
-            entry = self._by_nonce.pop(nack.nonce, None)
-            if entry is None:
+            future = self._by_nonce.pop(nack.nonce, None)
+            if future is None:
                 self.stale_nacks += 1
                 return
-            future, _send_time = entry
             nonces = self._by_name.get(nack.name)
             if nonces is not None:
                 try:
@@ -264,8 +275,7 @@ class AsyncConsumer:
                     pass
                 if not nonces:
                     del self._by_name[nack.name]
-            if not future.done():
-                future.set_result(nack)
+            _resolve(future, nack)
             return
         if not self._resolve_oldest(nack.name, nack):
             self.stale_nacks += 1

@@ -10,12 +10,19 @@ face are exactly the things a real deployment needs:
   :mod:`repro.ndn.wire`; the decode path is hardened: any datagram that
   does not parse into exactly one well-formed packet is counted
   (``malformed_dropped``) and dropped, never raised into the transport;
+* **burst receive** — asyncio's datagram transport reads one datagram
+  per readiness event; the face owns the socket and keeps reading until
+  the kernel has no more or :data:`RX_BURST` is reached, so one loop
+  iteration takes in what is queued (in arrival order) and a flooded
+  face still returns to the loop for other faces, timers and mgmt;
 * **bounded receive queue** — inbound packets queue per face and are
-  dispatched to the owner by a dedicated task; when the queue is full
-  the datagram is dropped and counted (``rx_overflow``) instead of
-  growing memory without bound (graceful degradation under flood);
+  dispatched to the owner by a dedicated task, which wakes once per
+  burst; when the queue is full the datagram is dropped and counted
+  (``rx_overflow``) instead of growing memory without bound (graceful
+  degradation under flood);
 * **send backpressure** — outbound packets ride a bounded queue drained
-  by a sender task; overflow is dropped and counted (``tx_overflow``);
+  by a sender task (again one wake-up per burst); overflow is dropped
+  and counted (``tx_overflow``);
 * **crash isolation** — exceptions escaping the owner's packet handlers
   are counted (``handler_errors``) and logged, keeping one poison packet
   from killing the dispatch task (the supervisor additionally restarts
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import socket
 from typing import Optional, Tuple, Union
 
 from repro.ndn.errors import PacketError, TopologyError
@@ -43,6 +51,12 @@ log = logging.getLogger("repro.deploy.faces")
 Address = Tuple[str, int]
 Packet = Union[Interest, Data, Nack]
 
+#: Most datagrams one readiness event takes from a socket before the
+#: reader returns to the loop (fairness to other faces, timers, mgmt).
+RX_BURST = 64
+#: ``recvfrom`` buffer: no UDP datagram is larger.
+_RECV_BYTES = 65536
+
 
 class _UdpFaceProtocol(asyncio.DatagramProtocol):
     """Datagram glue: feeds received payloads to the owning face."""
@@ -51,7 +65,7 @@ class _UdpFaceProtocol(asyncio.DatagramProtocol):
         self.face = face
 
     def datagram_received(self, payload: bytes, addr: Address) -> None:
-        self.face._on_datagram(payload, addr)
+        self.face._on_readable(payload, addr)
 
     def error_received(self, exc: OSError) -> None:
         self.face.socket_errors += 1
@@ -78,6 +92,7 @@ class AsyncUdpFace(Face):
         self._peer_locked = peer is not None
         self.max_datagram = max_datagram
         self.transport: Optional[asyncio.DatagramTransport] = None
+        self._sock: Optional[socket.socket] = None
         self.local_addr: Optional[Address] = None
         self._rx: asyncio.Queue = asyncio.Queue(maxsize=rx_queue)
         self._tx: asyncio.Queue = asyncio.Queue(maxsize=tx_queue)
@@ -96,6 +111,10 @@ class AsyncUdpFace(Face):
         self.nacks_in = 0
         self.bytes_in = 0
         self.bytes_out = 0
+        #: Reader / sender wake-ups; datagrams per wake-up is the ratio
+        #: to the packet counters.
+        self.rx_bursts = 0
+        self.tx_bursts = 0
         #: Optional admission hook installed by the daemon: called with
         #: each decoded Interest before dispatch; returning False drops it
         #: (drain mode counts it and answers with a congestion Nack).
@@ -117,11 +136,19 @@ class AsyncUdpFace(Face):
         """Bind a UDP socket at ``local`` and start the face's tasks."""
         face = cls(owner, label=label, peer=peer, rx_queue=rx_queue, tx_queue=tx_queue)
         loop = asyncio.get_running_loop()
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpFaceProtocol(face), local_addr=local
-        )
-        face.transport = transport
-        face.local_addr = transport.get_extra_info("sockname")[:2]
+        family = socket.AF_INET6 if ":" in local[0] else socket.AF_INET
+        face._sock = sock = socket.socket(family, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind(local)
+            # The transport closes the socket it is handed, on close().
+            face.transport, _ = await loop.create_datagram_endpoint(
+                lambda: _UdpFaceProtocol(face), sock=sock
+            )
+        except BaseException:
+            sock.close()
+            raise
+        face.local_addr = sock.getsockname()[:2]
         face._spawn_tasks(loop)
         return face
 
@@ -208,24 +235,42 @@ class AsyncUdpFace(Face):
 
     async def _sender_loop(self) -> None:
         while True:
-            packet = await self._tx.get()
-            try:
-                payload = encode_packet(packet)
-                if len(payload) > self.max_datagram:
-                    self.oversize_dropped += 1
-                    continue
-                self.bytes_out += len(payload)
-                if self.transport is not None and self.peer_addr is not None:
-                    self.transport.sendto(payload, self.peer_addr)
-            except asyncio.CancelledError:  # pragma: no cover - shutdown
-                raise
-            except Exception:
-                self.socket_errors += 1
-                log.exception("%s: send failed", self.label)
+            self._send(await self._tx.get())
+            self.tx_bursts += 1
+            # What queued up meanwhile goes out on the same wake-up.
+            while not self._tx.empty():
+                self._send(self._tx.get_nowait())
+
+    def _send(self, packet: Packet) -> None:
+        try:
+            payload = encode_packet(packet)
+            if len(payload) > self.max_datagram:
+                self.oversize_dropped += 1
+                return
+            self.bytes_out += len(payload)
+            if self.transport is not None and self.peer_addr is not None:
+                self.transport.sendto(payload, self.peer_addr)
+        except Exception:
+            self.socket_errors += 1
+            log.exception("%s: send failed", self.label)
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    def _on_readable(self, payload: bytes, addr: Address) -> None:
+        """One readiness event: asyncio read ``payload``; drain what else
+        the kernel has queued, in order, up to ``RX_BURST`` datagrams."""
+        self.rx_bursts += 1
+        self._on_datagram(payload, addr)
+        recvfrom = self._sock.recvfrom
+        try:
+            for _ in range(RX_BURST - 1):
+                self._on_datagram(*recvfrom(_RECV_BYTES))
+        except BlockingIOError:
+            pass
+        except OSError:
+            self.socket_errors += 1
+
     def _on_datagram(self, payload: bytes, addr: Address) -> None:
         if self._peer_locked and addr != self.peer_addr:
             self.foreign_dropped += 1
@@ -291,6 +336,8 @@ class AsyncUdpFace(Face):
             "nacks_out": self.nacks_out,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
+            "rx_bursts": self.rx_bursts,
+            "tx_bursts": self.tx_bursts,
             "malformed_dropped": self.malformed_dropped,
             "rx_overflow": self.rx_overflow,
             "tx_overflow": self.tx_overflow,

@@ -13,6 +13,7 @@ use the application range (>= 0x80, marked below).
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.ndn.errors import NameError_, PacketError
@@ -43,6 +44,15 @@ TLV_APP_NACK_REASON = 0x87
 # strategy-less deployments emit byte-identical packets.
 TLV_APP_ORIGIN_HOPS = 0x88
 
+#: Wire-form memo sizes (LRU-bounded, so a flood of distinct names costs
+#: re-encoding, not memory).  A name is in play while the content store or
+#: the PIT holds it (a daemon's defaults: 4096 + 4096 entries); a Data is
+#: re-served only from the store.
+_NAME_MEMO_ENTRIES = 8192
+_DATA_MEMO_ENTRIES = 4096
+#: Multi-byte TLV-VAR-NUMBER prefixes -> (struct format, body width).
+_VAR_NUMBER_WIDTHS = {253: ("!H", 2), 254: ("!I", 4), 255: ("!Q", 8)}
+
 
 # ----------------------------------------------------------------------
 # Variable-length numbers (NDN TLV-VAR-NUMBER)
@@ -67,8 +77,7 @@ def decode_var_number(buffer: bytes, offset: int) -> Tuple[int, int]:
     first = buffer[offset]
     if first < 253:
         return first, offset + 1
-    widths = {253: ("!H", 2), 254: ("!I", 4), 255: ("!Q", 8)}
-    fmt, width = widths[first]
+    fmt, width = _VAR_NUMBER_WIDTHS[first]
     end = offset + 1 + width
     if end > len(buffer):
         raise PacketError("truncated TLV number body")
@@ -76,7 +85,10 @@ def decode_var_number(buffer: bytes, offset: int) -> Tuple[int, int]:
 
 
 def _tlv(type_code: int, payload: bytes) -> bytes:
-    return encode_var_number(type_code) + encode_var_number(len(payload)) + payload
+    length = len(payload)
+    if type_code < 253 and length < 253:
+        return bytes((type_code, length)) + payload
+    return encode_var_number(type_code) + encode_var_number(length) + payload
 
 
 def _nonneg_int_bytes(value: int) -> bytes:
@@ -110,24 +122,40 @@ def _decode_str(value: bytes, what: str) -> str:
         raise PacketError(f"{what} field is not valid UTF-8: {exc}") from None
 
 
+def _read_tlv(buffer: bytes, offset: int) -> Tuple[int, bytes, int]:
+    """The TLV at ``offset``: (type, value, offset of the next TLV).
+
+    The one walker every decoder steps with; 1-byte type and length (all
+    but names past 252 bytes) are read inline.
+    """
+    try:
+        type_code = buffer[offset]
+        length = buffer[offset + 1]
+    except IndexError:
+        raise PacketError("truncated TLV header") from None
+    if type_code < 253 and length < 253:
+        offset += 2
+    else:
+        type_code, offset = decode_var_number(buffer, offset)
+        length, offset = decode_var_number(buffer, offset)
+    end = offset + length
+    if end > len(buffer):
+        raise PacketError(f"TLV {type_code:#x} claims {length} bytes past the end")
+    return type_code, buffer[offset:end], end
+
+
 def iter_tlvs(buffer: bytes) -> Iterator[Tuple[int, bytes]]:
     """Yield (type, value) pairs from a TLV sequence; raises on garbage."""
     offset = 0
     while offset < len(buffer):
-        type_code, offset = decode_var_number(buffer, offset)
-        length, offset = decode_var_number(buffer, offset)
-        end = offset + length
-        if end > len(buffer):
-            raise PacketError(
-                f"TLV {type_code:#x} claims {length} bytes past the end"
-            )
-        yield type_code, buffer[offset:end]
-        offset = end
+        type_code, value, offset = _read_tlv(buffer, offset)
+        yield type_code, value
 
 
 # ----------------------------------------------------------------------
 # Names
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=_NAME_MEMO_ENTRIES)
 def encode_name(name: Name) -> bytes:
     """Encode a Name TLV (components as GenericNameComponent)."""
     payload = b"".join(
@@ -136,6 +164,7 @@ def encode_name(name: Name) -> bytes:
     return _tlv(TLV_NAME, payload)
 
 
+@lru_cache(maxsize=_NAME_MEMO_ENTRIES)
 def decode_name(payload: bytes) -> Name:
     """Decode the *payload* of a Name TLV.
 
@@ -145,7 +174,9 @@ def decode_name(payload: bytes) -> Name:
     transports can count-and-drop on one exception type.
     """
     components: List[str] = []
-    for type_code, value in iter_tlvs(payload):
+    offset, end = 0, len(payload)
+    while offset < end:
+        type_code, value, offset = _read_tlv(payload, offset)
         if type_code != TLV_NAME_COMPONENT:
             raise PacketError(f"unexpected TLV {type_code:#x} inside Name")
         components.append(_decode_str(value, "name component"))
@@ -180,7 +211,9 @@ def _decode_interest_body(body: bytes) -> Interest:
     scope: Optional[int] = None
     private = False
     hops = 1
-    for type_code, value in iter_tlvs(body):
+    offset, end = 0, len(body)
+    while offset < end:
+        type_code, value, offset = _read_tlv(body, offset)
         if type_code == TLV_NAME:
             name = decode_name(value)
         elif type_code == TLV_NONCE:
@@ -205,8 +238,14 @@ def _decode_interest_body(body: bytes) -> Interest:
 # ----------------------------------------------------------------------
 # Data
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=_DATA_MEMO_ENTRIES)
 def encode_data(data: Data) -> bytes:
-    """Encode a Data packet to its TLV wire form."""
+    """Encode a Data packet to its TLV wire form.
+
+    Memoized by value: a content store re-serves the same frozen object
+    on every hit.  Only this encoder's output is ever stored, so what a
+    peer sent (non-canonical lengths, unknown fields) is never re-emitted.
+    """
     body = encode_name(data.name)
     body += _tlv(TLV_APP_PRODUCER, data.producer.encode("utf-8"))
     body += _tlv(TLV_APP_SIZE, _nonneg_int_bytes(data.size))
@@ -229,7 +268,9 @@ def _decode_data_body(body: bytes) -> Data:
     freshness: Optional[float] = None
     exact_match_only = False
     origin_hops = 0
-    for type_code, value in iter_tlvs(body):
+    offset, end = 0, len(body)
+    while offset < end:
+        type_code, value, offset = _read_tlv(body, offset)
         if type_code == TLV_NAME:
             name = decode_name(value)
         elif type_code == TLV_APP_PRODUCER:
@@ -270,7 +311,9 @@ def _decode_nack_body(body: bytes) -> Nack:
     nonce = 0
     reason: Optional[str] = None
     hops = 1
-    for type_code, value in iter_tlvs(body):
+    offset, end = 0, len(body)
+    while offset < end:
+        type_code, value, offset = _read_tlv(body, offset)
         if type_code == TLV_NAME:
             name = decode_name(value)
         elif type_code == TLV_NONCE:
@@ -300,10 +343,9 @@ def encode_packet(packet: Union[Interest, Data, Nack]) -> bytes:
 
 def decode_packet(buffer: bytes) -> Union[Interest, Data, Nack]:
     """Decode one packet; raises :class:`PacketError` on malformed input."""
-    tlvs = list(iter_tlvs(buffer))
-    if len(tlvs) != 1:
-        raise PacketError(f"expected exactly one top-level TLV, got {len(tlvs)}")
-    type_code, body = tlvs[0]
+    type_code, body, end = _read_tlv(buffer, 0)
+    if end != len(buffer):
+        raise PacketError("expected exactly one top-level TLV")
     if type_code == TLV_INTEREST:
         return _decode_interest_body(body)
     if type_code == TLV_DATA:

@@ -61,6 +61,40 @@ def test_fetch_roundtrip_and_cache_hit():
     asyncio.run(scenario())
 
 
+def test_daemon_face_takes_a_burst_per_wakeup():
+    """32 concurrent fetchers reach the daemon as bursts, one fetcher as
+    single datagrams; nothing is dropped either way."""
+
+    async def scenario():
+        daemon, consumer, producer = await daemon_rig()
+        face = next(f for f in daemon.faces.values() if f.label == "t:consumer")
+        names = [f"/shop/item-{i}" for i in range(16)]
+
+        async def fetch_each(count):
+            for i in range(count):
+                await consumer.fetch(names[i % len(names)], retry=ONE_SHOT)
+
+        async def datagrams_per_wakeup(workers, count):
+            seen, woke = face.interests_in, face.rx_bursts
+            await asyncio.gather(*(fetch_each(count) for _ in range(workers)))
+            assert face.interests_in - seen == workers * count
+            return (face.interests_in - seen) / (face.rx_bursts - woke)
+
+        try:
+            await fetch_each(len(names))  # warm the store
+            assert await datagrams_per_wakeup(workers=1, count=32) == 1.0
+            assert await datagrams_per_wakeup(workers=32, count=8) >= 4.0
+            stats = face.stats()
+            assert stats["rx_bursts"] == face.rx_bursts
+            assert stats["tx_bursts"] == face.tx_bursts <= face.data_out
+            for f in (*daemon.faces.values(), consumer.face, producer.face):
+                assert f.rx_overflow == f.tx_overflow == f.malformed_dropped == 0
+        finally:
+            await teardown(daemon, consumer, producer)
+
+    asyncio.run(scenario())
+
+
 def test_no_route_nack_fails_fast():
     async def scenario():
         daemon, consumer, producer = await daemon_rig()

@@ -191,6 +191,69 @@ def test_unsolicited_data_counted():
     asyncio.run(scenario())
 
 
+def test_prefix_interest_resolved_by_longer_data_name():
+    async def scenario():
+        engine, consumer, upstream = await consumer_rig()
+        try:
+            task = asyncio.ensure_future(consumer.fetch("/a"))
+            await settle(lambda: len(upstream.interests) == 1)
+            upstream.face.send_data(Data(name=Name.parse("/a/b")))
+            result = await task
+            assert result.data.name == Name.parse("/a/b")
+            assert consumer.pending_count == 0 and consumer.unsolicited_data == 0
+        finally:
+            await consumer.close()
+            await upstream.face.close()
+
+    asyncio.run(scenario())
+
+
+def test_waiters_on_one_name_resolve_oldest_first():
+    async def scenario():
+        engine, consumer, upstream = await consumer_rig()
+        try:
+            first = asyncio.ensure_future(consumer.fetch("/a/x"))
+            await settle(lambda: len(upstream.interests) == 1)
+            second = asyncio.ensure_future(consumer.fetch("/a/x"))
+            await settle(lambda: len(upstream.interests) == 2)
+            upstream.face.send_data(Data(name=Name.parse("/a/x")))
+            await first
+            await asyncio.sleep(0.02)
+            assert not second.done() and consumer.pending_count == 1
+            upstream.face.send_data(Data(name=Name.parse("/a/x")))
+            await second
+        finally:
+            await consumer.close()
+            await upstream.face.close()
+
+    asyncio.run(scenario())
+
+
+def test_earlier_prefix_waiter_wins_over_later_exact_waiter():
+    async def scenario():
+        engine, consumer, upstream = await consumer_rig()
+        try:
+            prefix = asyncio.ensure_future(consumer.fetch("/a"))
+            await settle(lambda: len(upstream.interests) == 1)
+            exact = asyncio.ensure_future(consumer.fetch("/a/b"))
+            other = asyncio.ensure_future(consumer.fetch("/z"))
+            await settle(lambda: len(upstream.interests) == 3)
+            upstream.face.send_data(Data(name=Name.parse("/a/b")))
+            assert (await prefix).data.name == Name.parse("/a/b")
+            await asyncio.sleep(0.02)
+            assert not exact.done() and not other.done()
+            upstream.face.send_data(Data(name=Name.parse("/a/b")))
+            await exact
+            assert not other.done() and consumer.pending_count == 1
+            upstream.face.send_data(Data(name=Name.parse("/z")))
+            await other
+        finally:
+            await consumer.close()
+            await upstream.face.close()
+
+    asyncio.run(scenario())
+
+
 def test_producer_serves_over_udp():
     async def scenario():
         engine = RealTimeEngine(asyncio.get_running_loop())

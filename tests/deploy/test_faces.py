@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 
-from repro.deploy.faces import AsyncUdpFace
+from repro.deploy.faces import RX_BURST, AsyncUdpFace
 from repro.ndn.name import Name
 from repro.ndn.packets import Data, Interest, Nack
+from repro.ndn.wire import encode_packet
 
 
 class Recorder:
@@ -27,11 +29,11 @@ class Recorder:
         self.nacks.append(nack)
 
 
-async def face_pair():
+async def face_pair(**b_kwargs):
     """Two faces pointed at each other over loopback UDP."""
     a_owner, b_owner = Recorder(), Recorder()
     a = await AsyncUdpFace.create(a_owner, label="a")
-    b = await AsyncUdpFace.create(b_owner, label="b", peer=a.local_addr)
+    b = await AsyncUdpFace.create(b_owner, label="b", peer=a.local_addr, **b_kwargs)
     a.set_peer(b.local_addr)
     return a, b, a_owner, b_owner
 
@@ -63,6 +65,13 @@ def test_packets_roundtrip_over_loopback():
         finally:
             await a.close()
             await b.close()
+        # Closing again is a no-op, the owned socket is closed, and a
+        # late send is dropped rather than raised.
+        await a.close()
+        await asyncio.sleep(0)
+        assert a.closed and not a.tasks_alive and a._sock.fileno() == -1
+        a.send_interest(interest)
+        assert a.interests_out == 2 and a.bytes_out == b.bytes_in
 
     asyncio.run(scenario())
 
@@ -193,5 +202,108 @@ def test_interest_gate_refuses_before_dispatch():
         finally:
             await a.close()
             await b.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Flood contracts: bounded queues, oversize drop, bounded read bursts
+# ----------------------------------------------------------------------
+def test_rx_queue_overflow_is_counted_not_raised():
+    async def scenario():
+        a, b, _, b_owner = await face_pair(rx_queue=4)
+        try:
+            # One sender wake-up puts all 32 on the wire; b's reader takes
+            # them in one burst, so its 4-slot queue must overflow.
+            for i in range(32):
+                a.send_interest(Interest(name=Name.parse(f"/flood/{i}")))
+            await settle(lambda: len(b_owner.interests) + b.rx_overflow == 32)
+            assert b.rx_overflow > 0
+            assert b.interests_in == len(b_owner.interests)
+            assert b.malformed_dropped == 0 and b.handler_errors == 0
+            assert b.tasks_alive
+            a.send_interest(Interest(name=Name.parse("/after")))
+            await settle(lambda: b_owner.interests[-1].name == Name.parse("/after"))
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_tx_queue_overflow_is_counted_and_the_rest_delivered():
+    async def scenario():
+        a, b, a_owner, _ = await face_pair(tx_queue=4)
+        try:
+            for i in range(32):  # one tick: the sender task never runs between
+                b.send_data(Data(name=Name.parse(f"/burst/{i}")))
+            assert b.tx_overflow == 28
+            await settle(lambda: len(a_owner.data) == 4)
+            await asyncio.sleep(0.02)
+            assert [d.name for d in a_owner.data] == [
+                Name.parse(f"/burst/{i}") for i in range(4)
+            ]
+            assert b.tx_bursts == 1 and b.tasks_alive
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_oversize_packet_dropped_and_next_goes_out():
+    async def scenario():
+        a, b, _, b_owner = await face_pair()
+        try:
+            big = Data(name=Name(["x" * 200]), producer="p")
+            small = Data(name=Name.parse("/s"), producer="p")
+            a.max_datagram = len(encode_packet(small))
+            a.send_data(big)
+            a.send_data(small)
+            await settle(lambda: len(b_owner.data) == 1)
+            assert b_owner.data == [small]
+            assert a.oversize_dropped == 1 and a.socket_errors == 0
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_read_burst_is_bounded_so_other_faces_are_served():
+    async def scenario():
+        class Ordered(Recorder):
+            def receive_interest(self, interest, face):
+                self.interests.append((face.label, interest.name))
+
+        owner = Ordered()
+        flooded = await AsyncUdpFace.create(owner, label="flooded")
+        quiet = await AsyncUdpFace.create(owner, label="quiet")
+        flood = 3 * RX_BURST
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            # Everything is in the kernel before the loop runs again.
+            for i in range(flood):
+                sender.sendto(
+                    encode_packet(Interest(name=Name.parse(f"/flood/{i}"))),
+                    flooded.local_addr,
+                )
+            sender.sendto(
+                encode_packet(Interest(name=Name.parse("/quiet"))), quiet.local_addr
+            )
+            await settle(lambda: len(owner.interests) == flood + 1)
+            order = [label for label, _ in owner.interests]
+            # The quiet face's packet did not wait for the flood to drain,
+            # and the flood still arrived whole and in order.
+            assert order.index("quiet") < flood
+            assert [n for label, n in owner.interests if label == "flooded"] == [
+                Name.parse(f"/flood/{i}") for i in range(flood)
+            ]
+            assert flooded.rx_bursts >= flood // RX_BURST
+            assert flooded.rx_overflow == 0 and quiet.rx_bursts == 1
+        finally:
+            sender.close()
+            await flooded.close()
+            await quiet.close()
 
     asyncio.run(scenario())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.ndn.errors import PacketError
 from repro.ndn.name import Name
-from repro.ndn.packets import Data, Interest
+from repro.ndn.packets import Data, Interest, Nack
 from repro.ndn.wire import (
     decode_name,
     decode_packet,
@@ -153,6 +153,57 @@ class TestTopLevel:
     def test_non_packet_rejected(self):
         with pytest.raises(PacketError):
             encode_packet("not a packet")  # type: ignore[arg-type]
+
+#: Encodings recorded at commit 876e4ae (before the single-pass walker and
+#: the memoized encoders); the wire format must not move.
+GOLDEN = [
+    (
+        Interest(name=Name.parse("/cnn/news/2013may20"), nonce=0xBEEF, scope=2,
+                 private=True, lifetime=750.0, hops=3),
+        "052907160803636e6e08046e6577730809323031336d617932300a02beef0c0202ee"
+        "800102810101820103",
+    ),
+    (
+        Data(name=Name.parse("/cnn/private/video/7"), producer="cnn-origin",
+             private=True, size=4096, freshness=60000.0, exact_match_only=True,
+             origin_hops=2),
+        "063707180803636e6e0807707269766174650805766964656f080137830a636e6e2d"
+        "6f726967696e840210008101011902ea60850101880102",
+    ),
+    (
+        Nack(name=Name.parse("/a/b"), nonce=77, reason="congestion", hops=2),
+        "861a07060801610801620a014d870a636f6e67657374696f6e820102",
+    ),
+    (
+        Nack(name=Name.parse("/a/b"), nonce=77, reason="pit-full", hops=2),
+        "861807060801610801620a014d87087069742d66756c6c820102",
+    ),
+    (
+        Nack(name=Name.parse("/a/b"), nonce=77, reason="no-route", hops=2),
+        "861807060801610801620a014d87086e6f2d726f757465820102",
+    ),
+    (
+        # A 300-byte component: Name, component and Interest lengths all
+        # need the 3-byte (0xfd) form.
+        Interest(name=Name(["seg", "x" * 300]), nonce=1, lifetime=4000.0),
+        "05fd014307fd0135080373656708fd012c" + "78" * 300 + "0a01010c020fa0820101",
+    ),
+]
+
+
+class TestGoldenVectors:
+    @pytest.mark.parametrize(
+        "packet, wire_hex",
+        GOLDEN,
+        ids=["interest", "data", "nack-congestion", "nack-pit-full",
+             "nack-no-route", "long-name"],
+    )
+    def test_both_directions(self, packet, wire_hex):
+        wire = bytes.fromhex(wire_hex)
+        assert encode_packet(packet) == wire
+        assert encode_packet(packet) == wire  # the memoized answer too
+        assert decode_packet(wire) == packet
+        assert wire_size(packet) == len(wire)
 
 
 class TestFastWireSize:

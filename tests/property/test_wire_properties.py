@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ndn.errors import PacketError
 from repro.ndn.name import Name
-from repro.ndn.packets import Data, Interest, Nack
-from repro.ndn.wire import decode_packet, encode_packet
+from repro.ndn.packets import NACK_REASONS, Data, Interest, Nack
+from repro.ndn.wire import decode_packet, encode_packet, fast_wire_size
 
 component = st.text(
     alphabet=st.characters(blacklist_characters="/", min_codepoint=33,
@@ -38,7 +40,18 @@ datas = st.builds(
         st.none(), st.integers(min_value=1, max_value=10**7).map(float)
     ),
     exact_match_only=st.booleans(),
+    origin_hops=st.integers(min_value=0, max_value=300),
 )
+
+nacks = st.builds(
+    Nack,
+    name=names,
+    nonce=st.integers(min_value=0, max_value=2**40),
+    reason=st.sampled_from(NACK_REASONS),
+    hops=st.integers(min_value=1, max_value=32),
+)
+
+packets = st.one_of(interests, datas, nacks)
 
 
 @given(interests)
@@ -53,10 +66,34 @@ def test_data_roundtrip(data):
     assert decode_packet(encode_packet(data)) == data
 
 
-@given(st.one_of(interests, datas))
+@given(nacks)
+@settings(max_examples=300, deadline=None)
+def test_nack_roundtrip(nack):
+    assert decode_packet(encode_packet(nack)) == nack
+
+
+@given(packets)
 @settings(max_examples=200, deadline=None)
 def test_encoding_is_deterministic(packet):
     assert encode_packet(packet) == encode_packet(packet)
+    assert fast_wire_size(packet) == len(encode_packet(packet))
+
+
+@given(datas)
+@settings(max_examples=200, deadline=None)
+def test_data_memo_is_invisible_and_not_inherited_by_copies(data):
+    """encode_packet memoizes a Data's wire form; the object must read the
+    same before and after, and a modified copy must get its own bytes."""
+    twin = dataclasses.replace(data)  # equal fields, never encoded
+    before = (hash(data), repr(data), dataclasses.asdict(data))
+    wire = encode_packet(data)
+    assert (hash(data), repr(data), dataclasses.asdict(data)) == before
+    assert data == twin == decode_packet(wire)
+    hopped = dataclasses.replace(data, origin_hops=data.origin_hops + 1)
+    assert encode_packet(hopped) != wire
+    assert decode_packet(encode_packet(hopped)) == hopped
+    assert len(encode_packet(hopped)) == fast_wire_size(hopped)
+    assert encode_packet(dataclasses.replace(hopped)) == encode_packet(hopped)
 
 
 @given(names)
@@ -91,7 +128,7 @@ def test_arbitrary_bytes_never_leak_exceptions(buffer):
     _decode_must_be_clean(buffer)
 
 
-@given(st.one_of(interests, datas), st.data())
+@given(packets, st.data())
 @settings(max_examples=300, deadline=None)
 def test_truncated_valid_packets_never_leak_exceptions(packet, data):
     wire = encode_packet(packet)
@@ -99,7 +136,7 @@ def test_truncated_valid_packets_never_leak_exceptions(packet, data):
     _decode_must_be_clean(wire[:cut])
 
 
-@given(st.one_of(interests, datas), st.data())
+@given(packets, st.data())
 @settings(max_examples=300, deadline=None)
 def test_mutated_valid_packets_never_leak_exceptions(packet, data):
     wire = bytearray(encode_packet(packet))
