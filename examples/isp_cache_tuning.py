@@ -12,7 +12,7 @@ profile) and walks the decision a deployment would face:
 3. how much bandwidth does delay-based hiding save versus disabling the
    cache for private content?
 
-Run:  python examples/isp_cache_tuning.py          (about a minute)
+Run:  python examples/isp_cache_tuning.py          (about ten seconds)
       python examples/isp_cache_tuning.py --quick  (seconds, smaller trace)
 """
 
@@ -27,9 +27,9 @@ from repro.core.schemes import (
     NoPrivacyScheme,
     UniformRandomCache,
 )
+from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking
-from repro.workload.replay import replay
 
 CACHE_SIZE = 8000
 PRIVATE_FRACTION = 0.2
@@ -60,8 +60,8 @@ def compare_schemes(trace):
             k=5, delta=0.01)),
         ("always delay private", AlwaysDelayScheme()),
     ]:
-        stats = replay(trace, scheme=scheme, marking=marking,
-                       cache_size=CACHE_SIZE)
+        stats = fast_replay(trace, scheme=scheme, marking=marking,
+                            cache_size=CACHE_SIZE)
         rows.append([
             label,
             100 * stats.hit_rate,
@@ -87,8 +87,8 @@ def sweep_privacy_knob(trace):
         (10, 0.005, 0.01),
     ]:
         scheme = ExponentialRandomCache.for_privacy_target(k, eps, delta)
-        stats = replay(trace, scheme=scheme, marking=marking,
-                       cache_size=CACHE_SIZE)
+        stats = fast_replay(trace, scheme=scheme, marking=marking,
+                            cache_size=CACHE_SIZE)
         rows.append([
             k, eps, delta,
             scheme.alpha,
@@ -107,8 +107,8 @@ def sweep_privacy_knob(trace):
 def bandwidth_vs_disable(trace):
     print("3. Hiding hits by delay vs disabling caching for private content\n")
     marking = ContentMarking(PRIVATE_FRACTION)
-    delayed = replay(trace, scheme=AlwaysDelayScheme(), marking=marking,
-                     cache_size=CACHE_SIZE)
+    delayed = fast_replay(trace, scheme=AlwaysDelayScheme(), marking=marking,
+                          cache_size=CACHE_SIZE)
     # 'Disable' = never admit private content: emulate by an unlimited
     # private share of misses — replay with everything private and a
     # scheme that forces true misses.
@@ -122,8 +122,8 @@ def bandwidth_vs_disable(trace):
         def decide_private(self, entry, now):
             return Decision.miss()
 
-    disabled = replay(trace, scheme=NeverCachePrivateHits(), marking=marking,
-                      cache_size=CACHE_SIZE)
+    disabled = fast_replay(trace, scheme=NeverCachePrivateHits(),
+                           marking=marking, cache_size=CACHE_SIZE)
     print(format_table(
         ["strategy", "observed hit rate %", "upstream traffic saved %"],
         [

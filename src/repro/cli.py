@@ -48,6 +48,7 @@ from repro.validation.differential import (
     small_validation_trace,
     validate_topology_differential,
 )
+from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 
 #: Everything ``validate`` runs, in order: name -> check(seed, requests)
 #: returning a report.  Conservation laws A-D over the overload
@@ -135,10 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="sweep worker processes (default: REPRO_WORKERS "
                             "or CPU count; results are worker-independent)")
-        p.add_argument("--streaming", action="store_true",
-                       help="stream the workload through the mmap-sharded "
-                            "trace cache instead of materializing it in RAM "
-                            "(bit-identical results, bounded memory)")
         if name == "fig5a":
             p.add_argument("--private-fraction", type=float, default=0.2)
         else:
@@ -311,22 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_trace(requests: int, seed: int):
-    from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
-
-    return IrcacheGenerator(IrcacheConfig(requests=requests, seed=seed)).generate()
-
-
-def _fig5_workload(args):
-    """The fig5 workload: materialized Trace, or its IrcacheConfig when
-    ``--streaming`` routes the sweep through the sharded trace cache."""
-    from repro.workload.ircache import IrcacheConfig
-
-    if args.streaming:
-        return IrcacheConfig(requests=args.requests, seed=args.seed)
-    return _make_trace(args.requests, args.seed)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -364,25 +345,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "fig5a":
-        workload = _fig5_workload(args)
         result = run_fig5a(
-            workload,
+            IrcacheConfig(requests=args.requests, seed=args.seed),
             cache_sizes=_parse_sizes(args.sizes),
             k=args.k, epsilon=args.epsilon, delta=args.delta,
             private_fraction=args.private_fraction, seed=args.seed,
-            workers=args.workers, sharded=args.streaming,
+            workers=args.workers, sharded=True,
         )
         print(result.render())
         return 0
 
     if args.command == "fig5b":
-        workload = _fig5_workload(args)
         result = run_fig5b(
-            workload,
+            IrcacheConfig(requests=args.requests, seed=args.seed),
             cache_sizes=_parse_sizes(args.sizes),
             k=args.k, epsilon=args.epsilon, delta=args.delta,
             private_fractions=args.private_fractions, seed=args.seed,
-            workers=args.workers, sharded=args.streaming,
+            workers=args.workers, sharded=True,
         )
         print(result.render())
         return 0
@@ -393,7 +372,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "trace":
-        trace = _make_trace(args.requests, args.seed)
+        trace = IrcacheGenerator(
+            IrcacheConfig(requests=args.requests, seed=args.seed)
+        ).generate()
         trace.save(args.out)
         print(
             f"wrote {len(trace)} requests ({trace.unique_objects} objects, "
@@ -775,9 +756,9 @@ def _write_report(args) -> None:
     sections.append("```\n" + run_fig4a(1).render() + "\n```\n")
 
     sections.append("## Figure 5 — trace-replay hit rates\n")
-    trace = _make_trace(args.requests, args.seed)
-    sections.append("```\n" + run_fig5a(trace).render() + "\n```\n")
-    sections.append("```\n" + run_fig5b(trace).render() + "\n```\n")
+    config = IrcacheConfig(requests=args.requests, seed=args.seed)
+    for run in (run_fig5a, run_fig5b):
+        sections.append("```\n" + run(config, sharded=True).render() + "\n```\n")
 
     from pathlib import Path
 

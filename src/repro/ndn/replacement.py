@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -189,6 +189,115 @@ class RandomPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._names)
+
+
+# ======================================================================
+# Int-keyed mirrors for the fast paths (fast_replay, the batch kernel):
+# dense content ids instead of Names, ``pop_victim`` choosing *and*
+# removing (the reference ``choose_victim`` + ``on_remove`` pair).  Each
+# reproduces its reference's victim sequence exactly.
+# ======================================================================
+class IntKeyedOrder:
+    """Int-keyed mirror of :class:`LruPolicy` / :class:`FifoPolicy`.
+
+    Python dicts preserve insertion order, so ``next(iter(...))`` is the
+    reference's ``OrderedDict`` front — the same victim sequence.
+    """
+
+    __slots__ = ("order", "refresh_on_access")
+
+    def __init__(self, refresh_on_access: bool) -> None:
+        self.order: Dict[int, None] = {}
+        self.refresh_on_access = refresh_on_access
+
+    def insert(self, cid: int) -> None:
+        self.order[cid] = None
+
+    def access(self, cid: int) -> None:
+        if self.refresh_on_access:  # LRU move-to-end; FIFO is a no-op
+            order = self.order
+            del order[cid]
+            order[cid] = None
+
+    def pop_victim(self) -> int:
+        order = self.order
+        cid = next(iter(order))
+        del order[cid]
+        return cid
+
+
+class IntKeyedLfu:
+    """Int-keyed mirror of :class:`LfuPolicy`.
+
+    Same frequency-bucket algorithm (insertion-ordered dicts, lazy
+    ``_min_freq`` scan) so the victim sequence is identical.
+    """
+
+    __slots__ = ("_freq", "_buckets", "_min_freq")
+
+    def __init__(self) -> None:
+        self._freq: Dict[int, int] = {}
+        self._buckets: Dict[int, Dict[int, None]] = {}
+        self._min_freq = 0
+
+    def insert(self, cid: int) -> None:
+        self._freq[cid] = 1
+        self._buckets.setdefault(1, {})[cid] = None
+        self._min_freq = 1
+
+    def access(self, cid: int) -> None:
+        freq = self._freq[cid]
+        bucket = self._buckets[freq]
+        del bucket[cid]
+        if not bucket:
+            del self._buckets[freq]
+            if self._min_freq == freq:
+                self._min_freq = freq + 1
+        self._freq[cid] = freq + 1
+        self._buckets.setdefault(freq + 1, {})[cid] = None
+
+    def pop_victim(self) -> int:
+        while self._min_freq not in self._buckets:
+            self._min_freq += 1
+        bucket = self._buckets[self._min_freq]
+        cid = next(iter(bucket))
+        del self._freq[cid]
+        del bucket[cid]
+        if not bucket:
+            del self._buckets[self._min_freq]
+        return cid
+
+
+class IntKeyedRandom:
+    """Int-keyed mirror of :class:`RandomPolicy`.
+
+    Keeps the same swap-remove list order and draws the same RNG stream,
+    so victim choices match the reference bit for bit.
+    """
+
+    __slots__ = ("_rng", "_list", "_pos")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._list: List[int] = []
+        self._pos: Dict[int, int] = {}
+
+    def insert(self, cid: int) -> None:
+        self._pos[cid] = len(self._list)
+        self._list.append(cid)
+
+    def access(self, cid: int) -> None:
+        pass
+
+    def pop_victim(self) -> int:
+        idx = int(self._rng.integers(len(self._list)))
+        cid = self._list[idx]
+        pos = self._pos.pop(cid)
+        last = self._list.pop()
+        if last != cid:
+            self._list[pos] = last
+            self._pos[last] = pos
+        return cid
 
 
 #: Registry mapping policy names to constructors (for CLI/bench parameters).

@@ -18,7 +18,7 @@ randomness is mirrored exactly:
   the reference's scalar draws, so delays are pre-drawn in chunks.
   Scheme draws happen inside the shared
   :class:`~repro.core.schemes.base.SchemeKernel` at the reference call
-  sites; random-replacement draws ride ``_FastRandom`` on the policy's
+  sites; random-replacement draws ride ``IntKeyedRandom`` on the policy's
   own stream.
 * **float arithmetic** — event times are built with the same operation
   order as the reference (e.g. a re-armed PIT timer fires at
@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.ndn.network import Network
+from repro.ndn.replacement import IntKeyedLfu, IntKeyedOrder, IntKeyedRandom
 from repro.sim.batch.compile import (
     COUNTER_NAMES,
     DELAY_FIXED,
@@ -56,7 +57,6 @@ from repro.sim.batch.compile import (
 )
 from repro.sim.batch.script import ConsumerScript, TopologyObservables
 from repro.sim.calendar import CalendarQueue
-from repro.workload.fast_replay import _FastLfu, _FastRandom
 
 # Router counter indices, in COUNTER_NAMES order (see compile.py).
 (
@@ -95,45 +95,16 @@ K_SLEEP = 6  # resume a sleeping consumer script: (t, s, K_SLEEP, ci)
 _CHUNK = 512
 
 
-class _DictOrder:
-    """Insertion-ordered nid tracker mirroring LruPolicy / FifoPolicy.
-
-    Python dicts preserve insertion order, so ``next(iter(...))`` is the
-    reference's ``OrderedDict`` front — the same victim sequence.
-    """
-
-    __slots__ = ("order", "refresh_on_access")
-
-    def __init__(self, refresh_on_access: bool) -> None:
-        self.order: Dict[int, None] = {}
-        self.refresh_on_access = refresh_on_access
-
-    def insert(self, nid: int) -> None:
-        self.order[nid] = None
-
-    def access(self, nid: int) -> None:
-        if self.refresh_on_access:  # LRU move-to-end; FIFO is a no-op
-            order = self.order
-            del order[nid]
-            order[nid] = None
-
-    def pop_victim(self) -> int:
-        order = self.order
-        nid = next(iter(order))
-        del order[nid]
-        return nid
-
-
 def _make_policy(kind: str, rng):
     """Per-router replacement state; pop_victim chooses *and* removes,
     matching the reference ``choose_victim`` + ``on_remove`` pair."""
     if kind == "lru":
-        return _DictOrder(refresh_on_access=True)
+        return IntKeyedOrder(refresh_on_access=True)
     if kind == "fifo":
-        return _DictOrder(refresh_on_access=False)
+        return IntKeyedOrder(refresh_on_access=False)
     if kind == "lfu":
-        return _FastLfu()
-    return _FastRandom(rng)  # "random": compile guarantees the stream
+        return IntKeyedLfu()
+    return IntKeyedRandom(rng)  # "random": compile guarantees the stream
 
 
 def run_compiled(

@@ -1,63 +1,112 @@
-"""Interned (compiled) traces: the fast-replay input format.
+"""Compiled traces: a name table plus an ordered sequence of column shards.
 
 A :class:`~repro.workload.trace.Trace` stores one :class:`Request` object
 per request, keyed by hierarchical :class:`~repro.ndn.name.Name`s — ideal
-for inspection, slow to replay.  Compiling a trace interns every distinct
-name to a dense ``int32`` content id **once**, after which the replay
-kernel (:mod:`repro.workload.fast_replay`) and the sweep runner
-(:mod:`repro.perf.parallel`) work entirely on flat arrays:
+for inspection, slow to replay.  Compiling interns every distinct name to
+a dense ``int32`` content id **once**; the replay kernel
+(:mod:`repro.workload.fast_replay`) and the sweep runner
+(:mod:`repro.perf.parallel`) then work on flat columns, cut into
+:class:`TraceShard`\\ s:
 
 * ``ids[i]``   — content id of request ``i`` (dense, 0..n_names-1, in
   first-appearance order),
 * ``times[i]`` — request timestamp in ms,
 * ``users[i]`` — requesting user id,
-* ``first_occurrence[i]`` — True iff request ``i`` is the first request
-  for its content id (the compulsory-miss positions; their count is the
-  unique-object count).
+* ``occurrence[i]`` — how many earlier requests asked for the same id
+  (the ``request_index`` the reference replay hands a marking rule),
+* ``first_occurrence[i]`` — ``occurrence[i] == 0`` (the compulsory-miss
+  positions; their count is the unique-object count).
 
-The compiled form is cached on the trace (see :meth:`Trace.compile`), so
-sweeping S schemes × C cache sizes pays the interning cost once, not
-S × C times.
+There is one such type.  :func:`compile_trace` produces it with a single
+shard held in RAM (memoized by :meth:`Trace.compile`, so S schemes × C
+cache sizes pay the interning once);
+:class:`~repro.workload.sharded.ShardedCompiledTrace` is the same thing
+with its shards memory-mapped from files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
 from repro.ndn.name import Name
 
+#: :class:`TraceShard` column -> dtype.
+COLUMNS = (
+    ("ids", np.int32),
+    ("times", np.float64),
+    ("users", np.int32),
+    ("occurrence", np.int32),
+    ("first_occurrence", np.bool_),
+)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
+class TraceShard:
+    """One contiguous slice of a compiled trace's columns."""
+
+    index: int
+    start: int
+    ids: np.ndarray
+    times: np.ndarray
+    users: np.ndarray
+    occurrence: np.ndarray
+    first_occurrence: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
+
+    def release(self) -> None:
+        """Drop this shard's pages (``madvise(MADV_DONTNEED)``).
+
+        Called by streaming consumers after a shard is replayed so peak
+        RSS stays bounded by one resident shard.  A no-op for columns
+        that are not memory-mapped.  Best-effort: platforms without
+        madvise simply rely on the VM to reclaim cold pages.
+        """
+        import mmap as _mmap
+
+        advice = getattr(_mmap, "MADV_DONTNEED", None)
+        if advice is None:  # pragma: no cover - platform fallback
+            return
+        for column, _ in COLUMNS:
+            source = getattr(getattr(self, column), "_mmap", None)
+            if source is not None:
+                try:
+                    source.madvise(advice)
+                except (ValueError, OSError):  # pragma: no cover
+                    pass
+
+
+def _whole_column(column: str, doc: str) -> property:
+    return property(lambda self: getattr(self._whole(), column), doc=doc)
+
+
 class CompiledTrace:
     """A trace interned to dense integer content ids (replay fast path)."""
 
-    #: Content id per request, in trace order (int32).
-    ids: np.ndarray
-    #: Request timestamps in ms, in trace order (float64).
-    times: np.ndarray
-    #: Requesting user per request (int32).
-    users: np.ndarray
-    #: ``names[content_id]`` -> the interned :class:`Name`.
-    names: Tuple[Name, ...]
-    #: True at the first request of each content id (compulsory misses).
-    first_occurrence: np.ndarray
-    #: Lazily computed per-request occurrence index (see property).
-    _occurrence_index: List[Optional[np.ndarray]] = field(
-        default_factory=lambda: [None], repr=False, compare=False
-    )
+    def __init__(
+        self, names: Sequence[Name], shards: Sequence[TraceShard] = ()
+    ) -> None:
+        #: ``names[content_id]`` -> the interned :class:`Name`.
+        self.names = names
+        self._shards = tuple(shards)
 
     @property
     def n_requests(self) -> int:
         """Number of requests in the trace."""
-        return int(self.ids.shape[0])
+        return sum(len(shard) for shard in self._shards)
 
     @property
     def n_names(self) -> int:
         """Number of distinct content names (the interned vocabulary size)."""
         return len(self.names)
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._shards)
 
     @property
     def max_hit_rate(self) -> float:
@@ -66,20 +115,41 @@ class CompiledTrace:
             return 0.0
         return 1.0 - self.n_names / self.n_requests
 
-    @property
-    def occurrence_index(self) -> np.ndarray:
-        """Per-request running count of prior requests for the same id.
+    def iter_shards(self) -> Iterator[TraceShard]:
+        """Yield the shards in trace order."""
+        return iter(self._shards)
 
-        ``occurrence_index[i] == k`` means request ``i`` is the (k+1)-th
-        request for its content — exactly the ``request_index`` the
-        reference replay hands to :meth:`MarkingRule.is_private`.
-        Computed on first use (vectorized) and cached.
-        """
-        cached = self._occurrence_index[0]
-        if cached is None:
-            cached = _occurrence_index(self.ids, self.n_names)
-            self._occurrence_index[0] = cached
-        return cached
+    def iter_uris(self) -> Iterator[str]:
+        """The name table as URI strings, in content-id order."""
+        return map(str, self.names)
+
+    def _whole(self) -> TraceShard:
+        """Every request as one shard: the only shard itself when there
+        is exactly one, a concatenation (typed empties for none) otherwise."""
+        shards = list(self.iter_shards())
+        if len(shards) == 1:
+            return shards[0]
+        return TraceShard(0, 0, *(
+            np.concatenate([np.asarray(getattr(s, column)) for s in shards])
+            if shards else np.zeros(0, dtype=dtype)
+            for column, dtype in COLUMNS
+        ))
+
+    ids = _whole_column("ids", "Content id per request (int32).")
+    times = _whole_column("times", "Request timestamps in ms (float64).")
+    users = _whole_column("users", "Requesting user per request (int32).")
+    first_occurrence = _whole_column(
+        "first_occurrence", "True at the first request of each content id."
+    )
+    occurrence_index = _whole_column(
+        "occurrence", "Per-request count of earlier requests for the same id."
+    )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (
+            f"{type(self).__name__}(requests={self.n_requests}, "
+            f"names={self.n_names}, shards={self.n_shards})"
+        )
 
 
 def _occurrence_index(ids: np.ndarray, n_names: int) -> np.ndarray:
@@ -102,7 +172,7 @@ def _occurrence_index(ids: np.ndarray, n_names: int) -> np.ndarray:
 
 
 def compile_trace(trace: "Trace") -> CompiledTrace:  # noqa: F821
-    """Intern ``trace`` into a :class:`CompiledTrace`.
+    """Intern ``trace`` into a one-shard in-RAM :class:`CompiledTrace`.
 
     Prefer :meth:`repro.workload.trace.Trace.compile`, which memoizes the
     result on the trace object.
@@ -124,10 +194,7 @@ def compile_trace(trace: "Trace") -> CompiledTrace:  # noqa: F821
         ids[i] = cid
         times[i] = request.time
         users[i] = request.user
-    return CompiledTrace(
-        ids=ids,
-        times=times,
-        users=users,
-        names=tuple(names),
-        first_occurrence=first,
+    shard = TraceShard(
+        0, 0, ids, times, users, _occurrence_index(ids, len(names)), first
     )
+    return CompiledTrace(tuple(names), [shard])

@@ -20,11 +20,15 @@ magnitude faster:
   :class:`~repro.core.schemes.base.SchemeKernel` state machines that
   consume the scheme's RNG in exactly the reference order.
 
-The loop lives in a resumable :class:`_ReplayCore`, so the same code
-replays an in-RAM compiled trace in one span or a
-:class:`~repro.workload.sharded.ShardedCompiledTrace` shard by shard —
-cache/recency/kernel state carries across shards, every observable is
-bit-identical to the in-RAM path, and peak RSS is bounded by one shard.
+There is one body.  A compiled trace is a name table plus an ordered
+sequence of column shards — one shard in RAM from ``Trace.compile()``,
+many memory-mapped ones from a
+:class:`~repro.workload.sharded.ShardedCompiledTrace` — and the loop
+lives in a resumable :class:`_ReplayCore` fed one (ids, privacy flags)
+span per shard by :func:`_spans`, the only place a marking rule becomes
+flags.  Cache, recency and kernel state carry across shards, so how a
+trace is cut never shows in the result, and peak RSS on the mmap'd form
+is bounded by one shard.
 
 Schemes that do not provide a kernel (see
 :meth:`CacheScheme.make_kernel`) transparently fall back to the
@@ -34,124 +38,18 @@ reference ``replay()`` when a :class:`Trace` is available, so
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.schemes.base import CacheScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.ndn.errors import CacheError
-from repro.ndn.replacement import POLICIES
+from repro.ndn.replacement import POLICIES, IntKeyedLfu, IntKeyedRandom
 from repro.workload.compiled import CompiledTrace
 from repro.workload.marking import ContentMarking, MarkingRule, NoMarking
 from repro.workload.replay import ReplayStats, replay
-from repro.workload.sharded import ShardedCompiledTrace
 from repro.workload.trace import Trace
-
-
-class _FastLfu:
-    """Int-keyed mirror of :class:`repro.ndn.replacement.LfuPolicy`.
-
-    Same frequency-bucket algorithm (insertion-ordered dicts, lazy
-    ``_min_freq`` scan) so the victim sequence is identical.
-    """
-
-    __slots__ = ("_freq", "_buckets", "_min_freq")
-
-    def __init__(self) -> None:
-        self._freq: Dict[int, int] = {}
-        self._buckets: Dict[int, Dict[int, None]] = {}
-        self._min_freq = 0
-
-    def insert(self, cid: int) -> None:
-        self._freq[cid] = 1
-        self._buckets.setdefault(1, {})[cid] = None
-        self._min_freq = 1
-
-    def access(self, cid: int) -> None:
-        freq = self._freq[cid]
-        bucket = self._buckets[freq]
-        del bucket[cid]
-        if not bucket:
-            del self._buckets[freq]
-            if self._min_freq == freq:
-                self._min_freq = freq + 1
-        self._freq[cid] = freq + 1
-        self._buckets.setdefault(freq + 1, {})[cid] = None
-
-    def pop_victim(self) -> int:
-        while self._min_freq not in self._buckets:
-            self._min_freq += 1
-        bucket = self._buckets[self._min_freq]
-        cid = next(iter(bucket))
-        del self._freq[cid]
-        del bucket[cid]
-        if not bucket:
-            del self._buckets[self._min_freq]
-        return cid
-
-
-class _FastRandom:
-    """Int-keyed mirror of :class:`repro.ndn.replacement.RandomPolicy`.
-
-    Keeps the same swap-remove list order and draws the same RNG stream,
-    so victim choices match the reference bit for bit.
-    """
-
-    __slots__ = ("_rng", "_list", "_pos")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._list: List[int] = []
-        self._pos: Dict[int, int] = {}
-
-    def insert(self, cid: int) -> None:
-        self._pos[cid] = len(self._list)
-        self._list.append(cid)
-
-    def access(self, cid: int) -> None:
-        pass
-
-    def pop_victim(self) -> int:
-        idx = int(self._rng.integers(len(self._list)))
-        cid = self._list[idx]
-        pos = self._pos.pop(cid)
-        last = self._list.pop()
-        if last != cid:
-            self._list[pos] = last
-            self._pos[last] = pos
-        return cid
-
-
-def compile_private_flags(
-    rule: MarkingRule, compiled: CompiledTrace
-) -> List[bool]:
-    """Precompute the consumer privacy bit for every request.
-
-    Bit-identical to calling ``rule.is_private(name, index)`` per request:
-    per-content rules are evaluated once per *unique* name and broadcast;
-    index-dependent rules (e.g. :class:`RequestMarking`, whose RNG draws
-    must happen in request order) are evaluated per request with the
-    vectorized occurrence index.
-    """
-    n = compiled.n_requests
-    if isinstance(rule, NoMarking):
-        return [False] * n
-    if isinstance(rule, ContentMarking):
-        per_name = np.fromiter(
-            (rule.is_private(name, 0) for name in compiled.names),
-            dtype=bool,
-            count=compiled.n_names,
-        )
-        return per_name[compiled.ids].tolist()
-    names = compiled.names
-    ids = compiled.ids.tolist()
-    if rule.uses_request_index:
-        occurrence = compiled.occurrence_index.tolist()
-        is_private = rule.is_private
-        return [is_private(names[cid], occurrence[i]) for i, cid in enumerate(ids)]
-    is_private = rule.is_private
-    return [is_private(names[cid], 0) for cid in ids]
 
 
 class _ReplayCore:
@@ -159,9 +57,7 @@ class _ReplayCore:
 
     One instance replays one trace: construct, feed each span of
     (content ids, privacy flags) in order through :meth:`run_span`, read
-    :meth:`stats`.  The in-RAM path feeds a single span; the sharded path
-    feeds one span per shard — the loop body is the same object code, so
-    the two paths cannot diverge.
+    :meth:`stats`.
     """
 
     __slots__ = (
@@ -204,9 +100,9 @@ class _ReplayCore:
             self.p_insert = self.p_access = self.p_pop = None
         else:
             pol = (
-                _FastLfu()
+                IntKeyedLfu()
                 if policy == "lfu"
-                else _FastRandom(np.random.default_rng(seed))
+                else IntKeyedRandom(np.random.default_rng(seed))
             )
             self.p_insert = pol.insert
             self.p_access = pol.access if policy == "lfu" else None
@@ -355,32 +251,35 @@ class _ReplayCore:
         )
 
 
-def _sharded_spans(
-    rule: MarkingRule, sharded: ShardedCompiledTrace
+def _spans(
+    rule: MarkingRule, compiled: CompiledTrace
 ) -> Iterator[Tuple[List[int], Sequence[bool]]]:
-    """Yield (ids, privacy flags) per shard, bit-identical to the in-RAM
-    :func:`compile_private_flags` broadcast over the whole trace."""
+    """Yield (content ids, consumer privacy bits) per shard.
+
+    Bit-identical to calling ``rule.is_private(name, index)`` per request
+    in trace order: per-content rules are evaluated once per *unique*
+    name and broadcast; anything else (e.g. :class:`RequestMarking`,
+    whose RNG draws must happen in request order) is evaluated per
+    request, with the shard's occurrence column as ``index``.
+    """
+    per_name = None
+    names: Sequence = ()
     if isinstance(rule, ContentMarking):
-        # URI-keyed fast path: mark straight off the on-disk name table
-        # without constructing Name objects (str(name) IS the uri).
+        # URI-keyed fast path: mark straight off the name table without
+        # constructing Name objects (str(name) IS the uri).
         per_name = np.fromiter(
-            (rule.is_private_uri(uri) for uri in sharded.names.iter_uris()),
+            (rule.is_private_uri(uri) for uri in compiled.iter_uris()),
             dtype=bool,
-            count=sharded.n_names,
+            count=compiled.n_names,
         )
-    else:
-        per_name = None
-    if not isinstance(rule, (NoMarking, ContentMarking)):
+    elif rule.uses_name:
         # Generic name-dependent rules need real Name objects per
         # request; materialize the vocabulary once (O(n_names), still
         # independent of trace length).  Name-blind rules (e.g.
         # RequestMarking's per-request coin) skip even that.
-        names: Sequence = list(sharded.names) if rule.uses_name else ()
-        is_private = rule.is_private
-    else:
-        names = ()
-        is_private = None
-    for shard in sharded.iter_shards():
+        names = list(compiled.names)
+    is_private = rule.is_private
+    for shard in compiled.iter_shards():
         ids = shard.ids.tolist()
         if isinstance(rule, NoMarking):
             flags: Sequence[bool] = [False] * len(ids)
@@ -390,8 +289,7 @@ def _sharded_spans(
             occurrence = shard.occurrence.tolist()
             if rule.uses_name:
                 flags = [
-                    is_private(names[cid], occurrence[i])
-                    for i, cid in enumerate(ids)
+                    is_private(names[cid], occ) for cid, occ in zip(ids, occurrence)
                 ]
             else:
                 flags = [is_private(None, occ) for occ in occurrence]
@@ -403,7 +301,7 @@ def _sharded_spans(
 
 
 def fast_replay(
-    trace: Union[Trace, CompiledTrace, ShardedCompiledTrace],
+    trace: Union[Trace, CompiledTrace],
     scheme: Optional[CacheScheme] = None,
     marking: Optional[MarkingRule] = None,
     cache_size: Optional[int] = None,
@@ -416,8 +314,8 @@ def fast_replay(
 
     Drop-in replacement for :func:`repro.workload.replay.replay` — same
     parameters, same :class:`ReplayStats`, bit for bit.  Accepts a
-    :class:`Trace` (compiled on first use, memoized), an
-    already-compiled :class:`CompiledTrace`, or an on-disk
+    :class:`Trace` (compiled on first use, memoized) or anything already
+    compiled: an in-RAM :class:`CompiledTrace` or an on-disk
     :class:`~repro.workload.sharded.ShardedCompiledTrace` (replayed
     shard by shard at bounded RSS, same observables).
     """
@@ -432,36 +330,16 @@ def fast_replay(
     scheme = scheme if scheme is not None else NoPrivacyScheme()
     rule = marking if marking is not None else NoMarking()
 
-    if isinstance(trace, ShardedCompiledTrace):
-        kernel = scheme.make_kernel(trace.names)
-        if kernel is None:
-            raise ValueError(
-                f"scheme {type(scheme).__name__} provides no fast kernel; "
-                f"sharded traces have no reference-replay fallback — "
-                f"materialize the trace to use the oracle path"
-            )
-        core = _ReplayCore(
-            kernel, trace.n_names, cache_size, policy, fetch_delay, seed,
-            refresh_delayed_hits,
-        )
-        for ids, flags in _sharded_spans(rule, trace):
-            core.run_span(ids, flags)
-        return core.stats()
-
-    if isinstance(trace, CompiledTrace):
-        compiled = trace
-        source: Optional[Trace] = None
-    else:
-        source = trace
-        compiled = trace.compile()
-
+    source = trace if isinstance(trace, Trace) else None
+    compiled = trace.compile() if source is not None else trace
     kernel = scheme.make_kernel(compiled.names)
     if kernel is None:
         # Unknown scheme type: stay correct by running the oracle path.
         if source is None:
             raise ValueError(
-                f"scheme {type(scheme).__name__} provides no fast kernel and "
-                f"no Trace is available for the reference fallback"
+                f"scheme {type(scheme).__name__} provides no fast kernel, and "
+                f"a compiled trace (in RAM or sharded on disk) has no Request "
+                f"objects for the reference fallback — pass the Trace"
             )
         return replay(
             source,
@@ -478,5 +356,6 @@ def fast_replay(
         kernel, compiled.n_names, cache_size, policy, fetch_delay, seed,
         refresh_delayed_hits,
     )
-    core.run_span(compiled.ids.tolist(), compile_private_flags(rule, compiled))
+    for ids, flags in _spans(rule, compiled):
+        core.run_span(ids, flags)
     return core.stats()

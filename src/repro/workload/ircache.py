@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.workload.streaming import RequestBlock, iter_requests, rechunk
+from repro.workload.streaming import RequestBlock, iter_requests, materialize, rechunk
 from repro.workload.trace import Request, Trace
 from repro.workload.zipf import ZipfSampler
 
@@ -285,13 +285,10 @@ class IrcacheGenerator:
         """Materialize the full trace in RAM (sorted by construction).
 
         Request-for-request identical to consuming :meth:`stream` — the
-        streaming path is the canonical algorithm, this is its
-        materialization for the legacy in-RAM pipeline.
+        streaming path is the canonical algorithm, this collects it into
+        the :class:`Trace` the reference ``replay()`` needs.
         """
-        trace = Trace()
-        for request in iter_requests(self.stream()):
-            trace.append(request)
-        return trace
+        return materialize(self.stream())
 
 
 class IrcacheStream:

@@ -76,6 +76,7 @@ class ContentMarking(MarkingRule):
 class RequestMarking(MarkingRule):
     """Per-request marking: each request flips an independent coin."""
 
+    uses_request_index = False
     uses_name = False
 
     def __init__(self, fraction: float, seed: int = 0) -> None:

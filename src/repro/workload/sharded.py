@@ -1,16 +1,17 @@
-"""Mmap-sharded compiled traces: the on-disk fast-replay format at scale.
+"""Compiled traces whose shards live in files: the format at scale.
 
 :func:`compile_stream` lowers any :class:`~repro.workload.streaming.Workload`
-to fixed-size shards of the same dense arrays a
-:class:`~repro.workload.compiled.CompiledTrace` holds in RAM — ids,
-times, users, first-occurrence flags, plus the per-request occurrence
-index computed in the same single streaming pass — and writes them as
-``.npy`` files under one directory, with a JSON manifest carrying the
-global name intern table (``names.tsv``, one URI per content id, in
-first-appearance order) and a sha256 per file.
+to fixed-size shards of a :class:`~repro.workload.compiled.CompiledTrace`'s
+columns — ids, times, users, the occurrence index (computed in the same
+single streaming pass) and first-occurrence flags — and writes them as
+``.npy`` files under one directory, next to the name table
+(``names.tsv``, one URI per content id, in first-appearance order) and a
+JSON manifest listing the shards with a sha256 per file.
+:class:`ShardedCompiledTrace` is the ``CompiledTrace`` over such a
+directory; everything in this module is about the files.
 
 The contract with the in-RAM compiler is **bit-equality**: concatenating
-a trace's shards reproduces ``compile_trace(trace)``'s arrays exactly —
+a trace's shards reproduces ``compile_trace(trace)``'s columns exactly —
 same dtypes, same first-appearance intern order, same occurrence index
 (asserted by the property suite in ``tests/workload/test_sharded.py``).
 That is what lets ``stream → shards → replay`` equal
@@ -19,8 +20,13 @@ That is what lets ``stream → shards → replay`` equal
 Readers open shards with ``numpy.load(mmap_mode="r")`` and release each
 one (``madvise(MADV_DONTNEED)``) after consuming it, so peak RSS of a
 full replay is bounded by one shard plus O(n_names) replay state —
-independent of trace length.  Checksums are verified on demand
-(:meth:`ShardedCompiledTrace.verify`); a mismatch raises
+independent of trace length.
+
+Nothing read from disk is trusted.  No digest covers the manifest, so
+:meth:`ShardedCompiledTrace.open` checks its shape and that its shards
+tile ``0..n_requests`` in order; every shard load checks its length and
+that its content ids index the name table; :meth:`~ShardedCompiledTrace.verify`
+re-hashes every file and counts the name table.  Each failure is a
 :class:`ShardIntegrityError`, which the sweep-runner trace cache turns
 into regenerate-on-mismatch.
 """
@@ -29,14 +35,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ndn.name import Name
-from repro.workload.compiled import CompiledTrace, _occurrence_index
+from repro.workload.compiled import (
+    COLUMNS,
+    CompiledTrace,
+    TraceShard,
+    _occurrence_index,
+)
 from repro.workload.streaming import Workload
 
 FORMAT_NAME = "repro-sharded-trace"
@@ -47,7 +57,8 @@ NAMES_FILE = "names.tsv"
 #: Requests per shard (the unit of worker/replay residency).
 DEFAULT_SHARD_SIZE = 262_144
 
-#: Field name -> (file suffix, dtype).  Dtypes mirror CompiledTrace.
+#: (file suffix, dtype) per column, in :data:`~repro.workload.compiled.COLUMNS`
+#: order.
 _FIELDS: Tuple[Tuple[str, str], ...] = (
     ("ids", "int32"),
     ("times", "float64"),
@@ -248,45 +259,6 @@ def compile_stream(
     return ShardedCompiledTrace.open(out)
 
 
-@dataclass(frozen=True)
-class TraceShard:
-    """One memory-mapped slice of a sharded trace (CompiledTrace columns)."""
-
-    index: int
-    start: int
-    ids: np.ndarray
-    times: np.ndarray
-    users: np.ndarray
-    occurrence: np.ndarray
-    first_occurrence: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.ids.shape[0])
-
-    def release(self) -> None:
-        """Drop this shard's pages (``madvise(MADV_DONTNEED)``).
-
-        Called by streaming consumers after a shard is replayed so peak
-        RSS stays bounded by one resident shard.  Best-effort: platforms
-        without madvise simply rely on the VM to reclaim cold pages.
-        """
-        import mmap as _mmap
-
-        advice = getattr(_mmap, "MADV_DONTNEED", None)
-        if advice is None:  # pragma: no cover - platform fallback
-            return
-        for array in (
-            self.ids, self.times, self.users, self.occurrence,
-            self.first_occurrence,
-        ):
-            source = getattr(array, "_mmap", None)
-            if source is not None:
-                try:
-                    source.madvise(advice)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-
-
 class LazyNameTable(Sequence[Name]):
     """``names[content_id]`` over the on-disk intern table, loaded lazily.
 
@@ -298,7 +270,7 @@ class LazyNameTable(Sequence[Name]):
     """
 
     def __init__(self, path: Path, count: int) -> None:
-        self._path = path
+        self.path = path
         self._count = count
         self._uris: Optional[List[str]] = None
 
@@ -306,7 +278,7 @@ class LazyNameTable(Sequence[Name]):
         return self._count
 
     def iter_uris(self) -> Iterator[str]:
-        with self._path.open("r", encoding="utf-8") as handle:
+        with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
                 yield line.rstrip("\n")
 
@@ -319,7 +291,7 @@ class LazyNameTable(Sequence[Name]):
             self._uris = list(self.iter_uris())
             if len(self._uris) != self._count:
                 raise ShardIntegrityError(
-                    f"{self._path}: expected {self._count} names, "
+                    f"{self.path}: expected {self._count} names, "
                     f"found {len(self._uris)}"
                 )
         return self._uris
@@ -333,182 +305,165 @@ class LazyNameTable(Sequence[Name]):
         return Name(tuple(uri.split("/")[1:]) if uri != "/" else ())
 
 
-class ShardedCompiledTrace:
-    """A compiled trace living on disk as mmap'd shards.
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
 
-    The streaming twin of :class:`~repro.workload.compiled.CompiledTrace`:
-    same columns, same semantics, but materialized one shard at a time.
+
+def _manifest_problem(manifest: object) -> Optional[str]:
+    """What is wrong with a parsed manifest, or None.
+
+    No digest covers the manifest itself, so everything a reader indexes
+    by is checked for type and self-consistency before it is trusted.
     """
+    if not isinstance(manifest, dict):
+        return "is not an object"
+    if manifest.get("format") != FORMAT_NAME:
+        return f"has unexpected format {manifest.get('format')!r}"
+    if manifest.get("version") != FORMAT_VERSION:
+        return f"has unsupported version {manifest.get('version')!r}"
+    shards = manifest.get("shards")
+    if not (
+        _is_count(manifest.get("n_requests"))
+        and _is_count(manifest.get("n_names"))
+        and isinstance(manifest.get("names_file", NAMES_FILE), str)
+        and isinstance(shards, list)
+    ):
+        return "lacks a well-typed n_requests, n_names, names_file or shards"
+    start = 0
+    for index, meta in enumerate(shards):
+        if not (
+            isinstance(meta, dict)
+            and meta.get("index") == index
+            and meta.get("start") == start
+            and _is_count(meta.get("count"))
+            and isinstance(meta.get("checksums"), dict)
+            and all(field in meta["checksums"] for field, _ in _FIELDS)
+        ):
+            return f"shard entry {index} is malformed or out of sequence"
+        start += meta["count"]
+    if start != manifest["n_requests"]:
+        return f"shards hold {start} requests, not {manifest['n_requests']}"
+    return None
+
+
+class ShardedCompiledTrace(CompiledTrace):
+    """A :class:`~repro.workload.compiled.CompiledTrace` whose shards are
+    memory-mapped from a directory, one at a time, instead of held in RAM."""
 
     def __init__(self, path: Path, manifest: dict) -> None:
+        super().__init__(
+            LazyNameTable(
+                path / manifest.get("names_file", NAMES_FILE), manifest["n_names"]
+            )
+        )
         self.path = path
         self.manifest = manifest
-        self._names: Optional[LazyNameTable] = None
 
     # ------------------------------------------------------------------
     # Open / verify
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, path: Union[str, Path]) -> "ShardedCompiledTrace":
-        """Open a shard directory (validates the manifest shape only;
-        call :meth:`verify` for checksums)."""
+        """Open a shard directory, checking the manifest's shape and
+        self-consistency (call :meth:`verify` for the file checksums)."""
         root = Path(path)
         manifest_path = root / MANIFEST_FILE
         if not manifest_path.is_file():
             raise ShardIntegrityError(f"{root}: no {MANIFEST_FILE}")
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:
             raise ShardIntegrityError(f"{manifest_path}: {error}") from error
-        if manifest.get("format") != FORMAT_NAME:
-            raise ShardIntegrityError(
-                f"{root}: unexpected format {manifest.get('format')!r}"
-            )
-        if manifest.get("version") != FORMAT_VERSION:
-            raise ShardIntegrityError(
-                f"{root}: unsupported version {manifest.get('version')!r}"
-            )
-        for field in ("n_requests", "n_names", "shards"):
-            if field not in manifest:
-                raise ShardIntegrityError(f"{root}: manifest missing {field!r}")
+        problem = _manifest_problem(manifest)
+        if problem is not None:
+            raise ShardIntegrityError(f"{root}: manifest {problem}")
         return cls(root, manifest)
 
     def verify(self) -> None:
         """Check every shard file and the name table against the manifest.
 
-        Raises :class:`ShardIntegrityError` on any missing file or
-        checksum mismatch (the trace cache regenerates on this).
+        Raises :class:`ShardIntegrityError` on any missing file, checksum
+        mismatch or name-count mismatch (the trace cache regenerates on
+        this).
         """
-        names_path = self.path / self.manifest.get("names_file", NAMES_FILE)
+        names_path = self.names.path
         if not names_path.is_file():
             raise ShardIntegrityError(f"{names_path}: missing name table")
         if file_sha256(names_path) != self.manifest.get("names_sha256"):
             raise ShardIntegrityError(f"{names_path}: checksum mismatch")
-        for shard in self.manifest["shards"]:
-            for field, expected in shard["checksums"].items():
-                path = self.path / _shard_file(shard["index"], field)
-                if not path.is_file():
-                    raise ShardIntegrityError(f"{path}: missing shard file")
-                if file_sha256(path) != expected:
-                    raise ShardIntegrityError(f"{path}: checksum mismatch")
+        with names_path.open("r", encoding="utf-8") as handle:
+            found = sum(1 for _ in handle)
+        if found != self.n_names:
+            raise ShardIntegrityError(
+                f"{names_path}: expected {self.n_names} names, found {found}"
+            )
+        for index in range(self.n_shards):
+            for field, _ in _FIELDS:
+                self._shard_path(index, field, verify=True)
 
     # ------------------------------------------------------------------
-    # CompiledTrace-shaped metadata
+    # Shard access
     # ------------------------------------------------------------------
     @property
     def n_requests(self) -> int:
-        return int(self.manifest["n_requests"])
-
-    @property
-    def n_names(self) -> int:
-        return int(self.manifest["n_names"])
+        return self.manifest["n_requests"]
 
     @property
     def n_shards(self) -> int:
         return len(self.manifest["shards"])
 
-    @property
-    def shard_size(self) -> int:
-        return int(self.manifest.get("shard_size", DEFAULT_SHARD_SIZE))
+    def iter_uris(self) -> Iterator[str]:
+        return self.names.iter_uris()
 
-    @property
-    def max_hit_rate(self) -> float:
-        """1 − unique/total: the unlimited-cache hit-rate ceiling."""
-        if not self.n_requests:
-            return 0.0
-        return 1.0 - self.n_names / self.n_requests
+    def _shard_path(self, index: int, field: str, verify: bool) -> Path:
+        path = self.path / _shard_file(index, field)
+        if not path.is_file():
+            raise ShardIntegrityError(f"{path}: missing shard file")
+        expected = self.manifest["shards"][index]["checksums"][field]
+        if verify and file_sha256(path) != expected:
+            raise ShardIntegrityError(f"{path}: checksum mismatch")
+        return path
 
-    @property
-    def names(self) -> LazyNameTable:
-        if self._names is None:
-            self._names = LazyNameTable(
-                self.path / self.manifest.get("names_file", NAMES_FILE),
-                self.n_names,
-            )
-        return self._names
-
-    # ------------------------------------------------------------------
-    # Shard access
-    # ------------------------------------------------------------------
     def load_shard(self, index: int, verify: bool = False) -> TraceShard:
         """Memory-map one shard (optionally checksum-verified first)."""
         meta = self.manifest["shards"][index]
-        arrays: Dict[str, np.ndarray] = {}
-        for field, _ in _FIELDS:
-            path = self.path / _shard_file(meta["index"], field)
-            if not path.is_file():
-                raise ShardIntegrityError(f"{path}: missing shard file")
-            if verify and file_sha256(path) != meta["checksums"][field]:
-                raise ShardIntegrityError(f"{path}: checksum mismatch")
-            arrays[field] = np.load(path, mmap_mode="r")
-        if len(arrays["ids"]) != meta["count"]:
+        arrays = {
+            field: np.load(self._shard_path(index, field, verify), mmap_mode="r")
+            for field, _ in _FIELDS
+        }
+        ids = arrays["ids"]
+        if len(ids) != meta["count"]:
             raise ShardIntegrityError(
-                f"{self.path}: shard {index} has {len(arrays['ids'])} "
+                f"{self.path}: shard {index} has {len(ids)} "
                 f"requests, manifest says {meta['count']}"
             )
-        return TraceShard(
-            index=meta["index"],
-            start=meta["start"],
-            ids=arrays["ids"],
-            times=arrays["times"],
-            users=arrays["users"],
-            occurrence=arrays["occurrence"],
-            first_occurrence=arrays["first"],
-        )
+        if len(ids) and not (0 <= ids.min() and ids.max() < self.n_names):
+            raise ShardIntegrityError(
+                f"{self.path}: shard {index} has content ids outside "
+                f"0..{self.n_names - 1}"
+            )
+        # _FIELDS lists the files in TraceShard's column order.
+        return TraceShard(index, meta["start"], *arrays.values())
 
-    def iter_shards(
-        self, verify: bool = False, release: bool = True
-    ) -> Iterator[TraceShard]:
+    def iter_shards(self) -> Iterator[TraceShard]:
         """Yield shards in order, releasing each one's pages afterwards."""
         for index in range(self.n_shards):
-            shard = self.load_shard(index, verify=verify)
+            shard = self.load_shard(index)
             try:
                 yield shard
             finally:
-                if release:
-                    shard.release()
+                shard.release()
 
     # ------------------------------------------------------------------
     # Interop
     # ------------------------------------------------------------------
     def materialize(self) -> CompiledTrace:
-        """Concatenate all shards into an in-RAM :class:`CompiledTrace`.
+        """Copy the whole trace into RAM as a one-shard
+        :class:`CompiledTrace`.
 
         For differential tests and small traces — defeats the point at
         scale.
         """
-        ids: List[np.ndarray] = []
-        times: List[np.ndarray] = []
-        users: List[np.ndarray] = []
-        occ: List[np.ndarray] = []
-        first: List[np.ndarray] = []
-        for shard in self.iter_shards(release=False):
-            ids.append(np.asarray(shard.ids))
-            times.append(np.asarray(shard.times))
-            users.append(np.asarray(shard.users))
-            occ.append(np.asarray(shard.occurrence))
-            first.append(np.asarray(shard.first_occurrence))
-        compiled = CompiledTrace(
-            ids=np.concatenate(ids) if ids else np.zeros(0, dtype=np.int32),
-            times=(
-                np.concatenate(times) if times else np.zeros(0, dtype=np.float64)
-            ),
-            users=(
-                np.concatenate(users) if users else np.zeros(0, dtype=np.int32)
-            ),
-            names=tuple(self.names),
-            first_occurrence=(
-                np.concatenate(first) if first else np.zeros(0, dtype=bool)
-            ),
-        )
-        compiled._occurrence_index[0] = (
-            np.concatenate(occ) if occ else np.zeros(0, dtype=np.int32)
-        )
-        return compiled
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ShardedCompiledTrace(path={str(self.path)!r}, "
-            f"requests={self.n_requests}, names={self.n_names}, "
-            f"shards={self.n_shards})"
-        )
+        whole = self._whole()
+        columns = (np.array(getattr(whole, column)) for column, _ in COLUMNS)
+        return CompiledTrace(tuple(self.names), [TraceShard(0, 0, *columns)])

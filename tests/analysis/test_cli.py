@@ -56,6 +56,32 @@ class TestFig5Commands:
         assert "Figure 5(b)" in out
         assert "10% private" in out and "40% private" in out
 
+    def test_fig5_streams_through_the_shard_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The only pathway: a verified shard entry, no TSV, and the
+        table the in-RAM replay of the same trace renders."""
+        from repro.analysis.experiments import run_fig5a
+        from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
+        from repro.workload.sharded import ShardedCompiledTrace
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        assert main([
+            "fig5a", "--requests", "3000", "--sizes", "200", "inf",
+        ]) == 0
+        out = capsys.readouterr().out
+        (entry,) = tmp_path.glob("ircache-shards-*")
+        ShardedCompiledTrace.open(entry).verify()
+        assert not list(tmp_path.glob("*.tsv"))
+        trace = IrcacheGenerator(IrcacheConfig(requests=3000, seed=0)).generate()
+        in_ram = run_fig5a(trace, cache_sizes=(200, None), workers=1)
+        assert out == in_ram.render() + "\n"
+
+    @pytest.mark.parametrize("command", ["fig5a", "fig5b"])
+    def test_streaming_flag_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            main([command, "--requests", "3000", "--streaming"])
+
 
 class TestUtilityCommands:
     def test_amplification(self, capsys):

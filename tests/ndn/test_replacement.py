@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ndn.errors import CacheError
 from repro.ndn.name import Name
 from repro.ndn.replacement import (
     FifoPolicy,
+    IntKeyedLfu,
+    IntKeyedOrder,
+    IntKeyedRandom,
     LfuPolicy,
     LruPolicy,
     RandomPolicy,
@@ -139,3 +143,46 @@ class TestFactory:
     def test_unknown_policy_rejected(self):
         with pytest.raises(CacheError):
             make_policy("mru")
+
+
+INT_KEYED = {
+    "lru": lambda rng: IntKeyedOrder(refresh_on_access=True),
+    "fifo": lambda rng: IntKeyedOrder(refresh_on_access=False),
+    "lfu": lambda rng: IntKeyedLfu(),
+    "random": IntKeyedRandom,
+}
+
+
+class TestIntKeyedMirrors:
+    """What fast_replay and the batch kernel evict must be what the Content
+    Store's policy of the same name would have."""
+
+    @pytest.mark.parametrize("kind", sorted(INT_KEYED))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(
+            st.tuples(st.sampled_from(["touch", "touch", "evict"]), st.integers(0, 11)),
+            max_size=120,
+        )
+    )
+    def test_same_victim_sequence_as_reference(self, kind, script):
+        names = [n(f"/obj/{cid}") for cid in range(12)]
+        reference = make_policy(kind, np.random.default_rng(9))
+        mirror = INT_KEYED[kind](np.random.default_rng(9))
+        tracked = set()
+        for op, cid in script:
+            if op == "evict":
+                if not tracked:
+                    continue
+                victim = reference.choose_victim()
+                reference.on_remove(victim)
+                evicted = mirror.pop_victim()
+                assert names[evicted] == victim
+                tracked.remove(evicted)
+            elif cid in tracked:
+                reference.on_access(names[cid])
+                mirror.access(cid)
+            else:
+                reference.on_insert(names[cid])
+                mirror.insert(cid)
+                tracked.add(cid)

@@ -15,6 +15,7 @@ from repro.perf.parallel import (
 from repro.workload.ircache import IrcacheConfig
 from repro.workload.marking import ContentMarking, RequestMarking
 from repro.workload.sharded import ShardedCompiledTrace
+from tests.workload.test_sharded import MANIFEST_TAMPERINGS, tamper_manifest
 
 
 CONFIG = IrcacheConfig(requests=6000, users=40, objects=500, sites=8, seed=21)
@@ -103,6 +104,18 @@ def test_sharded_cache_reused_then_regenerated_on_corruption():
     sharded = ShardedCompiledTrace.open(rebuilt)
     sharded.verify()
     assert sharded.n_requests == CONFIG.requests
+
+
+@pytest.mark.parametrize("tampering", sorted(MANIFEST_TAMPERINGS))
+def test_sharded_cache_regenerated_on_tampered_manifest(tampering):
+    """No digest covers the manifest, so the entry must be rebuilt on
+    every edit of it that would change (or crash) what is replayed."""
+    path = ensure_sharded_trace_cached(CONFIG, shard_size=1024)
+    original = (path / "manifest.json").read_text(encoding="utf-8")
+    tamper_manifest(path, tampering)
+    assert ensure_sharded_trace_cached(CONFIG, shard_size=1024) == path
+    assert (path / "manifest.json").read_text(encoding="utf-8") == original
+    ShardedCompiledTrace.open(path).verify()
 
 
 def test_sharded_mode_input_validation(tmp_path):

@@ -20,11 +20,18 @@ from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
-from repro.workload.compiled import CompiledTrace
+from repro.workload.compiled import CompiledTrace, TraceShard
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
-from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
+from repro.workload.marking import (
+    ContentMarking,
+    MarkingRule,
+    NoMarking,
+    RequestMarking,
+)
 from repro.workload.replay import replay
+from repro.workload.sharded import compile_stream
+from repro.workload.streaming import TraceWorkload
 from repro.workload.trace import Trace
 
 
@@ -53,6 +60,24 @@ MARKING_FACTORIES = {
     "content": lambda: ContentMarking(0.3, salt=7),
     "request": lambda: RequestMarking(0.3, seed=7),
 }
+
+
+class OddRepeatOfEvenName(MarkingRule):
+    """Reads both arguments (no shipped rule does): private iff this is
+    an odd-numbered repeat of a name whose last component ends in an
+    even digit."""
+
+    def is_private(self, name, request_index):
+        return request_index % 2 == 1 and name.components[-1][-1] in "02468"
+
+
+class ThirdRequestOnwards(MarkingRule):
+    """Reads the occurrence index alone (and may be handed no name)."""
+
+    uses_name = False
+
+    def is_private(self, name, request_index):
+        return request_index >= 2
 
 
 def _run_both(trace, scheme_key, marking_key, **kwargs):
@@ -156,3 +181,76 @@ def test_kernelless_scheme_falls_back_to_reference(trace):
     # The fallback needs Request objects, which a bare CompiledTrace lacks.
     with pytest.raises(ValueError):
         fast_replay(trace.compile(), scheme=OpaqueScheme(), cache_size=100)
+
+
+# ----------------------------------------------------------------------
+# Every representation of one trace, one assertion
+# ----------------------------------------------------------------------
+def _recut(compiled: CompiledTrace, n_shards: int) -> CompiledTrace:
+    """The same columns as ``n_shards`` in-RAM shards of uneven length."""
+    n = compiled.n_requests
+    bounds = [n * i * i // n_shards**2 for i in range(n_shards + 1)]
+    return CompiledTrace(
+        compiled.names,
+        [
+            TraceShard(
+                index, lo, compiled.ids[lo:hi], compiled.times[lo:hi],
+                compiled.users[lo:hi], compiled.occurrence_index[lo:hi],
+                compiled.first_occurrence[lo:hi],
+            )
+            for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def representations(trace, tmp_path_factory):
+    compiled = trace.compile()
+    return {
+        "trace": trace,
+        "compiled": compiled,
+        **{f"in-ram x{n}": _recut(compiled, n) for n in (1, 2, 7)},
+        "mmap x5": compile_stream(
+            TraceWorkload(trace), tmp_path_factory.mktemp("shards"), shard_size=900
+        ),
+    }
+
+
+REPRESENTATION_GRID = [
+    (scheme_key, marking_key, "lru")
+    for scheme_key in sorted(SCHEME_FACTORIES)
+    for marking_key in ("content", "none", "odd-repeat", "request", "third-on")
+] + [
+    ("exponential", marking_key, policy)
+    for policy in ("fifo", "lfu", "random")
+    for marking_key in ("content", "odd-repeat", "request", "third-on")
+]
+
+
+@pytest.mark.parametrize("scheme_key,marking_key,policy", REPRESENTATION_GRID)
+def test_every_representation_replays_like_the_oracle(
+    trace, representations, scheme_key, marking_key, policy
+):
+    """However the trace is held — Request objects, one in-RAM shard,
+    several uneven ones, mmap'd files — flags and occurrence indices are
+    taken per shard and the stats equal the reference replay's."""
+    markings = {
+        **MARKING_FACTORIES,
+        "odd-repeat": OddRepeatOfEvenName,
+        "third-on": ThirdRequestOnwards,
+    }
+
+    def run(engine, workload):
+        return engine(
+            workload,
+            scheme=SCHEME_FACTORIES[scheme_key](np.random.default_rng(4)),
+            marking=markings[marking_key](),
+            cache_size=250,
+            policy=policy,
+            seed=4,
+        )
+
+    expected = run(replay, trace)
+    assert expected.private_requests > 0 or marking_key == "none"
+    got = {label: run(fast_replay, held) for label, held in representations.items()}
+    assert got == dict.fromkeys(representations, expected)

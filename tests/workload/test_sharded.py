@@ -3,6 +3,10 @@ checksummed integrity, and bounded-residency replay parity."""
 
 from __future__ import annotations
 
+import copy
+import json
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +127,131 @@ def test_open_rejects_missing_or_malformed_manifest(tmp_path):
     )
     with pytest.raises(ShardIntegrityError, match="format"):
         ShardedCompiledTrace.open(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# The manifest is covered by no digest: it must fail closed on its own
+# ----------------------------------------------------------------------
+#: Edits to ``manifest.json`` alone that used to open, verify and replay
+#: a wrong trace (or die with KeyError/IndexError): name -> in-place edit.
+MANIFEST_TAMPERINGS = {
+    "drop_last_shard": lambda m: m["shards"].pop(),
+    "duplicate_shard": lambda m: m["shards"].append(dict(m["shards"][1])),
+    "shards_not_a_list": lambda m: m.update(shards={}),
+    "n_requests_not_an_int": lambda m: m.update(n_requests="x"),
+    "n_names_lowered": lambda m: m.update(n_names=3),
+    "entry_without_checksums": lambda m: m["shards"][0].pop("checksums"),
+}
+
+
+def tamper_manifest(root, tampering: str) -> None:
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    MANIFEST_TAMPERINGS[tampering](manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _open_verify_replay(root):
+    sharded = ShardedCompiledTrace.open(root)
+    sharded.verify()
+    return fast_replay(
+        sharded,
+        scheme=UniformRandomCache(K=8, rng=np.random.default_rng(5)),
+        marking=ContentMarking(0.2, salt=1),
+        cache_size=64,
+        seed=3,
+    )
+
+
+@pytest.fixture(scope="module")
+def four_shards(tmp_path_factory):
+    """A valid 1000-request / 4-shard directory, its manifest text, and
+    what it replays to."""
+    root = tmp_path_factory.mktemp("tamper")
+    compile_stream(IrcacheGenerator(_config(1000, seed=3)).stream(), root, 250)
+    original = (root / "manifest.json").read_text(encoding="utf-8")
+    return root, original, _open_verify_replay(root)
+
+
+@contextmanager
+def _manifest_restored(four_shards):
+    """(root, untampered stats); whatever the block writes to the
+    module-wide directory's manifest is undone afterwards."""
+    root, original, expected = four_shards
+    try:
+        yield root, expected
+    finally:
+        (root / "manifest.json").write_text(original, encoding="utf-8")
+
+
+@pytest.mark.parametrize("tampering", sorted(MANIFEST_TAMPERINGS))
+def test_tampered_manifest_fails_closed(four_shards, tampering):
+    with _manifest_restored(four_shards) as (root, _):
+        tamper_manifest(root, tampering)
+        with pytest.raises(ShardIntegrityError):
+            _open_verify_replay(root)
+
+
+def test_load_shard_rejects_ids_outside_the_name_table(four_shards):
+    """Without verify(), a shrunk ``n_names`` must not reach the replay
+    core's ``bytearray(n_names)`` as an IndexError."""
+    with _manifest_restored(four_shards) as (root, _):
+        tamper_manifest(root, "n_names_lowered")
+        with pytest.raises(ShardIntegrityError, match="content ids"):
+            ShardedCompiledTrace.open(root).load_shard(0)
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=5000),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_single_manifest_edit_fails_closed(four_shards, data):
+    """Delete, duplicate, nudge or replace any one field of the manifest:
+    ``open → verify → fast_replay`` raises exactly ShardIntegrityError
+    (anything else propagates and fails here) or is unaffected."""
+    manifest = json.loads(four_shards[1])
+    path = data.draw(st.sampled_from(sorted(_paths(manifest), key=repr)))
+    parent = manifest
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    edit = data.draw(st.sampled_from(["delete", "duplicate", "nudge", "replace"]))
+    if edit == "delete":
+        del parent[key]
+    elif edit == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(old))
+    elif edit == "nudge" and type(old) is int:
+        parent[key] = old + data.draw(st.sampled_from([-1, 1]))
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+    with _manifest_restored(four_shards) as (root, expected):
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        try:
+            got = _open_verify_replay(root)
+        except ShardIntegrityError:
+            return
+        assert got == expected
 
 
 def test_shards_are_memory_mapped_and_releasable(tmp_path):
