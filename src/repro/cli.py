@@ -22,7 +22,8 @@ plots; ``trace`` writes a synthetic IRCache-style trace in the TSV format
 from __future__ import annotations
 
 import argparse
-import sys
+import json
+from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.experiments import (
@@ -102,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig3 = sub.add_parser("fig3", help="timing-attack RTT distributions")
-    fig3.add_argument("setting", nargs="?", choices=FIG3_PANELS)
+    fig3.add_argument("setting", nargs="?", choices=FIG3_PANELS,
+                      help="one panel (default: all four)")
     fig3.add_argument("--all", action="store_true", help="run all four panels")
     fig3.add_argument("--objects", type=int, default=60)
     fig3.add_argument("--trials", type=int, default=6)
@@ -199,38 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     defend.add_argument("--out", default="defense_frontier.json",
                         help="frontier JSON artifact path")
 
-    profile = sub.add_parser(
-        "profile",
-        help="profile a hot workload under cProfile (plus subsystem timers)",
-    )
-    profile.add_argument(
-        "target",
-        choices=[*FIG3_PANELS, "sim-core-star", "sim-core-tree"],
-        help="workload to profile: a fig3 panel or a sim-core topology",
-    )
-    profile.add_argument("--objects", type=int, default=60,
-                         help="fig3 panels: probed objects per trial")
-    profile.add_argument("--trials", type=int, default=6,
-                         help="fig3 panels: trials")
-    profile.add_argument("--requests", type=int, default=None,
-                         help="sim-core targets: requests per consumer")
-    profile.add_argument("--consumers", type=int, default=16,
-                         help="sim-core-star: number of consumers")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--kernel", choices=["reference", "batch"],
-                         default="reference",
-                         help="sim-core targets: simulation engine to "
-                              "profile (batch = struct-of-arrays kernel)")
-    profile.add_argument("--top", type=int, default=25,
-                         help="rows of the cProfile table to print")
-    profile.add_argument("--sort", default="cumulative",
-                         choices=["cumulative", "tottime", "calls"],
-                         help="cProfile sort key")
-    profile.add_argument("--timers", action="store_true",
-                         help="also enable the per-subsystem counter timers "
-                              "(reference-engine call sites; fig3 panels run "
-                              "on the batch kernel) and print their report")
-
     deploy = sub.add_parser(
         "deploy",
         help="real-socket deployment mode (geo differential, soak, daemon)",
@@ -313,9 +283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "fig3":
         settings = FIG3_PANELS if args.all or not args.setting else [args.setting]
-        if not settings:
-            print("error: give a setting or --all", file=sys.stderr)
-            return 2
         engines = {}
         for setting in settings:
             result = run_fig3(
@@ -394,9 +361,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "deploy":
         return _run_deploy(args)
 
-    if args.command == "profile":
-        return _run_profile(args)
-
     if args.command == "report":
         _write_report(args)
         print(f"wrote reproduction report to {args.out}")
@@ -435,11 +399,18 @@ def _engine_summary(what: str, engines) -> str:
     return line
 
 
+def _write_artifact(frontier, out: str) -> None:
+    """Write a frontier's ``to_dict()`` as sorted JSON and print the path."""
+    path = Path(out)
+    path.write_text(
+        json.dumps(frontier.to_dict(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote frontier artifact to {path}")
+
+
 def _run_strategy(args) -> int:
     """Privacy-vs-placement frontier sweep; writes the frontier artifact."""
-    import json
-    from pathlib import Path
-
     from repro.analysis.placement import (
         SWEEP_SCHEMES,
         SWEEP_STRATEGIES,
@@ -473,20 +444,12 @@ def _run_strategy(args) -> int:
             },
         )
     )
-    out = Path(args.out)
-    out.write_text(
-        json.dumps(frontier.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote frontier artifact to {out}")
+    _write_artifact(frontier, args.out)
     return 0
 
 
 def _run_defend(args) -> int:
     """Detection-frontier sweep; writes the frontier artifact."""
-    import json
-    from pathlib import Path
-
     from repro.analysis.defense import SWEEP_ATTACKS, run_defense_sweep
     from repro.defense import DEFENSE_PRESETS
 
@@ -510,12 +473,8 @@ def _run_defend(args) -> int:
             f"(attack success {best.attack_success:.3f}, "
             f"detection latency {latency})"
         )
-    out = Path(args.out)
-    out.write_text(
-        json.dumps(frontier.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\nwrote frontier artifact to {out}")
+    print()
+    _write_artifact(frontier, args.out)
     return 0
 
 
@@ -583,8 +542,6 @@ def _run_deploy_geo(args) -> int:
 
 
 def _run_deploy_soak(args) -> int:
-    import json
-
     from repro.deploy import SoakSpec, run_soak
 
     spec = SoakSpec(
@@ -646,76 +603,6 @@ def _run_deploy_daemon(args) -> int:
     return asyncio.run(serve())
 
 
-def _run_profile(args) -> int:
-    """Run one hot workload under cProfile and print the top-N table."""
-    import cProfile
-    import io
-    import pstats
-    import time
-
-    from repro.sim import profiling
-
-    sim_core = args.target in ("sim-core-star", "sim-core-tree")
-    if args.kernel == "batch" and not sim_core:
-        print(
-            "error: --kernel batch only applies to sim-core targets",
-            file=sys.stderr,
-        )
-        return 2
-
-    if sim_core:
-        from repro.perf.simcore import build_star, build_tree, simcore_scripts
-        from repro.sim.batch import run_scripts
-
-        if args.target == "sim-core-star":
-            built = build_star(args.consumers, seed=args.seed)
-            shape, requests = "star", 200
-        else:
-            built = build_tree(seed=args.seed)
-            shape, requests = "3-level tree", 150
-        net, names, universe = built
-        if args.requests is not None:
-            requests = args.requests
-        label = f"sim-core {shape} topology ({args.kernel} kernel)"
-        scripts = simcore_scripts(names, requests, universe)
-        workload = lambda: run_scripts(  # noqa: E731
-            net, scripts, kernel=args.kernel
-        )
-    else:
-        workload = lambda: run_fig3(  # noqa: E731
-            args.target,
-            objects_per_trial=args.objects,
-            trials=args.trials,
-            seed=args.seed,
-        )
-        label = f"fig3 panel {args.target}"
-
-    if args.timers:
-        profiling.reset()
-        profiling.enable()
-    try:
-        profiler = cProfile.Profile()
-        t0 = time.perf_counter()
-        profiler.enable()
-        workload()
-        profiler.disable()
-        wall = time.perf_counter() - t0
-    finally:
-        if args.timers:
-            profiling.disable()
-
-    print(f"profiled {label}: {wall:.3f}s wall (under cProfile)")
-    stream = io.StringIO()
-    pstats.Stats(profiler, stream=stream).sort_stats(args.sort).print_stats(
-        args.top
-    )
-    print(stream.getvalue().rstrip())
-    if args.timers:
-        print()
-        print(profiling.report())
-    return 0
-
-
 def _write_report(args) -> None:
     """Run every figure at the requested scale; emit a markdown report."""
     sections = [
@@ -759,8 +646,6 @@ def _write_report(args) -> None:
     config = IrcacheConfig(requests=args.requests, seed=args.seed)
     for run in (run_fig5a, run_fig5b):
         sections.append("```\n" + run(config, sharded=True).render() + "\n```\n")
-
-    from pathlib import Path
 
     Path(args.out).write_text("\n".join(sections), encoding="utf-8")
 

@@ -161,13 +161,17 @@ class AsyncConsumer:
             timer = loop.call_later(
                 self.engine._to_loop_delay(wait), _resolve, future, None
             )
+            outcome = None
             try:
                 outcome = await future
             finally:
                 timer.cancel()
+                if outcome is None:
+                    # Timed out, or the await was cancelled from outside:
+                    # either way nobody waits on this nonce any more.
+                    self._withdraw(target, interest.nonce)
             if outcome is None:
                 self.fetch_timeouts += 1
-                self._withdraw(target, interest.nonce)
                 continue
             if isinstance(outcome, Nack):
                 self.fetch_nacked += 1

@@ -176,7 +176,6 @@ class Consumer:
             )
             self.rtts.append(result.rtt)
             self.monitor.count("data_received")
-            self.monitor.record("rtt", self.engine.now, result.rtt)
             signal.trigger(result, time=self.engine.now)
             matched = True
             break

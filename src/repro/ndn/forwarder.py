@@ -54,7 +54,6 @@ defense-off run is bit-identical to a build without the hooks.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.schemes.base import CacheScheme, DecisionKind
@@ -77,7 +76,6 @@ from repro.ndn.pit import Pit, PitEntry
 from repro.ndn.strategy import CachingStrategy
 from repro.sim.engine import Engine
 from repro.sim.monitor import Monitor
-from repro.sim.profiling import state as _prof
 
 #: Per-reason Nack counter names, precomputed so the Nack hot path pays a
 #: dict lookup, not string formatting.  The flood detector needs the
@@ -198,14 +196,6 @@ class Forwarder:
     # ------------------------------------------------------------------
     def receive_interest(self, interest: Interest, face: Face) -> None:
         """Process an interest arriving on ``face``."""
-        if _prof.enabled:
-            t0 = perf_counter()
-            self._receive_interest(interest, face)
-            _prof.add("forwarder.interest", perf_counter() - t0)
-        else:
-            self._receive_interest(interest, face)
-
-    def _receive_interest(self, interest: Interest, face: Face) -> None:
         if not self.up:
             self.monitor.count("down_dropped_interest")
             return
@@ -378,14 +368,6 @@ class Forwarder:
     # ------------------------------------------------------------------
     def receive_data(self, data: Data, face: Face) -> None:
         """Process a content object arriving on ``face``."""
-        if _prof.enabled:
-            t0 = perf_counter()
-            self._receive_data(data, face)
-            _prof.add("forwarder.data", perf_counter() - t0)
-        else:
-            self._receive_data(data, face)
-
-    def _receive_data(self, data: Data, face: Face) -> None:
         if not self.up:
             self.monitor.count("down_dropped_data")
             return
@@ -515,7 +497,7 @@ class Forwarder:
     # Observability
     # ------------------------------------------------------------------
     def stats_summary(self) -> Dict[str, float]:
-        """Per-router overload observables, also pushed as monitor gauges.
+        """Per-router overload observables.
 
         Keys cover the PIT (size/peak/capacity, drops, preemptions), the
         Nack plane, admission control, and the CS (size/capacity,
@@ -550,8 +532,6 @@ class Forwarder:
         for counters in (_NACK_IN_COUNTERS, _NACK_OUT_COUNTERS):
             for key in counters.values():
                 summary[key] = float(self.monitor.counter(key))
-        for key, value in summary.items():
-            self.monitor.set_gauge(key, value)
         return summary
 
     # ------------------------------------------------------------------

@@ -27,9 +27,6 @@ import numpy as np
 from repro.ndn.errors import TopologyError
 from repro.ndn.packets import Data, Interest, Nack
 from repro.ndn.wire import fast_wire_size
-from repro.sim.profiling import state as _prof
-
-from time import perf_counter
 
 if TYPE_CHECKING:  # typing only: keep ndn importable without repro.faults
     from repro.faults.loss import LossModel
@@ -285,14 +282,6 @@ class Link:
         rides the engine's fire-and-forget lane (deliveries are never
         cancelled), so a forwarded packet allocates no :class:`Event`.
         """
-        if _prof.enabled:
-            t0 = perf_counter()
-            self._transmit(packet, from_face)
-            _prof.add("link.transmit", perf_counter() - t0)
-        else:
-            self._transmit(packet, from_face)
-
-    def _transmit(self, packet, from_face: Face) -> None:
         if from_face is self.face_a:
             to_face = self.face_b
         elif from_face is self.face_b:

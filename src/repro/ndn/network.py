@@ -273,8 +273,7 @@ class Network:
     def router_summaries(self) -> Dict[str, Dict[str, float]]:
         """Per-router overload observables (PIT/CS sizes, drops, Nacks).
 
-        Calls each forwarder's :meth:`~repro.ndn.forwarder.Forwarder.stats_summary`,
-        which also pushes the values as gauges on the router's monitor.
+        One :meth:`~repro.ndn.forwarder.Forwarder.stats_summary` per router.
         """
         return {
             name: router.stats_summary()

@@ -27,8 +27,8 @@ topology+workload pair runs on either engine through
 :func:`repro.sim.batch.run_scripts` (``kernel="reference"`` or
 ``"batch"``) with bit-identical
 :class:`~repro.sim.batch.script.TopologyObservables`.  The perf
-ledger's ``sim_packet`` workload times them; ``repro-experiments
-profile sim-core-*`` profiles them.
+ledger's ``sim_packet`` workload times them, and with ``--trace 1``
+attributes the time per layer.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.sim.errors import (
     SimulationError,
 )
 from repro.sim.events import Event, EventState, Signal
-from repro.sim.monitor import Monitor, Sample, SeriesSummary
+from repro.sim.monitor import Monitor
 from repro.sim.process import TIMED_OUT, Process, Timeout, WaitSignal
 from repro.sim.rng import RngRegistry
 
@@ -28,8 +28,6 @@ __all__ = [
     "WaitSignal",
     "TIMED_OUT",
     "Monitor",
-    "Sample",
-    "SeriesSummary",
     "RngRegistry",
     "SimulationError",
     "ClockError",

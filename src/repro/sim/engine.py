@@ -27,10 +27,8 @@ same-timestamp events fire in exact insertion order regardless of lane.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim import profiling
 from repro.sim.errors import ClockError, SimulationError
 from repro.sim.events import Event, EventState
 
@@ -158,7 +156,6 @@ class Engine:
         queue = self._queue
         heappop = heapq.heappop
         fired = EventState.FIRED
-        prof = profiling.state
         purge = self._purge_cancelled
         try:
             while True:
@@ -182,12 +179,7 @@ class Engine:
                 if event is not None:
                     event.state = fired
                 self._pending -= 1
-                if prof.enabled:
-                    t0 = perf_counter()
-                    entry[2](*entry[3])
-                    prof.add("engine.callback", perf_counter() - t0)
-                else:
-                    entry[2](*entry[3])
+                entry[2](*entry[3])
                 self._events_processed += 1
                 executed += 1
         finally:

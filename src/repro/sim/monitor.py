@@ -1,36 +1,23 @@
-"""Measurement instruments: counters, gauges, time-series samples, RTT tallies.
+"""Named event counters.
 
-The attack and replay harnesses record observations through a
-:class:`Monitor` rather than printing or mutating globals, so experiments
-can post-process raw samples (e.g. build the PDF histograms of Figure 3).
+Forwarders, applications and the deployment daemon count what happens to
+them (``interest_in``, ``cs_hit``, ``nack_out`` ...) through a
+:class:`Monitor` rather than printing or mutating globals; experiments,
+the invariant checker and the daemon's ``stats`` command read the totals.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
-
-
-@dataclass
-class Sample:
-    """One timestamped scalar observation."""
-
-    time: float
-    value: float
+from typing import Dict
 
 
 class Monitor:
-    """Collects named counters, point-in-time gauges, and sample series."""
+    """Collects named counters."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = defaultdict(int)
-        self._series: Dict[str, List[Sample]] = defaultdict(list)
-        self._gauges: Dict[str, float] = {}
 
-    # -- counters ------------------------------------------------------
     def count(self, name: str, increment: int = 1) -> None:
         """Increment the counter ``name``."""
         self._counters[name] += increment
@@ -43,83 +30,3 @@ class Monitor:
     def counters(self) -> Dict[str, int]:
         """Snapshot of all counters."""
         return dict(self._counters)
-
-    # -- gauges ---------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set the point-in-time gauge ``name`` (overwrites)."""
-        self._gauges[name] = float(value)
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        """Current value of gauge ``name`` (``default`` if never set)."""
-        return self._gauges.get(name, default)
-
-    @property
-    def gauges(self) -> Dict[str, float]:
-        """Snapshot of all gauges."""
-        return dict(self._gauges)
-
-    # -- sample series --------------------------------------------------
-    def record(self, name: str, time: float, value: float) -> None:
-        """Append one observation to series ``name``."""
-        self._series[name].append(Sample(time, value))
-
-    def series(self, name: str) -> List[Sample]:
-        """All samples recorded under ``name`` (possibly empty)."""
-        return list(self._series[name])
-
-    def values(self, name: str) -> np.ndarray:
-        """Values of series ``name`` as a float array."""
-        return np.array([s.value for s in self._series[name]], dtype=float)
-
-    def times(self, name: str) -> np.ndarray:
-        """Timestamps of series ``name`` as a float array."""
-        return np.array([s.time for s in self._series[name]], dtype=float)
-
-    @property
-    def series_names(self) -> List[str]:
-        """Names of all non-empty series (sorted)."""
-        return sorted(k for k, v in self._series.items() if v)
-
-    # -- convenience ----------------------------------------------------
-    def summary(self, name: str) -> "SeriesSummary":
-        """Mean/std/min/max/count summary of series ``name``."""
-        vals = self.values(name)
-        if vals.size == 0:
-            return SeriesSummary(name=name, count=0, mean=float("nan"),
-                                 std=float("nan"), minimum=float("nan"),
-                                 maximum=float("nan"))
-        return SeriesSummary(
-            name=name,
-            count=int(vals.size),
-            mean=float(vals.mean()),
-            std=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            minimum=float(vals.min()),
-            maximum=float(vals.max()),
-        )
-
-    def merge(self, other: "Monitor") -> None:
-        """Fold another monitor's counters and series into this one."""
-        for name, value in other._counters.items():
-            self._counters[name] += value
-        for name, samples in other._series.items():
-            self._series[name].extend(samples)
-        # Gauges are point-in-time: the merged-in snapshot wins.
-        self._gauges.update(other._gauges)
-
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Descriptive statistics of one sample series."""
-
-    name: str
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.name}: n={self.count} mean={self.mean:.4f} "
-            f"std={self.std:.4f} min={self.minimum:.4f} max={self.maximum:.4f}"
-        )

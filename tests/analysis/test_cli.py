@@ -101,6 +101,11 @@ class TestUtilityCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_profile_command_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "fig3a_lan"])
+        assert exit_info.value.code == 2
+
 
 class TestValidateCommand:
     CHECKS = (

@@ -12,6 +12,18 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _trace_cache_in_tmp(tmp_path_factory):
+    """Keep the suite's trace cache out of ``$HOME``: no stale or foreign
+    entry is served to a test, and none is left behind.  A test that sets
+    ``REPRO_TRACE_CACHE`` itself still wins."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("trace-cache"))
+        )
+        yield
+
+
 @pytest.fixture
 def engine() -> Engine:
     """A fresh simulation engine starting at t=0."""

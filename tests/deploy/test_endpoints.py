@@ -191,6 +191,34 @@ def test_unsolicited_data_counted():
     asyncio.run(scenario())
 
 
+def test_cancelled_fetch_withdraws_its_nonce():
+    async def scenario():
+        engine, consumer, upstream = await consumer_rig()
+        try:
+            tasks = [
+                asyncio.ensure_future(consumer.fetch(f"/a/{i}")) for i in range(3)
+            ]
+            await settle(lambda: len(upstream.interests) == 3)
+            assert consumer.pending_count == 3
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            assert all(task.cancelled() for task in tasks)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(consumer.fetch("/a/slow"), 0.01)
+            assert consumer.pending_count == 0
+            assert not consumer._by_nonce and not consumer._by_name
+            # Data for a cancelled fetch finds no waiter.
+            upstream.face.send_data(Data(name=Name.parse("/a/0")))
+            await settle(lambda: consumer.unsolicited_data == 1)
+            assert consumer.fetches_ok == 0
+        finally:
+            await consumer.close()
+            await upstream.face.close()
+
+    asyncio.run(scenario())
+
+
 def test_prefix_interest_resolved_by_longer_data_name():
     async def scenario():
         engine, consumer, upstream = await consumer_rig()

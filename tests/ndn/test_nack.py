@@ -303,7 +303,7 @@ class TestConsumerBackoff:
 
 
 class TestStatsSummary:
-    def test_summary_mirrors_state_and_pushes_gauges(self, engine):
+    def test_summary_mirrors_state(self, engine):
         router, consumer, c_face = build(
             engine, SilentProducer(), pit=Pit(capacity=2, overflow="drop-new")
         )
@@ -315,8 +315,10 @@ class TestStatsSummary:
         assert summary["pit_capacity"] == 2.0
         assert summary["pit_overflow_dropped"] == 1.0
         assert summary["nack_out"] == 1.0
-        for key, value in summary.items():
-            assert router.monitor.gauge(key) == value
+        # Pure: reading the summary twice changes nothing.
+        counters = router.monitor.counters
+        assert router.stats_summary() == summary
+        assert router.monitor.counters == counters
 
     def test_unbounded_tables_report_infinite_capacity(self, engine):
         router = Forwarder(engine, "R")

@@ -1,10 +1,6 @@
-"""Unit tests for the measurement monitor."""
+"""Unit tests for the counter monitor."""
 
 from __future__ import annotations
-
-import math
-
-import pytest
 
 from repro.sim.monitor import Monitor
 
@@ -24,92 +20,3 @@ class TestCounters:
         m.count("a")
         m.count("b", 5)
         assert m.counters == {"a": 1, "b": 5}
-
-
-class TestSeries:
-    def test_record_and_values(self):
-        m = Monitor()
-        m.record("rtt", 1.0, 3.5)
-        m.record("rtt", 2.0, 4.5)
-        assert list(m.values("rtt")) == [3.5, 4.5]
-        assert list(m.times("rtt")) == [1.0, 2.0]
-
-    def test_series_names_only_nonempty(self):
-        m = Monitor()
-        m.record("x", 0.0, 1.0)
-        assert m.series_names == ["x"]
-
-    def test_summary_statistics(self):
-        m = Monitor()
-        for v in (1.0, 2.0, 3.0):
-            m.record("s", 0.0, v)
-        summary = m.summary("s")
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.std == pytest.approx(1.0)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 3.0
-
-    def test_summary_of_empty_series(self):
-        summary = Monitor().summary("missing")
-        assert summary.count == 0
-        assert math.isnan(summary.mean)
-
-    def test_summary_single_sample_zero_std(self):
-        m = Monitor()
-        m.record("one", 0.0, 5.0)
-        assert m.summary("one").std == 0.0
-
-    def test_summary_str_contains_stats(self):
-        m = Monitor()
-        m.record("s", 0.0, 1.0)
-        text = str(m.summary("s"))
-        assert "s:" in text and "n=1" in text
-
-
-class TestMerge:
-    def test_merge_combines_counters_and_series(self):
-        a, b = Monitor(), Monitor()
-        a.count("hits", 2)
-        b.count("hits", 3)
-        b.count("misses")
-        a.record("rtt", 0.0, 1.0)
-        b.record("rtt", 1.0, 2.0)
-        a.merge(b)
-        assert a.counter("hits") == 5
-        assert a.counter("misses") == 1
-        assert list(a.values("rtt")) == [1.0, 2.0]
-
-
-class TestGauges:
-    def test_gauge_defaults_when_never_set(self):
-        m = Monitor()
-        assert m.gauge("pit_size") == 0.0
-        assert m.gauge("pit_size", default=7.5) == 7.5
-
-    def test_set_gauge_overwrites(self):
-        m = Monitor()
-        m.set_gauge("pit_size", 3)
-        m.set_gauge("pit_size", 5.0)
-        assert m.gauge("pit_size") == 5.0
-
-    def test_set_gauge_coerces_to_float(self):
-        m = Monitor()
-        m.set_gauge("cs_size", 4)
-        assert isinstance(m.gauge("cs_size"), float)
-
-    def test_gauges_snapshot_is_a_copy(self):
-        m = Monitor()
-        m.set_gauge("a", 1.0)
-        snapshot = m.gauges
-        snapshot["a"] = 99.0
-        assert m.gauge("a") == 1.0
-
-    def test_merge_latest_snapshot_wins(self):
-        a, b = Monitor(), Monitor()
-        a.set_gauge("pit_size", 1.0)
-        a.set_gauge("only_a", 2.0)
-        b.set_gauge("pit_size", 9.0)
-        a.merge(b)
-        assert a.gauge("pit_size") == 9.0
-        assert a.gauge("only_a") == 2.0
