@@ -27,11 +27,12 @@ with its shards memory-mapped from files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ndn.name import Name
+from repro.workload.marking import ContentMarking
 
 #: :class:`TraceShard` column -> dtype.
 COLUMNS = (
@@ -85,7 +86,11 @@ def _whole_column(column: str, doc: str) -> property:
 
 
 class CompiledTrace:
-    """A trace interned to dense integer content ids (replay fast path)."""
+    """A trace interned to dense integer content ids (replay fast path).
+
+    Immutable (:meth:`Trace.compile` hands out a new object after an
+    append), so :meth:`content_coins` memoizes with nothing to invalidate.
+    """
 
     def __init__(
         self, names: Sequence[Name], shards: Sequence[TraceShard] = ()
@@ -93,6 +98,8 @@ class CompiledTrace:
         #: ``names[content_id]`` -> the interned :class:`Name`.
         self.names = names
         self._shards = tuple(shards)
+        #: (salt, coin column) of the last salt asked for: 8 B x n_names.
+        self._coins: Optional[Tuple[str, np.ndarray]] = None
 
     @property
     def n_requests(self) -> int:
@@ -122,6 +129,14 @@ class CompiledTrace:
     def iter_uris(self) -> Iterator[str]:
         """The name table as URI strings, in content-id order."""
         return map(str, self.names)
+
+    def content_coins(self, rule: ContentMarking) -> np.ndarray:
+        """``rule.coin(uri)`` per content id: one sha256 pass over the
+        name table per salt, shared by every fraction swept over it."""
+        salt = str(rule.salt)
+        if self._coins is None or self._coins[0] != salt:
+            self._coins = (salt, rule.coins(self.iter_uris()))
+        return self._coins[1]
 
     def _whole(self) -> TraceShard:
         """Every request as one shard: the only shard itself when there

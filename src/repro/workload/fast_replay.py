@@ -15,7 +15,7 @@ magnitude faster:
 * LRU/FIFO recency is an array-backed intrusive doubly-linked list with
   O(1) touch/evict, inlined into the loop,
 * privacy marking is precompiled to a flat flag list (one hash per
-  *unique* name for :class:`ContentMarking` instead of one per request),
+  *unique* name per trace for :class:`ContentMarking`, not one per request),
 * scheme decisions dispatch to int-keyed
   :class:`~repro.core.schemes.base.SchemeKernel` state machines that
   consume the scheme's RNG in exactly the reference order.
@@ -47,7 +47,12 @@ from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.ndn.errors import CacheError
 from repro.ndn.replacement import POLICIES, IntKeyedLfu, IntKeyedRandom
 from repro.workload.compiled import CompiledTrace
-from repro.workload.marking import ContentMarking, MarkingRule, NoMarking
+from repro.workload.marking import (
+    ContentMarking,
+    MarkingRule,
+    NoMarking,
+    RequestMarking,
+)
 from repro.workload.replay import ReplayStats, replay
 from repro.workload.trace import Trace
 
@@ -257,34 +262,34 @@ def _spans(
     """Yield (content ids, consumer privacy bits) per shard.
 
     Bit-identical to calling ``rule.is_private(name, index)`` per request
-    in trace order: per-content rules are evaluated once per *unique*
-    name and broadcast; anything else (e.g. :class:`RequestMarking`,
-    whose RNG draws must happen in request order) is evaluated per
-    request, with the shard's occurrence column as ``index``.
+    in trace order.  The shipped rules, matched by exact type (a subclass
+    may override ``is_private``), are array work: :class:`ContentMarking`
+    compares the trace's memoized coin column (one hash per name per
+    trace and salt) with its threshold, :class:`RequestMarking` draws one
+    block per shard.  Anything else is evaluated per request, with the
+    shard's occurrence column as ``index``.
     """
     per_name = None
     names: Sequence = ()
-    if isinstance(rule, ContentMarking):
-        # URI-keyed fast path: mark straight off the name table without
-        # constructing Name objects (str(name) IS the uri).
-        per_name = np.fromiter(
-            (rule.is_private_uri(uri) for uri in compiled.iter_uris()),
-            dtype=bool,
-            count=compiled.n_names,
-        )
+    if type(rule) is ContentMarking:
+        if 0.0 < rule.fraction < 1.0:
+            per_name = compiled.content_coins(rule) < rule.fraction
+        else:
+            per_name = np.full(compiled.n_names, rule.fraction >= 1.0)
     elif rule.uses_name:
         # Generic name-dependent rules need real Name objects per
         # request; materialize the vocabulary once (O(n_names), still
-        # independent of trace length).  Name-blind rules (e.g.
-        # RequestMarking's per-request coin) skip even that.
+        # independent of trace length).  Name-blind rules skip even that.
         names = list(compiled.names)
     is_private = rule.is_private
     for shard in compiled.iter_shards():
         ids = shard.ids.tolist()
-        if isinstance(rule, NoMarking):
+        if type(rule) is NoMarking:
             flags: Sequence[bool] = [False] * len(ids)
         elif per_name is not None:
             flags = per_name[shard.ids].tolist()
+        elif type(rule) is RequestMarking:
+            flags = rule.draw(len(ids)).tolist()
         elif rule.uses_request_index:
             occurrence = shard.occurrence.tolist()
             if rule.uses_name:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +45,11 @@ class MarkingRule(abc.ABC):
 
 
 class ContentMarking(MarkingRule):
-    """Per-content marking: a stable fraction of names is always private."""
+    """Per-content marking: a stable fraction of names is always private.
+
+    A name's :meth:`coin` depends on ``(salt, uri)`` only; ``fraction`` is
+    the threshold, so one :meth:`coins` column serves every fraction swept.
+    """
 
     uses_request_index = False
 
@@ -58,23 +63,31 @@ class ContentMarking(MarkingRule):
         return self.is_private_uri(str(name))
 
     def is_private_uri(self, uri: str) -> bool:
-        """The same stable coin keyed directly on the URI string.
-
-        ``str(name)`` IS the URI, so this is bit-identical to
-        :meth:`is_private` — streaming replay uses it to mark a
-        million-name table without constructing a single :class:`Name`.
-        """
+        """The rule on ``str(name)``: the scalar definition :meth:`coins` must equal."""
         if self.fraction <= 0.0:
             return False
         if self.fraction >= 1.0:
             return True
+        return self.coin(uri) < self.fraction
+
+    def coin(self, uri: str) -> float:
+        """The name's stable coin in [0, 1]: private iff below ``fraction``."""
         digest = hashlib.sha256(f"{self.salt}|{uri}".encode("utf-8")).digest()
-        value = int.from_bytes(digest[:8], "big") / 2**64
-        return value < self.fraction
+        return int.from_bytes(digest[:8], "big") / 2**64
+
+    def coins(self, uris: Iterable[str]) -> np.ndarray:
+        """:meth:`coin` of every URI as one ``float64`` column, bit for bit
+        (uint64 -> float64 rounds to nearest-even as ``int / 2**64`` does)."""
+        prefix = f"{self.salt}|"
+        raw = bytearray()
+        for uri in uris:
+            raw += hashlib.sha256((prefix + uri).encode("utf-8")).digest()[:8]
+        return np.frombuffer(raw, dtype=">u8").astype(np.float64) / 2**64
 
 
 class RequestMarking(MarkingRule):
-    """Per-request marking: each request flips an independent coin."""
+    """Per-request marking: each request flips an independent coin, drawn
+    in request order — one per :meth:`is_private` or a block per :meth:`draw`."""
 
     uses_request_index = False
     uses_name = False
@@ -87,6 +100,11 @@ class RequestMarking(MarkingRule):
 
     def is_private(self, name: Name, request_index: int) -> bool:
         return bool(self._rng.random() < self.fraction)
+
+    def draw(self, count: int) -> np.ndarray:
+        """The next ``count`` flags at once: the same coins, and the same
+        generator state afterwards, as ``count`` :meth:`is_private` calls."""
+        return self._rng.random(count) < self.fraction
 
 
 class NoMarking(MarkingRule):

@@ -278,9 +278,15 @@ class LazyNameTable(Sequence[Name]):
         return self._count
 
     def iter_uris(self) -> Iterator[str]:
+        """The table's lines; raises at the end unless it read ``len(self)``."""
+        found = 0
         with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for found, line in enumerate(handle, start=1):
                 yield line.rstrip("\n")
+        if found != self._count:
+            raise ShardIntegrityError(
+                f"{self.path}: expected {self._count} names, found {found}"
+            )
 
     def __iter__(self) -> Iterator[Name]:
         for uri in self.iter_uris():
@@ -289,11 +295,6 @@ class LazyNameTable(Sequence[Name]):
     def _load(self) -> List[str]:
         if self._uris is None:
             self._uris = list(self.iter_uris())
-            if len(self._uris) != self._count:
-                raise ShardIntegrityError(
-                    f"{self.path}: expected {self._count} names, "
-                    f"found {len(self._uris)}"
-                )
         return self._uris
 
     def __getitem__(self, index):  # type: ignore[override]

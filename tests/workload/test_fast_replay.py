@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes.always_delay import AlwaysDelayScheme
 from repro.core.schemes.exponential import ExponentialRandomCache
@@ -20,8 +21,9 @@ from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
+from repro.ndn.name import Name
 from repro.workload.compiled import CompiledTrace, TraceShard
-from repro.workload.fast_replay import fast_replay
+from repro.workload.fast_replay import _spans, fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import (
     ContentMarking,
@@ -32,7 +34,7 @@ from repro.workload.marking import (
 from repro.workload.replay import replay
 from repro.workload.sharded import compile_stream
 from repro.workload.streaming import TraceWorkload
-from repro.workload.trace import Trace
+from repro.workload.trace import Request, Trace
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,28 @@ class ThirdRequestOnwards(MarkingRule):
 
     def is_private(self, name, request_index):
         return request_index >= 2
+
+
+class InvertedContentMarking(ContentMarking):
+    """Overrides ``is_private`` on a shipped rule: the array path keyed on
+    the parent's coin would silently ignore this."""
+
+    def is_private(self, name, request_index):
+        return not super().is_private(name, request_index)
+
+
+class BestOfTwoRequestMarking(RequestMarking):
+    """Two generator draws per request: a block draw of one per request
+    would mark differently and leave the generator elsewhere."""
+
+    def is_private(self, name, request_index):
+        first = super().is_private(name, request_index)
+        return super().is_private(name, request_index) or first
+
+
+class EverythingPrivate(NoMarking):
+    def is_private(self, name, request_index):
+        return True
 
 
 def _run_both(trace, scheme_key, marking_key, **kwargs):
@@ -224,6 +248,10 @@ REPRESENTATION_GRID = [
     ("exponential", marking_key, policy)
     for policy in ("fifo", "lfu", "random")
     for marking_key in ("content", "odd-repeat", "request", "third-on")
+] + [
+    # Subclasses that override is_private: exact-type dispatch or drift.
+    ("exponential", marking_key, "lru")
+    for marking_key in ("content-subclass", "none-subclass", "request-subclass")
 ]
 
 
@@ -238,6 +266,9 @@ def test_every_representation_replays_like_the_oracle(
         **MARKING_FACTORIES,
         "odd-repeat": OddRepeatOfEvenName,
         "third-on": ThirdRequestOnwards,
+        "content-subclass": lambda: InvertedContentMarking(0.3, salt=7),
+        "none-subclass": EverythingPrivate,
+        "request-subclass": lambda: BestOfTwoRequestMarking(0.3, seed=7),
     }
 
     def run(engine, workload):
@@ -254,3 +285,101 @@ def test_every_representation_replays_like_the_oracle(
     assert expected.private_requests > 0 or marking_key == "none"
     got = {label: run(fast_replay, held) for label, held in representations.items()}
     assert got == dict.fromkeys(representations, expected)
+
+
+# ----------------------------------------------------------------------
+# Where flags are made: the per-trace coin memo and the block draw
+# ----------------------------------------------------------------------
+def _flags(rule, held: CompiledTrace):
+    return [flag for _, flags in _spans(rule, held) for flag in flags]
+
+
+def _oracle_flags(rule, compiled: CompiledTrace):
+    """One ``is_private`` call per request, as ``replay()`` makes them."""
+    names = compiled.names
+    return [
+        rule.is_private(names[cid], occ)
+        for cid, occ in zip(compiled.ids.tolist(), compiled.occurrence_index.tolist())
+    ]
+
+
+SALTS = st.integers(min_value=-(2**31), max_value=2**63)
+FRACTIONS = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(salt=SALTS, fraction=FRACTIONS, on_a_coin=st.one_of(st.none(), st.integers(0)))
+def test_content_flags_equal_is_private_per_request(
+    trace, representations, salt, fraction, on_a_coin
+):
+    """Any salt, any fraction — 0, 1 and exactly one name's coin, where
+    ``<`` must stay strict — however the trace is cut.  The module-wide
+    representations keep their memo across examples, so salts arrive in
+    arbitrary order on top of whatever column the last example left."""
+    compiled = trace.compile()
+    if on_a_coin is not None:
+        name = compiled.names[on_a_coin % compiled.n_names]
+        fraction = ContentMarking(0.5, salt=salt).coin(str(name))
+        assert not ContentMarking(fraction, salt=salt).is_private(name, 0)
+    expected = _oracle_flags(ContentMarking(fraction, salt=salt), compiled)
+    for label, held in representations.items():
+        if label != "trace":
+            assert _flags(ContentMarking(fraction, salt=salt), held) == expected, label
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    salts=st.lists(SALTS, min_size=2, max_size=2, unique=True),
+    fractions=st.lists(FRACTIONS, min_size=2, max_size=2),
+    n_shards=st.sampled_from([1, 2, 7]),
+)
+def test_coin_memo_is_one_column_and_leaks_no_threshold(
+    trace, salts, fractions, n_shards
+):
+    held = _recut(trace.compile(), n_shards)  # a new object: no memo yet
+    low, high = (ContentMarking(fraction, salt=salts[0]) for fraction in fractions)
+    # Two thresholds over one salt, each before and after the other.
+    for rule in (low, high, low):
+        assert _flags(rule, held) == _oracle_flags(rule, held)
+    column = held.content_coins(low)
+    assert held.content_coins(high) is column
+    # A second salt is right and takes the one slot ...
+    other = ContentMarking(fractions[0], salt=salts[1])
+    assert _flags(other, held) == _oracle_flags(other, held)
+    assert held.content_coins(other) is not column
+    # ... so the first salt is hashed again, to the same column.
+    again = held.content_coins(high)
+    assert again is not column
+    assert again.tobytes() == column.tobytes()
+    assert _flags(high, held) == _oracle_flags(high, held)
+
+
+def test_recompiled_trace_does_not_see_the_old_coin_column(trace):
+    grown = Trace(list(trace)[:200])
+    rule = ContentMarking(0.4, salt=3)
+    before = grown.compile()
+    assert _flags(rule, before) == _oracle_flags(rule, before)
+    grown.append(Request(trace[199].time, 0, Name.parse("/not/seen/before")))
+    after = grown.compile()
+    assert after is not before and after.n_names == before.n_names + 1
+    assert len(after.content_coins(rule)) == after.n_names
+    assert _flags(rule, after) == _oracle_flags(rule, after)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    fraction=FRACTIONS,
+    label=st.sampled_from(["in-ram x1", "in-ram x2", "in-ram x7", "mmap x5"]),
+)
+def test_request_marking_block_draw_leaves_the_oracles_generator_state(
+    trace, representations, seed, fraction, label
+):
+    ours, theirs = (RequestMarking(fraction, seed=seed) for _ in range(2))
+    expected = replay(trace, marking=theirs, cache_size=250)
+    got = fast_replay(representations[label], marking=ours, cache_size=250)
+    assert got == expected
+    # No over-draw: whatever is replayed next sees the same coins.
+    assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state

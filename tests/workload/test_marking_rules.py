@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ndn.name import Name
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
@@ -42,6 +44,24 @@ class TestContentMarking:
         with pytest.raises(ValueError):
             ContentMarking(-0.1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        salt=st.integers(),
+        fraction=st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+        ),
+        uris=st.lists(st.text(max_size=40), max_size=300),
+    )
+    def test_coin_column_is_the_scalar_coin_bit_for_bit(self, salt, fraction, uris):
+        """``coins`` converts its digests in bulk (big-endian uint64 ->
+        float64 -> / 2**64): every value must be the Python-int division
+        ``coin`` makes, so ``coins < fraction`` is ``is_private_uri``."""
+        rule = ContentMarking(fraction, salt=salt)
+        column = rule.coins(iter(uris))
+        assert column.dtype == np.float64 and column.shape == (len(uris),)
+        assert column.tolist() == [rule.coin(uri) for uri in uris]
+        assert (column < fraction).tolist() == [rule.is_private_uri(u) for u in uris]
+
 
 class TestRequestMarking:
     def test_fraction_approximated(self):
@@ -59,6 +79,22 @@ class TestRequestMarking:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             RequestMarking(2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        blocks=st.lists(st.integers(min_value=0, max_value=300), max_size=5),
+    )
+    def test_block_draw_is_the_scalar_draws_in_order(self, seed, fraction, blocks):
+        one_by_one = RequestMarking(fraction, seed=seed)
+        in_blocks = RequestMarking(fraction, seed=seed)
+        for count in blocks:
+            expected = [one_by_one.is_private(None, 0) for _ in range(count)]
+            assert in_blocks.draw(count).tolist() == expected
+        assert (
+            in_blocks._rng.bit_generator.state == one_by_one._rng.bit_generator.state
+        )
 
 
 class TestNoMarking:

@@ -116,6 +116,37 @@ def test_corrupted_name_table_detected(tmp_path):
         ShardedCompiledTrace.open(tmp_path).verify()
 
 
+@pytest.mark.parametrize("extra", [-3, 1], ids=["truncated", "over-long"])
+def test_name_table_of_the_wrong_length_fails_closed_unverified(tmp_path, extra):
+    """Pooled workers ``open()`` without ``verify()``, so the coin pass is
+    the first reader of ``names.tsv``: a short table must not surface as
+    numpy's ValueError, nor a long one's tail be ignored."""
+    compile_stream(IrcacheGenerator(_config(800, seed=4)).stream(), tmp_path, 300)
+    names_path = tmp_path / "names.tsv"
+    intact = names_path.read_text(encoding="utf-8")
+    lines = intact.splitlines(keepends=True)
+
+    def run(sharded):
+        return fast_replay(
+            sharded, scheme=NoPrivacyScheme(), marking=ContentMarking(0.2, salt=1),
+            cache_size=64,
+        )  # fmt: skip
+
+    expected = run(ShardedCompiledTrace.open(tmp_path))
+    edited = lines[:extra] if extra < 0 else lines + ["/evil/extra\n"] * extra
+    names_path.write_text("".join(edited), encoding="utf-8")
+    sharded = ShardedCompiledTrace.open(tmp_path)
+    with pytest.raises(
+        ShardIntegrityError,
+        match=rf"names\.tsv: expected {len(lines)} names, found {len(edited)}$",
+    ):
+        run(sharded)
+    # No partial column was memoized: once the table is repaired the
+    # very same object replays right.
+    names_path.write_text(intact, encoding="utf-8")
+    assert run(sharded) == expected
+
+
 def test_open_rejects_missing_or_malformed_manifest(tmp_path):
     with pytest.raises(ShardIntegrityError, match="manifest"):
         ShardedCompiledTrace.open(tmp_path)
