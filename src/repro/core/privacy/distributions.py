@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -32,6 +32,11 @@ class FirstHitDistribution(abc.ABC):
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one threshold k_C."""
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
+        """What ``n`` :meth:`sample` calls would return, in order, and the
+        ``rng`` state they would leave; overrides make one generator call."""
+        return [self.sample(rng) for _ in range(n)]
 
     @abc.abstractmethod
     def pmf(self, r: int) -> float:
@@ -60,6 +65,9 @@ class UniformK(FirstHitDistribution):
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.K))
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
+        return rng.integers(self.K, size=n).tolist()
 
     def pmf(self, r: int) -> float:
         return 1.0 / self.K if 0 <= r < self.K else 0.0
@@ -104,6 +112,16 @@ class TruncatedGeometric(FirstHitDistribution):
         r = int(math.floor(math.log1p(-u) / math.log(self.alpha)))
         return min(r, self.K - 1)
 
+    def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
+        # sample()'s transform stays scalar: np.log1p and math.log1p differ
+        # in the last place on some inputs.  (K=None: _norm is 1.0, u * 1.0 is u.)
+        log_alpha, norm = math.log(self.alpha), self._norm
+        top = math.inf if self.K is None else self.K - 1
+        return [
+            min(int(math.floor(math.log1p(-(u * norm)) / log_alpha)), top)
+            for u in rng.random(n).tolist()
+        ]
+
     def pmf(self, r: int) -> float:
         if r < 0 or (self.K is not None and r >= self.K):
             return 0.0
@@ -140,6 +158,9 @@ class DegenerateK(FirstHitDistribution):
 
     def sample(self, rng: np.random.Generator) -> int:
         return self.k
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
+        return [self.k] * n
 
     def pmf(self, r: int) -> float:
         return 1.0 if r == self.k else 0.0

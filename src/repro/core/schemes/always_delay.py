@@ -42,4 +42,4 @@ class AlwaysDelayScheme(CacheScheme):
     def make_kernel(self, names: Sequence[Name]) -> Optional[SchemeKernel]:
         # Replay accounting depends only on the decision *kind*; the
         # artificial delay amount is charged by the replay loop itself.
-        return _ConstantKernel(FAST_DELAYED)
+        return _ConstantKernel(FAST_DELAYED, len(names))

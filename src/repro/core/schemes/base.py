@@ -92,49 +92,50 @@ class SchemeKernel(abc.ABC):
     A kernel sees content as dense integer ids (the interned trace
     vocabulary of :mod:`repro.workload.compiled`) instead of
     :class:`~repro.ndn.cs.CacheEntry` objects.  It must make *exactly* the
-    decisions its scheme would make on the reference replay path —
-    including consuming the scheme's RNG in the same order — so that
-    :func:`repro.workload.fast_replay.fast_replay` is bit-identical to
-    :func:`repro.workload.replay.replay`.
+    decisions its scheme makes on the reference path and leave the
+    scheme's RNG where that path leaves it, so that ``fast_replay`` and the
+    batch kernel stay bit-identical to ``replay()`` and the reference engine.
 
-    Lifecycle calls mirror the reference path: ``on_insert`` on every
-    cache insert, ``decide_private`` for each request whose *effective*
-    privacy is True, ``on_evict`` when the content leaves the cache.
-    Non-private requests for cached content are always observable hits
-    (the base :meth:`CacheScheme.on_request` contract), so the replay
-    loop never consults the kernel for them.
+    The two loops consult it only for content it can hold state for:
+    ``on_insert`` when content enters the cache *private*, ``decide_private``
+    for each request whose *effective* privacy is True (a public request for
+    cached content is a hit by the :meth:`CacheScheme.on_request` contract),
+    ``on_evict`` when content whose ``tracked`` byte is set leaves the cache,
+    and ``close`` once when the run ends, normally or by exception.  From its
+    first call until ``close`` a kernel owns the scheme's generator
+    exclusively (the batch compiler refuses one with a second holder): it
+    may draw ahead in blocks, and ``close`` hands it back in the state the
+    reference's scalar draws would have left.
     """
 
-    @abc.abstractmethod
-    def on_insert(self, content_id: int, private: bool) -> None:
-        """Content ``content_id`` entered the cache."""
+    tracked: Sequence[int]  #: one byte per content id, set while state is held
+
+    def on_insert(self, content_id: int) -> None:
+        """Privacy-marked content ``content_id`` entered the cache."""
 
     @abc.abstractmethod
     def decide_private(self, content_id: int) -> int:
         """Decision code (FAST_HIT/FAST_DELAYED/FAST_MISS) for a
         privacy-sensitive request matching cached ``content_id``."""
 
-    @abc.abstractmethod
     def on_evict(self, content_id: int) -> None:
-        """Content ``content_id`` left the cache."""
+        """Tracked content ``content_id`` left the cache."""
+
+    def close(self) -> None:
+        """The run is over: hand back whatever was drawn ahead."""
 
 
 class _ConstantKernel(SchemeKernel):
     """Kernel for stateless schemes that always answer the same decision."""
 
-    __slots__ = ("_code",)
+    __slots__ = ("_code", "tracked")
 
-    def __init__(self, code: int) -> None:
+    def __init__(self, code: int, n_names: int) -> None:
         self._code = code
-
-    def on_insert(self, content_id: int, private: bool) -> None:
-        pass
+        self.tracked = bytes(n_names)  # holds state for nothing
 
     def decide_private(self, content_id: int) -> int:
         return self._code
-
-    def on_evict(self, content_id: int) -> None:
-        pass
 
 
 class CacheScheme(abc.ABC):
@@ -147,6 +148,14 @@ class CacheScheme(abc.ABC):
 
     #: Human-readable scheme name used in reports and bench output.
     name: str = "abstract"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """A kernel restates its class's four decision methods: a subclass
+        overriding one without its own ``make_kernel`` gets no kernel."""
+        super().__init_subclass__(**kwargs)
+        methods = ("on_request", "decide_private", "on_insert", "on_evict")
+        if "make_kernel" not in vars(cls) and any(m in vars(cls) for m in methods):
+            cls.make_kernel = CacheScheme.make_kernel
 
     def on_request(self, entry: CacheEntry, private: bool, now: float) -> Decision:
         """Decide the response for a request matching cached ``entry``.

@@ -33,4 +33,4 @@ class NoPrivacyScheme(CacheScheme):
         return Decision.hit()
 
     def make_kernel(self, names: Sequence[Name]) -> Optional[SchemeKernel]:
-        return _ConstantKernel(FAST_HIT)
+        return _ConstantKernel(FAST_HIT, len(names))

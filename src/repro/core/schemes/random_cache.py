@@ -49,20 +49,27 @@ class _GroupState:
     members: int = 0
 
 
+_BLOCK = 128  #: thresholds a kernel draws per generator call
+
+
 class _RandomCacheKernel(SchemeKernel):
     """Int-keyed Algorithm 1 state over a precomputed content->group map.
 
     Group keys (names under :class:`NoGrouping`, prefixes or content ids
     otherwise) are interned to dense group ids once at construction; the
-    per-request path is then pure list indexing.  k_C draws consume the
-    scheme's own RNG at exactly the reference call sites (first private
-    membership of an inactive group), keeping the decision stream
-    bit-identical to :meth:`RandomCacheScheme.on_insert` /
-    :meth:`~RandomCacheScheme.decide_private`.
+    per-request path is then pure list indexing.  ``tracked[cid]`` is the
+    reference path's ``random_cache_group`` entry state: set while ``cid``
+    is a member of its (static) group ``_gid_of[cid]``.  k_C is *used* at
+    exactly the reference call sites (first private membership of a
+    memberless group) but *drawn* ``_BLOCK`` at a time, value for value
+    what the reference's scalar ``sample`` calls return; :meth:`close`
+    rewinds the scheme's generator to its state before the current block
+    and re-draws only the thresholds handed out, so it ends where
+    :meth:`RandomCacheScheme.on_insert` would leave it.
     """
 
-    __slots__ = ("_scheme", "_gid_of", "_k", "_c", "_members", "_active",
-                 "_member_gid")
+    __slots__ = ("_scheme", "_gid_of", "_k", "_c", "_members", "tracked",
+                 "_block", "_rewind")
 
     def __init__(self, scheme: "RandomCacheScheme", names: Sequence[Name]) -> None:
         self._scheme = scheme
@@ -82,43 +89,43 @@ class _RandomCacheKernel(SchemeKernel):
         self._k = [0] * groups
         self._c = [0] * groups
         self._members = [0] * groups
-        self._active = [False] * groups
-        #: Per-content group membership (-1 = none), mirroring the
-        #: ``random_cache_group`` entry scheme-state of the reference path.
-        self._member_gid = [-1] * n
+        self.tracked = bytearray(n)
+        self._block: List[int] = []  # drawn, not yet handed out; next one last
+        self._rewind: Optional[dict] = None  # generator state before _block
 
-    def on_insert(self, content_id: int, private: bool) -> None:
-        if not private:
-            return
+    def on_insert(self, content_id: int) -> None:
         gid = self._gid_of[content_id]
-        if not self._active[gid]:
-            self._active[gid] = True
-            self._k[gid] = self._scheme.distribution.sample(self._scheme.rng)
+        members = self._members[gid]
+        if not members:
+            if not self._block:
+                rng = self._scheme.rng
+                self._rewind = rng.bit_generator.state
+                self._block = self._scheme.distribution.sample_block(rng, _BLOCK)[::-1]
+            self._k[gid] = self._block.pop()
             self._c[gid] = 0
-            self._members[gid] = 0
-        self._members[gid] += 1
-        self._member_gid[content_id] = gid
+        self._members[gid] = members + 1
+        self.tracked[content_id] = 1
 
     def decide_private(self, content_id: int) -> int:
-        gid = self._member_gid[content_id]
-        if gid < 0:
+        if not self.tracked[content_id]:
             # Entry became private after a non-private insert (mirrors the
             # adoption branch of the reference decide_private).
-            self.on_insert(content_id, True)
-            gid = self._member_gid[content_id]
+            self.on_insert(content_id)
+        gid = self._gid_of[content_id]
         c = self._c[gid] + 1
         self._c[gid] = c
         return FAST_DELAYED if c <= self._k[gid] else FAST_HIT
 
     def on_evict(self, content_id: int) -> None:
-        gid = self._member_gid[content_id]
-        if gid < 0:
-            return
-        self._member_gid[content_id] = -1
-        members = self._members[gid] - 1
-        self._members[gid] = members
-        if members <= 0:
-            self._active[gid] = False
+        self.tracked[content_id] = 0
+        self._members[self._gid_of[content_id]] -= 1
+
+    def close(self) -> None:
+        if self._rewind is not None:
+            rng = self._scheme.rng
+            rng.bit_generator.state = self._rewind
+            self._scheme.distribution.sample_block(rng, _BLOCK - len(self._block))
+            self._rewind, self._block = None, []
 
 
 class RandomCacheScheme(CacheScheme):

@@ -467,17 +467,6 @@ def _compile_router(
     )
 
 
-def _scheme_kernel(router: Forwarder, names: List[Name]) -> SchemeKernel:
-    scheme = router.scheme
-    kernel = scheme.make_kernel(names)
-    if kernel is None:
-        raise BatchCompileError(
-            f"router {router.name}: scheme {type(scheme).__name__} "
-            f"provides no kernel"
-        )
-    return kernel
-
-
 def _class_next_hops(
     router: Forwarder, class_reps: List[Name], face_to_edge: Dict[int, int]
 ) -> List[Tuple[int, ...]]:
@@ -711,13 +700,32 @@ def compile_topology(
 
     scheme_owner: Dict[int, str] = {}
     compiled_routers = [_compile_router(r, scheme_owner) for r in routers]
+    # A scheme kernel draws k_C in blocks, so its generator may have no
+    # second holder (the reference interleaves consumers in event order).
+    drawn_by: Dict[int, str] = {}  # id(generator) -> router whose scheme holds it
+    for router in routers:
+        rng = getattr(router.scheme, "rng", None)
+        if rng is not None:
+            first = drawn_by.setdefault(id(rng), router.name)
+            shared = f"{first}'s scheme and {router.name}'s scheme"
+            _require(first == router.name, shared + " share one random generator")
+    for cr in compiled_routers:
+        for rng in (cr.policy_rng, cr.strategy_rng):
+            if id(rng) in drawn_by:
+                shared = f"{drawn_by[id(rng)]}'s scheme and {cr.name}'s policy/strategy"
+                raise BatchCompileError(shared + " share one random generator")
 
     # Everything above is per link or per router, so a network that
     # cannot lower is refused before any per-name work is spent on it.
     names, name_ids, name_class, class_reps = _intern_vocabulary(scripts, routers)
     class_hops: List[List[Tuple[int, ...]]] = []
     for router, compiled_router in zip(routers, compiled_routers):
-        compiled_router.kernel = _scheme_kernel(router, names)
+        compiled_router.kernel = kernel = router.scheme.make_kernel(names)
+        _require(
+            kernel is not None,
+            f"router {router.name}: scheme {type(router.scheme).__name__} "
+            f"provides no kernel",
+        )
         hops = _class_next_hops(router, class_reps, face_to_edge)
         compiled_router.next_hops = [hops[cid] for cid in name_class]
         class_hops.append(hops)

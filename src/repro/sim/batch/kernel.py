@@ -16,10 +16,10 @@ randomness is mirrored exactly:
 * **RNG draws** — link delays come from the link's own stream in transmit
   order; block draws with ``np.random.Generator`` are bit-identical to
   the reference's scalar draws, so delays are pre-drawn in chunks.
-  Scheme draws happen inside the shared
-  :class:`~repro.core.schemes.base.SchemeKernel` at the reference call
-  sites; random-replacement draws ride ``IntKeyedRandom`` on the policy's
-  own stream.
+  Scheme thresholds are drawn in blocks by the shared
+  :class:`~repro.core.schemes.base.SchemeKernel`, used at the reference
+  call sites and handed back on ``close()``; random-replacement draws
+  ride ``IntKeyedRandom`` on the policy's own stream.
 * **float arithmetic** — event times are built with the same operation
   order as the reference (e.g. a re-armed PIT timer fires at
   ``now + (expiry - now)``, *not* at ``expiry``).
@@ -151,6 +151,7 @@ def run_compiled(
     k_ins = [cr.kernel.on_insert for cr in ct.routers]
     k_dec = [cr.kernel.decide_private for cr in ct.routers]
     k_evi = [cr.kernel.on_evict for cr in ct.routers]
+    k_trk = [cr.kernel.tracked for cr in ct.routers]
     s_kind = [cr.strategy_kind for cr in ct.routers]
     s_param = [cr.strategy_param for cr in ct.routers]
     s_rng = [cr.strategy_rng for cr in ct.routers]
@@ -390,13 +391,15 @@ def run_compiled(
                         cached[victim] = 0
                         r_size[rid] -= 1
                         r_evict[rid] += 1  # freshness is unused: never stale
-                        k_evi[rid](victim)
+                        if k_trk[rid][victim]:
+                            k_evi[rid](victim)
                 cached[nid] = 1
                 r_size[rid] += 1
                 r_priv[rid][nid] = 1 if private else 0
                 r_fd[rid][nid] = fetch_delay
                 pol_insert[rid](nid)
-                k_ins[rid](nid, private)
+                if private:
+                    k_ins[rid](nid)
                 ctr[C_CS_INSERT] += 1
         # Fan out to every collapsed downstream face, in record order.
         oh_out = oh + 1 if track else oh
@@ -410,77 +413,81 @@ def run_compiled(
                 seq += 1
 
     # ---- main loop -----------------------------------------------------
-    for ci in range(n_cons):  # net.spawn in script order, all at t=0
-        advance(ci, 0.0)
+    try:
+        for ci in range(n_cons):  # net.spawn in script order, all at t=0
+            advance(ci, 0.0)
 
-    now = 0.0
-    events = 0
-    while True:
-        entry = pop()
-        if entry is None:
-            break
-        now = t = entry[0]
-        events += 1
-        kind = entry[2]
-        if kind == K_DI or kind == K_SI:
-            if kind == K_SI:  # the scheduled send fires: transmit now
-                send_interest(entry[3], t, entry[4], entry[5], entry[6])
-                continue
-            edge = entry[3]
-            dk = dest_kind[edge]
-            if dk == DEST_ROUTER:
-                router_interest(
-                    dest_idx[edge], edge, entry[4], entry[5], entry[6], t
-                )
-            elif dk == DEST_CONSUMER:
-                pass  # consumers do not serve content
-            else:
-                pid = dest_idx[edge]
+        now = 0.0
+        events = 0
+        while True:
+            entry = pop()
+            if entry is None:
+                break
+            now = t = entry[0]
+            events += 1
+            kind = entry[2]
+            if kind == K_DI or kind == K_SI:
+                if kind == K_SI:  # the scheduled send fires: transmit now
+                    send_interest(entry[3], t, entry[4], entry[5], entry[6])
+                    continue
+                edge = entry[3]
+                dk = dest_kind[edge]
+                if dk == DEST_ROUTER:
+                    router_interest(
+                        dest_idx[edge], edge, entry[4], entry[5], entry[6], t
+                    )
+                elif dk == DEST_CONSUMER:
+                    pass  # consumers do not serve content
+                else:
+                    pid = dest_idx[edge]
+                    nid = entry[4]
+                    if p_serve[pid][nid] == SERVE_DATA:
+                        delay = p_proc[pid]
+                        if delay > 0.0:
+                            push((t + delay, seq, K_SD, edge ^ 1, nid, 0))
+                            seq += 1
+                        else:
+                            send_data(edge ^ 1, t, nid, 0)
+            elif kind == K_DD:
+                edge = entry[3]
                 nid = entry[4]
-                if p_serve[pid][nid] == SERVE_DATA:
-                    delay = p_proc[pid]
-                    if delay > 0.0:
-                        push((t + delay, seq, K_SD, edge ^ 1, nid, 0))
+                dk = dest_kind[edge]
+                if dk == DEST_ROUTER:
+                    router_data(dest_idx[edge], nid, entry[5], t)
+                elif dk == DEST_CONSUMER:
+                    ci = script_of_entity[dest_idx[edge]]
+                    if ci >= 0 and c_out[ci] == nid:
+                        c_rtts[ci].append(t - c_sent[ci])
+                        cancel(c_tseq[ci])
+                        c_out[ci] = -1
+                        c_deliv[ci] += 1
+                        advance(ci, t)
+                    # else: unsolicited at the consumer (monitor-only)
+            elif kind == K_SD:
+                send_data(entry[3], t, entry[4], entry[5])
+            elif kind == K_PIT:
+                rid = entry[3]
+                nid = entry[4]
+                pit_entry = r_pit[rid].get(nid)
+                if pit_entry is not None:
+                    if pit_entry[0] > t:
+                        # A collapse extended the entry: re-arm for the
+                        # remainder (same float arithmetic as the reference).
+                        pit_entry[4] = seq
+                        push((t + (pit_entry[0] - t), seq, K_PIT, rid, nid))
                         seq += 1
                     else:
-                        send_data(edge ^ 1, t, nid, 0)
-        elif kind == K_DD:
-            edge = entry[3]
-            nid = entry[4]
-            dk = dest_kind[edge]
-            if dk == DEST_ROUTER:
-                router_data(dest_idx[edge], nid, entry[5], t)
-            elif dk == DEST_CONSUMER:
-                ci = script_of_entity[dest_idx[edge]]
-                if ci >= 0 and c_out[ci] == nid:
-                    c_rtts[ci].append(t - c_sent[ci])
-                    cancel(c_tseq[ci])
-                    c_out[ci] = -1
-                    c_deliv[ci] += 1
-                    advance(ci, t)
-                # else: unsolicited at the consumer (monitor-only)
-        elif kind == K_SD:
-            send_data(entry[3], t, entry[4], entry[5])
-        elif kind == K_PIT:
-            rid = entry[3]
-            nid = entry[4]
-            pit_entry = r_pit[rid].get(nid)
-            if pit_entry is not None:
-                if pit_entry[0] > t:
-                    # A collapse extended the entry: re-arm for the
-                    # remainder (same float arithmetic as the reference).
-                    pit_entry[4] = seq
-                    push((t + (pit_entry[0] - t), seq, K_PIT, rid, nid))
-                    seq += 1
-                else:
-                    del r_pit[rid][nid]
-                    r_ctr[rid][C_PIT_EXPIRED] += 1
-        elif kind == K_TO:
-            ci = entry[3]
-            c_out[ci] = -1  # fetch returns None; script continues inline
-            advance(ci, t)
-        else:  # K_SLEEP
-            advance(entry[3], t)
+                        del r_pit[rid][nid]
+                        r_ctr[rid][C_PIT_EXPIRED] += 1
+            elif kind == K_TO:
+                ci = entry[3]
+                c_out[ci] = -1  # fetch returns None; script continues inline
+                advance(ci, t)
+            else:  # K_SLEEP
+                advance(entry[3], t)
+    finally:
+        for cr in ct.routers:
+            cr.kernel.close()
 
     # ---- observables ---------------------------------------------------
     counter_names = COUNTER_NAMES

@@ -18,7 +18,7 @@ magnitude faster:
   *unique* name per trace for :class:`ContentMarking`, not one per request),
 * scheme decisions dispatch to int-keyed
   :class:`~repro.core.schemes.base.SchemeKernel` state machines that
-  consume the scheme's RNG in exactly the reference order.
+  leave the scheme's RNG exactly where the reference leaves it.
 
 There is one body.  A compiled trace is a name table plus an ordered
 sequence of column shards — one shard in RAM from ``Trace.compile()``,
@@ -125,6 +125,8 @@ class _ReplayCore:
         self.delay_total = 0.0
 
     def run_span(self, ids: Sequence[int], flags: Sequence[bool]) -> None:
+        """Replay one span, consulting the scheme kernel only for private
+        inserts, private requests and evictions of content it tracks."""
         # Hot loop: hoist all state into locals, write counters back once.
         cached = self.cached
         entry_private = self.entry_private
@@ -139,6 +141,7 @@ class _ReplayCore:
         k_insert = self.kernel.on_insert
         k_decide = self.kernel.decide_private
         k_evict = self.kernel.on_evict
+        k_tracked = self.kernel.tracked
         cap = self.cap
         size = self.size
         refresh = self.refresh
@@ -218,7 +221,8 @@ class _ReplayCore:
                         cached[victim] = 0
                         size -= 1
                         evictions += 1
-                        k_evict(victim)
+                        if k_tracked[victim]:
+                            k_evict(victim)
                 cached[cid] = 1
                 entry_private[cid] = 1 if priv else 0
                 size += 1
@@ -230,7 +234,8 @@ class _ReplayCore:
                     prv[sentinel] = cid
                 else:
                     p_insert(cid)
-                k_insert(cid, priv)
+                if priv:
+                    k_insert(cid)
                 misses += 1
 
         self.size = size
@@ -361,6 +366,9 @@ def fast_replay(
         kernel, compiled.n_names, cache_size, policy, fetch_delay, seed,
         refresh_delayed_hits,
     )
-    for ids, flags in _spans(rule, compiled):
-        core.run_span(ids, flags)
+    try:
+        for ids, flags in _spans(rule, compiled):
+            core.run_span(ids, flags)
+    finally:
+        kernel.close()
     return core.stats()

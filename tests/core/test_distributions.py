@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.privacy.distributions import (
     DegenerateK,
+    FirstHitDistribution,
     TruncatedGeometric,
     UniformK,
 )
+from repro.core.schemes.random_cache import _BLOCK
 
 
 class TestUniformK:
@@ -127,3 +130,86 @@ class TestDegenerateK:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             DegenerateK(-1)
+
+
+# ----------------------------------------------------------------------
+# sample_block: n scalar draws in one generator call, state included
+# ----------------------------------------------------------------------
+class ScalarOnlyCoin(FirstHitDistribution):
+    """A third-party distribution: defines ``sample`` and inherits the
+    block."""
+
+    domain_size = 2
+
+    def sample(self, rng):
+        return int(rng.random() < 0.5)
+
+    def pmf(self, r):
+        return 0.5 if r in (0, 1) else 0.0
+
+    def mean(self):
+        return 0.5
+
+
+#: Either side of numpy's 32-bit / 64-bit bounded-integer paths, K = 1
+#: (no draw at all) and a power of two (the mask-free case).
+UNIFORM_KS = [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 5, 2**40]
+ALPHAS = st.one_of(
+    st.sampled_from([1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-12]),
+    st.floats(min_value=1e-9, max_value=1 - 1e-9),
+)
+DISTRIBUTIONS = st.one_of(
+    st.sampled_from(UNIFORM_KS).map(UniformK),
+    st.builds(
+        TruncatedGeometric,
+        ALPHAS,
+        st.one_of(st.none(), st.sampled_from([1, 2, 7, 500, 2**40])),
+    ),
+    st.integers(min_value=0, max_value=2**40).map(DegenerateK),
+    st.just(ScalarOnlyCoin()),
+)
+SEEDS = st.integers(min_value=0, max_value=2**32)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dist=DISTRIBUTIONS,
+    seed=SEEDS,
+    n=st.sampled_from([0, 1, _BLOCK, _BLOCK + 1]),
+    odd_start=st.booleans(),
+)
+def test_sample_block_is_n_sample_calls(dist, seed, n, odd_start):
+    block_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
+    if odd_start:
+        # Leave half a 64-bit word in the bit generator's 32-bit buffer.
+        for rng in (block_rng, scalar_rng):
+            rng.integers(7)
+    block = dist.sample_block(block_rng, n)
+    scalar = [dist.sample(scalar_rng) for _ in range(n)]
+    assert block == scalar
+    assert all(type(k) is int for k in block)
+    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=DISTRIBUTIONS,
+    seed=SEEDS,
+    pieces=st.lists(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_blocks_and_scalars_interleave_on_one_stream(dist, seed, pieces):
+    """``None`` is one scalar ``sample``, an integer a block of that
+    length: any interleaving reads the same stream as scalars alone."""
+    mixed_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
+    mixed = []
+    for piece in pieces:
+        if piece is None:
+            mixed.append(dist.sample(mixed_rng))
+        else:
+            mixed.extend(dist.sample_block(mixed_rng, piece))
+    assert mixed == [dist.sample(scalar_rng) for _ in range(len(mixed))]
+    assert mixed_rng.bit_generator.state == scalar_rng.bit_generator.state

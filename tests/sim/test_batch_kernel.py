@@ -205,6 +205,64 @@ def test_shared_scheme_instance_is_rejected():
     assert net_obs.total_delivered == 1
 
 
+def _two_guarded_routers(scheme_rngs, caching=None):
+    """C - R0 - R1 - P, one UniformRandomCache per router on the given
+    generators, every fetch private: each object is asked for three times
+    in a row and comes round again after R0, but not R1, has evicted it."""
+    from repro.core.schemes.uniform import UniformRandomCache
+
+    net = Network(rng=RngRegistry(0))
+    for name, rng in zip(("R0", "R1"), scheme_rngs):
+        net.add_router(
+            name, capacity=2 if name == "R0" else 4, scheme=UniformRandomCache(K=4, rng=rng),
+            caching=caching(rng) if caching is not None and name == "R1" else None,
+        )
+    net.add_producer("P", "/content")
+    net.add_consumer("C")
+    net.connect("C", "R0", FixedDelay(0.5))
+    net.connect("R0", "R1", FixedDelay(0.5))
+    net.connect("R1", "P", FixedDelay(0.5))
+    net.add_route_chain("/content", "R0", "R1", "P")
+    steps = tuple(
+        FetchStep(f"/content/obj-{(i // 3) % 4}", private=True) for i in range(60)
+    )
+    return net, [ConsumerScript("C", steps)]
+
+
+def test_schemes_on_one_generator_ride_the_reference_engine():
+    """A kernel draws k_C in blocks, so it must own its generator: two
+    schemes (or a scheme and a randomized strategy) on one stream are
+    refused by the compiler, and ``auto`` stays reference-equal."""
+    import numpy as np
+
+    from repro.ndn.strategy import BernoulliStrategy
+
+    def own():
+        return [np.random.default_rng(3), np.random.default_rng(3)]
+
+    def one():
+        return [np.random.default_rng(3)] * 2
+
+    def bernoulli(rng):
+        return BernoulliStrategy(rng, p=0.5)
+
+    assert run_scripts(*_two_guarded_routers(own())).kernel == "batch"
+    for rngs, caching, both in (
+        (one, None, "R0's scheme and R1's scheme"),
+        (own, bernoulli, "R1's scheme and R1's policy/strategy"),
+    ):
+        with pytest.raises(BatchCompileError, match=both + " share one random"):
+            run_scripts_batch(*_two_guarded_routers(rngs(), caching))
+        oracle = run_scripts_reference(*_two_guarded_routers(rngs(), caching))
+        observed = run_scripts(*_two_guarded_routers(rngs(), caching), kernel="auto")
+        assert observed.kernel == "reference"
+        assert "share one random generator" in observed.fallback_reason
+        assert diff_observables(oracle, observed) == []
+        assert sum(
+            c.get("cs_disguised_hit", 0) for c in oracle.router_counters.values()
+        ) > 0
+
+
 def test_unknown_kernel_name_rejected():
     net, names = small_star()
     with pytest.raises(ValueError, match="unknown kernel"):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
 from repro.ndn.replacement import RandomPolicy
 from repro.ndn.topology import TOPOLOGIES
-from repro.perf.parallel import build_scheme
+from repro.perf.parallel import SCHEME_BUILDERS, build_scheme
 from repro.sim.batch import (
     ConsumerScript,
     FetchStep,
@@ -25,6 +26,7 @@ from repro.validation.differential import (
 )
 
 from tests.sim.test_batch_kernel import small_star
+from tests.workload.test_fast_replay import NeverRevealingUniform
 
 
 def test_default_grid_is_bit_identical():
@@ -80,6 +82,52 @@ def test_default_grid_is_bit_identical():
     (sub_rtt,) = [r for r in report.results if r.case.timeout < 10.0]
     fetches = sum(len(s.steps) for s in _build_topology_case(sub_rtt.case)[1])
     assert 0.1 * fetches < sub_rtt.oracle.total_delivered < 0.9 * fetches
+
+
+def test_overriding_scheme_subclass_rides_the_reference_engine(monkeypatch):
+    for key, cls in (("k4", UniformRandomCache), ("k4-hiding", NeverRevealingUniform)):
+        monkeypatch.setitem(
+            SCHEME_BUILDERS, key, lambda rng, cls=cls: cls(K=4, rng=rng)
+        )
+    # Every fetch private, caches large enough to be hit.
+    shape = dict(cache_capacity=16, private_period=1)
+    report = validate_topology_differential(
+        cases=[
+            TopologyCase("tree", "k4", **shape),
+            TopologyCase("tree", "k4-hiding", expect_fallback=True, **shape),
+        ]
+    )
+    assert report.ok, report.summary()
+    base, hiding = report.results
+    assert base.batch.kernel == "batch"
+    assert "provides no kernel" in hiding.batch.fallback_reason
+
+    def total(result, counter):
+        return sum(c.get(counter, 0) for c in result.batch.router_counters.values())
+
+    # The override shows: Algorithm 1 reveals after at most K requests.
+    assert total(base, "cs_hit") > 0 and total(base, "cs_disguised_hit") > 0
+    assert total(hiding, "cs_hit") == 0
+    assert total(hiding, "cs_disguised_hit") > total(base, "cs_disguised_hit")
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "exponential"])
+def test_batch_kernel_hands_each_scheme_generator_back_like_the_reference(scheme):
+    """Kernels draw k_C in blocks and return the unused part: after a run
+    every router's scheme generator is where the reference engine's
+    scalar draws leave it."""
+    case = TopologyCase(
+        "tree", scheme, "random", caching="probcache",
+        cache_capacity=16, private_period=2,
+    )
+    net, scripts = _build_topology_case(case)
+    before = [r.scheme.rng.bit_generator.state for r in net.routers.values()]
+    run_scripts_reference(net, scripts)
+    expected = [r.scheme.rng.bit_generator.state for r in net.routers.values()]
+    net, scripts = _build_topology_case(case)
+    run_scripts_batch(net, scripts)
+    assert [r.scheme.rng.bit_generator.state for r in net.routers.values()] == expected
+    assert expected != before  # thresholds were drawn
 
 
 def test_summary_reports_one_line_per_case():

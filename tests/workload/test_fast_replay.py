@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes.always_delay import AlwaysDelayScheme
+from repro.core.schemes.base import Decision
 from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.grouping import NamespaceGrouping
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
@@ -102,6 +103,34 @@ class BestOfTwoRequestMarking(RequestMarking):
 class EverythingPrivate(NoMarking):
     def is_private(self, name, request_index):
         return True
+
+
+class NeverRevealingUniform(UniformRandomCache):
+    """Overrides ``decide_private``: Algorithm 1's inherited kernel would
+    reveal the hits this subclass hides."""
+
+    def decide_private(self, entry, now):
+        return Decision.delayed(self.delay_policy.delay_for(entry, now))
+
+
+class RefetchingNoPrivacy(NoPrivacyScheme):
+    def on_request(self, entry, private, now):
+        return Decision.miss() if private else Decision.hit()
+
+
+class RevealingAlwaysDelay(AlwaysDelayScheme):
+    def decide_private(self, entry, now):
+        return Decision.hit()
+
+
+#: One subclass per scheme family overriding a method its family's kernel
+#: restates: it must get no kernel (oracle fallback), not the inherited one.
+#: Values are (class, constructor arguments given the scheme generator).
+OVERRIDING_SCHEMES = {
+    "uniform-subclass": (NeverRevealingUniform, lambda rng: {"K": 6, "rng": rng}),
+    "no-privacy-subclass": (RefetchingNoPrivacy, lambda rng: {}),
+    "always-delay-subclass": (RevealingAlwaysDelay, lambda rng: {}),
+}
 
 
 def _run_both(trace, scheme_key, marking_key, **kwargs):
@@ -252,6 +281,8 @@ REPRESENTATION_GRID = [
     # Subclasses that override is_private: exact-type dispatch or drift.
     ("exponential", marking_key, "lru")
     for marking_key in ("content-subclass", "none-subclass", "request-subclass")
+] + [
+    (scheme_key, "content", "lru") for scheme_key in sorted(OVERRIDING_SCHEMES)
 ]
 
 
@@ -271,10 +302,16 @@ def test_every_representation_replays_like_the_oracle(
         "request-subclass": lambda: BestOfTwoRequestMarking(0.3, seed=7),
     }
 
-    def run(engine, workload):
+    def run(engine, workload, parent_class=False):
+        if scheme_key in OVERRIDING_SCHEMES:
+            cls, arguments = OVERRIDING_SCHEMES[scheme_key]
+            cls = cls.__mro__[1] if parent_class else cls
+            scheme = cls(**arguments(np.random.default_rng(4)))
+        else:
+            scheme = SCHEME_FACTORIES[scheme_key](np.random.default_rng(4))
         return engine(
             workload,
-            scheme=SCHEME_FACTORIES[scheme_key](np.random.default_rng(4)),
+            scheme=scheme,
             marking=markings[marking_key](),
             cache_size=250,
             policy=policy,
@@ -283,6 +320,16 @@ def test_every_representation_replays_like_the_oracle(
 
     expected = run(replay, trace)
     assert expected.private_requests > 0 or marking_key == "none"
+    if scheme_key in OVERRIDING_SCHEMES:
+        # No kernel: a Trace rides the oracle, and it shows (the parent
+        # class answers differently); a compiled form is refused.
+        assert run(fast_replay, trace) == expected
+        assert run(fast_replay, trace, parent_class=True) != expected
+        for label, held in representations.items():
+            if label != "trace":
+                with pytest.raises(ValueError, match="provides no fast kernel"):
+                    run(fast_replay, held)
+        return
     got = {label: run(fast_replay, held) for label, held in representations.items()}
     assert got == dict.fromkeys(representations, expected)
 
@@ -383,3 +430,120 @@ def test_request_marking_block_draw_leaves_the_oracles_generator_state(
     assert got == expected
     # No over-draw: whatever is replayed next sees the same coins.
     assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The scheme generator: drawn from in blocks, handed back exactly
+# ----------------------------------------------------------------------
+RANDOM_CACHE_FACTORIES = {
+    "uniform": lambda rng, grouping: UniformRandomCache(
+        K=40, rng=rng, grouping=grouping
+    ),
+    "exponential": lambda rng, grouping: ExponentialRandomCache(
+        alpha=0.9, K=60, rng=rng, grouping=grouping
+    ),
+    "naive-threshold": lambda rng, grouping: NaiveThresholdScheme(
+        3, rng=rng, grouping=grouping
+    ),
+}
+
+
+def _generator_state(scheme):
+    return scheme.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "lfu", "random"])
+@pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "namespace"])
+@pytest.mark.parametrize("scheme_key", sorted(RANDOM_CACHE_FACTORIES))
+def test_scheme_generator_ends_where_the_oracles_does(
+    trace, representations, scheme_key, grouped, policy
+):
+    """The kernel draws k_C a block at a time and ``close()`` returns the
+    part not handed out: whatever runs next on the scheme's generator
+    sees the stream the oracle's one-``sample``-per-activation leaves."""
+
+    def scheme(state=None):
+        built = RANDOM_CACHE_FACTORIES[scheme_key](
+            np.random.default_rng(9), NamespaceGrouping(depth=2) if grouped else None
+        )
+        if state is not None:
+            built.rng.bit_generator.state = state
+        return built
+
+    for refresh in (True, False):
+        settings_ = dict(
+            cache_size=120, policy=policy, seed=2, refresh_delayed_hits=refresh
+        )
+        oracle_scheme = scheme()
+        expected = replay(
+            trace, scheme=oracle_scheme, marking=ContentMarking(0.4, salt=1),
+            **settings_,
+        )
+        assert expected.disguised_hits > 0 and expected.evictions > 0
+        handed_back = _generator_state(oracle_scheme)
+        assert (handed_back != _generator_state(scheme())) == (
+            scheme_key != "naive-threshold"
+        )
+        for label, held in representations.items():
+            ours = scheme()
+            got = fast_replay(
+                held, scheme=ours, marking=ContentMarking(0.4, salt=1), **settings_
+            )
+            assert got == expected, label
+            assert _generator_state(ours) == handed_back, label
+            # The same scheme object again: it starts from what was handed
+            # back, like a fresh scheme put in the oracle's end state.
+            # (replay() itself never resets a scheme, so the oracle is not
+            # the reference for a second run: it would inherit groups.)
+            again = fast_replay(
+                held, scheme=ours, marking=ContentMarking(0.4, salt=1), **settings_
+            )
+            fresh = scheme(handed_back)
+            assert again == fast_replay(
+                held, scheme=fresh, marking=ContentMarking(0.4, salt=1), **settings_
+            ), label
+            assert _generator_state(ours) == _generator_state(fresh), label
+
+
+class RaisesOnCall(MarkingRule):
+    """Private for every request until its ``fatal``-th call raises."""
+
+    def __init__(self, fatal: int) -> None:
+        self.fatal = fatal
+        self.calls = 0
+
+    def is_private(self, name, request_index):
+        self.calls += 1
+        if self.calls == self.fatal:
+            raise RuntimeError("marking rule failed mid-trace")
+        return True
+
+
+@pytest.mark.parametrize("scheme_key", ["uniform", "exponential"])
+def test_an_exception_mid_trace_leaves_no_block_behind(trace, scheme_key):
+    """Flags are made a shard at a time, so a rule that raises inside
+    shard 4 of 7 stops the replay after shards 0-3: ``close()`` still
+    runs, and the generator has advanced by the thresholds those shards
+    consumed — no more, and not by a whole block."""
+    held = _recut(trace.compile(), 7)
+    replayed = sum(len(shard.ids) for shard in list(held.iter_shards())[:4])
+    assert 0 < replayed < held.n_requests - 1
+
+    ours = RANDOM_CACHE_FACTORIES[scheme_key](np.random.default_rng(9), None)
+    kernels = []
+    make_kernel = ours.make_kernel
+    ours.make_kernel = lambda names: kernels.append(make_kernel(names)) or kernels[-1]
+    with pytest.raises(RuntimeError, match="mid-trace"):
+        fast_replay(held, scheme=ours, marking=RaisesOnCall(replayed + 2), cache_size=120)
+
+    theirs = RANDOM_CACHE_FACTORIES[scheme_key](np.random.default_rng(9), None)
+    prefix = replay(
+        Trace(list(trace)[:replayed]), scheme=theirs, marking=RaisesOnCall(0),
+        cache_size=120,
+    )
+    assert prefix.evictions > 0
+    assert _generator_state(ours) == _generator_state(theirs)
+    (kernel,) = kernels
+    assert kernel._block == [] and kernel._rewind is None
+    kernel.close()  # idempotent
+    assert _generator_state(ours) == _generator_state(theirs)
