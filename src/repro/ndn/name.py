@@ -36,6 +36,20 @@ from repro.ndn.errors import NameError_
 PRIVATE_COMPONENT = "private"
 
 
+def uri_components(uri: str) -> Tuple[str, ...]:
+    """The component tuple of a slash-delimited URI, the rule of
+    :meth:`Name.parse`: ``/`` is the root, any other URI starts with ``/``
+    and has no empty component.  Raises :class:`NameError_` otherwise."""
+    if uri == "/":
+        return ()
+    if not uri.startswith("/"):
+        raise NameError_(f"name URI must start with '/': {uri!r}")
+    parts = tuple(uri[1:].split("/"))
+    if "" in parts:
+        raise NameError_(f"empty component in name URI: {uri!r}")
+    return parts
+
+
 @total_ordering
 class Name:
     """An immutable, hashable hierarchical content name."""
@@ -114,15 +128,7 @@ class Name:
         cached = cls._parse_cache.get(uri)
         if cached is not None:
             return cached
-        if uri == "/":
-            name = cls._intern_tuple(())
-        else:
-            if not uri.startswith("/"):
-                raise NameError_(f"name URI must start with '/': {uri!r}")
-            parts = uri[1:].split("/")
-            if any(part == "" for part in parts):
-                raise NameError_(f"empty component in name URI: {uri!r}")
-            name = cls._intern_tuple(cls(parts)._components)
+        name = cls._intern_tuple(uri_components(uri))
         cls._parse_cache[uri] = name
         return name
 

@@ -72,7 +72,8 @@ from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.perf.checkpoint import SweepCheckpoint
-from repro.workload.fast_replay import fast_replay
+from repro.workload.compiled import CompiledTrace
+from repro.workload.fast_replay import NoKernelError, fast_replay
 from repro.workload.ircache import (
     IRCACHE_ALGORITHM_VERSION,
     SAMPLING_BLOCK,
@@ -80,14 +81,16 @@ from repro.workload.ircache import (
     IrcacheGenerator,
 )
 from repro.workload.marking import MarkingRule
-from repro.workload.replay import ReplayStats
+from repro.workload.replay import ReplayStats, replay
 from repro.workload.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedCompiledTrace,
     ShardIntegrityError,
     compile_stream,
+    compile_workload,
     file_sha256,
 )
+from repro.workload.streaming import TsvWorkload
 from repro.workload.trace import Trace
 
 ENV_WORKERS = "REPRO_WORKERS"
@@ -397,24 +400,29 @@ def _cache_trace_object(trace: Trace) -> Path:
     return path
 
 
-#: Per-process memo of loaded (and compiled) traces, so each worker pays
-#: the parse + intern cost once per trace, not once per task.
-_PROCESS_TRACES: Dict[str, Trace] = {}
+#: Per-process memo of compiled TSV entries, so each worker pays the
+#: parse + intern cost once per trace, not once per task.
+_PROCESS_TRACES: Dict[str, CompiledTrace] = {}
 
 
-def _load_trace(path: str) -> Trace:
-    trace = _PROCESS_TRACES.get(path)
-    if trace is None:
-        if not verify_trace_cache(path):
-            raise TraceCacheError(
-                f"trace cache entry {path} failed its digest check "
-                "(truncated or corrupted); regenerate it via "
-                "ensure_trace_cached() before dispatching workers"
-            )
-        trace = Trace.load(path)
-        trace.compile()
-        _PROCESS_TRACES[path] = trace
-    return trace
+def _verified_tsv(path: str) -> TsvWorkload:
+    """The TSV cache entry at ``path`` as a workload, once its digest checks."""
+    if not verify_trace_cache(path):
+        raise TraceCacheError(
+            f"trace cache entry {path} failed its digest check "
+            "(truncated or corrupted); regenerate it via "
+            "ensure_trace_cached() before dispatching workers"
+        )
+    return TsvWorkload(path)
+
+
+def _load_trace(path: str) -> CompiledTrace:
+    """The TSV cache entry at ``path``, digest-checked, compiled in RAM by
+    ``compile_workload(TsvWorkload(path))``: columns and the entry's URI
+    list, with no ``Request`` and no interned ``Name``."""
+    if path not in _PROCESS_TRACES:
+        _PROCESS_TRACES[path] = compile_workload(_verified_tsv(path))
+    return _PROCESS_TRACES[path]
 
 
 #: Per-process memo of opened shard directories.  Opening only maps the
@@ -442,14 +450,12 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
 # Execution
 # ======================================================================
 def _execute(
-    trace: Union[Trace, ShardedCompiledTrace], spec: ReplaySpec
+    trace: Union[Trace, CompiledTrace], spec: ReplaySpec, tsv: Optional[str] = None
 ) -> ReplayStats:
     scheme = spec.scheme
     if isinstance(scheme, str):
         scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
-    return fast_replay(
-        trace,
-        scheme=scheme,
+    settings = dict(
         marking=spec.marking,
         cache_size=spec.cache_size,
         policy=spec.policy,
@@ -457,6 +463,13 @@ def _execute(
         seed=spec.seed,
         refresh_delayed_hits=spec.refresh_delayed_hits,
     )
+    try:
+        return fast_replay(trace, scheme=scheme, **settings)
+    except NoKernelError:
+        # Refused before any work: the oracle replays the TSV's Requests.
+        if tsv is None:
+            raise
+        return replay(_verified_tsv(tsv), scheme=scheme, **settings)
 
 
 def _consume_chaos_flag(env: str) -> bool:
@@ -484,10 +497,8 @@ def _worker_run(args: tuple) -> ReplayStats:
     trace_path, spec, layout = args
     _maybe_inject_chaos()
     if layout == "sharded":
-        workload = _load_sharded(trace_path)
-    else:
-        workload = _load_trace(trace_path)
-    return _execute(workload, spec)
+        return _execute(_load_sharded(trace_path), spec)
+    return _execute(_load_trace(trace_path), spec, trace_path)
 
 
 class _SweepStalled(RuntimeError):
@@ -635,12 +646,14 @@ def run_replay_sweep(
             sweep_checkpoint.append(index, stats)
 
     if workers <= 1:
+        tsv = None
         if sharded:
-            workload: Union[Trace, ShardedCompiledTrace] = _load_sharded(
+            workload: Union[Trace, CompiledTrace] = _load_sharded(
                 str(ensure_sharded_trace_cached(trace_config, shard_size))
             )
         elif trace is None:
-            workload = _load_trace(str(ensure_trace_cached(trace_config)))
+            tsv = str(ensure_trace_cached(trace_config))
+            workload = _load_trace(tsv)
         else:
             workload = trace
         # Pickle round-trip each spec so scheme/marking RNG state is
@@ -648,7 +661,7 @@ def run_replay_sweep(
         for index, spec in enumerate(spec_list):
             if index in completed:
                 continue
-            deliver(index, _execute(workload, pickle.loads(pickle.dumps(spec))))
+            deliver(index, _execute(workload, pickle.loads(pickle.dumps(spec)), tsv))
         return [completed[index] for index in range(count)]
 
     if sharded:

@@ -496,9 +496,11 @@ def validate_streaming_differential(
     Three layers, all bit-identity:
 
     * **replay grid** — ``stream → compile_stream → fast_replay`` (shard
-      by shard, mmap'd) vs ``generate → compile → fast_replay`` over the
-      scheme/policy/marking grid: identical :class:`ReplayStats`,
-    * **oracle anchor** — one cell also compared against the reference
+      by shard, mmap'd) and ``save → TsvWorkload → compile_workload →
+      fast_replay`` (a sweep worker's TSV path) vs ``generate → compile →
+      fast_replay`` over the scheme/policy/marking grid: identical
+      :class:`ReplayStats`,
+    * **oracle anchor** — one cell of each also compared against the reference
       event-driven :func:`~repro.workload.replay.replay`, pinning the
       sharded path to the original semantics rather than just to the
       fast kernel,
@@ -513,8 +515,8 @@ def validate_streaming_differential(
     import tempfile
 
     from repro.sim.workload_driver import scripts_from_workload
-    from repro.workload.sharded import compile_stream
-    from repro.workload.streaming import TraceWorkload
+    from repro.workload.sharded import compile_stream, compile_workload
+    from repro.workload.streaming import TraceWorkload, TsvWorkload
 
     if cases is None:
         cases = default_streaming_cases(seed=seed)
@@ -536,6 +538,9 @@ def validate_streaming_differential(
             shard_size=max(1, requests // 7),
         )
         sharded.verify()
+        tsv_path = f"{tmp}/trace.tsv"
+        trace.save(tsv_path)
+        legs = {"": sharded, "tsv-": compile_workload(TsvWorkload(tsv_path))}
 
         def run(workload, case: StreamingCase, engine) -> ReplayStats:
             return engine(
@@ -549,23 +554,18 @@ def validate_streaming_differential(
 
         for case in cases:
             in_ram = run(trace, case, fast_replay)
-            streamed = run(sharded, case, fast_replay)
-            results.append(
-                CaseResult(
-                    f"replay:{case.label}", diff_replay_stats(in_ram, streamed)
-                )
-            )
+            for leg, held in legs.items():
+                streamed = run(held, case, fast_replay)
+                label = f"{leg}replay:{case.label}"
+                results.append(CaseResult(label, diff_replay_stats(in_ram, streamed)))
 
-        # Oracle anchor: the sharded path against the reference replay.
+        # Oracle anchor: the sharded and TSV paths against the reference replay.
         anchor = cases[0]
         oracle = run(trace, anchor, replay)
-        streamed = run(sharded, anchor, fast_replay)
-        results.append(
-            CaseResult(
-                f"oracle-anchor:{anchor.label}",
-                diff_replay_stats(oracle, streamed),
-            )
-        )
+        for leg, held in legs.items():
+            streamed = run(held, anchor, fast_replay)
+            label = f"{leg}oracle-anchor:{anchor.label}"
+            results.append(CaseResult(label, diff_replay_stats(oracle, streamed)))
 
     # Simulator observables: streaming vs materialized through the same
     # driver (reference engine both legs; the legs differ only in the

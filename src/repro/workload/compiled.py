@@ -19,7 +19,8 @@ a dense ``int32`` content id **once**; the replay kernel
 
 There is one such type.  :func:`compile_trace` produces it with a single
 shard held in RAM (memoized by :meth:`Trace.compile`, so S schemes × C
-cache sizes pay the interning once);
+cache sizes pay the interning once), as does
+:func:`~repro.workload.sharded.compile_workload` from any workload;
 :class:`~repro.workload.sharded.ShardedCompiledTrace` is the same thing
 with its shards memory-mapped from files.
 """
@@ -127,8 +128,10 @@ class CompiledTrace:
         return iter(self._shards)
 
     def iter_uris(self) -> Iterator[str]:
-        """The name table as URI strings, in content-id order."""
-        return map(str, self.names)
+        """The name table as URI strings, in content-id order (read, not
+        rendered, from a table that holds URIs)."""
+        uris = getattr(self.names, "iter_uris", None)
+        return uris() if uris is not None else map(str, self.names)
 
     def content_coins(self, rule: ContentMarking) -> np.ndarray:
         """``rule.coin(uri)`` per content id: one sha256 pass over the

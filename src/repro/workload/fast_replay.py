@@ -310,6 +310,10 @@ def _spans(
         yield ids, flags
 
 
+class NoKernelError(ValueError):
+    """A kernel-less scheme on a compiled trace, which has no Requests."""
+
+
 def fast_replay(
     trace: Union[Trace, CompiledTrace],
     scheme: Optional[CacheScheme] = None,
@@ -346,7 +350,7 @@ def fast_replay(
     if kernel is None:
         # Unknown scheme type: stay correct by running the oracle path.
         if source is None:
-            raise ValueError(
+            raise NoKernelError(
                 f"scheme {type(scheme).__name__} provides no fast kernel, and "
                 f"a compiled trace (in RAM or sharded on disk) has no Request "
                 f"objects for the reference fallback — pass the Trace"

@@ -8,7 +8,8 @@ single streaming pass) and first-occurrence flags — and writes them as
 (``names.tsv``, one URI per content id, in first-appearance order) and a
 JSON manifest listing the shards with a sha256 per file.
 :class:`ShardedCompiledTrace` is the ``CompiledTrace`` over such a
-directory; everything in this module is about the files.
+directory.  :func:`compile_workload` is the same pass with no files: one
+in-RAM shard and the URI list as the name table.
 
 The contract with the in-RAM compiler is **bit-equality**: concatenating
 a trace's shards reproduces ``compile_trace(trace)``'s columns exactly —
@@ -40,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ndn.name import Name
+from repro.ndn.name import Name, uri_components
 from repro.workload.compiled import (
     COLUMNS,
     CompiledTrace,
@@ -147,6 +148,86 @@ class _ShardWriter:
             self._flush(self.buffered)
 
 
+def _intern_pass(
+    workload: Workload, chunk_size: Optional[int]
+) -> Iterator[Tuple[Dict[str, np.ndarray], List[str]]]:
+    """The one interning pass: per block, its columns (keyed as
+    :data:`_FIELDS`) and the URIs of the content ids it introduces.
+
+    Content ids are dense int32 in first-appearance order and the
+    occurrence index runs across blocks, bit-equal to
+    :func:`~repro.workload.compiled.compile_trace` on the same request
+    sequence for any ``chunk_size``.  Keys index an array: sized by
+    ``key_space`` when the workload knows it, else grown to the largest
+    key seen (the :class:`Workload` contract: keys are non-negative, and
+    dense without a ``key_space``).
+    """
+    key_to_cid = np.full(workload.key_space or 0, -1, dtype=np.int64)
+    # Per-cid running request counts (occurrence index source).
+    occ_counts = np.zeros(max(1024, int(workload.n_names)), dtype=np.int64)
+    n_names = 0
+    for block in workload.iter_blocks(chunk_size):
+        keys = block.keys
+        if keys.min(initial=0) < 0:
+            raise ValueError(f"content keys must be >= 0, got {keys.min()}")
+        key_to_cid = _grown(key_to_cid, int(keys.max(initial=-1)) + 1, -1)
+        cids = key_to_cid[keys]
+        missing = cids < 0
+        new_uris: List[str] = []
+        if missing.any():
+            uniq, first_idx = np.unique(keys[missing], return_index=True)
+            new_keys = uniq[np.argsort(first_idx, kind="stable")]
+            new_uris = [workload.uri_of(key) for key in new_keys.tolist()]
+            key_to_cid[new_keys] = np.arange(n_names, n_names + len(new_keys))
+            cids = key_to_cid[keys]
+            n_names += len(new_keys)
+            occ_counts = _grown(occ_counts, n_names, 0)
+        users = block.users.astype(np.int32)
+        wrapped = users != block.users
+        if wrapped.any():  # compile_trace refuses these too
+            raise OverflowError(f"user id {block.users[wrapped][0]} out of int32 range")
+        cids32 = cids.astype(np.int32)
+        occurrence = _occurrence_index(cids32, n_names) + occ_counts[cids]
+        np.add.at(occ_counts, cids, 1)
+        yield {
+            "ids": cids32,
+            "times": np.asarray(block.times, dtype=np.float64),
+            "users": users,
+            "occurrence": occurrence.astype(np.int32),
+            "first": occurrence == 0,
+        }, new_uris
+
+
+def _grown(array: np.ndarray, size: int, fill: int) -> np.ndarray:
+    """``array`` if it holds ``size`` entries, else a copy grown by
+    amortized doubling, new entries ``fill``."""
+    if size <= len(array):
+        return array
+    grown = np.full(max(size, 2 * len(array)), fill, dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+def compile_workload(workload: Workload) -> CompiledTrace:
+    """:func:`compile_stream` without the files: the same pass, its
+    blocks collected into one in-RAM :class:`TraceShard`.
+
+    The name table holds the workload's URIs (:class:`LazyNameTable`);
+    no :class:`~repro.workload.trace.Request` and no interned
+    :class:`~repro.ndn.name.Name` is made.  This is how a sweep worker
+    holds a TSV trace-cache entry (``TsvWorkload`` in, columns out).
+    """
+    uris: List[str] = []
+    blocks: List[Dict[str, np.ndarray]] = []
+    for columns, new_uris in _intern_pass(workload, None):
+        uris.extend(new_uris)
+        blocks.append(columns)
+    return CompiledTrace(LazyNameTable(uris), [TraceShard(0, 0, *(
+        np.concatenate([block[field] for block in blocks] or [np.zeros(0, dtype)])
+        for field, dtype in _FIELDS
+    ))])  # fmt: skip
+
+
 def compile_stream(
     workload: Workload,
     out_dir: Union[str, Path],
@@ -156,89 +237,25 @@ def compile_stream(
 ) -> "ShardedCompiledTrace":
     """Compile a workload to the sharded on-disk format in one pass.
 
-    Interns names to dense int32 content ids in first-appearance order
-    (bit-equal to :func:`~repro.workload.compiled.compile_trace` on the
-    same request sequence, for any ``shard_size``/``chunk_size``), writes
-    the occurrence index alongside, and returns the opened
-    :class:`ShardedCompiledTrace`.  ``source`` is an arbitrary JSON-able
-    provenance dict stored in the manifest (the sweep cache puts the
-    generator fingerprint here).
+    The interning pass is :func:`compile_workload`'s (bit-equal to
+    :func:`~repro.workload.compiled.compile_trace` on the same request
+    sequence, for any ``shard_size``/``chunk_size``); here each block's
+    new URIs are appended to the name table file and its columns to the
+    current shard.  Returns the opened :class:`ShardedCompiledTrace`.
+    ``source`` is an arbitrary JSON-able provenance dict stored in the
+    manifest (the sweep cache puts the generator fingerprint here).
     """
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    key_space = workload.key_space
-    if key_space is not None:
-        key_to_cid: Optional[np.ndarray] = np.full(key_space, -1, dtype=np.int64)
-        cid_map: Optional[Dict[int, int]] = None
-    else:
-        key_to_cid = None
-        cid_map = {}
-
     writer = _ShardWriter(out, shard_size)
     n_names = 0
-    # Per-cid running request counts (occurrence index source), grown in
-    # amortized-doubling steps as the vocabulary is discovered.
-    occ_counts = np.zeros(max(1024, int(workload.n_names) or 1024), dtype=np.int64)
-
     with (out / NAMES_FILE).open("w", encoding="utf-8") as names_out:
-        for block in workload.iter_blocks(chunk_size):
-            keys = block.keys
-            if key_to_cid is not None:
-                cids = key_to_cid[keys]
-            else:
-                assert cid_map is not None
-                cids = np.fromiter(
-                    (cid_map.get(k, -1) for k in keys.tolist()),
-                    dtype=np.int64,
-                    count=len(keys),
-                )
-            missing = cids < 0
-            if missing.any():
-                uniq, first_idx = np.unique(
-                    keys[missing], return_index=True
-                )
-                appearance = np.argsort(first_idx, kind="stable")
-                new_keys = uniq[appearance]
-                for key in new_keys.tolist():
-                    names_out.write(workload.uri_of(key) + "\n")
-                fresh = np.arange(
-                    n_names, n_names + len(new_keys), dtype=np.int64
-                )
-                if key_to_cid is not None:
-                    key_to_cid[new_keys] = fresh
-                    cids = key_to_cid[keys]
-                else:
-                    assert cid_map is not None
-                    cid_map.update(zip(new_keys.tolist(), fresh.tolist()))
-                    cids = np.fromiter(
-                        (cid_map[k] for k in keys.tolist()),
-                        dtype=np.int64,
-                        count=len(keys),
-                    )
-                n_names += len(new_keys)
-            if n_names > len(occ_counts):
-                grown = np.zeros(
-                    max(n_names, 2 * len(occ_counts)), dtype=np.int64
-                )
-                grown[: len(occ_counts)] = occ_counts
-                occ_counts = grown
-            cids32 = cids.astype(np.int32)
-            within = _occurrence_index(cids32, n_names).astype(np.int64)
-            occurrence = within + occ_counts[cids]
-            first = occurrence == 0
-            np.add.at(occ_counts, cids, 1)
-            writer.push(
-                {
-                    "ids": cids32,
-                    "times": np.asarray(block.times, dtype=np.float64),
-                    "users": block.users.astype(np.int32),
-                    "occurrence": occurrence.astype(np.int32),
-                    "first": first,
-                }
-            )
+        for columns, new_uris in _intern_pass(workload, chunk_size):
+            names_out.writelines(uri + "\n" for uri in new_uris)
+            n_names += len(new_uris)
+            writer.push(columns)
     writer.finish()
 
     manifest = {
@@ -260,25 +277,36 @@ def compile_stream(
 
 
 class LazyNameTable(Sequence[Name]):
-    """``names[content_id]`` over the on-disk intern table, loaded lazily.
+    """``names[content_id]`` over a compiled trace's URI list.
 
-    ``len()`` and iteration stream the TSV without materializing (what
-    the replay kernels use); random access loads the URI list once and
-    keeps it (what generic marking rules need).  Name objects are built
-    outside the global intern pool, so walking a million-name table does
-    not grow process-wide state.
+    The URIs are held in RAM (``LazyNameTable(uris)``, what
+    :func:`compile_workload` builds) or read from a shard directory's
+    table file (``LazyNameTable(path, count)``).  ``len()`` and
+    :meth:`iter_uris` build no :class:`Name` (what the replay kernels and
+    the coin pass use).  Names are built on demand, outside the global
+    intern pool: iterating builds them once and keeps them in RAM, but
+    once per pass from a file, so walking a million-name table pins
+    nothing; random access builds and keeps them all.
     """
 
-    def __init__(self, path: Path, count: int) -> None:
-        self.path = path
-        self._count = count
-        self._uris: Optional[List[str]] = None
+    def __init__(
+        self, source: Union[List[str], Path], count: Optional[int] = None
+    ) -> None:
+        in_ram = isinstance(source, list)
+        self.path: Optional[Path] = None if in_ram else source
+        self._uris: List[str] = source if in_ram else []
+        self._count = len(source) if in_ram else count
+        self._names: Optional[List[Name]] = None
 
     def __len__(self) -> int:
         return self._count
 
     def iter_uris(self) -> Iterator[str]:
-        """The table's lines; raises at the end unless it read ``len(self)``."""
+        """The table's URIs; a file raises at the end unless it held
+        ``len(self)`` lines."""
+        if self.path is None:
+            yield from self._uris
+            return
         found = 0
         with self.path.open("r", encoding="utf-8") as handle:
             for found, line in enumerate(handle, start=1):
@@ -288,22 +316,18 @@ class LazyNameTable(Sequence[Name]):
                 f"{self.path}: expected {self._count} names, found {found}"
             )
 
-    def __iter__(self) -> Iterator[Name]:
-        for uri in self.iter_uris():
-            yield Name(tuple(uri.split("/")[1:]) if uri != "/" else ())
+    def _kept(self) -> List[Name]:
+        if self._names is None:
+            self._names = list(map(Name, map(uri_components, self.iter_uris())))
+        return self._names
 
-    def _load(self) -> List[str]:
-        if self._uris is None:
-            self._uris = list(self.iter_uris())
-        return self._uris
+    def __iter__(self) -> Iterator[Name]:
+        if self.path is None:
+            return iter(self._kept())
+        return map(Name, map(uri_components, self.iter_uris()))
 
     def __getitem__(self, index):  # type: ignore[override]
-        uri = self._load()[index]
-        if isinstance(index, slice):
-            return [
-                Name(tuple(u.split("/")[1:]) if u != "/" else ()) for u in uri
-            ]
-        return Name(tuple(uri.split("/")[1:]) if uri != "/" else ())
+        return self._kept()[index]
 
 
 def _is_count(value: object) -> bool:
@@ -412,9 +436,6 @@ class ShardedCompiledTrace(CompiledTrace):
     @property
     def n_shards(self) -> int:
         return len(self.manifest["shards"])
-
-    def iter_uris(self) -> Iterator[str]:
-        return self.names.iter_uris()
 
     def _shard_path(self, index: int, field: str, verify: bool) -> Path:
         path = self.path / _shard_file(index, field)

@@ -35,7 +35,8 @@ from typing import Iterable, Iterator, List, Optional, Protocol, Tuple, Union, r
 
 import numpy as np
 
-from repro.ndn.name import Name
+from repro.ndn.errors import NameError_
+from repro.ndn.name import Name, uri_components
 from repro.workload.trace import Request, Trace
 
 #: Default consumer-facing block size (requests per yielded RequestBlock).
@@ -49,10 +50,10 @@ class RequestBlock:
     ``keys`` are workload-scoped integer content keys — stable across
     iterations of the same workload, decodable to names via
     :meth:`Workload.uri_of` / :meth:`Workload.components_of`.  Keys are
-    *not* required to be dense: the synthetic generator uses the global
-    object rank (so the key space is the catalog even if a tail object
-    is never requested), while trace readers intern keys densely in
-    first-appearance order.
+    non-negative, and dense unless the workload states a ``key_space``:
+    the synthetic generator uses the global object rank (so the key space
+    is the catalog even if a tail object is never requested), while
+    trace readers intern keys densely in first-appearance order.
     """
 
     times: np.ndarray  #: float64, non-decreasing within and across blocks
@@ -77,7 +78,7 @@ class Workload(Protocol):
     ``n_requests`` and ``n_names`` are known-or-estimated totals (exact
     for generators and adapted traces, estimates for one-pass readers);
     ``key_space`` is an exclusive upper bound on content keys when one is
-    known (lets consumers use arrays instead of dicts), else ``None``.
+    known, else ``None`` and keys are dense (consumers index arrays by key).
     """
 
     @property
@@ -240,6 +241,12 @@ class TsvWorkload:
     so keys are stable across passes.  ``n_requests`` / ``n_names`` start
     as caller-provided estimates (0 = unknown) and become exact after the
     first complete pass.
+
+    Refuses what :meth:`Trace.load` refuses, with its exception types and
+    ``path:line``: the URI rule (:func:`~repro.ndn.name.uri_components`)
+    is checked once per distinct URI, times and users ``>= 0`` once per
+    block.  Blocks hold no :class:`Request`; only :meth:`__iter__` builds
+    them.
     """
 
     def __init__(
@@ -273,8 +280,26 @@ class TsvWorkload:
         return self._uris[key]
 
     def components_of(self, key: int) -> Tuple[str, ...]:
-        uri = self._uris[key]
-        return tuple(uri.split("/")[1:]) if uri != "/" else ()
+        return uri_components(self._uris[key])
+
+    def _block(
+        self, times: List[float], users: List[int], keys: List[int], lines: List[int]
+    ) -> RequestBlock:
+        """The parsed lines as a block, refused where a :class:`Request`
+        of one of them would be."""
+        block = RequestBlock(
+            times=np.asarray(times, dtype=np.float64),
+            users=np.asarray(users, dtype=np.int64),
+            keys=np.asarray(keys, dtype=np.int64),
+        )
+        bad = np.flatnonzero((block.times < 0) | (block.users < 0))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"{self.path}:{lines[i]}: request time and user id must be "
+                f">= 0, got {times[i]} and {users[i]}"
+            )
+        return block
 
     def iter_blocks(
         self, chunk_size: Optional[int] = None
@@ -287,6 +312,7 @@ class TsvWorkload:
         times: List[float] = []
         users: List[int] = []
         keys: List[int] = []
+        lines: List[int] = []
         total = 0
         with self.path.open("r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -294,34 +320,31 @@ class TsvWorkload:
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{self.path}:{line_number}: expected 3 tab-separated "
-                        f"fields, got {len(parts)}"
-                    )
-                time_str, user_str, uri = parts
-                key = key_of.get(uri)
-                if key is None:
-                    key = len(uris)
-                    key_of[uri] = key
-                    uris.append(uri)
-                times.append(float(time_str))
-                users.append(int(user_str))
+                try:
+                    if len(parts) != 3:
+                        raise ValueError(
+                            f"expected 3 tab-separated fields, got {len(parts)}"
+                        )
+                    time_str, user_str, uri = parts
+                    time, user = float(time_str), int(user_str)
+                    key = key_of.get(uri)
+                    if key is None:
+                        uri_components(uri)
+                        key = key_of[uri] = len(uris)
+                        uris.append(uri)
+                except (ValueError, NameError_) as error:
+                    self._block(times, users, keys, lines)  # earlier lines first
+                    raise type(error)(f"{self.path}:{line_number}: {error}") from None
+                times.append(time)
+                users.append(user)
                 keys.append(key)
+                lines.append(line_number)
                 total += 1
                 if len(times) >= step:
-                    yield RequestBlock(
-                        times=np.asarray(times, dtype=np.float64),
-                        users=np.asarray(users, dtype=np.int64),
-                        keys=np.asarray(keys, dtype=np.int64),
-                    )
-                    times, users, keys = [], [], []
+                    yield self._block(times, users, keys, lines)
+                    times, users, keys, lines = [], [], [], []
         if times:
-            yield RequestBlock(
-                times=np.asarray(times, dtype=np.float64),
-                users=np.asarray(users, dtype=np.int64),
-                keys=np.asarray(keys, dtype=np.int64),
-            )
+            yield self._block(times, users, keys, lines)
         self._n_requests = total
         self._n_names = len(uris)
         self._exact = True

@@ -10,10 +10,12 @@ acceptance criterion, guaranteed by specs carrying their own seeds.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
 import repro.perf.parallel as parallel
+from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.perf.checkpoint import SweepCheckpoint
 from repro.perf.parallel import (
     ReplaySpec,
@@ -257,6 +259,26 @@ class TestTraceCacheIntegrity:
         monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
         with pytest.raises(TraceCacheError, match="digest"):
             parallel._load_trace(str(path))
+
+    def test_oracle_fallback_rechecks_an_entry_corrupted_after_loading(
+        self, cache_dir, monkeypatch
+    ):
+        """A kernel-less spec re-reads the TSV for its Requests; the entry
+        swapped out since it was loaded must not reach the oracle."""
+
+        class Opaque(NoPrivacyScheme):
+            def make_kernel(self, names):
+                return None
+
+        config = IrcacheConfig(requests=400, objects=300, seed=25)
+        path = str(ensure_trace_cached(config))
+        monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
+        loaded = parallel._load_trace(path)
+        spec = ReplaySpec(scheme=Opaque(), cache_size=50)
+        assert parallel._execute(loaded, spec, path).requests == 400
+        Path(path).write_text("0.000\t0\t/poison\n", encoding="utf-8")
+        with pytest.raises(TraceCacheError, match="digest"):
+            parallel._execute(loaded, spec, path)
 
     def test_sweep_self_heals_poisoned_cache(self, trace, cache_dir, monkeypatch):
         """End-to-end: a corrupted cache file cannot poison sweep results."""

@@ -5,8 +5,11 @@ from __future__ import annotations
 import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.core.schemes.no_privacy import NoPrivacyScheme
+from repro.core.schemes.uniform import UniformRandomCache
 from repro.perf.parallel import (
     ReplaySpec,
     build_scheme,
@@ -21,6 +24,7 @@ from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking
 from repro.workload.replay import replay
 from repro.workload.trace import Trace
+from tests.workload.test_fast_replay import NeverRevealingUniform
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +145,54 @@ def test_build_scheme_registry():
     assert type(scheme).__name__ == "ExponentialRandomCache"
     with pytest.raises(ValueError):
         build_scheme("mystery")
+
+
+class OpaqueNoPrivacy(NoPrivacyScheme):
+    def make_kernel(self, names):
+        return None
+
+
+@pytest.mark.parametrize("source", ["trace", "trace_config"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernelless_schemes_replay_on_the_oracle_from_a_tsv_entry(
+    trace, tmp_path, monkeypatch, source, workers
+):
+    """A worker holds a TSV entry as compiled columns, which have no
+    Request objects; a scheme without a kernel must still get the oracle."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    marking = ContentMarking(0.3, salt=2)
+    specs = [
+        ReplaySpec(
+            scheme=NeverRevealingUniform(K=6, rng=np.random.default_rng(3)),
+            cache_size=300, marking=marking, seed=3,
+        ),
+        ReplaySpec(scheme=OpaqueNoPrivacy(), cache_size=300, seed=1),
+        ReplaySpec(scheme="uniform", cache_size=300, marking=marking, seed=3),
+    ]  # fmt: skip
+    workload = (
+        {"trace": trace}
+        if source == "trace"
+        else {"trace_config": IrcacheConfig(requests=2500, objects=2000, seed=5)}
+    )
+    got = run_replay_sweep(specs, workers=workers, **workload)
+
+    def scheme(spec):
+        if isinstance(spec.scheme, str):
+            return build_scheme(spec.scheme, seed=spec.seed)
+        return pickle.loads(pickle.dumps(spec.scheme))
+
+    expected = [
+        replay(trace, scheme=scheme(spec), marking=spec.marking,
+               cache_size=spec.cache_size, seed=spec.seed)
+        for spec in specs
+    ]  # fmt: skip
+    assert got == expected
+    assert got == run_replay_sweep(specs, trace=trace, workers=1)
+    # Not vacuous: the overriding subclass answers differently.
+    assert got[0] != replay(
+        trace, scheme=UniformRandomCache(K=6, rng=np.random.default_rng(3)),
+        marking=marking, cache_size=300, seed=3,
+    )  # fmt: skip
 
 
 def test_replay_spec_picklable(trace):

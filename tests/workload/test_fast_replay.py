@@ -33,8 +33,8 @@ from repro.workload.marking import (
     RequestMarking,
 )
 from repro.workload.replay import replay
-from repro.workload.sharded import compile_stream
-from repro.workload.streaming import TraceWorkload
+from repro.workload.sharded import compile_stream, compile_workload
+from repro.workload.streaming import TraceWorkload, TsvWorkload
 from repro.workload.trace import Request, Trace
 
 
@@ -259,6 +259,8 @@ def _recut(compiled: CompiledTrace, n_shards: int) -> CompiledTrace:
 @pytest.fixture(scope="module")
 def representations(trace, tmp_path_factory):
     compiled = trace.compile()
+    tsv = tmp_path_factory.mktemp("tsv") / "trace.tsv"
+    trace.save(tsv)
     return {
         "trace": trace,
         "compiled": compiled,
@@ -266,6 +268,8 @@ def representations(trace, tmp_path_factory):
         "mmap x5": compile_stream(
             TraceWorkload(trace), tmp_path_factory.mktemp("shards"), shard_size=900
         ),
+        # What a sweep worker holds for a TSV trace-cache entry.
+        "tsv in-ram": compile_workload(TsvWorkload(tsv)),
     }
 
 

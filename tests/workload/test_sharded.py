@@ -23,8 +23,11 @@ from repro.workload.sharded import (
     ShardedCompiledTrace,
     ShardIntegrityError,
     compile_stream,
+    compile_workload,
 )
-from repro.workload.streaming import TraceWorkload
+from repro.workload.streaming import RequestBlock, TraceWorkload, TsvWorkload
+from repro.workload.trace import Trace
+from tests.workload.test_streaming import tsv_lines
 
 
 def _config(requests: int, seed: int) -> IrcacheConfig:
@@ -74,6 +77,55 @@ def test_compile_stream_bit_equal_to_compile_trace(
     _assert_bit_equal(sharded, trace)
     expected_shards = -(-requests // shard_size)
     assert sharded.n_shards == expected_shards
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=tsv_lines(),
+    chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+    salt=st.integers(min_value=0, max_value=2**32),
+)
+def test_tsv_compiled_in_ram_equals_trace_load_then_compile(
+    tmp_path_factory, lines, chunk_size, salt
+):
+    """The pass over the TSV reader, without files (what a sweep worker
+    holds) and into shards one small block at a time, equals
+    ``compile_trace(Trace.load(path))`` column for column: unicode
+    components, the root name, comment and blank lines, heavy repeats,
+    any number of blocks."""
+    path = tmp_path_factory.mktemp("tsv") / "trace.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    theirs = compile_trace(Trace.load(path))
+    in_ram = compile_workload(TsvWorkload(path))
+    streamed = compile_stream(
+        TsvWorkload(path), path.parent / "shards", shard_size=5, chunk_size=chunk_size
+    )
+    for ours in (in_ram, streamed.materialize()):
+        for column in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
+            got, expected = getattr(ours, column), getattr(theirs, column)
+            assert got.dtype == expected.dtype, column
+            np.testing.assert_array_equal(got, expected, err_msg=column)
+    assert list(in_ram.iter_uris()) == [str(name) for name in theirs.names]
+    assert list(streamed.iter_uris()) == list(in_ram.iter_uris())
+    assert list(in_ram.names) == list(theirs.names)
+    rule = ContentMarking(0.5, salt=salt)
+    assert in_ram.content_coins(rule).tobytes() == theirs.content_coins(rule).tobytes()
+
+
+class _SignedKeys(TraceWorkload):
+    """A workload that breaks the key contract: its keys run negative."""
+
+    def iter_blocks(self, chunk_size=None):
+        for block in super().iter_blocks(chunk_size):
+            yield RequestBlock(block.times, block.users, -1 - block.keys)
+
+
+def test_negative_content_keys_are_refused_not_aliased(tmp_path):
+    trace = IrcacheGenerator(_config(50, seed=1)).generate()
+    with pytest.raises(ValueError, match="content keys must be >= 0"):
+        compile_workload(_SignedKeys(trace))
+    with pytest.raises(ValueError, match="content keys must be >= 0"):
+        compile_stream(_SignedKeys(trace), tmp_path)
 
 
 def test_compile_stream_from_generator_stream(tmp_path):

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.ndn.errors import NameError_
+from repro.perf import parallel
+from repro.workload.compiled import compile_trace
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
+from repro.workload.sharded import compile_stream, compile_workload
 from repro.workload.streaming import (
     RequestBlock,
     TraceWorkload,
@@ -149,6 +154,154 @@ def test_tsv_workload_rejects_malformed_lines(tmp_path):
     path.write_text("1.0\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="3 tab-separated"):
         list(TsvWorkload(path).iter_blocks())
+
+
+#: Lines the TSV reader once sharded without complaint, each with the
+#: exception ``Trace.load`` raises for it.
+MALFORMED_LINES = {
+    "negative time": ("-1.000\t3\t/a/b", ValueError),
+    "negative user": ("1.000\t-3\t/a/b", ValueError),
+    "no leading slash": ("1.000\t3\ta/b", NameError_),
+    "empty component": ("1.000\t3\t/a//b", NameError_),
+    "trailing slash": ("1.000\t3\t/a/b/", NameError_),
+}
+
+
+@pytest.mark.parametrize(
+    "line,error", MALFORMED_LINES.values(), ids=list(MALFORMED_LINES)
+)
+def test_tsv_readers_refuse_what_trace_load_refuses(tmp_path, monkeypatch, line, error):
+    path = tmp_path / "trace.tsv"
+    path.write_text(f"0.000\t0\t/a/b\n# seen\n{line}\n2.000\t1\t/c\n", encoding="utf-8")
+    parallel._write_digest(path)  # the worker loader checks the digest first
+    monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
+    readers = {
+        "Trace.load": lambda: Trace.load(path),
+        "worker loader": lambda: parallel._load_trace(str(path)),
+        "compile_stream": lambda: compile_stream(TsvWorkload(path), tmp_path / "out"),
+    }
+    for label, read in readers.items():
+        with pytest.raises(error) as raised:
+            read()
+        assert type(raised.value) is error, label
+        if label != "Trace.load":
+            assert str(raised.value).startswith(f"{path}:3: "), label
+
+
+def test_a_user_id_beyond_int32_is_refused_not_wrapped(tmp_path, monkeypatch):
+    """``Trace.load`` takes it, compiling it to the int32 column does not."""
+    path = tmp_path / "trace.tsv"
+    path.write_text(f"0.000\t0\t/a\n1.000\t{2**31}\t/b\n", encoding="utf-8")
+    parallel._write_digest(path)
+    monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
+    with pytest.raises(OverflowError):
+        compile_trace(Trace.load(path))
+    with pytest.raises(OverflowError, match=str(2**31)):
+        parallel._load_trace(str(path))
+    with pytest.raises(OverflowError, match=str(2**31)):
+        compile_stream(TsvWorkload(path), tmp_path / "out")
+
+
+_COMPONENTS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="/\t\n\r"),
+    min_size=1,
+    max_size=5,
+)
+#: Any URI ``Name.parse`` accepts, the root ``/`` included.
+_URIS = st.lists(_COMPONENTS, max_size=3).map(lambda parts: "/" + "/".join(parts))
+
+
+@st.composite
+def tsv_lines(draw, min_rows: int = 0):
+    """The lines of a valid TSV trace: a few URIs requested many times
+    over, with comment and blank lines in between."""
+    vocabulary = draw(st.lists(_URIS, min_size=1, max_size=6))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=1e7),
+                st.integers(min_value=0, max_value=10**6),
+                st.sampled_from(vocabulary),
+            ),
+            min_size=min_rows,
+            max_size=50,
+        )
+    )
+    lines = [f"{time:.3f}\t{user}\t{uri}\n" for time, user, uri in rows]
+    for at, extra in sorted(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(lines)),
+                    st.sampled_from(["\n", "# comment\n", "#\ttabbed\tcomment\n"]),
+                ),
+                max_size=4,
+            )
+        ),
+        reverse=True,
+    ):
+        lines.insert(at, extra)
+    return lines
+
+
+def _edit(data, line: str) -> str:
+    """One single-field edit of a request line."""
+    time, user, uri = line.rstrip("\n").split("\t")
+    edit = data.draw(
+        st.sampled_from(
+            ["drop a tab", "add a tab", "negate the time", "negate the user",
+             "empty a component", "drop the leading slash"]
+        )
+    )  # fmt: skip
+    if edit == "drop a tab":
+        if data.draw(st.booleans()):
+            return f"{time}{user}\t{uri}"
+        return f"{time}\t{user}{uri}"
+    if edit == "add a tab":
+        at = data.draw(st.integers(min_value=0, max_value=len(line) - 1))
+        return line[:at] + "\t" + line[at:].rstrip("\n")
+    if edit == "negate the time":
+        return f"-{time}\t{user}\t{uri}"
+    if edit == "negate the user":
+        return f"{time}\t-{user}\t{uri}"
+    if edit == "empty a component":
+        parts = uri.split("/")
+        parts[data.draw(st.integers(min_value=1, max_value=len(parts) - 1))] = ""
+        return f"{time}\t{user}\t{'/'.join(parts)}"
+    return f"{time}\t{user}\t{uri[1:]}"
+
+
+def _outcome(read):
+    """The compiled trace, or the type of what refused it (any other
+    exception propagates and fails the test)."""
+    try:
+        return read()
+    except (ValueError, NameError_) as error:
+        return type(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=tsv_lines(min_rows=1), data=st.data())
+def test_any_single_edit_of_a_tsv_fails_closed_alike(tmp_path_factory, lines, data):
+    """Drop or add a tab, negate a time or user, empty a component, drop
+    the leading slash: ``Trace.load`` and the worker's loader raise the
+    same exception type, or both load the same columns."""
+    requests = [
+        i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")
+    ]
+    at = data.draw(st.sampled_from(requests))
+    lines[at] = _edit(data, lines[at]) + "\n"
+    path = tmp_path_factory.mktemp("edited") / "trace.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    theirs = _outcome(lambda: compile_trace(Trace.load(path)))
+    ours = _outcome(lambda: compile_workload(TsvWorkload(path)))
+    if isinstance(theirs, type):
+        assert ours is theirs
+        return
+    assert not isinstance(ours, type), ours
+    for column in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
+        np.testing.assert_array_equal(getattr(ours, column), getattr(theirs, column))
+    assert list(ours.iter_uris()) == [str(name) for name in theirs.names]
 
 
 def test_trace_workload_uses_compiled_ids():
