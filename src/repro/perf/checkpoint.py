@@ -2,16 +2,19 @@
 
 A killed sweep (OOM, preemption, Ctrl-C) should restart from its
 completed specs, not from zero.  :class:`SweepCheckpoint` is an
-append-only pickle stream::
+append-only text file, one line per record::
 
-    ("repro-sweep-checkpoint-v1", <fingerprint>)   # header
-    (spec_index, ReplayStats)                      # one per completed spec
+    repro-sweep-checkpoint-v2 <fingerprint>             # header
+    <sha256 of the JSON> [spec_index, {ReplayStats}]    # one per completed spec
     ...
 
 The fingerprint hashes the spec list, engine choice, and workload key, so
 a checkpoint written by a *different* sweep is never reused — it is
-discarded and the file restarted.  A truncated tail (the process died
-mid-write) is tolerated: every intact record before the damage is kept.
+discarded and the file restarted.  Nothing read back is trusted: a record
+whose digest does not match, whose JSON does not parse, or that is not
+``(int, ReplayStats)`` is damage, handled like a truncated tail (the
+process died mid-write) — every intact record before it is kept, and the
+specs after it are recomputed.
 
 Because every spec carries its own seed (see
 :mod:`repro.perf.parallel`), results assembled across a kill/resume
@@ -20,11 +23,31 @@ boundary are bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import pickle
+import dataclasses
+import hashlib
+import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
-_MAGIC = "repro-sweep-checkpoint-v1"
+from repro.workload.replay import ReplayStats
+
+_MAGIC = "repro-sweep-checkpoint-v2"
+
+
+def _record(index: int, stats: ReplayStats) -> str:
+    body = json.dumps([index, dataclasses.asdict(stats)])
+    return f"{hashlib.sha256(body.encode('utf-8')).hexdigest()} {body}\n"
+
+
+def _parse(line: bytes) -> Tuple[int, ReplayStats]:
+    """One record line, or ValueError/TypeError if it is damaged."""
+    digest, _, body = line.partition(b" ")
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+        raise ValueError("record checksum mismatch")
+    index, fields = json.loads(body)
+    if type(index) is not int:
+        raise TypeError(f"spec index {index!r} is not an int")
+    return index, ReplayStats(**fields)
 
 
 class SweepCheckpoint:
@@ -34,48 +57,51 @@ class SweepCheckpoint:
         self.path = Path(path)
         self.fingerprint = fingerprint
 
-    def load(self) -> Dict[int, object]:
+    def load(self) -> Dict[int, ReplayStats]:
         """Read completed results; (re)initialize the file when needed.
 
         Returns ``{spec_index: stats}``.  A missing file, a foreign
-        fingerprint, or a corrupted header starts the checkpoint fresh; a
-        corrupted *tail* keeps every record read before it.
+        fingerprint, or a damaged header starts the checkpoint fresh; a
+        damaged record keeps every record read before it.
         """
-        results: Dict[int, object] = {}
-        if self.path.exists():
-            try:
-                with self.path.open("rb") as handle:
-                    header = pickle.load(handle)
-                    if header != (_MAGIC, self.fingerprint):
-                        raise ValueError("foreign checkpoint")
-                    while True:
-                        index, stats = pickle.load(handle)
-                        results[int(index)] = stats
-            except EOFError:
-                return results  # clean end of stream
-            except (ValueError, TypeError, pickle.UnpicklingError, AttributeError):
-                # Damaged tail: rewrite the surviving prefix.  Foreign or
-                # headerless file: results is empty and the rewrite resets it.
-                self._rewrite(results)
-                return results
-        else:
-            self._rewrite(results)
+        results: Dict[int, ReplayStats] = {}
+        try:
+            lines = self.path.read_bytes().split(b"\n")
+        except FileNotFoundError:
+            lines = [b""]
+        # After the last newline split() leaves b"": anything else is torn.
+        if lines[0] == self._header().encode("utf-8"):
+            for line in lines[1:-1]:
+                try:
+                    index, stats = _parse(line)
+                except (ValueError, TypeError):
+                    break
+                results[index] = stats
+            else:
+                if lines[-1] == b"":
+                    return results
+        # Damaged tail: rewrite the surviving prefix.  Foreign, headerless
+        # or missing file: results is empty and the rewrite resets it.
+        self._rewrite(results)
         return results
 
-    def append(self, index: int, stats: object) -> None:
+    def append(self, index: int, stats: ReplayStats) -> None:
         """Durably record one completed spec."""
         if not self.path.exists():
             self._rewrite({})
-        with self.path.open("ab") as handle:
-            pickle.dump((index, stats), handle)
+        with self.path.open("a", encoding="utf-8") as handle:
+            handle.write(_record(index, stats))
             handle.flush()
 
-    def _rewrite(self, results: Dict[int, object]) -> None:
+    def _header(self) -> str:
+        return f"{_MAGIC} {self.fingerprint}"
+
+    def _rewrite(self, results: Dict[int, ReplayStats]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("wb") as handle:
-            pickle.dump((_MAGIC, self.fingerprint), handle)
+        with self.path.open("w", encoding="utf-8") as handle:
+            handle.write(self._header() + "\n")
             for index in sorted(results):
-                pickle.dump((index, results[index]), handle)
+                handle.write(_record(index, results[index]))
             handle.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -10,10 +10,11 @@ while keeping results **independent of the worker count**:
   (``np.random.SeedSequence.spawn``), so the RNG stream of a point never
   depends on which worker ran it or in what order,
 * results are collected by spec index, returned in spec order,
-* workers obtain the trace from an on-disk cache keyed by the
-  :class:`~repro.workload.ircache.IrcacheConfig` hash (or by content hash
-  for ad-hoc traces) instead of regenerating or unpickling ~10⁵ request
-  objects per task,
+* workers obtain the trace from an on-disk cache instead of regenerating
+  or unpickling ~10⁵ request objects per task: a generated trace keyed
+  by the :class:`~repro.workload.ircache.IrcacheConfig` hash (a TSV file
+  or a shard directory), an ad-hoc :class:`Trace` compiled into a shard
+  directory keyed by the sha256 of its compiled columns,
 * the serial fallback (``REPRO_WORKERS=1``, or a single spec) round-trips
   each spec through pickle so scheme/marking state is isolated exactly as
   process transport would isolate it — bit-identical to any worker count.
@@ -28,9 +29,10 @@ The runner is **failure-hardened** (see ``tests/perf/test_hardening.py``):
 * ``checkpoint=`` persists each completed point to disk
   (:class:`~repro.perf.checkpoint.SweepCheckpoint`); a killed sweep
   resumes from its completed specs,
-* trace-cache entries carry a ``.sha256`` sidecar digest that is
-  verified before use — a truncated or corrupted cache file is
-  regenerated instead of silently poisoning the whole sweep.
+* trace-cache entries are verified before use — a TSV entry against its
+  ``.sha256`` sidecar, a shard directory against its manifest's per-file
+  checksums — and a truncated or corrupted entry is regenerated instead
+  of silently poisoning the whole sweep.
 
 Environment knobs:
 
@@ -73,7 +75,7 @@ from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.perf.checkpoint import SweepCheckpoint
 from repro.workload.compiled import CompiledTrace
-from repro.workload.fast_replay import NoKernelError, fast_replay
+from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import (
     IRCACHE_ALGORITHM_VERSION,
     SAMPLING_BLOCK,
@@ -81,7 +83,7 @@ from repro.workload.ircache import (
     IrcacheGenerator,
 )
 from repro.workload.marking import MarkingRule
-from repro.workload.replay import ReplayStats, replay
+from repro.workload.replay import ReplayStats
 from repro.workload.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedCompiledTrace,
@@ -293,9 +295,8 @@ def _digest_sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
-def _write_digest(path: Path, digest: Optional[str] = None) -> None:
-    if digest is None:
-        digest = file_sha256(path)
+def _write_digest(path: Path) -> None:
+    digest = file_sha256(path)
     _atomic_write(
         _digest_sidecar(path), lambda tmp: tmp.write_text(digest, encoding="utf-8")
     )
@@ -332,22 +333,15 @@ def ensure_trace_cached(config: IrcacheConfig) -> Path:
     return path
 
 
-def ensure_sharded_trace_cached(
-    config: IrcacheConfig, shard_size: int = DEFAULT_SHARD_SIZE
-) -> Path:
-    """Generate-or-reuse the **sharded** compiled trace for ``config``.
+def _ensure_shard_entry(name: str, build: Callable[[Path], object]) -> Path:
+    """The shard directory ``name`` in the trace cache, built by
+    ``build(staging)`` unless an entry there passes its checksums.
 
-    Returns the shard-directory path.  The workload is streamed straight
-    into the sharded format (:func:`~repro.workload.sharded.compile_stream`)
-    so the cache build itself never materializes the full trace — peak
-    RSS stays bounded by one shard.  An existing entry is verified
-    against its per-shard checksums first; a corrupted entry is deleted
-    and regenerated (the config makes regeneration deterministic).  The
-    build lands in a staging directory and is renamed into place, so a
-    killed build never leaves a half-written entry under the cache key.
+    A corrupted entry is deleted and rebuilt.  The build lands in a
+    staging directory and is renamed into place, so a killed build never
+    leaves a half-written entry under the cache key.
     """
-    key = _config_key(config, layout="sharded", shard_size=shard_size)
-    path = trace_cache_dir() / f"ircache-shards-{key}"
+    path = trace_cache_dir() / name
     if path.is_dir():
         try:
             ShardedCompiledTrace.open(path).verify()
@@ -355,19 +349,10 @@ def ensure_sharded_trace_cached(
         except (ShardIntegrityError, OSError, ValueError):
             shutil.rmtree(path, ignore_errors=True)
     staging = Path(
-        tempfile.mkdtemp(dir=str(trace_cache_dir()), prefix=f".build-{key}-")
+        tempfile.mkdtemp(dir=str(trace_cache_dir()), prefix=f".build-{name}-")
     )
     try:
-        compile_stream(
-            IrcacheGenerator(config).stream(),
-            staging,
-            shard_size=shard_size,
-            source={
-                "kind": "ircache",
-                "config_key": key,
-                "algorithm_version": IRCACHE_ALGORITHM_VERSION,
-            },
-        )
+        build(staging)
         try:
             os.replace(staging, path)
         except OSError:
@@ -378,26 +363,41 @@ def ensure_sharded_trace_cached(
     return path
 
 
-def _trace_payload(trace: Trace) -> bytes:
-    """The canonical TSV byte serialization of ``trace``."""
-    lines = [
-        f"{request.time:.3f}\t{request.user}\t{request.name}\n" for request in trace
-    ]
-    return "".join(lines).encode("utf-8")
+def ensure_sharded_trace_cached(
+    config: IrcacheConfig, shard_size: int = DEFAULT_SHARD_SIZE
+) -> Path:
+    """Generate-or-reuse the **sharded** compiled trace for ``config``.
+
+    Returns the shard-directory path.  The workload is streamed straight
+    into the sharded format (:func:`~repro.workload.sharded.compile_stream`)
+    so the cache build itself never materializes the full trace — peak
+    RSS stays bounded by one shard.  The config makes a rebuild of a
+    corrupted entry deterministic.
+    """
+    key = _config_key(config, layout="sharded", shard_size=shard_size)
+    source = {
+        "kind": "ircache",
+        "config_key": key,
+        "algorithm_version": IRCACHE_ALGORITHM_VERSION,
+    }
+    return _ensure_shard_entry(
+        f"ircache-shards-{key}",
+        lambda staging: compile_stream(
+            IrcacheGenerator(config).stream(), staging, shard_size, source=source
+        ),
+    )
 
 
-def _cache_trace_object(trace: Trace) -> Path:
-    """Persist an ad-hoc trace under its content hash; returns the path."""
-    payload = _trace_payload(trace)
-    digest = hashlib.sha256(payload).hexdigest()
-    path = trace_cache_dir() / f"trace-{digest[:16]}.tsv"
-    if not path.exists() or file_sha256(path) != digest:
-        _atomic_write(path, lambda tmp: tmp.write_bytes(payload))
-        _write_digest(path, digest)
-    elif not _digest_sidecar(path).exists():
-        # Pre-checksum cache entry whose content still matches: adopt it.
-        _write_digest(path, digest)
-    return path
+def _trace_digest(trace: Trace) -> str:
+    """sha256 over ``trace``'s compiled columns and name table (the
+    occurrence columns follow from the ids)."""
+    compiled = trace.compile()
+    digest = hashlib.sha256()
+    for column in (compiled.ids, compiled.times, compiled.users):
+        digest.update(column.tobytes())
+    for uri in compiled.iter_uris():
+        digest.update(uri.encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 #: Per-process memo of compiled TSV entries, so each worker pays the
@@ -405,23 +405,18 @@ def _cache_trace_object(trace: Trace) -> Path:
 _PROCESS_TRACES: Dict[str, CompiledTrace] = {}
 
 
-def _verified_tsv(path: str) -> TsvWorkload:
-    """The TSV cache entry at ``path`` as a workload, once its digest checks."""
-    if not verify_trace_cache(path):
-        raise TraceCacheError(
-            f"trace cache entry {path} failed its digest check "
-            "(truncated or corrupted); regenerate it via "
-            "ensure_trace_cached() before dispatching workers"
-        )
-    return TsvWorkload(path)
-
-
 def _load_trace(path: str) -> CompiledTrace:
     """The TSV cache entry at ``path``, digest-checked, compiled in RAM by
     ``compile_workload(TsvWorkload(path))``: columns and the entry's URI
     list, with no ``Request`` and no interned ``Name``."""
     if path not in _PROCESS_TRACES:
-        _PROCESS_TRACES[path] = compile_workload(_verified_tsv(path))
+        if not verify_trace_cache(path):
+            raise TraceCacheError(
+                f"trace cache entry {path} failed its digest check "
+                "(truncated or corrupted); regenerate it via "
+                "ensure_trace_cached() before dispatching workers"
+            )
+        _PROCESS_TRACES[path] = compile_workload(TsvWorkload(path))
     return _PROCESS_TRACES[path]
 
 
@@ -439,8 +434,7 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
         except (ShardIntegrityError, OSError, ValueError) as error:
             raise TraceCacheError(
                 f"sharded trace cache entry {path} is unreadable or failed "
-                "its integrity check; regenerate it via "
-                "ensure_sharded_trace_cached() before dispatching workers"
+                "its integrity check; regenerate it before dispatching workers"
             ) from error
         _PROCESS_SHARDED[path] = sharded
     return sharded
@@ -449,13 +443,13 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
 # ======================================================================
 # Execution
 # ======================================================================
-def _execute(
-    trace: Union[Trace, CompiledTrace], spec: ReplaySpec, tsv: Optional[str] = None
-) -> ReplayStats:
+def _execute(trace: Union[Trace, CompiledTrace], spec: ReplaySpec) -> ReplayStats:
     scheme = spec.scheme
     if isinstance(scheme, str):
         scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
-    settings = dict(
+    return fast_replay(
+        trace,
+        scheme=scheme,
         marking=spec.marking,
         cache_size=spec.cache_size,
         policy=spec.policy,
@@ -463,13 +457,6 @@ def _execute(
         seed=spec.seed,
         refresh_delayed_hits=spec.refresh_delayed_hits,
     )
-    try:
-        return fast_replay(trace, scheme=scheme, **settings)
-    except NoKernelError:
-        # Refused before any work: the oracle replays the TSV's Requests.
-        if tsv is None:
-            raise
-        return replay(_verified_tsv(tsv), scheme=scheme, **settings)
 
 
 def _consume_chaos_flag(env: str) -> bool:
@@ -496,9 +483,8 @@ def _maybe_inject_chaos() -> None:
 def _worker_run(args: tuple) -> ReplayStats:
     trace_path, spec, layout = args
     _maybe_inject_chaos()
-    if layout == "sharded":
-        return _execute(_load_sharded(trace_path), spec)
-    return _execute(_load_trace(trace_path), spec, trace_path)
+    load = _load_sharded if layout == "sharded" else _load_trace
+    return _execute(load(trace_path), spec)
 
 
 class _SweepStalled(RuntimeError):
@@ -582,11 +568,13 @@ def run_replay_sweep(
 
     Exactly one of ``trace`` / ``trace_config`` supplies the workload.
     With ``trace_config`` the workload is materialized through the
-    on-disk cache; a raw ``trace`` is persisted there (content-addressed)
-    only when worker processes actually need to load it.
+    on-disk cache.  A raw ``trace`` is replayed in process by one worker;
+    for more, it is compiled into the shard store under the sha256 of its
+    compiled columns (``trace-shards-<digest>``) and workers map it.
 
-    ``sharded=True`` (requires ``trace_config``) routes the sweep through the memory-mapped sharded trace cache
-    instead of the TSV one: the cache is built by streaming generation
+    ``sharded=True`` (requires ``trace_config``) routes the sweep through
+    the memory-mapped sharded trace cache instead of the TSV one: the
+    cache is built by streaming generation
     (never materializing the trace) and each worker replays shard by
     shard, so worker RSS is bounded by one shard plus O(n_names) state
     rather than the whole request log.  Results are bit-identical to the
@@ -618,19 +606,19 @@ def run_replay_sweep(
     timeout = resolve_spec_timeout(timeout)
     max_restarts = resolve_max_restarts(max_restarts)
 
+    layout = "sharded" if sharded or trace is not None else "tsv"
+    if trace is not None:
+        digest = _trace_digest(trace)
+        trace_key = f"trace:{digest}"
+    else:
+        key = _config_key(
+            trace_config, layout=layout, shard_size=shard_size if sharded else None
+        )
+        trace_key = f"config:{layout}:{key}"
+
     completed: Dict[int, ReplayStats] = {}
     sweep_checkpoint: Optional[SweepCheckpoint] = None
     if checkpoint is not None:
-        if trace_config is not None:
-            layout = "sharded" if sharded else "tsv"
-            key = _config_key(
-                trace_config, layout=layout, shard_size=shard_size if sharded else None
-            )
-            trace_key = f"config:{layout}:{key}"
-        else:
-            trace_key = (
-                "trace:" + hashlib.sha256(_trace_payload(trace)).hexdigest()[:16]
-            )
         sweep_checkpoint = SweepCheckpoint(
             checkpoint, _sweep_fingerprint(spec_list, trace_key)
         )
@@ -646,31 +634,32 @@ def run_replay_sweep(
             sweep_checkpoint.append(index, stats)
 
     if workers <= 1:
-        tsv = None
-        if sharded:
-            workload: Union[Trace, CompiledTrace] = _load_sharded(
+        if trace is not None:
+            workload: Union[Trace, CompiledTrace] = trace
+        elif sharded:
+            workload = _load_sharded(
                 str(ensure_sharded_trace_cached(trace_config, shard_size))
             )
-        elif trace is None:
-            tsv = str(ensure_trace_cached(trace_config))
-            workload = _load_trace(tsv)
         else:
-            workload = trace
+            workload = _load_trace(str(ensure_trace_cached(trace_config)))
         # Pickle round-trip each spec so scheme/marking RNG state is
         # isolated exactly as process transport isolates it.
         for index, spec in enumerate(spec_list):
             if index in completed:
                 continue
-            deliver(index, _execute(workload, pickle.loads(pickle.dumps(spec)), tsv))
+            deliver(index, _execute(workload, pickle.loads(pickle.dumps(spec))))
         return [completed[index] for index in range(count)]
 
-    if sharded:
+    if trace is not None:
+        source = {"kind": "trace", "sha256": digest}
+        path = _ensure_shard_entry(
+            f"trace-shards-{digest[:16]}",
+            lambda staging: compile_stream(trace, staging, shard_size, source=source),
+        )
+    elif sharded:
         path = ensure_sharded_trace_cached(trace_config, shard_size)
-    elif trace_config is not None:
-        path = ensure_trace_cached(trace_config)
     else:
-        path = _cache_trace_object(trace)
-    layout = "sharded" if sharded else "tsv"
+        path = ensure_trace_cached(trace_config)
     tasks = [(str(path), spec, layout) for spec in spec_list]
     remaining = {index for index in range(count) if index not in completed}
     _run_hardened(tasks, remaining, workers, timeout, max_restarts, deliver)

@@ -23,8 +23,9 @@ class Monitor:
         self._counters[name] += increment
 
     def counter(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counters[name]
+        """Current value of counter ``name`` (0 if never incremented);
+        reading adds no key to :attr:`counters`."""
+        return self._counters.get(name, 0)
 
     @property
     def counters(self) -> Dict[str, int]:

@@ -516,7 +516,7 @@ def validate_streaming_differential(
 
     from repro.sim.workload_driver import scripts_from_workload
     from repro.workload.sharded import compile_stream, compile_workload
-    from repro.workload.streaming import TraceWorkload, TsvWorkload
+    from repro.workload.streaming import TsvWorkload
 
     if cases is None:
         cases = default_streaming_cases(seed=seed)
@@ -598,9 +598,7 @@ def validate_streaming_differential(
         private_period=7,
     )
     sim_trace = IrcacheGenerator(sim_config).generate()
-    scripts_mat = scripts_from_workload(
-        TraceWorkload(sim_trace), consumers, **driver_kwargs
-    )
+    scripts_mat = scripts_from_workload(sim_trace, consumers, **driver_kwargs)
     scripts_stream = scripts_from_workload(
         IrcacheGenerator(sim_config).stream(), consumers, **driver_kwargs
     )

@@ -15,14 +15,15 @@ from repro.workload.ircache import (
     IrcacheStream,
     small_test_trace,
 )
+from repro.workload.compiled import CompiledTrace
 from repro.workload.sharded import (
     ShardedCompiledTrace,
     ShardIntegrityError,
     compile_stream,
+    compile_workload,
 )
 from repro.workload.streaming import (
     RequestBlock,
-    TraceWorkload,
     TsvWorkload,
     Workload,
     iter_requests,
@@ -51,11 +52,12 @@ __all__ = [
     "DIURNAL_PROFILE",
     "Workload",
     "RequestBlock",
-    "TraceWorkload",
     "TsvWorkload",
+    "CompiledTrace",
     "ShardedCompiledTrace",
     "ShardIntegrityError",
     "compile_stream",
+    "compile_workload",
     "iter_requests",
     "materialize",
     "rechunk",

@@ -17,23 +17,31 @@ a dense ``int32`` content id **once**; the replay kernel
 * ``first_occurrence[i]`` — ``occurrence[i] == 0`` (the compulsory-miss
   positions; their count is the unique-object count).
 
-There is one such type.  :func:`compile_trace` produces it with a single
-shard held in RAM (memoized by :meth:`Trace.compile`, so S schemes × C
-cache sizes pay the interning once), as does
-:func:`~repro.workload.sharded.compile_workload` from any workload;
-:class:`~repro.workload.sharded.ShardedCompiledTrace` is the same thing
-with its shards memory-mapped from files.
+There is one such type, and one interning pass that builds it
+(:func:`~repro.workload.sharded._intern_pass`).
+:func:`~repro.workload.sharded.compile_workload` collects that pass into a
+single shard held in RAM, from any workload — an in-RAM
+:class:`~repro.workload.trace.Trace` included (memoized by
+:meth:`Trace.compile`, so S schemes × C cache sizes pay the interning
+once); :class:`~repro.workload.sharded.ShardedCompiledTrace` is the same
+thing with its shards memory-mapped from files.
+
+A compiled trace is itself a :class:`~repro.workload.streaming.Workload`
+(keys are its content ids), so the reference ``replay()`` runs on it
+directly: that is how a scheme without a fast kernel replays any input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ndn.name import Name
 from repro.workload.marking import ContentMarking
+from repro.workload.streaming import RequestBlock, iter_requests, rechunk
+from repro.workload.trace import Request
 
 #: :class:`TraceShard` column -> dtype.
 COLUMNS = (
@@ -127,6 +135,31 @@ class CompiledTrace:
         """Yield the shards in trace order."""
         return iter(self._shards)
 
+    # -- Workload protocol: keys are the content ids -----------------------
+    @property
+    def key_space(self) -> int:
+        return self.n_names
+
+    def uri_of(self, key: int) -> str:
+        return str(self.names[key])
+
+    def components_of(self, key: int) -> Tuple[str, ...]:
+        return self.names[key].components
+
+    def iter_blocks(self, chunk_size: Optional[int] = None) -> Iterator[RequestBlock]:
+        """The shards as request blocks (one per shard unless re-cut)."""
+        return rechunk((
+            RequestBlock(
+                times=np.asarray(shard.times, dtype=np.float64),
+                users=shard.users.astype(np.int64),
+                keys=shard.ids.astype(np.int64),
+            )
+            for shard in self.iter_shards()
+        ), chunk_size)  # fmt: skip
+
+    def __iter__(self) -> Iterator[Request]:
+        return iter_requests(self)
+
     def iter_uris(self) -> Iterator[str]:
         """The name table as URI strings, in content-id order (read, not
         rendered, from a table that holds URIs)."""
@@ -188,31 +221,3 @@ def _occurrence_index(ids: np.ndarray, n_names: int) -> np.ndarray:
     occurrence[order] = (np.arange(n, dtype=np.int64) - run_start).astype(np.int32)
     return occurrence
 
-
-def compile_trace(trace: "Trace") -> CompiledTrace:  # noqa: F821
-    """Intern ``trace`` into a one-shard in-RAM :class:`CompiledTrace`.
-
-    Prefer :meth:`repro.workload.trace.Trace.compile`, which memoizes the
-    result on the trace object.
-    """
-    intern: Dict[Name, int] = {}
-    names: List[Name] = []
-    n = len(trace)
-    ids = np.empty(n, dtype=np.int32)
-    times = np.empty(n, dtype=np.float64)
-    users = np.empty(n, dtype=np.int32)
-    first = np.zeros(n, dtype=bool)
-    setdefault = intern.setdefault
-    for i, request in enumerate(trace):
-        name = request.name
-        cid = setdefault(name, len(names))
-        if cid == len(names):
-            names.append(name)
-            first[i] = True
-        ids[i] = cid
-        times[i] = request.time
-        users[i] = request.user
-    shard = TraceShard(
-        0, 0, ids, times, users, _occurrence_index(ids, len(names)), first
-    )
-    return CompiledTrace(tuple(names), [shard])

@@ -32,8 +32,9 @@ is bounded by one shard.
 
 Schemes that do not provide a kernel (see
 :meth:`CacheScheme.make_kernel`) transparently fall back to the
-reference ``replay()`` when a :class:`Trace` is available, so
-``fast_replay`` is always safe to call.
+reference ``replay()`` on the compiled trace — itself a
+:class:`~repro.workload.streaming.Workload` that yields requests — so
+``fast_replay`` is always safe to call, on any input.
 """
 
 from __future__ import annotations
@@ -310,10 +311,6 @@ def _spans(
         yield ids, flags
 
 
-class NoKernelError(ValueError):
-    """A kernel-less scheme on a compiled trace, which has no Requests."""
-
-
 def fast_replay(
     trace: Union[Trace, CompiledTrace],
     scheme: Optional[CacheScheme] = None,
@@ -344,19 +341,12 @@ def fast_replay(
     scheme = scheme if scheme is not None else NoPrivacyScheme()
     rule = marking if marking is not None else NoMarking()
 
-    source = trace if isinstance(trace, Trace) else None
-    compiled = trace.compile() if source is not None else trace
+    compiled = trace.compile() if isinstance(trace, Trace) else trace
     kernel = scheme.make_kernel(compiled.names)
     if kernel is None:
         # Unknown scheme type: stay correct by running the oracle path.
-        if source is None:
-            raise NoKernelError(
-                f"scheme {type(scheme).__name__} provides no fast kernel, and "
-                f"a compiled trace (in RAM or sharded on disk) has no Request "
-                f"objects for the reference fallback — pass the Trace"
-            )
         return replay(
-            source,
+            compiled,
             scheme=scheme,
             marking=rule,
             cache_size=cache_size,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from repro.ndn.cs import ContentStore
 from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.ndn.replacement import make_policy
+from repro.workload.compiled import CompiledTrace
+from repro.workload.fast_replay import _spans
 from repro.workload.marking import MarkingRule, NoMarking
 from repro.workload.trace import Trace
 
@@ -182,32 +184,37 @@ class CacheHierarchy:
 
 
 def replay_hierarchy(
-    trace: Trace,
+    trace: Union[Trace, CompiledTrace],
     levels: Sequence[LevelConfig],
     marking: Optional[MarkingRule] = None,
     origin_delay: float = 40.0,
     seed: int = 0,
 ) -> HierarchyStats:
-    """Replay ``trace`` through a cache hierarchy; return the accounting."""
+    """Replay ``trace`` through a cache hierarchy; return the accounting.
+
+    Reads the compiled columns: privacy flags come from the same
+    per-shard pass as the fast replay kernel's, names from the compiled
+    name table.
+    """
     rule = marking if marking is not None else NoMarking()
+    compiled = trace.compile() if isinstance(trace, Trace) else trace
     hierarchy = CacheHierarchy(levels, origin_delay=origin_delay, seed=seed)
     stats = HierarchyStats()
-    request_index: Dict[Name, int] = {}
-    for record in trace:
-        idx = request_index.get(record.name, 0)
-        request_index[record.name] = idx + 1
-        private = rule.is_private(record.name, idx)
-        served_by, observable, latency = hierarchy.request(
-            record.name, private, record.time
-        )
-        stats.requests += 1
-        if private:
-            stats.private_requests += 1
-        stats.latency_total += latency
-        if observable:
-            stats.hits_by_level[served_by] = (
-                stats.hits_by_level.get(served_by, 0) + 1
+    names = compiled.names
+    times = iter(compiled.times.tolist())
+    for ids, flags in _spans(rule, compiled):
+        for cid, private in zip(ids, flags):
+            served_by, observable, latency = hierarchy.request(
+                names[cid], private, next(times)
             )
-        if served_by == "origin":
-            stats.origin_fetches += 1
+            stats.requests += 1
+            if private:
+                stats.private_requests += 1
+            stats.latency_total += latency
+            if observable:
+                stats.hits_by_level[served_by] = (
+                    stats.hits_by_level.get(served_by, 0) + 1
+                )
+            if served_by == "origin":
+                stats.origin_fetches += 1
     return stats

@@ -11,12 +11,13 @@ JSON manifest listing the shards with a sha256 per file.
 directory.  :func:`compile_workload` is the same pass with no files: one
 in-RAM shard and the URI list as the name table.
 
-The contract with the in-RAM compiler is **bit-equality**: concatenating
-a trace's shards reproduces ``compile_trace(trace)``'s columns exactly —
-same dtypes, same first-appearance intern order, same occurrence index
-(asserted by the property suite in ``tests/workload/test_sharded.py``).
-That is what lets ``stream → shards → replay`` equal
-``generate → compile → replay`` on every observable.
+Both are the one interning pass (:func:`_intern_pass`), so the contract
+is **bit-equality**: concatenating a trace's shards reproduces
+``Trace.compile()``'s columns exactly — same dtypes, same first-appearance
+intern order, same occurrence index (asserted by the property suite in
+``tests/workload/test_sharded.py``).  That is what lets
+``stream → shards → replay`` equal ``generate → compile → replay`` on
+every observable.
 
 Readers open shards with ``numpy.load(mmap_mode="r")`` and release each
 one (``madvise(MADV_DONTNEED)``) after consuming it, so peak RSS of a
@@ -27,7 +28,7 @@ Nothing read from disk is trusted.  No digest covers the manifest, so
 :meth:`ShardedCompiledTrace.open` checks its shape and that its shards
 tile ``0..n_requests`` in order; every shard load checks its length and
 that its content ids index the name table; :meth:`~ShardedCompiledTrace.verify`
-re-hashes every file and counts the name table.  Each failure is a
+re-hashes every file and reads the name table through.  Each failure is a
 :class:`ShardIntegrityError`, which the sweep-runner trace cache turns
 into regenerate-on-mismatch.
 """
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -155,9 +157,8 @@ def _intern_pass(
     :data:`_FIELDS`) and the URIs of the content ids it introduces.
 
     Content ids are dense int32 in first-appearance order and the
-    occurrence index runs across blocks, bit-equal to
-    :func:`~repro.workload.compiled.compile_trace` on the same request
-    sequence for any ``chunk_size``.  Keys index an array: sized by
+    occurrence index runs across blocks, the same for any ``chunk_size``:
+    this is the only code that assigns them.  Keys index an array: sized by
     ``key_space`` when the workload knows it, else grown to the largest
     key seen (the :class:`Workload` contract: keys are non-negative, and
     dense without a ``key_space``).
@@ -184,7 +185,7 @@ def _intern_pass(
             occ_counts = _grown(occ_counts, n_names, 0)
         users = block.users.astype(np.int32)
         wrapped = users != block.users
-        if wrapped.any():  # compile_trace refuses these too
+        if wrapped.any():
             raise OverflowError(f"user id {block.users[wrapped][0]} out of int32 range")
         cids32 = cids.astype(np.int32)
         occurrence = _occurrence_index(cids32, n_names) + occ_counts[cids]
@@ -214,8 +215,9 @@ def compile_workload(workload: Workload) -> CompiledTrace:
 
     The name table holds the workload's URIs (:class:`LazyNameTable`);
     no :class:`~repro.workload.trace.Request` and no interned
-    :class:`~repro.ndn.name.Name` is made.  This is how a sweep worker
-    holds a TSV trace-cache entry (``TsvWorkload`` in, columns out).
+    :class:`~repro.ndn.name.Name` is made.  This is :meth:`Trace.compile`,
+    and how a sweep worker holds a TSV trace-cache entry (``TsvWorkload``
+    in, columns out).
     """
     uris: List[str] = []
     blocks: List[Dict[str, np.ndarray]] = []
@@ -237,9 +239,9 @@ def compile_stream(
 ) -> "ShardedCompiledTrace":
     """Compile a workload to the sharded on-disk format in one pass.
 
-    The interning pass is :func:`compile_workload`'s (bit-equal to
-    :func:`~repro.workload.compiled.compile_trace` on the same request
-    sequence, for any ``shard_size``/``chunk_size``); here each block's
+    The interning pass is :func:`compile_workload`'s (bit-equal to it on
+    the same request sequence, for any ``shard_size``/``chunk_size``);
+    here each block's
     new URIs are appended to the name table file and its columns to the
     current shard.  Returns the opened :class:`ShardedCompiledTrace`.
     ``source`` is an arbitrary JSON-able provenance dict stored in the
@@ -409,19 +411,14 @@ class ShardedCompiledTrace(CompiledTrace):
 
         Raises :class:`ShardIntegrityError` on any missing file, checksum
         mismatch or name-count mismatch (the trace cache regenerates on
-        this).
+        this; :meth:`LazyNameTable.iter_uris` does the count).
         """
         names_path = self.names.path
         if not names_path.is_file():
             raise ShardIntegrityError(f"{names_path}: missing name table")
         if file_sha256(names_path) != self.manifest.get("names_sha256"):
             raise ShardIntegrityError(f"{names_path}: checksum mismatch")
-        with names_path.open("r", encoding="utf-8") as handle:
-            found = sum(1 for _ in handle)
-        if found != self.n_names:
-            raise ShardIntegrityError(
-                f"{names_path}: expected {self.n_names} names, found {found}"
-            )
+        deque(self.names.iter_uris(), maxlen=0)
         for index in range(self.n_shards):
             for field, _ in _FIELDS:
                 self._shard_path(index, field, verify=True)

@@ -11,15 +11,17 @@ state up front.  The pattern follows icarus' scenario workloads
 (lazily yielded Zipf/Poisson arrivals and trace readers) rather than
 array-first generation.
 
-Three implementations ship here and in :mod:`repro.workload.ircache`:
+Four types implement it:
 
-* ``IrcacheGenerator.stream()`` — the chunked synthetic proxy-trace
-  generator (diurnal profile + session locality preserved, seed-
-  reproducible independent of chunk size),
+* ``IrcacheGenerator.stream()`` (:mod:`repro.workload.ircache`) — the
+  chunked synthetic proxy-trace generator (diurnal profile + session
+  locality preserved, seed-reproducible independent of chunk size),
 * :class:`TsvWorkload` — a streaming reader for the TSV trace format of
   :meth:`Trace.save` (one line per request, never materialized),
-* :class:`TraceWorkload` — an adapter over an in-RAM :class:`Trace`, so
-  code written against the protocol also accepts legacy traces.
+* :class:`~repro.workload.trace.Trace` — an in-RAM trace; its keys are
+  its append-time name-pool indices,
+* :class:`~repro.workload.compiled.CompiledTrace` (in RAM or sharded on
+  disk) — keys are its content ids, so the reference replay runs on it.
 
 Downstream, :func:`repro.workload.sharded.compile_stream` lowers any
 workload to the mmap-sharded compiled-trace format in one streaming
@@ -76,7 +78,7 @@ class Workload(Protocol):
     """A re-iterable, time-ordered request source.
 
     ``n_requests`` and ``n_names`` are known-or-estimated totals (exact
-    for generators and adapted traces, estimates for one-pass readers);
+    for generators and traces, estimates for one-pass readers);
     ``key_space`` is an exclusive upper bound on content keys when one is
     known, else ``None`` and keys are dense (consumers index arrays by key).
     """
@@ -180,57 +182,6 @@ def iter_requests(workload: "Workload") -> Iterator[Request]:
                 name = Name(workload.components_of(key))
                 cache[key] = name
             yield Request(time=time, user=user, name=name)
-
-
-class TraceWorkload:
-    """Adapter: an in-RAM :class:`Trace` viewed through the protocol.
-
-    Compiles the trace once (memoized on the trace) and serves blocks as
-    slices of the compiled arrays; keys are the dense compiled content
-    ids, so ``stream→shards`` of an adapted trace reproduces
-    ``Trace.compile()`` exactly.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        self._trace = trace
-        self._compiled = trace.compile()
-
-    @property
-    def n_requests(self) -> int:
-        return self._compiled.n_requests
-
-    @property
-    def n_names(self) -> int:
-        return self._compiled.n_names
-
-    @property
-    def key_space(self) -> Optional[int]:
-        return self._compiled.n_names
-
-    def uri_of(self, key: int) -> str:
-        return str(self._compiled.names[key])
-
-    def components_of(self, key: int) -> Tuple[str, ...]:
-        return self._compiled.names[key].components
-
-    def iter_blocks(
-        self, chunk_size: Optional[int] = None
-    ) -> Iterator[RequestBlock]:
-        compiled = self._compiled
-        step = chunk_size if chunk_size is not None else DEFAULT_CHUNK
-        if step < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {step}")
-        n = compiled.n_requests
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            yield RequestBlock(
-                times=compiled.times[lo:hi],
-                users=compiled.users[lo:hi].astype(np.int64),
-                keys=compiled.ids[lo:hi].astype(np.int64),
-            )
-
-    def __iter__(self) -> Iterator[Request]:
-        return iter(self._trace)
 
 
 class TsvWorkload:
@@ -355,7 +306,4 @@ class TsvWorkload:
 
 def materialize(workload: "Workload") -> Trace:
     """Collect a workload into an in-RAM :class:`Trace` (small scales)."""
-    trace = Trace()
-    for request in iter_requests(workload):
-        trace.append(request)
-    return trace
+    return Trace(iter_requests(workload))

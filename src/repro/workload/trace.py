@@ -4,6 +4,11 @@ A trace is an ordered sequence of :class:`Request` records — who asked for
 what, when.  The synthetic IRCache-style generator produces these, the
 replay harness consumes them, and the TSV format lets a real proxy trace
 be dropped in (one line per request: ``time_ms  user_id  name``).
+
+A :class:`Trace` is also a :class:`~repro.workload.streaming.Workload`:
+its content keys are the append-time name pool's indices, so anything
+written against the protocol (the interning pass, the packet-simulator
+driver) takes a trace as it is.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.ndn.name import Name, name_of
+import numpy as np
+
+from repro.ndn.name import Name
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,16 +47,21 @@ class Trace:
         # Append-time column interning: duplicate user ids and names
         # across requests share one object each, so a million-request
         # trace holds one int per distinct user and one Name per distinct
-        # object instead of one per request.
+        # object instead of one per request.  A name's pool index is its
+        # workload content key.
         self._user_pool: Dict[int, int] = {}
-        self._name_pool: Dict[Name, Name] = {}
+        self._name_pool: Dict[Name, int] = {}
+        self._names: List[Name] = []
         for request in requests:
             self.append(request)
 
     def append(self, request: Request) -> None:
         """Add one request (caller maintains time ordering)."""
         user = self._user_pool.setdefault(request.user, request.user)
-        name = self._name_pool.setdefault(request.name, request.name)
+        key = self._name_pool.setdefault(request.name, len(self._names))
+        if key == len(self._names):
+            self._names.append(request.name)
+        name = self._names[key]
         if user is not request.user:
             object.__setattr__(request, "user", user)
         if name is not request.name:
@@ -72,20 +84,56 @@ class Trace:
         return self._requests[index]
 
     def compile(self):
-        """Intern the trace to dense int ids (see :mod:`.compiled`).
+        """Intern the trace to dense int ids: ``compile_workload(self)``
+        (see :mod:`.compiled`).
 
         The compiled form is cached on the trace; it is invalidated and
         rebuilt if requests have been appended (or the trace re-sorted)
         since the last compile.
         """
-        from repro.workload.compiled import compile_trace
+        from repro.workload.sharded import compile_workload
 
-        cached = self._compiled
-        if cached is not None:
-            return cached
-        compiled = compile_trace(self)
-        self._compiled = compiled
-        return compiled
+        if self._compiled is None:
+            self._compiled = compile_workload(self)
+        return self._compiled
+
+    # ------------------------------------------------------------------
+    # Workload protocol
+    # ------------------------------------------------------------------
+    @property
+    def n_requests(self) -> int:
+        return len(self._requests)
+
+    @property
+    def n_names(self) -> int:
+        return len(self._names)
+
+    @property
+    def key_space(self) -> Optional[int]:
+        return len(self._names)
+
+    def uri_of(self, key: int) -> str:
+        return str(self._names[key])
+
+    def components_of(self, key: int) -> Tuple[str, ...]:
+        return self._names[key].components
+
+    def iter_blocks(self, chunk_size: Optional[int] = None):
+        """The requests as request blocks, keys looked up in the name
+        pool per block."""
+        from repro.workload.streaming import DEFAULT_CHUNK, RequestBlock
+
+        step = chunk_size if chunk_size is not None else DEFAULT_CHUNK
+        if step < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {step}")
+        pool = self._name_pool
+        for lo in range(0, len(self._requests), step):
+            block = self._requests[lo : lo + step]
+            yield RequestBlock(
+                times=np.array([r.time for r in block], dtype=np.float64),
+                users=np.array([r.user for r in block], dtype=np.int64),
+                keys=np.array([pool[r.name] for r in block], dtype=np.int64),
+            )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -93,7 +141,7 @@ class Trace:
     @property
     def unique_objects(self) -> int:
         """Number of distinct content names requested."""
-        return len({r.name for r in self._requests})
+        return len(self._names)
 
     @property
     def unique_users(self) -> int:
@@ -134,29 +182,11 @@ class Trace:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Trace":
         """Read a TSV trace written by :meth:`save` (or a real proxy log
-        converted to the same three-column layout)."""
-        source = Path(path)
-        trace = cls()
-        with source.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{source}:{line_number}: expected 3 tab-separated "
-                        f"fields, got {len(parts)}"
-                    )
-                time_str, user_str, name_str = parts
-                trace.append(
-                    Request(
-                        time=float(time_str),
-                        user=int(user_str),
-                        name=name_of(name_str),
-                    )
-                )
-        return trace
+        converted to the same three-column layout) through
+        :class:`~repro.workload.streaming.TsvWorkload`, the one TSV parser."""
+        from repro.workload.streaming import TsvWorkload, materialize
+
+        return materialize(TsvWorkload(path))
 
     def head(self, count: int) -> "Trace":
         """A new trace containing only the first ``count`` requests."""

@@ -9,10 +9,13 @@ acceptance criterion, guaranteed by specs carrying their own seeds.
 
 from __future__ import annotations
 
-import pickle
+import hashlib
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.perf.parallel as parallel
 from repro.core.schemes.no_privacy import NoPrivacyScheme
@@ -29,6 +32,8 @@ from repro.perf.parallel import (
     verify_trace_cache,
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
+from repro.workload.replay import ReplayStats
+from repro.workload.sharded import ShardedCompiledTrace, compile_stream
 from repro.workload.trace import Trace
 
 
@@ -73,6 +78,9 @@ class TestWorkerDeath:
         survived = run_replay_sweep(specs, trace=trace, workers=2)
         assert not flag.exists()  # a worker consumed the flag and died
         assert survived == baseline
+        # The ad-hoc trace reached the workers through the shard store.
+        entries = sorted(p.name for p in (tmp_path / "traces").iterdir())
+        assert len(entries) == 1 and entries[0].startswith("trace-shards-")
 
         monkeypatch.delenv("REPRO_CHAOS_KILL_FLAG")
         assert run_replay_sweep(specs, trace=trace, workers=3) == baseline
@@ -154,16 +162,8 @@ class TestCheckpointResume:
         full = run_replay_sweep(specs, trace=trace, workers=1, checkpoint=ckpt)
 
         # Simulate a sweep killed after 3 completions: rebuild a shorter file.
-        with ckpt.open("rb") as handle:
-            records = []
-            try:
-                while True:
-                    records.append(pickle.load(handle))
-            except EOFError:
-                pass
-        with ckpt.open("wb") as handle:
-            for record in records[:4]:  # header + 3 results
-                pickle.dump(record, handle)
+        lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+        ckpt.write_text("".join(lines[:4]), encoding="utf-8")  # header + 3
 
         executed = []
         real_execute = parallel._execute
@@ -200,35 +200,87 @@ class TestCheckpointResume:
         path = tmp_path / "c.ckpt"
         mine = SweepCheckpoint(path, "fingerprint-a")
         mine.load()
-        mine.append(0, "result-a")
-        assert SweepCheckpoint(path, "fingerprint-a").load() == {0: "result-a"}
+        mine.append(0, ReplayStats(requests=1))
+        assert SweepCheckpoint(path, "fingerprint-a").load() == {
+            0: ReplayStats(requests=1)
+        }
         assert SweepCheckpoint(path, "fingerprint-b").load() == {}
         # The foreign load reset the file for fingerprint-b.
         assert SweepCheckpoint(path, "fingerprint-b").load() == {}
 
     def test_truncated_tail_keeps_intact_prefix(self, tmp_path):
         path = tmp_path / "c.ckpt"
+        zero, one, two = (ReplayStats(requests=n) for n in (10, 11, 12))
         ckpt = SweepCheckpoint(path, "fp")
         ckpt.load()
-        ckpt.append(0, "zero")
-        ckpt.append(1, "one")
+        ckpt.append(0, zero)
+        ckpt.append(1, one)
         intact = path.stat().st_size
-        ckpt.append(2, "two")
+        ckpt.append(2, two)
         with path.open("r+b") as handle:  # chop the last record in half
             handle.truncate(intact + 3)
-        assert SweepCheckpoint(path, "fp").load() == {0: "zero", 1: "one"}
+        assert SweepCheckpoint(path, "fp").load() == {0: zero, 1: one}
         # And the file was repaired: appends keep working.
         repaired = SweepCheckpoint(path, "fp")
         repaired.load()
-        repaired.append(2, "two-again")
+        repaired.append(2, ReplayStats(requests=99))
         assert SweepCheckpoint(path, "fp").load() == {
-            0: "zero", 1: "one", 2: "two-again",
+            0: zero, 1: one, 2: ReplayStats(requests=99),
         }
 
     def test_garbage_file_restarts_clean(self, tmp_path):
         path = tmp_path / "c.ckpt"
         path.write_bytes(b"not a pickle stream at all")
         assert SweepCheckpoint(path, "fp").load() == {}
+
+    def test_a_record_that_is_not_replay_stats_is_damage(
+        self, trace, cache_dir, tmp_path
+    ):
+        """A checksummed record must still be ``(int, ReplayStats)``."""
+        specs = _specs(2)
+        ckpt = tmp_path / "sweep.ckpt"
+        fresh = run_replay_sweep(specs, trace=trace, workers=1, checkpoint=ckpt)
+        header = ckpt.read_text(encoding="utf-8").splitlines()[0]
+        body = json.dumps([0, "junk"])
+        junk = f"{hashlib.sha256(body.encode()).hexdigest()} {body}"
+        ckpt.write_text(f"{header}\n{junk}\n", encoding="utf-8")
+        assert run_replay_sweep(specs, trace=trace, workers=1, checkpoint=ckpt) == fresh
+
+
+def _edited(data: bytes, edit) -> bytes:
+    kind, at, byte = edit
+    at = min(at, len(data))
+    if kind == "replace" and at < len(data):
+        return data[:at] + bytes([byte]) + data[at + 1 :]
+    if kind == "delete":
+        return data[:at] + data[at + 1 :]
+    return data[:at] + bytes([byte]) + data[at:]
+
+
+_EDITS = st.tuples(
+    st.sampled_from(["replace", "delete", "insert"]),
+    st.integers(0, 4096),
+    st.integers(0, 255),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edit=_EDITS)
+def test_any_single_edit_of_a_checkpoint_fails_closed(edit):
+    """One byte replaced, deleted or inserted anywhere in a complete
+    checkpoint: the resumed sweep equals a fresh run, because a damaged
+    record is recomputed rather than returned."""
+    trace = IrcacheGenerator(IrcacheConfig(requests=300, objects=200, seed=31)).generate()
+    specs = _specs(3)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "sweep.ckpt"
+        fresh = run_replay_sweep(specs, trace=trace, workers=1, checkpoint=ckpt)
+        ckpt.write_bytes(_edited(ckpt.read_bytes(), edit))
+        resumed = run_replay_sweep(specs, trace=trace, workers=1, checkpoint=ckpt)
+        assert resumed == fresh
+        # And the file was repaired: it now holds every result.
+        fingerprint = ckpt.read_text(encoding="utf-8").split("\n")[0].split(" ")[1]
+        assert SweepCheckpoint(ckpt, fingerprint).load() == dict(enumerate(fresh))
 
 
 class TestTraceCacheIntegrity:
@@ -260,11 +312,11 @@ class TestTraceCacheIntegrity:
         with pytest.raises(TraceCacheError, match="digest"):
             parallel._load_trace(str(path))
 
-    def test_oracle_fallback_rechecks_an_entry_corrupted_after_loading(
+    def test_oracle_fallback_reads_the_loaded_columns_not_the_file(
         self, cache_dir, monkeypatch
     ):
-        """A kernel-less spec re-reads the TSV for its Requests; the entry
-        swapped out since it was loaded must not reach the oracle."""
+        """A kernel-less spec replays the loaded columns on the oracle, so
+        an entry swapped out after loading cannot reach it."""
 
         class Opaque(NoPrivacyScheme):
             def make_kernel(self, names):
@@ -275,10 +327,10 @@ class TestTraceCacheIntegrity:
         monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
         loaded = parallel._load_trace(path)
         spec = ReplaySpec(scheme=Opaque(), cache_size=50)
-        assert parallel._execute(loaded, spec, path).requests == 400
+        before = parallel._execute(loaded, spec)
+        assert before.requests == 400
         Path(path).write_text("0.000\t0\t/poison\n", encoding="utf-8")
-        with pytest.raises(TraceCacheError, match="digest"):
-            parallel._execute(loaded, spec, path)
+        assert parallel._execute(loaded, spec) == before
 
     def test_sweep_self_heals_poisoned_cache(self, trace, cache_dir, monkeypatch):
         """End-to-end: a corrupted cache file cannot poison sweep results."""
@@ -293,17 +345,28 @@ class TestTraceCacheIntegrity:
         assert healed == clean
 
     def test_adhoc_trace_cache_checksummed(self, cache_dir, trace):
-        path = parallel._cache_trace_object(trace)
-        assert verify_trace_cache(path)
-        # Corrupt it; the next persist call rewrites it.
-        path.write_bytes(b"garbage")
-        again = parallel._cache_trace_object(trace)
-        assert again == path
-        assert verify_trace_cache(path)
+        """A pooled sweep over an ad-hoc trace maps a ``trace-shards-*``
+        entry; a corrupted entry is rebuilt, not replayed."""
+        specs = _specs(2)
+        clean = run_replay_sweep(specs, trace=trace, workers=2)
+        (entry,) = (cache_dir / "traces").iterdir()
+        assert entry.name.startswith("trace-shards-")
+        ShardedCompiledTrace.open(entry).verify()
+        (entry / "shard-00000.ids.npy").write_bytes(b"garbage")
+        assert run_replay_sweep(specs, trace=trace, workers=2) == clean
+        assert [p.name for p in (cache_dir / "traces").iterdir()] == [entry.name]
+        ShardedCompiledTrace.open(entry).verify()
 
     def test_adhoc_pre_checksum_entry_adopted(self, cache_dir, trace):
-        path = parallel._cache_trace_object(trace)
-        parallel._digest_sidecar(path).unlink()  # PR-1 era entry, no sidecar
-        again = parallel._cache_trace_object(trace)
-        assert again == path
-        assert verify_trace_cache(path)
+        """An ad-hoc entry already in the cache, written outside any sweep,
+        is adopted once it verifies: the sweep neither rebuilds nor
+        rewrites it."""
+        digest = parallel._trace_digest(trace)
+        entry = cache_dir / "traces" / f"trace-shards-{digest[:16]}"
+        compile_stream(trace, entry, source={"kind": "trace", "sha256": digest})
+        before = {p.name: p.stat().st_mtime_ns for p in entry.iterdir()}
+        specs = _specs(2)
+        pooled = run_replay_sweep(specs, trace=trace, workers=2)
+        assert pooled == run_replay_sweep(specs, trace=trace, workers=1)
+        assert [p.name for p in (cache_dir / "traces").iterdir()] == [entry.name]
+        assert {p.name: p.stat().st_mtime_ns for p in entry.iterdir()} == before

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.schemes.base import Decision
+from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.perf.parallel import (
     ReplaySpec,
     _config_key,
@@ -12,8 +14,10 @@ from repro.perf.parallel import (
     ensure_trace_cached,
     run_replay_sweep,
 )
-from repro.workload.ircache import IrcacheConfig
+from repro.workload.fast_replay import fast_replay
+from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, RequestMarking
+from repro.workload.replay import replay
 from repro.workload.sharded import ShardedCompiledTrace
 from tests.workload.test_sharded import MANIFEST_TAMPERINGS, tamper_manifest
 
@@ -123,3 +127,31 @@ def test_sharded_mode_input_validation(tmp_path):
         run_replay_sweep(
             SPECS[:1], trace=object(), sharded=True  # type: ignore[arg-type]
         )
+
+
+class Mine(NoPrivacyScheme):
+    """Overrides ``on_request`` and so has no kernel: every other request
+    for cached content is refused."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen = 0
+
+    def on_request(self, entry, private, now):
+        self.seen += 1
+        return Decision.miss() if self.seen % 2 else Decision.hit()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernelless_scheme_runs_on_a_sharded_sweep(workers):
+    """A scheme without a kernel replays the shards on the oracle."""
+    config = IrcacheConfig(requests=2000, seed=3)
+    trace = IrcacheGenerator(config).generate()
+    expected = replay(trace, scheme=Mine(), cache_size=50)
+    assert expected != replay(trace, scheme=NoPrivacyScheme(), cache_size=50)
+    specs = [ReplaySpec(scheme=Mine(), cache_size=50)] * 2
+    swept = run_replay_sweep(
+        specs, trace_config=config, workers=workers, sharded=True
+    )
+    assert swept == [expected, expected]
+    assert fast_replay(trace.compile(), scheme=Mine(), cache_size=50) == expected

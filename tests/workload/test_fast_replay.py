@@ -34,7 +34,7 @@ from repro.workload.marking import (
 )
 from repro.workload.replay import replay
 from repro.workload.sharded import compile_stream, compile_workload
-from repro.workload.streaming import TraceWorkload, TsvWorkload
+from repro.workload.streaming import TsvWorkload
 from repro.workload.trace import Request, Trace
 
 
@@ -229,11 +229,11 @@ def test_kernelless_scheme_falls_back_to_reference(trace):
         def make_kernel(self, names):
             return None
 
-    stats = fast_replay(trace, scheme=OpaqueScheme(), cache_size=100, seed=0)
-    assert stats == replay(trace, scheme=NoPrivacyScheme(), cache_size=100, seed=0)
-    # The fallback needs Request objects, which a bare CompiledTrace lacks.
-    with pytest.raises(ValueError):
-        fast_replay(trace.compile(), scheme=OpaqueScheme(), cache_size=100)
+    expected = replay(trace, scheme=NoPrivacyScheme(), cache_size=100, seed=0)
+    # A compiled trace yields Requests too: the fallback runs on any input.
+    for source in (trace, trace.compile()):
+        stats = fast_replay(source, scheme=OpaqueScheme(), cache_size=100, seed=0)
+        assert stats == expected
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +266,7 @@ def representations(trace, tmp_path_factory):
         "compiled": compiled,
         **{f"in-ram x{n}": _recut(compiled, n) for n in (1, 2, 7)},
         "mmap x5": compile_stream(
-            TraceWorkload(trace), tmp_path_factory.mktemp("shards"), shard_size=900
+            trace, tmp_path_factory.mktemp("shards"), shard_size=900
         ),
         # What a sweep worker holds for a TSV trace-cache entry.
         "tsv in-ram": compile_workload(TsvWorkload(tsv)),
@@ -325,15 +325,9 @@ def test_every_representation_replays_like_the_oracle(
     expected = run(replay, trace)
     assert expected.private_requests > 0 or marking_key == "none"
     if scheme_key in OVERRIDING_SCHEMES:
-        # No kernel: a Trace rides the oracle, and it shows (the parent
-        # class answers differently); a compiled form is refused.
-        assert run(fast_replay, trace) == expected
+        # No kernel: every representation rides the oracle, and it shows
+        # (the parent class answers differently).
         assert run(fast_replay, trace, parent_class=True) != expected
-        for label, held in representations.items():
-            if label != "trace":
-                with pytest.raises(ValueError, match="provides no fast kernel"):
-                    run(fast_replay, held)
-        return
     got = {label: run(fast_replay, held) for label, held in representations.items()}
     assert got == dict.fromkeys(representations, expected)
 

@@ -15,19 +15,19 @@ from repro.core.schemes.always_delay import AlwaysDelayScheme
 from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
-from repro.workload.compiled import compile_trace
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
+from repro.workload.replay import replay
 from repro.workload.sharded import (
     ShardedCompiledTrace,
     ShardIntegrityError,
     compile_stream,
     compile_workload,
 )
-from repro.workload.streaming import RequestBlock, TraceWorkload, TsvWorkload
+from repro.workload.streaming import RequestBlock, TsvWorkload
 from repro.workload.trace import Trace
-from tests.workload.test_streaming import tsv_lines
+from tests.workload.test_streaming import expected_columns, tsv_lines
 
 
 def _config(requests: int, seed: int) -> IrcacheConfig:
@@ -38,20 +38,16 @@ def _config(requests: int, seed: int) -> IrcacheConfig:
 
 
 def _assert_bit_equal(sharded: ShardedCompiledTrace, trace) -> None:
-    compiled = compile_trace(trace)
+    expected = expected_columns(trace)
     materialized = sharded.materialize()
-    assert sharded.n_requests == compiled.n_requests
-    assert sharded.n_names == compiled.n_names
-    for field in ("ids", "times", "users", "first_occurrence"):
+    assert sharded.n_requests == len(trace)
+    assert sharded.n_names == len(expected["names"])
+    for field in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
         ours = getattr(materialized, field)
-        theirs = getattr(compiled, field)
-        assert ours.dtype == theirs.dtype, field
-        np.testing.assert_array_equal(ours, theirs, err_msg=field)
-    np.testing.assert_array_equal(
-        materialized.occurrence_index, compiled.occurrence_index
-    )
-    assert [str(n) for n in sharded.names] == [str(n) for n in compiled.names]
-    assert sharded.max_hit_rate == pytest.approx(compiled.max_hit_rate)
+        assert ours.dtype == expected[field].dtype, field
+        np.testing.assert_array_equal(ours, expected[field], err_msg=field)
+    assert [str(n) for n in sharded.names] == [str(n) for n in expected["names"]]
+    assert sharded.max_hit_rate == pytest.approx(1 - sharded.n_names / len(trace))
 
 
 # ----------------------------------------------------------------------
@@ -67,13 +63,12 @@ def _assert_bit_equal(sharded: ShardedCompiledTrace, trace) -> None:
 def test_compile_stream_bit_equal_to_compile_trace(
     tmp_path_factory, requests, shard_size, chunk_size, seed
 ):
-    """Shards concatenate bit-equal to ``compile_trace`` for arbitrary
-    shard/chunk sizes and seeds — dtypes, intern order, occurrence index."""
+    """Shards of a trace concatenate bit-equal to compiling it request by
+    request (the expected columns) for arbitrary shard/chunk sizes and
+    seeds — dtypes, intern order, occurrence index."""
     out = tmp_path_factory.mktemp("shards")
     trace = IrcacheGenerator(_config(requests, seed)).generate()
-    sharded = compile_stream(
-        TraceWorkload(trace), out, shard_size=shard_size, chunk_size=chunk_size
-    )
+    sharded = compile_stream(trace, out, shard_size=shard_size, chunk_size=chunk_size)
     _assert_bit_equal(sharded, trace)
     expected_shards = -(-requests // shard_size)
     assert sharded.n_shards == expected_shards
@@ -90,29 +85,32 @@ def test_tsv_compiled_in_ram_equals_trace_load_then_compile(
 ):
     """The pass over the TSV reader, without files (what a sweep worker
     holds) and into shards one small block at a time, equals
-    ``compile_trace(Trace.load(path))`` column for column: unicode
+    ``Trace.load(path)``'s expected columns column for column: unicode
     components, the root name, comment and blank lines, heavy repeats,
     any number of blocks."""
     path = tmp_path_factory.mktemp("tsv") / "trace.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    theirs = compile_trace(Trace.load(path))
+    theirs = expected_columns(Trace.load(path))
     in_ram = compile_workload(TsvWorkload(path))
     streamed = compile_stream(
         TsvWorkload(path), path.parent / "shards", shard_size=5, chunk_size=chunk_size
     )
     for ours in (in_ram, streamed.materialize()):
         for column in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
-            got, expected = getattr(ours, column), getattr(theirs, column)
+            got, expected = getattr(ours, column), theirs[column]
             assert got.dtype == expected.dtype, column
             np.testing.assert_array_equal(got, expected, err_msg=column)
-    assert list(in_ram.iter_uris()) == [str(name) for name in theirs.names]
-    assert list(streamed.iter_uris()) == list(in_ram.iter_uris())
-    assert list(in_ram.names) == list(theirs.names)
+    uris = [str(name) for name in theirs["names"]]
+    assert list(in_ram.iter_uris()) == uris
+    assert list(streamed.iter_uris()) == uris
+    assert list(in_ram.names) == theirs["names"]
     rule = ContentMarking(0.5, salt=salt)
-    assert in_ram.content_coins(rule).tobytes() == theirs.content_coins(rule).tobytes()
+    np.testing.assert_array_equal(
+        in_ram.content_coins(rule), [rule.coin(uri) for uri in uris]
+    )
 
 
-class _SignedKeys(TraceWorkload):
+class _SignedKeys(Trace):
     """A workload that breaks the key contract: its keys run negative."""
 
     def iter_blocks(self, chunk_size=None):
@@ -123,9 +121,9 @@ class _SignedKeys(TraceWorkload):
 def test_negative_content_keys_are_refused_not_aliased(tmp_path):
     trace = IrcacheGenerator(_config(50, seed=1)).generate()
     with pytest.raises(ValueError, match="content keys must be >= 0"):
-        compile_workload(_SignedKeys(trace))
+        compile_workload(_SignedKeys(list(trace)))
     with pytest.raises(ValueError, match="content keys must be >= 0"):
-        compile_stream(_SignedKeys(trace), tmp_path)
+        compile_stream(_SignedKeys(list(trace)), tmp_path)
 
 
 def test_compile_stream_from_generator_stream(tmp_path):
@@ -402,16 +400,19 @@ def test_sharded_replay_bit_identical(
     assert in_ram == streamed
 
 
-def test_sharded_replay_requires_kernel_scheme(tmp_path):
-    """Schemes without a batch kernel would need the reference replay,
-    which needs Request objects — sharded traces refuse explicitly."""
+def test_sharded_replay_of_a_kernelless_scheme_runs_the_oracle(tmp_path):
+    """A scheme without a batch kernel replays the shards' Requests on
+    the reference replay."""
 
     class KernellessScheme(NoPrivacyScheme):
         def make_kernel(self, names):
             return None
 
+    config = _config(200, seed=1)
     sharded = compile_stream(
-        IrcacheGenerator(_config(200, seed=1)).stream(), tmp_path, shard_size=64
+        IrcacheGenerator(config).stream(), tmp_path, shard_size=64
     )
-    with pytest.raises(ValueError, match="sharded"):
-        fast_replay(sharded, scheme=KernellessScheme(), cache_size=32, seed=3)
+    expected = replay(
+        IrcacheGenerator(config).generate(), scheme=NoPrivacyScheme(), cache_size=32
+    )
+    assert fast_replay(sharded, scheme=KernellessScheme(), cache_size=32) == expected

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ndn.errors import NameError_
 from repro.perf import parallel
-from repro.workload.compiled import compile_trace
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.sharded import compile_stream, compile_workload
 from repro.workload.streaming import (
     RequestBlock,
-    TraceWorkload,
     TsvWorkload,
     Workload,
     iter_requests,
@@ -23,6 +21,26 @@ from repro.workload.streaming import (
 from repro.workload.trace import Trace
 
 CONFIG = IrcacheConfig(requests=5000, users=60, objects=800, sites=12, seed=3)
+
+
+def expected_columns(trace) -> dict:
+    """The compiled columns of ``trace``, counted request by request
+    (dense ids in first-appearance order) and the name table."""
+    intern, counts, ids, occurrence = {}, [], [], []
+    for request in trace:
+        cid = intern.setdefault(request.name, len(intern))
+        counts += [0] * (cid == len(counts))
+        ids.append(cid)
+        occurrence.append(counts[cid])
+        counts[cid] += 1
+    return dict(
+        ids=np.array(ids, dtype=np.int32),
+        times=np.array([r.time for r in trace], dtype=np.float64),
+        users=np.array([r.user for r in trace], dtype=np.int32),
+        occurrence_index=np.array(occurrence, dtype=np.int32),
+        first_occurrence=np.array(occurrence) == 0,
+        names=list(intern),
+    )
 
 
 def _concat(blocks):
@@ -41,7 +59,8 @@ def test_implementations_satisfy_protocol(tmp_path):
     stream = IrcacheGenerator(CONFIG).stream()
     assert isinstance(stream, Workload)
     trace = IrcacheGenerator(CONFIG).generate()
-    assert isinstance(TraceWorkload(trace), Workload)
+    assert isinstance(trace, Workload)
+    assert isinstance(trace.compile(), Workload)
     path = tmp_path / "trace.tsv"
     trace.save(path)
     assert isinstance(TsvWorkload(path), Workload)
@@ -195,7 +214,7 @@ def test_a_user_id_beyond_int32_is_refused_not_wrapped(tmp_path, monkeypatch):
     parallel._write_digest(path)
     monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
     with pytest.raises(OverflowError):
-        compile_trace(Trace.load(path))
+        Trace.load(path).compile()
     with pytest.raises(OverflowError, match=str(2**31)):
         parallel._load_trace(str(path))
     with pytest.raises(OverflowError, match=str(2**31)):
@@ -293,25 +312,25 @@ def test_any_single_edit_of_a_tsv_fails_closed_alike(tmp_path_factory, lines, da
     lines[at] = _edit(data, lines[at]) + "\n"
     path = tmp_path_factory.mktemp("edited") / "trace.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    theirs = _outcome(lambda: compile_trace(Trace.load(path)))
+    theirs = _outcome(lambda: expected_columns(Trace.load(path)))
     ours = _outcome(lambda: compile_workload(TsvWorkload(path)))
     if isinstance(theirs, type):
         assert ours is theirs
         return
     assert not isinstance(ours, type), ours
     for column in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
-        np.testing.assert_array_equal(getattr(ours, column), getattr(theirs, column))
-    assert list(ours.iter_uris()) == [str(name) for name in theirs.names]
+        np.testing.assert_array_equal(getattr(ours, column), theirs[column])
+    assert list(ours.iter_uris()) == [str(name) for name in theirs["names"]]
 
 
 def test_trace_workload_uses_compiled_ids():
+    """A trace's keys, its name-pool indices, are its compiled ids."""
     trace = IrcacheGenerator(CONFIG).generate()
-    compiled = trace.compile()
-    workload = TraceWorkload(trace)
-    assert workload.n_requests == compiled.n_requests
-    assert workload.key_space == compiled.n_names
-    times, users, keys = _concat(workload.iter_blocks(333))
-    np.testing.assert_array_equal(times, compiled.times)
-    np.testing.assert_array_equal(users, compiled.users)
-    np.testing.assert_array_equal(keys, compiled.ids)
-    assert workload.uri_of(int(keys[0])) == str(compiled.names[int(keys[0])])
+    expected = expected_columns(trace)
+    assert trace.n_requests == len(trace)
+    assert trace.key_space == trace.n_names == len(expected["names"])
+    times, users, keys = _concat(trace.iter_blocks(333))
+    np.testing.assert_array_equal(times, expected["times"])
+    np.testing.assert_array_equal(users, expected["users"])
+    np.testing.assert_array_equal(keys, expected["ids"])
+    assert trace.uri_of(int(keys[-1])) == str(expected["names"][int(keys[-1])])
