@@ -55,6 +55,10 @@ class Network:
         # hop counting is then enabled on *every* router (present and
         # future) so the field is consistent along whole paths.
         self._count_origin_hops = False
+        # True once the batch kernel ran this network: it consumed the
+        # generators without filling the objects' caches or advancing the
+        # engine (repro.sim.batch.script.NetworkSpentError).
+        self._spent_on_batch = False
 
     # ------------------------------------------------------------------
     # Entity creation

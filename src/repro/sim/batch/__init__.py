@@ -17,7 +17,9 @@ Public surface:
 * :func:`~repro.sim.batch.kernel.run_scripts_batch` — the fast kernel
   (raises :class:`~repro.sim.batch.compile.BatchCompileError` when the
   topology cannot be lowered),
-* :func:`run_scripts` — batch with transparent reference fallback.
+* :func:`run_scripts` — batch with transparent reference fallback,
+* :class:`~repro.sim.batch.script.NetworkSpentError` — what every entry
+  point raises for a network the batch kernel already ran.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.sim.batch.kernel import run_compiled, run_scripts_batch
 from repro.sim.batch.script import (
     ConsumerScript,
     FetchStep,
+    NetworkSpentError,
     SleepStep,
     TopologyObservables,
     diff_observables,
@@ -40,6 +43,7 @@ __all__ = [
     "BatchCompileError",
     "ConsumerScript",
     "FetchStep",
+    "NetworkSpentError",
     "SleepStep",
     "TopologyObservables",
     "compile_topology",
@@ -61,11 +65,13 @@ def run_scripts(
     ``kernel`` is ``"auto"`` (batch when the topology lowers, reference
     otherwise — never raises for unsupported combinations),
     ``"batch"`` (raise :class:`BatchCompileError` when unsupported), or
-    ``"reference"``.  The returned observables carry the engine actually
-    used in :attr:`TopologyObservables.kernel` — and, after a fallback,
-    the compiler's reason in :attr:`TopologyObservables.fallback_reason`
-    — so callers can assert on (or log) fallbacks without ever getting
-    silently divergent numbers.
+    ``"reference"``.  Every kernel refuses a network the batch kernel
+    already ran with :class:`NetworkSpentError` (``"auto"`` included: it
+    is not a compile refusal).  The returned observables carry the engine
+    actually used in :attr:`TopologyObservables.kernel` — and, after a
+    fallback, the compiler's reason in
+    :attr:`TopologyObservables.fallback_reason` — so callers can assert on
+    (or log) fallbacks without ever getting silently divergent numbers.
     """
     if kernel == "reference":
         return run_scripts_reference(net, scripts)

@@ -61,7 +61,7 @@ from repro.ndn.strategy import (
     LceStrategy,
     ProbCacheStrategy,
 )
-from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep
+from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep, refuse_spent
 
 
 class BatchCompileError(Exception):
@@ -655,7 +655,10 @@ def compile_topology(
     net: Network, scripts: Sequence[ConsumerScript]
 ) -> CompiledTopology:
     """Lower ``net`` + ``scripts`` for the batch kernel, or raise
-    :class:`BatchCompileError` naming the first unsupported feature."""
+    :class:`BatchCompileError` naming the first unsupported feature
+    (:class:`~repro.sim.batch.script.NetworkSpentError` if ``net``
+    already ran on the kernel)."""
+    refuse_spent(net)
     _require(bool(scripts), "no consumer scripts given")
     _check_engine_fresh(net)
     routers, consumers, producers = _collect_entities(net)

@@ -1,10 +1,10 @@
 """The batched dispatch loop: struct-of-arrays forwarding fast path.
 
 Executes a :class:`~repro.sim.batch.compile.CompiledTopology` over a
-:class:`~repro.sim.calendar.CalendarQueue`, producing *bit-identical*
-:class:`~repro.sim.batch.script.TopologyObservables` to the reference
-object-graph engine.  Identity holds because every source of ordering or
-randomness is mirrored exactly:
+plain ``heapq`` list of ``(time, seq, kind, ...)`` tuples, producing
+*bit-identical* :class:`~repro.sim.batch.script.TopologyObservables` to
+the reference object-graph engine.  Identity holds because every source
+of ordering or randomness is mirrored exactly:
 
 * **sequence numbers** — one monotonic counter, consumed at precisely the
   reference's schedule call sites.  Per link transmit: the fire-and-forget
@@ -24,14 +24,17 @@ randomness is mirrored exactly:
   order as the reference (e.g. a re-armed PIT timer fires at
   ``now + (expiry - now)``, *not* at ``expiry``).
 
-The clock advances only on fired events (cancelled entries are skipped
-silently), so ``end_time`` and ``events_processed`` match
-:meth:`Engine.run` exactly.
+Both engines pop a ``(time, seq)`` heap and skip cancelled entries
+lazily: a cancelled timer stays queued and is dropped when it surfaces
+(here by its seq, in the engine by its :class:`Event` state).  The clock
+advances only on fired events, so ``end_time`` and ``events_processed``
+match :meth:`Engine.run` exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from heapq import heappop, heappush
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -55,8 +58,7 @@ from repro.sim.batch.compile import (
     CompiledTopology,
     compile_topology,
 )
-from repro.sim.batch.script import ConsumerScript, TopologyObservables
-from repro.sim.calendar import CalendarQueue
+from repro.sim.batch.script import ConsumerScript, TopologyObservables, mark_spent
 
 # Router counter indices, in COUNTER_NAMES order (see compile.py).
 (
@@ -107,12 +109,14 @@ def _make_policy(kind: str, rng):
     return IntKeyedRandom(rng)  # "random": compile guarantees the stream
 
 
-def run_compiled(
-    ct: CompiledTopology,
-    bucket_width: float = 1.0,
-    n_slots: int = 1024,
-) -> TopologyObservables:
-    """Execute a compiled topology and assemble its observables."""
+def run_compiled(ct: CompiledTopology) -> TopologyObservables:
+    """Execute a compiled topology and assemble its observables.
+
+    The run draws from the network's own generators, so it leaves
+    ``ct.net`` spent (:class:`~repro.sim.batch.script.NetworkSpentError`
+    on any later run, this one's topology included).
+    """
+    mark_spent(ct.net)
     n_names = len(ct.names)
     name_priv = ct.name_private
 
@@ -174,10 +178,9 @@ def run_compiled(
     c_rtts: List[List[float]] = [[] for _ in range(n_cons)]
     script_of_entity = ct.consumer_script_of_entity
 
-    q = CalendarQueue(bucket_width=bucket_width, n_slots=n_slots)
-    push = q.push
-    pop = q.pop
-    cancel = q.cancel
+    q: List[tuple] = []
+    cancelled: Set[int] = set()  # seqs of cancelled timers still queued
+    cancel = cancelled.add
     seq = 0
     maximum = np.maximum
 
@@ -203,14 +206,14 @@ def run_compiled(
         nonlocal seq
         li = edge >> 1
         l_pkts[li] += 1
-        push((t + link_delay(li), seq, K_DI, edge, nid, priv, lifetime))
+        heappush(q, (t + link_delay(li), seq, K_DI, edge, nid, priv, lifetime))
         seq += 1
 
     def send_data(edge: int, t: float, nid: int, oh: int) -> None:
         nonlocal seq
         li = edge >> 1
         l_pkts[li] += 1
-        push((t + link_delay(li), seq, K_DD, edge, nid, oh))
+        heappush(q, (t + link_delay(li), seq, K_DD, edge, nid, oh))
         seq += 1
 
     def advance(ci: int, t: float) -> None:
@@ -230,10 +233,10 @@ def run_compiled(
             c_out[ci] = nid
             c_sent[ci] = t
             c_tseq[ci] = seq
-            push((t + timeout, seq, K_TO, ci))
+            heappush(q, (t + timeout, seq, K_TO, ci))
             seq += 1
         else:  # ("S", delay) — yield Timeout(delay)
-            push((t + step[1], seq, K_SLEEP, ci))
+            heappush(q, (t + step[1], seq, K_SLEEP, ci))
             seq += 1
 
     def router_interest(
@@ -266,7 +269,7 @@ def run_compiled(
                 if delay <= 0.0:
                     send_data(arr, t, nid, 0)
                 else:
-                    push((t + delay, seq, K_SD, arr, nid, 0))
+                    heappush(q, (t + delay, seq, K_SD, arr, nid, 0))
                     seq += 1
                 return
             if code == 1:  # DELAYED_HIT
@@ -285,7 +288,7 @@ def run_compiled(
                 if delay <= 0.0:
                     send_data(arr, t, nid, 0)
                 else:
-                    push((t + delay, seq, K_SD, arr, nid, 0))
+                    heappush(q, (t + delay, seq, K_SD, arr, nid, 0))
                     seq += 1
                 return
             ctr[C_CS_FORCED_MISS] += 1
@@ -311,7 +314,9 @@ def run_compiled(
                 for e in r_hops[rid][nid]:
                     if e != arr:  # best-route: first candidate only
                         ctr[C_RETX] += 1
-                        push((t + r_proc[rid], seq, K_SI, e, nid, priv, lifetime))
+                        heappush(
+                            q, (t + r_proc[rid], seq, K_SI, e, nid, priv, lifetime)
+                        )
                         seq += 1
                         break
             return
@@ -332,11 +337,11 @@ def run_compiled(
             return
         ctr[C_PIT_INSERT] += 1
         entry[4] = seq
-        push((entry[0], seq, K_PIT, rid, nid))
+        heappush(q, (entry[0], seq, K_PIT, rid, nid))
         seq += 1
         ctr[C_FORWARDED] += 1
         # The forward is *always* a scheduled event, even at zero delay.
-        push((t + r_proc[rid], seq, K_SI, upstream, nid, priv, lifetime))
+        heappush(q, (t + r_proc[rid], seq, K_SI, upstream, nid, priv, lifetime))
         seq += 1
 
     def router_data(rid: int, nid: int, oh: int, t: float) -> None:
@@ -409,7 +414,7 @@ def run_compiled(
             if delay <= 0.0:
                 send_data(downstream, t, nid, oh_out)
             else:
-                push((t + delay, seq, K_SD, downstream, nid, oh_out))
+                heappush(q, (t + delay, seq, K_SD, downstream, nid, oh_out))
                 seq += 1
 
     # ---- main loop -----------------------------------------------------
@@ -419,10 +424,11 @@ def run_compiled(
 
         now = 0.0
         events = 0
-        while True:
-            entry = pop()
-            if entry is None:
-                break
+        while q:
+            entry = heappop(q)
+            if entry[1] in cancelled:
+                cancelled.remove(entry[1])
+                continue
             now = t = entry[0]
             events += 1
             kind = entry[2]
@@ -444,7 +450,7 @@ def run_compiled(
                     if p_serve[pid][nid] == SERVE_DATA:
                         delay = p_proc[pid]
                         if delay > 0.0:
-                            push((t + delay, seq, K_SD, edge ^ 1, nid, 0))
+                            heappush(q, (t + delay, seq, K_SD, edge ^ 1, nid, 0))
                             seq += 1
                         else:
                             send_data(edge ^ 1, t, nid, 0)
@@ -474,7 +480,7 @@ def run_compiled(
                         # A collapse extended the entry: re-arm for the
                         # remainder (same float arithmetic as the reference).
                         pit_entry[4] = seq
-                        push((t + (pit_entry[0] - t), seq, K_PIT, rid, nid))
+                        heappush(q, (t + (pit_entry[0] - t), seq, K_PIT, rid, nid))
                         seq += 1
                     else:
                         del r_pit[rid][nid]

@@ -20,6 +20,34 @@ from repro.ndn.network import Network
 from repro.sim.process import Timeout
 
 
+class NetworkSpentError(Exception):
+    """The network already ran on the batch kernel.
+
+    The kernel keeps caches, PITs and the clock in its own arrays and
+    never advances ``net.engine``, but it draws from the network's link,
+    policy, strategy and scheme generators.  Another run would start from
+    empty caches on streams the first run consumed: not a continuation
+    but a different experiment.  Deliberately not a
+    :class:`~repro.sim.batch.compile.BatchCompileError`, so
+    ``kernel="auto"`` raises it rather than falling back.
+    """
+
+
+def refuse_spent(net: Network) -> None:
+    """Raise :class:`NetworkSpentError` if ``net`` already ran batched."""
+    if net._spent_on_batch:
+        raise NetworkSpentError(
+            "network already ran on the batch kernel (its generators are "
+            "consumed and its caches were never filled): build a fresh one"
+        )
+
+
+def mark_spent(net: Network) -> None:
+    """Claim ``net`` for one batch-kernel run; refuses a spent network."""
+    refuse_spent(net)
+    net._spent_on_batch = True
+
+
 @dataclass(frozen=True)
 class FetchStep:
     """One ``consumer.fetch`` call: name, wait budget, privacy marking."""
@@ -187,8 +215,10 @@ def run_scripts_reference(
     """Run the scripts on the reference engine (the oracle path).
 
     Scripts spawn in list order; each spawn executes the script inline up
-    to its first suspension.
+    to its first suspension.  A network the reference engine already ran
+    continues from its state; one the batch kernel ran is refused.
     """
+    refuse_spent(net)
     delivered = {s.consumer: 0 for s in scripts}
     for script in scripts:
         net.spawn(

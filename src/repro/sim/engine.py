@@ -203,9 +203,9 @@ class Engine:
         """Drop cancelled events sitting at the head of the heap.
 
         The single purge helper shared by :meth:`run`, :meth:`step`, and
-        :meth:`peek` — and mirrored by the calendar-queue backend
-        (:class:`repro.sim.calendar.CalendarQueue`), which implements the
-        same lazy skip-at-pop semantics over its bucket structure.
+        :meth:`peek`.  The rule is the batch kernel's too: both engines
+        pop a ``(time, seq)`` heap and skip cancelled entries lazily (the
+        kernel tracks them by seq, see :mod:`repro.sim.batch.kernel`).
         """
         queue = self._queue
         cancelled = EventState.CANCELLED

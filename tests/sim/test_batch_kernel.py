@@ -11,8 +11,11 @@ from repro.sim.batch import (
     BatchCompileError,
     ConsumerScript,
     FetchStep,
+    NetworkSpentError,
     SleepStep,
+    compile_topology,
     diff_observables,
+    run_compiled,
     run_scripts,
     run_scripts_batch,
     run_scripts_reference,
@@ -20,14 +23,19 @@ from repro.sim.batch import (
 from repro.sim.rng import RngRegistry
 
 
-def small_star(seed=0, loss_rate=0.0, consumers=3, capacity=4):
+def small_star(seed=0, loss_rate=0.0, consumers=3, capacity=4, fixed_delays=False):
+    """Consumers C0.. - R - P.  ``fixed_delays`` makes every link a
+    FixedDelay (2 ms access, 1 ms upstream): a miss takes exactly 6 ms, a
+    hit 4 ms, and equal-timestamp ties are broken only by ``seq``."""
     net = Network(rng=RngRegistry(seed))
     net.add_router("R", capacity=capacity)
     net.add_producer("P", "/content")
     net.connect(
         "R",
         "P",
-        LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8),
+        FixedDelay(1.0)
+        if fixed_delays
+        else LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8),
         loss_rate=loss_rate,
     )
     net.add_route("R", "/content", "P")
@@ -36,7 +44,11 @@ def small_star(seed=0, loss_rate=0.0, consumers=3, capacity=4):
         name = f"C{j}"
         net.add_consumer(name)
         net.connect(
-            name, "R", GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5)
+            name,
+            "R",
+            FixedDelay(2.0)
+            if fixed_delays
+            else GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5),
         )
         names.append(name)
     return net, names
@@ -261,6 +273,49 @@ def test_schemes_on_one_generator_ride_the_reference_engine():
         assert sum(
             c.get("cs_disguised_hit", 0) for c in oracle.router_counters.values()
         ) > 0
+
+
+def test_a_network_the_batch_kernel_ran_is_spent_for_every_entry_point():
+    """The kernel never advances ``net.engine`` but consumes the network's
+    generators: a second run would replay from empty caches on used
+    streams, so compile, every ``run_scripts`` kernel and the reference
+    engine refuse the network, ``auto`` included (no fallback)."""
+    net, names = small_star()
+    scripts = star_scripts(names)
+    assert run_scripts(net, scripts).kernel == "batch"
+    assert not issubclass(NetworkSpentError, BatchCompileError)
+    with pytest.raises(NetworkSpentError, match="batch kernel"):
+        compile_topology(net, scripts)
+    with pytest.raises(NetworkSpentError):
+        run_scripts_reference(net, scripts)
+    for kernel in ("auto", "batch", "reference"):
+        with pytest.raises(NetworkSpentError):
+            run_scripts(net, scripts, kernel=kernel)
+    # One compiled topology runs once, too.
+    net, names = small_star()
+    compiled = compile_topology(net, star_scripts(names))
+    run_compiled(compiled)
+    with pytest.raises(NetworkSpentError):
+        run_compiled(compiled)
+
+
+def test_a_network_the_reference_engine_ran_continues_or_falls_back():
+    """Reference-then-reference is a continuation (caches stay warm,
+    counters accumulate); reference-then-auto falls back to the same
+    continuation because the engine is no longer fresh."""
+    net, names = small_star()
+    first = run_scripts_reference(net, star_scripts(names))
+    again = run_scripts_reference(net, star_scripts(names))
+    assert first.router_counters["R"]["interest_in"] == 36
+    assert again.router_counters["R"]["interest_in"] == 72
+    assert again.router_counters["R"]["cs_hit"] == 32
+    assert [again.link_packets[f"{name}<->R"] for name in names] == [48] * 3
+    net, names = small_star()
+    run_scripts_reference(net, star_scripts(names))
+    observed = run_scripts(net, star_scripts(names), kernel="auto")
+    assert observed.kernel == "reference"
+    assert "engine already ran" in observed.fallback_reason
+    assert diff_observables(again, observed) == []
 
 
 def test_unknown_kernel_name_rejected():

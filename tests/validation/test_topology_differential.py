@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
@@ -179,14 +179,24 @@ def test_case_settings_reach_every_router(topology):
 
 # Fuzz: random fault/workload schedules — arbitrary interleavings of
 # fetches (random object, privacy mark, sub-RTT or generous timeouts)
-# and idle gaps must stay bit-identical between the engines.
+# and idle gaps must stay bit-identical between the engines, on jittered
+# links and on the all-FixedDelay star where equal timestamps are common
+# and only ``seq`` orders them.  ``diff_observables`` covers
+# ``events_processed`` and ``end_time``, so a cancelled timer that fired,
+# or a live one that was dropped, shows up as a mismatch.
 step_st = st.one_of(
     st.tuples(
         st.integers(min_value=0, max_value=5),  # object id
         st.booleans(),  # privacy mark
-        st.sampled_from([4000.0, 3.0, 5.5]),  # wait budget (two sub-RTT)
+        # Wait budget: generous, two sub-RTT, and the fixed star's exact
+        # hit (4 ms) and miss (6 ms) RTTs, where a timeout fires at the
+        # timestamp of a delivery or of a sibling's cancelled timeout.
+        st.sampled_from([4000.0, 3.0, 5.5, 4.0, 6.0]),
     ),
     st.floats(min_value=0.1, max_value=6.0),  # sleep gap
+    # Gaps that outlast PIT entries and 4000-ms timeouts, so the queue
+    # holds mostly far-future (and cancelled) entries in between.
+    st.sampled_from([1500.0, 8000.0]),
 )
 program_st = st.lists(
     st.lists(step_st, min_size=1, max_size=12), min_size=1, max_size=3
@@ -211,16 +221,27 @@ def _scripts_from_program(program):
     return scripts
 
 
-@given(program_st, st.integers(min_value=0, max_value=5))
+@given(program_st, st.integers(min_value=0, max_value=5), st.booleans())
+# Both consumers fetch obj-0 together (C1 collapses); then, at t = 6,
+# C0's hit returns at 10 and its timer at 11.5 is cancelled, while C1's
+# miss is still out when its own timer fires at 11.5.
+@example(
+    [[(0, False, 4000.0), (0, False, 5.5)], [(0, False, 4000.0), (1, False, 5.5)]],
+    0,
+    True,
+)
 @settings(max_examples=40, deadline=None)
-def test_random_schedules_stay_bit_identical(program, seed):
-    net, _ = small_star(seed=seed, consumers=len(program), capacity=3)
+def test_random_schedules_stay_bit_identical(program, seed, fixed_delays):
+    def build():
+        return small_star(
+            seed=seed, consumers=len(program), capacity=3, fixed_delays=fixed_delays
+        )[0]
+
     scripts = _scripts_from_program(program)
     if not any(
         isinstance(s, FetchStep) for sc in scripts for s in sc.steps
     ):
         return  # compile requires at least one fetch; nothing to compare
-    oracle = run_scripts_reference(net, scripts)
-    net, _ = small_star(seed=seed, consumers=len(program), capacity=3)
-    batch = run_scripts_batch(net, scripts)
+    oracle = run_scripts_reference(build(), scripts)
+    batch = run_scripts_batch(build(), scripts)
     assert diff_observables(oracle, batch) == []
