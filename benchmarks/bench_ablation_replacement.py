@@ -61,7 +61,7 @@ def test_replacement_policy_ablation(benchmark, ircache_trace):
     contested = [
         i for i, size in enumerate(SIZES) if evictions["fifo"][i] > size
     ]
-    if len(ircache_trace) >= 100_000:
+    if ircache_trace.n_requests >= 100_000:
         assert contested == list(range(len(SIZES))), "shrink SIZES"
     for i in contested:
         assert by_policy["lru"][i] > by_policy["fifo"][i]

@@ -32,7 +32,7 @@ def test_fig5a(benchmark, ircache_trace):
     # One request's worth of hit rate (%): the two Random-Cache schemes
     # draw their k_C from different streams, so they may land a single
     # request apart either way; 0.001 at the default 100k requests.
-    quantum = 100.0 / len(ircache_trace) + 1e-9
+    quantum = 100.0 / ircache_trace.n_requests + 1e-9
     for i in range(len(sizes)):
         rates = [result.hit_rates[s][i] for s in schemes]
         # The paper's ordering at every cache size.

@@ -40,8 +40,8 @@ def build_trace(quick: bool):
     generator = IrcacheGenerator(config)
     trace = generator.generate()
     print(
-        f"Trace: {len(trace):,} requests, {trace.unique_objects:,} objects, "
-        f"{trace.unique_users} users; unlimited-cache ceiling "
+        f"Trace: {trace.n_requests:,} requests, {trace.n_names:,} objects, "
+        f"{len(set(trace.users.tolist()))} users; unlimited-cache ceiling "
         f"{trace.max_hit_rate:.1%}\n"
     )
     return trace

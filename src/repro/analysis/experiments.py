@@ -30,7 +30,7 @@ from repro.perf.parallel import ReplaySpec, build_scheme, run_replay_sweep
 from repro.workload.ircache import IrcacheConfig
 from repro.workload.marking import ContentMarking
 from repro.workload.replay import ReplayStats
-from repro.workload.trace import Trace
+from repro.workload.streaming import Workload
 
 import numpy as np
 
@@ -258,15 +258,15 @@ class Fig5Result:
 
 
 def _run_fig5_sweep(
-    workload: Union[Trace, IrcacheConfig],
+    workload: Union[Workload, IrcacheConfig],
     specs: Sequence[ReplaySpec],
     workers: Optional[int],
     sharded: bool,
 ) -> List[ReplayStats]:
     """Dispatch a figure-5 grid onto the right workload pathway.
 
-    A materialized :class:`Trace` replays in RAM; an
-    :class:`IrcacheConfig` goes through the on-disk trace cache, and
+    Any other workload is compiled in RAM (a compiled trace as it is);
+    an :class:`IrcacheConfig` goes through the on-disk trace cache, and
     with ``sharded=True`` through the memory-mapped shard cache — built
     by streaming generation, so the full request log never has to fit
     in RAM.  All three pathways are bit-identical.
@@ -278,13 +278,13 @@ def _run_fig5_sweep(
     if sharded:
         raise ValueError(
             "sharded fig5 sweeps take an IrcacheConfig workload "
-            "(a materialized Trace defeats the constant-memory point)"
+            "(a trace held in RAM defeats the constant-memory point)"
         )
     return run_replay_sweep(specs, trace=workload, workers=workers)
 
 
 def run_fig5a(
-    trace: Union[Trace, IrcacheConfig],
+    trace: Union[Workload, IrcacheConfig],
     cache_sizes: Sequence[Optional[int]] = FIG5_CACHE_SIZES,
     k: int = 5,
     epsilon: float = 0.005,
@@ -303,9 +303,10 @@ def run_fig5a(
     The (scheme × size) grid runs through
     :func:`repro.perf.parallel.run_replay_sweep`; ``workers`` (default:
     ``REPRO_WORKERS`` / CPU count) never changes the numbers.  ``trace``
-    may be a materialized :class:`Trace` or an :class:`IrcacheConfig`
-    (cache-backed; combine with ``sharded=True`` for the
-    constant-memory streaming pathway at large scale).
+    may be any workload — a compiled trace, a
+    :class:`~repro.workload.streaming.TsvWorkload` — or an
+    :class:`IrcacheConfig` (cache-backed; combine with ``sharded=True``
+    for the constant-memory streaming pathway at large scale).
     """
     marking = ContentMarking(private_fraction, salt=seed)
     params = {"k": k, "epsilon": epsilon, "delta": delta}
@@ -337,7 +338,7 @@ def run_fig5a(
 
 
 def run_fig5b(
-    trace: Union[Trace, IrcacheConfig],
+    trace: Union[Workload, IrcacheConfig],
     cache_sizes: Sequence[Optional[int]] = FIG5_CACHE_SIZES,
     k: int = 5,
     epsilon: float = 0.005,

@@ -15,8 +15,9 @@ Usage (installed as ``repro-experiments``, or ``python -m repro.cli``):
     repro-experiments defend --attacks pollution flood adaptive
 
 Each command prints the same rows/series the corresponding paper figure
-plots; ``trace`` writes a synthetic IRCache-style trace in the TSV format
-:meth:`repro.workload.Trace.load` reads back.
+plots; ``trace`` streams a synthetic IRCache-style trace to a TSV file
+(the import/export format: ``compile_workload(TsvWorkload(path))`` reads
+it back as a compiled trace, the one in-RAM trace representation).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.validation.differential import (
     validate_topology_differential,
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
+from repro.workload.streaming import save_tsv
 
 #: Everything ``validate`` runs, in order: name -> check(seed, requests)
 #: returning a report.  Conservation laws A-D over the overload
@@ -339,13 +341,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "trace":
-        trace = IrcacheGenerator(
-            IrcacheConfig(requests=args.requests, seed=args.seed)
-        ).generate()
-        trace.save(args.out)
+        requests, objects, users = save_tsv(
+            IrcacheGenerator(
+                IrcacheConfig(requests=args.requests, seed=args.seed)
+            ).stream(),
+            args.out,
+        )
         print(
-            f"wrote {len(trace)} requests ({trace.unique_objects} objects, "
-            f"{trace.unique_users} users) to {args.out}"
+            f"wrote {requests} requests ({objects} objects, "
+            f"{users} users) to {args.out}"
         )
         return 0
 

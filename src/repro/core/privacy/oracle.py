@@ -91,7 +91,7 @@ def oracle_guarantee(
 
     The paper's theorems bound the supremum over all t; taking
     t >= domain_size + k makes the finite-t computation achieve it (every
-    distinguishing outcome has materialized by then).
+    distinguishing outcome has occurred by then).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -11,10 +11,10 @@ while keeping results **independent of the worker count**:
   depends on which worker ran it or in what order,
 * results are collected by spec index, returned in spec order,
 * workers obtain the trace from an on-disk cache instead of regenerating
-  or unpickling ~10⁵ request objects per task: a generated trace keyed
-  by the :class:`~repro.workload.ircache.IrcacheConfig` hash (a TSV file
-  or a shard directory), an ad-hoc :class:`Trace` compiled into a shard
-  directory keyed by the sha256 of its compiled columns,
+  or unpickling it per task: a generated trace keyed by the
+  :class:`~repro.workload.ircache.IrcacheConfig` hash (a TSV file or a
+  shard directory), any other workload compiled into a shard directory
+  keyed by the sha256 of its compiled columns,
 * the serial fallback (``REPRO_WORKERS=1``, or a single spec) round-trips
   each spec through pickle so scheme/marking state is isolated exactly as
   process transport would isolate it — bit-identical to any worker count.
@@ -92,8 +92,7 @@ from repro.workload.sharded import (
     compile_workload,
     file_sha256,
 )
-from repro.workload.streaming import TsvWorkload
-from repro.workload.trace import Trace
+from repro.workload.streaming import TsvWorkload, Workload, save_tsv
 
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
@@ -260,9 +259,9 @@ def _config_key(
 
     Keys on every config field **plus** the generation-algorithm version,
     its internal sampling-block size, the on-disk layout, and the shard
-    size — so a sharded and a materialized (TSV) entry of the same config
-    can never collide, and a generator-algorithm change can never serve a
-    stale materialization.
+    size — so a sharded and a TSV entry of the same config can never
+    collide, and a generator-algorithm change can never serve a stale
+    entry.
     """
     payload = repr(
         (
@@ -323,12 +322,14 @@ def ensure_trace_cached(config: IrcacheConfig) -> Path:
     Keyed by a hash of the config fields, so workers (and later runs of
     the same sweep) load the trace instead of regenerating it.  The entry
     is digest-verified first; a corrupted or unverifiable file is
-    regenerated in place (the config makes regeneration deterministic).
+    regenerated in place (the config makes regeneration deterministic),
+    written straight from the generator stream
+    (:func:`~repro.workload.streaming.save_tsv`), never held in RAM.
     """
     path = trace_cache_dir() / f"ircache-{_config_key(config)}.tsv"
     if not verify_trace_cache(path):
-        trace = IrcacheGenerator(config).generate()
-        _atomic_write(path, trace.save)
+        stream = IrcacheGenerator(config).stream()
+        _atomic_write(path, lambda tmp: save_tsv(stream, tmp))
         _write_digest(path)
     return path
 
@@ -370,7 +371,7 @@ def ensure_sharded_trace_cached(
 
     Returns the shard-directory path.  The workload is streamed straight
     into the sharded format (:func:`~repro.workload.sharded.compile_stream`)
-    so the cache build itself never materializes the full trace — peak
+    so the cache build itself never holds the full trace in RAM — peak
     RSS stays bounded by one shard.  The config makes a rebuild of a
     corrupted entry deterministic.
     """
@@ -388,10 +389,9 @@ def ensure_sharded_trace_cached(
     )
 
 
-def _trace_digest(trace: Trace) -> str:
-    """sha256 over ``trace``'s compiled columns and name table (the
+def _trace_digest(compiled: CompiledTrace) -> str:
+    """sha256 over a compiled trace's columns and name table (the
     occurrence columns follow from the ids)."""
-    compiled = trace.compile()
     digest = hashlib.sha256()
     for column in (compiled.ids, compiled.times, compiled.users):
         digest.update(column.tobytes())
@@ -443,7 +443,7 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
 # ======================================================================
 # Execution
 # ======================================================================
-def _execute(trace: Union[Trace, CompiledTrace], spec: ReplaySpec) -> ReplayStats:
+def _execute(trace: CompiledTrace, spec: ReplaySpec) -> ReplayStats:
     scheme = spec.scheme
     if isinstance(scheme, str):
         scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
@@ -555,7 +555,7 @@ def _sweep_fingerprint(spec_list: List[ReplaySpec], trace_key: str) -> str:
 
 def run_replay_sweep(
     specs: Iterable[ReplaySpec],
-    trace: Optional[Trace] = None,
+    trace: Optional[Workload] = None,
     trace_config: Optional[IrcacheConfig] = None,
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
@@ -567,18 +567,18 @@ def run_replay_sweep(
     """Run every sweep point; results in spec order.
 
     Exactly one of ``trace`` / ``trace_config`` supplies the workload.
-    With ``trace_config`` the workload is materialized through the
-    on-disk cache.  A raw ``trace`` is replayed in process by one worker;
-    for more, it is compiled into the shard store under the sha256 of its
-    compiled columns (``trace-shards-<digest>``) and workers map it.
+    With ``trace_config`` the workload goes through the on-disk cache.
+    Any other workload ``trace`` is compiled once (a compiled trace as it
+    is) and replayed in process by one worker; for more, it is written
+    into the shard store under the sha256 of its compiled columns
+    (``trace-shards-<digest>``) and workers map it.
 
     ``sharded=True`` (requires ``trace_config``) routes the sweep through
     the memory-mapped sharded trace cache instead of the TSV one: the
-    cache is built by streaming generation
-    (never materializing the trace) and each worker replays shard by
-    shard, so worker RSS is bounded by one shard plus O(n_names) state
-    rather than the whole request log.  Results are bit-identical to the
-    materialized path.
+    cache is built by streaming generation (the trace is never held in
+    RAM) and each worker replays shard by shard, so worker RSS is bounded
+    by one shard plus O(n_names) state rather than the whole request log.
+    Results are bit-identical to the TSV path.
 
     Every point runs on :func:`~repro.workload.fast_replay.fast_replay`
     (the interned kernel, bit-identical to the reference ``replay()``).
@@ -608,6 +608,7 @@ def run_replay_sweep(
 
     layout = "sharded" if sharded or trace is not None else "tsv"
     if trace is not None:
+        trace = compile_workload(trace)
         digest = _trace_digest(trace)
         trace_key = f"trace:{digest}"
     else:
@@ -635,7 +636,7 @@ def run_replay_sweep(
 
     if workers <= 1:
         if trace is not None:
-            workload: Union[Trace, CompiledTrace] = trace
+            workload: CompiledTrace = trace
         elif sharded:
             workload = _load_sharded(
                 str(ensure_sharded_trace_cached(trace_config, shard_size))

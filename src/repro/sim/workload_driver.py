@@ -4,13 +4,12 @@ The bridge between the workload layer and the topology engines: requests
 are pulled block by block from any :class:`~repro.workload.streaming.Workload`
 and lowered straight into per-consumer
 :class:`~repro.sim.batch.script.ConsumerScript` step lists — no
-:class:`~repro.workload.trace.Request` objects and no materialized
-:class:`~repro.workload.trace.Trace` in between.  Because the lowering
-consumes only the block columns (times / users / keys) and the
-``uri_of`` decoding, a streaming generator and its materialized twin
-produce **identical scripts**, which is what makes the
-streaming-vs-materialized simulator differential a bit-identity check
-rather than a statistical one.
+:class:`~repro.workload.streaming.Request` objects in between.  Because
+the lowering consumes only the block columns (times / users / keys) and
+the ``uri_of`` decoding, a streaming generator and its compiled trace
+(``generate()``) produce **identical scripts**, which is what makes the
+streaming-vs-compiled simulator differential a bit-identity check rather
+than a statistical one.
 
 Request-to-consumer assignment is ``user % len(consumers)`` (the same
 face-hashing the defense suites use); each consumer's absolute request

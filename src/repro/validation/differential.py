@@ -11,8 +11,13 @@ Three bit-identity contracts, one report shape
 * :func:`validate_topology_differential` — the batch simulation kernel
   vs the reference engine over whole registry topologies: identical
   :class:`~repro.sim.batch.script.TopologyObservables`,
-* :func:`validate_streaming_differential` — the streamed/sharded
-  workload representation vs the materialized one.
+* :func:`validate_streaming_differential` — the streamed/sharded and
+  TSV-imported workload representations vs the in-RAM compiled one.
+
+The oracle leg of a replay differential reads the *source* workload —
+the generator stream or the TSV reader — never the compiled trace under
+test, so an interning defect shows as a mismatch instead of identically
+on both sides.
 
 Scheme and marking objects are stateful (they own RNG streams), so each
 leg gets a **freshly built** set from the same seed — sharing one
@@ -39,7 +44,8 @@ from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import RequestMarking
 from repro.workload.replay import ReplayStats, replay
-from repro.workload.trace import Trace
+from repro.workload.sharded import compile_stream, compile_workload
+from repro.workload.streaming import TsvWorkload, Workload, save_tsv
 
 
 def diff_replay_stats(oracle: ReplayStats, fast: ReplayStats) -> List[str]:
@@ -147,8 +153,9 @@ class DifferentialReport:
 
 def small_validation_trace(
     requests: int = 2000, seed: int = 0
-) -> Trace:
-    """A small, seed-reproducible trace for CI-speed validation runs."""
+) -> Workload:
+    """A small, seed-reproducible generator stream for CI-speed
+    validation runs."""
     return IrcacheGenerator(
         IrcacheConfig(
             requests=requests,
@@ -158,10 +165,10 @@ def small_validation_trace(
             duration_hours=1.0,
             seed=seed,
         )
-    ).generate()
+    ).stream()
 
 
-def _run_case(trace: Trace, case: DifferentialCase, engine) -> ReplayStats:
+def _run_case(trace: Workload, case: DifferentialCase, engine) -> ReplayStats:
     # Fresh scheme AND fresh marking per engine: both are RNG-stateful.
     scheme = build_scheme(case.scheme, seed=case.seed)
     marking = (
@@ -179,13 +186,16 @@ def _run_case(trace: Trace, case: DifferentialCase, engine) -> ReplayStats:
 
 
 def validate_differential(
-    trace: Optional[Trace] = None,
+    trace: Optional[Workload] = None,
     cases: Optional[Sequence[DifferentialCase]] = None,
     seed: int = 0,
 ) -> DifferentialReport:
     """Cross-check oracle vs fast replay over ``cases``.
 
-    Defaults: a small synthetic trace and the full
+    The oracle iterates ``trace`` itself; the fast kernel replays its
+    compiled form (:func:`~repro.workload.sharded.compile_workload`, once
+    for all cases), so the interning pass is under test too.  Defaults: a
+    small synthetic generator stream and the full
     :func:`default_differential_cases` grid.  The report's :attr:`~DifferentialReport.ok`
     is the ship/no-ship bit; per-field mismatches are in the results.
     """
@@ -193,10 +203,11 @@ def validate_differential(
         trace = small_validation_trace(seed=seed)
     if cases is None:
         cases = default_differential_cases(seed=seed)
+    compiled = compile_workload(trace)
     results: List[CaseResult] = []
     for case in cases:
         oracle_stats = _run_case(trace, case, replay)
-        fast_stats = _run_case(trace, case, fast_replay)
+        fast_stats = _run_case(compiled, case, fast_replay)
         results.append(
             CaseResult(
                 label=case.label,
@@ -206,7 +217,7 @@ def validate_differential(
                 fast=fast_stats,
             )
         )
-    return DifferentialReport(results=results, trace_requests=len(trace))
+    return DifferentialReport(results=results, trace_requests=compiled.n_requests)
 
 
 # ======================================================================
@@ -439,7 +450,7 @@ def validate_topology_differential(
 
 
 # ======================================================================
-# Streaming differential: stream→shards→replay vs generate→compile→replay
+# Streaming differential: stream→shards→replay vs generate()→replay
 # ======================================================================
 @dataclass(frozen=True)
 class StreamingCase:
@@ -491,21 +502,22 @@ def validate_streaming_differential(
     requests: int = 2500,
     sim_requests: int = 500,
 ) -> DifferentialReport:
-    """Cross-check the streaming pipeline against the materialized one.
+    """Cross-check the streaming pipeline against the in-RAM compiled trace.
 
     Three layers, all bit-identity:
 
     * **replay grid** — ``stream → compile_stream → fast_replay`` (shard
-      by shard, mmap'd) and ``save → TsvWorkload → compile_workload →
-      fast_replay`` (a sweep worker's TSV path) vs ``generate → compile →
+      by shard, mmap'd) and ``save_tsv → TsvWorkload → compile_workload →
+      fast_replay`` (a sweep worker's TSV path) vs ``generate() →
       fast_replay`` over the scheme/policy/marking grid: identical
       :class:`ReplayStats`,
-    * **oracle anchor** — one cell of each also compared against the reference
-      event-driven :func:`~repro.workload.replay.replay`, pinning the
-      sharded path to the original semantics rather than just to the
-      fast kernel,
+    * **oracle anchor** — one cell of each also compared against the
+      reference event-driven :func:`~repro.workload.replay.replay` of
+      its *source* (the generator stream, the TSV reader), pinning the
+      sharded and TSV paths to the original semantics rather than just
+      to the fast kernel, with no interning pass on the oracle side,
     * **simulator observables** — the packet simulator driven from the
-      streaming workload vs from its materialized twin through the same
+      streaming workload vs from its compiled twin through the same
       :func:`~repro.sim.workload_driver.scripts_from_workload` driver:
       identical scripts and identical :class:`TopologyObservables`.
 
@@ -515,8 +527,6 @@ def validate_streaming_differential(
     import tempfile
 
     from repro.sim.workload_driver import scripts_from_workload
-    from repro.workload.sharded import compile_stream, compile_workload
-    from repro.workload.streaming import TsvWorkload
 
     if cases is None:
         cases = default_streaming_cases(seed=seed)
@@ -530,17 +540,15 @@ def validate_streaming_differential(
         seed=seed,
     )
     trace = IrcacheGenerator(config).generate()
+    stream = IrcacheGenerator(config).stream()
     results: List[CaseResult] = []
     with tempfile.TemporaryDirectory(prefix="repro-streamdiff-") as tmp:
-        sharded = compile_stream(
-            IrcacheGenerator(config).stream(),
-            tmp,
-            shard_size=max(1, requests // 7),
-        )
+        sharded = compile_stream(stream, tmp, shard_size=max(1, requests // 7))
         sharded.verify()
-        tsv_path = f"{tmp}/trace.tsv"
-        trace.save(tsv_path)
-        legs = {"": sharded, "tsv-": compile_workload(TsvWorkload(tsv_path))}
+        tsv = TsvWorkload(f"{tmp}/trace.tsv")
+        save_tsv(stream, tsv.path)
+        # leg -> (source workload, its compiled form under test)
+        legs = {"": (stream, sharded), "tsv-": (tsv, compile_workload(tsv))}
 
         def run(workload, case: StreamingCase, engine) -> ReplayStats:
             return engine(
@@ -554,20 +562,21 @@ def validate_streaming_differential(
 
         for case in cases:
             in_ram = run(trace, case, fast_replay)
-            for leg, held in legs.items():
+            for leg, (_, held) in legs.items():
                 streamed = run(held, case, fast_replay)
                 label = f"{leg}replay:{case.label}"
                 results.append(CaseResult(label, diff_replay_stats(in_ram, streamed)))
 
-        # Oracle anchor: the sharded and TSV paths against the reference replay.
+        # Oracle anchor: the sharded and TSV paths against the reference
+        # replay of their sources.
         anchor = cases[0]
-        oracle = run(trace, anchor, replay)
-        for leg, held in legs.items():
+        for leg, (source, held) in legs.items():
+            oracle = run(source, anchor, replay)
             streamed = run(held, anchor, fast_replay)
             label = f"{leg}oracle-anchor:{anchor.label}"
             results.append(CaseResult(label, diff_replay_stats(oracle, streamed)))
 
-    # Simulator observables: streaming vs materialized through the same
+    # Simulator observables: streaming vs compiled through the same
     # driver (reference engine both legs; the legs differ only in the
     # workload's representation).
     sim_config = IrcacheConfig(
@@ -589,8 +598,8 @@ def validate_streaming_differential(
             consumers=4,
         ).network
 
-    net_mat, net_stream = edge(), edge()
-    consumers = list(net_mat.consumers)
+    net_compiled, net_stream = edge(), edge()
+    consumers = list(net_compiled.consumers)
     driver_kwargs = dict(
         uri_prefix=CONTENT_PREFIX,
         time_scale=1e-3,
@@ -598,16 +607,16 @@ def validate_streaming_differential(
         private_period=7,
     )
     sim_trace = IrcacheGenerator(sim_config).generate()
-    scripts_mat = scripts_from_workload(sim_trace, consumers, **driver_kwargs)
+    scripts_compiled = scripts_from_workload(sim_trace, consumers, **driver_kwargs)
     scripts_stream = scripts_from_workload(
         IrcacheGenerator(sim_config).stream(), consumers, **driver_kwargs
     )
     mismatches: List[str] = []
-    if scripts_mat != scripts_stream:
+    if scripts_compiled != scripts_stream:
         mismatches.append("driver scripts differ between representations")
-    obs_mat = run_scripts_reference(net_mat, scripts_mat)
+    obs_compiled = run_scripts_reference(net_compiled, scripts_compiled)
     obs_stream = run_scripts_reference(net_stream, scripts_stream)
-    mismatches.extend(diff_observables(obs_mat, obs_stream))
+    mismatches.extend(diff_observables(obs_compiled, obs_stream))
     if obs_stream.total_delivered == 0:
         mismatches.append("streaming simulator leg delivered nothing")
     results.append(CaseResult("simulator:star-edge", mismatches))

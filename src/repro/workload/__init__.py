@@ -1,6 +1,5 @@
 """Workloads: synthetic IRCache-style traces and the replay harness."""
 
-from repro.workload.fitting import TraceFit, fit_trace, fit_zipf_exponent
 from repro.workload.hierarchy import (
     CacheHierarchy,
     HierarchyStats,
@@ -23,12 +22,13 @@ from repro.workload.sharded import (
     compile_workload,
 )
 from repro.workload.streaming import (
+    Request,
     RequestBlock,
     TsvWorkload,
     Workload,
     iter_requests,
-    materialize,
     rechunk,
+    save_tsv,
 )
 from repro.workload.marking import (
     ContentMarking,
@@ -37,12 +37,10 @@ from repro.workload.marking import (
     RequestMarking,
 )
 from repro.workload.replay import CachedRouter, ReplayStats, RequestOutcome, replay
-from repro.workload.trace import Request, Trace
 from repro.workload.zipf import ZipfSampler
 
 __all__ = [
     "Request",
-    "Trace",
     "ZipfSampler",
     "IrcacheConfig",
     "IrcacheGenerator",
@@ -59,17 +57,14 @@ __all__ = [
     "compile_stream",
     "compile_workload",
     "iter_requests",
-    "materialize",
     "rechunk",
+    "save_tsv",
     "MarkingRule",
     "ContentMarking",
     "RequestMarking",
     "NoMarking",
     "CachedRouter",
     "CacheHierarchy",
-    "TraceFit",
-    "fit_trace",
-    "fit_zipf_exponent",
     "HierarchyStats",
     "LevelConfig",
     "replay_hierarchy",

@@ -1,11 +1,9 @@
 """Compiled traces: a name table plus an ordered sequence of column shards.
 
-A :class:`~repro.workload.trace.Trace` stores one :class:`Request` object
-per request, keyed by hierarchical :class:`~repro.ndn.name.Name`s — ideal
-for inspection, slow to replay.  Compiling interns every distinct name to
-a dense ``int32`` content id **once**; the replay kernel
+A :class:`CompiledTrace` is the in-RAM trace: every distinct name is
+interned to a dense ``int32`` content id **once**, and the replay kernel
 (:mod:`repro.workload.fast_replay`) and the sweep runner
-(:mod:`repro.perf.parallel`) then work on flat columns, cut into
+(:mod:`repro.perf.parallel`) work on flat columns, cut into
 :class:`TraceShard`\\ s:
 
 * ``ids[i]``   — content id of request ``i`` (dense, 0..n_names-1, in
@@ -20,11 +18,13 @@ a dense ``int32`` content id **once**; the replay kernel
 There is one such type, and one interning pass that builds it
 (:func:`~repro.workload.sharded._intern_pass`).
 :func:`~repro.workload.sharded.compile_workload` collects that pass into a
-single shard held in RAM, from any workload — an in-RAM
-:class:`~repro.workload.trace.Trace` included (memoized by
-:meth:`Trace.compile`, so S schemes × C cache sizes pay the interning
-once); :class:`~repro.workload.sharded.ShardedCompiledTrace` is the same
-thing with its shards memory-mapped from files.
+single shard held in RAM, from any workload — the synthetic generator's
+stream (``IrcacheGenerator.generate()``) or a TSV file
+(``compile_workload(TsvWorkload(path))``) — and hands a trace that is
+already compiled back unchanged, so S schemes × C cache sizes pay the
+interning once; :class:`~repro.workload.sharded.ShardedCompiledTrace` is
+the same thing with its shards memory-mapped from files.  TSV is only the
+import and export format (:func:`~repro.workload.streaming.save_tsv`).
 
 A compiled trace is itself a :class:`~repro.workload.streaming.Workload`
 (keys are its content ids), so the reference ``replay()`` runs on it
@@ -40,8 +40,7 @@ import numpy as np
 
 from repro.ndn.name import Name
 from repro.workload.marking import ContentMarking
-from repro.workload.streaming import RequestBlock, iter_requests, rechunk
-from repro.workload.trace import Request
+from repro.workload.streaming import Request, RequestBlock, iter_requests, rechunk
 
 #: :class:`TraceShard` column -> dtype.
 COLUMNS = (
@@ -97,8 +96,8 @@ def _whole_column(column: str, doc: str) -> property:
 class CompiledTrace:
     """A trace interned to dense integer content ids (replay fast path).
 
-    Immutable (:meth:`Trace.compile` hands out a new object after an
-    append), so :meth:`content_coins` memoizes with nothing to invalidate.
+    Immutable, so :meth:`content_coins` memoizes with nothing to
+    invalidate.
     """
 
     def __init__(

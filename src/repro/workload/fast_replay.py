@@ -21,8 +21,9 @@ magnitude faster:
   leave the scheme's RNG exactly where the reference leaves it.
 
 There is one body.  A compiled trace is a name table plus an ordered
-sequence of column shards — one shard in RAM from ``Trace.compile()``,
-many memory-mapped ones from a
+sequence of column shards — one shard in RAM from
+:func:`~repro.workload.sharded.compile_workload`, many memory-mapped ones
+from a
 :class:`~repro.workload.sharded.ShardedCompiledTrace` — and the loop
 lives in a resumable :class:`_ReplayCore` fed one (ids, privacy flags)
 span per shard by :func:`_spans`, the only place a marking rule becomes
@@ -39,7 +40,7 @@ reference ``replay()`` on the compiled trace — itself a
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +56,8 @@ from repro.workload.marking import (
     RequestMarking,
 )
 from repro.workload.replay import ReplayStats, replay
-from repro.workload.trace import Trace
+from repro.workload.sharded import compile_workload
+from repro.workload.streaming import Workload
 
 
 class _ReplayCore:
@@ -284,7 +286,7 @@ def _spans(
             per_name = np.full(compiled.n_names, rule.fraction >= 1.0)
     elif rule.uses_name:
         # Generic name-dependent rules need real Name objects per
-        # request; materialize the vocabulary once (O(n_names), still
+        # request; build the vocabulary once (O(n_names), still
         # independent of trace length).  Name-blind rules skip even that.
         names = list(compiled.names)
     is_private = rule.is_private
@@ -312,7 +314,7 @@ def _spans(
 
 
 def fast_replay(
-    trace: Union[Trace, CompiledTrace],
+    trace: Workload,
     scheme: Optional[CacheScheme] = None,
     marking: Optional[MarkingRule] = None,
     cache_size: Optional[int] = None,
@@ -324,11 +326,11 @@ def fast_replay(
     """Replay a trace through one router on the interned fast path.
 
     Drop-in replacement for :func:`repro.workload.replay.replay` — same
-    parameters, same :class:`ReplayStats`, bit for bit.  Accepts a
-    :class:`Trace` (compiled on first use, memoized) or anything already
-    compiled: an in-RAM :class:`CompiledTrace` or an on-disk
+    parameters, same :class:`ReplayStats`, bit for bit.  Accepts any
+    workload (compiled by ``compile_workload``); a trace that is already
+    compiled — an in-RAM :class:`CompiledTrace` or an on-disk
     :class:`~repro.workload.sharded.ShardedCompiledTrace` (replayed
-    shard by shard at bounded RSS, same observables).
+    shard by shard at bounded RSS, same observables) — is used as it is.
     """
     if policy not in POLICIES:
         raise CacheError(
@@ -341,7 +343,7 @@ def fast_replay(
     scheme = scheme if scheme is not None else NoPrivacyScheme()
     rule = marking if marking is not None else NoMarking()
 
-    compiled = trace.compile() if isinstance(trace, Trace) else trace
+    compiled = compile_workload(trace)
     kernel = scheme.make_kernel(compiled.names)
     if kernel is None:
         # Unknown scheme type: stay correct by running the oracle path.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from repro.ndn.cs import ContentStore
 from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.ndn.replacement import make_policy
-from repro.workload.compiled import CompiledTrace
 from repro.workload.fast_replay import _spans
 from repro.workload.marking import MarkingRule, NoMarking
-from repro.workload.trace import Trace
+from repro.workload.sharded import compile_workload
+from repro.workload.streaming import Workload
 
 
 class LevelOutcome(enum.Enum):
@@ -184,7 +184,7 @@ class CacheHierarchy:
 
 
 def replay_hierarchy(
-    trace: Union[Trace, CompiledTrace],
+    trace: Workload,
     levels: Sequence[LevelConfig],
     marking: Optional[MarkingRule] = None,
     origin_delay: float = 40.0,
@@ -197,7 +197,7 @@ def replay_hierarchy(
     name table.
     """
     rule = marking if marking is not None else NoMarking()
-    compiled = trace.compile() if isinstance(trace, Trace) else trace
+    compiled = compile_workload(trace)
     hierarchy = CacheHierarchy(levels, origin_delay=origin_delay, seed=seed)
     stats = HierarchyStats()
     names = compiled.names

@@ -17,16 +17,16 @@ trace in fixed-size sampling blocks (:data:`SAMPLING_BLOCK` requests per
 RNG batch), so a million-user / multi-million-request workload never has
 to exist in RAM.  :meth:`IrcacheGenerator.stream` returns a re-iterable
 :class:`~repro.workload.streaming.Workload`; :meth:`IrcacheGenerator.generate`
-is a thin materialization of the same stream, so ``generate()`` and
-``stream()`` describe the *same* realization request for request.  The
+compiles the same stream in RAM, so ``generate()`` and ``stream()``
+describe the *same* realization request for request.  The
 RNG draw schedule is a function of the config alone — never of the
 consumer's chunk size — which is what makes the stream seed-reproducible
 independent of chunking.
 
 Scale is configurable; defaults are a 1/16 scale-down (200 k requests)
 that replays in seconds while preserving the popularity skew.  A real
-trace in the TSV format of :mod:`repro.workload.trace` can be substituted
-wherever a synthetic one is used.
+trace in the TSV format of :class:`~repro.workload.streaming.TsvWorkload`
+can be substituted wherever a synthetic one is used.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.workload.streaming import RequestBlock, iter_requests, materialize, rechunk
-from repro.workload.trace import Request, Trace
+from repro.workload.compiled import CompiledTrace
+from repro.workload.sharded import compile_workload
+from repro.workload.streaming import Request, RequestBlock, iter_requests, rechunk
 from repro.workload.zipf import ZipfSampler
 
 #: Hourly request-rate weights (fraction of traffic per hour, 24 entries):
@@ -61,7 +62,7 @@ SAMPLING_BLOCK = 65_536
 
 #: Bumped whenever the canonical generation algorithm changes (draw
 #: order, block structure, locality model).  Trace caches key on it so a
-#: stale materialization can never be confused with the current one.
+#: stale cache entry can never be confused with the current one.
 IRCACHE_ALGORITHM_VERSION = 2
 
 
@@ -281,14 +282,14 @@ class IrcacheGenerator:
         """The trace as a re-iterable streaming :class:`Workload`."""
         return IrcacheStream(self)
 
-    def generate(self) -> Trace:
-        """Materialize the full trace in RAM (sorted by construction).
+    def generate(self) -> CompiledTrace:
+        """The full trace compiled in RAM (sorted by construction):
+        ``compile_workload(self.stream())``.
 
         Request-for-request identical to consuming :meth:`stream` — the
-        streaming path is the canonical algorithm, this collects it into
-        the :class:`Trace` the reference ``replay()`` needs.
+        streaming path is the canonical algorithm, this interns it once.
         """
-        return materialize(self.stream())
+        return compile_workload(self.stream())
 
 
 class IrcacheStream:
@@ -345,7 +346,7 @@ class IrcacheStream:
         return iter_requests(self)
 
 
-def small_test_trace(requests: int = 5000, seed: int = 0) -> Trace:
+def small_test_trace(requests: int = 5000, seed: int = 0) -> CompiledTrace:
     """A quickly-generated trace for unit tests and examples."""
     config = IrcacheConfig(
         requests=requests,

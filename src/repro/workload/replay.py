@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.ndn.replacement import make_policy
 from repro.workload.marking import MarkingRule, NoMarking
-from repro.workload.trace import Trace
+from repro.workload.streaming import Request
 
 
 class RequestOutcome(enum.Enum):
@@ -127,7 +127,7 @@ class CachedRouter:
 
 
 def replay(
-    trace: Trace,
+    trace: Iterable[Request],
     scheme: Optional[CacheScheme] = None,
     marking: Optional[MarkingRule] = None,
     cache_size: Optional[int] = None,

@@ -13,11 +13,11 @@ in-RAM shard and the URI list as the name table.
 
 Both are the one interning pass (:func:`_intern_pass`), so the contract
 is **bit-equality**: concatenating a trace's shards reproduces
-``Trace.compile()``'s columns exactly — same dtypes, same first-appearance
-intern order, same occurrence index (asserted by the property suite in
-``tests/workload/test_sharded.py``).  That is what lets
-``stream → shards → replay`` equal ``generate → compile → replay`` on
-every observable.
+:func:`compile_workload`'s columns exactly — same dtypes, same
+first-appearance intern order, same occurrence index (asserted by the
+property suite in ``tests/workload/test_sharded.py``).  That is what lets
+``stream → shards → replay`` equal ``generate() → replay`` on every
+observable.
 
 Readers open shards with ``numpy.load(mmap_mode="r")`` and release each
 one (``madvise(MADV_DONTNEED)``) after consuming it, so peak RSS of a
@@ -44,12 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.ndn.name import Name, uri_components
-from repro.workload.compiled import (
-    COLUMNS,
-    CompiledTrace,
-    TraceShard,
-    _occurrence_index,
-)
+from repro.workload.compiled import CompiledTrace, TraceShard, _occurrence_index
 from repro.workload.streaming import Workload
 
 FORMAT_NAME = "repro-sharded-trace"
@@ -213,12 +208,16 @@ def compile_workload(workload: Workload) -> CompiledTrace:
     """:func:`compile_stream` without the files: the same pass, its
     blocks collected into one in-RAM :class:`TraceShard`.
 
-    The name table holds the workload's URIs (:class:`LazyNameTable`);
-    no :class:`~repro.workload.trace.Request` and no interned
-    :class:`~repro.ndn.name.Name` is made.  This is :meth:`Trace.compile`,
-    and how a sweep worker holds a TSV trace-cache entry (``TsvWorkload``
-    in, columns out).
+    The one place a workload becomes a compiled trace: a trace that is
+    already compiled (in RAM or sharded) is returned unchanged.  The name
+    table holds the workload's URIs (:class:`LazyNameTable`); no
+    :class:`~repro.workload.streaming.Request` and no interned
+    :class:`~repro.ndn.name.Name` is made.  This is
+    ``IrcacheGenerator.generate()``, and how a TSV file is imported
+    (``TsvWorkload`` in, columns out).
     """
+    if isinstance(workload, CompiledTrace):
+        return workload
     uris: List[str] = []
     blocks: List[Dict[str, np.ndarray]] = []
     for columns, new_uris in _intern_pass(workload, None):
@@ -472,17 +471,3 @@ class ShardedCompiledTrace(CompiledTrace):
                 yield shard
             finally:
                 shard.release()
-
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def materialize(self) -> CompiledTrace:
-        """Copy the whole trace into RAM as a one-shard
-        :class:`CompiledTrace`.
-
-        For differential tests and small traces — defeats the point at
-        scale.
-        """
-        whole = self._whole()
-        columns = (np.array(getattr(whole, column)) for column, _ in COLUMNS)
-        return CompiledTrace(tuple(self.names), [TraceShard(0, 0, *columns)])

@@ -1,9 +1,7 @@
 """Streaming workloads: constant-memory request sources.
 
 A :class:`Workload` is a re-iterable source of time-ordered requests that
-never has to exist in RAM all at once.  It is the scaling counterpart of
-:class:`~repro.workload.trace.Trace`: where a trace is a materialized
-list of :class:`Request` objects, a workload yields fixed-size
+never has to exist in RAM all at once: it yields fixed-size
 :class:`RequestBlock` batches of numpy columns (times / users / content
 keys) plus enough metadata — known-or-estimated ``n_requests`` and
 ``n_names``, a ``key -> name`` decoding — for consumers to size their
@@ -11,38 +9,59 @@ state up front.  The pattern follows icarus' scenario workloads
 (lazily yielded Zipf/Poisson arrivals and trace readers) rather than
 array-first generation.
 
-Four types implement it:
+Three types implement it:
 
 * ``IrcacheGenerator.stream()`` (:mod:`repro.workload.ircache`) — the
   chunked synthetic proxy-trace generator (diurnal profile + session
   locality preserved, seed-reproducible independent of chunk size),
-* :class:`TsvWorkload` — a streaming reader for the TSV trace format of
-  :meth:`Trace.save` (one line per request, never materialized),
-* :class:`~repro.workload.trace.Trace` — an in-RAM trace; its keys are
-  its append-time name-pool indices,
+* :class:`TsvWorkload` — a streaming reader for the TSV trace format
+  (one line per request, ``time_ms<TAB>user<TAB>name``),
 * :class:`~repro.workload.compiled.CompiledTrace` (in RAM or sharded on
   disk) — keys are its content ids, so the reference replay runs on it.
 
-Downstream, :func:`repro.workload.sharded.compile_stream` lowers any
-workload to the mmap-sharded compiled-trace format in one streaming
-pass, and :mod:`repro.sim.workload_driver` feeds the packet simulator
-from a workload without a request list in between.
+A compiled trace is the one in-RAM trace; TSV is only its import and
+export format.  :func:`~repro.workload.sharded.compile_workload` turns
+any workload into one (``compile_workload(TsvWorkload(path))`` imports a
+TSV), :func:`save_tsv` writes any workload out block by block, and
+:func:`~repro.workload.sharded.compile_stream` lowers a workload to the
+mmap-sharded compiled-trace format in one streaming pass.
+:mod:`repro.sim.workload_driver` feeds the packet simulator from a
+workload without a request list in between.  :class:`Request` records
+exist only where :func:`iter_requests` builds them for the reference
+``replay()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple, Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
 from repro.ndn.errors import NameError_
 from repro.ndn.name import Name, uri_components
-from repro.workload.trace import Request, Trace
 
 #: Default consumer-facing block size (requests per yielded RequestBlock).
 DEFAULT_CHUNK = 65_536
+
+
+@dataclass(frozen=True, slots=True)
+class Request:
+    """One content request: timestamp (ms), requesting user, content name."""
+
+    time: float
+    user: int
+    name: Name
+
+    def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ValueError(f"request time must be >= 0, got {self.time}")
+        if self.user < 0:
+            raise ValueError(f"user id must be >= 0, got {self.user}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +212,8 @@ class TsvWorkload:
     as caller-provided estimates (0 = unknown) and become exact after the
     first complete pass.
 
-    Refuses what :meth:`Trace.load` refuses, with its exception types and
+    Refuses a malformed line — a wrong field count, an unparsable number,
+    a bad URI, a negative time or user — with its exception type and
     ``path:line``: the URI rule (:func:`~repro.ndn.name.uri_components`)
     is checked once per distinct URI, times and users ``>= 0`` once per
     block.  Blocks hold no :class:`Request`; only :meth:`__iter__` builds
@@ -304,6 +324,28 @@ class TsvWorkload:
         return iter_requests(self)
 
 
-def materialize(workload: "Workload") -> Trace:
-    """Collect a workload into an in-RAM :class:`Trace` (small scales)."""
-    return Trace(iter_requests(workload))
+def save_tsv(workload: "Workload", path: Union[str, Path]) -> Tuple[int, int, int]:
+    """Write ``workload`` as TSV (``time_ms<TAB>user<TAB>name``, times to
+    three decimals), one block at a time: besides the block, only the URI
+    of each key seen so far is held, so memory grows with the distinct
+    names, not with the requests.
+
+    Returns ``(requests, distinct names, distinct users)`` written;
+    :class:`TsvWorkload` reads the file back.
+    """
+    uris: Dict[int, str] = {}
+    users_seen: Set[int] = set()
+    written = 0
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for block in workload.iter_blocks():
+            for key in np.unique(block.keys).tolist():
+                if key not in uris:
+                    uris[key] = workload.uri_of(key)
+            users = block.users.tolist()
+            users_seen.update(users)
+            handle.writelines(
+                f"{time:.3f}\t{user}\t{uris[key]}\n"
+                for time, user, key in zip(block.times.tolist(), users, block.keys.tolist())
+            )
+            written += len(users)
+    return written, len(uris), len(users_seen)

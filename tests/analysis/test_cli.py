@@ -93,9 +93,10 @@ class TestUtilityCommands:
         out_path = tmp_path / "trace.tsv"
         assert main(["trace", "--requests", "500", "--out", str(out_path)]) == 0
         assert "wrote 500 requests" in capsys.readouterr().out
-        from repro.workload.trace import Trace
+        from repro.workload.sharded import compile_workload
+        from repro.workload.streaming import TsvWorkload
 
-        assert len(Trace.load(out_path)) == 500
+        assert compile_workload(TsvWorkload(out_path)).n_requests == 500
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -107,7 +107,7 @@ class TestFig5Drivers:
     def test_fig5_stats_recorded(self, trace):
         result = run_fig5a(trace, cache_sizes=(None,))
         stats = result.stats[("no-privacy", None)]
-        assert stats.requests == len(trace)
+        assert stats.requests == trace.n_requests
 
 
 class TestAmplificationDriver:

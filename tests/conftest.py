@@ -10,6 +10,9 @@ from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.workload.compiled import CompiledTrace
+from repro.workload.sharded import compile_workload
+from repro.workload.streaming import RequestBlock
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -69,3 +72,46 @@ def cache_entry() -> CacheEntry:
 def small_cs() -> ContentStore:
     """A 4-entry LRU content store."""
     return ContentStore(capacity=4)
+
+
+class RequestList:
+    """A hand-written list of :class:`Request` records as a workload:
+    keys are the names' first-appearance indices, one block holds all."""
+
+    def __init__(self, requests) -> None:
+        self.requests = list(requests)
+        self.names = list(dict.fromkeys(request.name for request in self.requests))
+        self._key = {name: key for key, name in enumerate(self.names)}
+
+    @property
+    def n_requests(self) -> int:
+        return len(self.requests)
+
+    @property
+    def n_names(self) -> int:
+        return len(self.names)
+
+    key_space = n_names
+
+    def uri_of(self, key: int) -> str:
+        return str(self.names[key])
+
+    def components_of(self, key: int):
+        return self.names[key].components
+
+    def iter_blocks(self, chunk_size=None):
+        if self.requests:
+            yield RequestBlock(
+                times=np.array([r.time for r in self.requests], dtype=np.float64),
+                users=np.array([r.user for r in self.requests], dtype=np.int64),
+                keys=np.array([self._key[r.name] for r in self.requests], dtype=np.int64),
+            )
+
+    def __iter__(self):
+        return iter(self.requests)
+
+
+def compiled_trace(requests) -> CompiledTrace:
+    """Compile hand-written requests, the way a test builds a trace."""
+    return compile_workload(RequestList(requests))
+

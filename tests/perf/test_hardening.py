@@ -33,12 +33,12 @@ from repro.perf.parallel import (
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.replay import ReplayStats
+from repro.workload.compiled import CompiledTrace
 from repro.workload.sharded import ShardedCompiledTrace, compile_stream
-from repro.workload.trace import Trace
 
 
 @pytest.fixture(scope="module")
-def trace() -> Trace:
+def trace() -> CompiledTrace:
     return IrcacheGenerator(
         IrcacheConfig(requests=1200, objects=900, seed=13)
     ).generate()

@@ -36,7 +36,7 @@ def test_fig5_grid_hashes_each_name_table_once(monkeypatch):
     # A config no other test replays, so this process holds no trace of
     # it yet and each of the two stores is opened (and hashed) here.
     config = IrcacheConfig(requests=3000, objects=2500, seed=1913)
-    n_names = IrcacheGenerator(config).generate().unique_objects
+    n_names = IrcacheGenerator(config).generate().n_names
     assert n_names > 1000  # or the bound below is idle
     calls = _count_marking_hashes(monkeypatch)
 
@@ -81,4 +81,4 @@ def test_specs_alternating_two_salts_each_replay_like_the_oracle(monkeypatch):
     assert got == expected
     assert len({(s.private_requests, s.hits) for s in got}) > 3  # flags differ
     # Five salt switches in six specs: five passes, not six.
-    assert calls_fast == 5 * trace.unique_objects
+    assert calls_fast == 5 * trace.n_names

@@ -20,15 +20,18 @@ from repro.perf.parallel import (
     trace_cache_dir,
     verify_trace_cache,
 )
+from repro.analysis.experiments import run_fig5a
+from repro.workload.compiled import CompiledTrace
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking
 from repro.workload.replay import replay
-from repro.workload.trace import Trace
+from repro.workload.sharded import compile_workload
+from repro.workload.streaming import TsvWorkload, save_tsv
 from tests.workload.test_fast_replay import NeverRevealingUniform
 
 
 @pytest.fixture(scope="module")
-def trace() -> Trace:
+def trace() -> CompiledTrace:
     return IrcacheGenerator(
         IrcacheConfig(requests=2500, objects=2000, seed=5)
     ).generate()
@@ -136,8 +139,28 @@ def test_trace_cache_reused(tmp_path, monkeypatch):
     # A different config gets a different key.
     other = ensure_trace_cached(IrcacheConfig(requests=600, objects=400, seed=9))
     assert other != path
-    reloaded = Trace.load(path)
-    assert len(reloaded) == 500
+    reloaded = compile_workload(TsvWorkload(path))
+    assert reloaded.n_requests == 500
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_tsv_imported_trace_sweeps_like_its_config(tmp_path, monkeypatch, workers):
+    """A compiled trace handed to a sweep as ``trace=`` — here a TSV
+    import — gives the ``trace_config=`` path's stats, through
+    ``run_replay_sweep`` and through a Fig. 5 driver."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+    config = IrcacheConfig(requests=2500, objects=2000, seed=5)
+    path = tmp_path / "trace.tsv"
+    save_tsv(IrcacheGenerator(config).stream(), path)
+    imported = compile_workload(TsvWorkload(path))
+    specs = _grid_specs([7])
+    assert run_replay_sweep(specs, trace=imported, workers=workers) == (
+        run_replay_sweep(specs, trace_config=config, workers=workers)
+    )
+    sizes = (200, None)
+    assert run_fig5a(imported, cache_sizes=sizes, seed=2, workers=workers).stats == (
+        run_fig5a(config, cache_sizes=sizes, seed=2, workers=workers).stats
+    )
 
 
 def test_build_scheme_registry():

@@ -154,4 +154,4 @@ def test_kernelless_scheme_runs_on_a_sharded_sweep(workers):
         specs, trace_config=config, workers=workers, sharded=True
     )
     assert swept == [expected, expected]
-    assert fast_replay(trace.compile(), scheme=Mine(), cache_size=50) == expected
+    assert fast_replay(trace, scheme=Mine(), cache_size=50) == expected

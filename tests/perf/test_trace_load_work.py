@@ -1,4 +1,4 @@
-"""A sweep worker holds a TSV trace-cache entry as columns, not as a Trace.
+"""A sweep worker holds a TSV trace-cache entry as columns, not requests.
 
 Count-based (no timing), in the style of ``test_marking_work.py`` and
 ``test_scheme_work.py``: compiling the entry builds no ``Request`` and
@@ -20,7 +20,7 @@ from repro.perf import parallel
 from repro.perf.parallel import ReplaySpec, ensure_trace_cached, run_replay_sweep
 from repro.workload.ircache import IrcacheConfig
 from repro.workload.marking import ContentMarking
-from repro.workload.trace import Request, Trace
+from repro.workload.streaming import Request, TsvWorkload
 
 CONFIG = IrcacheConfig(requests=30000)
 
@@ -58,8 +58,8 @@ def test_loading_the_entry_builds_no_request_and_interns_no_name(entry, counts):
     assert compiled.n_requests == CONFIG.requests
     assert counts == {"requests": 0, "names": 0}
     assert len(Name._intern_pool) == pool
-    # The counter sees what Trace.load (the loader before) would build.
-    assert len(Trace.load(entry)) == counts["requests"] == CONFIG.requests
+    # The counter sees what reading the entry as requests would build.
+    assert len(list(TsvWorkload(entry))) == counts["requests"] == CONFIG.requests
 
 
 def test_a_fig5a_sweep_over_the_entry_builds_none_either(entry, counts):

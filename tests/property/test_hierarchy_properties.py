@@ -8,7 +8,8 @@ from repro.core.schemes.always_delay import AlwaysDelayScheme
 from repro.ndn.name import Name
 from repro.workload.hierarchy import CacheHierarchy, LevelConfig, replay_hierarchy
 from repro.workload.marking import ContentMarking
-from repro.workload.trace import Request, Trace
+from repro.workload.streaming import Request
+from tests.conftest import compiled_trace
 
 object_ids = st.integers(min_value=0, max_value=12)
 request_lists = st.lists(object_ids, min_size=1, max_size=80)
@@ -17,7 +18,7 @@ private_fracs = st.sampled_from([0.0, 0.5, 1.0])
 
 
 def trace_of(ids):
-    return Trace([
+    return compiled_trace([
         Request(time=float(i), user=0, name=Name.parse(f"/s/o{obj}"))
         for i, obj in enumerate(ids)
     ])
@@ -60,7 +61,7 @@ def test_latency_bounds(ids, edge_size):
 def test_unlimited_levels_first_touch_only_origin(ids):
     trace = trace_of(ids)
     stats = replay_hierarchy(trace, levels(None))
-    assert stats.origin_fetches == trace.unique_objects
+    assert stats.origin_fetches == trace.n_names == len(set(ids))
 
 
 @given(request_lists, edge_sizes)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.validation import (
@@ -12,7 +13,9 @@ from repro.validation import (
     default_differential_cases,
     diff_replay_stats,
     validate_differential,
+    validate_streaming_differential,
 )
+from repro.workload import sharded
 from repro.validation.differential import CaseResult, small_validation_trace
 from repro.workload.replay import replay
 
@@ -60,7 +63,7 @@ class TestValidateDifferential:
         report = validate_differential(trace=tiny_trace, seed=1)
         assert report.ok, report.summary()
         assert report.failures == []
-        assert report.trace_requests == len(tiny_trace)
+        assert report.trace_requests == tiny_trace.n_requests
         assert len(report.results) == 8
         assert report.summary().count("ok") == 8
 
@@ -72,7 +75,7 @@ class TestValidateDifferential:
         assert report.ok
         assert len(report.results) == 1
         # The oracle actually did work (this is not a vacuous pass).
-        assert report.results[0].oracle.requests == len(tiny_trace)
+        assert report.results[0].oracle.requests == tiny_trace.n_requests
 
     def test_report_surfaces_mismatches(self, tiny_trace):
         good = validate_differential(
@@ -89,9 +92,39 @@ class TestValidateDifferential:
             ),
         )
         report = DifferentialReport(
-            results=[good, doctored], trace_requests=len(tiny_trace)
+            results=[good, doctored], trace_requests=tiny_trace.n_requests
         )
         assert not report.ok
         assert report.failures == [doctored]
         assert "MISMATCH" in report.summary()
         assert "misses" in report.summary()
+
+
+class TestOracleIndependence:
+    """The oracle leg reads the source workload, never the compiled trace
+    under test: an interning defect must show as a mismatch, not
+    identically on both sides."""
+
+    @pytest.fixture
+    def merging_interner(self, monkeypatch):
+        """An interning pass that maps two distinct keys to one content id."""
+        intern = sharded._intern_pass
+
+        def merging(workload, chunk_size):
+            for columns, uris in intern(workload, chunk_size):
+                ids = np.where(columns["ids"] == 1, 0, columns["ids"])
+                yield {**columns, "ids": ids.astype(np.int32)}, uris
+
+        monkeypatch.setattr(sharded, "_intern_pass", merging)
+
+    def test_replay_differential_flags_an_interning_defect(
+        self, tiny_trace, merging_interner
+    ):
+        report = validate_differential(trace=tiny_trace, seed=1)
+        assert not report.ok
+        assert len(report.failures) == len(report.results)
+
+    def test_streaming_differential_flags_an_interning_defect(self, merging_interner):
+        report = validate_streaming_differential(seed=1, requests=600, sim_requests=200)
+        failed = {result.label.split(":")[0] for result in report.failures}
+        assert {"oracle-anchor", "tsv-oracle-anchor", "simulator"} <= failed

@@ -34,15 +34,17 @@ from repro.workload.marking import (
 )
 from repro.workload.replay import replay
 from repro.workload.sharded import compile_stream, compile_workload
-from repro.workload.streaming import TsvWorkload
-from repro.workload.trace import Request, Trace
+from repro.workload.streaming import Request, TsvWorkload, Workload, save_tsv
+from tests.conftest import compiled_trace
 
 
 @pytest.fixture(scope="module")
-def trace() -> Trace:
+def trace() -> Workload:
+    """The source workload: the oracle reads its requests, the fast path
+    compiles it."""
     return IrcacheGenerator(
         IrcacheConfig(requests=4000, objects=3000, seed=11)
-    ).generate()
+    ).stream()
 
 
 SCHEME_FACTORIES = {
@@ -195,8 +197,9 @@ def test_parity_nonzero_fetch_delay_totals(trace):
 
 
 def test_accepts_precompiled_trace(trace):
-    compiled = trace.compile()
+    compiled = compile_workload(trace)
     assert isinstance(compiled, CompiledTrace)
+    assert compile_workload(compiled) is compiled
     via_trace = fast_replay(
         trace, scheme=NoPrivacyScheme(), cache_size=100, seed=0
     )
@@ -204,17 +207,6 @@ def test_accepts_precompiled_trace(trace):
         compiled, scheme=NoPrivacyScheme(), cache_size=100, seed=0
     )
     assert via_compiled == via_trace
-
-
-def test_compile_is_cached_and_invalidated(trace):
-    assert trace.compile() is trace.compile()
-    small = Trace()
-    for request in list(trace)[:10]:
-        small.append(request)
-    first = small.compile()
-    small.append(list(trace)[10])
-    assert small.compile() is not first
-    assert small.compile().n_requests == 11
 
 
 def test_unknown_policy_and_bad_cache_size_rejected(trace):
@@ -231,7 +223,7 @@ def test_kernelless_scheme_falls_back_to_reference(trace):
 
     expected = replay(trace, scheme=NoPrivacyScheme(), cache_size=100, seed=0)
     # A compiled trace yields Requests too: the fallback runs on any input.
-    for source in (trace, trace.compile()):
+    for source in (trace, compile_workload(trace)):
         stats = fast_replay(source, scheme=OpaqueScheme(), cache_size=100, seed=0)
         assert stats == expected
 
@@ -258,9 +250,9 @@ def _recut(compiled: CompiledTrace, n_shards: int) -> CompiledTrace:
 
 @pytest.fixture(scope="module")
 def representations(trace, tmp_path_factory):
-    compiled = trace.compile()
+    compiled = compile_workload(trace)
     tsv = tmp_path_factory.mktemp("tsv") / "trace.tsv"
-    trace.save(tsv)
+    save_tsv(trace, tsv)
     return {
         "trace": trace,
         "compiled": compiled,
@@ -294,8 +286,8 @@ REPRESENTATION_GRID = [
 def test_every_representation_replays_like_the_oracle(
     trace, representations, scheme_key, marking_key, policy
 ):
-    """However the trace is held — Request objects, one in-RAM shard,
-    several uneven ones, mmap'd files — flags and occurrence indices are
+    """However the trace is held — the generator stream, one in-RAM shard,
+    several uneven ones, mmap'd files, a TSV import — flags and occurrence indices are
     taken per shard and the stats equal the reference replay's."""
     markings = {
         **MARKING_FACTORIES,
@@ -363,7 +355,7 @@ def test_content_flags_equal_is_private_per_request(
     ``<`` must stay strict — however the trace is cut.  The module-wide
     representations keep their memo across examples, so salts arrive in
     arbitrary order on top of whatever column the last example left."""
-    compiled = trace.compile()
+    compiled = representations["compiled"]
     if on_a_coin is not None:
         name = compiled.names[on_a_coin % compiled.n_names]
         fraction = ContentMarking(0.5, salt=salt).coin(str(name))
@@ -383,7 +375,7 @@ def test_content_flags_equal_is_private_per_request(
 def test_coin_memo_is_one_column_and_leaks_no_threshold(
     trace, salts, fractions, n_shards
 ):
-    held = _recut(trace.compile(), n_shards)  # a new object: no memo yet
+    held = _recut(compile_workload(trace), n_shards)  # a new object: no memo yet
     low, high = (ContentMarking(fraction, salt=salts[0]) for fraction in fractions)
     # Two thresholds over one salt, each before and after the other.
     for rule in (low, high, low):
@@ -402,12 +394,12 @@ def test_coin_memo_is_one_column_and_leaks_no_threshold(
 
 
 def test_recompiled_trace_does_not_see_the_old_coin_column(trace):
-    grown = Trace(list(trace)[:200])
+    requests = list(trace)[:200]
     rule = ContentMarking(0.4, salt=3)
-    before = grown.compile()
+    before = compiled_trace(requests)
     assert _flags(rule, before) == _oracle_flags(rule, before)
-    grown.append(Request(trace[199].time, 0, Name.parse("/not/seen/before")))
-    after = grown.compile()
+    requests.append(Request(requests[-1].time, 0, Name.parse("/not/seen/before")))
+    after = compiled_trace(requests)
     assert after is not before and after.n_names == before.n_names + 1
     assert len(after.content_coins(rule)) == after.n_names
     assert _flags(rule, after) == _oracle_flags(rule, after)
@@ -523,7 +515,7 @@ def test_an_exception_mid_trace_leaves_no_block_behind(trace, scheme_key):
     shard 4 of 7 stops the replay after shards 0-3: ``close()`` still
     runs, and the generator has advanced by the thresholds those shards
     consumed — no more, and not by a whole block."""
-    held = _recut(trace.compile(), 7)
+    held = _recut(compile_workload(trace), 7)
     replayed = sum(len(shard.ids) for shard in list(held.iter_shards())[:4])
     assert 0 < replayed < held.n_requests - 1
 
@@ -536,7 +528,7 @@ def test_an_exception_mid_trace_leaves_no_block_behind(trace, scheme_key):
 
     theirs = RANDOM_CACHE_FACTORIES[scheme_key](np.random.default_rng(9), None)
     prefix = replay(
-        Trace(list(trace)[:replayed]), scheme=theirs, marking=RaisesOnCall(0),
+        list(trace)[:replayed], scheme=theirs, marking=RaisesOnCall(0),
         cache_size=120,
     )
     assert prefix.evictions > 0

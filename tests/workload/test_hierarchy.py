@@ -14,7 +14,8 @@ from repro.workload.hierarchy import (
 )
 from repro.workload.ircache import small_test_trace
 from repro.workload.marking import ContentMarking
-from repro.workload.trace import Request, Trace
+from repro.workload.streaming import Request
+from tests.conftest import compiled_trace
 
 
 def two_levels(edge_size=None, core_size=None, edge_scheme=None,
@@ -28,7 +29,7 @@ def two_levels(edge_size=None, core_size=None, edge_scheme=None,
 
 
 def seq_trace(uris):
-    return Trace([
+    return compiled_trace([
         Request(time=float(i), user=0, name=Name.parse(u))
         for i, u in enumerate(uris)
     ])

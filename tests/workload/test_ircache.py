@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.workload.ircache import (
@@ -45,21 +46,21 @@ class TestGeneration:
         return IrcacheGenerator(config).generate()
 
     def test_request_count(self, trace):
-        assert len(trace) == 20_000
+        assert trace.n_requests == 20_000
 
     def test_sorted_by_time(self, trace):
         times = [r.time for r in trace]
         assert times == sorted(times)
 
     def test_within_duration(self, trace):
-        assert trace[0].time >= 0.0
-        assert trace[-1].time <= 24 * 3_600_000.0
+        assert trace.times[0] >= 0.0
+        assert trace.times[-1] <= 24 * 3_600_000.0
 
     def test_all_users_possible(self, trace):
-        assert trace.unique_users > 100  # heavy-tailed but broad
+        assert len(np.unique(trace.users)) > 100  # heavy-tailed but broad
 
     def test_names_have_site_object_structure(self, trace):
-        name = trace[0].name
+        name = trace.names[trace.ids[0]]
         assert len(name) == 2
         assert name[0].startswith("s")
         assert name[1].startswith("o")
@@ -72,8 +73,8 @@ class TestGeneration:
             assert seen.setdefault(obj, site) == site
 
     def test_popularity_is_skewed(self, trace):
-        counts = sorted(trace.popularity().values(), reverse=True)
-        top_share = sum(counts[:100]) / len(trace)
+        counts = sorted(np.bincount(trace.ids).tolist(), reverse=True)
+        top_share = sum(counts[:100]) / trace.n_requests
         assert top_share > 0.05  # head much hotter than uniform (100/30000)
 
     def test_diurnal_profile_respected(self, trace):
@@ -111,5 +112,5 @@ class TestCalibration:
 
     def test_small_test_trace_fast_path(self):
         trace = small_test_trace(requests=2000, seed=0)
-        assert len(trace) == 2000
-        assert trace.unique_users <= 25
+        assert trace.n_requests == 2000
+        assert len(np.unique(trace.users)) <= 25

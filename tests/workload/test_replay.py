@@ -17,15 +17,15 @@ from repro.workload.replay import (
     RequestOutcome,
     replay,
 )
-from repro.workload.trace import Request, Trace
+from repro.workload.streaming import Request
 
 
 def simple_trace(pattern):
-    """Build a trace from (time, uri) pairs, single user."""
-    return Trace([
+    """Build a request list from uris at times 0, 1, ..., single user."""
+    return [
         Request(time=float(i), user=0, name=Name.parse(uri))
         for i, uri in enumerate(pattern)
-    ])
+    ]
 
 
 class TestCachedRouter:
@@ -123,7 +123,7 @@ class TestReplayAccounting:
         assert stats.artificial_delay_total == pytest.approx(100.0)
 
     def test_empty_trace(self):
-        stats = replay(Trace())
+        stats = replay([])
         assert stats.requests == 0
         assert stats.hit_rate == 0.0
         assert stats.bandwidth_hit_rate == 0.0

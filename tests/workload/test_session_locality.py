@@ -46,7 +46,7 @@ class TestSessionLocality:
 
     def test_request_count_preserved(self):
         trace = make_trace(0.5)
-        assert len(trace) == 15_000
+        assert trace.n_requests == 15_000
 
     def test_sites_remain_consistent_per_object(self):
         trace = make_trace(0.6)

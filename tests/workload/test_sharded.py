@@ -26,7 +26,6 @@ from repro.workload.sharded import (
     compile_workload,
 )
 from repro.workload.streaming import RequestBlock, TsvWorkload
-from repro.workload.trace import Trace
 from tests.workload.test_streaming import expected_columns, tsv_lines
 
 
@@ -39,15 +38,15 @@ def _config(requests: int, seed: int) -> IrcacheConfig:
 
 def _assert_bit_equal(sharded: ShardedCompiledTrace, trace) -> None:
     expected = expected_columns(trace)
-    materialized = sharded.materialize()
-    assert sharded.n_requests == len(trace)
+    requests = len(expected["ids"])
+    assert sharded.n_requests == requests
     assert sharded.n_names == len(expected["names"])
     for field in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
-        ours = getattr(materialized, field)
+        ours = getattr(sharded, field)
         assert ours.dtype == expected[field].dtype, field
         np.testing.assert_array_equal(ours, expected[field], err_msg=field)
     assert [str(n) for n in sharded.names] == [str(n) for n in expected["names"]]
-    assert sharded.max_hit_rate == pytest.approx(1 - sharded.n_names / len(trace))
+    assert sharded.max_hit_rate == pytest.approx(1 - sharded.n_names / requests)
 
 
 # ----------------------------------------------------------------------
@@ -65,11 +64,14 @@ def test_compile_stream_bit_equal_to_compile_trace(
 ):
     """Shards of a trace concatenate bit-equal to compiling it request by
     request (the expected columns) for arbitrary shard/chunk sizes and
-    seeds — dtypes, intern order, occurrence index."""
+    seeds — dtypes, intern order, occurrence index — and a compiled trace
+    re-lowered to shards keeps its columns."""
     out = tmp_path_factory.mktemp("shards")
-    trace = IrcacheGenerator(_config(requests, seed)).generate()
-    sharded = compile_stream(trace, out, shard_size=shard_size, chunk_size=chunk_size)
-    _assert_bit_equal(sharded, trace)
+    stream = IrcacheGenerator(_config(requests, seed)).stream()
+    sharded = compile_stream(stream, out, shard_size=shard_size, chunk_size=chunk_size)
+    _assert_bit_equal(sharded, stream)
+    again = compile_stream(sharded, out / "again", shard_size=shard_size)
+    _assert_bit_equal(again, stream)
     expected_shards = -(-requests // shard_size)
     assert sharded.n_shards == expected_shards
 
@@ -84,18 +86,18 @@ def test_tsv_compiled_in_ram_equals_trace_load_then_compile(
     tmp_path_factory, lines, chunk_size, salt
 ):
     """The pass over the TSV reader, without files (what a sweep worker
-    holds) and into shards one small block at a time, equals
-    ``Trace.load(path)``'s expected columns column for column: unicode
-    components, the root name, comment and blank lines, heavy repeats,
-    any number of blocks."""
+    holds) and into shards one small block at a time, equals the columns
+    of the file read as requests, column for column: unicode components,
+    the root name, comment and blank lines, heavy repeats, any number of
+    blocks."""
     path = tmp_path_factory.mktemp("tsv") / "trace.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    theirs = expected_columns(Trace.load(path))
+    theirs = expected_columns(TsvWorkload(path))
     in_ram = compile_workload(TsvWorkload(path))
     streamed = compile_stream(
         TsvWorkload(path), path.parent / "shards", shard_size=5, chunk_size=chunk_size
     )
-    for ours in (in_ram, streamed.materialize()):
+    for ours in (in_ram, streamed):
         for column in ("ids", "times", "users", "occurrence_index", "first_occurrence"):
             got, expected = getattr(ours, column), theirs[column]
             assert got.dtype == expected.dtype, column
@@ -110,24 +112,30 @@ def test_tsv_compiled_in_ram_equals_trace_load_then_compile(
     )
 
 
-class _SignedKeys(Trace):
+class _SignedKeys:
     """A workload that breaks the key contract: its keys run negative."""
 
+    def __init__(self, workload):
+        self.workload = workload
+
+    def __getattr__(self, name):
+        return getattr(self.workload, name)
+
     def iter_blocks(self, chunk_size=None):
-        for block in super().iter_blocks(chunk_size):
+        for block in self.workload.iter_blocks(chunk_size):
             yield RequestBlock(block.times, block.users, -1 - block.keys)
 
 
 def test_negative_content_keys_are_refused_not_aliased(tmp_path):
-    trace = IrcacheGenerator(_config(50, seed=1)).generate()
+    stream = IrcacheGenerator(_config(50, seed=1)).stream()
     with pytest.raises(ValueError, match="content keys must be >= 0"):
-        compile_workload(_SignedKeys(list(trace)))
+        compile_workload(_SignedKeys(stream))
     with pytest.raises(ValueError, match="content keys must be >= 0"):
-        compile_stream(_SignedKeys(list(trace)), tmp_path)
+        compile_stream(_SignedKeys(stream), tmp_path)
 
 
 def test_compile_stream_from_generator_stream(tmp_path):
-    """stream → shards (never materializing) equals generate → compile."""
+    """stream → shards (never held in RAM) equals ``generate()``."""
     config = _config(4000, seed=11)
     sharded = compile_stream(
         IrcacheGenerator(config).stream(), tmp_path, shard_size=700, chunk_size=513
@@ -373,7 +381,7 @@ def _scheme(name: str, seed: int):
 def test_sharded_replay_bit_identical(
     tmp_path, scheme_name, marking_factory, policy, cache_size
 ):
-    """stream→shards→replay == generate→compile→replay on every
+    """stream→shards→replay == generate()→replay on every
     observable.  Fresh scheme/marking instances per leg: both carry RNG
     state, so sharing one across legs would continue its stream."""
     config = _config(3000, seed=13)
@@ -413,6 +421,6 @@ def test_sharded_replay_of_a_kernelless_scheme_runs_the_oracle(tmp_path):
         IrcacheGenerator(config).stream(), tmp_path, shard_size=64
     )
     expected = replay(
-        IrcacheGenerator(config).generate(), scheme=NoPrivacyScheme(), cache_size=32
+        IrcacheGenerator(config).stream(), scheme=NoPrivacyScheme(), cache_size=32
     )
     assert fast_replay(sharded, scheme=KernellessScheme(), cache_size=32) == expected

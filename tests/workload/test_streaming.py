@@ -15,10 +15,9 @@ from repro.workload.streaming import (
     TsvWorkload,
     Workload,
     iter_requests,
-    materialize,
     rechunk,
+    save_tsv,
 )
-from repro.workload.trace import Trace
 
 CONFIG = IrcacheConfig(requests=5000, users=60, objects=800, sites=12, seed=3)
 
@@ -26,6 +25,7 @@ CONFIG = IrcacheConfig(requests=5000, users=60, objects=800, sites=12, seed=3)
 def expected_columns(trace) -> dict:
     """The compiled columns of ``trace``, counted request by request
     (dense ids in first-appearance order) and the name table."""
+    trace = list(trace)
     intern, counts, ids, occurrence = {}, [], [], []
     for request in trace:
         cid = intern.setdefault(request.name, len(intern))
@@ -60,9 +60,8 @@ def test_implementations_satisfy_protocol(tmp_path):
     assert isinstance(stream, Workload)
     trace = IrcacheGenerator(CONFIG).generate()
     assert isinstance(trace, Workload)
-    assert isinstance(trace.compile(), Workload)
     path = tmp_path / "trace.tsv"
-    trace.save(path)
+    save_tsv(trace, path)
     assert isinstance(TsvWorkload(path), Workload)
 
 
@@ -122,7 +121,7 @@ def test_stream_matches_generate():
     trace = IrcacheGenerator(CONFIG).generate()
     stream = IrcacheGenerator(CONFIG).stream()
     requests = list(iter_requests(stream))
-    assert len(requests) == len(trace) == CONFIG.requests
+    assert len(requests) == trace.n_requests == CONFIG.requests
     for a, b in zip(requests, trace):
         assert (a.time, a.user, str(a.name)) == (b.time, b.user, str(b.name))
     assert stream.n_requests == CONFIG.requests
@@ -139,28 +138,29 @@ def test_stream_times_sorted_and_bounded():
 
 
 def test_materialize_roundtrip():
-    trace = materialize(IrcacheGenerator(CONFIG).stream())
+    """``generate()`` is the stream compiled in RAM, request for request."""
+    trace = compile_workload(IrcacheGenerator(CONFIG).stream())
     direct = IrcacheGenerator(CONFIG).generate()
-    assert len(trace) == len(direct)
-    assert str(trace[0].name) == str(direct[0].name)
+    assert trace.n_requests == direct.n_requests
+    assert str(next(iter(trace)).name) == str(next(iter(direct)).name)
+    assert compile_workload(direct) is direct  # compiled passes through
 
 
 # ----------------------------------------------------------------------
 # TSV reader and trace adapter
 # ----------------------------------------------------------------------
 def test_tsv_workload_streams_the_saved_trace(tmp_path):
-    trace = IrcacheGenerator(CONFIG).generate()
+    stream = IrcacheGenerator(CONFIG).stream()
     path = tmp_path / "trace.tsv"
-    trace.save(path)
+    assert save_tsv(stream, path)[0] == CONFIG.requests
     workload = TsvWorkload(path)
     assert workload.key_space is None  # unknown before the first pass
     requests = list(iter_requests(workload))
-    reloaded = Trace.load(path)
-    assert len(requests) == len(reloaded)
-    for a, b in zip(requests, reloaded):
-        assert (a.time, a.user, str(a.name)) == (b.time, b.user, str(b.name))
+    assert len(requests) == CONFIG.requests
+    for a, b in zip(requests, stream):
+        assert (round(b.time, 3), b.user, str(b.name)) == (a.time, a.user, str(a.name))
     # Counts are exact after one full pass; keys are stable across passes.
-    assert workload.n_requests == len(trace)
+    assert workload.n_requests == CONFIG.requests
     assert workload.key_space == workload.n_names
     again = _concat(workload.iter_blocks(97))
     first = _concat(TsvWorkload(path).iter_blocks(11))
@@ -176,7 +176,7 @@ def test_tsv_workload_rejects_malformed_lines(tmp_path):
 
 
 #: Lines the TSV reader once sharded without complaint, each with the
-#: exception ``Trace.load`` raises for it.
+#: exception reading the file as :class:`Request` records raises for it.
 MALFORMED_LINES = {
     "negative time": ("-1.000\t3\t/a/b", ValueError),
     "negative user": ("1.000\t-3\t/a/b", ValueError),
@@ -195,7 +195,7 @@ def test_tsv_readers_refuse_what_trace_load_refuses(tmp_path, monkeypatch, line,
     parallel._write_digest(path)  # the worker loader checks the digest first
     monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
     readers = {
-        "Trace.load": lambda: Trace.load(path),
+        "requests": lambda: list(TsvWorkload(path)),
         "worker loader": lambda: parallel._load_trace(str(path)),
         "compile_stream": lambda: compile_stream(TsvWorkload(path), tmp_path / "out"),
     }
@@ -203,18 +203,18 @@ def test_tsv_readers_refuse_what_trace_load_refuses(tmp_path, monkeypatch, line,
         with pytest.raises(error) as raised:
             read()
         assert type(raised.value) is error, label
-        if label != "Trace.load":
-            assert str(raised.value).startswith(f"{path}:3: "), label
+        assert str(raised.value).startswith(f"{path}:3: "), label
 
 
 def test_a_user_id_beyond_int32_is_refused_not_wrapped(tmp_path, monkeypatch):
-    """``Trace.load`` takes it, compiling it to the int32 column does not."""
+    """A :class:`Request` takes it; importing it to the int32 column does not."""
     path = tmp_path / "trace.tsv"
     path.write_text(f"0.000\t0\t/a\n1.000\t{2**31}\t/b\n", encoding="utf-8")
     parallel._write_digest(path)
     monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
-    with pytest.raises(OverflowError):
-        Trace.load(path).compile()
+    assert [r.user for r in TsvWorkload(path)] == [0, 2**31]
+    with pytest.raises(OverflowError, match=str(2**31)):
+        compile_workload(TsvWorkload(path))
     with pytest.raises(OverflowError, match=str(2**31)):
         parallel._load_trace(str(path))
     with pytest.raises(OverflowError, match=str(2**31)):
@@ -303,8 +303,8 @@ def _outcome(read):
 @given(lines=tsv_lines(min_rows=1), data=st.data())
 def test_any_single_edit_of_a_tsv_fails_closed_alike(tmp_path_factory, lines, data):
     """Drop or add a tab, negate a time or user, empty a component, drop
-    the leading slash: ``Trace.load`` and the worker's loader raise the
-    same exception type, or both load the same columns."""
+    the leading slash: reading the file as requests and the worker's
+    loader raise the same exception type, or both load the same columns."""
     requests = [
         i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")
     ]
@@ -312,7 +312,7 @@ def test_any_single_edit_of_a_tsv_fails_closed_alike(tmp_path_factory, lines, da
     lines[at] = _edit(data, lines[at]) + "\n"
     path = tmp_path_factory.mktemp("edited") / "trace.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    theirs = _outcome(lambda: expected_columns(Trace.load(path)))
+    theirs = _outcome(lambda: expected_columns(TsvWorkload(path)))
     ours = _outcome(lambda: compile_workload(TsvWorkload(path)))
     if isinstance(theirs, type):
         assert ours is theirs
@@ -324,10 +324,10 @@ def test_any_single_edit_of_a_tsv_fails_closed_alike(tmp_path_factory, lines, da
 
 
 def test_trace_workload_uses_compiled_ids():
-    """A trace's keys, its name-pool indices, are its compiled ids."""
+    """A compiled trace's keys are its content ids."""
     trace = IrcacheGenerator(CONFIG).generate()
     expected = expected_columns(trace)
-    assert trace.n_requests == len(trace)
+    assert trace.n_requests == len(expected["ids"])
     assert trace.key_space == trace.n_names == len(expected["names"])
     times, users, keys = _concat(trace.iter_blocks(333))
     np.testing.assert_array_equal(times, expected["times"])

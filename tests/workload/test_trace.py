@@ -1,11 +1,15 @@
-"""Unit tests for trace records and TSV round-trip."""
+"""Unit tests for request records, compiled-trace statistics, and the TSV
+round-trip (``save_tsv`` out, ``compile_workload(TsvWorkload)`` in)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.ndn.name import Name
-from repro.workload.trace import Request, Trace
+from repro.workload.sharded import compile_workload
+from repro.workload.streaming import Request, TsvWorkload, save_tsv
+from tests.conftest import compiled_trace
 
 
 def req(time, user, uri):
@@ -29,55 +33,39 @@ class TestRequest:
 
 
 class TestTrace:
-    def test_append_and_len(self):
-        trace = Trace()
-        trace.append(req(0.0, 0, "/a"))
-        trace.append(req(1.0, 1, "/b"))
-        assert len(trace) == 2
-        assert trace[0].name == Name.parse("/a")
-
-    def test_sort(self):
-        trace = Trace([req(5.0, 0, "/b"), req(1.0, 0, "/a")])
-        trace.sort()
-        assert trace[0].time == 1.0
-
     def test_statistics(self):
-        trace = Trace([
+        trace = compiled_trace([
             req(0.0, 0, "/a"),
             req(1.0, 1, "/a"),
             req(2.0, 0, "/b"),
             req(9.0, 2, "/c"),
         ])
-        assert trace.unique_objects == 3
-        assert trace.unique_users == 3
-        assert trace.duration == 9.0
-        assert trace.popularity()[Name.parse("/a")] == 2
+        assert trace.n_names == 3
+        assert len(np.unique(trace.users)) == 3
+        assert trace.times[-1] - trace.times[0] == 9.0
+        assert np.bincount(trace.ids)[0] == 2
+        assert trace.names[0] == Name.parse("/a")
 
     def test_max_hit_rate(self):
-        trace = Trace([req(float(i), 0, "/a") for i in range(4)])
+        trace = compiled_trace([req(float(i), 0, "/a") for i in range(4)])
         assert trace.max_hit_rate == pytest.approx(0.75)
 
     def test_empty_trace_statistics(self):
-        trace = Trace()
+        trace = compiled_trace([])
         assert trace.max_hit_rate == 0.0
-        assert trace.duration == 0.0
-
-    def test_head(self):
-        trace = Trace([req(float(i), 0, f"/o/{i}") for i in range(10)])
-        assert len(trace.head(3)) == 3
-        with pytest.raises(ValueError):
-            trace.head(-1)
+        assert trace.n_requests == trace.n_names == 0
+        assert len(trace.times) == 0
 
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
-        trace = Trace([
+        trace = compiled_trace([
             req(0.5, 0, "/s1/o1"),
             req(1.25, 184, "/s2/o9"),
         ])
         path = tmp_path / "trace.tsv"
-        trace.save(path)
-        loaded = Trace.load(path)
+        assert save_tsv(trace, path) == (2, 2, 2)
+        loaded = list(compile_workload(TsvWorkload(path)))
         assert len(loaded) == 2
         assert loaded[1].user == 184
         assert loaded[1].name == Name.parse("/s2/o9")
@@ -86,19 +74,18 @@ class TestPersistence:
     def test_load_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "trace.tsv"
         path.write_text("# header\n\n1.0\t3\t/a/b\n")
-        loaded = Trace.load(path)
-        assert len(loaded) == 1
+        loaded = compile_workload(TsvWorkload(path))
+        assert loaded.n_requests == 1
 
     def test_load_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1.0\t3\n")
         with pytest.raises(ValueError, match="expected 3"):
-            Trace.load(path)
+            compile_workload(TsvWorkload(path))
 
 
 class TestRequestMemoryLayout:
-    """The Request/Trace footprint contract: slots + append-time interning
-    must not change behavior or the on-disk format."""
+    """The Request footprint contract, and a compiled trace's TSV form."""
 
     def test_request_has_slots_no_dict(self):
         request = Request(time=1.0, user=3, name=Name.parse("/a/b"))
@@ -106,29 +93,21 @@ class TestRequestMemoryLayout:
         with pytest.raises((AttributeError, TypeError)):
             request.extra = 1  # type: ignore[attr-defined]
 
-    def test_trace_interns_users_and_names_on_append(self):
-        trace = Trace()
-        for i in range(10):
-            trace.append(
-                Request(time=float(i), user=int("7"), name=Name.parse("/x/y"))
-            )
-        names = {id(request.name) for request in trace}
-        users = {id(request.user) for request in trace}
-        assert len(names) == 1
-        assert len(users) == 1
-
     def test_interning_preserves_tsv_roundtrip(self, tmp_path):
-        trace = Trace([
+        trace = compiled_trace([
             Request(time=0.5, user=12, name=Name.parse("/s1/o4")),
             Request(time=1.5, user=184, name=Name.parse("/s2/o9")),
             Request(time=2.0, user=12, name=Name.parse("/s1/o4")),
         ])
         path = tmp_path / "trace.tsv"
-        trace.save(path)
-        reloaded = Trace.load(path)
-        assert len(reloaded) == 3
+        assert save_tsv(trace, path) == (3, 2, 2)
+        reloaded = compile_workload(TsvWorkload(path))
+        assert reloaded.n_requests == 3
         for a, b in zip(trace, reloaded):
             assert (a.time, a.user, str(a.name)) == (b.time, b.user, str(b.name))
-        assert trace.unique_objects == reloaded.unique_objects
-        assert trace.unique_users == reloaded.unique_users
+        for column in ("ids", "times", "users", "occurrence_index"):
+            np.testing.assert_array_equal(
+                getattr(trace, column), getattr(reloaded, column)
+            )
+        assert list(trace.iter_uris()) == list(reloaded.iter_uris())
         assert trace.max_hit_rate == reloaded.max_hit_rate
