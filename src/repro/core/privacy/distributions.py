@@ -113,14 +113,19 @@ class TruncatedGeometric(FirstHitDistribution):
         return min(r, self.K - 1)
 
     def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
-        # sample()'s transform stays scalar: np.log1p and math.log1p differ
-        # in the last place on some inputs.  (K=None: _norm is 1.0, u * 1.0 is u.)
-        log_alpha, norm = math.log(self.alpha), self._norm
-        top = math.inf if self.K is None else self.K - 1
-        return [
-            min(int(math.floor(math.log1p(-(u * norm)) / log_alpha)), top)
-            for u in rng.random(n).tolist()
-        ]
+        # Only log1p stays scalar: np.log1p and math.log1p differ in the
+        # last place on some inputs.  The product, the division, floor and
+        # the clip are exactly rounded, so the array forms equal sample()'s.
+        # (K=None: _norm is 1.0, u * 1.0 is u.)
+        logs = np.fromiter(
+            map(math.log1p, (-(rng.random(n) * self._norm)).tolist()),
+            dtype=np.float64,
+            count=n,
+        )
+        r = np.floor(logs / math.log(self.alpha))
+        if self.K is not None:
+            np.minimum(r, self.K - 1, out=r)
+        return r.astype(np.int64).tolist()
 
     def pmf(self, r: int) -> float:
         if r < 0 or (self.K is not None and r >= self.K):

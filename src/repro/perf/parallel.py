@@ -1,9 +1,20 @@
 """Parallel sweep runner for trace-replay experiment grids.
 
-Every evaluation figure replays the same trace once per (scheme,
-cache-size, trial) point; the points are embarrassingly parallel.  This
-module fans them across a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping results **independent of the worker count**:
+Every evaluation figure evaluates the same trace once per (scheme,
+cache-size, trial) point.  Points on the paper's Fig. 5 grid — LRU with
+the refresh rule and a scheme that
+:func:`~repro.workload.lru_grid.runs_on_grid` accepts by exact type — are
+not replays at all: under those rules the cache history does not depend
+on the scheme, so each such point is an array pass over the trace's
+memoised LRU stack distances
+(:func:`~repro.workload.lru_grid.lru_grid_stats`), run in the calling
+process over the one trace the sweep loaded.  Every other point (FIFO,
+LFU, random, the refresh ablation, grouping, naive-threshold and
+kernel-less schemes) is a replay, and those are embarrassingly parallel:
+this module fans them across a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  A sweep of grid points
+only starts no pool and writes no ``trace-shards-*`` entry.  Results are
+**independent of the worker count and of the route**:
 
 * each sweep point is a picklable :class:`ReplaySpec` carrying its own
   seed; trial seeds come from :func:`derive_seeds`
@@ -15,9 +26,10 @@ while keeping results **independent of the worker count**:
   :class:`~repro.workload.ircache.IrcacheConfig` hash (a TSV file or a
   shard directory), any other workload compiled into a shard directory
   keyed by the sha256 of its compiled columns,
-* the serial fallback (``REPRO_WORKERS=1``, or a single spec) round-trips
-  each spec through pickle so scheme/marking state is isolated exactly as
-  process transport would isolate it — bit-identical to any worker count.
+* the in-process points (all of them with ``REPRO_WORKERS=1`` or a
+  single spec, else the grid points) round-trip each spec through pickle
+  so scheme/marking state is isolated exactly as process transport would
+  isolate it — bit-identical to any worker count.
 
 The runner is **failure-hardened** (see ``tests/perf/test_hardening.py``):
 
@@ -76,6 +88,7 @@ from repro.core.schemes.uniform import UniformRandomCache
 from repro.perf.checkpoint import SweepCheckpoint
 from repro.workload.compiled import CompiledTrace
 from repro.workload.fast_replay import fast_replay
+from repro.workload.lru_grid import lru_grid_stats, runs_on_grid
 from repro.workload.ircache import (
     IRCACHE_ALGORITHM_VERSION,
     SAMPLING_BLOCK,
@@ -400,8 +413,9 @@ def _trace_digest(compiled: CompiledTrace) -> str:
     return digest.hexdigest()
 
 
-#: Per-process memo of compiled TSV entries, so each worker pays the
-#: parse + intern cost once per trace, not once per task.
+#: Per-process memo of the last compiled TSV entry, so each worker pays
+#: the parse + intern cost once per trace, not once per task.  One entry:
+#: a process that moves on to another trace does not keep the old one.
 _PROCESS_TRACES: Dict[str, CompiledTrace] = {}
 
 
@@ -416,13 +430,14 @@ def _load_trace(path: str) -> CompiledTrace:
                 "(truncated or corrupted); regenerate it via "
                 "ensure_trace_cached() before dispatching workers"
             )
+        _PROCESS_TRACES.clear()
         _PROCESS_TRACES[path] = compile_workload(TsvWorkload(path))
     return _PROCESS_TRACES[path]
 
 
-#: Per-process memo of opened shard directories.  Opening only maps the
-#: manifest + name table; shard arrays stay on disk until replay touches
-#: them, so the memo costs O(n_names) per trace, not O(n_requests).
+#: Per-process memo of the last opened shard directory.  Opening only
+#: maps the manifest + name table; shard arrays stay on disk until replay
+#: touches them.  One entry, as for ``_PROCESS_TRACES``.
 _PROCESS_SHARDED: Dict[str, ShardedCompiledTrace] = {}
 
 
@@ -436,6 +451,7 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
                 f"sharded trace cache entry {path} is unreadable or failed "
                 "its integrity check; regenerate it before dispatching workers"
             ) from error
+        _PROCESS_SHARDED.clear()
         _PROCESS_SHARDED[path] = sharded
     return sharded
 
@@ -443,10 +459,21 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
 # ======================================================================
 # Execution
 # ======================================================================
-def _execute(trace: CompiledTrace, spec: ReplaySpec) -> ReplayStats:
+def _scheme_of(spec: ReplaySpec) -> CacheScheme:
     scheme = spec.scheme
     if isinstance(scheme, str):
         scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
+    return scheme
+
+
+def _execute(trace: CompiledTrace, spec: ReplaySpec) -> ReplayStats:
+    """One sweep point: an LRU grid point from the trace's stack distances,
+    any other on the replay kernel."""
+    scheme = _scheme_of(spec)
+    if runs_on_grid(scheme, spec.policy, spec.refresh_delayed_hits):
+        return lru_grid_stats(
+            trace, scheme, spec.marking, spec.cache_size, spec.fetch_delay
+        )
     return fast_replay(
         trace,
         scheme=scheme,
@@ -569,9 +596,10 @@ def run_replay_sweep(
     Exactly one of ``trace`` / ``trace_config`` supplies the workload.
     With ``trace_config`` the workload goes through the on-disk cache.
     Any other workload ``trace`` is compiled once (a compiled trace as it
-    is) and replayed in process by one worker; for more, it is written
-    into the shard store under the sha256 of its compiled columns
-    (``trace-shards-<digest>``) and workers map it.
+    is) and evaluated in process by one worker; for more, the points
+    that need a pool get it written into the shard store under the
+    sha256 of its compiled columns (``trace-shards-<digest>``) and
+    workers map it.
 
     ``sharded=True`` (requires ``trace_config``) routes the sweep through
     the memory-mapped sharded trace cache instead of the TSV one: the
@@ -580,13 +608,17 @@ def run_replay_sweep(
     by one shard plus O(n_names) state rather than the whole request log.
     Results are bit-identical to the TSV path.
 
-    Every point runs on :func:`~repro.workload.fast_replay.fast_replay`
-    (the interned kernel, bit-identical to the reference ``replay()``).
-    Results are independent of ``workers``, because every spec carries
-    its own seed and schemes are isolated per task (pickle round-trip in
-    the serial path, process transport otherwise).
+    One dispatch (:func:`_execute`) decides each point by exact type: a
+    grid point (:func:`~repro.workload.lru_grid.runs_on_grid`) is an
+    array pass over the loaded trace's stack distances, in this process
+    at any ``workers``; any other point runs on
+    :func:`~repro.workload.fast_replay.fast_replay`, in a pool worker
+    when ``workers > 1``.  Both are bit-identical to the reference
+    ``replay()``.  Results are independent of ``workers``, because every
+    spec carries its own seed and schemes are isolated per task (pickle
+    round-trip in process, process transport otherwise).
 
-    Failure handling (parallel path): a dead worker or a stall longer
+    Failure handling (pooled points): a dead worker or a stall longer
     than ``timeout`` seconds rebuilds the pool and resubmits the
     incomplete specs, at most ``max_restarts`` times; the per-spec seeds
     make recovered results identical to an undisturbed run.
@@ -634,7 +666,20 @@ def run_replay_sweep(
         if sweep_checkpoint is not None:
             sweep_checkpoint.append(index, stats)
 
-    if workers <= 1:
+    # Grid points run here, over the one loaded trace; with one worker,
+    # every point does.  Only the rest needs a pool.
+    pending = [index for index in range(count) if index not in completed]
+    local = [
+        index
+        for index in pending
+        if workers <= 1
+        or runs_on_grid(
+            _scheme_of(spec_list[index]),
+            spec_list[index].policy,
+            spec_list[index].refresh_delayed_hits,
+        )
+    ]
+    if local:
         if trace is not None:
             workload: CompiledTrace = trace
         elif sharded:
@@ -645,10 +690,11 @@ def run_replay_sweep(
             workload = _load_trace(str(ensure_trace_cached(trace_config)))
         # Pickle round-trip each spec so scheme/marking RNG state is
         # isolated exactly as process transport isolates it.
-        for index, spec in enumerate(spec_list):
-            if index in completed:
-                continue
-            deliver(index, _execute(workload, pickle.loads(pickle.dumps(spec))))
+        for index in local:
+            spec = pickle.loads(pickle.dumps(spec_list[index]))
+            deliver(index, _execute(workload, spec))
+    remaining = set(pending) - set(local)
+    if not remaining:
         return [completed[index] for index in range(count)]
 
     if trace is not None:
@@ -662,6 +708,5 @@ def run_replay_sweep(
     else:
         path = ensure_trace_cached(trace_config)
     tasks = [(str(path), spec, layout) for spec in spec_list]
-    remaining = {index for index in range(count) if index not in completed}
     _run_hardened(tasks, remaining, workers, timeout, max_restarts, deliver)
     return [completed[index] for index in range(count)]

@@ -96,8 +96,8 @@ def _whole_column(column: str, doc: str) -> property:
 class CompiledTrace:
     """A trace interned to dense integer content ids (replay fast path).
 
-    Immutable, so :meth:`content_coins` memoizes with nothing to
-    invalidate.
+    Immutable, so :meth:`content_coins` and :meth:`lru_columns` memoize
+    with nothing to invalidate.
     """
 
     def __init__(
@@ -108,6 +108,8 @@ class CompiledTrace:
         self._shards = tuple(shards)
         #: (salt, coin column) of the last salt asked for: 8 B x n_names.
         self._coins: Optional[Tuple[str, np.ndarray]] = None
+        #: (stack distance, occurrence order): 8 B x n_requests, once.
+        self._lru: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def n_requests(self) -> int:
@@ -172,6 +174,18 @@ class CompiledTrace:
         if self._coins is None or self._coins[0] != salt:
             self._coins = (salt, rule.coins(self.iter_uris()))
         return self._coins[1]
+
+    def lru_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(LRU stack distance, occurrence order) per request, ``int32``:
+        one pass per trace object, shared by every LRU grid point over it
+        (:mod:`repro.workload.lru_grid`)."""
+        if self._lru is None:
+            from repro.workload.lru_grid import occurrence_order, stack_distances
+
+            ids = self.ids
+            order = occurrence_order(ids)
+            self._lru = (stack_distances(ids, order), order)
+        return self._lru
 
     def _whole(self) -> TraceShard:
         """Every request as one shard: the only shard itself when there

@@ -26,10 +26,18 @@ sequence of column shards — one shard in RAM from
 from a
 :class:`~repro.workload.sharded.ShardedCompiledTrace` — and the loop
 lives in a resumable :class:`_ReplayCore` fed one (ids, privacy flags)
-span per shard by :func:`_spans`, the only place a marking rule becomes
-flags.  Cache, recency and kernel state carry across shards, so how a
-trace is cut never shows in the result, and peak RSS on the mmap'd form
-is bounded by one shard.
+span per shard by :func:`_spans`.  Flags come from :func:`_shard_flags`,
+the only place a marking rule becomes flags; the LRU grid
+(:mod:`repro.workload.lru_grid`) reads the same arrays.  Cache, recency
+and kernel state carry across shards, so how a trace is cut never shows
+in the result, and peak RSS on the mmap'd form is bounded by one shard.
+
+Fig. 5's own points (LRU, the paper's refresh rule, No-Privacy,
+Always-Delay or an ungrouped Random-Cache) do not come here from a
+sweep: with every request refreshing recency the cache history is the
+same for every scheme, and :func:`~repro.workload.lru_grid.lru_grid_stats`
+derives their stats from LRU stack distances without a replay.  This
+kernel stays their reference, and runs every other point.
 
 Schemes that do not provide a kernel (see
 :meth:`CacheScheme.make_kernel`) transparently fall back to the
@@ -40,7 +48,7 @@ reference ``replay()`` on the compiled trace — itself a
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +56,7 @@ from repro.core.schemes.base import CacheScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.ndn.errors import CacheError
 from repro.ndn.replacement import POLICIES, IntKeyedLfu, IntKeyedRandom
-from repro.workload.compiled import CompiledTrace
+from repro.workload.compiled import CompiledTrace, TraceShard
 from repro.workload.marking import (
     ContentMarking,
     MarkingRule,
@@ -264,18 +272,20 @@ class _ReplayCore:
         )
 
 
-def _spans(
+def _shard_flags(
     rule: MarkingRule, compiled: CompiledTrace
-) -> Iterator[Tuple[List[int], Sequence[bool]]]:
-    """Yield (content ids, consumer privacy bits) per shard.
+) -> Iterator[Tuple[TraceShard, Union[np.ndarray, List[bool]]]]:
+    """Yield (shard, consumer privacy bits) per shard, in trace order: the
+    one place a marking rule becomes flags.
 
     Bit-identical to calling ``rule.is_private(name, index)`` per request
     in trace order.  The shipped rules, matched by exact type (a subclass
-    may override ``is_private``), are array work: :class:`ContentMarking`
-    compares the trace's memoized coin column (one hash per name per
-    trace and salt) with its threshold, :class:`RequestMarking` draws one
-    block per shard.  Anything else is evaluated per request, with the
-    shard's occurrence column as ``index``.
+    may override ``is_private``), are array work and give a ``bool``
+    array: :class:`ContentMarking` compares the trace's memoized coin
+    column (one hash per name per trace and salt) with its threshold,
+    :class:`RequestMarking` draws one block per shard.  Anything else is
+    evaluated per request, with the shard's occurrence column as
+    ``index``, into a list.
     """
     per_name = None
     names: Sequence = ()
@@ -291,25 +301,39 @@ def _spans(
         names = list(compiled.names)
     is_private = rule.is_private
     for shard in compiled.iter_shards():
-        ids = shard.ids.tolist()
+        flags: Union[np.ndarray, List[bool]]
         if type(rule) is NoMarking:
-            flags: Sequence[bool] = [False] * len(ids)
+            flags = np.zeros(len(shard), dtype=bool)
         elif per_name is not None:
-            flags = per_name[shard.ids].tolist()
+            flags = np.take(per_name, shard.ids)
         elif type(rule) is RequestMarking:
-            flags = rule.draw(len(ids)).tolist()
+            flags = rule.draw(len(shard))
         elif rule.uses_request_index:
             occurrence = shard.occurrence.tolist()
             if rule.uses_name:
                 flags = [
-                    is_private(names[cid], occ) for cid, occ in zip(ids, occurrence)
+                    is_private(names[cid], occ)
+                    for cid, occ in zip(shard.ids.tolist(), occurrence)
                 ]
             else:
                 flags = [is_private(None, occ) for occ in occurrence]
         elif rule.uses_name:
-            flags = [is_private(names[cid], 0) for cid in ids]
+            flags = [is_private(names[cid], 0) for cid in shard.ids.tolist()]
         else:
-            flags = [is_private(None, 0) for _ in ids]
+            flags = [is_private(None, 0) for _ in range(len(shard))]
+        yield shard, flags
+
+
+def _spans(
+    rule: MarkingRule, compiled: CompiledTrace
+) -> Iterator[Tuple[List[int], Sequence[bool]]]:
+    """Yield (content ids, consumer privacy bits) per shard as lists, the
+    form :meth:`_ReplayCore.run_span` indexes (flags from
+    :func:`_shard_flags`)."""
+    for shard, flags in _shard_flags(rule, compiled):
+        ids = shard.ids.tolist()
+        if isinstance(flags, np.ndarray):
+            flags = flags.tolist() if flags.any() else [False] * len(ids)
         yield ids, flags
 
 

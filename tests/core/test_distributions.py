@@ -213,3 +213,16 @@ def test_blocks_and_scalars_interleave_on_one_stream(dist, seed, pieces):
             mixed.extend(dist.sample_block(mixed_rng, piece))
     assert mixed == [dist.sample(scalar_rng) for _ in range(len(mixed))]
     assert mixed_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("K", [None, 500])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10**6])
+def test_truncated_geometric_block_at_every_size(K, n):
+    """The array transform (only ``log1p`` scalar) against ``sample`` at
+    the kernel's block edges and at a whole Fig. 5 grid's worth of draws."""
+    dist = TruncatedGeometric(0.999, K)
+    block_rng, scalar_rng = (np.random.default_rng(17) for _ in range(2))
+    block = dist.sample_block(block_rng, n)
+    assert block == [dist.sample(scalar_rng) for _ in range(n)]
+    assert all(type(k) is int for k in block[:1000])
+    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state

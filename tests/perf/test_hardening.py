@@ -45,11 +45,14 @@ def trace() -> CompiledTrace:
 
 
 def _specs(count=6):
+    # FIFO keeps these points off the in-process LRU grid, so a pooled
+    # sweep of them really starts workers for the chaos hooks to hit.
     return [
         ReplaySpec(
             scheme="exponential",
             scheme_params={"k": 5, "epsilon": 0.005, "delta": 0.01},
             cache_size=150,
+            policy="fifo",
             seed=seed,
             label=f"spec-{i}",
         )
