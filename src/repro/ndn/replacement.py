@@ -195,77 +195,144 @@ class RandomPolicy(ReplacementPolicy):
 # Int-keyed mirrors for the fast paths (fast_replay, the batch kernel):
 # dense content ids instead of Names, ``pop_victim`` choosing *and*
 # removing (the reference ``choose_victim`` + ``on_remove`` pair).  Each
-# reproduces its reference's victim sequence exactly.
+# reproduces its reference's victim sequence exactly.  The caller inserts
+# only untracked ids, accesses only tracked ones and pops only when
+# something is tracked.
 # ======================================================================
-class IntKeyedOrder:
-    """Int-keyed mirror of :class:`LruPolicy` / :class:`FifoPolicy`.
+class IntrusiveOrder:
+    """Mirror of :class:`LruPolicy` / :class:`FifoPolicy` over ids
+    ``0 .. n-1``: an intrusive doubly-linked list, O(1) per operation.
 
-    Python dicts preserve insertion order, so ``next(iter(...))`` is the
-    reference's ``OrderedDict`` front — the same victim sequence.
+    ``nxt``/``prv`` hold ``n + 1`` slots with the sentinel at ``n``; the
+    victim is at the head (``nxt[n]``), the newest entry at the tail.
+    FIFO shares the list but never reorders on access.  ``_ReplayCore``
+    inlines these operations over the same arrays.
     """
 
-    __slots__ = ("order", "refresh_on_access")
+    __slots__ = ("nxt", "prv", "sentinel", "refresh_on_access")
 
-    def __init__(self, refresh_on_access: bool) -> None:
-        self.order: Dict[int, None] = {}
+    def __init__(self, n: int, refresh_on_access: bool) -> None:
+        self.nxt = [n] * (n + 1)
+        self.prv = [n] * (n + 1)
+        self.sentinel = n
         self.refresh_on_access = refresh_on_access
 
     def insert(self, cid: int) -> None:
-        self.order[cid] = None
+        nxt = self.nxt
+        prv = self.prv
+        sentinel = self.sentinel
+        tail = prv[sentinel]
+        nxt[tail] = cid
+        prv[cid] = tail
+        nxt[cid] = sentinel
+        prv[sentinel] = cid
 
     def access(self, cid: int) -> None:
-        if self.refresh_on_access:  # LRU move-to-end; FIFO is a no-op
-            order = self.order
-            del order[cid]
-            order[cid] = None
+        if self.refresh_on_access:  # LRU move-to-back; FIFO is a no-op
+            nxt = self.nxt
+            prv = self.prv
+            sentinel = self.sentinel
+            before = prv[cid]
+            after = nxt[cid]
+            nxt[before] = after
+            prv[after] = before
+            tail = prv[sentinel]
+            nxt[tail] = cid
+            prv[cid] = tail
+            nxt[cid] = sentinel
+            prv[sentinel] = cid
 
     def pop_victim(self) -> int:
-        order = self.order
-        cid = next(iter(order))
-        del order[cid]
-        return cid
+        nxt = self.nxt
+        sentinel = self.sentinel
+        victim = nxt[sentinel]
+        after = nxt[victim]
+        nxt[sentinel] = after
+        self.prv[after] = sentinel
+        return victim
 
 
-class IntKeyedLfu:
-    """Int-keyed mirror of :class:`LfuPolicy`.
+class IntrusiveLfu:
+    """Mirror of :class:`LfuPolicy` over ids ``0 .. n-1``: frequency
+    lists of lists, O(1) per operation (amortised for the victim scan).
 
-    Same frequency-bucket algorithm (insertion-ordered dicts, lazy
-    ``_min_freq`` scan) so the victim sequence is identical.
+    Per id, ``freq`` and the ``nxt``/``prv`` links inside its frequency
+    bucket; per frequency, the bucket's ``head`` (oldest entry, the
+    victim) and ``tail`` (newest), ``-1`` when empty.  ``head``/``tail``
+    grow as frequencies appear.  ``min_freq`` follows the reference: it
+    is 1 after an insert, steps up when an access empties its bucket, and
+    :meth:`pop_victim` scans up from it lazily, so ties break in order of
+    entry into the bucket and the victim sequence is the reference's.
+    ``_ReplayCore`` inlines these operations over the same arrays.
     """
 
-    __slots__ = ("_freq", "_buckets", "_min_freq")
+    __slots__ = ("nxt", "prv", "freq", "head", "tail", "min_freq")
 
-    def __init__(self) -> None:
-        self._freq: Dict[int, int] = {}
-        self._buckets: Dict[int, Dict[int, None]] = {}
-        self._min_freq = 0
+    def __init__(self, n: int) -> None:
+        self.nxt = [-1] * n
+        self.prv = [-1] * n
+        self.freq = [0] * n
+        # Frequency 0 is never populated: index 0 keeps the lists aligned.
+        self.head = [-1, -1]
+        self.tail = [-1, -1]
+        self.min_freq = 1
+
+    def _append(self, cid: int, freq: int) -> None:
+        """Enter ``cid`` at the back of bucket ``freq``."""
+        tail = self.tail
+        last = tail[freq]
+        self.prv[cid] = last
+        self.nxt[cid] = -1
+        tail[freq] = cid
+        if last == -1:
+            self.head[freq] = cid
+        else:
+            self.nxt[last] = cid
 
     def insert(self, cid: int) -> None:
-        self._freq[cid] = 1
-        self._buckets.setdefault(1, {})[cid] = None
-        self._min_freq = 1
+        self.freq[cid] = 1
+        self._append(cid, 1)
+        self.min_freq = 1
 
     def access(self, cid: int) -> None:
-        freq = self._freq[cid]
-        bucket = self._buckets[freq]
-        del bucket[cid]
-        if not bucket:
-            del self._buckets[freq]
-            if self._min_freq == freq:
-                self._min_freq = freq + 1
-        self._freq[cid] = freq + 1
-        self._buckets.setdefault(freq + 1, {})[cid] = None
+        nxt = self.nxt
+        prv = self.prv
+        head = self.head
+        freq = self.freq[cid]
+        before = prv[cid]
+        after = nxt[cid]
+        if before == -1:
+            head[freq] = after
+        else:
+            nxt[before] = after
+        if after == -1:
+            self.tail[freq] = before
+            if before == -1 and self.min_freq == freq:
+                self.min_freq = freq + 1
+        else:
+            prv[after] = before
+        freq += 1
+        self.freq[cid] = freq
+        if freq == len(head):
+            head.append(-1)
+            self.tail.append(-1)
+        self._append(cid, freq)
 
     def pop_victim(self) -> int:
-        while self._min_freq not in self._buckets:
-            self._min_freq += 1
-        bucket = self._buckets[self._min_freq]
-        cid = next(iter(bucket))
-        del self._freq[cid]
-        del bucket[cid]
-        if not bucket:
-            del self._buckets[self._min_freq]
-        return cid
+        head = self.head
+        freq = self.min_freq
+        victim = head[freq]
+        while victim == -1:
+            freq += 1
+            victim = head[freq]
+        self.min_freq = freq
+        after = self.nxt[victim]
+        head[freq] = after
+        if after == -1:
+            self.tail[freq] = -1
+        else:
+            self.prv[after] = -1
+        return victim
 
 
 class IntKeyedRandom:

@@ -20,6 +20,10 @@ of ordering or randomness is mirrored exactly:
   :class:`~repro.core.schemes.base.SchemeKernel`, used at the reference
   call sites and handed back on ``close()``; random-replacement draws
   ride ``IntKeyedRandom`` on the policy's own stream.
+* **victims** — each router's LRU/FIFO/LFU state is the O(1) array
+  structure of :mod:`repro.ndn.replacement` (``IntrusiveOrder``,
+  ``IntrusiveLfu``) over the compiled vocabulary, whose victim sequence
+  is the reference policy's.
 * **float arithmetic** — event times are built with the same operation
   order as the reference (e.g. a re-armed PIT timer fires at
   ``now + (expiry - now)``, *not* at ``expiry``).
@@ -39,7 +43,7 @@ from typing import Dict, List, Sequence, Set
 import numpy as np
 
 from repro.ndn.network import Network
-from repro.ndn.replacement import IntKeyedLfu, IntKeyedOrder, IntKeyedRandom
+from repro.ndn.replacement import IntKeyedRandom, IntrusiveLfu, IntrusiveOrder
 from repro.sim.batch.compile import (
     COUNTER_NAMES,
     DELAY_FIXED,
@@ -97,15 +101,16 @@ K_SLEEP = 6  # resume a sleeping consumer script: (t, s, K_SLEEP, ci)
 _CHUNK = 512
 
 
-def _make_policy(kind: str, rng):
-    """Per-router replacement state; pop_victim chooses *and* removes,
-    matching the reference ``choose_victim`` + ``on_remove`` pair."""
+def _make_policy(kind: str, rng, n_names: int):
+    """Per-router replacement state over the compiled vocabulary; pop_victim
+    chooses *and* removes, matching the reference ``choose_victim`` +
+    ``on_remove`` pair."""
     if kind == "lru":
-        return IntKeyedOrder(refresh_on_access=True)
+        return IntrusiveOrder(n_names, refresh_on_access=True)
     if kind == "fifo":
-        return IntKeyedOrder(refresh_on_access=False)
+        return IntrusiveOrder(n_names, refresh_on_access=False)
     if kind == "lfu":
-        return IntKeyedLfu()
+        return IntrusiveLfu(n_names)
     return IntKeyedRandom(rng)  # "random": compile guarantees the stream
 
 
@@ -148,7 +153,9 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     r_dmode = [cr.delay_mode for cr in ct.routers]
     r_gamma = [cr.delay_gamma for cr in ct.routers]
     r_hops = [cr.next_hops for cr in ct.routers]
-    policies = [_make_policy(cr.policy_kind, cr.policy_rng) for cr in ct.routers]
+    policies = [
+        _make_policy(cr.policy_kind, cr.policy_rng, n_names) for cr in ct.routers
+    ]
     pol_insert = [p.insert for p in policies]
     pol_access = [p.access for p in policies]
     pol_pop = [p.pop_victim for p in policies]

@@ -321,6 +321,9 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
         TopologyCase("tree", "always-delay", "lru", caching="cl4m", seed=seed),
         TopologyCase("fig3a_lan", "uniform", "lru", caching="bernoulli", seed=seed),
         TopologyCase("fat_tree", "uniform", "lru", caching="lcd", seed=seed),
+        # FIFO where its victims show: the tree's FIFO cases never tell a
+        # FIFO that refreshes on access from one that does not.
+        TopologyCase("fat_tree", "uniform", "fifo", caching="lcd", seed=seed),
         TopologyCase("fat_tree", "no-privacy", "random", caching="probcache", seed=seed),
         TopologyCase("fat_tree", "exponential", "lru", caching="cl4m", seed=seed),
         # The frontier's own workload: one probe campaign, 42 CL4M routers.

@@ -108,8 +108,8 @@ class CompiledTrace:
         self._shards = tuple(shards)
         #: (salt, coin column) of the last salt asked for: 8 B x n_names.
         self._coins: Optional[Tuple[str, np.ndarray]] = None
-        #: (stack distance, occurrence order): 8 B x n_requests, once.
-        self._lru: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: (ids, stack distance, occurrence order): 12 B x n_requests, once.
+        self._lru: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def n_requests(self) -> int:
@@ -175,16 +175,19 @@ class CompiledTrace:
             self._coins = (salt, rule.coins(self.iter_uris()))
         return self._coins[1]
 
-    def lru_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(LRU stack distance, occurrence order) per request, ``int32``:
-        one pass per trace object, shared by every LRU grid point over it
-        (:mod:`repro.workload.lru_grid`)."""
+    def lru_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(content id, LRU stack distance, occurrence order) per request,
+        ``int32``: one pass over the shards per trace object, shared by
+        every LRU grid point over it (:mod:`repro.workload.lru_grid`),
+        which also derives its privacy flags from the id column."""
         if self._lru is None:
             from repro.workload.lru_grid import occurrence_order, stack_distances
 
             ids = self.ids
+            if isinstance(ids, np.memmap):  # one mapped shard: own a copy
+                ids = np.array(ids)
             order = occurrence_order(ids)
-            self._lru = (stack_distances(ids, order), order)
+            self._lru = (ids, stack_distances(ids, order), order)
         return self._lru
 
     def _whole(self) -> TraceShard:

@@ -12,8 +12,12 @@ magnitude faster:
 * names are interned once; the hot loop is list/bytearray indexing, with
   no ``Name`` hashing, no prefix-index maintenance, no per-request
   ``Decision``/``CacheEntry`` object churn,
-* LRU/FIFO recency is an array-backed intrusive doubly-linked list with
-  O(1) touch/evict, inlined into the loop,
+* replacement state is array-backed with O(1) touch/insert/evict,
+  inlined into the loop: LRU/FIFO recency is an intrusive doubly-linked
+  list (:class:`~repro.ndn.replacement.IntrusiveOrder`'s arrays) and LFU
+  is a list of frequency lists
+  (:class:`~repro.ndn.replacement.IntrusiveLfu`'s), so a replay's cost
+  does not grow with the cache size,
 * privacy marking is precompiled to a flat flag list (one hash per
   *unique* name per trace for :class:`ContentMarking`, not one per request),
 * scheme decisions dispatch to int-keyed
@@ -26,9 +30,10 @@ sequence of column shards — one shard in RAM from
 from a
 :class:`~repro.workload.sharded.ShardedCompiledTrace` — and the loop
 lives in a resumable :class:`_ReplayCore` fed one (ids, privacy flags)
-span per shard by :func:`_spans`.  Flags come from :func:`_shard_flags`,
-the only place a marking rule becomes flags; the LRU grid
-(:mod:`repro.workload.lru_grid`) reads the same arrays.  Cache, recency
+span per shard by :func:`_spans`.  Flags come from :func:`_shard_flags`
+(per shard) or :func:`_trace_flags` (the whole trace at once, for the
+LRU grid in :mod:`repro.workload.lru_grid`), the only place a marking
+rule becomes flags.  Cache, recency
 and kernel state carry across shards, so how a trace is cut never shows
 in the result, and peak RSS on the mmap'd form is bounded by one shard.
 
@@ -55,7 +60,12 @@ import numpy as np
 from repro.core.schemes.base import CacheScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.ndn.errors import CacheError
-from repro.ndn.replacement import POLICIES, IntKeyedLfu, IntKeyedRandom
+from repro.ndn.replacement import (
+    POLICIES,
+    IntKeyedRandom,
+    IntrusiveLfu,
+    IntrusiveOrder,
+)
 from repro.workload.compiled import CompiledTrace, TraceShard
 from repro.workload.marking import (
     ContentMarking,
@@ -77,11 +87,9 @@ class _ReplayCore:
     """
 
     __slots__ = (
-        "kernel", "cap", "fetch_delay", "refresh", "move_on_access",
-        "inline_list", "cached", "entry_private", "nxt", "prv", "sentinel",
-        "p_insert", "p_access", "p_pop", "size", "requests", "hits",
-        "disguised", "misses", "private_requests", "private_hits",
-        "evictions", "delay_total",
+        "kernel", "cap", "fetch_delay", "refresh", "policy", "cached",
+        "entry_private", "size", "requests", "hits", "disguised", "misses",
+        "private_requests", "private_hits", "evictions", "delay_total",
     )
 
     def __init__(
@@ -101,29 +109,16 @@ class _ReplayCore:
         self.cached = bytearray(n_names)
         self.entry_private = bytearray(n_names)
 
-        # LRU/FIFO: intrusive doubly-linked list over content ids with a
-        # sentinel at index n_names; head side = eviction victim, tail
-        # side = most recent.  FIFO shares the list but never reorders on
-        # access.
-        self.inline_list = policy in ("lru", "fifo")
-        self.move_on_access = policy == "lru"
-        self.sentinel = n_names
-        if self.inline_list:
-            self.nxt = [0] * (n_names + 1)
-            self.prv = [0] * (n_names + 1)
-            self.nxt[self.sentinel] = self.sentinel
-            self.prv[self.sentinel] = self.sentinel
-            self.p_insert = self.p_access = self.p_pop = None
+        # LRU/FIFO and LFU keep their state in the arrays of
+        # IntrusiveOrder / IntrusiveLfu, and run_span inlines their
+        # operations; only Random goes through its mirror's methods.
+        self.policy: Union[IntrusiveOrder, IntrusiveLfu, IntKeyedRandom]
+        if policy in ("lru", "fifo"):
+            self.policy = IntrusiveOrder(n_names, refresh_on_access=policy == "lru")
+        elif policy == "lfu":
+            self.policy = IntrusiveLfu(n_names)
         else:
-            pol = (
-                IntKeyedLfu()
-                if policy == "lfu"
-                else IntKeyedRandom(np.random.default_rng(seed))
-            )
-            self.p_insert = pol.insert
-            self.p_access = pol.access if policy == "lfu" else None
-            self.p_pop = pol.pop_victim
-            self.nxt = self.prv = []  # unused
+            self.policy = IntKeyedRandom(np.random.default_rng(seed))
 
         self.size = 0
         self.requests = 0
@@ -141,14 +136,24 @@ class _ReplayCore:
         # Hot loop: hoist all state into locals, write counters back once.
         cached = self.cached
         entry_private = self.entry_private
-        nxt = self.nxt
-        prv = self.prv
-        sentinel = self.sentinel
-        inline_list = self.inline_list
-        move_on_access = self.move_on_access
-        p_insert = self.p_insert
-        p_access = self.p_access
-        p_pop = self.p_pop
+        policy = self.policy
+        in_order = type(policy) is IntrusiveOrder
+        is_lfu = type(policy) is IntrusiveLfu
+        move_on_access = in_order and policy.refresh_on_access
+        # nxt/prv: the recency list (sentinel at index n_names, victim at
+        # its head) or, for LFU, the links inside each frequency bucket
+        # (-1 ends a bucket; head/tail index the buckets by frequency).
+        if in_order or is_lfu:
+            nxt = policy.nxt
+            prv = policy.prv
+        sentinel = policy.sentinel if in_order else -1
+        if is_lfu:
+            freq = policy.freq
+            head = policy.head
+            tail = policy.tail
+            min_freq = policy.min_freq
+        p_insert = policy.insert  # called for Random only
+        p_pop = policy.pop_victim
         k_insert = self.kernel.on_insert
         k_decide = self.kernel.decide_private
         k_evict = self.kernel.on_evict
@@ -186,47 +191,79 @@ class _ReplayCore:
                     hits += 1
                     if priv:
                         private_hits += 1
-                    if move_on_access:
-                        before = prv[cid]
-                        after = nxt[cid]
-                        nxt[before] = after
-                        prv[after] = before
-                        tail = prv[sentinel]
-                        nxt[tail] = cid
-                        prv[cid] = tail
-                        nxt[cid] = sentinel
-                        prv[sentinel] = cid
-                    elif p_access is not None:
-                        p_access(cid)
                 else:
-                    # Disguised hits and forced misses refresh recency too,
-                    # unless the refresh ablation is on.
-                    if refresh:
-                        if move_on_access:
-                            before = prv[cid]
-                            after = nxt[cid]
-                            nxt[before] = after
-                            prv[after] = before
-                            tail = prv[sentinel]
-                            nxt[tail] = cid
-                            prv[cid] = tail
-                            nxt[cid] = sentinel
-                            prv[sentinel] = cid
-                        elif p_access is not None:
-                            p_access(cid)
                     if decision == 1:
                         disguised += 1
                         delay_total += fetch_delay
                     else:
                         misses += 1
+                    # Disguised hits and forced misses refresh recency
+                    # too, unless the refresh ablation is on.
+                    if not refresh:
+                        continue
+                # Refresh recency: LRU moves to the back of the list, LFU
+                # to the back of the next frequency's bucket; FIFO and
+                # Random do nothing.
+                if move_on_access:
+                    before = prv[cid]
+                    after = nxt[cid]
+                    nxt[before] = after
+                    prv[after] = before
+                    last = prv[sentinel]
+                    nxt[last] = cid
+                    prv[cid] = last
+                    nxt[cid] = sentinel
+                    prv[sentinel] = cid
+                elif is_lfu:
+                    f = freq[cid]
+                    before = prv[cid]
+                    after = nxt[cid]
+                    if before == -1:
+                        head[f] = after
+                    else:
+                        nxt[before] = after
+                    if after == -1:
+                        tail[f] = before
+                        if before == -1 and min_freq == f:
+                            min_freq = f + 1
+                    else:
+                        prv[after] = before
+                    f += 1
+                    freq[cid] = f
+                    if f == len(head):
+                        head.append(-1)
+                        tail.append(-1)
+                    last = tail[f]
+                    prv[cid] = last
+                    nxt[cid] = -1
+                    tail[f] = cid
+                    if last == -1:
+                        head[f] = cid
+                    else:
+                        nxt[last] = cid
             else:
                 if cap is not None:
                     while size >= cap:
-                        if inline_list:
+                        if in_order:
                             victim = nxt[sentinel]
                             after = nxt[victim]
                             nxt[sentinel] = after
                             prv[after] = sentinel
+                        elif is_lfu:
+                            # Lazy upward scan to the lowest populated
+                            # frequency; its oldest entry is the victim.
+                            f = min_freq
+                            victim = head[f]
+                            while victim == -1:
+                                f += 1
+                                victim = head[f]
+                            min_freq = f
+                            after = nxt[victim]
+                            head[f] = after
+                            if after == -1:
+                                tail[f] = -1
+                            else:
+                                prv[after] = -1
                         else:
                             victim = p_pop()
                         cached[victim] = 0
@@ -237,18 +274,31 @@ class _ReplayCore:
                 cached[cid] = 1
                 entry_private[cid] = 1 if priv else 0
                 size += 1
-                if inline_list:
-                    tail = prv[sentinel]
-                    nxt[tail] = cid
-                    prv[cid] = tail
+                if in_order:
+                    last = prv[sentinel]
+                    nxt[last] = cid
+                    prv[cid] = last
                     nxt[cid] = sentinel
                     prv[sentinel] = cid
+                elif is_lfu:
+                    freq[cid] = 1
+                    last = tail[1]
+                    prv[cid] = last
+                    nxt[cid] = -1
+                    tail[1] = cid
+                    if last == -1:
+                        head[1] = cid
+                    else:
+                        nxt[last] = cid
+                    min_freq = 1
                 else:
                     p_insert(cid)
                 if priv:
                     k_insert(cid)
                 misses += 1
 
+        if is_lfu:
+            policy.min_freq = min_freq
         self.size = size
         self.requests += n
         self.hits = hits
@@ -272,29 +322,34 @@ class _ReplayCore:
         )
 
 
+def _name_flags(rule: MarkingRule, compiled: CompiledTrace) -> Optional[np.ndarray]:
+    """Consumer privacy bit per content id (``bool``) when ``rule`` is a
+    :class:`ContentMarking` (by exact type: a subclass may override
+    ``is_private``), from the trace's memoized coin column (one hash per
+    name per trace and salt); ``None`` for every other rule."""
+    if type(rule) is not ContentMarking:
+        return None
+    if 0.0 < rule.fraction < 1.0:
+        return compiled.content_coins(rule) < rule.fraction
+    return np.full(compiled.n_names, rule.fraction >= 1.0)
+
+
 def _shard_flags(
     rule: MarkingRule, compiled: CompiledTrace
 ) -> Iterator[Tuple[TraceShard, Union[np.ndarray, List[bool]]]]:
-    """Yield (shard, consumer privacy bits) per shard, in trace order: the
-    one place a marking rule becomes flags.
+    """Yield (shard, consumer privacy bits) per shard, in trace order: with
+    :func:`_trace_flags`, the one place a marking rule becomes flags.
 
     Bit-identical to calling ``rule.is_private(name, index)`` per request
-    in trace order.  The shipped rules, matched by exact type (a subclass
-    may override ``is_private``), are array work and give a ``bool``
-    array: :class:`ContentMarking` compares the trace's memoized coin
-    column (one hash per name per trace and salt) with its threshold,
-    :class:`RequestMarking` draws one block per shard.  Anything else is
-    evaluated per request, with the shard's occurrence column as
-    ``index``, into a list.
+    in trace order.  The shipped rules, matched by exact type, are array
+    work and give a ``bool`` array: :class:`ContentMarking` gathers
+    :func:`_name_flags`, :class:`RequestMarking` draws one block per
+    shard.  Anything else is evaluated per request, with the shard's
+    occurrence column as ``index``, into a list.
     """
-    per_name = None
+    per_name = _name_flags(rule, compiled)
     names: Sequence = ()
-    if type(rule) is ContentMarking:
-        if 0.0 < rule.fraction < 1.0:
-            per_name = compiled.content_coins(rule) < rule.fraction
-        else:
-            per_name = np.full(compiled.n_names, rule.fraction >= 1.0)
-    elif rule.uses_name:
+    if per_name is None and rule.uses_name:
         # Generic name-dependent rules need real Name objects per
         # request; build the vocabulary once (O(n_names), still
         # independent of trace length).  Name-blind rules skip even that.
@@ -322,6 +377,25 @@ def _shard_flags(
         else:
             flags = [is_private(None, 0) for _ in range(len(shard))]
         yield shard, flags
+
+
+def _trace_flags(
+    rule: MarkingRule, compiled: CompiledTrace, ids: np.ndarray
+) -> np.ndarray:
+    """Consumer privacy bits for the whole trace as one ``bool`` array,
+    given its whole content-id column ``ids`` (the LRU grid's form).
+
+    A :class:`ContentMarking` is one gather over ``ids`` with no shard
+    touched; every other rule is :func:`_shard_flags` joined, so
+    :class:`RequestMarking` still draws one block per shard.
+    """
+    per_name = _name_flags(rule, compiled)
+    if per_name is not None:
+        return np.take(per_name, ids)
+    parts = [np.asarray(flags, dtype=bool) for _, flags in _shard_flags(rule, compiled)]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
 
 def _spans(

@@ -45,7 +45,7 @@ from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.random_cache import RandomCacheScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
-from repro.workload.fast_replay import _shard_flags
+from repro.workload.fast_replay import _trace_flags
 from repro.workload.marking import MarkingRule, NoMarking
 from repro.workload.replay import ReplayStats
 from repro.workload.sharded import compile_workload
@@ -191,15 +191,12 @@ def lru_grid_stats(
     if cache_size is not None and cache_size < 1:
         raise CacheError(f"cache capacity must be >= 1 or None, got {cache_size}")
     compiled = compile_workload(trace)
-    dist, order = compiled.lru_columns()
+    ids, dist, order = compiled.lru_columns()
     n = dist.shape[0]
     # Every distance of a repeat is <= n_names, so capacities at or
     # above it (and None) keep every content once fetched.
     cap = compiled.n_names if cache_size is None else min(cache_size, compiled.n_names)
-    parts = [np.asarray(flags, dtype=bool) for _, flags in _shard_flags(
-        marking if marking is not None else NoMarking(), compiled
-    )]  # fmt: skip
-    flags = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0, bool)])
+    flags = _trace_flags(marking if marking is not None else NoMarking(), compiled, ids)
 
     miss = dist > cap
     misses = int(np.count_nonzero(miss))

@@ -25,6 +25,7 @@ from repro.perf.parallel import (
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, RequestMarking
+from repro.workload.sharded import ShardedCompiledTrace
 from tests.perf.test_parallel import OpaqueNoPrivacy
 
 CONFIG = IrcacheConfig(requests=1500, objects=1000, seed=7)
@@ -79,6 +80,29 @@ def test_an_all_eligible_fig5_pair_starts_no_pool(
     # And the in-process route is the serial one, bit for bit.
     assert fig5a.stats == run_fig5a(workload, workers=1, sharded=sharded).stats
     assert fig5b.stats == run_fig5b(workload, workers=1, sharded=sharded).stats
+
+
+def test_grid_points_map_each_shard_once_per_trace(cache_dir, monkeypatch):
+    """The distance pass reads the shards once; a ``ContentMarking`` grid
+    point then gathers its flags from the memoised id column instead of
+    mapping every shard again (12 x 4 more maps here if it did)."""
+    loads = []
+    real = ShardedCompiledTrace.load_shard
+
+    def counting(self, index, verify=False):
+        loads.append(index)
+        return real(self, index, verify)
+
+    monkeypatch.setattr(ShardedCompiledTrace, "load_shard", counting)
+    params = {"k": 5, "epsilon": 0.005, "delta": 0.01}
+    marking = ContentMarking(0.3, salt=2)
+    specs = [
+        ReplaySpec(scheme, params, size, marking, seed=1)
+        for scheme in ("no-privacy", "always-delay", "uniform", "exponential")
+        for size in (50, 200, None)
+    ]
+    run_replay_sweep(specs, workers=2, trace_config=CONFIG, sharded=True, shard_size=400)
+    assert loads == [0, 1, 2, 3]  # 1500 requests in shards of 400
 
 
 def _mixed_specs():

@@ -25,6 +25,7 @@ from repro.validation.differential import (
     validate_topology_differential,
 )
 
+from tests.ndn.test_replacement import MUTANTS, apply_mutant
 from tests.sim.test_batch_kernel import small_star
 from tests.workload.test_fast_replay import NeverRevealingUniform
 
@@ -128,6 +129,29 @@ def test_batch_kernel_hands_each_scheme_generator_back_like_the_reference(scheme
     run_scripts_batch(net, scripts)
     assert [r.scheme.rng.bit_generator.state for r in net.routers.values()] == expected
     assert expected != before  # thresholds were drawn
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_grid_kills_each_replacement_mutant(mutant, monkeypatch):
+    """The batch kernel evicts through the ``repro.ndn.replacement``
+    mirrors, so a broken mirror must show against the reference engine:
+    the grid's cases of its policy must flag it, and for LFU the
+    ``tree/exponential/lfu`` case alone must."""
+    kind = apply_mutant(monkeypatch, mutant)
+    killed = []
+    for case in default_topology_cases():
+        if case.policy != kind or case.expect_fallback:
+            continue
+        try:
+            report = validate_topology_differential(cases=[case])
+        except IndexError:  # a victim scan that ran off the bucket list
+            killed.append(case.label)
+            continue
+        if not report.ok:
+            killed.append(case.label)
+    assert killed
+    if kind == "lfu":
+        assert TopologyCase("tree", "exponential", "lfu").label in killed
 
 
 def test_summary_reports_one_line_per_case():
