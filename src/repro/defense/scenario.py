@@ -28,6 +28,7 @@ punish bystanders — the deployment guidance encoded by
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -214,11 +215,20 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _zipf_cdf(n: int, exponent: float) -> List[float]:
+    """The Zipf weights' CDF exactly as ``Generator.choice(n, p=weights)``
+    forms it, so ``bisect_right(cdf, rng.random())`` is that call's pick,
+    from the same single ``random()`` draw (a right-sided CDF search)."""
+    cdf = _zipf_weights(n, exponent).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def _honest_proc(consumer, spec: DefenseScenarioSpec, rng, tally: _HonestTally):
-    weights = _zipf_weights(spec.hot_catalog, spec.zipf_exponent)
+    cdf = _zipf_cdf(spec.hot_catalog, spec.zipf_exponent)
     engine = consumer.engine
     while engine.now < spec.horizon:
-        pick = int(rng.choice(spec.hot_catalog, p=weights))
+        pick = bisect_right(cdf, rng.random())
         tally.requests += 1
         result = yield from consumer.fetch(
             f"/content/hot-{pick:03d}", lifetime=2000.0

@@ -20,6 +20,7 @@ experiments can attribute every lost packet to a cause.
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from repro.ndn.errors import TopologyError
 from repro.ndn.packets import Data, Interest, Nack
 from repro.ndn.wire import fast_wire_size
+from repro.sim.rng import Stream, as_generator
 
 if TYPE_CHECKING:  # typing only: keep ndn importable without repro.faults
     from repro.faults.loss import LossModel
@@ -52,6 +54,10 @@ class PacketHandler(Protocol):
 class DelayModel(abc.ABC):
     """Samples per-packet one-way propagation+processing delay (ms)."""
 
+    #: ``False`` when :meth:`sample` never touches its generator; a link
+    #: then passes ``None`` and never builds its stream for delays.
+    draws = True
+
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one delay in milliseconds (always >= 0)."""
@@ -65,12 +71,14 @@ class DelayModel(abc.ABC):
 class FixedDelay(DelayModel):
     """Deterministic delay — ideal links and unit tests."""
 
+    draws = False
+
     def __init__(self, delay: float) -> None:
         if delay < 0:
             raise TopologyError(f"delay must be >= 0, got {delay}")
         self._delay = delay
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Optional[np.random.Generator]) -> float:
         return self._delay
 
     @property
@@ -181,6 +189,10 @@ class Link:
     model (e.g. Gilbert–Elliott burst loss) *instead of* the i.i.d.
     ``loss_rate``; fault windows may push further models on top of it at
     runtime (:meth:`push_loss_model`).
+
+    ``rng`` may be a :class:`~repro.sim.rng.LazyStream`: the link builds
+    its generator at its first draw, so a fixed-delay link that loses
+    nothing never builds one.
     """
 
     def __init__(
@@ -189,7 +201,7 @@ class Link:
         face_a: Face,
         face_b: Face,
         delay_model: DelayModel,
-        rng: np.random.Generator,
+        rng: Stream,
         loss_rate: float = 0.0,
         loss_model: Optional["LossModel"] = None,
         name: str = "",
@@ -207,7 +219,7 @@ class Link:
         self.face_a = face_a
         self.face_b = face_b
         self.delay_model = delay_model
-        self.rng = rng
+        self._stream = rng
         self.loss_rate = loss_rate
         self.name = name or f"{face_a.label}<->{face_b.label}"
         face_a.link = self
@@ -223,6 +235,12 @@ class Link:
         self.packets_dropped_down = 0
         self.down_windows = 0
         self._loss_models: list = [loss_model] if loss_model is not None else []
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The link's generator, built at its first read (then a plain
+        attribute)."""
+        return as_generator(self._stream)
 
     # ------------------------------------------------------------------
     # Fault-injection surface
@@ -304,7 +322,8 @@ class Link:
         elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self.packets_lost += 1
             return
-        delay = self.delay_model.sample(self.rng) + self.extra_delay
+        model = self.delay_model
+        delay = model.sample(self.rng if model.draws else None) + self.extra_delay
         if isinstance(packet, Interest):
             self.engine.schedule_fire_and_forget(
                 delay, to_face.owner.receive_interest, packet, to_face

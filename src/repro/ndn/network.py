@@ -30,7 +30,7 @@ from repro.ndn.strategy import (
 )
 from repro.sim.engine import Engine
 from repro.sim.monitor import Monitor
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import LazyStream, RngRegistry
 
 Entity = Union[Forwarder, Consumer, Producer, InteractiveEndpoint]
 
@@ -92,7 +92,8 @@ class Network:
         ``"bernoulli"``) builds a per-router instance — the randomized
         kinds draw from the stream ``caching:{name}``
         (worker-count-independent, like the ``policy:{name}`` stream of
-        ``random`` replacement and the link streams) — or pass a prebuilt
+        ``random`` replacement and the link streams; each is built at its
+        first draw) — or pass a prebuilt
         :class:`~repro.ndn.strategy.CachingStrategy`.  ``None`` keeps the
         paper's cache-everywhere baseline.  Installing a hop-counting
         strategy (LCD, ProbCache) turns ``Data.origin_hops`` maintenance
@@ -104,14 +105,15 @@ class Network:
         :class:`~repro.ndn.forwarder.Forwarder` for the Nack semantics of
         each rejection path.
         """
-        # Named streams are derived only for the components that draw
-        # (randomized admission, random replacement): a stream's state
-        # depends on its name alone, so skipping the unused ones changes
-        # no draw anywhere.
+        # Named streams are handed out only to the components that draw
+        # (randomized admission, random replacement), as handles built at
+        # the first draw: a stream's state depends on (root seed, name)
+        # alone, so neither skipping an unused stream nor deferring one
+        # changes any draw.
         caching = strategy_of(
             caching,
             rng=(
-                self.rng.stream(f"caching:{name}")
+                LazyStream(self.rng, f"caching:{name}")
                 if caching in RANDOMIZED_STRATEGIES
                 else None
             ),
@@ -120,7 +122,7 @@ class Network:
             capacity=capacity,
             policy=make_policy(
                 policy,
-                self.rng.stream(f"policy:{name}") if policy == "random" else None,
+                LazyStream(self.rng, f"policy:{name}") if policy == "random" else None,
             ),
         )
         router = Forwarder(
@@ -209,7 +211,7 @@ class Network:
             face_a=face_a,
             face_b=face_b,
             delay_model=delay_model,
-            rng=self.rng.stream(f"link:{a}<->{b}"),
+            rng=LazyStream(self.rng, f"link:{a}<->{b}"),
             loss_rate=loss_rate,
             loss_model=loss_model,
             name=f"{a}<->{b}",

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.ndn.errors import CacheError
 from repro.ndn.name import Name
+from repro.sim.rng import Stream, as_generator
 
 
 class ReplacementPolicy(abc.ABC):
@@ -156,12 +158,20 @@ class LfuPolicy(ReplacementPolicy):
 
 
 class RandomPolicy(ReplacementPolicy):
-    """Uniform-random eviction, driven by a seeded generator."""
+    """Uniform-random eviction, driven by a seeded generator.
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+    ``rng`` may be a :class:`~repro.sim.rng.LazyStream`, resolved at the
+    first victim draw.
+    """
+
+    def __init__(self, rng: Optional[Stream] = None) -> None:
+        self._stream = rng if rng is not None else np.random.default_rng(0)
         self._names: list[Name] = []
         self._index: Dict[Name, int] = {}
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return as_generator(self._stream)
 
     def on_insert(self, name: Name) -> None:
         if name in self._index:
@@ -339,13 +349,16 @@ class IntKeyedRandom:
     """Int-keyed mirror of :class:`RandomPolicy`.
 
     Keeps the same swap-remove list order and draws the same RNG stream,
-    so victim choices match the reference bit for bit.
+    so victim choices match the reference bit for bit.  A
+    :class:`~repro.sim.rng.LazyStream` is resolved at the first victim
+    draw.
     """
 
-    __slots__ = ("_rng", "_list", "_pos")
+    __slots__ = ("_stream", "_rng", "_list", "_pos")
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
+    def __init__(self, rng: Stream) -> None:
+        self._stream = rng
+        self._rng: Optional[np.random.Generator] = None
         self._list: List[int] = []
         self._pos: Dict[int, int] = {}
 
@@ -357,7 +370,10 @@ class IntKeyedRandom:
         pass
 
     def pop_victim(self) -> int:
-        idx = int(self._rng.integers(len(self._list)))
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = as_generator(self._stream)
+        idx = int(rng.integers(len(self._list)))
         cid = self._list[idx]
         pos = self._pos.pop(cid)
         last = self._list.pop()
@@ -376,7 +392,7 @@ POLICIES = {
 }
 
 
-def make_policy(kind: str, rng: Optional[np.random.Generator] = None) -> ReplacementPolicy:
+def make_policy(kind: str, rng: Optional[Stream] = None) -> ReplacementPolicy:
     """Build a replacement policy by name (``lru``/``fifo``/``lfu``/``random``)."""
     try:
         ctor = POLICIES[kind]

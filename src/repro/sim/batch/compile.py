@@ -21,6 +21,10 @@ hot path:
   RNG streams), :class:`~repro.core.schemes.base.SchemeKernel` instances
   and delay-policy modes; PIT state itself is runtime kernel state.
 
+Link, policy and strategy streams are carried as the holders hold them
+(a generator or a :class:`~repro.sim.rng.LazyStream`) and resolved by the
+kernel at their first draw, so compiling builds no generator.
+
 Anything the kernel cannot reproduce *bit-identically* raises
 :class:`BatchCompileError` with the reason, and callers fall back to the
 reference engine — unsupported combinations are loud at compile time and
@@ -36,7 +40,7 @@ ready for a reference run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.schemes.base import CacheScheme, SchemeKernel
 from repro.core.schemes.delay_policies import ConstantDelay, ContentSpecificDelay
@@ -62,6 +66,7 @@ from repro.ndn.strategy import (
     ProbCacheStrategy,
 )
 from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep, refuse_spent
+from repro.sim.rng import Stream, stream_key
 
 
 class BatchCompileError(Exception):
@@ -132,7 +137,9 @@ class CompiledLink:
     delay_kind: int
     # FIXED: (delay,); GAUSSIAN: (base, std, floor); LOGNORMAL: (base, scale, sigma)
     params: Tuple[float, ...]
-    rng: object  # np.random.Generator — the link's own stream
+    #: The link's own stream, resolved at the first delay refill (None
+    #: for FIXED, which never draws).
+    stream: Optional[Stream] = None
 
 
 @dataclass
@@ -142,7 +149,7 @@ class CompiledRouter:
     name: str
     capacity: Optional[int]
     policy_kind: str  # "lru" | "fifo" | "lfu" | "random"
-    policy_rng: object  # RandomPolicy's stream (None otherwise)
+    policy_stream: Optional[Stream]  # RandomPolicy's stream (None otherwise)
     kernel: SchemeKernel
     delay_mode: int
     delay_gamma: float
@@ -155,7 +162,7 @@ class CompiledRouter:
     #: stream (randomized kinds only), and the router's face degree.
     strategy_kind: int = S_LCE
     strategy_param: float = 0.0
-    strategy_rng: object = None
+    strategy_stream: Optional[Stream] = None
     degree: int = 0
     #: ``cache_filter is never_cache``: arriving data is counted as
     #: ``cache_skipped`` and never inserted.
@@ -311,20 +318,20 @@ def _compile_link(link) -> CompiledLink:
     )
     model = link.delay_model
     if type(model) is FixedDelay:
-        return CompiledLink(link.name, DELAY_FIXED, (model._delay,), link.rng)
+        return CompiledLink(link.name, DELAY_FIXED, (model._delay,))
     if type(model) is GaussianJitterDelay:
         return CompiledLink(
             link.name,
             DELAY_GAUSSIAN,
             (model._base, model._std, model._floor),
-            link.rng,
+            link._stream,
         )
     if type(model) is LogNormalDelay:
         return CompiledLink(
             link.name,
             DELAY_LOGNORMAL,
             (model._base, model._scale, model._sigma),
-            link.rng,
+            link._stream,
         )
     raise BatchCompileError(
         f"link {link.name}: unsupported delay model {type(model).__name__}"
@@ -392,13 +399,13 @@ def _compile_router(
     _require(len(cs) == 0, f"router {name}: pre-populated CS is not supported")
     policy = cs.policy
     if type(policy) is LruPolicy:
-        policy_kind, policy_rng = "lru", None
+        policy_kind, policy_stream = "lru", None
     elif type(policy) is FifoPolicy:
-        policy_kind, policy_rng = "fifo", None
+        policy_kind, policy_stream = "fifo", None
     elif type(policy) is LfuPolicy:
-        policy_kind, policy_rng = "lfu", None
+        policy_kind, policy_stream = "lfu", None
     elif type(policy) is RandomPolicy:
-        policy_kind, policy_rng = "random", policy._rng
+        policy_kind, policy_stream = "random", policy._stream
     else:
         raise BatchCompileError(
             f"router {name}: unsupported replacement policy "
@@ -409,14 +416,14 @@ def _compile_router(
     # arbitrarily, so it must hit the reference fallback, not silently
     # run the base class's kernel.
     strategy = router.caching
-    strategy_kind, strategy_param, strategy_rng = S_LCE, 0.0, None
+    strategy_kind, strategy_param, strategy_stream = S_LCE, 0.0, None
     if strategy is None or type(strategy) is LceStrategy:
         pass
     elif type(strategy) is LcdStrategy:
         strategy_kind = S_LCD
     elif type(strategy) is ProbCacheStrategy:
         strategy_kind, strategy_param = S_PROB, strategy.weight
-        strategy_rng = strategy._rng
+        strategy_stream = strategy._stream
     elif type(strategy) is EdgeStrategy:
         strategy_kind = S_EDGE
     elif type(strategy) is Cl4mStrategy:
@@ -429,7 +436,7 @@ def _compile_router(
         strategy_param = 1.0 if strategy.compute_verdict(router) else 0.0
     elif type(strategy) is BernoulliStrategy:
         strategy_kind, strategy_param = S_BERN, strategy.p
-        strategy_rng = strategy._rng
+        strategy_stream = strategy._stream
     else:
         raise BatchCompileError(
             f"router {name}: unsupported caching strategy "
@@ -453,7 +460,7 @@ def _compile_router(
         name=name,
         capacity=cs.capacity,
         policy_kind=policy_kind,
-        policy_rng=policy_rng,
+        policy_stream=policy_stream,
         kernel=None,
         delay_mode=delay_mode,
         delay_gamma=delay_gamma,
@@ -461,7 +468,7 @@ def _compile_router(
         next_hops=[],
         strategy_kind=strategy_kind,
         strategy_param=strategy_param,
-        strategy_rng=strategy_rng,
+        strategy_stream=strategy_stream,
         degree=len(router.faces),
         never_cache=skips_caching,
     )
@@ -705,17 +712,19 @@ def compile_topology(
     compiled_routers = [_compile_router(r, scheme_owner) for r in routers]
     # A scheme kernel draws k_C in blocks, so its generator may have no
     # second holder (the reference interleaves consumers in event order).
-    drawn_by: Dict[int, str] = {}  # id(generator) -> router whose scheme holds it
+    # Streams are compared by key, which builds no generator (rng.stream_key).
+    drawn_by: Dict[Hashable, str] = {}  # stream key -> router whose scheme holds it
     for router in routers:
         rng = getattr(router.scheme, "rng", None)
         if rng is not None:
-            first = drawn_by.setdefault(id(rng), router.name)
+            first = drawn_by.setdefault(stream_key(rng), router.name)
             shared = f"{first}'s scheme and {router.name}'s scheme"
             _require(first == router.name, shared + " share one random generator")
     for cr in compiled_routers:
-        for rng in (cr.policy_rng, cr.strategy_rng):
-            if id(rng) in drawn_by:
-                shared = f"{drawn_by[id(rng)]}'s scheme and {cr.name}'s policy/strategy"
+        for stream in (cr.policy_stream, cr.strategy_stream):
+            owner = drawn_by.get(stream_key(stream)) if stream is not None else None
+            if owner is not None:
+                shared = f"{owner}'s scheme and {cr.name}'s policy/strategy"
                 raise BatchCompileError(shared + " share one random generator")
 
     # Everything above is per link or per router, so a network that

@@ -19,7 +19,10 @@ of ordering or randomness is mirrored exactly:
   Scheme thresholds are drawn in blocks by the shared
   :class:`~repro.core.schemes.base.SchemeKernel`, used at the reference
   call sites and handed back on ``close()``; random-replacement draws
-  ride ``IntKeyedRandom`` on the policy's own stream.
+  ride ``IntKeyedRandom`` on the policy's own stream.  Link, strategy
+  and policy streams are resolved at their first draw (the first delay
+  refill, admission or victim draw), so a stream nothing draws from is
+  never built.
 * **victims** — each router's LRU/FIFO/LFU state is the O(1) array
   structure of :mod:`repro.ndn.replacement` (``IntrusiveOrder``,
   ``IntrusiveLfu``) over the compiled vocabulary, whose victim sequence
@@ -63,6 +66,7 @@ from repro.sim.batch.compile import (
     compile_topology,
 )
 from repro.sim.batch.script import ConsumerScript, TopologyObservables, mark_spent
+from repro.sim.rng import as_generator
 
 # Router counter indices, in COUNTER_NAMES order (see compile.py).
 (
@@ -101,7 +105,7 @@ K_SLEEP = 6  # resume a sleeping consumer script: (t, s, K_SLEEP, ci)
 _CHUNK = 512
 
 
-def _make_policy(kind: str, rng, n_names: int):
+def _make_policy(kind: str, stream, n_names: int):
     """Per-router replacement state over the compiled vocabulary; pop_victim
     chooses *and* removes, matching the reference ``choose_victim`` +
     ``on_remove`` pair."""
@@ -111,7 +115,7 @@ def _make_policy(kind: str, rng, n_names: int):
         return IntrusiveOrder(n_names, refresh_on_access=False)
     if kind == "lfu":
         return IntrusiveLfu(n_names)
-    return IntKeyedRandom(rng)  # "random": compile guarantees the stream
+    return IntKeyedRandom(stream)  # "random": compile guarantees the stream
 
 
 def run_compiled(ct: CompiledTopology) -> TopologyObservables:
@@ -129,7 +133,7 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     n_links = len(ct.links)
     l_kind = [cl.delay_kind for cl in ct.links]
     l_params = [cl.params for cl in ct.links]
-    l_rng = [cl.rng for cl in ct.links]
+    l_stream = [cl.stream for cl in ct.links]
     l_fix = [cl.params[0] if cl.delay_kind == DELAY_FIXED else 0.0 for cl in ct.links]
     l_buf: List[List[float]] = [[] for _ in range(n_links)]
     l_pos = [0] * n_links
@@ -154,7 +158,7 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     r_gamma = [cr.delay_gamma for cr in ct.routers]
     r_hops = [cr.next_hops for cr in ct.routers]
     policies = [
-        _make_policy(cr.policy_kind, cr.policy_rng, n_names) for cr in ct.routers
+        _make_policy(cr.policy_kind, cr.policy_stream, n_names) for cr in ct.routers
     ]
     pol_insert = [p.insert for p in policies]
     pol_access = [p.access for p in policies]
@@ -165,7 +169,8 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     k_trk = [cr.kernel.tracked for cr in ct.routers]
     s_kind = [cr.strategy_kind for cr in ct.routers]
     s_param = [cr.strategy_param for cr in ct.routers]
-    s_rng = [cr.strategy_rng for cr in ct.routers]
+    s_stream = [cr.strategy_stream for cr in ct.routers]
+    s_rng = [None] * n_routers  # resolved at the router's first admission draw
     r_never = [cr.never_cache for cr in ct.routers]
     track = ct.count_origin_hops
 
@@ -199,7 +204,7 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
         pos = l_pos[li]
         if pos >= len(buf):
             base, a, b = l_params[li]
-            rng = l_rng[li]
+            rng = as_generator(l_stream[li])
             if kind == DELAY_GAUSSIAN:  # (base, std, floor)
                 buf = maximum(b, base + rng.normal(0.0, a, _CHUNK)).tolist()
             else:  # LOGNORMAL: (base, scale, sigma)
@@ -380,7 +385,10 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
                 admit = oh == 0
             elif kind == S_PROB:
                 p = (oh + 1) / s_param[rid]
-                admit = s_rng[rid].random() < (p if p < 1.0 else 1.0)
+                rng = s_rng[rid]
+                if rng is None:
+                    rng = s_rng[rid] = as_generator(s_stream[rid])
+                admit = rng.random() < (p if p < 1.0 else 1.0)
             elif kind == S_EDGE:
                 admit = False
                 for e in entry[3]:
@@ -391,7 +399,10 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
                 # Betweenness verdict precomputed at compile time.
                 admit = s_param[rid] != 0.0
             else:  # S_BERN
-                admit = s_rng[rid].random() < s_param[rid]
+                rng = s_rng[rid]
+                if rng is None:
+                    rng = s_rng[rid] = as_generator(s_stream[rid])
+                admit = rng.random() < s_param[rid]
             if not admit:
                 ctr[C_DECLINED] += 1
             else:

@@ -10,12 +10,20 @@ Streams are derived from the root seed with ``numpy``'s ``SeedSequence``
 spawn-by-key mechanism: the stream name is hashed into entropy that is mixed
 with the root seed, so ``registry.stream("link:R-P")`` is stable across runs
 and across registries built with the same root seed.
+
+A stream's state depends on (root seed, name) alone, never on when or in
+what order it was created, so a stream is built at its first draw: links,
+randomized caching strategies and random replacement hold a
+:class:`LazyStream` (registry, name) and resolve it when they first draw.
+The generator they get is the very object ``registry.stream(name)``
+returns, so a stream nothing draws from is never built and every draw is
+unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Hashable, Optional, Union
 
 import numpy as np
 
@@ -34,6 +42,9 @@ class RngRegistry:
     def __init__(self, root_seed: int = 0) -> None:
         if not isinstance(root_seed, int):
             raise RngError(f"root seed must be an int, got {type(root_seed).__name__}")
+        if root_seed < 0:
+            # SeedSequence refuses it too, but only at the first draw.
+            raise RngError(f"root seed must be >= 0, got {root_seed}")
         self.root_seed = root_seed
         self._streams: Dict[str, np.random.Generator] = {}
 
@@ -72,3 +83,60 @@ class RngRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RngRegistry(root_seed={self.root_seed}, streams={len(self._streams)})"
+
+
+class LazyStream:
+    """A handle on the stream ``name`` of ``registry``, built at first draw.
+
+    :meth:`resolve` returns ``registry.stream(name)`` and keeps it, so the
+    holder draws from the same object as every other caller of that name.
+    A holder resolves once, at its first draw, and then calls the
+    generator directly.
+    """
+
+    __slots__ = ("registry", "name", "_generator")
+
+    def __init__(self, registry: RngRegistry, name: str) -> None:
+        if not name:
+            raise RngError("stream name must be non-empty")
+        self.registry = registry
+        self.name = name
+        self._generator: Optional[np.random.Generator] = None
+
+    def resolve(self) -> np.random.Generator:
+        """The stream's generator, built now if nothing built it yet."""
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = self.registry.stream(self.name)
+        return generator
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        state = "resolved" if self._generator is not None else "lazy"
+        return f"LazyStream({self.name!r}, {state})"
+
+
+#: What a holder is given: a generator, or a handle on a named one.
+Stream = Union[np.random.Generator, LazyStream]
+
+
+def as_generator(stream: Stream) -> np.random.Generator:
+    """The generator behind ``stream``, resolving a handle."""
+    return stream.resolve() if isinstance(stream, LazyStream) else stream
+
+
+def stream_key(stream: Stream) -> Hashable:
+    """Equal for two streams exactly when they draw from one generator.
+
+    A generator, a resolved handle, or a handle whose name the registry
+    already holds keys by the generator's identity; any other handle by
+    ``(registry, name)`` — the generator it would resolve to.  Nothing is
+    built to compute a key.
+    """
+    if not isinstance(stream, LazyStream):
+        return id(stream)
+    generator = stream._generator
+    if generator is None:
+        generator = stream.registry._streams.get(stream.name)
+    if generator is None:
+        return (stream.registry, stream.name)
+    return id(generator)

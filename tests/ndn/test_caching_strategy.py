@@ -167,6 +167,18 @@ class TestEdgeAndCl4m:
         bc = brandes_betweenness(adjacency)
         assert bc == {"a": 0.0, "b": 6.0, "c": 8.0, "d": 6.0, "e": 0.0}
 
+    def test_cl4m_brandes_memo_returns_a_fresh_equal_dict(self):
+        from repro.ndn.strategy import _betweenness
+
+        adjacency = {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
+        first = brandes_betweenness(adjacency)
+        first["b"] = -1.0  # a caller's edit must not reach the memo
+        again = brandes_betweenness(dict(adjacency))
+        assert again == {"a": 0.0, "b": 2.0, "c": 0.0}
+        assert again is not first
+        graph = tuple((v, tuple(ns)) for v, ns in adjacency.items())
+        assert again == dict(_betweenness.__wrapped__(graph))
+
     def test_cl4m_brandes_splits_shortest_paths(self):
         # Diamond a-{b,c}-d: two equal-length a..d paths, half credit each.
         adjacency = {

@@ -72,6 +72,25 @@ def test_cl4m_compile_runs_brandes_once_per_network(monkeypatch):
     assert 0 < admitting < 42
 
 
+def test_cl4m_sweep_runs_brandes_once_per_distinct_graph():
+    """Betweenness is a pure function of the graph: the 12 CL4M points of
+    a placement sweep over four topologies run four Brandes passes."""
+    from repro.analysis.placement import SWEEP_SCHEMES, run_placement_sweep
+    from repro.ndn import strategy
+
+    strategy._betweenness.cache_clear()
+    frontier = run_placement_sweep(
+        topologies=("fig3a_lan", "fat_tree", "rocketfuel", "geant"),
+        strategies=("cl4m",),
+        trials=1,
+        targets_per_trial=4,
+        seed=3,
+    )
+    assert len(frontier.points) == 4 * len(SWEEP_SCHEMES) == 12
+    info = strategy._betweenness.cache_info()
+    assert (info.misses, info.hits) == (4, 8)
+
+
 class CountingTuple(tuple):
     """Name components that count every ordering comparison made on them
     (``bisect`` and ``sort`` order tuples with ``<``; ``>`` is its
