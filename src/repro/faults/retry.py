@@ -13,6 +13,7 @@ global state), keeping runs bit-reproducible from the root seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,9 +72,10 @@ class RetryPolicy:
         """Total transmissions allowed (first try + retries)."""
         return self.retries + 1
 
-    @property
+    @cached_property
     def delay_cap(self) -> Optional[float]:
-        """Effective per-attempt cap: min of ``max_delay``/``max_timeout``."""
+        """Effective per-attempt cap: min of ``max_delay``/``max_timeout``
+        (computed once per policy: the fields are frozen)."""
         caps = [c for c in (self.max_delay, self.max_timeout) if c is not None]
         return min(caps) if caps else None
 

@@ -9,6 +9,7 @@ the observable the paper's timing attacks are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -21,6 +22,13 @@ from repro.sim.engine import Engine
 from repro.sim.events import Signal
 from repro.sim.monitor import Monitor
 from repro.sim.process import TIMED_OUT, Timeout, WaitSignal
+
+
+@lru_cache(maxsize=256, typed=True)
+def _single_attempt(timeout: float) -> RetryPolicy:
+    """The frozen one-attempt policy of a ``retry=None`` fetch, built once
+    per distinct timeout."""
+    return RetryPolicy(retries=0, timeout=timeout, backoff=1.0)
 
 
 @dataclass(frozen=True)
@@ -114,11 +122,7 @@ class Consumer:
         available to every consumer.
         """
         if retry is None:
-            retry = RetryPolicy(
-                retries=0,
-                timeout=timeout if timeout is not None else lifetime,
-                backoff=1.0,
-            )
+            retry = _single_attempt(timeout if timeout is not None else lifetime)
         target = name_of(name)
         for attempt in range(retry.attempts):
             signal = self.express_interest(
@@ -171,12 +175,11 @@ class Consumer:
             signal, send_time, _nonce = waiters.pop(0)
             if not waiters:
                 del self._pending[pending_name]
-            result = FetchResult(
-                data=data, send_time=send_time, receive_time=self.engine.now
-            )
+            now = self.engine.now
+            result = FetchResult(data=data, send_time=send_time, receive_time=now)
             self.rtts.append(result.rtt)
             self.monitor.count("data_received")
-            signal.trigger(result, time=self.engine.now)
+            signal.trigger(result, time=now)
             matched = True
             break
         if not matched:

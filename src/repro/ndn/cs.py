@@ -140,10 +140,15 @@ class ContentStore:
         )
         self._entries[name] = entry
         self.policy.on_insert(name)
-        for prefix in name.prefixes():
-            if prefix == name:
-                continue
-            self._prefix_index.setdefault(prefix, set()).add(name)
+        index = self._prefix_index
+        prefixes = name.prefixes()
+        next(prefixes)  # the name itself (longest first)
+        for prefix in prefixes:
+            bucket = index.get(prefix)
+            if bucket is None:
+                index[prefix] = {name}
+            else:
+                bucket.add(name)
         self.insertions += 1
         return entry
 
@@ -154,14 +159,15 @@ class ContentStore:
             return None
         self.removed += 1
         self.policy.on_remove(name)
-        for prefix in name.prefixes():
-            if prefix == name:
-                continue
-            bucket = self._prefix_index.get(prefix)
+        index = self._prefix_index
+        prefixes = name.prefixes()
+        next(prefixes)  # the name itself (longest first)
+        for prefix in prefixes:
+            bucket = index.get(prefix)
             if bucket is not None:
                 bucket.discard(name)
                 if not bucket:
-                    del self._prefix_index[prefix]
+                    del index[prefix]
         return entry
 
     def _evict(self, name: Name, now: float) -> None:

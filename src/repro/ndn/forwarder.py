@@ -147,6 +147,7 @@ class Forwarder:
             )
         self.engine = engine
         self.name = name
+        self._pit_expiry_label = f"{name}:pit-expiry"
         self.cs = cs if cs is not None else ContentStore()
         self.pit = pit if pit is not None else Pit()
         self.fib = Fib()
@@ -195,94 +196,89 @@ class Forwarder:
     # Interest pipeline
     # ------------------------------------------------------------------
     def receive_interest(self, interest: Interest, face: Face) -> None:
-        """Process an interest arriving on ``face``."""
+        """Process an interest arriving on ``face``.
+
+        The engine's clock is read once: every stage sees the arrival
+        time (on the simulator it cannot move inside a callback)."""
+        count = self.monitor.count
         if not self.up:
-            self.monitor.count("down_dropped_interest")
+            count("down_dropped_interest")
             return
-        self.monitor.count("interest_in")
+        count("interest_in")
+        now = self.engine.now
         defense = self.defense
-        if defense is not None and not defense.allow_interest(
-            interest, face, self.engine.now
-        ):
+        if defense is not None and not defense.allow_interest(interest, face, now):
             # Mitigation throttle: an escalated per-face budget, distinct
             # from the static rate limiter so de-escalation restores the
             # configured admission exactly.
-            self.monitor.count("defense_throttled")
+            count("defense_throttled")
             self._send_nack_on(
                 face, Nack.for_interest(interest, NACK_CONGESTION)
             )
             return
-        if self.rate_limiter is not None and not self.rate_limiter.allow(
-            face, self.engine.now
-        ):
-            self.monitor.count("rate_limited")
+        if self.rate_limiter is not None and not self.rate_limiter.allow(face, now):
+            count("rate_limited")
             self._send_nack_on(
                 face, Nack.for_interest(interest, NACK_CONGESTION)
             )
             return
-        entry = self.cs.lookup(interest.name, self.engine.now, touch=True)
+        entry = self.cs.lookup(interest.name, now, touch=True)
         if entry is not None:
             marking = self.marking.on_request(entry, interest)
-            decision = self.scheme.on_request(entry, marking.private, self.engine.now)
+            decision = self.scheme.on_request(entry, marking.private, now)
             # A cache hit makes this node the serving node: with hop
             # counting on, the copy leaves with origin_hops reset to 0.
             served = (
                 entry.data.at_origin() if self.count_origin_hops else entry.data
             )
             if decision.kind is DecisionKind.HIT:
-                self.monitor.count("cs_hit")
+                count("cs_hit")
                 if defense is not None:
-                    defense.observe_interest(
-                        interest.name, face, self.engine.now, hit=True
-                    )
+                    defense.observe_interest(interest.name, face, now, hit=True)
                 self._send_data_on(face, served, self.processing_delay)
                 return
             if decision.kind is DecisionKind.DELAYED_HIT:
-                self.monitor.count("cs_disguised_hit")
+                count("cs_disguised_hit")
                 if defense is not None:
-                    defense.observe_interest(
-                        interest.name, face, self.engine.now, hit=True
-                    )
+                    defense.observe_interest(interest.name, face, now, hit=True)
                 self._send_data_on(
                     face, served, self.processing_delay + decision.delay
                 )
                 return
-            self.monitor.count("cs_forced_miss")
+            count("cs_forced_miss")
         else:
-            self.monitor.count("cs_miss")
+            count("cs_miss")
         if defense is not None:
-            defense.observe_interest(
-                interest.name, face, self.engine.now, hit=False
-            )
-        self._forward_interest(interest, face)
+            defense.observe_interest(interest.name, face, now, hit=False)
+        self._forward_interest(interest, face, now)
 
-    def _forward_interest(self, interest: Interest, face: Face) -> None:
-        existing = self.pit.lookup(interest.name)
+    def _forward_interest(self, interest: Interest, face: Face, now: float) -> None:
+        count = self.monitor.count
+        name = interest.name
+        existing = self.pit.lookup(name)
         is_retransmission = (
             existing is not None
             and face in existing.faces
             and interest.nonce not in existing.nonces
         )
-        pit_entry, is_new = self.pit.insert_or_collapse(interest, face, self.engine.now)
+        pit_entry, is_new = self.pit.insert_or_collapse(interest, face, now)
         if pit_entry is None:
             # Bounded PIT, drop-new policy: the interest is rejected.
-            self.monitor.count("pit_overflow_drop")
+            count("pit_overflow_drop")
             if self.defense is not None:
-                self.defense.observe_pit_overflow(
-                    interest.name, face, self.engine.now
-                )
+                self.defense.observe_pit_overflow(name, face, now)
             self._send_nack_on(face, Nack.for_interest(interest, NACK_PIT_FULL))
             return
         if not is_new:
-            self.monitor.count("pit_collapse")
+            count("pit_collapse")
             if is_retransmission and not (self.honor_scope and interest.scope_exhausted):
                 # A fresh nonce from a face that already has an in-record is
                 # a consumer retransmission (the earlier interest or its
                 # data was lost upstream): re-forward instead of swallowing
                 # it.  A *different* face with a fresh nonce is ordinary
                 # aggregation and is not re-forwarded.
-                for upstream in self._select_upstreams(interest.name, face):
-                    self.monitor.count("interest_retransmitted")
+                for upstream in self._select_upstreams(name, face):
+                    count("interest_retransmitted")
                     self.engine.schedule_fire_and_forget(
                         self.processing_delay,
                         upstream.send_interest,
@@ -292,28 +288,29 @@ class Forwarder:
         if self.honor_scope and interest.scope_exhausted:
             # Cannot satisfy locally and the scope budget ends here: the
             # interest dies (the consumer observes a timeout).
-            self.monitor.count("scope_drop")
-            self.pit.remove(interest.name)
+            count("scope_drop")
+            self.pit.remove(name)
             return
-        upstreams = self._select_upstreams(interest.name, face)
+        upstreams = self._select_upstreams(name, face)
         if not upstreams:
-            self.monitor.count("no_route")
-            self.pit.remove(interest.name)
+            count("no_route")
+            self.pit.remove(name)
             if self.nack_on_no_route:
                 self._send_nack_on(
                     face, Nack.for_interest(interest, NACK_NO_ROUTE)
                 )
             return
-        self.monitor.count("pit_insert")
-        pit_entry.timer = self.engine.schedule(
+        count("pit_insert")
+        engine = self.engine
+        pit_entry.timer = engine.schedule(
             interest.lifetime,
             self._on_pit_expiry,
-            interest.name,
-            label=f"{self.name}:pit-expiry",
+            name,
+            label=self._pit_expiry_label,
         )
         for upstream in upstreams:
-            self.monitor.count("interest_forwarded")
-            self.engine.schedule_fire_and_forget(
+            count("interest_forwarded")
+            engine.schedule_fire_and_forget(
                 self.processing_delay,
                 upstream.send_interest,
                 interest.hop(),
@@ -343,7 +340,7 @@ class Forwarder:
                 entry.expiry - self.engine.now,
                 self._on_pit_expiry,
                 name,
-                label=f"{self.name}:pit-expiry",
+                label=self._pit_expiry_label,
             )
             return
         expired = self.pit.expire(name, self.engine.now)
@@ -368,24 +365,26 @@ class Forwarder:
     # ------------------------------------------------------------------
     def receive_data(self, data: Data, face: Face) -> None:
         """Process a content object arriving on ``face``."""
+        count = self.monitor.count
         if not self.up:
-            self.monitor.count("down_dropped_data")
+            count("down_dropped_data")
             return
-        self.monitor.count("data_in")
+        count("data_in")
         pit_entry = self.pit.satisfy(data.name)
         if pit_entry is None:
             # Content is never forwarded unless preceded by an interest.
-            self.monitor.count("unsolicited_data")
+            count("unsolicited_data")
             return
-        self.monitor.count("pit_satisfied")
+        count("pit_satisfied")
         if pit_entry.timer is not None and pit_entry.timer.pending:
             pit_entry.timer.cancel()
-        fetch_delay = self.engine.now - pit_entry.first_arrival
+        now = self.engine.now
         self._maybe_cache(
             data,
-            fetch_delay,
+            now - pit_entry.first_arrival,
             requested_private=pit_entry.all_private,
             downstreams=pit_entry.faces,
+            now=now,
         )
         out = data.hop() if self.count_origin_hops else data
         for downstream in pit_entry.faces:
@@ -396,7 +395,8 @@ class Forwarder:
         data: Data,
         fetch_delay: float,
         requested_private: bool,
-        downstreams: Sequence[Face] = (),
+        downstreams: Sequence[Face],
+        now: float,
     ) -> None:
         if self.cache_filter is not None and not self.cache_filter(data):
             self.monitor.count("cache_skipped")
@@ -422,12 +422,10 @@ class Forwarder:
             self.monitor.count("cache_declined")
             return
         private = self.marking.privacy_at_insert(data, requested_private)
-        entry = self.cs.insert(
-            data, self.engine.now, fetch_delay=fetch_delay, private=private
-        )
+        entry = self.cs.insert(data, now, fetch_delay=fetch_delay, private=private)
         if is_new:
             self.marking.annotate_entry(entry, data)
-            self.scheme.on_insert(entry, private=private, now=self.engine.now)
+            self.scheme.on_insert(entry, private=private, now=now)
             self.monitor.count("cs_insert")
 
     def _send_data_on(self, face: Face, data: Data, delay: float) -> None:

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.ndn.errors import TopologyError
 from repro.ndn.packets import Data, Interest, Nack
-from repro.ndn.wire import fast_wire_size
 from repro.sim.rng import Stream, as_generator
 
 if TYPE_CHECKING:  # typing only: keep ndn importable without repro.faults
@@ -295,8 +294,9 @@ class Link:
     def transmit(self, packet, from_face: Face) -> None:
         """Deliver ``packet`` to the opposite endpoint after a sampled delay.
 
-        The per-hop fast path: sizes come from the memoized arithmetic
-        :func:`~repro.ndn.wire.fast_wire_size` (no encoding), and delivery
+        The per-hop fast path: a packet's TLV size is memoised on the
+        packet (:attr:`~repro.ndn.packets.Interest.wire_size`), so a Data
+        crossing several hops as one object is sized once, and delivery
         rides the engine's fire-and-forget lane (deliveries are never
         cancelled), so a forwarded packet allocates no :class:`Event`.
         """
@@ -308,10 +308,19 @@ class Link:
             raise TopologyError(
                 f"{from_face.label} is not an endpoint of {self.name}"
             )
-        if not isinstance(packet, (Interest, Data, Nack)):
+        if isinstance(packet, Interest):
+            handler = to_face.owner.receive_interest
+            size = packet.wire_size
+        elif isinstance(packet, Data):
+            handler = to_face.owner.receive_data
+            size = packet.wire_size + packet.size
+        elif isinstance(packet, Nack):
+            handler = getattr(to_face.owner, "receive_nack", None)
+            size = packet.wire_size
+        else:
             raise TopologyError(f"unknown packet type {type(packet).__name__}")
         self.packets_sent += 1
-        self.bytes_sent += self._packet_bytes(packet)
+        self.bytes_sent += size
         if not self.up:
             self.packets_dropped_down += 1
             return
@@ -324,30 +333,13 @@ class Link:
             return
         model = self.delay_model
         delay = model.sample(self.rng if model.draws else None) + self.extra_delay
-        if isinstance(packet, Interest):
-            self.engine.schedule_fire_and_forget(
-                delay, to_face.owner.receive_interest, packet, to_face
-            )
-        elif isinstance(packet, Data):
-            self.engine.schedule_fire_and_forget(
-                delay, to_face.owner.receive_data, packet, to_face
-            )
-        else:
-            handler = getattr(to_face.owner, "receive_nack", None)
-            if handler is None:
-                # Pre-Nack handler (legacy stubs, producers without the
-                # method): the Nack is dropped at the link, visibly.
-                self.nacks_unhandled += 1
-                return
-            self.engine.schedule_fire_and_forget(delay, handler, packet, to_face)
-
-    @staticmethod
-    def _packet_bytes(packet) -> int:
-        """On-wire bytes: TLV header plus, for Data, the payload size."""
-        total = fast_wire_size(packet)
-        if isinstance(packet, Data):
-            total += packet.size
-        return total
+        if handler is None:
+            # A Nack for a pre-Nack handler (legacy stubs, producers
+            # without the method): dropped at the link, visibly, after
+            # its delay draw.
+            self.nacks_unhandled += 1
+            return
+        self.engine.schedule_fire_and_forget(delay, handler, packet, to_face)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Link({self.name})"

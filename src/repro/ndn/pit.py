@@ -165,14 +165,11 @@ class Pit:
         Content named X satisfies a pending interest for any prefix of X;
         the longest pending prefix wins (most specific interest).
         """
-        best: Optional[Name] = None
-        for prefix in Name(name.components).prefixes():
-            if prefix in self._entries:
-                best = prefix
-                break  # prefixes() yields longest first
-        if best is None:
-            return None
-        return self._entries.pop(best)
+        entries = self._entries
+        for prefix in name.prefixes():  # longest first, cached per name
+            if prefix in entries:
+                return entries.pop(prefix)
+        return None
 
     def expire(self, name: Name, now: float) -> Optional[PitEntry]:
         """Remove ``name`` if its entry has expired; return it if removed."""

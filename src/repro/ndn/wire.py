@@ -386,13 +386,6 @@ def _var_number_len(value: int) -> int:
     return 9
 
 
-def _int_len(value: int) -> int:
-    """Length of ``_nonneg_int_bytes(value)``."""
-    if value == 0:
-        return 1
-    return (value.bit_length() + 7) // 8
-
-
 def _tlv_len(type_code: int, payload_len: int) -> int:
     """Total length of a TLV with ``payload_len`` payload bytes."""
     return _var_number_len(type_code) + _var_number_len(payload_len) + payload_len
@@ -422,35 +415,49 @@ def clear_size_caches() -> None:
     _STR_LEN_CACHE.clear()
 
 
+def _uint_tlv_len(value: int) -> int:
+    """Total length of an integer field (``_nonneg_int_bytes(value)`` as
+    payload) whose type code is below 253, as every field type here is."""
+    payload = (value.bit_length() + 7) // 8 or 1
+    if payload < 253:
+        return payload + 2
+    return payload + 1 + _var_number_len(payload)
+
+
 def fast_wire_size(packet: Union[Interest, Data, Nack]) -> int:
-    """``wire_size`` without encoding: arithmetic over memoized lengths."""
+    """``wire_size`` without encoding: arithmetic over memoized lengths.
+
+    A one-byte flag field (private, exact-match-only) is 3 bytes on the
+    wire; integer fields go through :func:`_uint_tlv_len`."""
     if isinstance(packet, Interest):
-        body = _name_size(packet.name)
-        body += _tlv_len(TLV_NONCE, _int_len(packet.nonce))
-        body += _tlv_len(TLV_INTEREST_LIFETIME, _int_len(int(packet.lifetime)))
+        body = (
+            _name_size(packet.name)
+            + _uint_tlv_len(packet.nonce)
+            + _uint_tlv_len(int(packet.lifetime))
+            + _uint_tlv_len(packet.hops)
+        )
         if packet.scope is not None:
-            body += _tlv_len(TLV_APP_SCOPE, _int_len(packet.scope))
+            body += _uint_tlv_len(packet.scope)
         if packet.private:
-            body += _tlv_len(TLV_APP_PRIVATE, 1)
-        body += _tlv_len(TLV_APP_HOPS, _int_len(packet.hops))
+            body += 3
         return _tlv_len(TLV_INTEREST, body)
     if isinstance(packet, Data):
         body = _name_size(packet.name)
         body += _tlv_len(TLV_APP_PRODUCER, _str_len(packet.producer))
-        body += _tlv_len(TLV_APP_SIZE, _int_len(packet.size))
+        body += _uint_tlv_len(packet.size)
         if packet.private:
-            body += _tlv_len(TLV_APP_PRIVATE, 1)
+            body += 3
         if packet.freshness is not None:
-            body += _tlv_len(TLV_FRESHNESS_PERIOD, _int_len(int(packet.freshness)))
+            body += _uint_tlv_len(int(packet.freshness))
         if packet.exact_match_only:
-            body += _tlv_len(TLV_APP_EXACT_MATCH_ONLY, 1)
+            body += 3
         if packet.origin_hops:
-            body += _tlv_len(TLV_APP_ORIGIN_HOPS, _int_len(packet.origin_hops))
+            body += _uint_tlv_len(packet.origin_hops)
         return _tlv_len(TLV_DATA, body)
     if isinstance(packet, Nack):
         body = _name_size(packet.name)
-        body += _tlv_len(TLV_NONCE, _int_len(packet.nonce))
+        body += _uint_tlv_len(packet.nonce)
         body += _tlv_len(TLV_APP_NACK_REASON, _str_len(packet.reason))
-        body += _tlv_len(TLV_APP_HOPS, _int_len(packet.hops))
+        body += _uint_tlv_len(packet.hops)
         return _tlv_len(TLV_APP_NACK, body)
     raise PacketError(f"cannot size {type(packet).__name__}")

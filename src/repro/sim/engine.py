@@ -46,6 +46,8 @@ class Engine:
         # Live (PENDING) events in the queue, maintained on schedule /
         # cancel / fire so pending_count stays O(1).
         self._pending = 0
+        # Every Event's cancel hook: one bound method, not one per event.
+        self._on_cancel = self._note_cancel
 
     # ------------------------------------------------------------------
     # Clock
@@ -77,7 +79,14 @@ class Engine:
         """
         if delay < 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, label=label)
+        time = self._now + delay
+        seq = self._seq
+        event = Event(time, seq, callback, args, label)
+        event.on_cancel = self._on_cancel
+        heapq.heappush(self._queue, (time, seq, callback, args, event))
+        self._seq = seq + 1
+        self._pending += 1
+        return event
 
     def schedule_at(
         self,
@@ -92,7 +101,7 @@ class Engine:
                 f"cannot schedule at t={time} (now={self._now}): time moves forward"
             )
         event = Event(time, self._seq, callback, args, label=label)
-        event.on_cancel = self._note_cancel
+        event.on_cancel = self._on_cancel
         heapq.heappush(self._queue, (time, self._seq, callback, args, event))
         self._seq += 1
         self._pending += 1
@@ -148,40 +157,49 @@ class Engine:
         Stops when the queue drains, when simulated time would exceed
         ``until``, or after ``max_events`` events — whichever comes first.
         Returns the simulated time at which execution stopped.
+
+        One loop serves every call: ``until=None`` is an infinite horizon
+        and ``max_events=None`` no budget.  Cancelled heads are skipped
+        inline (the :meth:`_purge_cancelled` rule, without a call per
+        event).
         """
         if self._running:
             raise SimulationError("engine is not reentrant: run() called from a callback")
         self._running = True
+        horizon = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
         executed = 0
         queue = self._queue
         heappop = heapq.heappop
         fired = EventState.FIRED
-        purge = self._purge_cancelled
+        cancelled = EventState.CANCELLED
         try:
-            while True:
-                purge()
-                if not queue:
-                    # Queue drained; if a horizon was given, advance to it
-                    # so that back-to-back run(until=...) calls observe
-                    # monotonic time.
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
+            while queue:
                 entry = queue[0]
-                if until is not None and entry[0] > until:
-                    self._now = until
+                event = entry[4]
+                if event is not None and event.state is cancelled:
+                    heappop(queue)
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    self._now = horizon
                     break
-                if max_events is not None and executed >= max_events:
+                if executed >= budget:
                     break
                 heappop(queue)
-                self._now = entry[0]
-                event = entry[4]
+                self._now = time
                 if event is not None:
                     event.state = fired
                 self._pending -= 1
                 entry[2](*entry[3])
                 self._events_processed += 1
                 executed += 1
+            else:
+                # Queue drained; if a horizon was given, advance to it so
+                # that back-to-back run(until=...) calls observe monotonic
+                # time.
+                if until is not None and until > self._now:
+                    self._now = until
         finally:
             self._running = False
         return self._now
@@ -202,10 +220,11 @@ class Engine:
     def _purge_cancelled(self) -> None:
         """Drop cancelled events sitting at the head of the heap.
 
-        The single purge helper shared by :meth:`run`, :meth:`step`, and
-        :meth:`peek`.  The rule is the batch kernel's too: both engines
-        pop a ``(time, seq)`` heap and skip cancelled entries lazily (the
-        kernel tracks them by seq, see :mod:`repro.sim.batch.kernel`).
+        The purge helper of :meth:`step` and :meth:`peek`; :meth:`run`
+        applies the same rule inline.  The rule is the batch kernel's too:
+        both engines pop a ``(time, seq)`` heap and skip cancelled entries
+        lazily (the kernel tracks them by seq, see
+        :mod:`repro.sim.batch.kernel`).
         """
         queue = self._queue
         cancelled = EventState.CANCELLED

@@ -23,6 +23,7 @@ attack probes) where sequential code reads far better than callback chains.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import ProcessError
@@ -83,8 +84,13 @@ class Process:
         self.label = label
         self.finished = False
         self.result: Any = None
-        self._resumed_this_wait = False
-        self._pending_timer: Optional[Event] = None
+        # The token of the wait in progress (None when not waiting) and
+        # that wait's timeout timer.  A signal or timer left over from an
+        # earlier wait carries an older token and is ignored.
+        self._wait: Optional[int] = None
+        self._wait_timer: Optional[Event] = None
+        self._waits = 0
+        self._wait_label = f"{label}:wait-timeout"
         self.done_signal = Signal(name=f"process-done:{label}")
 
     def start(self) -> None:
@@ -105,9 +111,8 @@ class Process:
 
     def _dispatch(self, command: Any) -> None:
         if isinstance(command, Timeout):
-            self.engine.schedule(
-                command.delay, self._advance, None, label=f"{self.label}:timeout"
-            )
+            # Never cancelled: the handle-free lane (same seq, same order).
+            self.engine.schedule_fire_and_forget(command.delay, self._advance, None)
         elif isinstance(command, WaitSignal):
             self._wait_signal(command)
         else:
@@ -117,31 +122,31 @@ class Process:
             )
 
     def _wait_signal(self, command: WaitSignal) -> None:
-        # Guard so that whichever of {signal, timeout} fires first wins and
-        # the loser is ignored/cancelled.
-        self._resumed_this_wait = False
-        timer: Optional[Event] = None
-
-        def on_signal(payload: Any) -> None:
-            nonlocal timer
-            if self._resumed_this_wait:
-                return
-            self._resumed_this_wait = True
-            if timer is not None and timer.pending:
-                timer.cancel()
-            self._advance(payload)
-
-        def on_timeout() -> None:
-            if self._resumed_this_wait:
-                return
-            self._resumed_this_wait = True
-            self._advance(TIMED_OUT)
-
+        # Whichever of {signal, timeout} fires first wins; the loser finds
+        # the token withdrawn and is ignored (a pending timer is cancelled).
+        self._waits += 1
+        token = self._wait = self._waits
+        self._wait_timer = None
         if command.timeout is not None:
-            timer = self.engine.schedule(
-                command.timeout, on_timeout, label=f"{self.label}:wait-timeout"
+            self._wait_timer = self.engine.schedule(
+                command.timeout, self._wait_timed_out, token, label=self._wait_label
             )
-        command.signal.add_waiter(on_signal)
+        command.signal.add_waiter(partial(self._wait_signalled, token))
+
+    def _wait_signalled(self, token: int, payload: Any) -> None:
+        if token != self._wait:
+            return
+        self._wait = None
+        timer = self._wait_timer
+        if timer is not None and timer.pending:
+            timer.cancel()
+        self._advance(payload)
+
+    def _wait_timed_out(self, token: int) -> None:
+        if token != self._wait:
+            return
+        self._wait = None
+        self._advance(TIMED_OUT)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Process(label={self.label!r}, finished={self.finished})"

@@ -96,6 +96,23 @@ class TestWaitSignal:
         engine.run()
         assert got == [TIMED_OUT]
 
+    def test_stale_signal_does_not_resume_a_later_wait(self, engine):
+        # ``a`` times out at 1 and fires at 2, during the wait on ``b``:
+        # only ``b`` (never, before its own timeout at 11) may end it.
+        a, b = Signal("a"), Signal("b")
+        got = []
+
+        def waiter():
+            for signal, timeout in ((a, 1.0), (b, 10.0)):
+                value = yield WaitSignal(signal, timeout=timeout)
+                got.append((engine.now, value))
+
+        engine.spawn(waiter())
+        engine.schedule(2.0, a.trigger, "stale")
+        engine.schedule(20.0, b.trigger, "late")
+        engine.run()
+        assert got == [(1.0, TIMED_OUT), (11.0, TIMED_OUT)]
+
     def test_timed_out_sentinel_is_falsy_singleton(self):
         from repro.sim.process import _TimedOut
 

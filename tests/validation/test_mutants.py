@@ -1,0 +1,105 @@
+"""Mutants of the reference engine's hot path, each killed by a named check.
+
+The table is ``MUTANTS``: a mutant name -> (owner, attribute, the source
+edit that makes the mutant, the check that must fail).  A mutant is the
+live source of the attribute with one edit applied (``old`` must occur
+exactly once, so a rewrite of the code fails here loudly instead of
+leaving a mutant that no longer mutates anything), compiled in its own
+module's namespace and installed with ``monkeypatch``; no file changes.
+
+Each check keeps its oracle off the mutated code: the topology
+differential compares the reference engine against the batch kernel, and
+the byte and wait tests compute their expectation independently
+(``encode_packet``, a hand-timed schedule).  ``golden_defense_frontier.json``
+kills none of them: a fired cancelled timer finds its PIT entry gone
+or its wait token withdrawn, and the defense tree has no private or
+scoped interests and no ``run(until=...)``.
+"""
+
+from __future__ import annotations
+
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from repro.ndn import packets
+from repro.sim.engine import Engine
+from repro.sim.process import Process
+from repro.validation.differential import validate_topology_differential
+
+from tests.ndn.test_link_bytes import CASES, byte_mismatches
+from tests.sim import test_process
+
+
+def _mutated(owner, attribute: str, old: str, new: str):
+    """``owner.attribute`` recompiled from its source with ``old`` -> ``new``."""
+    function = inspect.unwrap(getattr(owner, attribute))
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{attribute}: edit site not found once"
+    namespace = dict(vars(sys.modules[function.__module__]))
+    exec(compile(source.replace(old, new), f"<mutant {attribute}>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def _differential_fails(monkeypatch) -> bool:
+    return not validate_topology_differential().ok
+
+
+def _bytes_inexact(monkeypatch) -> bool:
+    bad, _ = byte_mismatches(monkeypatch, CASES["hop-chain"])
+    return bool(bad)
+
+
+def _stale_wait_resumes(monkeypatch) -> bool:
+    try:
+        waits = test_process.TestWaitSignal()
+        waits.test_stale_signal_does_not_resume_a_later_wait(Engine())
+    except AssertionError:
+        return True
+    return False
+
+
+MUTANTS = {
+    "size memo carried across a length change": (
+        packets, "_hop_copy",
+        'state.pop("wire_size", None)', "pass",
+        _bytes_inexact,
+    ),
+    # The grid's only scoped interests (scope 2) are never forwarded, so
+    # a dropped scope shows in the bytes, not in the differential.
+    "hop copy drops scope": (
+        packets, "_hop_copy",
+        'state["hops"] = hops', "state.update(hops=hops, scope=None)",
+        _bytes_inexact,
+    ),
+    "hop copy drops private": (
+        packets, "_hop_copy",
+        'state["hops"] = hops', "state.update(hops=hops, private=False)",
+        _differential_fails,
+    ),
+    "loop fires a cancelled entry": (
+        Engine, "run",
+        "event is not None and event.state is cancelled", "False",
+        _differential_fails,
+    ),
+    "loop ignores until": (
+        Engine, "run",
+        "if time > horizon:", "if False:",
+        _bytes_inexact,
+    ),
+    "stale wait token accepted": (
+        Process, "_wait_signalled",
+        "token != self._wait", "self._wait is None",
+        _stale_wait_resumes,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_each_mutant_is_killed(mutant, monkeypatch):
+    owner, attribute, old, new, check = MUTANTS[mutant]
+    assert not check(monkeypatch), "the check fails without the mutant"
+    monkeypatch.setattr(owner, attribute, _mutated(owner, attribute, old, new))
+    assert check(monkeypatch), f"{mutant!r} survived"
