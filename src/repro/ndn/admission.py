@@ -4,7 +4,7 @@ Interest-flooding defenses start at the ingress: each arrival face gets a
 token bucket refilled continuously in simulated time, and an interest is
 admitted only if a token is available.  A flooding face exhausts its own
 bucket while well-behaved faces are untouched — per-face isolation is the
-property the bounded-forwarder benchmark (``bench_overload``) asserts.
+property the bounded-forwarder overload tests assert.
 
 Rates are expressed in interests per *second* (the human-facing unit) and
 converted internally to the simulator's millisecond clock.  Buckets are

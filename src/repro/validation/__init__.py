@@ -15,8 +15,8 @@ Two independent nets under the simulator, reporting in one shape
   the guard that keeps the performance path honest.
 
 Both are wired into ``repro validate`` (CLI, one table of checks next to
-the topology, streaming and defense-transparency differentials),
-``bench_overload``, and CI.
+the topology, streaming and defense-transparency differentials), the
+overload tests, and CI.
 """
 
 from repro.validation.differential import (

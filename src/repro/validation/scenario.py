@@ -13,9 +13,9 @@ a small set of ``/data/...`` objects with retries and measures delivery.
 
 :func:`run_overload_scenario` runs the scenario against a given router
 configuration (unbounded baseline vs bounded/rate-limited/Nacking) with
-the invariant checker installed, and returns everything ``bench_overload``,
-``repro validate``, and the robustness tests assert on.
-:data:`OVERLOAD_CONFIGS` names the router configurations those two run.
+the invariant checker installed, and returns everything ``repro validate``
+and the overload tests assert on.  :data:`OVERLOAD_CONFIGS` names the
+router configurations both run.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""Tests for the per-figure experiment drivers (small-scale runs)."""
+"""Tests for the per-figure experiment drivers.
+
+The figure tests run at the scale EXPERIMENTS.md reports: Figure 3 at
+6 trials of 60 probed objects per panel, Figure 5 on the 100 000-request
+trace (``ircache_trace``); the rest are small-scale driver checks.
+"""
 
 from __future__ import annotations
 
@@ -12,16 +17,49 @@ from repro.analysis.experiments import (
     run_fig5a,
     run_fig5b,
 )
+from repro.attacks.amplification import (
+    amplified_success,
+    empirical_amplified_success,
+    fragments_needed,
+)
 from repro.workload.ircache import small_test_trace
+
+FIG3_TRIALS = 6
+FIG3_OBJECTS = 60
+
+
+def fig3_panel(setting):
+    return run_fig3(setting, objects_per_trial=FIG3_OBJECTS, trials=FIG3_TRIALS)
 
 
 class TestFig3Driver:
+    """Paper: (a) LAN > 99.9%, (b) WAN > 99%, (c) WAN producer ≈ 59% single
+    probe, (d) local host the cleanest separation (absolute ms differ:
+    simulated links)."""
+
     def test_lan_panel(self):
-        result = run_fig3("fig3a_lan", objects_per_trial=15, trials=2)
+        result = fig3_panel("fig3a_lan")
         assert result.bayes_success > 0.99
         assert result.miss_mean > result.hit_mean
         assert "Figure 3" in result.render()
         assert "Bayes success" in result.render()
+
+    def test_wan_panel(self):
+        result = fig3_panel("fig3b_wan")
+        assert result.bayes_success > 0.95
+        assert result.miss_mean > result.hit_mean
+
+    def test_wan_producer_panel(self):
+        result = fig3_panel("fig3c_wan_producer")
+        # A weak but usable oracle.
+        assert 0.52 < result.bayes_success < 0.75
+        assert result.miss_mean > result.hit_mean
+
+    def test_local_host_panel(self):
+        result = fig3_panel("fig3d_local_host")
+        assert result.bayes_success > 0.99
+        # Sub-millisecond hits: the most evident separation (paper text).
+        assert result.hit_mean < 1.0
 
     def test_unknown_setting_rejected(self):
         with pytest.raises(ValueError, match="unknown setting"):
@@ -47,17 +85,24 @@ class TestFig4Drivers:
         u = result.uniform_utilities
         assert all(a <= b + 1e-12 for a, b in zip(u, u[1:]))
 
-    def test_fig4b_peak_about_12_percent(self):
-        result = run_fig4b(k=1, c_max=100)
-        assert result.max_difference(0.05) == pytest.approx(0.12, abs=0.02)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_fig4a(self, k):
+        result = run_fig4a(k, delta=0.05)
+        for _eps, (_alpha, _K, utilities) in result.exponential.items():
+            assert all(
+                e >= u - 1e-9 for e, u in zip(utilities, result.uniform_utilities)
+            )
+        u = result.uniform_utilities
+        assert all(a <= b + 1e-12 for a, b in zip(u, u[1:]))
 
-    def test_fig4b_ordering_in_delta(self):
-        result = run_fig4b(k=1)
-        assert (
-            result.max_difference(0.01)
-            < result.max_difference(0.03)
-            < result.max_difference(0.05)
-        )
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_fig4b(self, k):
+        result = run_fig4b(k)
+        peaks = {delta: result.max_difference(delta) for delta in (0.01, 0.03, 0.05)}
+        # Paper: exponential gains up to ~12%; ordering increases with delta.
+        assert peaks[0.01] < peaks[0.03] < peaks[0.05]
+        if k == 1:
+            assert 0.10 < peaks[0.05] < 0.14
         assert "Figure 4(b)" in result.render()
 
     def test_fig4b_k5_smaller_differences(self):
@@ -71,22 +116,38 @@ class TestFig5Drivers:
     def trace(self):
         return small_test_trace(requests=5000, seed=7)
 
-    def test_fig5a_ordering(self, trace):
-        # At this small scale the exponential-vs-uniform gap is within
-        # sampling noise (the paper's own curves nearly overlap), so only
-        # the robust orderings are asserted; the full-scale bench checks
-        # the complete No-Privacy >= Expo >= Uniform >= Always-Delay chain.
-        result = run_fig5a(trace, cache_sizes=(100, 500, None))
-        for i in range(3):
-            none = result.hit_rates["no-privacy"][i]
-            expo = result.hit_rates["exponential"][i]
-            uni = result.hit_rates["uniform"][i]
-            delay = result.hit_rates["always-delay"][i]
+    def test_fig5a(self, ircache_trace):
+        result = run_fig5a(ircache_trace)
+        # One request's worth of hit rate (%): the two Random-Cache schemes
+        # draw their k_C from different streams, so they may land a single
+        # request apart either way.
+        quantum = 100.0 / ircache_trace.n_requests + 1e-9
+        for i in range(len(result.cache_sizes)):
+            none, expo, uni, delay = (
+                result.hit_rates[s][i]
+                for s in ("no-privacy", "exponential", "uniform", "always-delay")
+            )
+            # The paper's ordering at every cache size.
             assert none > max(expo, uni, delay)
-            assert expo >= delay - 1e-9
-            assert uni >= delay - 1e-9
+            assert expo >= uni - quantum
+            assert min(expo, uni) >= delay - 1e-9
             assert abs(expo - uni) < 3.0  # percentage points
+        for series in result.hit_rates.values():
+            assert all(a <= b + 1e-9 for a, b in zip(series, series[1:]))
+        # Paper's plotted band is roughly 10-50%.
+        assert 5.0 < min(min(v) for v in result.hit_rates.values())
+        assert max(max(v) for v in result.hit_rates.values()) < 60.0
         assert "Figure 5(a)" in result.render()
+
+    def test_fig5b(self, ircache_trace):
+        result = run_fig5b(ircache_trace)
+        labels = ["5% private", "10% private", "20% private", "40% private"]
+        for i in range(len(result.cache_sizes)):
+            rates = [result.hit_rates[label][i] for label in labels]
+            assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
+        for label in labels:
+            series = result.hit_rates[label]
+            assert all(a <= b + 1e-9 for a, b in zip(series, series[1:]))
 
     def test_fig5a_hit_rate_grows_with_cache(self, trace):
         result = run_fig5a(trace, cache_sizes=(50, 500, None))
@@ -112,10 +173,27 @@ class TestFig5Drivers:
 
 class TestAmplificationDriver:
     def test_paper_numbers(self):
+        """The exact numbers quoted in Section III (p = 0.59)."""
         result = run_amplification(0.59, max_fragments=8)
         assert result.analytic_success[0] == pytest.approx(0.59)
+        assert result.analytic_success[7] == pytest.approx(1 - 0.41**8, abs=1e-12)
         assert result.analytic_success[7] == pytest.approx(0.999, abs=0.001)
         assert "amplification" in result.render()
+
+    def test_amplification_table(self):
+        """The paper's arithmetic from a *measured* Figure 3(c) single-probe
+        success, cross-checked by the empirical mean-RTT amplifier."""
+        panel = run_fig3("fig3c_wan_producer", objects_per_trial=60, trials=8)
+        p = panel.bayes_success
+        assert 0.52 < p < 0.75  # the weak single probe (paper: 0.59)
+        # Paper's headline: ~8 fragments make success near-certain.
+        assert amplified_success(p, 8) > 0.99
+        assert fragments_needed(p, 0.999) <= 10
+        # The empirical aggregate amplifier improves monotonically too.
+        hits, misses = panel.distributions.hit_rtts, panel.distributions.miss_rtts
+        assert empirical_amplified_success(
+            hits, misses, fragments=8
+        ) > empirical_amplified_success(hits, misses, fragments=1)
 
 
 class TestSchemeFactory:

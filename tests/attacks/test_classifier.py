@@ -167,3 +167,36 @@ class TestLikelihoodRatioClassifier:
             rng.normal(2.0, 0.4, 1000), rng.normal(8.0, 0.4, 1000),
         ])
         assert lr.accuracy(test_h, test_m) > threshold.accuracy(test_h, test_m) + 0.2
+
+    def test_fig3c_held_out_comparison(self):
+        """Threshold vs likelihood-ratio on held-out Figure 3(c) producer
+        probes at Figure 3's scale (6 trials of 60 objects): with unimodal
+        hit/miss classes the two are near-equivalent."""
+        from repro.attacks.classifier import LikelihoodRatioClassifier
+        from repro.attacks.producer_probe import (
+            collect_producer_probe_distributions,
+        )
+        from repro.ndn.topology import wan_producer
+
+        train, test = (
+            collect_producer_probe_distributions(
+                wan_producer, objects_per_trial=60, trials=6, base_seed=seed
+            )
+            for seed in (0, 500)
+        )
+        threshold = ThresholdClassifier.fit(train.hit_rtts, train.miss_rtts)
+        likelihood = LikelihoodRatioClassifier(
+            train.hit_rtts, train.miss_rtts, bins=30
+        )
+        scores = {
+            "ceiling": bayes_success(test.hit_rtts, test.miss_rtts, bins=30),
+            "threshold": threshold.accuracy(test.hit_rtts, test.miss_rtts),
+            "likelihood": likelihood.accuracy(test.hit_rtts, test.miss_rtts),
+        }
+        # Both practical classifiers land in the weak-probe band and within
+        # a few points of each other.
+        assert 0.5 < scores["threshold"] < 0.75
+        assert 0.5 < scores["likelihood"] < 0.75
+        assert abs(scores["likelihood"] - scores["threshold"]) < 0.08
+        for score in scores.values():
+            assert 0.0 <= score <= 1.0

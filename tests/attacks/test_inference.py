@@ -92,6 +92,36 @@ class TestLeakageSpectrum:
         assert report.baseline_accuracy <= report.map_accuracy <= 1.0
         assert report.information_gain_bits >= -1e-9
 
+    def test_spectrum_across_the_scheme_space(self):
+        """What a full probe transcript reveals about x in 0..5: determinism
+        leaks everything, uniform randomization O(k/K), and exponential
+        skew trades leakage for utility."""
+        reports = {
+            label: RequestCountInference(dist, x_max=5, t=t).report()
+            for label, dist, t in (
+                ("naive", DegenerateK(5), 12),
+                ("expo 0.5", TruncatedGeometric(0.5, 40), 50),
+                ("expo 0.9", TruncatedGeometric(0.9, 40), 50),
+                ("expo 0.99", TruncatedGeometric(0.99, 400), 410),
+                ("uniform 20", UniformK(20), 30),
+                ("uniform 100", UniformK(100), 110),
+                ("uniform 1000", UniformK(1000), 1010),
+            )
+        }
+        accuracy = {label: r.map_accuracy for label, r in reports.items()}
+        # Deterministic threshold: total identification.
+        assert accuracy["naive"] == pytest.approx(1.0)
+        # Uniform leakage shrinks like 1/K, to near-zero advantage.
+        assert (
+            accuracy["uniform 20"] > accuracy["uniform 100"] > accuracy["uniform 1000"]
+        )
+        assert reports["uniform 1000"].advantage < 0.02
+        # Exponential: smaller alpha (better utility) leaks more.
+        assert accuracy["expo 0.5"] > accuracy["expo 0.9"]
+        # At the paper's Figure 5 operating point (alpha ~0.99, K ~400+)
+        # the count inference is close to blind.
+        assert reports["expo 0.99"].information_gain_bits < 0.3
+
 
 class TestMonteCarloValidation:
     def test_simulated_accuracy_matches_analytic(self):

@@ -78,10 +78,9 @@ class TestCollectDistributions:
 
 class TestEndToEndAttack:
     def test_adversary_procedure_accuracy_on_lan(self):
-        """The full d1-vs-d2 decision procedure, scored with ground truth."""
-        accuracy = attack_accuracy(
-            local_lan, targets_per_trial=20, trials=2
-        )
+        """The paper's full adversary procedure (reference fetch-twice,
+        then probe), scored with ground truth."""
+        accuracy = attack_accuracy(local_lan, targets_per_trial=30, trials=3)
         assert accuracy > 0.95
 
     def test_invalid_inputs(self):

@@ -11,6 +11,7 @@ from repro.ndn.packets import Data
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workload.compiled import CompiledTrace
+from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.sharded import compile_workload
 from repro.workload.streaming import RequestBlock
 
@@ -25,6 +26,13 @@ def _trace_cache_in_tmp(tmp_path_factory):
             "REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("trace-cache"))
         )
         yield
+
+
+@pytest.fixture(scope="session")
+def ircache_trace() -> CompiledTrace:
+    """The 100 000-request synthetic IRCache trace (seed 2007) behind
+    EXPERIMENTS.md's Figure 5 and ablation tables."""
+    return IrcacheGenerator(IrcacheConfig(requests=100_000, seed=2007)).generate()
 
 
 @pytest.fixture

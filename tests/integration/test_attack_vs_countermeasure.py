@@ -13,9 +13,14 @@ import pytest
 from repro.attacks.classifier import bayes_success
 from repro.core.schemes.always_delay import AlwaysDelayScheme
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
+from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
+from repro.ndn.link import GaussianJitterDelay
+from repro.ndn.name import Name
+from repro.ndn.network import Network
 from repro.ndn.topology import local_lan
 from repro.sim.process import Timeout
+from repro.sim.rng import RngRegistry
 
 
 def probe_campaign(scheme_factory, objects=25, trials=3, producer_private=True):
@@ -55,8 +60,6 @@ def probe_campaign(scheme_factory, objects=25, trials=3, producer_private=True):
 
 class TestUndefendedRouter:
     def test_attack_succeeds_without_countermeasure(self):
-        from repro.core.schemes.no_privacy import NoPrivacyScheme
-
         hot, cold = probe_campaign(NoPrivacyScheme)
         assert bayes_success(hot, cold) > 0.99
 
@@ -155,3 +158,78 @@ class TestBandwidthPreservation:
         topo.engine.run()
         assert topo.producer.monitor.counter("data_served") == 1
         assert topo.router.monitor.counter("cs_disguised_hit") == 1
+
+
+def delay_placement_leaks(placement, objects=40, trials=4):
+    """Footnote 6 on the chain consumer/adversary -- R1 -- R2 -- R3 --
+    producer, with Always-Delay at no router (``none``), at R1 only
+    (``edge``) or at all three (``all``).  Returns (edge leak, depth leak,
+    mean re-fetch latency ms): the Bayes distinguishability of R1-cached
+    vs uncached content, then of content evicted from R1 but cached at R2
+    vs uncached, then what a consumer pays to re-fetch from R2."""
+    edge_cached, edge_cold, depth_cached, depth_cold, refetch = [], [], [], [], []
+    for trial in range(trials):
+        net = Network(rng=RngRegistry(500 + trial))
+        for name in ("R1", "R2", "R3"):
+            delays = placement == "all" or (placement == "edge" and name == "R1")
+            net.add_router(
+                name, scheme=AlwaysDelayScheme() if delays else NoPrivacyScheme()
+            )
+        consumer, adversary = net.add_consumer("c"), net.add_consumer("adv")
+        net.add_producer("p", "/content", private=True)
+        for a, b, base in (("c", "R1", 1.0), ("adv", "R1", 1.0), ("R1", "R2", 3.0),
+                           ("R2", "R3", 3.0), ("R3", "p", 3.0)):
+            net.connect(a, b, GaussianJitterDelay(base=base, jitter_std=0.08))
+        net.add_route_chain("/content", "R1", "R2", "R3", "p")
+        r1 = net["R1"]
+        hot, cold, deep, quiet = (
+            [f"/content/t{trial}-{kind}-{i}" for i in range(objects)]
+            for kind in ("hot", "cold", "deep", "quiet")
+        )
+
+        def scenario():
+            # The victim populates every router with `hot` and `deep`.
+            for name in hot + deep:
+                assert (yield from consumer.fetch(name, private=True)) is not None
+                yield Timeout(2.0)
+            # `deep` falls out of R1 only (edge eviction).
+            for name in deep:
+                r1.cs.remove(Name.parse(name))
+            yield Timeout(50.0)
+            for names, sink in ((hot, edge_cached), (cold, edge_cold),
+                                (deep, depth_cached), (quiet, depth_cold)):
+                for name in names:
+                    result = yield from adversary.fetch(name, private=True)
+                    sink.append(result.rtt)
+                    yield Timeout(2.0)
+            # A legitimate re-fetch of one edge-evicted item.
+            r1.cs.remove(Name.parse(hot[0]))
+            result = yield from consumer.fetch(hot[0], private=True)
+            refetch.append(result.rtt)
+
+        net.spawn(scenario(), "scenario")
+        net.run()
+    return (
+        bayes_success(edge_cached, edge_cold, bins=25),
+        bayes_success(depth_cached, depth_cold, bins=25),
+        float(np.mean(refetch)),
+    )
+
+
+class TestDelayPlacement:
+    def test_edge_only_closes_the_edge_oracle_and_leaks_depth(self):
+        none_edge, none_depth, _ = delay_placement_leaks("none")
+        edge_edge, edge_depth, edge_latency = delay_placement_leaks("edge")
+        all_edge, all_depth, all_latency = delay_placement_leaks("all")
+        # Undefended: both oracles wide open.
+        assert none_edge > 0.95 and none_depth > 0.95
+        # Edge-only placement closes the primary (consumer-facing) oracle...
+        assert edge_edge < 0.75
+        # ...but leaks the deeper-cache signal the paper's footnote worries
+        # about: R2-cached content returns visibly faster than uncached.
+        assert edge_depth > 0.9
+        # Delaying everywhere closes both oracles...
+        assert all_edge < 0.75 and all_depth < 0.75
+        # ...at the cost of full-path latency on every re-fetch, where the
+        # edge-only deployment recovers from R2 quickly.
+        assert all_latency > edge_latency + 3.0

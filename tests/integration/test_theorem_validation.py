@@ -57,25 +57,38 @@ class TestTheoremVI3:
         assert tight.delta_at_epsilon >= theorem.delta - 1e-9
 
 
-class TestTheoremVI2VI4:
-    @pytest.mark.parametrize("k,K", GRID_UNIFORM)
-    def test_uniform_utility_measured(self, k, K):
-        for c in (1, K // 2 or 1, K, K + 10):
-            measured = estimate_utility(
-                lambda rng: UniformRandomCache(K=K, rng=rng), c=c, trials=4000
-            )
-            assert measured == pytest.approx(uniform_utility(c, K), abs=0.025)
+#: (K | alpha, K; c values, trials, tolerance) per Monte-Carlo utility
+#: check.  The ``fig4`` rows are Figure 4's cross-check: three points per
+#: scheme at 20 000 trials, within ±0.01 of the closed form.
+UNIFORM_UTILITY = [
+    pytest.param(K, (1, K // 2 or 1, K, K + 10), 4000, 0.025, id=f"{k}-{K}")
+    for k, K in GRID_UNIFORM
+] + [pytest.param(40, (5, 20, 60), 20000, 0.01, id="fig4")]
+EXPO_UTILITY = [
+    pytest.param(alpha, K, (1, K // 2, K + 5), 4000, 0.025, id=f"{k}-{alpha}-{K}")
+    for k, alpha, K in GRID_EXPO[:3]
+] + [pytest.param(0.95, 88, (5, 20, 60), 20000, 0.01, id="fig4")]
 
-    @pytest.mark.parametrize("k,alpha,K", GRID_EXPO[:3])
-    def test_exponential_utility_measured(self, k, alpha, K):
-        for c in (1, K // 2, K + 5):
+
+class TestTheoremVI2VI4:
+    @pytest.mark.parametrize("K,cs,trials,tolerance", UNIFORM_UTILITY)
+    def test_uniform_utility_measured(self, K, cs, trials, tolerance):
+        for c in cs:
+            measured = estimate_utility(
+                lambda rng: UniformRandomCache(K=K, rng=rng), c=c, trials=trials
+            )
+            assert measured == pytest.approx(uniform_utility(c, K), abs=tolerance)
+
+    @pytest.mark.parametrize("alpha,K,cs,trials,tolerance", EXPO_UTILITY)
+    def test_exponential_utility_measured(self, alpha, K, cs, trials, tolerance):
+        for c in cs:
             measured = estimate_utility(
                 lambda rng: ExponentialRandomCache(alpha=alpha, K=K, rng=rng),
                 c=c,
-                trials=4000,
+                trials=trials,
             )
             assert measured == pytest.approx(
-                exponential_utility(c, alpha, K), abs=0.025
+                exponential_utility(c, alpha, K), abs=tolerance
             )
 
 

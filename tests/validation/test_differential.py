@@ -59,11 +59,12 @@ class TestCaseGrid:
 
 
 class TestValidateDifferential:
-    def test_full_grid_is_bit_identical(self, tiny_trace):
-        report = validate_differential(trace=tiny_trace, seed=1)
+    def test_full_grid_is_bit_identical(self):
+        trace = small_validation_trace(requests=2000, seed=3)
+        report = validate_differential(trace=trace, seed=3)
         assert report.ok, report.summary()
         assert report.failures == []
-        assert report.trace_requests == tiny_trace.n_requests
+        assert report.trace_requests == trace.n_requests
         assert len(report.results) == 8
         assert report.summary().count("ok") == 8
 

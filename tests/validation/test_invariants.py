@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.classifier import ThresholdClassifier
+from repro.faults.retry import RetryPolicy
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
+from repro.ndn.topology import local_lan
 from repro.sim.process import Timeout
 from repro.sim.rng import RngRegistry
 from repro.validation import InvariantChecker, InvariantError, Violation
@@ -49,6 +52,48 @@ class TestCleanRuns:
         checker = InvariantChecker()
         checker.assert_ok(net)
         assert checker.checks_run == 1
+
+    def test_probe_attack_on_the_lan_stays_clean(self):
+        """The Figure 3 attack topology under periodic checks: a user
+        fetches 16 objects, the adversary calibrates on a reference and
+        probes them, all through retrying fetches."""
+        topo = local_lan(seed=11)
+        checker = InvariantChecker()
+        retry = RetryPolicy(retries=3, timeout=80.0, backoff=2.0)
+        hot = [f"{topo.content_prefix}/inv-hot-{i}" for i in range(16)]
+        reference = f"{topo.content_prefix}/inv-ref"
+        verdicts = []
+
+        def user_proc():
+            for name in hot:
+                assert (yield from topo.user.fetch(name, retry=retry)) is not None
+                yield Timeout(2.0)
+
+        def adversary_proc():
+            yield Timeout(200.0)
+            ref_rtts = []
+            yield from topo.adversary.fetch(reference, retry=retry)
+            for _ in range(5):
+                result = yield from topo.adversary.fetch(reference, retry=retry)
+                if result is not None:
+                    ref_rtts.append(result.rtt)
+                yield Timeout(5.0)
+            classifier = ThresholdClassifier.from_reference(ref_rtts)
+            for name in hot:
+                result = yield from topo.adversary.fetch(name, retry=retry)
+                if result is not None:
+                    verdicts.append(classifier.is_hit(result.rtt))
+                yield Timeout(5.0)
+
+        topo.engine.spawn(user_proc(), label="user")
+        topo.engine.spawn(adversary_proc(), label="adv")
+        checker.install(topo.network, interval=100.0, horizon=2000.0)
+        topo.engine.run()
+        checker.check_network(topo.network)
+        assert checker.checks_run > 0
+        checker.assert_ok()
+        # The probe attack still works on the clean LAN (sanity anchor).
+        assert sum(verdicts) >= 0.9 * len(verdicts)
 
 
 class TestSeededViolations:

@@ -1,11 +1,17 @@
-"""The canonical overload scenario at test scale."""
+"""The canonical overload scenario, at test scale and at its default scale
+(200 legitimate fetches, one flood interest every 2 ms)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.ndn.admission import InterestRateLimit
-from repro.validation import InvariantChecker, run_overload_scenario
+from repro.validation import (
+    OVERLOAD_CONFIGS,
+    InvariantChecker,
+    run_overload_scenario,
+)
+from repro.validation.scenario import OVERLOAD_PIT_CAPACITY
 
 FAST = dict(
     fetches=10,
@@ -68,3 +74,39 @@ class TestOverloadScenario:
         assert result.delivery_rate == pytest.approx(
             result.delivered / result.attempted
         )
+
+
+class TestOverloadConfigs:
+    """The :data:`OVERLOAD_CONFIGS` routers at the scenario's default scale:
+    the flood drives the unbounded baseline PIT past 10x the bounded
+    capacity while the hardened router holds the cap and keeps delivering."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return {
+            config: run_overload_scenario(**kwargs)
+            for config, kwargs in OVERLOAD_CONFIGS.items()
+        }
+
+    def test_flood_bounded_vs_unbounded(self, results):
+        for name in ("unbounded-baseline", "bounded-evict", "bounded-drop-new"):
+            assert results[name].checker.checks_run > 0, name
+            results[name].checker.assert_ok()
+        baseline, bounded = results["unbounded-baseline"], results["bounded-evict"]
+        assert baseline.peak_pit_size > 10 * OVERLOAD_PIT_CAPACITY
+        assert bounded.peak_pit_size <= OVERLOAD_PIT_CAPACITY
+        assert results["bounded-drop-new"].peak_pit_size <= OVERLOAD_PIT_CAPACITY
+        assert bounded.delivery_rate >= 0.9
+        # Congestion was signaled, not silently swallowed.
+        assert bounded.router_summary["nack_out"] > 0
+
+    def test_pollution_churns_but_delivery_holds(self, results):
+        clean, polluted = results["bounded-evict"], results["bounded-polluted"]
+        clean.checker.assert_ok()
+        polluted.checker.assert_ok()
+        assert (
+            polluted.router_summary["cs_evictions"]
+            > clean.router_summary["cs_evictions"]
+        )
+        # Retransmission keeps legitimate delivery acceptable.
+        assert polluted.delivery_rate >= 0.9

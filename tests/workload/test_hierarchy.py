@@ -127,6 +127,39 @@ class TestPrivacyPlacement:
 
 
 class TestTraceReplay:
+    def test_edge_only_placement_on_the_fig5_trace(self, ircache_trace):
+        """The trace-scale footnote 6: Always-Delay nowhere, at the edge
+        (2k) only, or at edge and core (16k), all traffic private.  The
+        edge-only placement closes the probed (edge) oracle while the core
+        still accelerates private re-fetches."""
+        by = {}
+        for placement in ("none", "edge", "all"):
+            edge_scheme = AlwaysDelayScheme() if placement != "none" else None
+            core_scheme = AlwaysDelayScheme() if placement == "all" else None
+            by[placement] = replay_hierarchy(
+                ircache_trace,
+                [
+                    LevelConfig("edge", cache_size=2000, scheme=edge_scheme,
+                                link_delay=1.0),
+                    LevelConfig("core", cache_size=16000, scheme=core_scheme,
+                                link_delay=6.0),
+                ],
+                marking=ContentMarking(1.0),
+                origin_delay=40.0,
+            )
+        none, edge, every = by["none"], by["edge"], by["all"]
+        # Undefended: both levels serve observable hits.
+        assert none.hit_rate("edge") > 0 and none.hit_rate("core") > 0
+        # Edge-only: the probed oracle is closed, the core still serves.
+        assert edge.hit_rate("edge") == 0.0
+        assert edge.hit_rate("core") > 0
+        # Everywhere: no observable hits at all.
+        assert every.hit_rate("edge") == 0.0 and every.hit_rate("core") == 0.0
+        # Latency ordering: none < edge < all.
+        assert none.mean_latency < edge.mean_latency < every.mean_latency
+        # Origin traffic identical across placements (delays, not re-fetches).
+        assert none.origin_fetches == edge.origin_fetches == every.origin_fetches
+
     def test_hierarchy_beats_single_level_hit_rate(self):
         trace = small_test_trace(requests=4000, seed=11)
         single = replay_hierarchy(

@@ -9,6 +9,7 @@ from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.name import Name
+from repro.perf.parallel import ReplaySpec, run_replay_sweep
 from repro.workload.ircache import small_test_trace
 from repro.workload.marking import ContentMarking, NoMarking
 from repro.workload.replay import (
@@ -150,3 +151,72 @@ class TestDelayedHitRefresh:
         # /a is refreshed at each touch, so it survives; every repeat of /a
         # is a disguised hit, not a genuine re-fetch miss.
         assert stats.disguised_hits == 2
+
+    def test_refresh_preserves_bandwidth_savings_on_the_fig5_trace(
+        self, ircache_trace
+    ):
+        """Turning the refresh off (only observable hits update recency)
+        lets popular private content age out of small caches while it is
+        still serving disguised misses: 40% private, three sizes."""
+        sizes = (2000, 8000, 32000)
+        specs = [
+            ReplaySpec(
+                scheme=name, scheme_params=params, cache_size=size,
+                marking=ContentMarking(0.4), refresh_delayed_hits=refresh,
+            )
+            for name, params in (
+                ("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}),
+                ("always-delay", {}),
+            )
+            for size in sizes
+            for refresh in (True, False)
+        ]
+        stats = run_replay_sweep(specs, trace=ircache_trace)
+        pairs = [
+            (spec.cache_size, with_refresh, without)
+            for spec, with_refresh, without in zip(specs[::2], stats[::2], stats[1::2])
+        ]
+        # The refresh costs nothing in bandwidth hit rate anywhere...
+        for _size, with_refresh, without in pairs:
+            assert (
+                100 * with_refresh.bandwidth_hit_rate
+                >= 100 * without.bandwidth_hit_rate - 0.05
+            )
+        # ...and earns some at a bounded size.
+        assert any(
+            100 * with_refresh.bandwidth_hit_rate
+            > 100 * without.bandwidth_hit_rate + 0.1
+            for size, with_refresh, without in pairs
+            if size != sizes[-1]
+        )
+
+
+class TestReplacementPolicy:
+    def test_recency_and_frequency_beat_blind_policies_on_the_fig5_trace(
+        self, ircache_trace
+    ):
+        """The paper fixes LRU; on the Zipf trace under eviction pressure
+        LRU beats FIFO and Random, and every policy gains from a bigger
+        cache (Exponential-Random-Cache, 20% private)."""
+        policies, sizes = ("lru", "lfu", "fifo", "random"), (4000, 16000)
+        specs = [
+            ReplaySpec(
+                scheme="exponential",
+                scheme_params={"k": 5, "epsilon": 0.005, "delta": 0.01},
+                cache_size=size, marking=ContentMarking(0.2), policy=policy,
+            )
+            for policy in policies
+            for size in sizes
+        ]
+        stats = dict(zip(
+            ((s.policy, s.cache_size) for s in specs),
+            run_replay_sweep(specs, trace=ircache_trace),
+        ))
+        for size in sizes:
+            # Both sizes are contested: the cache turned over at least once
+            # (until then every policy evicts first-pass objects and ties).
+            assert stats["fifo", size].evictions > size, "shrink the sizes"
+            assert stats["lru", size].hit_rate > stats["fifo", size].hit_rate
+            assert stats["lru", size].hit_rate > stats["random", size].hit_rate
+        for policy in policies:
+            assert stats[policy, sizes[0]].hit_rate < stats[policy, sizes[1]].hit_rate
