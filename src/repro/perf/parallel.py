@@ -31,36 +31,19 @@ only starts no pool and writes no ``trace-shards-*`` entry.  Results are
   so scheme/marking state is isolated exactly as process transport would
   isolate it — bit-identical to any worker count.
 
-The runner is **failure-hardened** (see ``tests/perf/test_hardening.py``):
-
-* worker death (``BrokenProcessPool``) and stalls (no spec completing
-  within ``timeout`` seconds) tear the pool down and resubmit the
-  incomplete specs on a fresh pool, bounded by ``max_restarts``; because
-  seeds travel with the specs, a crash-recovered sweep is bit-identical
-  to an undisturbed one,
-* ``checkpoint=`` persists each completed point to disk
-  (:class:`~repro.perf.checkpoint.SweepCheckpoint`); a killed sweep
-  resumes from its completed specs,
-* trace-cache entries are verified before use — a TSV entry against its
-  ``.sha256`` sidecar, a shard directory against its manifest's per-file
-  checksums — and a truncated or corrupted entry is regenerated instead
-  of silently poisoning the whole sweep.
+Pooled points run through one ``ProcessPoolExecutor.map``; a worker
+that dies surfaces as :class:`SweepError`.  Trace-cache entries are
+verified before use — a TSV entry against its ``.sha256`` sidecar, a
+shard directory against its manifest's per-file checksums — and a
+truncated or corrupted entry is regenerated instead of silently
+poisoning the whole sweep (see ``tests/perf/test_trace_cache.py``).
 
 Environment knobs:
 
 * ``REPRO_WORKERS`` — worker-process count (default: CPU count; ``1``
   forces the in-process serial path),
 * ``REPRO_TRACE_CACHE`` — trace cache directory (default:
-  ``~/.cache/repro/traces``),
-* ``REPRO_SPEC_TIMEOUT`` — stall watchdog in wall-clock seconds: if no
-  spec completes for this long, the pool is presumed hung and rebuilt
-  (default: disabled),
-* ``REPRO_SWEEP_RETRIES`` — maximum pool rebuilds per sweep before
-  :class:`SweepError` (default 3),
-* ``REPRO_CHAOS_KILL_FLAG`` / ``REPRO_CHAOS_HANG_FLAG`` — chaos-testing
-  hooks: a path to a flag file; the first worker task to observe the file
-  removes it and kills itself (``os._exit``) or hangs, letting CI rehearse
-  the recovery paths against a live pool.
+  ``~/.cache/repro/traces``).
 """
 
 from __future__ import annotations
@@ -70,12 +53,11 @@ import os
 import pickle
 import shutil
 import tempfile
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -85,7 +67,6 @@ from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
-from repro.perf.checkpoint import SweepCheckpoint
 from repro.workload.compiled import CompiledTrace
 from repro.workload.fast_replay import fast_replay
 from repro.workload.lru_grid import lru_grid_stats, runs_on_grid
@@ -109,14 +90,10 @@ from repro.workload.streaming import TsvWorkload, Workload, save_tsv
 
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
-ENV_SPEC_TIMEOUT = "REPRO_SPEC_TIMEOUT"
-ENV_SWEEP_RETRIES = "REPRO_SWEEP_RETRIES"
-ENV_CHAOS_KILL_FLAG = "REPRO_CHAOS_KILL_FLAG"
-ENV_CHAOS_HANG_FLAG = "REPRO_CHAOS_HANG_FLAG"
 
 
 class SweepError(RuntimeError):
-    """The sweep could not complete within its failure budget."""
+    """A pool worker died before the sweep completed."""
 
 
 class TraceCacheError(RuntimeError):
@@ -221,32 +198,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def _env_float(name: str) -> Optional[float]:
-    value = os.environ.get(name)
-    return float(value) if value else None
-
-
-def resolve_spec_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Stall-watchdog seconds: explicit arg, else ``REPRO_SPEC_TIMEOUT``,
-    else disabled."""
-    if timeout is None:
-        timeout = _env_float(ENV_SPEC_TIMEOUT)
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
-    return timeout
-
-
-def resolve_max_restarts(max_restarts: Optional[int] = None) -> int:
-    """Pool-rebuild budget: explicit arg, else ``REPRO_SWEEP_RETRIES``,
-    else 3."""
-    if max_restarts is None:
-        env = os.environ.get(ENV_SWEEP_RETRIES)
-        max_restarts = int(env) if env else 3
-    if max_restarts < 0:
-        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-    return max_restarts
 
 
 # ======================================================================
@@ -486,98 +437,10 @@ def _execute(trace: CompiledTrace, spec: ReplaySpec) -> ReplayStats:
     )
 
 
-def _consume_chaos_flag(env: str) -> bool:
-    """True iff this process won the race to consume the chaos flag file."""
-    flag = os.environ.get(env)
-    if not flag:
-        return False
-    path = Path(flag)
-    try:
-        path.unlink()  # atomic: exactly one worker wins
-        return True
-    except FileNotFoundError:
-        return False
-
-
-def _maybe_inject_chaos() -> None:
-    """Worker-side chaos hooks for rehearsing the recovery paths."""
-    if _consume_chaos_flag(ENV_CHAOS_KILL_FLAG):
-        os._exit(42)
-    if _consume_chaos_flag(ENV_CHAOS_HANG_FLAG):
-        time.sleep(3600.0)
-
-
 def _worker_run(args: tuple) -> ReplayStats:
     trace_path, spec, layout = args
-    _maybe_inject_chaos()
     load = _load_sharded if layout == "sharded" else _load_trace
     return _execute(load(trace_path), spec)
-
-
-class _SweepStalled(RuntimeError):
-    """No spec completed within the stall-watchdog window."""
-
-
-def _drain_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without joining hung or dead workers."""
-    procs = getattr(pool, "_processes", None)
-    processes = list(procs.values()) if procs else []
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-
-
-def _run_hardened(
-    tasks: List[tuple],
-    remaining: Set[int],
-    workers: int,
-    timeout: Optional[float],
-    max_restarts: int,
-    deliver: Callable[[int, ReplayStats], None],
-) -> None:
-    """Run ``tasks[i]`` for every ``i`` in ``remaining``, surviving worker
-    death and stalls by resubmitting on a fresh pool (bounded)."""
-    restarts = 0
-    while remaining:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(remaining)))
-        try:
-            futures = {
-                pool.submit(_worker_run, tasks[index]): index
-                for index in sorted(remaining)
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(
-                    pending, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    raise _SweepStalled(
-                        f"no sweep point completed within {timeout}s "
-                        f"({len(pending)} outstanding)"
-                    )
-                for future in done:
-                    index = futures[future]
-                    stats = future.result()  # BrokenProcessPool on worker death
-                    deliver(index, stats)
-                    remaining.discard(index)
-        except (BrokenProcessPool, _SweepStalled) as exc:
-            restarts += 1
-            if restarts > max_restarts:
-                raise SweepError(
-                    f"sweep failed permanently after {restarts} pool restarts "
-                    f"({len(remaining)} specs incomplete): {exc}"
-                ) from exc
-        finally:
-            _drain_pool(pool)
-
-
-def _sweep_fingerprint(spec_list: List[ReplaySpec], trace_key: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(trace_key.encode("utf-8"))
-    for spec in spec_list:
-        digest.update(pickle.dumps(spec))
-    return digest.hexdigest()
 
 
 def run_replay_sweep(
@@ -585,9 +448,6 @@ def run_replay_sweep(
     trace: Optional[Workload] = None,
     trace_config: Optional[IrcacheConfig] = None,
     workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_restarts: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     sharded: bool = False,
     shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> List[ReplayStats]:
@@ -616,15 +476,8 @@ def run_replay_sweep(
     when ``workers > 1``.  Both are bit-identical to the reference
     ``replay()``.  Results are independent of ``workers``, because every
     spec carries its own seed and schemes are isolated per task (pickle
-    round-trip in process, process transport otherwise).
-
-    Failure handling (pooled points): a dead worker or a stall longer
-    than ``timeout`` seconds rebuilds the pool and resubmits the
-    incomplete specs, at most ``max_restarts`` times; the per-spec seeds
-    make recovered results identical to an undisturbed run.
-    ``checkpoint`` names a file to persist completed points to, so a
-    killed sweep resumes from where it died (a checkpoint written by a
-    different sweep is detected by fingerprint and ignored).
+    round-trip in process, process transport otherwise).  A pool worker
+    that dies raises :class:`SweepError`.
     """
     if (trace is None) == (trace_config is None):
         raise ValueError("provide exactly one of trace= or trace_config=")
@@ -633,51 +486,18 @@ def run_replay_sweep(
     spec_list = list(specs)
     if not spec_list:
         return []
-    count = len(spec_list)
-    workers = min(resolve_workers(workers), count)
-    timeout = resolve_spec_timeout(timeout)
-    max_restarts = resolve_max_restarts(max_restarts)
-
-    layout = "sharded" if sharded or trace is not None else "tsv"
+    workers = min(resolve_workers(workers), len(spec_list))
     if trace is not None:
         trace = compile_workload(trace)
-        digest = _trace_digest(trace)
-        trace_key = f"trace:{digest}"
-    else:
-        key = _config_key(
-            trace_config, layout=layout, shard_size=shard_size if sharded else None
-        )
-        trace_key = f"config:{layout}:{key}"
-
-    completed: Dict[int, ReplayStats] = {}
-    sweep_checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint is not None:
-        sweep_checkpoint = SweepCheckpoint(
-            checkpoint, _sweep_fingerprint(spec_list, trace_key)
-        )
-        completed = {
-            index: stats
-            for index, stats in sweep_checkpoint.load().items()
-            if 0 <= index < count
-        }
-
-    def deliver(index: int, stats: ReplayStats) -> None:
-        completed[index] = stats
-        if sweep_checkpoint is not None:
-            sweep_checkpoint.append(index, stats)
 
     # Grid points run here, over the one loaded trace; with one worker,
     # every point does.  Only the rest needs a pool.
-    pending = [index for index in range(count) if index not in completed]
+    results: List[Optional[ReplayStats]] = [None] * len(spec_list)
     local = [
         index
-        for index in pending
+        for index, spec in enumerate(spec_list)
         if workers <= 1
-        or runs_on_grid(
-            _scheme_of(spec_list[index]),
-            spec_list[index].policy,
-            spec_list[index].refresh_delayed_hits,
-        )
+        or runs_on_grid(_scheme_of(spec), spec.policy, spec.refresh_delayed_hits)
     ]
     if local:
         if trace is not None:
@@ -692,12 +512,13 @@ def run_replay_sweep(
         # isolated exactly as process transport isolates it.
         for index in local:
             spec = pickle.loads(pickle.dumps(spec_list[index]))
-            deliver(index, _execute(workload, spec))
-    remaining = set(pending) - set(local)
-    if not remaining:
-        return [completed[index] for index in range(count)]
+            results[index] = _execute(workload, spec)
+    pooled = [index for index, stats in enumerate(results) if stats is None]
+    if not pooled:
+        return results
 
     if trace is not None:
+        digest = _trace_digest(trace)
         source = {"kind": "trace", "sha256": digest}
         path = _ensure_shard_entry(
             f"trace-shards-{digest[:16]}",
@@ -707,6 +528,14 @@ def run_replay_sweep(
         path = ensure_sharded_trace_cached(trace_config, shard_size)
     else:
         path = ensure_trace_cached(trace_config)
-    tasks = [(str(path), spec, layout) for spec in spec_list]
-    _run_hardened(tasks, remaining, workers, timeout, max_restarts, deliver)
-    return [completed[index] for index in range(count)]
+    layout = "sharded" if sharded or trace is not None else "tsv"
+    tasks = [(str(path), spec_list[index], layout) for index in pooled]
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(pooled))) as pool:
+            for index, stats in zip(pooled, pool.map(_worker_run, tasks)):
+                results[index] = stats
+    except BrokenProcessPool as exc:
+        raise SweepError(
+            f"a sweep worker died ({len(pooled)} pooled specs): {exc}"
+        ) from exc
+    return results
