@@ -12,9 +12,10 @@ real-world implementations of both seams —
   the simulator), so PIT expiry timers, privacy-scheme delays, and
   token-bucket refill all run against real time unchanged;
 * :class:`~repro.deploy.faces.AsyncUdpFace` — a face speaking the TLV
-  codec of :mod:`repro.ndn.wire` over a UDP socket, with a bounded
-  receive queue, send backpressure, and a hardened decode path that
-  counts-and-drops malformed datagrams instead of crashing;
+  codec of :mod:`repro.ndn.wire` over a UDP socket, dispatching each
+  datagram inside its read callback, with a bounded send buffer and a
+  hardened decode path that counts-and-drops malformed datagrams
+  instead of crashing;
 * :class:`~repro.deploy.daemon.ForwarderDaemon` — one supervised
   forwarder process: CS + privacy scheme + bounded PIT + admission +
   Nack plane, a line-based TCP management channel (PiCN pattern), and
@@ -23,8 +24,8 @@ real-world implementations of both seams —
   :class:`~repro.deploy.endpoints.AsyncProducer` — socket-side
   applications with deadline propagation and Nack-aware retransmission
   via :class:`~repro.faults.retry.RetryPolicy`;
-* :class:`~repro.deploy.supervisor.Supervisor` — capped-backoff restart
-  of crashed daemon tasks and graceful drain-then-close shutdown;
+* :class:`~repro.deploy.supervisor.Supervisor` — the daemon's
+  management channel and graceful drain-then-close shutdown;
 * :class:`~repro.deploy.chaos.ChaosUdpProxy` — seed-reproducible
   drop/delay/duplicate/reorder/corrupt applied to real datagrams, so the
   fault schedules of :mod:`repro.faults` have a socket-level counterpart;
@@ -55,7 +56,7 @@ from repro.deploy.scenario import (
     run_geo_socket,
     run_soak,
 )
-from repro.deploy.supervisor import Supervisor, SupervisorConfig
+from repro.deploy.supervisor import Supervisor
 
 __all__ = [
     "AsyncConsumer",
@@ -75,7 +76,6 @@ __all__ = [
     "SoakReport",
     "SoakSpec",
     "Supervisor",
-    "SupervisorConfig",
     "build_workload",
     "differential",
     "run_geo_sim",

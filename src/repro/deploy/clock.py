@@ -31,7 +31,7 @@ from repro.sim.events import Event, EventState
 class RealTimeEngine:
     """The sim Engine scheduling interface over an asyncio loop.
 
-    Construct it from inside a running loop (or pass one explicitly).
+    Construct it with the asyncio loop it schedules on.
     Time starts at 0.0 ms at construction and advances with the loop's
     monotonic clock; ``time_scale`` stretches real time relative to the
     engine clock (``time_scale=2.0`` makes 1 engine-ms take 2 real ms —
@@ -40,12 +40,12 @@ class RealTimeEngine:
 
     def __init__(
         self,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
+        loop: asyncio.AbstractEventLoop,
         time_scale: float = 1.0,
     ) -> None:
         if time_scale <= 0:
             raise ClockError(f"time_scale must be > 0, got {time_scale}")
-        self._loop = loop if loop is not None else asyncio.get_event_loop()
+        self._loop = loop
         self._scale = time_scale
         self._t0 = self._loop.time()
         self._seq = 0

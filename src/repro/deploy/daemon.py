@@ -90,9 +90,6 @@ class DaemonConfig:
     honor_scope: bool = True
     processing_delay: float = 0.0
     strategy: str = "best-route"
-    #: Per-face receive/send queue bounds (datagrams).
-    rx_queue: int = 1024
-    tx_queue: int = 1024
     #: Engine-ms per wall-ms stretch factor (tests slow scenarios down).
     time_scale: float = 1.0
     #: Online defense preset (``monitor``/``adaptive``; None or
@@ -164,8 +161,6 @@ class ForwarderDaemon:
             local=local,
             peer=peer,
             label=label or f"{self.config.name}:face{len(self.faces)}",
-            rx_queue=self.config.rx_queue,
-            tx_queue=self.config.tx_queue,
         )
         face.interest_gate = self._admit_interest
         self.forwarder.faces.append(face)
@@ -291,7 +286,7 @@ class ForwarderDaemon:
             "ready": self.ready,
             "draining": self.draining,
             "faces": len(self.faces),
-            "faces_alive": sum(1 for f in self.faces.values() if f.tasks_alive),
+            "faces_alive": sum(1 for f in self.faces.values() if not f.closed),
             "pit": len(fwd.pit) if fwd else 0,
             "cs": len(fwd.cs) if fwd else 0,
             "now_ms": self.engine.now if self.engine else 0.0,

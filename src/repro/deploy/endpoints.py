@@ -297,7 +297,7 @@ class AsyncProducer:
 
     Wraps the simulator's :class:`Producer` (repo, prefix matching,
     auto-generate) unchanged; the UDP face dispatches interests into it
-    and its ``face.send_data`` replies ride the face's send queue.  The
+    and its ``face.send_data`` replies go straight to its socket.  The
     face is created peer-less and learns the requester from the first
     well-formed packet — for point-to-point deployments (one upstream
     forwarder per producer face) that is exactly the PiCN wiring.

@@ -15,18 +15,17 @@ face are exactly the things a real deployment needs:
   the kernel has no more or :data:`RX_BURST` is reached, so one loop
   iteration takes in what is queued (in arrival order) and a flooded
   face still returns to the loop for other faces, timers and mgmt;
-* **bounded receive queue** — inbound packets queue per face and are
-  dispatched to the owner by a dedicated task, which wakes once per
-  burst; when the queue is full the datagram is dropped and counted
-  (``rx_overflow``) instead of growing memory without bound (graceful
-  degradation under flood);
-* **send backpressure** — outbound packets ride a bounded queue drained
-  by a sender task (again one wake-up per burst); overflow is dropped
-  and counted (``tx_overflow``);
+* **inline dispatch** — each decoded packet goes to the owner inside
+  the read callback, with no user-space queue or task in between; a
+  flood's excess is dropped by the kernel's socket buffer, so receive
+  memory stays bounded;
+* **send bound** — packets are encoded and sent at once; while the
+  transport already buffers more than :data:`TX_BUFFER_BYTES` (asyncio's
+  datagram buffer has no limit of its own) a send is dropped and
+  counted (``tx_overflow``);
 * **crash isolation** — exceptions escaping the owner's packet handlers
-  are counted (``handler_errors``) and logged, keeping one poison packet
-  from killing the dispatch task (the supervisor additionally restarts
-  the task if it ever dies).
+  are counted (``handler_errors``) and logged, so one poison packet
+  costs one count and the rest of its burst is still dispatched.
 
 The face learns its peer from the first datagram when constructed
 without one (producer-side listening faces); with an explicit peer,
@@ -54,6 +53,8 @@ Packet = Union[Interest, Data, Nack]
 #: Most datagrams one readiness event takes from a socket before the
 #: reader returns to the loop (fairness to other faces, timers, mgmt).
 RX_BURST = 64
+#: Bytes the transport may hold unsent before a send is refused.
+TX_BUFFER_BYTES = 1 << 20
 #: ``recvfrom`` buffer: no UDP datagram is larger.
 _RECV_BYTES = 65536
 
@@ -83,8 +84,6 @@ class AsyncUdpFace(Face):
         owner,
         label: str = "",
         peer: Optional[Address] = None,
-        rx_queue: int = 1024,
-        tx_queue: int = 1024,
         max_datagram: int = 65507,
     ) -> None:
         super().__init__(owner, label=label)
@@ -94,12 +93,11 @@ class AsyncUdpFace(Face):
         self.transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
         self.local_addr: Optional[Address] = None
-        self._rx: asyncio.Queue = asyncio.Queue(maxsize=rx_queue)
-        self._tx: asyncio.Queue = asyncio.Queue(maxsize=tx_queue)
-        self._tasks: list = []
         self.closed = False
         # Hardening / observability counters.
         self.malformed_dropped = 0
+        #: No receive queue to overflow (the kernel drops a flood's
+        #: excess); fixed at 0 for the ledger's drop-counter gate.
         self.rx_overflow = 0
         self.tx_overflow = 0
         self.foreign_dropped = 0
@@ -111,10 +109,9 @@ class AsyncUdpFace(Face):
         self.nacks_in = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        #: Reader / sender wake-ups; datagrams per wake-up is the ratio
-        #: to the packet counters.
+        #: Reader wake-ups; datagrams per wake-up is the ratio to the
+        #: packet counters.
         self.rx_bursts = 0
-        self.tx_bursts = 0
         #: Optional admission hook installed by the daemon: called with
         #: each decoded Interest before dispatch; returning False drops it
         #: (drain mode counts it and answers with a congestion Nack).
@@ -130,11 +127,9 @@ class AsyncUdpFace(Face):
         local: Address = ("127.0.0.1", 0),
         peer: Optional[Address] = None,
         label: str = "",
-        rx_queue: int = 1024,
-        tx_queue: int = 1024,
     ) -> "AsyncUdpFace":
-        """Bind a UDP socket at ``local`` and start the face's tasks."""
-        face = cls(owner, label=label, peer=peer, rx_queue=rx_queue, tx_queue=tx_queue)
+        """Bind a UDP socket at ``local`` and attach it to the loop."""
+        face = cls(owner, label=label, peer=peer)
         loop = asyncio.get_running_loop()
         family = socket.AF_INET6 if ":" in local[0] else socket.AF_INET
         face._sock = sock = socket.socket(family, socket.SOCK_DGRAM)
@@ -149,57 +144,13 @@ class AsyncUdpFace(Face):
             sock.close()
             raise
         face.local_addr = sock.getsockname()[:2]
-        face._spawn_tasks(loop)
         return face
 
-    def _spawn_tasks(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._tasks = [
-            loop.create_task(self._dispatch_loop(), name=f"{self.label}:rx"),
-            loop.create_task(self._sender_loop(), name=f"{self.label}:tx"),
-        ]
-
-    def respawn_dead_tasks(self) -> int:
-        """Recreate dispatch/sender tasks that crashed; returns the count.
-
-        The loops catch per-packet exceptions themselves, so a dead task
-        means something escaped that isolation (or a bug in the loop
-        body).  The supervisor calls this as its restart primitive —
-        queues and counters survive, so in-flight state is preserved.
-        """
-        if self.closed or not self._tasks:
-            return 0
-        loop = asyncio.get_running_loop()
-        factories = (
-            (f"{self.label}:rx", self._dispatch_loop),
-            (f"{self.label}:tx", self._sender_loop),
-        )
-        respawned = 0
-        for i, task in enumerate(self._tasks):
-            if task.done() and not task.cancelled():
-                name, factory = factories[i]
-                exc = task.exception()
-                if exc is not None:
-                    log.warning("%s: task %s died: %r", self.label, name, exc)
-                self._tasks[i] = loop.create_task(factory(), name=name)
-                respawned += 1
-        return respawned
-
     async def close(self) -> None:
-        """Stop tasks and close the socket (idempotent)."""
+        """Close the socket (idempotent)."""
         if self.closed:
             return
         self.closed = True
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                # A task that already died on an exception re-raises it
-                # here; the face is closing, so account and move on.
-                pass
         if self.transport is not None:
             self.transport.close()
 
@@ -213,43 +164,31 @@ class AsyncUdpFace(Face):
     # ------------------------------------------------------------------
     def send_interest(self, interest: Interest) -> None:
         self.interests_out += 1
-        self._enqueue_send(interest)
+        self._send(interest)
 
     def send_data(self, data: Data) -> None:
         self.data_out += 1
-        self._enqueue_send(data)
+        self._send(data)
 
     def send_nack(self, nack: Nack) -> None:
         self.nacks_out += 1
-        self._enqueue_send(nack)
+        self._send(nack)
 
-    def _enqueue_send(self, packet: Packet) -> None:
+    def _send(self, packet: Packet) -> None:
         if self.closed:
             return
         if self.peer_addr is None:
             raise TopologyError(f"{self.label}: no peer address to send to")
-        try:
-            self._tx.put_nowait(packet)
-        except asyncio.QueueFull:
+        if self.transport.get_write_buffer_size() > TX_BUFFER_BYTES:
             self.tx_overflow += 1
-
-    async def _sender_loop(self) -> None:
-        while True:
-            self._send(await self._tx.get())
-            self.tx_bursts += 1
-            # What queued up meanwhile goes out on the same wake-up.
-            while not self._tx.empty():
-                self._send(self._tx.get_nowait())
-
-    def _send(self, packet: Packet) -> None:
+            return
         try:
             payload = encode_packet(packet)
             if len(payload) > self.max_datagram:
                 self.oversize_dropped += 1
                 return
             self.bytes_out += len(payload)
-            if self.transport is not None and self.peer_addr is not None:
-                self.transport.sendto(payload, self.peer_addr)
+            self.transport.sendto(payload, self.peer_addr)
         except Exception:
             self.socket_errors += 1
             log.exception("%s: send failed", self.label)
@@ -285,20 +224,10 @@ class AsyncUdpFace(Face):
             self.peer_addr = addr
         self.bytes_in += len(payload)
         try:
-            self._rx.put_nowait(packet)
-        except asyncio.QueueFull:
-            self.rx_overflow += 1
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            packet = await self._rx.get()
-            try:
-                self._dispatch(packet)
-            except asyncio.CancelledError:  # pragma: no cover - shutdown
-                raise
-            except Exception:
-                self.handler_errors += 1
-                log.exception("%s: packet handler failed", self.label)
+            self._dispatch(packet)
+        except Exception:
+            self.handler_errors += 1
+            log.exception("%s: packet handler failed", self.label)
 
     def _dispatch(self, packet: Packet) -> None:
         if isinstance(packet, Interest):
@@ -337,20 +266,13 @@ class AsyncUdpFace(Face):
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "rx_bursts": self.rx_bursts,
-            "tx_bursts": self.tx_bursts,
             "malformed_dropped": self.malformed_dropped,
-            "rx_overflow": self.rx_overflow,
             "tx_overflow": self.tx_overflow,
             "foreign_dropped": self.foreign_dropped,
             "handler_errors": self.handler_errors,
             "socket_errors": self.socket_errors,
             "oversize_dropped": self.oversize_dropped,
         }
-
-    @property
-    def tasks_alive(self) -> bool:
-        """True while both the dispatch and sender tasks are running."""
-        return bool(self._tasks) and all(not t.done() for t in self._tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"AsyncUdpFace({self.label}, local={self.local_addr}, peer={self.peer_addr})"

@@ -1,20 +1,17 @@
-"""Process supervision: restart-on-crash, graceful drain-then-close.
+"""Process supervision: graceful drain-then-close.
 
 The :class:`Supervisor` owns one :class:`~repro.deploy.daemon.ForwarderDaemon`
-plus its TCP management channel and keeps both alive:
+plus its TCP management channel:
 
-* a **watchdog** sweeps the daemon's faces and respawns any dispatch or
-  sender task that died, with capped exponential backoff per face so a
-  hot-crashing component cannot spin the loop (classic supervision-tree
-  semantics, one level deep);
 * **graceful shutdown** (SIGTERM or :meth:`shutdown`) runs the
   drain-then-close sequence: stop admitting interests (congestion Nacks
   via the daemon's drain gate), wait — bounded — for the PIT to empty,
   then close the management channel and every face;
 * **overload degradation** is delegated by construction: the daemon's
-  bounded PIT, token-bucket admission, and bounded face queues refuse
-  load with Nacks and counted drops, so the supervisor never needs to
-  kill a busy-but-healthy process.
+  bounded PIT and token-bucket admission refuse load with Nacks, a
+  face's handler errors are counted where they happen, and a flood's
+  excess datagrams are dropped by the kernel, so the supervisor never
+  needs to kill or restart a busy-but-healthy process.
 """
 
 from __future__ import annotations
@@ -22,67 +19,45 @@ from __future__ import annotations
 import asyncio
 import logging
 import signal
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.deploy.daemon import ForwarderDaemon
 from repro.deploy.mgmt import MgmtServer
 
 log = logging.getLogger("repro.deploy.supervisor")
 
-
-@dataclass
-class SupervisorConfig:
-    """Supervision knobs (seconds, wall clock — this is ops, not sim)."""
-
-    #: Watchdog sweep period.
-    check_interval: float = 0.1
-    #: First restart delay after a crash; doubles per consecutive crash.
-    restart_backoff: float = 0.05
-    restart_backoff_factor: float = 2.0
-    #: Backoff ceiling — a face crashing forever retries this often.
-    restart_backoff_max: float = 2.0
-    #: Consecutive crashes after which a face is abandoned (None = never).
-    max_restarts: Optional[int] = None
-    #: Drain grace before faces are closed anyway (engine/wall ms).
-    drain_grace_ms: float = 2000.0
+#: Drain grace (engine/wall ms) before faces are closed anyway.
+DRAIN_GRACE_MS = 2000.0
 
 
 class Supervisor:
-    """Keeps a forwarder daemon alive and shuts it down cleanly."""
+    """Runs a forwarder daemon and shuts it down cleanly."""
 
     def __init__(
         self,
         daemon: ForwarderDaemon,
-        config: Optional[SupervisorConfig] = None,
         mgmt_host: str = "127.0.0.1",
         mgmt_port: int = 0,
     ) -> None:
         self.daemon = daemon
-        self.config = config if config is not None else SupervisorConfig()
         self.mgmt = MgmtServer(daemon, host=mgmt_host, port=mgmt_port)
         self.mgmt_addr: Optional[tuple] = None
-        self.restarts_total = 0
-        self.faces_abandoned = 0
-        self._crash_counts: Dict[int, int] = {}
-        self._next_restart_at: Dict[int, float] = {}
-        self._watchdog: Optional[asyncio.Task] = None
+        self._started = False
         self._stopping = False
         self._stopped: Optional[asyncio.Event] = None
+        self._shutdown_task: Optional[asyncio.Task] = None
         self._signals_installed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, install_signal_handlers: bool = False) -> "Supervisor":
-        """Start daemon + mgmt channel + watchdog on the running loop."""
+        """Start daemon + mgmt channel on the running loop."""
         loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         await self.daemon.start()
         self.mgmt_addr = await self.mgmt.start()
-        self._watchdog = loop.create_task(
-            self._watch(), name=f"{self.daemon.config.name}:watchdog"
-        )
+        self._started = True
         if install_signal_handlers:
             # SIGTERM = drain-then-close; SIGINT behaves the same so ^C on
             # a foreground daemon is equally graceful.
@@ -92,9 +67,15 @@ class Supervisor:
         return self
 
     def request_shutdown(self) -> None:
-        """Signal-safe shutdown trigger (schedules the async sequence)."""
-        if not self._stopping:
-            asyncio.get_event_loop().create_task(self.shutdown())
+        """Signal-safe shutdown trigger (schedules the async sequence).
+
+        The task is kept on the supervisor: the loop holds only a weak
+        reference to it, and repeated requests schedule it once.
+        """
+        if self._shutdown_task is None and not self._stopping:
+            self._shutdown_task = asyncio.get_running_loop().create_task(
+                self.shutdown()
+            )
 
     async def shutdown(self) -> None:
         """Drain-then-close: refuse new work, let the PIT empty, close."""
@@ -105,19 +86,12 @@ class Supervisor:
         self._stopping = True
         log.info("%s: draining", self.daemon.config.name)
         self.daemon.drain()
-        drained = await self.daemon.wait_pit_drained(self.config.drain_grace_ms)
-        if not drained:
+        if not await self.daemon.wait_pit_drained(DRAIN_GRACE_MS):
             log.warning(
                 "%s: PIT not empty after %.0fms grace; closing anyway",
                 self.daemon.config.name,
-                self.config.drain_grace_ms,
+                DRAIN_GRACE_MS,
             )
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-            try:
-                await self._watchdog
-            except asyncio.CancelledError:
-                pass
         await self.mgmt.stop()
         await self.daemon.stop()
         if self._signals_installed:
@@ -136,69 +110,12 @@ class Supervisor:
 
     @property
     def running(self) -> bool:
-        return (
-            self._watchdog is not None
-            and not self._watchdog.done()
-            and not self._stopping
-        )
-
-    # ------------------------------------------------------------------
-    # Watchdog
-    # ------------------------------------------------------------------
-    async def _watch(self) -> None:
-        cfg = self.config
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(cfg.check_interval)
-            for face in list(self.daemon.faces.values()):
-                if face.closed or face.tasks_alive:
-                    # Healthy (or gone): decay the crash streak so an old
-                    # incident does not inflate backoff forever.
-                    if face.tasks_alive:
-                        self._crash_counts.pop(face.face_id, None)
-                        self._next_restart_at.pop(face.face_id, None)
-                    continue
-                crashes = self._crash_counts.get(face.face_id, 0)
-                if crashes == -1:
-                    continue  # already abandoned
-                if cfg.max_restarts is not None and crashes >= cfg.max_restarts:
-                    log.error(
-                        "%s: face %s exceeded %d restarts; abandoning",
-                        self.daemon.config.name,
-                        face.label,
-                        cfg.max_restarts,
-                    )
-                    self.faces_abandoned += 1
-                    self._crash_counts[face.face_id] = -1
-                    continue
-                now = loop.time()
-                if now < self._next_restart_at.get(face.face_id, 0.0):
-                    continue  # still backing off
-                respawned = face.respawn_dead_tasks()
-                if respawned:
-                    self.restarts_total += respawned
-                    self._crash_counts[face.face_id] = crashes + 1
-                    delay = min(
-                        cfg.restart_backoff
-                        * cfg.restart_backoff_factor**crashes,
-                        cfg.restart_backoff_max,
-                    )
-                    self._next_restart_at[face.face_id] = now + delay
-                    log.warning(
-                        "%s: respawned %d task(s) on face %s "
-                        "(crash #%d, next backoff %.2fs)",
-                        self.daemon.config.name,
-                        respawned,
-                        face.label,
-                        crashes + 1,
-                        delay,
-                    )
+        """Started and not stopping."""
+        return self._started and not self._stopping
 
     def stats(self) -> dict:
         """Supervision counters for tests and the soak harness."""
         return {
-            "restarts_total": self.restarts_total,
-            "faces_abandoned": self.faces_abandoned,
             "running": self.running,
             "stopping": self._stopping,
             "mgmt_commands": self.mgmt.commands_served,
@@ -206,7 +123,4 @@ class Supervisor:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"Supervisor({self.daemon.config.name}, running={self.running}, "
-            f"restarts={self.restarts_total})"
-        )
+        return f"Supervisor({self.daemon.config.name}, running={self.running})"

@@ -84,8 +84,12 @@ def test_negative_delay_and_bad_scale_rejected():
             engine.schedule_fire_and_forget(-1.0, lambda: None)
 
     asyncio.run(scenario())
-    with pytest.raises(ClockError):
-        RealTimeEngine(asyncio.new_event_loop(), time_scale=0.0)
+    loop = asyncio.new_event_loop()
+    try:
+        with pytest.raises(ClockError):
+            RealTimeEngine(loop, time_scale=0.0)
+    finally:
+        loop.close()
 
 
 def test_sim_only_features_raise():

@@ -86,7 +86,6 @@ def test_daemon_face_takes_a_burst_per_wakeup():
             assert await datagrams_per_wakeup(workers=32, count=8) >= 4.0
             stats = face.stats()
             assert stats["rx_bursts"] == face.rx_bursts
-            assert stats["tx_bursts"] == face.tx_bursts <= face.data_out
             for f in (*daemon.faces.values(), consumer.face, producer.face):
                 assert f.rx_overflow == f.tx_overflow == f.malformed_dropped == 0
         finally:

@@ -1,11 +1,11 @@
-"""AsyncUdpFace: codec over real sockets, hardening counters, respawn."""
+"""AsyncUdpFace: codec over real sockets, hardening counters, inline dispatch."""
 
 from __future__ import annotations
 
 import asyncio
 import socket
 
-from repro.deploy.faces import RX_BURST, AsyncUdpFace
+from repro.deploy.faces import RX_BURST, TX_BUFFER_BYTES, AsyncUdpFace
 from repro.ndn.name import Name
 from repro.ndn.packets import Data, Interest, Nack
 from repro.ndn.wire import encode_packet
@@ -69,7 +69,7 @@ def test_packets_roundtrip_over_loopback():
         # late send is dropped rather than raised.
         await a.close()
         await asyncio.sleep(0)
-        assert a.closed and not a.tasks_alive and a._sock.fileno() == -1
+        assert a.closed and a._sock.fileno() == -1
         a.send_interest(interest)
         assert a.interests_out == 2 and a.bytes_out == b.bytes_in
 
@@ -87,8 +87,9 @@ def test_malformed_datagrams_counted_and_dropped():
             # Empty datagrams may be elided by the stack; everything else
             # must land in malformed_dropped, and the face must stay up.
             assert b.malformed_dropped >= 3
-            assert b.tasks_alive
             assert b.handler_errors == 0
+            a.send_interest(Interest(name=Name.parse("/next")))
+            await settle(lambda: len(b_owner.interests) == 2)
         finally:
             await a.close()
             await b.close()
@@ -152,7 +153,9 @@ def test_handler_exception_is_isolated():
             src.send_data(Data(name=Name.parse("/b")))
             await settle(lambda: len(owner.data) == 1)
             assert target.handler_errors == 1
-            assert target.tasks_alive  # poison packet did not kill dispatch
+            # The poison packet did not stop dispatch.
+            src.send_data(Data(name=Name.parse("/c")))
+            await settle(lambda: len(owner.data) == 2)
         finally:
             await target.close()
             await src.close()
@@ -160,28 +163,53 @@ def test_handler_exception_is_isolated():
     asyncio.run(scenario())
 
 
-def test_respawn_dead_tasks_restores_service():
+def test_create_starts_no_task():
     async def scenario():
+        before = asyncio.all_tasks()
         a, b, _, b_owner = await face_pair()
         try:
-            # Simulate a crashed dispatch task: replace it with one that
-            # died on an exception (cancelled tasks are deliberate stops
-            # and are never respawned).
-            async def crash():
-                raise RuntimeError("simulated task crash")
-
-            loop = asyncio.get_running_loop()
-            b._tasks[0].cancel()
-            b._tasks[0] = loop.create_task(crash())
-            await asyncio.sleep(0.02)
-            assert not b.tasks_alive
-            assert b.respawn_dead_tasks() == 1
-            assert b.tasks_alive
-            a.send_interest(Interest(name=Name.parse("/after")))
+            assert asyncio.all_tasks() == before
+            a.send_interest(Interest(name=Name.parse("/no-task")))
             await settle(lambda: len(b_owner.interests) == 1)
         finally:
             await a.close()
             await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_burst_is_dispatched_inside_the_read_callback():
+    async def scenario():
+        class Poisoned(Recorder):
+            def receive_interest(self, interest, face):
+                if interest.name == Name.parse("/burst/1"):
+                    raise RuntimeError("poison")
+                super().receive_interest(interest, face)
+
+        owner = Poisoned()
+        face = await AsyncUdpFace.create(owner, label="f")
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sender.bind(("127.0.0.1", 0))
+            wires = [
+                encode_packet(Interest(name=Name.parse(f"/burst/{i}")))
+                for i in range(3)
+            ]
+            for wire in wires[1:]:
+                sender.sendto(wire, face.local_addr)
+            # Without yielding to the loop: the first datagram as asyncio
+            # would hand it over; the read callback drains the other two
+            # and has dispatched all three when it returns.
+            face._on_readable(wires[0], sender.getsockname())
+            assert [i.name for i in owner.interests] == [
+                Name.parse("/burst/0"),
+                Name.parse("/burst/2"),
+            ]
+            assert face.handler_errors == 1 and face.rx_bursts == 1
+            assert face.interests_in == 3
+        finally:
+            sender.close()
+            await face.close()
 
     asyncio.run(scenario())
 
@@ -207,43 +235,22 @@ def test_interest_gate_refuses_before_dispatch():
 
 
 # ----------------------------------------------------------------------
-# Flood contracts: bounded queues, oversize drop, bounded read bursts
+# Flood contracts: bounded send buffer, oversize drop, bounded read bursts
 # ----------------------------------------------------------------------
-def test_rx_queue_overflow_is_counted_not_raised():
+def test_full_send_buffer_is_counted_and_nothing_sent():
     async def scenario():
-        a, b, _, b_owner = await face_pair(rx_queue=4)
+        a, b, a_owner, _ = await face_pair()
         try:
-            # One sender wake-up puts all 32 on the wire; b's reader takes
-            # them in one burst, so its 4-slot queue must overflow.
-            for i in range(32):
-                a.send_interest(Interest(name=Name.parse(f"/flood/{i}")))
-            await settle(lambda: len(b_owner.interests) + b.rx_overflow == 32)
-            assert b.rx_overflow > 0
-            assert b.interests_in == len(b_owner.interests)
-            assert b.malformed_dropped == 0 and b.handler_errors == 0
-            assert b.tasks_alive
-            a.send_interest(Interest(name=Name.parse("/after")))
-            await settle(lambda: b_owner.interests[-1].name == Name.parse("/after"))
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
-def test_tx_queue_overflow_is_counted_and_the_rest_delivered():
-    async def scenario():
-        a, b, a_owner, _ = await face_pair(tx_queue=4)
-        try:
-            for i in range(32):  # one tick: the sender task never runs between
-                b.send_data(Data(name=Name.parse(f"/burst/{i}")))
-            assert b.tx_overflow == 28
-            await settle(lambda: len(a_owner.data) == 4)
+            b.transport.get_write_buffer_size = lambda: TX_BUFFER_BYTES + 1
+            for i in range(4):
+                b.send_data(Data(name=Name.parse(f"/refused/{i}")))
+            assert b.tx_overflow == 4 and b.data_out == 4 and b.bytes_out == 0
+            del b.transport.get_write_buffer_size
+            b.send_data(Data(name=Name.parse("/delivered")))
+            await settle(lambda: len(a_owner.data) == 1)
             await asyncio.sleep(0.02)
-            assert [d.name for d in a_owner.data] == [
-                Name.parse(f"/burst/{i}") for i in range(4)
-            ]
-            assert b.tx_bursts == 1 and b.tasks_alive
+            assert [d.name for d in a_owner.data] == [Name.parse("/delivered")]
+            assert b.tx_overflow == 4
         finally:
             await a.close()
             await b.close()
@@ -300,7 +307,7 @@ def test_read_burst_is_bounded_so_other_faces_are_served():
                 Name.parse(f"/flood/{i}") for i in range(flood)
             ]
             assert flooded.rx_bursts >= flood // RX_BURST
-            assert flooded.rx_overflow == 0 and quiet.rx_bursts == 1
+            assert quiet.rx_bursts == 1
         finally:
             sender.close()
             await flooded.close()

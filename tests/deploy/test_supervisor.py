@@ -1,4 +1,4 @@
-"""Supervisor: watchdog respawn, backoff, abandonment, graceful shutdown."""
+"""Supervisor: graceful shutdown, signal-safe shutdown trigger, stats."""
 
 from __future__ import annotations
 
@@ -6,105 +6,13 @@ import asyncio
 
 from repro.deploy.daemon import DaemonConfig, ForwarderDaemon
 from repro.deploy.mgmt import MgmtClient
-from repro.deploy.supervisor import Supervisor, SupervisorConfig
-
-
-async def crash_face_task(face, index=0):
-    """Replace one face task with a task that died on an exception."""
-
-    async def crash():
-        raise RuntimeError("simulated crash")
-
-    loop = asyncio.get_running_loop()
-    face._tasks[index].cancel()
-    face._tasks[index] = loop.create_task(crash())
-    await asyncio.sleep(0)  # let the crash task finish
-
-
-async def settle(predicate, timeout=3.0):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while not predicate():
-        assert asyncio.get_running_loop().time() < deadline, "condition never held"
-        await asyncio.sleep(0.01)
-
-
-def fast_config(**overrides):
-    defaults = dict(
-        check_interval=0.02,
-        restart_backoff=0.01,
-        restart_backoff_max=0.05,
-        drain_grace_ms=500.0,
-    )
-    defaults.update(overrides)
-    return SupervisorConfig(**defaults)
-
-
-def test_watchdog_respawns_crashed_face_task():
-    async def scenario():
-        daemon = ForwarderDaemon(DaemonConfig(name="sup"))
-        supervisor = Supervisor(daemon, fast_config())
-        await supervisor.start()
-        face = await daemon.add_udp_face(label="sup:f0")
-        try:
-            await crash_face_task(face)
-            assert not face.tasks_alive
-            await settle(lambda: face.tasks_alive)
-            assert supervisor.restarts_total >= 1
-            assert supervisor.running
-        finally:
-            await supervisor.shutdown()
-
-    asyncio.run(scenario())
-
-
-def test_max_restarts_abandons_hot_crashing_face():
-    async def scenario():
-        daemon = ForwarderDaemon(DaemonConfig(name="sup"))
-        supervisor = Supervisor(daemon, fast_config(max_restarts=2))
-        await supervisor.start()
-        face = await daemon.add_udp_face(label="sup:f0")
-        try:
-            # A genuinely hot-crashing dispatch loop: every respawn dies
-            # immediately, so the streak never decays and the watchdog
-            # gives up after max_restarts.
-            async def always_crash():
-                raise RuntimeError("hot crash")
-
-            face._dispatch_loop = always_crash
-            await crash_face_task(face)
-            await settle(lambda: supervisor.faces_abandoned == 1)
-            assert supervisor.restarts_total == 2
-            # Abandoned means no further respawns even after more sweeps.
-            await asyncio.sleep(0.08)
-            assert supervisor.restarts_total == 2
-        finally:
-            await supervisor.shutdown()
-
-    asyncio.run(scenario())
-
-
-def test_healthy_face_decays_crash_streak():
-    async def scenario():
-        daemon = ForwarderDaemon(DaemonConfig(name="sup"))
-        supervisor = Supervisor(daemon, fast_config())
-        await supervisor.start()
-        face = await daemon.add_udp_face(label="sup:f0")
-        try:
-            await crash_face_task(face)
-            await settle(lambda: face.tasks_alive)
-            # A couple of healthy sweeps clear the streak bookkeeping.
-            await asyncio.sleep(0.08)
-            assert face.face_id not in supervisor._crash_counts
-        finally:
-            await supervisor.shutdown()
-
-    asyncio.run(scenario())
+from repro.deploy.supervisor import Supervisor
 
 
 def test_shutdown_drains_then_closes_everything():
     async def scenario():
         daemon = ForwarderDaemon(DaemonConfig(name="sup"))
-        supervisor = Supervisor(daemon, fast_config())
+        supervisor = Supervisor(daemon)
         await supervisor.start()
         face = await daemon.add_udp_face(label="sup:f0")
         host, port = supervisor.mgmt_addr
@@ -130,16 +38,35 @@ def test_shutdown_drains_then_closes_everything():
     asyncio.run(scenario())
 
 
+def test_repeated_shutdown_requests_schedule_one_shutdown():
+    async def scenario():
+        daemon = ForwarderDaemon(DaemonConfig(name="sup"))
+        supervisor = Supervisor(daemon)
+        await supervisor.start()
+        faces = [await daemon.add_udp_face(label=f"sup:f{i}") for i in range(2)]
+        before = asyncio.all_tasks()
+        # Two signals in one tick, as a double ^C delivers them.
+        supervisor.request_shutdown()
+        supervisor.request_shutdown()
+        assert len(asyncio.all_tasks() - before) == 1
+        await asyncio.wait_for(supervisor.wait_closed(), timeout=5.0)
+        assert not supervisor.running
+        assert all(face.closed for face in faces)
+
+    asyncio.run(scenario())
+
+
 def test_stats_snapshot():
     async def scenario():
         daemon = ForwarderDaemon(DaemonConfig(name="sup"))
-        supervisor = Supervisor(daemon, fast_config())
+        supervisor = Supervisor(daemon)
         await supervisor.start()
         try:
             stats = supervisor.stats()
             assert stats["running"] and not stats["stopping"]
-            assert stats["restarts_total"] == 0
+            assert stats["mgmt_commands"] == stats["mgmt_errors"] == 0
         finally:
             await supervisor.shutdown()
+        assert not supervisor.stats()["running"]
 
     asyncio.run(scenario())
