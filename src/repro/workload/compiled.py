@@ -219,12 +219,25 @@ class CompiledTrace:
         )
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``0..bound-1``.
+
+    Below 2**16 the keys are sorted as ``uint16``: NumPy's stable sort
+    of 16-bit keys is a radix sort (linear time), and a stable order is
+    unique, so the permutation is the same.
+    """
+    if bound <= 65_536:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def _occurrence_index(ids: np.ndarray, n_names: int) -> np.ndarray:
-    """Vectorized per-id running occurrence counter."""
+    """Vectorized per-id running occurrence counter (ids in
+    ``0..n_names-1``)."""
     n = ids.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int32)
-    order = np.argsort(ids, kind="stable")
+    order = _stable_order(ids, n_names)
     sorted_ids = ids[order]
     # Start offset of each id-run within the stable sort.
     run_start = np.zeros(n, dtype=np.int64)

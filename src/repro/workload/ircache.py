@@ -21,7 +21,9 @@ compiles the same stream in RAM, so ``generate()`` and ``stream()``
 describe the *same* realization request for request.  The
 RNG draw schedule is a function of the config alone — never of the
 consumer's chunk size — which is what makes the stream seed-reproducible
-independent of chunking.
+independent of chunking.  The Zipf guide table and the 16-bit sort keys
+only make it cheaper: the draw schedule is that of plain
+``searchsorted``/``argsort``, so :data:`IRCACHE_ALGORITHM_VERSION` is too.
 
 Scale is configurable; defaults are a 1/16 scale-down (200 k requests)
 that replays in seconds while preserving the popularity skew.  A real
@@ -37,7 +39,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.workload.compiled import CompiledTrace
+from repro.workload.compiled import CompiledTrace, _stable_order
 from repro.workload.sharded import compile_workload
 from repro.workload.streaming import Request, RequestBlock, iter_requests, rechunk
 from repro.workload.zipf import ZipfSampler
@@ -131,7 +133,7 @@ class _SessionState:
         # CSR view of site membership: objects of site s are
         # site_order[site_offsets[s] : site_offsets[s] + site_counts[s]],
         # in ascending object order.
-        order = np.argsort(object_site, kind="stable")
+        order = _stable_order(object_site, config.sites)
         counts = np.bincount(object_site, minlength=config.sites)
         offsets = np.zeros(config.sites + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -151,7 +153,7 @@ class _SessionState:
         if n == 0:
             return ranks
         stay = stay_u < self.p
-        order = np.argsort(users, kind="stable")
+        order = _stable_order(users, len(self.current_site))
         u_s = users[order]
         run_begin = np.empty(n, dtype=bool)
         run_begin[0] = True
@@ -332,10 +334,10 @@ class IrcacheStream:
         return self._object_site
 
     def uri_of(self, key: int) -> str:
-        return f"/s{int(self._sites()[key])}/o{int(key)}"
+        return f"/s{self._sites().item(key)}/o{int(key)}"
 
     def components_of(self, key: int) -> Tuple[str, ...]:
-        return (f"s{int(self._sites()[key])}", f"o{int(key)}")
+        return (f"s{self._sites().item(key)}", f"o{int(key)}")
 
     def iter_blocks(
         self, chunk_size: Optional[int] = None

@@ -28,16 +28,17 @@ Nothing read from disk is trusted.  No digest covers the manifest, so
 :meth:`ShardedCompiledTrace.open` checks its shape and that its shards
 tile ``0..n_requests`` in order; every shard load checks its length and
 that its content ids index the name table; :meth:`~ShardedCompiledTrace.verify`
-re-hashes every file and reads the name table through.  Each failure is a
+re-hashes every file, and reads the name table once to hash it, count its
+lines and decode it as UTF-8.  Each failure is a
 :class:`ShardIntegrityError`, which the sweep-runner trace cache turns
 into regenerate-on-mismatch.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
-from collections import deque
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -309,9 +310,12 @@ class LazyNameTable(Sequence[Name]):
             yield from self._uris
             return
         found = 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            for found, line in enumerate(handle, start=1):
-                yield line.rstrip("\n")
+        try:
+            with self.path.open("r", encoding="utf-8", newline="\n") as handle:
+                for found, line in enumerate(handle, start=1):
+                    yield line.rstrip("\n")
+        except UnicodeDecodeError as error:
+            raise ShardIntegrityError(f"{self.path}: not UTF-8: {error}") from error
         if found != self._count:
             raise ShardIntegrityError(
                 f"{self.path}: expected {self._count} names, found {found}"
@@ -329,6 +333,28 @@ class LazyNameTable(Sequence[Name]):
 
     def __getitem__(self, index):  # type: ignore[override]
         return self._kept()[index]
+
+
+def _scan_name_table(path: Path) -> Tuple[str, int]:
+    """(hex SHA-256, line count) of a name table in one buffered read,
+    decoding it as UTF-8 on the way.  Lines are counted as
+    :meth:`LazyNameTable.iter_uris` reads them: split at line feeds only,
+    a last line without one included."""
+    digest = hashlib.sha256()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines = 0
+    last = b"\n"
+    try:
+        with path.open("rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+                decoder.decode(block)
+                lines += block.count(b"\n")
+                last = block[-1:]
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as error:
+        raise ShardIntegrityError(f"{path}: not UTF-8: {error}") from error
+    return digest.hexdigest(), lines + (last != b"\n")
 
 
 def _is_count(value: object) -> bool:
@@ -409,15 +435,19 @@ class ShardedCompiledTrace(CompiledTrace):
         """Check every shard file and the name table against the manifest.
 
         Raises :class:`ShardIntegrityError` on any missing file, checksum
-        mismatch or name-count mismatch (the trace cache regenerates on
-        this; :meth:`LazyNameTable.iter_uris` does the count).
+        mismatch, name-count mismatch or name table that is not UTF-8 (the
+        trace cache regenerates on this).
         """
         names_path = self.names.path
         if not names_path.is_file():
             raise ShardIntegrityError(f"{names_path}: missing name table")
-        if file_sha256(names_path) != self.manifest.get("names_sha256"):
+        digest, lines = _scan_name_table(names_path)
+        if digest != self.manifest.get("names_sha256"):
             raise ShardIntegrityError(f"{names_path}: checksum mismatch")
-        deque(self.names.iter_uris(), maxlen=0)
+        if lines != len(self.names):
+            raise ShardIntegrityError(
+                f"{names_path}: expected {len(self.names)} names, found {lines}"
+            )
         for index in range(self.n_shards):
             for field, _ in _FIELDS:
                 self._shard_path(index, field, verify=True)

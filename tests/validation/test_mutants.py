@@ -1,19 +1,23 @@
-"""Mutants of the reference engine's hot path, each killed by a named check.
+"""Mutants of the fast paths, each killed by a named check.
 
 The table is ``MUTANTS``: a mutant name -> (owner, attribute, the source
 edit that makes the mutant, the check that must fail).  A mutant is the
 live source of the attribute with one edit applied (``old`` must occur
 exactly once, so a rewrite of the code fails here loudly instead of
 leaving a mutant that no longer mutates anything), compiled in its own
-module's namespace and installed with ``monkeypatch``; no file changes.
+module's namespace and installed with ``monkeypatch`` on the owner — on
+each owner, when a tuple names every module that binds the attribute;
+no file changes.
 
 Each check keeps its oracle off the mutated code: the topology
-differential compares the reference engine against the batch kernel, and
+differential compares the reference engine against the batch kernel,
 the byte and wait tests compute their expectation independently
-(``encode_packet``, a hand-timed schedule).  ``golden_defense_frontier.json``
-kills none of them: a fired cancelled timer finds its PIT entry gone
-or its wait token withdrawn, and the defense tree has no private or
-scoped interests and no ``run(until=...)``.
+(``encode_packet``, a hand-timed schedule), and the Zipf and sort-key
+checks compare against ``np.searchsorted`` and an int64 ``argsort``.
+``golden_defense_frontier.json`` kills none of the engine mutants: a
+fired cancelled timer finds its PIT entry gone or its wait token
+withdrawn, and the defense tree has no private or scoped interests and
+no ``run(until=...)``.
 """
 
 from __future__ import annotations
@@ -28,9 +32,13 @@ from repro.ndn import packets
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.validation.differential import validate_topology_differential
+from repro.workload import compiled, ircache
+from repro.workload.zipf import ZipfSampler
 
 from tests.ndn.test_link_bytes import CASES, byte_mismatches
 from tests.sim import test_process
+from tests.workload.test_ircache import narrow_sort_mismatches
+from tests.workload.test_zipf import searchsorted_mismatches
 
 
 def _mutated(owner, attribute: str, old: str, new: str):
@@ -59,6 +67,16 @@ def _stale_wait_resumes(monkeypatch) -> bool:
     except AssertionError:
         return True
     return False
+
+
+def _zipf_inexact(monkeypatch) -> bool:
+    # 4 000 ranks at exponent 1 fill bins up to 9 points wide; 64 uniform
+    # ranks put every cdf value on a bin edge.
+    return searchsorted_mismatches(4_000, 1.0) + searchsorted_mismatches(64, 0.0) > 0
+
+
+def _narrow_sort_inexact(monkeypatch) -> bool:
+    return bool(narrow_sort_mismatches(65_537))
 
 
 MUTANTS = {
@@ -94,12 +112,32 @@ MUTANTS = {
         "token != self._wait", "self._wait is None",
         _stale_wait_resumes,
     ),
+    "guide-table resolve runs one pass short": (
+        ZipfSampler, "sample",
+        "range(passes)", "range(passes - 1)",
+        _zipf_inexact,
+    ),
+    "guide table counts cdf <= j/m": (
+        ZipfSampler, "_guide_table",
+        'side="left"', 'side="right"',
+        _zipf_inexact,
+    ),
+    # sharded.py binds _occurrence_index, which looks _stable_order up in
+    # compiled's namespace; ircache binds its own copy of the name.
+    "16-bit sort keys past 65 536": (
+        (compiled, ircache), "_stable_order",
+        "bound <= 65_536", "bound <= 65_537",
+        _narrow_sort_inexact,
+    ),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_each_mutant_is_killed(mutant, monkeypatch):
     owner, attribute, old, new, check = MUTANTS[mutant]
+    owners = owner if isinstance(owner, tuple) else (owner,)
     assert not check(monkeypatch), "the check fails without the mutant"
-    monkeypatch.setattr(owner, attribute, _mutated(owner, attribute, old, new))
+    mutated = _mutated(owners[0], attribute, old, new)
+    for module in owners:
+        monkeypatch.setattr(module, attribute, mutated)
     assert check(monkeypatch), f"{mutant!r} survived"

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.workload import compiled, ircache
+from repro.workload.compiled import _occurrence_index
 from repro.workload.ircache import (
     IrcacheConfig,
     IrcacheGenerator,
+    _SessionState,
     small_test_trace,
 )
 
@@ -114,3 +117,53 @@ class TestCalibration:
         trace = small_test_trace(requests=2000, seed=0)
         assert trace.n_requests == 2000
         assert len(np.unique(trace.users)) <= 25
+
+
+# ----------------------------------------------------------------------
+# The per-block stable sorts: 16-bit keys give the int64 permutation
+# ----------------------------------------------------------------------
+def _int64_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    return np.argsort(keys.astype(np.int64), kind="stable")
+
+
+def _sorted_by_key(keys: int) -> dict:
+    """``_occurrence_index`` over ids in ``0..keys-1`` and two
+    ``_SessionState.apply`` blocks over users in ``0..keys-1``; the
+    extreme keys interleave at the head, so a key that wraps at 2**16
+    lands in the wrong run."""
+    rng = np.random.default_rng(keys)
+    n = 2 * keys
+    head = np.tile([keys - 1, 0], 8)
+    ids = np.concatenate([head, rng.integers(0, keys, n)]).astype(np.int32)
+    config = IrcacheConfig(
+        users=keys, objects=500, sites=20, session_locality=0.5, seed=keys
+    )
+    state = _SessionState(config, rng.integers(0, config.sites, config.objects))
+    blocks = [
+        state.apply(
+            rng.integers(0, config.objects, len(ids)), ids.astype(np.intp),
+            rng.random(len(ids)), rng.random(len(ids)),
+        )
+        for _ in range(2)
+    ]  # fmt: skip
+    return {
+        "occurrence": _occurrence_index(ids, keys),
+        "apply": np.concatenate(blocks),
+        "carry": state.current_site,
+    }
+
+
+def narrow_sort_mismatches(keys: int) -> list:
+    """Which results of :func:`_sorted_by_key` differ from the same run
+    with every key sorted as int64."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled, "_stable_order", _int64_order)
+        patch.setattr(ircache, "_stable_order", _int64_order)
+        expected = _sorted_by_key(keys)
+    actual = _sorted_by_key(keys)
+    return [name for name in expected if not np.array_equal(actual[name], expected[name])]
+
+
+@pytest.mark.parametrize("keys", [65_535, 65_536, 65_537])
+def test_narrow_sort_keys_give_the_int64_permutation(keys):
+    assert narrow_sort_mismatches(keys) == []

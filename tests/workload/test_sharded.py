@@ -24,6 +24,7 @@ from repro.workload.sharded import (
     ShardIntegrityError,
     compile_stream,
     compile_workload,
+    file_sha256,
 )
 from repro.workload.streaming import RequestBlock, TsvWorkload
 from tests.workload.test_streaming import expected_columns, tsv_lines
@@ -203,6 +204,53 @@ def test_name_table_of_the_wrong_length_fails_closed_unverified(tmp_path, extra)
     # very same object replays right.
     names_path.write_text(intact, encoding="utf-8")
     assert run(sharded) == expected
+
+
+def _edit_name_table(root, edit) -> None:
+    """Rewrite ``names.tsv`` as ``edit(bytes)`` and re-sign it in the
+    manifest, so only the table's content can fail ``verify()``."""
+    names_path = root / "names.tsv"
+    names_path.write_bytes(edit(names_path.read_bytes()))
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["names_sha256"] = file_sha256(names_path)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_name_table_that_is_not_utf8_fails_closed(tmp_path):
+    compile_stream(IrcacheGenerator(_config(800, seed=4)).stream(), tmp_path, 300)
+    _edit_name_table(tmp_path, lambda table: b"\xff\xfe" + table[2:])
+    sharded = ShardedCompiledTrace.open(tmp_path)
+    with pytest.raises(ShardIntegrityError, match=r"names\.tsv: not UTF-8"):
+        sharded.verify()
+    with pytest.raises(ShardIntegrityError, match=r"names\.tsv: not UTF-8"):
+        list(sharded.iter_uris())
+
+
+@pytest.mark.parametrize("edit,delta", [
+    (lambda table: table + b"/evil/extra\n", 1),
+    (lambda table: table + b"/evil/unterminated", 1),
+    (lambda table: table[: table.rindex(b"\n", 0, -1) + 1], -1),
+    (lambda table: b"/\r" + table[1:], 0),
+], ids=["extra-line", "unterminated-line", "missing-line", "carriage-return"])
+def test_verify_counts_names_as_iter_uris_reads_them(tmp_path, edit, delta):
+    """``verify()`` counts lines in its one read exactly as the unverified
+    reader splits them: at line feeds only (a carriage return is part of
+    its URI), a last unterminated line included."""
+    compile_stream(IrcacheGenerator(_config(800, seed=4)).stream(), tmp_path, 300)
+    names = ShardedCompiledTrace.open(tmp_path).n_names
+    _edit_name_table(tmp_path, edit)
+    sharded = ShardedCompiledTrace.open(tmp_path)
+    if delta == 0:
+        sharded.verify()
+        uris = list(sharded.iter_uris())
+        assert len(uris) == names and uris[0].startswith("/\r")
+        return
+    message = rf"expected {names} names, found {names + delta}$"
+    with pytest.raises(ShardIntegrityError, match=message):
+        sharded.verify()
+    with pytest.raises(ShardIntegrityError, match=message):
+        list(sharded.iter_uris())
 
 
 def test_open_rejects_missing_or_malformed_manifest(tmp_path):
