@@ -20,6 +20,7 @@ experiments can attribute every lost packet to a cause.
 from __future__ import annotations
 
 import abc
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
@@ -73,8 +74,8 @@ class FixedDelay(DelayModel):
     draws = False
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise TopologyError(f"delay must be >= 0, got {delay}")
+        if not 0 <= delay < math.inf:
+            raise TopologyError(f"delay must be finite and >= 0, got {delay}")
         self._delay = delay
 
     def sample(self, rng: Optional[np.random.Generator]) -> float:
@@ -94,8 +95,10 @@ class GaussianJitterDelay(DelayModel):
     """
 
     def __init__(self, base: float, jitter_std: float, floor: Optional[float] = None) -> None:
-        if base < 0 or jitter_std < 0:
-            raise TopologyError("base and jitter_std must be >= 0")
+        if not (0 <= base < math.inf and 0 <= jitter_std < math.inf):
+            raise TopologyError("base and jitter_std must be finite and >= 0")
+        if floor is not None and not math.isfinite(floor):
+            raise TopologyError(f"floor must be finite, got {floor}")
         self._base = base
         self._std = jitter_std
         self._floor = floor if floor is not None else max(0.0, base - 3 * jitter_std)
@@ -117,7 +120,9 @@ class LogNormalDelay(DelayModel):
     """
 
     def __init__(self, base: float, tail_scale: float, sigma: float = 0.8) -> None:
-        if base < 0 or tail_scale < 0 or sigma <= 0:
+        if not (
+            0 <= base < math.inf and 0 <= tail_scale < math.inf and 0 < sigma < math.inf
+        ):
             raise TopologyError("invalid LogNormalDelay parameters")
         self._base = base
         self._scale = tail_scale
@@ -128,8 +133,6 @@ class LogNormalDelay(DelayModel):
 
     @property
     def mean(self) -> float:
-        import math
-
         return self._base + self._scale * math.exp(self._sigma**2 / 2)
 
 
@@ -275,8 +278,8 @@ class Link:
 
     def add_extra_delay(self, extra: float) -> None:
         """Add a per-packet delay component (congestion spike)."""
-        if extra < 0:
-            raise TopologyError(f"extra delay must be >= 0, got {extra}")
+        if not 0 <= extra < math.inf:
+            raise TopologyError(f"extra delay must be finite and >= 0, got {extra}")
         self.extra_delay += extra
 
     def remove_extra_delay(self, extra: float) -> None:

@@ -579,21 +579,21 @@ def _compile_consumer_scripts(
             f"consumer {script.consumer!r}: face not on a compiled link",
         )
         steps: List[tuple] = []
+        # Once per step: a message is formatted only when its check fails.
         for step in script.steps:
             if isinstance(step, SleepStep):
-                _require(
-                    step.delay >= 0, f"negative sleep in {script.consumer!r}"
-                )
+                if not step.delay >= 0:
+                    raise BatchCompileError(f"negative sleep in {script.consumer!r}")
                 steps.append(("S", step.delay))
             else:
-                _require(
-                    step.timeout is not None and step.timeout > 0,
-                    f"fetch timeout must be positive in {script.consumer!r}",
-                )
-                _require(
-                    step.lifetime > 0,
-                    f"interest lifetime must be positive in {script.consumer!r}",
-                )
+                if not (step.timeout is not None and step.timeout > 0):
+                    raise BatchCompileError(
+                        f"fetch timeout must be positive in {script.consumer!r}"
+                    )
+                if not step.lifetime > 0:
+                    raise BatchCompileError(
+                        f"interest lifetime must be positive in {script.consumer!r}"
+                    )
                 steps.append(
                     (
                         "F",

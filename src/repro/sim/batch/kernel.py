@@ -1,9 +1,10 @@
 """The batched dispatch loop: struct-of-arrays forwarding fast path.
 
 Executes a :class:`~repro.sim.batch.compile.CompiledTopology` over a
-plain ``heapq`` list of ``(time, seq, kind, ...)`` tuples, producing
-*bit-identical* :class:`~repro.sim.batch.script.TopologyObservables` to
-the reference object-graph engine.  Identity holds because every source
+plain ``heapq`` list of ``(time, seq, kind, ...)`` tuples and a FIFO
+timer lane beside it (see below), producing *bit-identical*
+:class:`~repro.sim.batch.script.TopologyObservables` to the reference
+object-graph engine.  Identity holds because every source
 of ordering or randomness is mirrored exactly:
 
 * **sequence numbers** — one monotonic counter, consumed at precisely the
@@ -31,15 +32,26 @@ of ordering or randomness is mirrored exactly:
   order as the reference (e.g. a re-armed PIT timer fires at
   ``now + (expiry - now)``, *not* at ``expiry``).
 
-Both engines pop a ``(time, seq)`` heap and skip cancelled entries
-lazily: a cancelled timer stays queued and is dropped when it surfaces
-(here by its seq, in the engine by its :class:`Event` state).  The clock
-advances only on fired events, so ``end_time`` and ``events_processed``
-match :meth:`Engine.run` exactly.
+Both engines fire events in ``(time, seq)`` order and skip cancelled
+entries lazily: a cancelled timer stays queued and is dropped when it
+surfaces (here by its seq, in the engine by its :class:`Event` state).
+The clock advances only on fired events, so ``end_time`` and
+``events_processed`` match :meth:`Engine.run` exactly.
+
+The engine keeps one heap; the kernel keeps its cancellable timers (the
+consumer fetch timeout and the PIT expiry, nearly always cancelled a few
+milliseconds after they are armed) in a FIFO lane beside the heap.
+Timers of one duration are armed in ``(time, seq)`` order, so a timer
+that sorts after the lane's tail is appended in O(1) and the lane stays
+sorted; any other timer (a shorter timeout, a PIT re-arm) goes to the
+heap.  The loop fires the smaller of the two heads, so the merged order
+is the heap's, and the heap holds only the few packets in flight instead
+of thousands of dead timers (cf. Brown's calendar queue, CACM 1988).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Set
 
@@ -96,8 +108,8 @@ K_DI = 0  # deliver interest: (t, s, K_DI, edge, nid, priv, lifetime)
 K_DD = 1  # deliver data:     (t, s, K_DD, edge, nid, oh)
 K_SI = 2  # fire a scheduled upstream interest send (same payload as K_DI)
 K_SD = 3  # fire a scheduled data send: (t, s, K_SD, edge, nid, oh)
-K_PIT = 4  # PIT expiry timer: (t, s, K_PIT, rid, nid)     [cancellable]
-K_TO = 5  # consumer fetch timeout: (t, s, K_TO, ci)       [cancellable]
+K_PIT = 4  # PIT expiry timer: (t, s, K_PIT, rid, nid)     [cancellable: arm]
+K_TO = 5  # consumer fetch timeout: (t, s, K_TO, ci)       [cancellable: arm]
 K_SLEEP = 6  # resume a sleeping consumer script: (t, s, K_SLEEP, ci)
 
 #: Link delays pre-drawn per refill; any chunk size yields the same
@@ -191,10 +203,21 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     script_of_entity = ct.consumer_script_of_entity
 
     q: List[tuple] = []
+    lane: deque = deque()  # cancellable timers, strictly (time, seq)-sorted
+    lane_append = lane.append
+    popleft = lane.popleft
     cancelled: Set[int] = set()  # seqs of cancelled timers still queued
     cancel = cancelled.add
     seq = 0
     maximum = np.maximum
+
+    def arm(timer: tuple) -> None:
+        """Queue a cancellable timer: on the lane if it sorts after the
+        lane's tail, on the heap otherwise."""
+        if not lane or lane[-1] < timer:
+            lane_append(timer)
+        else:
+            heappush(q, timer)
 
     def link_delay(li: int) -> float:
         kind = l_kind[li]
@@ -245,7 +268,7 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
             c_out[ci] = nid
             c_sent[ci] = t
             c_tseq[ci] = seq
-            heappush(q, (t + timeout, seq, K_TO, ci))
+            arm((t + timeout, seq, K_TO, ci))
             seq += 1
         else:  # ("S", delay) — yield Timeout(delay)
             heappush(q, (t + step[1], seq, K_SLEEP, ci))
@@ -349,7 +372,7 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
             return
         ctr[C_PIT_INSERT] += 1
         entry[4] = seq
-        heappush(q, (entry[0], seq, K_PIT, rid, nid))
+        arm((entry[0], seq, K_PIT, rid, nid))
         seq += 1
         ctr[C_FORWARDED] += 1
         # The forward is *always* a scheduled event, even at zero delay.
@@ -442,8 +465,11 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
 
         now = 0.0
         events = 0
-        while q:
-            entry = heappop(q)
+        while q or lane:
+            if lane and (not q or lane[0] < q[0]):
+                entry = popleft()
+            else:
+                entry = heappop(q)
             if entry[1] in cancelled:
                 cancelled.remove(entry[1])
                 continue
@@ -498,7 +524,7 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
                         # A collapse extended the entry: re-arm for the
                         # remainder (same float arithmetic as the reference).
                         pit_entry[4] = seq
-                        heappush(q, (t + (pit_entry[0] - t), seq, K_PIT, rid, nid))
+                        arm((t + (pit_entry[0] - t), seq, K_PIT, rid, nid))
                         seq += 1
                     else:
                         del r_pit[rid][nid]

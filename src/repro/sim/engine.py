@@ -75,9 +75,9 @@ class Engine:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now.
 
         Returns the :class:`Event` handle, which can be cancelled while
-        pending.  Negative delays raise :class:`ClockError`.
+        pending.  Negative and NaN delays raise :class:`ClockError`.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         seq = self._seq
@@ -95,8 +95,11 @@ class Engine:
         *args: Any,
         label: str = "",
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` at absolute simulated time ``time``.
+
+        A time before now, or NaN, raises :class:`ClockError`.
+        """
+        if not time >= self._now:
             raise ClockError(
                 f"cannot schedule at t={time} (now={self._now}): time moves forward"
             )
@@ -118,7 +121,7 @@ class Engine:
         at equal timestamps is identical to the regular lane — interleaved
         schedules fire in insertion order.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
             self._queue, (self._now + delay, self._seq, callback, args, None)
@@ -222,8 +225,9 @@ class Engine:
 
         The purge helper of :meth:`step` and :meth:`peek`; :meth:`run`
         applies the same rule inline.  The rule is the batch kernel's too:
-        both engines pop a ``(time, seq)`` heap and skip cancelled entries
-        lazily (the kernel tracks them by seq, see
+        both engines fire in ``(time, seq)`` order and skip cancelled
+        entries lazily (the kernel tracks them by seq and keeps its
+        constant-duration timers in a FIFO lane beside its heap, see
         :mod:`repro.sim.batch.kernel`).
         """
         queue = self._queue

@@ -79,6 +79,46 @@ class TestDelayModels:
             LogNormalDelay(base=1.0, tail_scale=1.0, sigma=0.0)
 
 
+NON_FINITE = (float("nan"), float("inf"))
+
+
+class TestNonFiniteDelays:
+    """A NaN or infinite link delay would put an unordered time on both
+    engines' queues; every delay parameter is refused up front."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_fixed_delay(self, value):
+        with pytest.raises(TopologyError):
+            FixedDelay(value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_gaussian_jitter(self, value):
+        for kwargs in (
+            dict(base=value, jitter_std=0.1),
+            dict(base=1.0, jitter_std=value),
+            dict(base=1.0, jitter_std=0.1, floor=value),
+        ):
+            with pytest.raises(TopologyError):
+                GaussianJitterDelay(**kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_lognormal(self, value):
+        for kwargs in (
+            dict(base=value, tail_scale=1.0),
+            dict(base=1.0, tail_scale=value),
+            dict(base=1.0, tail_scale=1.0, sigma=value),
+        ):
+            with pytest.raises(TopologyError):
+                LogNormalDelay(**kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_link_extra_delay(self, engine, value):
+        *_, link = wire(engine)
+        with pytest.raises(TopologyError):
+            link.add_extra_delay(value)
+        assert link.extra_delay == 0.0
+
+
 class TestLinkTransmission:
     def test_interest_delivered_to_peer(self, engine):
         a, b, face_a, face_b, _ = wire(engine, delay=2.0)

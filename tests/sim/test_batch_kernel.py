@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import pytest
 
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
@@ -20,6 +23,7 @@ from repro.sim.batch import (
     run_scripts_batch,
     run_scripts_reference,
 )
+from repro.sim.batch import kernel
 from repro.sim.rng import RngRegistry
 
 
@@ -343,3 +347,48 @@ def test_simcore_batch_matches_reference_counts():
                 obs.total_cache_hits,
             ) == expected
         assert diff_observables(observed["reference"], observed["batch"]) == []
+
+
+def test_constant_duration_timers_never_enter_the_heap(monkeypatch):
+    """Every fetch timeout and PIT expiry of the star workload has the
+    default 4 000 ms duration, so each is armed after the lane's tail and
+    rides the timer lane: the heap holds only packets and forwards."""
+    pushed = Counter()
+    heappush = kernel.heappush
+
+    def counting(q, item):
+        pushed[item[2]] += 1
+        heappush(q, item)
+
+    monkeypatch.setattr(kernel, "heappush", counting)
+    net, names, universe = build_star()
+    batch = run_scripts_batch(net, simcore_scripts(names, 200, universe))
+    monkeypatch.undo()
+    net, names, universe = build_star()
+    oracle = run_scripts_reference(net, simcore_scripts(names, 200, universe))
+    assert diff_observables(oracle, batch) == []
+
+    router = batch.router_counters["R"]
+    forwards = router["interest_forwarded"] + router.get("interest_retransmitted", 0)
+    # The star serves at zero processing delay: every send is a link
+    # delivery, none is a scheduled send.
+    assert pushed[kernel.K_SD] == 0
+    assert sum(pushed.values()) == sum(batch.link_packets.values()) + forwards
+    assert pushed[kernel.K_TO] == pushed[kernel.K_PIT] == 0
+
+
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        (SleepStep(-1.0), "negative sleep"),
+        (SleepStep(float("nan")), "negative sleep"),
+        (FetchStep("/content/obj-0", timeout=0.0), "fetch timeout must be positive"),
+        (FetchStep("/content/obj-0", timeout=None), "fetch timeout must be positive"),
+        (FetchStep("/content/obj-0", lifetime=0.0), "lifetime must be positive"),
+    ],
+)
+def test_invalid_step_is_refused_with_its_reason(step, reason):
+    net, _ = small_star()
+    script = ConsumerScript(consumer="C0", steps=(FetchStep("/content/obj-1"), step))
+    with pytest.raises(BatchCompileError, match=re.escape(f"{reason} in 'C0'")):
+        compile_topology(net, [script])

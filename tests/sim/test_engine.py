@@ -43,6 +43,28 @@ class TestScheduling:
         with pytest.raises(ClockError):
             engine.schedule_at(5.0, lambda: None)
 
+    # A NaN time compares false against everything, so an accepted one
+    # sits wherever the heap first put it and fires out of order.
+    def test_schedule_rejects_nan_delay(self, engine):
+        with pytest.raises(ClockError):
+            engine.schedule(float("nan"), lambda: None)
+
+    def test_schedule_at_rejects_nan_time(self, engine):
+        with pytest.raises(ClockError):
+            engine.schedule_at(float("nan"), lambda: None)
+
+    def test_schedule_fire_and_forget_rejects_nan_delay(self, engine):
+        with pytest.raises(ClockError):
+            engine.schedule_fire_and_forget(float("nan"), lambda: None)
+
+    def test_infinite_delay_is_accepted_and_fires_last(self, engine):
+        order = []
+        engine.schedule(float("inf"), order.append, "never")
+        engine.schedule_at(float("inf"), order.append, "at")
+        engine.schedule_fire_and_forget(1.0, order.append, "soon")
+        engine.run()
+        assert order == ["soon", "never", "at"]
+
     def test_zero_delay_runs_at_current_time(self, engine):
         seen = []
         engine.schedule(0.0, lambda: seen.append(engine.now))

@@ -17,7 +17,11 @@ checks compare against ``np.searchsorted`` and an int64 ``argsort``.
 ``golden_defense_frontier.json`` kills none of the engine mutants: a
 fired cancelled timer finds its PIT entry gone or its wait token
 withdrawn, and the defense tree has no private or scoped interests and
-no ``run(until=...)``.
+no ``run(until=...)``; it runs on the reference engine, so the batch
+kernel's timer-lane mutants never reach it either.  The topology
+differential kills all of them: every case cancels timers at the lane's
+head, and its 4.3 ms tree case arms fetch timeouts that sort before a
+4 000 ms PIT expiry at the lane's tail.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import textwrap
 import pytest
 
 from repro.ndn import packets
+from repro.sim import batch
+from repro.sim.batch import kernel
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.validation.differential import validate_topology_differential
@@ -128,6 +134,23 @@ MUTANTS = {
         (compiled, ircache), "_stable_order",
         "bound <= 65_536", "bound <= 65_537",
         _narrow_sort_inexact,
+    ),
+    # repro.sim.batch re-exports run_compiled for run_scripts; the
+    # kernel module binds it for run_scripts_batch.
+    "timer lane takes every timer": (
+        (kernel, batch), "run_compiled",
+        "not lane or lane[-1] < timer", "True",
+        _differential_fails,
+    ),
+    "loop prefers the lane head over a smaller heap head": (
+        (kernel, batch), "run_compiled",
+        "not q or lane[0] < q[0]", "True",
+        _differential_fails,
+    ),
+    "loop fires a cancelled lane head": (
+        (kernel, batch), "run_compiled",
+        "entry = popleft()", "entry = popleft(); cancelled.discard(entry[1])",
+        _differential_fails,
     ),
 }
 

@@ -235,12 +235,10 @@ def _scripts_from_program(program):
             if isinstance(step, float):
                 compiled.append(SleepStep(step))
             else:
-                obj, private, timeout = step
-                compiled.append(
-                    FetchStep(
-                        f"/content/obj-{obj}", timeout=timeout, private=private
-                    )
-                )
+                # An explicit example may add a fourth field, the lifetime.
+                obj, private, timeout, *lifetime = step
+                name = f"/content/obj-{obj}"
+                compiled.append(FetchStep(name, timeout, *lifetime, private=private))
         scripts.append(ConsumerScript(consumer=f"C{j}", steps=tuple(compiled)))
     return scripts
 
@@ -254,6 +252,14 @@ def _scripts_from_program(program):
     0,
     True,
 )
+# The batch kernel's timer lane holds a timer only if it sorts after the
+# lane's tail.  C1's 3 ms timeout is armed after C0's 4 000 ms one, so it
+# goes to the heap and must still fire first.
+@example([[(0, False, 4000.0)], [(1, False, 3.0)]], 0, True)
+# At 1 ms lifetimes the PIT entry at R (created at t = 2, data back at 4)
+# expires first; C1's interest collapses at 2.5 and extends it to 3.5,
+# so the expiry at 3 re-arms the timer for the remaining 0.5 ms.
+@example([[(0, False, 4000.0, 1.0)], [0.5, (0, False, 4000.0, 1.0)]], 0, True)
 @settings(max_examples=40, deadline=None)
 def test_random_schedules_stay_bit_identical(program, seed, fixed_delays):
     def build():
