@@ -38,6 +38,11 @@ class FirstHitDistribution(abc.ABC):
         ``rng`` state they would leave; overrides make one generator call."""
         return [self.sample(rng) for _ in range(n)]
 
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """:meth:`sample_block` as an ``int64`` array (same values, same
+        ``rng`` state); overrides skip the list."""
+        return np.array(self.sample_block(rng, n), dtype=np.int64)
+
     @abc.abstractmethod
     def pmf(self, r: int) -> float:
         """Pr[K = r]."""
@@ -67,7 +72,10 @@ class UniformK(FirstHitDistribution):
         return int(rng.integers(self.K))
 
     def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
-        return rng.integers(self.K, size=n).tolist()
+        return self.sample_array(rng, n).tolist()
+
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(self.K, size=n)
 
     def pmf(self, r: int) -> float:
         return 1.0 / self.K if 0 <= r < self.K else 0.0
@@ -113,19 +121,27 @@ class TruncatedGeometric(FirstHitDistribution):
         return min(r, self.K - 1)
 
     def sample_block(self, rng: np.random.Generator, n: int) -> List[int]:
-        # Only log1p stays scalar: np.log1p and math.log1p differ in the
-        # last place on some inputs.  The product, the division, floor and
-        # the clip are exactly rounded, so the array forms equal sample()'s.
+        return self.sample_array(rng, n).tolist()
+
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # The product, the division, floor and the clip are exactly
+        # rounded, so only log1p can differ from sample(): np.log1p may
+        # miss math.log1p by an ulp, which moves floor() only for a
+        # quotient next to an integer.  Those few are redone with
+        # math.log1p; the margin is millions of ulps wide.
         # (K=None: _norm is 1.0, u * 1.0 is u.)
-        logs = np.fromiter(
-            map(math.log1p, (-(rng.random(n) * self._norm)).tolist()),
-            dtype=np.float64,
-            count=n,
+        x = -(rng.random(n) * self._norm)
+        log_alpha = math.log(self.alpha)
+        q = np.log1p(x) / log_alpha
+        near = np.flatnonzero(
+            np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(1.0, np.abs(q))
         )
-        r = np.floor(logs / math.log(self.alpha))
+        if near.size:
+            q[near] = [math.log1p(v) / log_alpha for v in x[near].tolist()]
+        r = np.floor(q)
         if self.K is not None:
             np.minimum(r, self.K - 1, out=r)
-        return r.astype(np.int64).tolist()
+        return r.astype(np.int64)
 
     def pmf(self, r: int) -> float:
         if r < 0 or (self.K is not None and r >= self.K):

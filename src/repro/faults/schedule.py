@@ -15,6 +15,7 @@ seeded RNG, making randomized chaos scenarios reproducible from one seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -28,9 +29,10 @@ if TYPE_CHECKING:  # import only for typing: faults must not import ndn at runti
 
 
 def _check_window(kind: str, start: float, end: float) -> None:
-    if start < 0:
+    # Written as negations so a NaN fails them too.
+    if not start >= 0:
         raise FaultConfigError(f"{kind} start must be >= 0, got {start}")
-    if end <= start:
+    if not end > start:
         raise FaultConfigError(
             f"{kind} window must have end > start, got [{start}, {end})"
         )
@@ -60,9 +62,9 @@ class DelaySpikeWindow:
 
     def __post_init__(self) -> None:
         _check_window("DelaySpikeWindow", self.start, self.end)
-        if self.extra_delay <= 0:
+        if not 0 < self.extra_delay < math.inf:
             raise FaultConfigError(
-                f"extra_delay must be > 0, got {self.extra_delay}"
+                f"extra_delay must be finite and > 0, got {self.extra_delay}"
             )
 
 
@@ -98,9 +100,9 @@ class RouterCrash:
     mode: str = "flush"
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultConfigError(f"crash time must be >= 0, got {self.at}")
-        if self.restart_at is not None and self.restart_at <= self.at:
+        if self.restart_at is not None and not self.restart_at > self.at:
             raise FaultConfigError(
                 f"restart_at {self.restart_at} must be after crash at {self.at}"
             )

@@ -284,6 +284,8 @@ class Link:
 
     def remove_extra_delay(self, extra: float) -> None:
         """Remove a previously added delay component."""
+        if not 0 <= extra < math.inf:
+            raise TopologyError(f"extra delay must be finite and >= 0, got {extra}")
         self.extra_delay = max(0.0, self.extra_delay - extra)
 
     def other_end(self, face: Face) -> Face:

@@ -417,10 +417,12 @@ def _scheme_of(spec: ReplaySpec) -> CacheScheme:
     return scheme
 
 
-def _execute(trace: CompiledTrace, spec: ReplaySpec) -> ReplayStats:
-    """One sweep point: an LRU grid point from the trace's stack distances,
-    any other on the replay kernel."""
-    scheme = _scheme_of(spec)
+def _execute(
+    trace: CompiledTrace, spec: ReplaySpec, scheme: CacheScheme
+) -> ReplayStats:
+    """One sweep point, with ``scheme`` built from ``spec``
+    (:func:`_scheme_of`): an LRU grid point from the trace's stack
+    distances, any other on the replay kernel."""
     if runs_on_grid(scheme, spec.policy, spec.refresh_delayed_hits):
         return lru_grid_stats(
             trace, scheme, spec.marking, spec.cache_size, spec.fetch_delay
@@ -440,7 +442,7 @@ def _execute(trace: CompiledTrace, spec: ReplaySpec) -> ReplayStats:
 def _worker_run(args: tuple) -> ReplayStats:
     trace_path, spec, layout = args
     load = _load_sharded if layout == "sharded" else _load_trace
-    return _execute(load(trace_path), spec)
+    return _execute(load(trace_path), spec, _scheme_of(spec))
 
 
 def run_replay_sweep(
@@ -491,14 +493,19 @@ def run_replay_sweep(
         trace = compile_workload(trace)
 
     # Grid points run here, over the one loaded trace; with one worker,
-    # every point does.  Only the rest needs a pool.
+    # every point does.  Only the rest needs a pool.  Each spec is
+    # pickle round-tripped so scheme/marking RNG state is isolated exactly
+    # as process transport isolates it, and its scheme is built once, for
+    # the routing test and the run.
     results: List[Optional[ReplayStats]] = [None] * len(spec_list)
-    local = [
-        index
-        for index, spec in enumerate(spec_list)
-        if workers <= 1
-        or runs_on_grid(_scheme_of(spec), spec.policy, spec.refresh_delayed_hits)
-    ]
+    local = []
+    for index, spec in enumerate(spec_list):
+        spec = pickle.loads(pickle.dumps(spec))
+        scheme = _scheme_of(spec)
+        if workers <= 1 or runs_on_grid(
+            scheme, spec.policy, spec.refresh_delayed_hits
+        ):
+            local.append((index, spec, scheme))
     if local:
         if trace is not None:
             workload: CompiledTrace = trace
@@ -508,11 +515,8 @@ def run_replay_sweep(
             )
         else:
             workload = _load_trace(str(ensure_trace_cached(trace_config)))
-        # Pickle round-trip each spec so scheme/marking RNG state is
-        # isolated exactly as process transport isolates it.
-        for index in local:
-            spec = pickle.loads(pickle.dumps(spec_list[index]))
-            results[index] = _execute(workload, spec)
+        for index, spec, scheme in local:
+            results[index] = _execute(workload, spec, scheme)
     pooled = [index for index, stats in enumerate(results) if stats is None]
     if not pooled:
         return results

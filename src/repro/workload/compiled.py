@@ -39,7 +39,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ndn.name import Name
-from repro.workload.marking import ContentMarking
+from repro.workload.marking import ContentMarking, MarkingRule
 from repro.workload.streaming import Request, RequestBlock, iter_requests, rechunk
 
 #: :class:`TraceShard` column -> dtype.
@@ -96,8 +96,8 @@ def _whole_column(column: str, doc: str) -> property:
 class CompiledTrace:
     """A trace interned to dense integer content ids (replay fast path).
 
-    Immutable, so :meth:`content_coins` and :meth:`lru_columns` memoize
-    with nothing to invalidate.
+    Immutable, so :meth:`content_coins`, :meth:`lru_columns` and
+    :meth:`grid_flags` memoize with nothing to invalidate.
     """
 
     def __init__(
@@ -108,8 +108,12 @@ class CompiledTrace:
         self._shards = tuple(shards)
         #: (salt, coin column) of the last salt asked for: 8 B x n_names.
         self._coins: Optional[Tuple[str, np.ndarray]] = None
-        #: (ids, stack distance, occurrence order): 12 B x n_requests, once.
+        #: (ids, occurrence order, stack distance in that order):
+        #: 12 B x n_requests, once.
         self._lru: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: ((salt, fraction), flags in occurrence order) of the last
+        #: ContentMarking asked for: 1 B x n_requests.
+        self._flags: Optional[Tuple[Tuple[str, float], np.ndarray]] = None
 
     @property
     def n_requests(self) -> int:
@@ -176,10 +180,10 @@ class CompiledTrace:
         return self._coins[1]
 
     def lru_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(content id, LRU stack distance, occurrence order) per request,
-        ``int32``: one pass over the shards per trace object, shared by
-        every LRU grid point over it (:mod:`repro.workload.lru_grid`),
-        which also derives its privacy flags from the id column."""
+        """(content id per request, occurrence order, LRU stack distance
+        per request in occurrence order), ``int32``: one pass over the
+        shards per trace object, shared by every LRU grid point over it
+        (:mod:`repro.workload.lru_grid`)."""
         if self._lru is None:
             from repro.workload.lru_grid import occurrence_order, stack_distances
 
@@ -187,8 +191,28 @@ class CompiledTrace:
             if isinstance(ids, np.memmap):  # one mapped shard: own a copy
                 ids = np.array(ids)
             order = occurrence_order(ids)
-            self._lru = (ids, stack_distances(ids, order), order)
+            self._lru = (ids, order, np.take(stack_distances(ids, order), order))
         return self._lru
+
+    def grid_flags(self, rule: MarkingRule) -> np.ndarray:
+        """``rule``'s consumer privacy bit per request in occurrence order
+        (:meth:`lru_columns`).
+
+        An exact :class:`ContentMarking` is memoised, one entry keyed by
+        salt and fraction, so every capacity swept under one marking
+        shares the column; any other rule is evaluated afresh, because a
+        :class:`~repro.workload.marking.RequestMarking` or a generic
+        rule's draws advance its state.
+        """
+        from repro.workload.fast_replay import _trace_flags
+
+        ids, order, _ = self.lru_columns()
+        if type(rule) is not ContentMarking:
+            return np.take(_trace_flags(rule, self, ids), order)
+        key = (str(rule.salt), rule.fraction)
+        if self._flags is None or self._flags[0] != key:
+            self._flags = (key, np.take(_trace_flags(rule, self, ids), order))
+        return self._flags[1]
 
     def _whole(self) -> TraceShard:
         """Every request as one shard: the only shard itself when there

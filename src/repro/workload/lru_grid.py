@@ -22,13 +22,18 @@ inside a segment ``fast_replay``'s decisions depend on three things only:
   it is a disguised hit iff its rank is ``<= k_C``.
 
 The draws are taken in trace order of the private inserts, so one
-``distribution.sample_block(rng, P)`` yields the values, and leaves the
+``distribution.sample_array(rng, P)`` yields the values, and leaves the
 generator state, that the kernel's blocks with hand-back do
-(``sample_block``'s contract).  Always-Delay is ``k_C = inf`` and
-No-Privacy delays nothing.  :func:`lru_grid_stats` is therefore
-bit-identical to ``fast_replay`` (and to the oracle ``replay()``) on every
-input :func:`runs_on_grid` accepts; the property suite in
-``tests/workload/test_lru_grid.py`` pins it to the oracle.
+(``sample_block``'s contract, as an array).  Always-Delay is
+``k_C = inf`` and No-Privacy delays nothing.  :func:`lru_grid_stats` is
+therefore bit-identical to ``fast_replay`` (and to the oracle
+``replay()``) on every input :func:`runs_on_grid` accepts; the property
+suite in ``tests/workload/test_lru_grid.py`` pins it to the oracle.
+
+Every column a point reads is kept per trace: the occurrence order and
+the stack distances in that order by ``CompiledTrace.lru_columns``, a
+``ContentMarking``'s flags by ``CompiledTrace.grid_flags``, so a point
+pays only the passes that depend on its capacity and its scheme.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.random_cache import RandomCacheScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
-from repro.workload.fast_replay import _trace_flags
 from repro.workload.marking import MarkingRule, NoMarking
 from repro.workload.replay import ReplayStats
 from repro.workload.sharded import compile_workload
@@ -161,15 +165,20 @@ def _private_runs(
 
     ``dist_o`` and ``flags_o`` are the distance and privacy columns in
     :func:`occurrence_order` ``order``: each content's requests
-    contiguous, in trace order, starting with a miss.  A miss or a public
-    request stops the run of private hits before it, so a private stop is
-    a private insert and the run after it is its count.
+    contiguous, in trace order, starting with a miss.  Only the private
+    requests are walked: a miss or a gap (a public request between two
+    private ones) stops the run before it, so a stop that is a miss is a
+    private insert and the run after it is its count.
     """
-    miss_o = dist_o > cap
-    stops = np.flatnonzero(np.append(miss_o | ~flags_o, True))
-    private = np.take(flags_o, stops[:-1])
-    asked = np.compress(private, np.diff(stops) - 1)
-    inserted_at = np.take(order, np.compress(private, stops[:-1]))
+    at = np.flatnonzero(flags_o)
+    miss = np.take(dist_o, at) > cap
+    stop = np.ones(at.size + 1, dtype=bool)
+    np.not_equal(at[1:], at[:-1] + 1, out=stop[1:-1])
+    stop[:-1] |= miss
+    stops = np.flatnonzero(stop)
+    inserts = np.take(miss, stops[:-1])
+    asked = np.compress(inserts, np.diff(stops) - 1)
+    inserted_at = np.take(order, np.take(at, np.compress(inserts, stops[:-1])))
     return asked[np.argsort(inserted_at)]
 
 
@@ -191,20 +200,20 @@ def lru_grid_stats(
     if cache_size is not None and cache_size < 1:
         raise CacheError(f"cache capacity must be >= 1 or None, got {cache_size}")
     compiled = compile_workload(trace)
-    ids, dist, order = compiled.lru_columns()
-    n = dist.shape[0]
+    _, order, dist_o = compiled.lru_columns()
+    n = dist_o.shape[0]
     # Every distance of a repeat is <= n_names, so capacities at or
     # above it (and None) keep every content once fetched.
     cap = compiled.n_names if cache_size is None else min(cache_size, compiled.n_names)
-    flags = _trace_flags(marking if marking is not None else NoMarking(), compiled, ids)
+    flags_o = compiled.grid_flags(marking if marking is not None else NoMarking())
 
-    miss = dist > cap
-    misses = int(np.count_nonzero(miss))
+    miss_o = dist_o > cap
+    misses = int(np.count_nonzero(miss_o))
     disguised = 0
     if type(scheme) is not NoPrivacyScheme:
-        asked = _private_runs(np.take(dist, order), cap, np.take(flags, order), order)
+        asked = _private_runs(dist_o, cap, flags_o, order)
         if type(scheme) is not AlwaysDelayScheme and asked.size:
-            k = scheme.distribution.sample_block(scheme.rng, asked.size)
+            k = scheme.distribution.sample_array(scheme.rng, asked.size)
             np.minimum(asked, k, out=asked)
         disguised = int(asked.sum())
     return ReplayStats(
@@ -212,8 +221,8 @@ def lru_grid_stats(
         hits=n - misses - disguised,
         disguised_hits=disguised,
         misses=misses,
-        private_requests=int(np.count_nonzero(flags)),
-        private_hits=int(np.count_nonzero(flags & ~miss)) - disguised,
+        private_requests=int(np.count_nonzero(flags_o)),
+        private_hits=int(np.count_nonzero(flags_o & ~miss_o)) - disguised,
         evictions=misses - cap,
         # The kernel adds fetch_delay once per disguised hit; so does a
         # sequential accumulate (n * fetch_delay may round differently).

@@ -226,3 +226,70 @@ def test_truncated_geometric_block_at_every_size(K, n):
     assert block == [dist.sample(scalar_rng) for _ in range(n)]
     assert all(type(k) is int for k in block[:1000])
     assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The geometric block at its floor() boundaries
+# ----------------------------------------------------------------------
+class _FixedUniforms:
+    """A generator stand-in whose ``random()``/``random(n)`` hand out
+    fixed values in order."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=np.float64)
+        self._next = 0
+
+    def random(self, size=None):
+        start = self._next
+        self._next += 1 if size is None else size
+        if size is None:
+            return float(self._values[start])
+        return self._values[start:self._next].copy()
+
+
+BOUNDARY_ALPHAS = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999)
+
+
+def boundary_uniforms(dist):
+    """Uniforms whose quotient ``log1p(-u * norm) / log(alpha)`` lands on
+    an integer m — ``(1 - alpha**m) / norm`` and both of its float
+    neighbours, for m up to K (to 2 000 when K is None) — shuffled."""
+    top = dist.K if dist.K is not None else 2_000
+    m = np.arange(1, top + 1, dtype=np.float64)
+    exact = (1.0 - dist.alpha**m) / dist._norm
+    values = np.concatenate(
+        [exact, np.nextafter(exact, 0.0), np.nextafter(exact, 2.0)]
+    )
+    values = values[(values >= 0.0) & (values < 1.0)]
+    np.random.default_rng(5).shuffle(values)
+    return values
+
+
+def geometric_boundary_mismatches():
+    """Boundary draws where ``sample_block`` or ``sample_array`` differs
+    from ``sample``, over every alpha in :data:`BOUNDARY_ALPHAS` and
+    K in {None, 500}."""
+    bad = 0
+    for alpha in BOUNDARY_ALPHAS:
+        for K in (None, 500):
+            dist = TruncatedGeometric(alpha, K)
+            values = boundary_uniforms(dist)
+            scalar_rng = _FixedUniforms(values)
+            scalar = np.array([dist.sample(scalar_rng) for _ in range(values.size)])
+            block = np.array(dist.sample_block(_FixedUniforms(values), values.size))
+            array = dist.sample_array(_FixedUniforms(values), values.size)
+            bad += int(np.count_nonzero(block != scalar))
+            bad += int(np.count_nonzero(array != scalar))
+    return bad
+
+
+class TestGeometricBoundaries:
+    def test_block_and_array_equal_scalars_on_the_boundaries(self):
+        assert geometric_boundary_mismatches() == 0
+
+    def test_array_is_int64(self):
+        dist = TruncatedGeometric(0.9, 500)
+        values = boundary_uniforms(dist)[:10]
+        array = dist.sample_array(_FixedUniforms(values), 10)
+        assert array.dtype == np.int64
+        assert all(type(k) is int for k in dist.sample_block(_FixedUniforms(values), 10))

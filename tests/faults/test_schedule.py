@@ -83,6 +83,24 @@ class TestValidation:
         with pytest.raises(FaultConfigError):
             fault()
 
+    # NaN compares false both ways: each guard must refuse it at build
+    # time, not leave it to fail when the window opens mid-run.
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda: LinkDownWindow("l", float("nan"), 10),
+            lambda: LinkDownWindow("l", 0, float("nan")),
+            lambda: DelaySpikeWindow("l", 1.0, 2.0, extra_delay=float("nan")),
+            lambda: DelaySpikeWindow("l", 1.0, 2.0, extra_delay=float("inf")),
+            lambda: RouterCrash("r", float("nan")),
+            lambda: RouterCrash("r", 10, restart_at=float("nan")),
+        ],
+        ids=["start", "end", "extra_delay-nan", "extra_delay-inf", "at", "restart_at"],
+    )
+    def test_non_finite_field_refused(self, fault):
+        with pytest.raises(FaultConfigError):
+            fault()
+
     def test_add_rejects_unknown_type(self):
         with pytest.raises(FaultConfigError):
             FaultSchedule().add("not-a-fault")

@@ -118,6 +118,18 @@ class TestNonFiniteDelays:
             link.add_extra_delay(value)
         assert link.extra_delay == 0.0
 
+    @pytest.mark.parametrize("value", NON_FINITE + (-1.0,))
+    def test_link_extra_delay_removal(self, engine, value):
+        # Two overlapping spikes: a bad removal must leave both in place.
+        *_, link = wire(engine)
+        link.add_extra_delay(10.0)
+        link.add_extra_delay(5.0)
+        with pytest.raises(TopologyError):
+            link.remove_extra_delay(value)
+        assert link.extra_delay == 15.0
+        link.remove_extra_delay(10.0)
+        assert link.extra_delay == 5.0
+
 
 class TestLinkTransmission:
     def test_interest_delivered_to_peer(self, engine):

@@ -131,10 +131,10 @@ class TestTraceCacheIntegrity:
         monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
         loaded = parallel._load_trace(path)
         spec = ReplaySpec(scheme=Opaque(), cache_size=50)
-        before = parallel._execute(loaded, spec)
+        before = parallel._execute(loaded, spec, spec.scheme)
         assert before.requests == 400
         Path(path).write_text("0.000\t0\t/poison\n", encoding="utf-8")
-        assert parallel._execute(loaded, spec) == before
+        assert parallel._execute(loaded, spec, spec.scheme) == before
 
     def test_sweep_self_heals_poisoned_cache(self, trace, cache_dir, monkeypatch):
         """End-to-end: a corrupted cache file cannot poison sweep results."""

@@ -22,6 +22,14 @@ kernel's timer-lane mutants never reach it either.  The topology
 differential kills all of them: every case cancels timers at the lane's
 head, and its 4.3 ms tree case arms fetch timeouts that sort before a
 4 000 ms PIT expiry at the lane's tail.
+
+Two mutants sit on the Fig. 5 grid's per-point draws and columns.  The
+geometric block without its near-integer fix-up is killed by
+``TestGeometricBoundaries``' draws (uniforms whose quotient lands on an
+integer, compared with scalar ``sample``); the flag memo keyed without
+``fraction`` by the memo test in ``tests/workload/test_lru_grid.py``
+(two fractions of one salt on one trace against ``fast_replay``, which
+does not read the memo).
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import textwrap
 
 import pytest
 
+from repro.core.privacy.distributions import TruncatedGeometric
 from repro.ndn import packets
 from repro.sim import batch
 from repro.sim.batch import kernel
@@ -39,11 +48,14 @@ from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.validation.differential import validate_topology_differential
 from repro.workload import compiled, ircache
+from repro.workload.compiled import CompiledTrace
 from repro.workload.zipf import ZipfSampler
 
+from tests.core.test_distributions import geometric_boundary_mismatches
 from tests.ndn.test_link_bytes import CASES, byte_mismatches
 from tests.sim import test_process
 from tests.workload.test_ircache import narrow_sort_mismatches
+from tests.workload.test_lru_grid import fraction_memo_mismatches
 from tests.workload.test_zipf import searchsorted_mismatches
 
 
@@ -83,6 +95,14 @@ def _zipf_inexact(monkeypatch) -> bool:
 
 def _narrow_sort_inexact(monkeypatch) -> bool:
     return bool(narrow_sort_mismatches(65_537))
+
+
+def _geometric_block_inexact(monkeypatch) -> bool:
+    return bool(geometric_boundary_mismatches())
+
+
+def _flag_memo_stale(monkeypatch) -> bool:
+    return bool(fraction_memo_mismatches())
 
 
 MUTANTS = {
@@ -134,6 +154,16 @@ MUTANTS = {
         (compiled, ircache), "_stable_order",
         "bound <= 65_536", "bound <= 65_537",
         _narrow_sort_inexact,
+    ),
+    "near-integer fix-up skipped": (
+        TruncatedGeometric, "sample_array",
+        "if near.size:", "if False:",
+        _geometric_block_inexact,
+    ),
+    "flag memo keyed without fraction": (
+        CompiledTrace, "grid_flags",
+        "key = (str(rule.salt), rule.fraction)", "key = (str(rule.salt),)",
+        _flag_memo_stale,
     ),
     # repro.sim.batch re-exports run_compiled for run_scripts; the
     # kernel module binds it for run_scripts_batch.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import repro.workload.fast_replay as fast_replay_module
 import repro.workload.lru_grid as lru_grid
 from repro.core.privacy.distributions import DegenerateK
 from repro.core.schemes.always_delay import AlwaysDelayScheme
@@ -27,6 +28,7 @@ from repro.core.schemes.random_cache import RandomCacheScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
 from repro.ndn.name import Name
+from repro.perf.parallel import ReplaySpec, build_scheme, run_replay_sweep
 from repro.workload.compiled import CompiledTrace
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
@@ -166,6 +168,71 @@ def test_fig5_settings_equal_fast_replay():
             assert got == fast_replay(trace, theirs, marking, size), (name, size)
             if hasattr(ours, "rng"):
                 assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The per-trace flag memo: shared by the sizes of one marking, never by
+# two markings, never for a rule whose draws advance state
+# ----------------------------------------------------------------------
+MEMO_TRACE = IrcacheConfig(requests=3000, objects=1500, seed=11)
+
+
+def fraction_memo_mismatches() -> int:
+    """Grid points on one trace under two ContentMarkings with one salt
+    and different fractions, interleaved, that differ from ``fast_replay``
+    (which never reads the memo)."""
+    trace = IrcacheGenerator(MEMO_TRACE).generate()
+    bad = 0
+    for fraction in (0.1, 0.4, 0.1):
+        marking = ContentMarking(fraction, salt=6)
+        for size in (20, None):
+            ours, theirs = (UniformRandomCache(K=50, rng=np.random.default_rng(1))
+                            for _ in range(2))  # fmt: skip
+            got = lru_grid_stats(trace, ours, marking, size)
+            bad += got != fast_replay(trace, theirs, marking, size)
+    return bad
+
+
+def test_one_salt_two_fractions_each_equal_fast_replay():
+    assert fraction_memo_mismatches() == 0
+
+
+def _count_trace_flags(monkeypatch):
+    calls = []
+    real = fast_replay_module._trace_flags
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(fast_replay_module, "_trace_flags", counting)
+    return calls
+
+
+def test_a_size_sweep_builds_its_flags_once(monkeypatch):
+    trace = IrcacheGenerator(MEMO_TRACE).generate()
+    calls = _count_trace_flags(monkeypatch)
+    specs = [
+        ReplaySpec(scheme="exponential", cache_size=size,
+                   marking=ContentMarking(0.2, salt=4), seed=size or 0)
+        for size in (10, 50, 100, 200, 400, None)
+    ]  # fmt: skip
+    stats = run_replay_sweep(specs, trace=trace, workers=1)
+    assert len(calls) == 1
+    for spec, got in zip(specs, stats):
+        scheme = build_scheme("exponential", seed=spec.seed)
+        assert got == fast_replay(trace, scheme, spec.marking, spec.cache_size)
+
+
+def test_a_request_marking_draws_on_every_call(monkeypatch):
+    trace = IrcacheGenerator(MEMO_TRACE).generate()
+    calls = _count_trace_flags(monkeypatch)
+    ours, theirs = RequestMarking(0.3, seed=2), RequestMarking(0.3, seed=2)
+    for _ in range(3):
+        got = lru_grid_stats(trace, AlwaysDelayScheme(), ours, 40)
+        assert got == fast_replay(trace, AlwaysDelayScheme(), theirs, 40)
+    assert len(calls) == 3
+    assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
 
 
 class _Subclassed(UniformRandomCache):
