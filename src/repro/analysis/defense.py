@@ -37,7 +37,6 @@ from repro.defense.scenario import (
     DefenseRunResult,
     DefenseScenarioSpec,
     closed_loop_report,
-    run_closed_loop,
 )
 
 #: Attacks the frontier sweeps by default (the closed-loop demo's seeded
@@ -159,19 +158,6 @@ class DefenseFrontier:
                 f"{p.mitigations:>5d} {p.invariant_violations:>4d}"
             )
         return "\n".join(lines)
-
-
-def run_defense_point(
-    defense: str,
-    attack: str,
-    seed: int = 0,
-    **spec_overrides,
-) -> DefensePoint:
-    """One frontier cell: baseline + attacked closed-loop run."""
-    report = run_closed_loop(
-        defense=defense, attack=attack, seed=seed, **spec_overrides
-    )
-    return DefensePoint.from_report(report)
 
 
 def run_defense_sweep(

@@ -1,8 +1,9 @@
-"""Statistics helpers: PDF histograms, overlap, bootstrap intervals.
+"""Statistics helpers: PDF histograms, bootstrap intervals, CDFs.
 
-These turn raw RTT samples into the quantities the paper's Figure 3
-reports: per-class probability density functions over a shared grid and
-the distinguishing probability of the optimal observer.
+These turn raw RTT samples into the per-class probability density
+functions over a shared grid that the paper's Figure 3 plots.  The
+distinguishing probability of the optimal observer is
+:func:`repro.attacks.classifier.bayes_success`.
 """
 
 from __future__ import annotations
@@ -26,17 +27,6 @@ class PdfPair:
         """Midpoints of the histogram bins."""
         edges = self.bin_edges
         return [(edges[i] + edges[i + 1]) / 2.0 for i in range(len(edges) - 1)]
-
-    def overlap(self) -> float:
-        """Overlap coefficient of the two (mass-normalized) histograms."""
-        hit = np.asarray(self.hit_density)
-        miss = np.asarray(self.miss_density)
-        widths = np.diff(np.asarray(self.bin_edges))
-        return float(np.sum(np.minimum(hit, miss) * widths))
-
-    def bayes_success(self) -> float:
-        """Equal-prior Bayes success, 1 − overlap/2."""
-        return 1.0 - self.overlap() / 2.0
 
 
 def pdf_pair(

@@ -26,7 +26,7 @@ Presets (the ``defense`` axis of the frontier sweep):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.defense.alarms import Alarm, AlarmLog
@@ -48,30 +48,20 @@ if TYPE_CHECKING:  # typing only
 #: The defense schemes the experiments sweep over.
 DEFENSE_PRESETS = ("off", "static", "monitor", "adaptive")
 
+#: De-escalation poll cadence (ms of simulated/real time).
+CHECK_INTERVAL = 250.0
+
 
 @dataclass(frozen=True)
 class DefenseConfig:
     """Configuration for one router's defense agent.
 
-    ``detect_*`` toggles choose the detector suite; ``mitigate`` arms the
-    controller (off = monitor-only).  Detector thresholds are surfaced
-    here so sweeps can tighten or loosen the loop without reaching into
-    detector internals.
+    ``mitigate`` arms the controller (off = monitor-only).  The agent
+    always runs the pollution, flood and probe detectors with their
+    default thresholds, under the default :class:`MitigationPolicy`.
     """
 
-    detect_pollution: bool = True
-    detect_flood: bool = True
-    detect_probe: bool = True
     mitigate: bool = True
-    policy: MitigationPolicy = field(default_factory=MitigationPolicy)
-    #: Pollution: first-seen EWMA level that alarms, and the cold-start floor.
-    pollution_threshold: float = 0.55
-    pollution_min_samples: int = 96
-    #: Flood: expired/forwarded ratio that alarms, and the evidence floor.
-    flood_threshold: float = 0.5
-    flood_min_expired: int = 20
-    #: De-escalation poll cadence (ms of simulated/real time).
-    check_interval: float = 250.0
 
     @classmethod
     def preset(cls, name: str) -> Optional["DefenseConfig"]:
@@ -101,28 +91,11 @@ class DefenseAgent:
         self.forwarder = forwarder
         self.config = config if config is not None else DefenseConfig()
         self.log = AlarmLog()
-        self._pollution: Optional[PollutionDetector] = None
-        self._flood: Optional[FloodDetector] = None
-        self._probe: Optional[ProbeDetector] = None
-        detectors: List[Detector] = []
-        if self.config.detect_pollution:
-            self._pollution = PollutionDetector(
-                threshold=self.config.pollution_threshold,
-                min_samples=self.config.pollution_min_samples,
-            )
-            detectors.append(self._pollution)
-        if self.config.detect_flood:
-            self._flood = FloodDetector(
-                threshold=self.config.flood_threshold,
-                min_expired=self.config.flood_min_expired,
-            )
-            detectors.append(self._flood)
-        if self.config.detect_probe:
-            self._probe = ProbeDetector()
-            detectors.append(self._probe)
-        self.detectors: List[Detector] = detectors
+        self._pollution = PollutionDetector()
+        self._flood = FloodDetector()
+        self.detectors: List[Detector] = [self._pollution, self._flood, ProbeDetector()]
         self.controller: Optional[MitigationController] = (
-            MitigationController(forwarder, self.config.policy)
+            MitigationController(forwarder, MitigationPolicy())
             if self.config.mitigate
             else None
         )
@@ -150,7 +123,7 @@ class DefenseAgent:
             if fired is not None:
                 self._raise(detector.kind, label, now, fired)
         if self.controller is not None and now >= self._next_deescalate:
-            self._next_deescalate = now + self.config.check_interval
+            self._next_deescalate = now + CHECK_INTERVAL
             self.controller.deescalate(now)
 
     def observe_pit_expired(
@@ -162,7 +135,7 @@ class DefenseAgent:
             fired = detector.observe_pit_expired(name, labels, now)
             if fired is not None:
                 label = labels[0] if labels else ""
-                if detector is self._flood and self._flood is not None:
+                if detector is self._flood:
                     label = self._flood.last_offender() or label
                 self._raise(detector.kind, label, now, fired)
 
@@ -199,7 +172,7 @@ class DefenseAgent:
         self.log.record(alarm)
         if self.controller is not None:
             purge = ()
-            if kind == "pollution" and self._pollution is not None:
+            if kind == "pollution":
                 purge = self._pollution.recent_first_seen(face_label)
             self.controller.on_alarm(alarm, now, purge_names=purge)
 

@@ -66,6 +66,17 @@ SCENARIO_ATTACKS = ("none", "pollution", "flood", "adaptive")
 #: Which alarm kind counts as *detecting* each attack.
 _ALARM_KIND = {"pollution": "pollution", "adaptive": "pollution", "flood": "flood"}
 
+#: Attacker request cadence (ms) of the fixed-rate pollution and flood.
+ATTACK_INTERVAL = 2.0
+#: Distinct names the pollution attackers draw from.
+POLLUTION_CATALOG = 600
+#: Honest working set (churns the 16-entry CS) and its Zipf exponent.
+HOT_CATALOG = 24
+ZIPF_EXPONENT = 0.9
+#: Content Store and PIT capacity of every router.
+CACHE_CAPACITY = 16
+PIT_CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class DefenseScenarioSpec:
@@ -77,15 +88,6 @@ class DefenseScenarioSpec:
     horizon: float = 20000.0  # honest traffic stops here (ms)
     attack_start: float = 4000.0
     attack_end: float = 14000.0
-    attack_interval: float = 2.0  # attacker request cadence (ms)
-    pollution_catalog: int = 600
-    flood_lifetime: float = 1500.0
-    hot_catalog: int = 24  # honest working set (churns the 16-entry CS)
-    zipf_exponent: float = 0.9
-    request_interval: float = 8.0  # honest request cadence per consumer (ms)
-    cache_capacity: int = 16
-    pit_capacity: int = 64
-    static_rate: float = 200.0  # "static" preset: per-face interests/s
 
     def __post_init__(self) -> None:
         if self.defense not in DEFENSE_PRESETS:
@@ -176,19 +178,16 @@ class ClosedLoopReport:
 def _build_tree(spec: DefenseScenarioSpec):
     """The two-level defense tree; returns (net, honest, attacker, edges)."""
     net = Network(rng=RngRegistry(spec.seed))
-    rate_limit = (
-        InterestRateLimit(rate=spec.static_rate)
-        if spec.defense == "static"
-        else None
-    )
+    # The "static" preset: 200 interests/s per face, no agent.
+    rate_limit = InterestRateLimit(rate=200.0) if spec.defense == "static" else None
     for name in ("R1", "R2"):
         net.add_router(
             name,
-            capacity=spec.cache_capacity,
-            pit_capacity=spec.pit_capacity,
+            capacity=CACHE_CAPACITY,
+            pit_capacity=PIT_CAPACITY,
             rate_limit=rate_limit,
         )
-    net.add_router("R0", capacity=spec.cache_capacity, pit_capacity=spec.pit_capacity)
+    net.add_router("R0", capacity=CACHE_CAPACITY, pit_capacity=PIT_CAPACITY)
     u1 = net.add_consumer("U1")
     u2 = net.add_consumer("U2")
     net.add_consumer("A")
@@ -225,7 +224,7 @@ def _zipf_cdf(n: int, exponent: float) -> List[float]:
 
 
 def _honest_proc(consumer, spec: DefenseScenarioSpec, rng, tally: _HonestTally):
-    cdf = _zipf_cdf(spec.hot_catalog, spec.zipf_exponent)
+    cdf = _zipf_cdf(HOT_CATALOG, ZIPF_EXPONENT)
     engine = consumer.engine
     while engine.now < spec.horizon:
         pick = bisect_right(cdf, rng.random())
@@ -237,7 +236,7 @@ def _honest_proc(consumer, spec: DefenseScenarioSpec, rng, tally: _HonestTally):
             tally.delivered += 1
             if result.rtt <= EDGE_HIT_RTT:
                 tally.edge_hits += 1
-        yield Timeout(spec.request_interval)
+        yield Timeout(8.0)  # honest request cadence per consumer (ms)
 
 
 def _attack_schedule(spec: DefenseScenarioSpec):
@@ -251,8 +250,8 @@ def _attack_schedule(spec: DefenseScenarioSpec):
             prefix="/content",
             start=spec.attack_start,
             end=spec.attack_end,
-            interval=spec.attack_interval,
-            catalog=spec.pollution_catalog,
+            interval=ATTACK_INTERVAL,
+            catalog=POLLUTION_CATALOG,
             seed=spec.seed + 77,
         )
     elif spec.attack == "adaptive":
@@ -261,7 +260,7 @@ def _attack_schedule(spec: DefenseScenarioSpec):
             prefix="/content",
             start=spec.attack_start,
             end=spec.attack_end,
-            catalog=spec.pollution_catalog,
+            catalog=POLLUTION_CATALOG,
             seed=spec.seed + 77,
         )
     else:  # flood: dead prefix, nothing ever answers
@@ -270,8 +269,8 @@ def _attack_schedule(spec: DefenseScenarioSpec):
             prefix="/void",
             start=spec.attack_start,
             end=spec.attack_end,
-            interval=spec.attack_interval,
-            lifetime=spec.flood_lifetime,
+            interval=ATTACK_INTERVAL,
+            lifetime=1500.0,
             seed=spec.seed + 77,
         )
     return FaultSchedule([window]), window
@@ -330,7 +329,7 @@ def run_defense_scenario(spec: DefenseScenarioSpec) -> DefenseRunResult:
                 # attempts issued before the first qualifying alarm.
                 before_alarm = window.log.requests_before(detected[0].time)
             else:
-                before_alarm = int(latency / spec.attack_interval)
+                before_alarm = int(latency / ATTACK_INTERVAL)
     throttled = quarantined = shed = 0
     for name in edge_names:
         monitor = net.routers[name].monitor

@@ -25,7 +25,7 @@ reproduce the simulator bit-for-bit and the proxy must add nothing.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +34,11 @@ from repro.faults.errors import FaultConfigError
 from repro.faults.loss import IidLoss, LossModel
 
 Address = Tuple[str, int]
+
+#: Extra seconds a reordered packet is held back.
+REORDER_DELAY = 0.02
+#: Bytes flipped per corrupted packet.
+CORRUPT_BYTES = 4
 
 
 @dataclass
@@ -45,12 +50,10 @@ class ChaosConfig:
     #: Extra latency band in seconds (min, max); (0, 0) = immediate relay.
     delay_range: Tuple[float, float] = (0.0, 0.0)
     duplicate_prob: float = 0.0
-    #: Probability a packet is held back ``reorder_delay`` extra seconds.
+    #: Probability a packet is held back :data:`REORDER_DELAY` extra seconds.
     reorder_prob: float = 0.0
-    reorder_delay: float = 0.02
+    #: Probability :data:`CORRUPT_BYTES` random bytes are flipped.
     corrupt_prob: float = 0.0
-    #: Bytes flipped per corrupted packet.
-    corrupt_bytes: int = 4
 
     def __post_init__(self) -> None:
         for label, prob in (
@@ -64,14 +67,6 @@ class ChaosConfig:
         if lo < 0 or hi < lo:
             raise FaultConfigError(
                 f"delay_range must satisfy 0 <= min <= max, got {self.delay_range}"
-            )
-        if self.reorder_delay < 0:
-            raise FaultConfigError(
-                f"reorder_delay must be >= 0, got {self.reorder_delay}"
-            )
-        if self.corrupt_bytes < 1:
-            raise FaultConfigError(
-                f"corrupt_bytes must be >= 1, got {self.corrupt_bytes}"
             )
 
     @classmethod
@@ -199,7 +194,7 @@ class ChaosUdpProxy:
             delay = float(self.rng.uniform(lo, hi))
             self.delayed += 1
         if cfg.reorder_prob > 0.0 and self.rng.random() < cfg.reorder_prob:
-            delay += cfg.reorder_delay
+            delay += REORDER_DELAY
             self.reordered += 1
         copies = 1
         if cfg.duplicate_prob > 0.0 and self.rng.random() < cfg.duplicate_prob:
@@ -228,11 +223,11 @@ class ChaosUdpProxy:
         self.relayed += 1
 
     def _corrupt(self, payload: bytes) -> bytes:
-        """Flip ``corrupt_bytes`` random bytes (or junk an empty packet)."""
+        """Flip :data:`CORRUPT_BYTES` random bytes (or junk an empty packet)."""
         if not payload:
             return b"\xff"
         mutated = bytearray(payload)
-        for _ in range(self.config.corrupt_bytes):
+        for _ in range(CORRUPT_BYTES):
             index = int(self.rng.integers(0, len(mutated)))
             mutated[index] ^= int(self.rng.integers(1, 256))
         return bytes(mutated)

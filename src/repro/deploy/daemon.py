@@ -42,7 +42,6 @@ from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name, name_of
 from repro.ndn.packets import NACK_CONGESTION, Interest, Nack
 from repro.ndn.pit import Pit
-from repro.ndn.replacement import make_policy
 from repro.sim.rng import RngRegistry
 
 #: Scheme factories for the mgmt channel's ``scheme`` command.  Each gets
@@ -72,26 +71,21 @@ class DaemonConfig:
 
     The defaults give a hardened node: bounded PIT with Nack-on-overflow,
     per-face admission control, and Nacks for routeless interests — the
-    PR-3 overload plane engaged from the start, so the daemon degrades by
-    refusing load instead of growing queues.
+    overload plane engaged from the start, so the daemon degrades by
+    refusing load instead of growing queues.  The rest of the forwarder
+    is fixed: an LRU Content Store, a drop-new PIT, best-route
+    forwarding, scope honoured, no processing delay, and a clock that
+    runs at wall speed.
     """
 
     name: str = "ndn-daemon"
     seed: int = 0
     scheme: str = "no-privacy"
     cs_capacity: Optional[int] = 4096
-    cs_policy: str = "lru"
     pit_capacity: Optional[int] = 4096
-    pit_overflow: str = "drop-new"
     rate_limit: Optional[InterestRateLimit] = field(
         default_factory=lambda: InterestRateLimit(rate=5000.0, burst=1000.0)
     )
-    nack_on_no_route: bool = True
-    honor_scope: bool = True
-    processing_delay: float = 0.0
-    strategy: str = "best-route"
-    #: Engine-ms per wall-ms stretch factor (tests slow scenarios down).
-    time_scale: float = 1.0
     #: Online defense preset (``monitor``/``adaptive``; None or
     #: ``off``/``static`` run without a defense agent).
     defense: Optional[str] = None
@@ -120,26 +114,15 @@ class ForwarderDaemon:
         if self._started:
             return self
         cfg = self.config
-        self.engine = RealTimeEngine(
-            asyncio.get_running_loop(), time_scale=cfg.time_scale
-        )
-        cs = ContentStore(
-            capacity=cfg.cs_capacity,
-            policy=make_policy(
-                cfg.cs_policy, self.rng.stream(f"policy:{cfg.name}")
-            ),
-        )
+        self.engine = RealTimeEngine(asyncio.get_running_loop())
         self.forwarder = Forwarder(
             engine=self.engine,
             name=cfg.name,
-            cs=cs,
+            cs=ContentStore(capacity=cfg.cs_capacity),
             scheme=make_scheme(cfg.scheme, self.rng.stream(f"scheme:{cfg.name}")),
-            honor_scope=cfg.honor_scope,
-            processing_delay=cfg.processing_delay,
-            strategy=cfg.strategy,
-            pit=Pit(capacity=cfg.pit_capacity, overflow=cfg.pit_overflow),
+            pit=Pit(capacity=cfg.pit_capacity),
             rate_limit=cfg.rate_limit,
-            nack_on_no_route=cfg.nack_on_no_route,
+            nack_on_no_route=True,
         )
         if cfg.defense is not None:
             self.set_defense(cfg.defense)

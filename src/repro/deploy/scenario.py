@@ -51,6 +51,14 @@ from repro.validation.invariants import InvariantChecker
 #: Counter names whose per-request delta classifies a cache decision.
 DECISION_COUNTERS = ("cs_hit", "cs_disguised_hit", "cs_forced_miss", "cs_miss")
 
+#: The origin's prefix in the geo scenario and the soak.
+PREFIX = "/cdn"
+#: Geo per-request budget (engine ms; socket: wall ms at time scale 1).
+GEO_FETCH_TIMEOUT = 2000.0
+#: Pollution fetches the soak blasts from the attacker face while the
+#: daemon's online defense is armed (the closed-loop phase).
+SOAK_POLLUTION_INTERESTS = 240
+
 
 @dataclass(frozen=True)
 class GeoSpec:
@@ -58,33 +66,27 @@ class GeoSpec:
 
     seed: int = 7
     scheme: str = "uniform"
-    prefix: str = "/cdn"
     catalog_size: int = 24
     requests: int = 60
     probes: int = 12
     edge_cs_capacity: int = 16
     vpn_cs_capacity: int = 8
-    zipf_s: float = 0.8
-    #: Per-request budget (engine ms; socket: wall ms at time_scale 1).
-    fetch_timeout: float = 2000.0
     #: Scope-2 probe wait — an unanswered probe burns all of it.
     probe_timeout: float = 300.0
-    #: Simulated one-way link delay (ms); irrelevant to decisions.
-    link_delay: float = 5.0
 
 
 def build_workload(spec: GeoSpec) -> Tuple[List[str], List[str]]:
     """Derive (requests, probe targets) from the spec — pure in the seed.
 
-    Requests follow a Zipf-like popularity over the catalog.  Probe
-    targets mix names the workload touched (candidate hits) with cold
-    names it never requested (certain misses), so probe accuracy is
-    measured against a non-trivial ground truth.
+    Requests follow a Zipf-like popularity (exponent 0.8) over the
+    catalog.  Probe targets mix names the workload touched (candidate
+    hits) with cold names it never requested (certain misses), so probe
+    accuracy is measured against a non-trivial ground truth.
     """
     rng = RngRegistry(spec.seed).stream("workload:geo")
-    catalog = [f"{spec.prefix}/object-{i}" for i in range(spec.catalog_size)]
+    catalog = [f"{PREFIX}/object-{i}" for i in range(spec.catalog_size)]
     ranks = np.arange(1, spec.catalog_size + 1, dtype=float)
-    weights = ranks**-spec.zipf_s
+    weights = ranks**-0.8
     weights /= weights.sum()
     picks = rng.choice(spec.catalog_size, size=spec.requests, p=weights)
     requests = [catalog[i] for i in picks]
@@ -94,7 +96,7 @@ def build_workload(spec: GeoSpec) -> Tuple[List[str], List[str]]:
             hot.append(name)
     n_hot = min(spec.probes // 2, len(hot))
     targets = hot[:n_hot] + [
-        f"{spec.prefix}/cold-{i}" for i in range(spec.probes - n_hot)
+        f"{PREFIX}/cold-{i}" for i in range(spec.probes - n_hot)
     ]
     return requests, targets
 
@@ -206,21 +208,21 @@ def run_geo_sim(spec: GeoSpec) -> GeoRunResult:
         scheme=make_scheme(spec.scheme, net.rng.stream("scheme:edge")),
         nack_on_no_route=True,
     )
-    net.add_producer("origin", spec.prefix, auto_generate=True)
+    net.add_producer("origin", PREFIX, auto_generate=True)
     user = net.add_consumer("user")
     adversary = net.add_consumer("adversary")
-    delay = FixedDelay(spec.link_delay)
+    delay = FixedDelay(5.0)  # one-way ms; irrelevant to decisions
     net.connect("user", "vpn", delay)
     net.connect("vpn", "edge", delay)
     net.connect("edge", "origin", delay)
     net.connect("adversary", "edge", delay)
-    net.add_route_chain(spec.prefix, "user", "vpn", "edge", "origin")
+    net.add_route_chain(PREFIX, "user", "vpn", "edge", "origin")
 
     def driver():
         for name in requests:
             before_vpn = dict(vpn.monitor.counters)
             before_edge = dict(edge.monitor.counters)
-            fetched = yield from user.fetch(name, timeout=spec.fetch_timeout)
+            fetched = yield from user.fetch(name, timeout=GEO_FETCH_TIMEOUT)
             if fetched is None:
                 result.fetch_failures += 1
             else:
@@ -287,7 +289,6 @@ async def _build_geo_rig(
             seed=spec.seed,
             scheme="no-privacy",
             cs_capacity=spec.vpn_cs_capacity,
-            nack_on_no_route=True,
         )
     )
     edge = ForwarderDaemon(
@@ -296,7 +297,6 @@ async def _build_geo_rig(
             seed=spec.seed,
             scheme=spec.scheme,
             cs_capacity=spec.edge_cs_capacity,
-            nack_on_no_route=True,
         )
     )
     await vpn.start()
@@ -307,7 +307,7 @@ async def _build_geo_rig(
     edge_face_origin = await edge.add_udp_face(label="edge:origin")
     edge_face_adv = await edge.add_udp_face(label="edge:adv")
 
-    origin = AsyncProducer(engine, spec.prefix, producer_id="origin")
+    origin = AsyncProducer(engine, PREFIX, producer_id="origin")
     await origin.attach(peer=edge_face_origin.local_addr, label="origin:edge")
     edge_face_origin.set_peer(origin.face.local_addr)
 
@@ -331,8 +331,8 @@ async def _build_geo_rig(
     vpn_face_edge.set_peer(edge_face_vpn.local_addr)
     edge_face_vpn.set_peer(vpn_face_edge.local_addr)
 
-    vpn.add_route(spec.prefix, vpn_face_edge.face_id)
-    edge.add_route(spec.prefix, edge_face_origin.face_id)
+    vpn.add_route(PREFIX, vpn_face_edge.face_id)
+    edge.add_route(PREFIX, edge_face_origin.face_id)
     return _GeoRig(
         engine=engine,
         vpn=vpn,
@@ -353,7 +353,7 @@ async def _run_geo_socket_async(
     try:
         vpn_mon = rig.vpn.forwarder.monitor
         edge_mon = rig.edge.forwarder.monitor
-        one_shot = RetryPolicy(retries=0, timeout=spec.fetch_timeout, backoff=1.0)
+        one_shot = RetryPolicy(retries=0, timeout=GEO_FETCH_TIMEOUT, backoff=1.0)
         for name in requests:
             before_vpn = dict(vpn_mon.counters)
             before_edge = dict(edge_mon.counters)
@@ -413,7 +413,6 @@ class SoakSpec:
 
     seed: int = 11
     scheme: str = "uniform"
-    prefix: str = "/cdn"
     #: Background fetches through the faulty proxy.
     background_fetches: int = 40
     #: Garbage datagrams blasted at an unpinned daemon face.
@@ -424,17 +423,10 @@ class SoakSpec:
     flood_interests: int = 200
     #: Fetches attempted while the producer is down / after restart.
     crash_fetches: int = 5
-    #: Pollution fetches blasted from the attacker face while the daemon's
-    #: online defense is armed (the closed-loop phase).
-    pollution_interests: int = 240
-    #: Defense preset armed live for the pollution phase; ``off`` or
-    #: ``static`` skip the phase entirely.
-    defense: str = "adaptive"
     pit_capacity: int = 64
+    #: I.i.d. loss on the chaos proxies (which also corrupt 10%,
+    #: duplicate 5% and reorder 5% of the packets).
     loss_rate: float = 0.15
-    corrupt_prob: float = 0.1
-    duplicate_prob: float = 0.05
-    reorder_prob: float = 0.05
     fetch_timeout: float = 250.0
 
 
@@ -484,7 +476,6 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
             seed=spec.seed,
             scheme=spec.scheme,
             pit_capacity=spec.pit_capacity,
-            nack_on_no_route=True,
         )
     )
     supervisor = Supervisor(daemon)
@@ -494,7 +485,7 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
     #: Deliberately unpinned: the malformed flood lands here.
     face_open = await daemon.add_udp_face(label="soak:open")
 
-    producer = AsyncProducer(engine, spec.prefix, producer_id="origin")
+    producer = AsyncProducer(engine, PREFIX, producer_id="origin")
     await producer.attach(peer=face_origin.local_addr, label="origin:soak")
     face_origin.set_peer(producer.face.local_addr)
     producer_port = producer.face.local_addr
@@ -503,9 +494,9 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
         return ChaosConfig(
             loss=IidLoss(spec.loss_rate),
             delay_range=(0.0, 0.002),
-            duplicate_prob=spec.duplicate_prob,
-            reorder_prob=spec.reorder_prob,
-            corrupt_prob=spec.corrupt_prob,
+            duplicate_prob=0.05,
+            reorder_prob=0.05,
+            corrupt_prob=0.1,
         )
 
     consumer = AsyncConsumer(engine, name="soak-user")
@@ -516,7 +507,7 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
     )
     consumer.face.set_peer(proxy.addr_a)
     face_user.set_peer(proxy.addr_b)
-    daemon.add_route(spec.prefix, face_origin.face_id)
+    daemon.add_route(PREFIX, face_origin.face_id)
 
     retry = RetryPolicy(
         retries=2, timeout=spec.fetch_timeout, backoff=2.0, jitter=0.1
@@ -531,7 +522,7 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
         ok = failed = 0
         for i in range(spec.background_fetches):
             got = await consumer.fetch_or_none(
-                f"{spec.prefix}/soak-{i % 10}", retry=retry, rng=fetch_rng
+                f"{PREFIX}/soak-{i % 10}", retry=retry, rng=fetch_rng
             )
             ok += got is not None
             failed += got is None
@@ -578,7 +569,7 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
         flood = await asyncio.gather(
             *(
                 consumer.fetch_or_none(
-                    f"{spec.prefix}/flood-{i}", retry=flood_policy
+                    f"{PREFIX}/flood-{i}", retry=flood_policy
                 )
                 for i in range(spec.flood_interests)
             )
@@ -594,86 +585,71 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
         # also behind a faulty chaos proxy.  The daemon arms its online
         # defense live, must detect the flood (pollution alarm), throttle
         # the attacker's face, and keep serving honest traffic meanwhile.
-        if spec.defense not in ("off", "static"):
-            daemon.set_defense(spec.defense)
-            face_attacker = await daemon.add_udp_face(label="soak:attacker")
-            attacker = AsyncConsumer(engine, name="soak-attacker")
-            await attacker.attach(label="attacker:soak")
-            attacker_proxy = ChaosUdpProxy(
-                rng.stream("chaos:soak-attacker"), config=faulty()
-            )
-            await attacker_proxy.start(
-                peer_a=attacker.face.local_addr,
-                peer_b=face_attacker.local_addr,
-            )
-            attacker.face.set_peer(attacker_proxy.addr_a)
-            face_attacker.set_peer(attacker_proxy.addr_b)
+        agent = daemon.set_defense("adaptive")
+        face_attacker = await daemon.add_udp_face(label="soak:attacker")
+        attacker = AsyncConsumer(engine, name="soak-attacker")
+        await attacker.attach(label="attacker:soak")
+        attacker_proxy = ChaosUdpProxy(
+            rng.stream("chaos:soak-attacker"), config=faulty()
+        )
+        await attacker_proxy.start(
+            peer_a=attacker.face.local_addr, peer_b=face_attacker.local_addr
+        )
+        attacker.face.set_peer(attacker_proxy.addr_a)
+        face_attacker.set_peer(attacker_proxy.addr_b)
 
-            pollute_policy = RetryPolicy(retries=0, timeout=120.0, backoff=1.0)
-            landed = refused = 0
-            sent = 0
-            while sent < spec.pollution_interests:
-                chunk = min(16, spec.pollution_interests - sent)
-                results = await asyncio.gather(
-                    *(
-                        attacker.fetch_or_none(
-                            f"{spec.prefix}/pollute-{sent + j:05d}",
-                            retry=pollute_policy,
-                        )
-                        for j in range(chunk)
+        pollute_policy = RetryPolicy(retries=0, timeout=120.0, backoff=1.0)
+        landed = refused = 0
+        sent = 0
+        while sent < SOAK_POLLUTION_INTERESTS:
+            chunk = min(16, SOAK_POLLUTION_INTERESTS - sent)
+            results = await asyncio.gather(
+                *(
+                    attacker.fetch_or_none(
+                        f"{PREFIX}/pollute-{sent + j:05d}",
+                        retry=pollute_policy,
                     )
+                    for j in range(chunk)
                 )
-                landed += sum(1 for r in results if r is not None)
-                refused += sum(1 for r in results if r is None)
-                sent += chunk
-            # Honest traffic must still be served during mitigation.
-            honest_ok = 0
-            for i in range(5):
-                got = await consumer.fetch_or_none(
-                    f"{spec.prefix}/soak-{i % 10}", retry=retry, rng=fetch_rng
-                )
-                honest_ok += got is not None
-            agent = daemon.defense_agent
-            pollution_alarms = agent.log.count("pollution") if agent else 0
-            throttled = int(
-                daemon.forwarder.monitor.counter("defense_throttled")
             )
-            report.phases["pollution_defense"] = {
-                "sent": sent,
-                "landed": landed,
-                "refused_or_lost": refused,
-                "alarms": agent.log.total if agent else 0,
-                "pollution_alarms": pollution_alarms,
-                "throttled": throttled,
-                "mitigations": len(agent.mitigations) if agent else 0,
-                "quarantined": int(
-                    daemon.forwarder.monitor.counter("cache_quarantined")
-                ),
-                "honest_ok_during_mitigation": honest_ok,
-            }
-            if pollution_alarms == 0:
-                report.failures.append(
-                    "pollution flood never raised a pollution alarm"
-                )
-            if spec.defense == "adaptive" and throttled == 0:
-                report.failures.append(
-                    "defense never throttled the polluting face"
-                )
-            if honest_ok == 0:
-                report.failures.append(
-                    "honest fetches starved during mitigation"
-                )
-            # The mgmt channel must surface the alarm ledger live.
-            reader, writer = await asyncio.open_connection(
-                *supervisor.mgmt_addr
+            landed += sum(1 for r in results if r is not None)
+            refused += sum(1 for r in results if r is None)
+            sent += chunk
+        # Honest traffic must still be served during mitigation.
+        honest_ok = 0
+        for i in range(5):
+            got = await consumer.fetch_or_none(
+                f"{PREFIX}/soak-{i % 10}", retry=retry, rng=fetch_rng
             )
-            writer.write(b"alarms\n")
-            await writer.drain()
-            alarms_reply = await reader.readline()
-            writer.close()
-            await writer.wait_closed()
-            if not alarms_reply.startswith(b"ok"):
-                report.failures.append("mgmt alarms command failed")
+            honest_ok += got is not None
+        pollution_alarms = agent.log.count("pollution")
+        throttled = int(daemon.forwarder.monitor.counter("defense_throttled"))
+        report.phases["pollution_defense"] = {
+            "sent": sent,
+            "landed": landed,
+            "refused_or_lost": refused,
+            "alarms": agent.log.total,
+            "pollution_alarms": pollution_alarms,
+            "throttled": throttled,
+            "mitigations": len(agent.mitigations),
+            "quarantined": int(daemon.forwarder.monitor.counter("cache_quarantined")),
+            "honest_ok_during_mitigation": honest_ok,
+        }
+        if pollution_alarms == 0:
+            report.failures.append("pollution flood never raised a pollution alarm")
+        if throttled == 0:
+            report.failures.append("defense never throttled the polluting face")
+        if honest_ok == 0:
+            report.failures.append("honest fetches starved during mitigation")
+        # The mgmt channel must surface the alarm ledger live.
+        reader, writer = await asyncio.open_connection(*supervisor.mgmt_addr)
+        writer.write(b"alarms\n")
+        await writer.drain()
+        alarms_reply = await reader.readline()
+        writer.close()
+        await writer.wait_closed()
+        if not alarms_reply.startswith(b"ok"):
+            report.failures.append("mgmt alarms command failed")
 
         # Phase 6: producer crash, fetches fail, restart, fetches recover.
         await producer.close()
@@ -681,10 +657,10 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
         down = 0
         for i in range(spec.crash_fetches):
             got = await consumer.fetch_or_none(
-                f"{spec.prefix}/post-crash-{i}", retry=flood_policy
+                f"{PREFIX}/post-crash-{i}", retry=flood_policy
             )
             down += got is None
-        producer = AsyncProducer(engine, spec.prefix, producer_id="origin")
+        producer = AsyncProducer(engine, PREFIX, producer_id="origin")
         await producer.attach(
             local=producer_port, peer=face_origin.local_addr, label="origin:soak2"
         )
@@ -692,7 +668,7 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
         recovered = 0
         for i in range(spec.crash_fetches):
             got = await consumer.fetch_or_none(
-                f"{spec.prefix}/post-restart-{i}", retry=retry, rng=fetch_rng
+                f"{PREFIX}/post-restart-{i}", retry=retry, rng=fetch_rng
             )
             recovered += got is not None
         report.phases["producer_crash"] = {

@@ -346,11 +346,15 @@ def ensure_sharded_trace_cached(
         "algorithm_version": IRCACHE_ALGORITHM_VERSION,
     }
     return _ensure_shard_entry(
-        f"ircache-shards-{key}",
+        _sharded_entry_name(key),
         lambda staging: compile_stream(
             IrcacheGenerator(config).stream(), staging, shard_size, source=source
         ),
     )
+
+
+def _sharded_entry_name(key: str) -> str:
+    return f"ircache-shards-{key}"
 
 
 def _trace_digest(compiled: CompiledTrace) -> str:
@@ -405,6 +409,28 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
         _PROCESS_SHARDED.clear()
         _PROCESS_SHARDED[path] = sharded
     return sharded
+
+
+def _held_or_verified_sharded(
+    config: IrcacheConfig, shard_size: int, local: List[tuple]
+) -> ShardedCompiledTrace:
+    """The sharded entry for ``config``, for the ``(index, spec, scheme)``
+    points of ``local``.
+
+    The entry is verified (:func:`ensure_sharded_trace_cached`) unless this
+    process already holds it open and every point is a grid point whose
+    columns and flags are memoised on it: such a sweep reads no byte of
+    the entry's files, so there is nothing to check.
+    """
+    key = _config_key(config, layout="sharded", shard_size=shard_size)
+    held = _PROCESS_SHARDED.get(str(trace_cache_dir() / _sharded_entry_name(key)))
+    if held is not None and all(
+        runs_on_grid(scheme, spec.policy, spec.refresh_delayed_hits)
+        and held.grid_memoised(spec.marking)
+        for _, spec, scheme in local
+    ):
+        return held
+    return _load_sharded(str(ensure_sharded_trace_cached(config, shard_size)))
 
 
 # ======================================================================
@@ -510,9 +536,7 @@ def run_replay_sweep(
         if trace is not None:
             workload: CompiledTrace = trace
         elif sharded:
-            workload = _load_sharded(
-                str(ensure_sharded_trace_cached(trace_config, shard_size))
-            )
+            workload = _held_or_verified_sharded(trace_config, shard_size, local)
         else:
             workload = _load_trace(str(ensure_trace_cached(trace_config)))
         for index, spec, scheme in local:

@@ -23,13 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.ndn.network import Network
-from repro.sim.batch.script import (
-    ConsumerScript,
-    FetchStep,
-    SleepStep,
-    TopologyObservables,
-)
+from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep
 from repro.workload.streaming import Workload
 
 
@@ -89,22 +83,3 @@ def scripts_from_workload(
         for name, step_list in zip(consumers, steps)
     ]
 
-
-def run_workload(
-    net: Network,
-    workload: Workload,
-    consumers: Sequence[str],
-    *,
-    kernel: str = "auto",
-    **script_kwargs: object,
-) -> TopologyObservables:
-    """Lower ``workload`` onto ``net``'s consumers and run it.
-
-    ``kernel`` follows :func:`repro.sim.batch.run_scripts`: ``"auto"``
-    compiles to the batch kernel when the topology supports it and falls
-    back transparently, ``"reference"`` forces the oracle engine.
-    """
-    from repro.sim.batch import run_scripts
-
-    scripts = scripts_from_workload(workload, consumers, **script_kwargs)
-    return run_scripts(net, scripts, kernel=kernel)

@@ -8,8 +8,8 @@ One star topology exercises every overload mechanism at once::
 
 The attacker floods distinct ``/flood/...`` names that producer ``f``
 never answers, so every flood interest dangles in R's PIT until its
-lifetime expires — the resource-exhaustion attack.  The consumer fetches
-a small set of ``/data/...`` objects with retries and measures delivery.
+lifetime expires — the resource-exhaustion attack.  The consumer cycles
+through 20 ``/data/...`` objects with retries and measures delivery.
 
 :func:`run_overload_scenario` runs the scenario against a given router
 configuration (unbounded baseline vs bounded/rate-limited/Nacking) with
@@ -85,7 +85,6 @@ def run_overload_scenario(
     rate_limit: Optional[InterestRateLimit] = None,
     cs_capacity: int = 32,
     fetches: int = 200,
-    fetch_catalog: int = 20,
     fetch_interval: float = 10.0,
     flood_start: float = 100.0,
     flood_end: float = 2100.0,
@@ -159,7 +158,7 @@ def run_overload_scenario(
         retry = RetryPolicy(retries=5, timeout=60.0, backoff=2.0)
         for i in range(fetches):
             result = yield from consumer.fetch(
-                f"/data/obj-{i % fetch_catalog}", retry=retry
+                f"/data/obj-{i % 20}", retry=retry
             )
             tally["attempted"] += 1
             if result is not None:

@@ -214,6 +214,20 @@ class CompiledTrace:
             self._flags = (key, np.take(_trace_flags(rule, self, ids), order))
         return self._flags[1]
 
+    def grid_memoised(self, rule: Optional[MarkingRule]) -> bool:
+        """True when :meth:`lru_columns` and :meth:`grid_flags` of ``rule``
+        would read no shard or name-table byte: the columns are held, and
+        so are the flags of an exact :class:`ContentMarking` or the coin
+        column they come from (a fraction of 0 or 1 needs none)."""
+        if self._lru is None or type(rule) is not ContentMarking:
+            return False
+        salt = str(rule.salt)
+        if self._flags is not None and self._flags[0] == (salt, rule.fraction):
+            return True
+        if not 0.0 < rule.fraction < 1.0:
+            return True
+        return self._coins is not None and self._coins[0] == salt
+
     def _whole(self) -> TraceShard:
         """Every request as one shard: the only shard itself when there
         is exactly one, a concatenation (typed empties for none) otherwise."""

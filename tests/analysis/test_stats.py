@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import (
+    PdfPair,
     bootstrap_mean_ci,
     empirical_cdf,
     pdf_pair,
     separation_score,
 )
+from repro.attacks.classifier import bayes_success
+
+
+def _overlap(pair: PdfPair) -> float:
+    """Overlap coefficient of the two mass-normalised histograms."""
+    widths = np.diff(np.asarray(pair.bin_edges))
+    hit = np.asarray(pair.hit_density)
+    miss = np.asarray(pair.miss_density)
+    return float(np.sum(np.minimum(hit, miss) * widths))
 
 
 class TestPdfPair:
@@ -28,15 +38,16 @@ class TestPdfPair:
         assert len(pair.bin_centers) == 10
 
     def test_disjoint_classes_no_overlap(self):
-        pair = pdf_pair([1.0, 1.1, 1.2], [9.0, 9.1, 9.2], bins=20)
-        assert pair.overlap() == pytest.approx(0.0)
-        assert pair.bayes_success() == pytest.approx(1.0)
+        hits, misses = [1.0, 1.1, 1.2], [9.0, 9.1, 9.2]
+        pair = pdf_pair(hits, misses, bins=20)
+        assert _overlap(pair) == pytest.approx(0.0)
+        assert bayes_success(hits, misses, bins=20) == pytest.approx(1.0)
 
     def test_identical_classes_full_overlap(self):
         samples = list(np.random.default_rng(1).normal(5, 1, 2000))
         pair = pdf_pair(samples, samples, bins=30)
-        assert pair.overlap() == pytest.approx(1.0)
-        assert pair.bayes_success() == pytest.approx(0.5)
+        assert _overlap(pair) == pytest.approx(1.0)
+        assert bayes_success(samples, samples, bins=30) == pytest.approx(0.5)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):

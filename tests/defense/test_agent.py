@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.defense.agent import (
+    CHECK_INTERVAL,
     DEFENSE_PRESETS,
     DefenseAgent,
     DefenseConfig,
@@ -12,6 +13,7 @@ from repro.defense.agent import (
     install_network_defense,
     uninstall_defense,
 )
+from repro.defense.controller import MitigationPolicy
 from repro.ndn.link import FixedDelay
 from repro.ndn.name import Name
 from repro.ndn.network import Network
@@ -40,8 +42,7 @@ class TestPresets:
         assert DefenseConfig.preset(name) is None
 
     def test_monitor_preset_disarms_mitigation(self):
-        config = DefenseConfig.preset("monitor")
-        assert config is not None and not config.mitigate
+        assert DefenseConfig.preset("monitor") == DefenseConfig(mitigate=False)
 
     def test_adaptive_preset_is_the_full_loop(self):
         config = DefenseConfig.preset("adaptive")
@@ -138,18 +139,17 @@ class TestAdaptiveMode:
 
     def test_deescalation_polled_from_observe_path(self, engine):
         router, _, faces = build(engine)
-        config = DefenseConfig.preset("adaptive")
-        agent = install_defense(router, config)
+        agent = install_defense(router, DefenseConfig.preset("adaptive"))
         _feed_novel(agent, faces["bad"], 150)
         assert agent.controller.active
         # Quiet benign traffic keeps flowing past the hysteresis hold:
         # the observe path itself must release the suspect.
-        hold = config.policy.hold
+        hold = MitigationPolicy().hold
         for i in range(40):
             agent.observe_interest(
                 Name.parse("/content/hot-000"),
                 faces["good"],
-                200.0 + hold + i * float(config.check_interval),
+                200.0 + hold + i * CHECK_INTERVAL,
                 hit=True,
             )
         assert not agent.controller.active

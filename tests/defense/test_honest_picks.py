@@ -14,13 +14,12 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from repro.defense.scenario import DefenseScenarioSpec, _zipf_cdf, _zipf_weights
+from repro.defense.scenario import HOT_CATALOG, ZIPF_EXPONENT, _zipf_cdf, _zipf_weights
 
 
 @pytest.mark.parametrize("seed", [0, 83])
 def test_cdf_picks_and_state_equal_choice(seed):
-    spec = DefenseScenarioSpec()
-    n, exponent = spec.hot_catalog, spec.zipf_exponent
+    n, exponent = HOT_CATALOG, ZIPF_EXPONENT
     weights = _zipf_weights(n, exponent)
     cdf = _zipf_cdf(n, exponent)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -10,9 +10,9 @@ from repro.analysis.defense import (
     DefenseFrontier,
     DefensePoint,
     SWEEP_ATTACKS,
-    run_defense_point,
     run_defense_sweep,
 )
+from repro.defense import run_closed_loop
 
 #: Short spec so a sweep cell runs in a fraction of the default demo.
 FAST = dict(horizon=8000.0, attack_start=1500.0, attack_end=6000.0)
@@ -27,7 +27,9 @@ def small_frontier():
 
 class TestPoint:
     def test_point_fields_are_consistent(self):
-        point = run_defense_point("adaptive", "pollution", seed=0, **FAST)
+        point = DefensePoint.from_report(
+            run_closed_loop("adaptive", "pollution", seed=0, **FAST)
+        )
         assert point.defense == "adaptive"
         assert point.attack == "pollution"
         assert point.utility_metric == "edge_hit_rate"
@@ -42,7 +44,9 @@ class TestPoint:
         assert point.invariant_violations == 0
 
     def test_flood_point_uses_delivery_rate(self):
-        point = run_defense_point("off", "flood", seed=0, **FAST)
+        point = DefensePoint.from_report(
+            run_closed_loop("off", "flood", seed=0, **FAST)
+        )
         assert point.utility_metric == "delivery_rate"
         assert point.detection_latency is None  # nothing watching
         assert point.alarms == 0
@@ -88,7 +92,7 @@ class TestSweep:
             + [(d, a) for d in ("off", "adaptive") for a in ("pollution", "flood")]
         )
         assert frontier.points == [
-            run_defense_point(d, a, seed=2, **tiny)
+            DefensePoint.from_report(run_closed_loop(d, a, seed=2, **tiny))
             for a in ("pollution", "flood")
             for d in ("off", "adaptive")
         ]
@@ -113,8 +117,6 @@ class TestSweep:
 
 class TestFromReport:
     def test_false_alarm_columns_come_from_the_baseline(self):
-        from repro.defense import run_closed_loop
-
         report = run_closed_loop("monitor", "pollution", seed=0, **FAST)
         point = DefensePoint.from_report(report)
         assert point.false_alarms == report.baseline.alarms

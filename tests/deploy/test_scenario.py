@@ -31,7 +31,6 @@ SMALL = dict(
     probes=8,
     edge_cs_capacity=8,
     vpn_cs_capacity=4,
-    fetch_timeout=2000.0,
     probe_timeout=200.0,
 )
 

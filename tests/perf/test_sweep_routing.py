@@ -153,3 +153,24 @@ def test_the_process_memos_keep_one_trace_each(cache_dir):
     assert list(parallel._PROCESS_TRACES) == [tsv[1]]
     assert list(parallel._PROCESS_SHARDED) == [shards[1]]
     assert parallel._load_trace(tsv[1]) is parallel._PROCESS_TRACES[tsv[1]]
+
+
+def test_a_repeated_all_grid_sweep_verifies_the_held_entry_once(
+    cache_dir, monkeypatch
+):
+    """A sharded sweep whose points are all grid points with memoised
+    columns and flags reads no byte of the entry it holds open, so it does
+    not checksum the entry again (three verifications over three sweeps if
+    it did); a sweep that maps a shard still verifies first."""
+    ensure_sharded_trace_cached(CONFIG)
+    verified = []
+    real = ShardedCompiledTrace.verify
+    monkeypatch.setattr(
+        ShardedCompiledTrace, "verify", lambda self: verified.append(1) or real(self)
+    )
+    sweeps = [run_fig5b(CONFIG, workers=1, sharded=True).stats for _ in range(3)]
+    assert verified == [1]
+    assert sweeps[0] == sweeps[1] == sweeps[2]
+    unmarked = [ReplaySpec("no-privacy", {}, 100, None, seed=1)]  # maps the shards
+    run_replay_sweep(unmarked, workers=1, trace_config=CONFIG, sharded=True)
+    assert verified == [1, 1]
