@@ -25,7 +25,7 @@ from repro.core.privacy.utility import (
     uniform_utility,
 )
 from repro.core.schemes.base import CacheScheme
-from repro.ndn.topology import FIG3_PANELS, TOPOLOGIES
+from repro.ndn.topology import FIG3_PANELS, TOPOLOGIES, AttackTopology
 from repro.perf.parallel import ReplaySpec, build_scheme, run_replay_sweep
 from repro.workload.ircache import IrcacheConfig
 from repro.workload.marking import ContentMarking
@@ -95,15 +95,22 @@ def run_fig3(
             f"unknown setting {setting!r}; choose from {sorted(FIG3_PANELS)}"
         )
     builder = TOPOLOGIES[setting]
+    descriptions: List[str] = []
+
+    def build(**kwargs) -> AttackTopology:
+        topo = builder(**kwargs)
+        descriptions.append(topo.description)
+        return topo
+
     collector = _FIG3_COLLECTORS.get(setting, collect_rtt_distributions)
     dists = collector(
-        builder, objects_per_trial=objects_per_trial, trials=trials, base_seed=seed
+        build, objects_per_trial=objects_per_trial, trials=trials, base_seed=seed
     )
     pdf = pdf_pair(dists.hit_rtts, dists.miss_rtts, bins=bins)
-    probe = builder(seed=seed)
     return Fig3Result(
         setting=setting,
-        description=probe.description,
+        # The first trial is the topology at ``seed``.
+        description=descriptions[0],
         distributions=dists,
         pdf=pdf,
         bayes_success=dists.bayes_success_probability,

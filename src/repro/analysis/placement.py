@@ -30,6 +30,17 @@ topologies and reads the router counters afterwards:
 * ``engine`` — which simulation engine produced the point: ``"batch"``,
   or ``"reference: <reason>"`` when the batch compiler had to refuse.
 
+The points of one topology differ only in the probe router's scheme
+and the routers' caching strategy, so the sweep builds and compiles one
+shape per (topology, trial) — a template with neither — and rebinds it
+per point (:meth:`~repro.sim.batch.compile.CompiledTopology.rebind`:
+fresh streams from the trial's seed, the point's scheme and strategy,
+lowered by the compiler's own code).  The numbers are those of a fresh
+build per point, bit for bit.  A shape the batch compiler refuses, or a
+binding it refuses, runs that point as before: a fresh build on
+:func:`~repro.sim.batch.run_scripts`, whose reference fallback names
+the reason in ``engine``.
+
 Use ``repro-experiments strategy`` to run the sweep from a shell; it
 writes the frontier as a JSON artifact (the committed
 ``strategy_frontier.json`` is its output at the defaults).  How fast
@@ -42,10 +53,23 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.attacks.timing import run_probe_attack
+from repro.attacks.timing import (
+    check_delivered,
+    judge_probe_attack,
+    probe_attack_campaign,
+    run_campaign,
+)
 from repro.ndn.strategy import STRATEGIES
 from repro.ndn.topology import SCALE_GRAPHS, TOPOLOGIES, AttackTopology
 from repro.perf.parallel import build_scheme
+from repro.sim.batch import (
+    BatchCompileError,
+    CompiledTopology,
+    ConsumerScript,
+    TopologyObservables,
+    compile_topology,
+    run_compiled,
+)
 
 #: The sweep's own grid, a view of the registry: the paper's LAN panel
 #: (the single-router baseline, where placement cannot matter) plus the
@@ -125,6 +149,85 @@ def _ratio(numerator: int, denominator: int) -> float:
     return numerator / denominator if denominator else 0.0
 
 
+@dataclass
+class _Trial:
+    """One (topology, trial) of a sweep: the template topology (no
+    scheme, no caching strategy), its probe campaign, and the compiled
+    program every point rebinds (``None`` when the shape does not lower)."""
+
+    topo: AttackTopology
+    probes: List[str]
+    scripts: List[ConsumerScript]
+    program: Optional[CompiledTopology]
+
+
+def _trial(
+    builder: Callable[..., AttackTopology],
+    trial: int,
+    seed: int,
+    targets_per_trial: int,
+    cache_capacity: Optional[int],
+) -> _Trial:
+    """Build and compile ``trial``'s template at ``seed``."""
+    topo = builder(seed=seed, cache_capacity=cache_capacity)
+    prefix = str(topo.content_prefix)
+    half = targets_per_trial // 2
+    # The victim's content carries the reserved ``/private/`` component
+    # (producer-driven marking): consumer-only marking is demoted by
+    # the adversary's own unmarked probe under the trigger rule, which
+    # would measure every scheme as no-privacy.
+    hot = [f"{prefix}/private/p{trial}-hot-{i}" for i in range(half)]
+    cold = [f"{prefix}/private/p{trial}-cold-{i}" for i in range(half)]
+    # The victim also marks their requests private (the paper's
+    # trigger rule: only marked content is disguised by the scheme).
+    probes, scripts = probe_attack_campaign(
+        topo,
+        hot,
+        cold,
+        reference=f"{prefix}/p{trial}-ref",
+        warmup=1000.0 + targets_per_trial * 10.0,
+        private=True,
+    )
+    try:
+        program = compile_topology(topo.network, scripts)
+    except BatchCompileError:
+        program = None
+    return _Trial(topo, probes, scripts, program)
+
+
+def _run_trial(
+    shaped: _Trial,
+    builder: Callable[..., AttackTopology],
+    seed: int,
+    scheme: str,
+    strategy: str,
+    cache_capacity: Optional[int],
+) -> TopologyObservables:
+    """One point's campaign on one trial: the shape rebound to the
+    point, or a fresh build when the compiler refuses either."""
+    if shaped.program is not None:
+        try:
+            program = shaped.program.rebind(
+                seed,
+                build_scheme(scheme, seed=seed * 31 + 1),
+                strategy,
+                probe=shaped.topo.router.name,
+            )
+        except BatchCompileError:
+            pass
+        else:
+            observed = run_compiled(program)
+            check_delivered(shaped.scripts, observed)
+            return observed
+    topo = builder(
+        seed=seed,
+        scheme=build_scheme(scheme, seed=seed * 31 + 1),
+        cache_capacity=cache_capacity,
+        caching=strategy,
+    )
+    return run_campaign(topo, shaped.scripts)
+
+
 def run_placement_point(
     topology: str,
     scheme: str,
@@ -136,14 +239,32 @@ def run_placement_point(
 ) -> PlacementPoint:
     """One frontier cell: adversary accuracy + utility under ground truth.
 
-    Per trial a fresh topology is built (empty caches, new RNG streams,
-    a fresh scheme instance at the probe router — scheme objects are
+    Per trial the topology is fresh (empty caches, new RNG streams, a
+    fresh scheme instance at the probe router — scheme objects are
     RNG-stateful and must never be reused across trials).  The user
     prefetches half the target set, the adversary runs the full probe
     procedure (as a scripted campaign), and the verdicts are scored
     against ground truth; router counters accumulate over trials before
     the rates are formed.
     """
+    return _placement_point(
+        topology, scheme, strategy, trials, targets_per_trial,
+        cache_capacity, base_seed, {},
+    )  # fmt: skip
+
+
+def _placement_point(
+    topology: str,
+    scheme: str,
+    strategy: str,
+    trials: int,
+    targets_per_trial: int,
+    cache_capacity: Optional[int],
+    base_seed: int,
+    shapes: Dict[int, _Trial],
+) -> PlacementPoint:
+    """:func:`run_placement_point` on the trials' shapes in ``shapes``
+    (built here on first use; a sweep keeps them across its points)."""
     builder = TOPOLOGIES[topology]
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -157,37 +278,24 @@ def run_placement_point(
     probe_ctr: Counter = Counter()  # the probe router's monitor counters
     net_ctr: Counter = Counter()  # every router's, summed
     engine = "batch"  # or the first trial's fallback reason
-    half = targets_per_trial // 2
     for trial in range(trials):
         seed = base_seed + trial
-        topo = builder(
-            seed=seed,
-            scheme=build_scheme(scheme, seed=seed * 31 + 1),
-            cache_capacity=cache_capacity,
-            caching=strategy,
-        )
-        prefix = str(topo.content_prefix)
-        # The victim's content carries the reserved ``/private/`` component
-        # (producer-driven marking): consumer-only marking is demoted by
-        # the adversary's own unmarked probe under the trigger rule, which
-        # would measure every scheme as no-privacy.
-        hot = [f"{prefix}/private/p{trial}-hot-{i}" for i in range(half)]
-        cold = [f"{prefix}/private/p{trial}-cold-{i}" for i in range(half)]
-        # The victim also marks their requests private (the paper's
-        # trigger rule: only marked content is disguised by the scheme).
-        verdicts, right, observed = run_probe_attack(
-            topo,
-            hot,
-            cold,
-            reference=f"{prefix}/p{trial}-ref",
-            warmup=1000.0 + targets_per_trial * 10.0,
-            private=True,
+        shaped = shapes.get(trial)
+        if shaped is None:
+            shaped = shapes[trial] = _trial(
+                builder, trial, seed, targets_per_trial, cache_capacity
+            )
+        observed = _run_trial(shaped, builder, seed, scheme, strategy, cache_capacity)
+        verdicts, right = judge_probe_attack(
+            observed.rtts[shaped.topo.adversary.name],
+            shaped.probes,
+            targets_per_trial // 2,
         )
         correct += right
         total += len(verdicts)
         if engine == "batch":
             engine = observed.engine
-        probe_ctr.update(observed.router_counters[topo.router.name])
+        probe_ctr.update(observed.router_counters[shaped.topo.router.name])
         for counters in observed.router_counters.values():
             net_ctr.update(counters)
     if total == 0:
@@ -228,7 +336,8 @@ def run_placement_sweep(
     cache_capacity: Optional[int] = 32,
     seed: int = 0,
 ) -> PlacementFrontier:
-    """The full strategy × scheme × topology sweep."""
+    """The full strategy × scheme × topology sweep: one compiled shape
+    per (topology, trial), rebound per point."""
     unknown = [t for t in topologies if t not in TOPOLOGIES]
     if unknown:
         raise ValueError(
@@ -241,17 +350,19 @@ def run_placement_sweep(
         seed=seed,
     )
     for topology in topologies:
+        shapes: Dict[int, _Trial] = {}
         for scheme in schemes:
             for strategy in strategies:
                 frontier.points.append(
-                    run_placement_point(
+                    _placement_point(
                         topology,
                         scheme,
                         strategy,
-                        trials=trials,
-                        targets_per_trial=targets_per_trial,
-                        cache_capacity=cache_capacity,
-                        base_seed=1000 + seed,
+                        trials,
+                        targets_per_trial,
+                        cache_capacity,
+                        1000 + seed,
+                        shapes,
                     )
                 )
     return frontier

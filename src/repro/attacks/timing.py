@@ -184,6 +184,15 @@ def run_campaign(
     raises :class:`CampaignError` if any scripted fetch went undelivered.
     """
     observed = run_scripts(topo.network, list(scripts))
+    check_delivered(scripts, observed)
+    return observed
+
+
+def check_delivered(
+    scripts: Sequence[ConsumerScript], observed: TopologyObservables
+) -> None:
+    """Raise :class:`CampaignError` unless every scripted fetch of a
+    finished campaign was delivered."""
     for script in scripts:
         wanted = sum(isinstance(step, FetchStep) for step in script.steps)
         got = observed.delivered[script.consumer]
@@ -192,7 +201,6 @@ def run_campaign(
                 f"{script.consumer}: {wanted - got} of {wanted} scripted "
                 f"fetches were not delivered"
             )
-    return observed
 
 
 def pooled_campaigns(
@@ -265,6 +273,43 @@ def collect_rtt_distributions(
     )
 
 
+def probe_attack_campaign(
+    topo: AttackTopology,
+    hot: Sequence[str],
+    cold: Sequence[str],
+    reference: str,
+    warmup: float,
+    private: bool = False,
+) -> Tuple[List[str], List[ConsumerScript]]:
+    """:func:`run_probe_attack`'s campaign: the adversary's fetch order
+    (the priming fetch and the reference samples, then ``hot + cold``)
+    and the two scripts."""
+    sampled = 1 + CacheProbeAttack.REFERENCE_PROBES  # priming fetch: no sample
+    probes = [reference] * sampled + [*hot, *cold]
+    gap = CacheProbeAttack.GAP
+    return probes, probe_campaign(
+        topo, hot, probes, warmup, 2.0, gap, private=private
+    )
+
+
+def judge_probe_attack(
+    rtts: Sequence[float], probes: Sequence[str], hot: int
+) -> Tuple[List[ProbeVerdict], int]:
+    """The adversary's verdicts on the RTTs of its ``probes`` (as
+    :func:`probe_attack_campaign` orders them) and how many are right —
+    the first ``hot`` targets were prefetched, the rest were not."""
+    sampled = 1 + CacheProbeAttack.REFERENCE_PROBES
+    classifier = ThresholdClassifier.from_reference(
+        rtts[1:sampled], margin_sigmas=CacheProbeAttack.MARGIN_SIGMAS
+    )
+    verdicts = [
+        ProbeVerdict(name_of(t), rtt, classifier.is_hit(rtt), classifier.threshold)
+        for t, rtt in zip(probes[sampled:], rtts[sampled:])
+    ]
+    correct = sum(v.decided_hit == (i < hot) for i, v in enumerate(verdicts))
+    return verdicts, correct
+
+
 def run_probe_attack(
     topo: AttackTopology,
     hot: Sequence[str],
@@ -284,21 +329,13 @@ def run_probe_attack(
     Returns them, how many match ground truth (``hot`` was prefetched,
     ``cold`` was not), and the run's observables.
     """
-    sampled = 1 + CacheProbeAttack.REFERENCE_PROBES  # priming fetch: no sample
-    probes = [reference] * sampled + [*hot, *cold]
-    gap = CacheProbeAttack.GAP
-    observed = run_campaign(
-        topo, probe_campaign(topo, hot, probes, warmup, 2.0, gap, private=private)
+    probes, scripts = probe_attack_campaign(
+        topo, hot, cold, reference, warmup, private=private
     )
-    rtts = observed.rtts[topo.adversary.name]
-    classifier = ThresholdClassifier.from_reference(
-        rtts[1:sampled], margin_sigmas=CacheProbeAttack.MARGIN_SIGMAS
+    observed = run_campaign(topo, scripts)
+    verdicts, correct = judge_probe_attack(
+        observed.rtts[topo.adversary.name], probes, len(hot)
     )
-    verdicts = [
-        ProbeVerdict(name_of(t), rtt, classifier.is_hit(rtt), classifier.threshold)
-        for t, rtt in zip(probes[sampled:], rtts[sampled:])
-    ]
-    correct = sum(v.decided_hit == (i < len(hot)) for i, v in enumerate(verdicts))
     return verdicts, correct, observed
 
 

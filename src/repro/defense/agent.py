@@ -26,7 +26,7 @@ Presets (the ``defense`` axis of the frontier sweep):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.defense.alarms import Alarm, AlarmLog
@@ -76,10 +76,6 @@ class DefenseConfig:
         if name == "monitor":
             return cls(mitigate=False)
         return cls()
-
-    def monitoring_only(self) -> "DefenseConfig":
-        """This config with mitigation disarmed."""
-        return replace(self, mitigate=False)
 
 
 class DefenseAgent:

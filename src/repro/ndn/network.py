@@ -35,6 +35,49 @@ from repro.sim.rng import LazyStream, RngRegistry
 Entity = Union[Forwarder, Consumer, Producer, InteractiveEndpoint]
 
 
+# ----------------------------------------------------------------------
+# What a network derives from its root seed and a router's settings.
+# The batch compiler's rebind (repro.sim.batch.compile) calls these too,
+# so a rebound program draws from the streams a fresh build would hold.
+# ----------------------------------------------------------------------
+# Named streams are handed out only to the components that draw
+# (randomized admission, random replacement), as handles built at the
+# first draw: a stream's state depends on (root seed, name) alone, so
+# neither skipping an unused stream nor deferring one changes any draw.
+
+
+def link_stream(registry: RngRegistry, link: str) -> LazyStream:
+    """The delay stream of the link named ``link`` (``"{a}<->{b}"``)."""
+    return LazyStream(registry, f"link:{link}")
+
+
+def policy_stream(registry: RngRegistry, router: str) -> LazyStream:
+    """The stream ``random`` replacement at ``router`` draws victims from."""
+    return LazyStream(registry, f"policy:{router}")
+
+
+def router_caching(
+    registry: RngRegistry, router: str, caching: Union[str, CachingStrategy, None]
+) -> Optional[CachingStrategy]:
+    """``router``'s caching strategy for the spec ``caching``: a kind
+    string builds a per-router instance (a randomized kind drawing from
+    the stream ``caching:{router}``), an instance or ``None`` is kept."""
+    return strategy_of(
+        caching,
+        rng=(
+            LazyStream(registry, f"caching:{router}")
+            if caching in RANDOMIZED_STRATEGIES
+            else None
+        ),
+    )
+
+
+def counts_origin_hops(caching: Optional[CachingStrategy]) -> bool:
+    """Whether installing ``caching`` anywhere turns ``Data.origin_hops``
+    maintenance on for every router of the network."""
+    return caching is not None and caching.needs_origin_hops
+
+
 class Network:
     """A named collection of NDN entities wired by links."""
 
@@ -105,24 +148,11 @@ class Network:
         :class:`~repro.ndn.forwarder.Forwarder` for the Nack semantics of
         each rejection path.
         """
-        # Named streams are handed out only to the components that draw
-        # (randomized admission, random replacement), as handles built at
-        # the first draw: a stream's state depends on (root seed, name)
-        # alone, so neither skipping an unused stream nor deferring one
-        # changes any draw.
-        caching = strategy_of(
-            caching,
-            rng=(
-                LazyStream(self.rng, f"caching:{name}")
-                if caching in RANDOMIZED_STRATEGIES
-                else None
-            ),
-        )
+        caching = router_caching(self.rng, name, caching)
         cs = ContentStore(
             capacity=capacity,
             policy=make_policy(
-                policy,
-                LazyStream(self.rng, f"policy:{name}") if policy == "random" else None,
+                policy, policy_stream(self.rng, name) if policy == "random" else None
             ),
         )
         router = Forwarder(
@@ -139,7 +169,7 @@ class Network:
             caching=caching,
         )
         self._register(name, router)
-        if caching is not None and caching.needs_origin_hops:
+        if counts_origin_hops(caching):
             self._count_origin_hops = True
         if self._count_origin_hops:
             for node in self.routers.values():
@@ -211,7 +241,7 @@ class Network:
             face_a=face_a,
             face_b=face_b,
             delay_model=delay_model,
-            rng=LazyStream(self.rng, f"link:{a}<->{b}"),
+            rng=link_stream(self.rng, f"{a}<->{b}"),
             loss_rate=loss_rate,
             loss_model=loss_model,
             name=f"{a}<->{b}",

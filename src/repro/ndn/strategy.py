@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.ndn.name import Name
 from repro.sim.rng import as_generator
@@ -281,6 +281,34 @@ def _betweenness(graph: Tuple[Tuple[str, Tuple[str, ...]], ...]):
     return tuple(centrality.items())
 
 
+class BetweennessRanking(NamedTuple):
+    """What a CL4M verdict is read from: one graph's betweenness.
+
+    ``centrality`` maps every node label of the graph to its score (empty
+    for an isolated node), ``router_scores`` holds the routers' scores in
+    ascending order (routers are the nodes with a FIB: end hosts sit at
+    path endpoints, score ~0, and would drag any quantile down to
+    "everyone admits"), ``nodes`` maps each label to its entity.
+    """
+
+    centrality: Dict[str, float]
+    router_scores: List[float]
+    nodes: Dict[str, object]
+
+
+def betweenness_ranking(forwarder) -> BetweennessRanking:
+    """Discover ``forwarder``'s graph and rank it (one Brandes pass,
+    memoised per distinct graph)."""
+    adjacency, nodes = discover_graph(forwarder)
+    centrality = brandes_betweenness(adjacency) if adjacency else {}
+    router_scores = sorted(
+        score
+        for node_label, score in centrality.items()
+        if getattr(nodes[node_label], "fib", None) is not None
+    )
+    return BetweennessRanking(centrality, router_scores, nodes)
+
+
 class Cl4mStrategy(CachingStrategy):
     """Cache-Less-for-More placement by true betweenness centrality.
 
@@ -316,13 +344,24 @@ class Cl4mStrategy(CachingStrategy):
         self.quantile = float(quantile)
         self._verdict: Optional[bool] = None
 
-    def compute_verdict(self, forwarder) -> bool:
-        """The (cached) topology-constant admission verdict for this node."""
+    def compute_verdict(
+        self, forwarder, ranking: Optional[BetweennessRanking] = None
+    ) -> bool:
+        """The (cached) topology-constant admission verdict for this node.
+
+        ``ranking`` is :func:`betweenness_ranking` of ``forwarder``'s
+        graph when the caller already holds it (a compiled topology
+        shape keeps one per graph); without it the graph is discovered
+        and ranked here.
+        """
         if self._verdict is None:
-            self._resolve_network(forwarder)
+            self._resolve_network(
+                forwarder,
+                ranking if ranking is not None else betweenness_ranking(forwarder),
+            )
         return self._verdict
 
-    def _resolve_network(self, forwarder) -> None:
+    def _resolve_network(self, forwarder, ranking: BetweennessRanking) -> None:
         """One Brandes pass settles the whole network, not just this node.
 
         Betweenness is a property of the graph, so the pass that ranks
@@ -334,31 +373,20 @@ class Cl4mStrategy(CachingStrategy):
         instance shared by several routers is left out of the fill, so
         it keeps the verdict of the first of them that asks.
         """
-        adjacency, nodes = discover_graph(forwarder)
+        centrality, router_scores = ranking.centrality, ranking.router_scores
         label = _node_label(forwarder)
-        if not adjacency or label not in adjacency:
+        if label not in centrality:
             self._verdict = True  # isolated node: nothing to rank against
             return
-        centrality = brandes_betweenness(adjacency)
-        # Rank against *routers* only (end hosts sit at path endpoints,
-        # score ~0, and would drag the quantile down to "everyone
-        # admits").  Routers are the nodes with a FIB.
-        router_scores = sorted(
-            score
-            for node_label, score in centrality.items()
-            if getattr(nodes[node_label], "fib", None) is not None
-        )
         self._verdict = self._admits(centrality[label], router_scores)
-        holders = Counter(
-            id(getattr(node, "caching", None)) for node in nodes.values()
-        )
-        for node_label, node in nodes.items():
-            strategy = getattr(node, "caching", None)
-            if (
-                isinstance(strategy, Cl4mStrategy)
-                and strategy._verdict is None
-                and holders[id(strategy)] == 1
-            ):
+        held = [
+            (node_label, strategy)
+            for node_label, node in ranking.nodes.items()
+            if isinstance(strategy := getattr(node, "caching", None), Cl4mStrategy)
+        ]
+        holders = Counter(id(strategy) for _, strategy in held)
+        for node_label, strategy in held:
+            if strategy._verdict is None and holders[id(strategy)] == 1:
                 strategy._verdict = strategy._admits(
                     centrality[node_label], router_scores
                 )

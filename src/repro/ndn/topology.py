@@ -89,6 +89,21 @@ class AttackTopology:
         self.network.flush_caches()
 
 
+def place_scheme(
+    scheme: SchemeSpec, router: str, probe: str
+) -> Optional[CacheScheme]:
+    """The scheme :data:`SchemeSpec` gives ``router`` (``probe`` names the
+    router U and Adv share).
+
+    An instance is per-router state and must not be shared between
+    forwarders: it guards the probe point only.  A factory is called
+    once per router, so callers ask in router creation order.
+    """
+    if scheme is None or isinstance(scheme, CacheScheme):
+        return scheme if router == probe else None
+    return scheme()
+
+
 def _start(
     seed: int,
     probe: str,
@@ -114,16 +129,10 @@ def _start(
         capacity: Optional[int] = cache_capacity,
         processing_delay: float = 0.0,
     ) -> Forwarder:
-        if scheme is None or isinstance(scheme, CacheScheme):
-            # An instance is per-router state and must not be shared
-            # between forwarders: it guards the probe point only.
-            guard = scheme if name == probe else None
-        else:
-            guard = scheme()
         return net.add_router(
             name,
             capacity=capacity,
-            scheme=guard,
+            scheme=place_scheme(scheme, name, probe),
             policy=policy,
             processing_delay=processing_delay,
             strategy=forwarding,

@@ -18,6 +18,10 @@ Public surface:
   (raises :class:`~repro.sim.batch.compile.BatchCompileError` when the
   topology cannot be lowered),
 * :func:`run_scripts` — batch with transparent reference fallback,
+* :func:`~repro.sim.batch.compile.compile_topology` /
+  :meth:`~repro.sim.batch.compile.CompiledTopology.rebind` — one
+  compiled shape, run once per binding of seed, scheme and caching
+  strategy,
 * :class:`~repro.sim.batch.script.NetworkSpentError` — what every entry
   point raises for a network the batch kernel already ran.
 """
@@ -27,7 +31,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.ndn.network import Network
-from repro.sim.batch.compile import BatchCompileError, compile_topology
+from repro.sim.batch.compile import (
+    BatchCompileError,
+    CompiledTopology,
+    compile_topology,
+)
 from repro.sim.batch.kernel import run_compiled, run_scripts_batch
 from repro.sim.batch.script import (
     ConsumerScript,
@@ -41,6 +49,7 @@ from repro.sim.batch.script import (
 
 __all__ = [
     "BatchCompileError",
+    "CompiledTopology",
     "ConsumerScript",
     "FetchStep",
     "NetworkSpentError",

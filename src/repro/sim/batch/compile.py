@@ -21,6 +21,19 @@ hot path:
   RNG streams), :class:`~repro.core.schemes.base.SchemeKernel` instances
   and delay-policy modes; PIT state itself is runtime kernel state.
 
+The output has two parts.  The **shape** (:class:`TopologyShape`) is
+everything that depends only on the wiring and the scripts: links and
+their delay kinds, directed edges, route classes and ``next_hops``, the
+acyclicity check, producer serve tables, consumer steps, and CL4M's
+betweenness ranking (computed when a CL4M router first asks).  The
+**binding** (:class:`CompiledTopology`) is everything a seed, a privacy
+scheme or a caching strategy decides: the link, policy and strategy
+streams, the scheme kernels, the strategies lowered per router and
+``count_origin_hops``.  :func:`compile_topology` reads both from a
+network; :meth:`CompiledTopology.rebind` binds a new seed, scheme and
+strategy to the same shape through the same lowering, so a sweep that
+varies only those compiles each shape once.
+
 Link, policy and strategy streams are carried as the holders hold them
 (a generator or a :class:`~repro.sim.rng.LazyStream`) and resolved by the
 kernel at their first draw, so compiling builds no generator.
@@ -39,18 +52,25 @@ ready for a reference run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.schemes.base import CacheScheme, SchemeKernel
 from repro.core.schemes.delay_policies import ConstantDelay, ContentSpecificDelay
 from repro.core.schemes.marking import MarkingPolicy
+from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.ndn.apps.consumer import Consumer
 from repro.ndn.apps.producer import Producer
 from repro.ndn.forwarder import Forwarder, never_cache
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.name import Name
-from repro.ndn.network import Network
+from repro.ndn.network import (
+    Network,
+    counts_origin_hops,
+    link_stream,
+    policy_stream,
+    router_caching,
+)
 from repro.ndn.replacement import (
     FifoPolicy,
     LfuPolicy,
@@ -59,14 +79,25 @@ from repro.ndn.replacement import (
 )
 from repro.ndn.strategy import (
     BernoulliStrategy,
+    BetweennessRanking,
+    CachingStrategy,
     Cl4mStrategy,
     EdgeStrategy,
     LcdStrategy,
     LceStrategy,
     ProbCacheStrategy,
+    betweenness_ranking,
 )
-from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep, refuse_spent
-from repro.sim.rng import Stream, stream_key
+from repro.ndn.topology import CachingSpec, SchemeSpec, place_scheme
+from repro.sim.batch.script import (
+    ConsumerScript,
+    FetchStep,
+    NetworkSpentError,
+    SleepStep,
+    mark_spent,
+    refuse_spent,
+)
+from repro.sim.rng import RngRegistry, Stream, stream_key
 
 
 class BatchCompileError(Exception):
@@ -131,42 +162,44 @@ S_BERN = 5
 
 @dataclass
 class CompiledLink:
-    """One physical link: delay sampler spec plus its RNG stream."""
+    """One physical link: its delay sampler spec."""
 
     name: str
     delay_kind: int
     # FIXED: (delay,); GAUSSIAN: (base, std, floor); LOGNORMAL: (base, scale, sigma)
     params: Tuple[float, ...]
-    #: The link's own stream, resolved at the first delay refill (None
-    #: for FIXED, which never draws).
-    stream: Optional[Stream] = None
 
 
 @dataclass
-class CompiledRouter:
-    """One forwarder lowered to array-backed state descriptors."""
+class RouterShape:
+    """What a forwarder is whatever the seed, scheme or strategy."""
 
     name: str
     capacity: Optional[int]
     policy_kind: str  # "lru" | "fifo" | "lfu" | "random"
+    processing_delay: float
+    #: ``cache_filter is never_cache``: arriving data is counted as
+    #: ``cache_skipped`` and never inserted.
+    never_cache: bool
+    #: Per name id: candidate send-edge ids in FIB cost order (or ()).
+    next_hops: List[Tuple[int, ...]] = field(default_factory=list)
+
+
+@dataclass
+class CompiledRouter:
+    """One router as one program runs it: its shape plus its binding."""
+
+    shape: RouterShape
     policy_stream: Optional[Stream]  # RandomPolicy's stream (None otherwise)
-    kernel: SchemeKernel
+    kernel: Optional[SchemeKernel]
     delay_mode: int
     delay_gamma: float
-    processing_delay: float
-    #: Per name id: candidate send-edge ids in FIB cost order (or ()).
-    next_hops: List[Tuple[int, ...]]
     #: Cache-admission strategy: int kind, scalar parameter (ProbCache
-    #: weight / CL4M precomputed betweenness verdict / Bernoulli p),
-    #: the strategy's own RNG
-    #: stream (randomized kinds only), and the router's face degree.
+    #: weight / CL4M betweenness verdict / Bernoulli p) and the
+    #: strategy's own RNG stream (randomized kinds only).
     strategy_kind: int = S_LCE
     strategy_param: float = 0.0
     strategy_stream: Optional[Stream] = None
-    degree: int = 0
-    #: ``cache_filter is never_cache``: arriving data is counted as
-    #: ``cache_skipped`` and never inserted.
-    never_cache: bool = False
 
 
 @dataclass
@@ -189,12 +222,11 @@ class CompiledProducer:
 
 
 @dataclass
-class CompiledTopology:
-    """Everything the batch kernel needs, plus the source net for
-    assembling final observables (names, capacities, link labels)."""
+class TopologyShape:
+    """The part of a compiled topology no seed, scheme or strategy
+    changes: one per wiring and script set, shared by every program
+    bound to it (and never mutated by a run)."""
 
-    net: Network
-    scripts: Sequence[ConsumerScript]
     names: List[Name]
     #: Per name id: Data.effectively_private of the object serving it.
     name_private: List[bool]
@@ -202,16 +234,101 @@ class CompiledTopology:
     #: Per directed edge id: destination node kind / index.
     dest_kind: List[int]
     dest_idx: List[int]
-    routers: List[CompiledRouter]
+    routers: List[RouterShape]
     consumers: List[CompiledConsumer]
     producers: List[CompiledProducer]
     #: Per *entity-order* consumer index (the index space ``dest_idx``
     #: uses): position in :attr:`consumers` (script order), or -1 for a
     #: consumer entity with no script (it can only sink stray packets).
     consumer_script_of_entity: List[int]
+    #: The forwarders the shape was read from, in router order: the
+    #: graph CL4M ranks (their own schemes and generators are not used).
+    forwarders: List[Forwarder]
+    _rankings: Dict[str, BetweennessRanking] = field(default_factory=dict)
+
+    def ranking(self, rid: int) -> BetweennessRanking:
+        """Betweenness of router ``rid``'s graph, ranked at the first
+        CL4M router that asks and kept for every node it covers."""
+        router = self.forwarders[rid]
+        ranking = self._rankings.get(router.name)
+        if ranking is None:
+            ranking = betweenness_ranking(router)
+            for label in (router.name, *ranking.nodes):
+                self._rankings[label] = ranking
+        return ranking
+
+
+@dataclass
+class CompiledTopology:
+    """One runnable program: a shape plus the streams, schemes and
+    strategies bound to it.  It runs once
+    (:class:`~repro.sim.batch.script.NetworkSpentError` after that);
+    :meth:`rebind` makes another program on the same shape."""
+
+    shape: TopologyShape
+    routers: List[CompiledRouter]
+    #: Per link: its delay stream (None for FIXED, which never draws).
+    link_streams: List[Optional[Stream]]
     #: Whether forwarders maintain ``Data.origin_hops`` (uniform across
     #: the network; mixed settings fail compilation).
-    count_origin_hops: bool = False
+    count_origin_hops: bool
+    #: The registry every stream of the program resolves in.
+    rng: RngRegistry
+    #: The network :func:`compile_topology` read (its generators are the
+    #: program's, so a run spends it); ``None`` for a rebound program.
+    net: Optional[Network] = None
+    spent: bool = False
+
+    def claim(self) -> None:
+        """Claim the program for its one run (and spend its network)."""
+        if self.spent:
+            raise NetworkSpentError(
+                "compiled program already ran on the batch kernel (its "
+                "generators are consumed): rebind or compile a fresh one"
+            )
+        if self.net is not None:
+            mark_spent(self.net)
+        self.spent = True
+
+    def rebind(
+        self, seed: int, scheme: SchemeSpec, caching: CachingSpec, probe: str
+    ) -> "CompiledTopology":
+        """A fresh program on this shape: what a builder would bind to
+        the same wiring given ``seed``, ``scheme`` and ``caching``.
+
+        The streams are ``RngRegistry(seed)``'s, named as
+        :class:`~repro.ndn.network.Network` names them; ``scheme`` lands
+        as :data:`~repro.ndn.topology.SchemeSpec` says (``probe`` names
+        the router an instance guards; every other router gets the
+        forwarder's default, no privacy); ``caching`` is built per router
+        as ``Network.add_router`` builds it.  Everything is lowered by the
+        code :func:`compile_topology` uses, refusals included.  The
+        wiring is the shape's: a builder whose graph draws from its seed
+        (``rocketfuel``'s chords) matches a fresh build at the seed the
+        shape was built with.
+        """
+        shape = self.shape
+        rng = RngRegistry(seed)
+        strategies = [router_caching(rng, r.name, caching) for r in shape.routers]
+        schemes = []
+        for router in shape.routers:
+            guard = place_scheme(scheme, router.name, probe)
+            schemes.append(guard if guard is not None else NoPrivacyScheme())
+        return _bind(
+            shape,
+            rng,
+            link_streams=[
+                link_stream(rng, link.name) if link.delay_kind != DELAY_FIXED else None
+                for link in shape.links
+            ],
+            strategies=strategies,
+            schemes=schemes,
+            policy_streams=[
+                policy_stream(rng, r.name) if r.policy_kind == "random" else None
+                for r in shape.routers
+            ],
+            count_origin_hops=any(counts_origin_hops(s) for s in strategies),
+        )
 
 
 def _check_engine_fresh(net: Network) -> None:
@@ -321,17 +438,11 @@ def _compile_link(link) -> CompiledLink:
         return CompiledLink(link.name, DELAY_FIXED, (model._delay,))
     if type(model) is GaussianJitterDelay:
         return CompiledLink(
-            link.name,
-            DELAY_GAUSSIAN,
-            (model._base, model._std, model._floor),
-            link._stream,
+            link.name, DELAY_GAUSSIAN, (model._base, model._std, model._floor)
         )
     if type(model) is LogNormalDelay:
         return CompiledLink(
-            link.name,
-            DELAY_LOGNORMAL,
-            (model._base, model._scale, model._sigma),
-            link._stream,
+            link.name, DELAY_LOGNORMAL, (model._base, model._scale, model._sigma)
         )
     raise BatchCompileError(
         f"link {link.name}: unsupported delay model {type(model).__name__}"
@@ -352,12 +463,9 @@ def _scheme_delay_mode(scheme: CacheScheme) -> Tuple[int, float]:
     )
 
 
-def _compile_router(
-    router: Forwarder, scheme_owner: Dict[int, str]
-) -> CompiledRouter:
-    """Everything about ``router`` that does not depend on the workload
-    vocabulary; ``kernel`` and ``next_hops`` are left for
-    :func:`compile_topology` to fill once the names are known."""
+def _router_shape(router: Forwarder) -> RouterShape:
+    """Everything about ``router`` that no seed, scheme or strategy
+    changes, except ``next_hops`` (filled once the names are known)."""
     name = router.name
     _require(router.up, f"router {name}: crashed routers are not supported")
     _require(
@@ -399,78 +507,133 @@ def _compile_router(
     _require(len(cs) == 0, f"router {name}: pre-populated CS is not supported")
     policy = cs.policy
     if type(policy) is LruPolicy:
-        policy_kind, policy_stream = "lru", None
+        policy_kind = "lru"
     elif type(policy) is FifoPolicy:
-        policy_kind, policy_stream = "fifo", None
+        policy_kind = "fifo"
     elif type(policy) is LfuPolicy:
-        policy_kind, policy_stream = "lfu", None
+        policy_kind = "lfu"
     elif type(policy) is RandomPolicy:
-        policy_kind, policy_stream = "random", policy._stream
+        policy_kind = "random"
     else:
         raise BatchCompileError(
             f"router {name}: unsupported replacement policy "
             f"{type(policy).__name__}"
         )
-
-    # Exact-type dispatch: a strategy *subclass* may override admit()
-    # arbitrarily, so it must hit the reference fallback, not silently
-    # run the base class's kernel.
-    strategy = router.caching
-    strategy_kind, strategy_param, strategy_stream = S_LCE, 0.0, None
-    if strategy is None or type(strategy) is LceStrategy:
-        pass
-    elif type(strategy) is LcdStrategy:
-        strategy_kind = S_LCD
-    elif type(strategy) is ProbCacheStrategy:
-        strategy_kind, strategy_param = S_PROB, strategy.weight
-        strategy_stream = strategy._stream
-    elif type(strategy) is EdgeStrategy:
-        strategy_kind = S_EDGE
-    elif type(strategy) is Cl4mStrategy:
-        # The betweenness verdict is a topology constant: precompute it
-        # here (read-only cache warm, per the compiler contract — Brandes
-        # touches no RNG, schedules nothing, mutates no counter) and
-        # lower the boolean.  The reference engine reuses the same cached
-        # verdict, so both engines decide identically by construction.
-        strategy_kind = S_CL4M
-        strategy_param = 1.0 if strategy.compute_verdict(router) else 0.0
-    elif type(strategy) is BernoulliStrategy:
-        strategy_kind, strategy_param = S_BERN, strategy.p
-        strategy_stream = strategy._stream
-    else:
-        raise BatchCompileError(
-            f"router {name}: unsupported caching strategy "
-            f"{type(strategy).__name__}"
-        )
-
-    scheme = router.scheme
-    key = id(scheme)
-    if key in scheme_owner:
-        # One scheme instance on two routers shares RNG *and* per-content
-        # state in the reference; the int-keyed kernel cannot mirror the
-        # cross-router entry bookkeeping, so refuse rather than diverge.
-        raise BatchCompileError(
-            f"scheme instance shared between routers "
-            f"{scheme_owner[key]!r} and {name!r}"
-        )
-    scheme_owner[key] = name
-    delay_mode, delay_gamma = _scheme_delay_mode(scheme)
-
-    return CompiledRouter(
+    return RouterShape(
         name=name,
         capacity=cs.capacity,
         policy_kind=policy_kind,
-        policy_stream=policy_stream,
-        kernel=None,
-        delay_mode=delay_mode,
-        delay_gamma=delay_gamma,
         processing_delay=router.processing_delay,
-        next_hops=[],
-        strategy_kind=strategy_kind,
-        strategy_param=strategy_param,
-        strategy_stream=strategy_stream,
-        degree=len(router.faces),
         never_cache=skips_caching,
+    )
+
+
+def _lower_strategy(
+    shape: TopologyShape, rid: int, strategy: Optional[CachingStrategy]
+) -> Tuple[int, float, Optional[Stream]]:
+    """Router ``rid``'s caching strategy as ``(kind, param, stream)``."""
+    # Exact-type dispatch: a strategy *subclass* may override admit()
+    # arbitrarily, so it must hit the reference fallback, not silently
+    # run the base class's kernel.
+    if strategy is None or type(strategy) is LceStrategy:
+        return S_LCE, 0.0, None
+    if type(strategy) is LcdStrategy:
+        return S_LCD, 0.0, None
+    if type(strategy) is ProbCacheStrategy:
+        return S_PROB, strategy.weight, strategy._stream
+    if type(strategy) is EdgeStrategy:
+        return S_EDGE, 0.0, None
+    if type(strategy) is Cl4mStrategy:
+        # The betweenness verdict is a topology constant: settle it here
+        # from the shape's ranking (read-only, per the compiler contract —
+        # Brandes touches no RNG, schedules nothing, mutates no counter)
+        # and lower the boolean.  The strategy keeps the verdict, so the
+        # reference engine decides identically by construction.
+        verdict = strategy.compute_verdict(shape.forwarders[rid], shape.ranking(rid))
+        return S_CL4M, 1.0 if verdict else 0.0, None
+    if type(strategy) is BernoulliStrategy:
+        return S_BERN, strategy.p, strategy._stream
+    raise BatchCompileError(
+        f"router {shape.routers[rid].name}: unsupported caching strategy "
+        f"{type(strategy).__name__}"
+    )
+
+
+def _bind(
+    shape: TopologyShape,
+    rng: RngRegistry,
+    link_streams: List[Optional[Stream]],
+    strategies: Sequence[Optional[CachingStrategy]],
+    schemes: Sequence[CacheScheme],
+    policy_streams: Sequence[Optional[Stream]],
+    count_origin_hops: bool,
+    net: Optional[Network] = None,
+) -> CompiledTopology:
+    """A program on ``shape``: each router's strategy and scheme
+    lowered, with the given streams, or refuse (also a scheme instance or
+    a scheme generator held twice)."""
+    routers: List[CompiledRouter] = []
+    scheme_owner: Dict[int, str] = {}
+    for rid, shaped in enumerate(shape.routers):
+        name = shaped.name
+        strategy_kind, strategy_param, strategy_stream = _lower_strategy(
+            shape, rid, strategies[rid]
+        )
+        scheme = schemes[rid]
+        key = id(scheme)
+        if key in scheme_owner:
+            # One scheme instance on two routers shares RNG *and*
+            # per-content state in the reference; the int-keyed kernel
+            # cannot mirror the cross-router entry bookkeeping, so refuse
+            # rather than diverge.
+            raise BatchCompileError(
+                f"scheme instance shared between routers "
+                f"{scheme_owner[key]!r} and {name!r}"
+            )
+        scheme_owner[key] = name
+        delay_mode, delay_gamma = _scheme_delay_mode(scheme)
+        routers.append(
+            CompiledRouter(
+                shape=shaped,
+                policy_stream=policy_streams[rid],
+                kernel=None,
+                delay_mode=delay_mode,
+                delay_gamma=delay_gamma,
+                strategy_kind=strategy_kind,
+                strategy_param=strategy_param,
+                strategy_stream=strategy_stream,
+            )
+        )
+    # A scheme kernel draws k_C in blocks, so its generator may have no
+    # second holder (the reference interleaves consumers in event order).
+    # Streams are compared by key, which builds no generator (rng.stream_key).
+    drawn_by: Dict[Hashable, str] = {}  # stream key -> router whose scheme holds it
+    for shaped, scheme in zip(shape.routers, schemes):
+        scheme_rng = getattr(scheme, "rng", None)
+        if scheme_rng is not None:
+            first = drawn_by.setdefault(stream_key(scheme_rng), shaped.name)
+            shared = f"{first}'s scheme and {shaped.name}'s scheme"
+            _require(first == shaped.name, shared + " share one random generator")
+    for cr in routers:
+        for stream in (cr.policy_stream, cr.strategy_stream):
+            owner = drawn_by.get(stream_key(stream)) if stream is not None else None
+            if owner is not None:
+                shared = f"{owner}'s scheme and {cr.shape.name}'s policy/strategy"
+                raise BatchCompileError(shared + " share one random generator")
+    for cr, scheme in zip(routers, schemes):
+        cr.kernel = kernel = scheme.make_kernel(shape.names)
+        _require(
+            kernel is not None,
+            f"router {cr.shape.name}: scheme {type(scheme).__name__} "
+            f"provides no kernel",
+        )
+    return CompiledTopology(
+        shape=shape,
+        routers=routers,
+        link_streams=link_streams,
+        count_origin_hops=count_origin_hops,
+        rng=rng,
+        net=net,
     )
 
 
@@ -661,21 +824,45 @@ def _check_acyclic_routes(
 def compile_topology(
     net: Network, scripts: Sequence[ConsumerScript]
 ) -> CompiledTopology:
-    """Lower ``net`` + ``scripts`` for the batch kernel, or raise
-    :class:`BatchCompileError` naming the first unsupported feature
+    """Lower ``net`` + ``scripts`` for the batch kernel — the shape, and
+    the binding read from ``net`` — or raise :class:`BatchCompileError`
+    naming the first unsupported feature
     (:class:`~repro.sim.batch.script.NetworkSpentError` if ``net``
     already ran on the kernel)."""
-    refuse_spent(net)
-    _require(bool(scripts), "no consumer scripts given")
-    _check_engine_fresh(net)
-    routers, consumers, producers = _collect_entities(net)
+    shape = _compile_shape(net, scripts)
+    routers = shape.forwarders
     hop_flags = {router.count_origin_hops for router in routers}
     _require(
         len(hop_flags) <= 1,
         "count_origin_hops differs across routers (the kernel tracks "
         "origin hops network-wide or not at all)",
     )
-    count_origin_hops = bool(hop_flags and hop_flags.pop())
+    return _bind(
+        shape,
+        net.rng,
+        link_streams=[
+            link._stream if compiled.delay_kind != DELAY_FIXED else None
+            for link, compiled in zip(net.links.values(), shape.links)
+        ],
+        strategies=[router.caching for router in routers],
+        schemes=[router.scheme for router in routers],
+        policy_streams=[
+            router.cs.policy._stream if shaped.policy_kind == "random" else None
+            for router, shaped in zip(routers, shape.routers)
+        ],
+        count_origin_hops=bool(hop_flags and hop_flags.pop()),
+        net=net,
+    )
+
+
+def _compile_shape(
+    net: Network, scripts: Sequence[ConsumerScript]
+) -> TopologyShape:
+    """The shape of ``net`` + ``scripts``, or refuse."""
+    refuse_spent(net)
+    _require(bool(scripts), "no consumer scripts given")
+    _check_engine_fresh(net)
+    routers, consumers, producers = _collect_entities(net)
 
     # Directed edges from links, in insertion order.
     links: List[CompiledLink] = []
@@ -699,8 +886,7 @@ def compile_topology(
         )
 
     for link in net.links.values():
-        compiled_link = _compile_link(link)
-        links.append(compiled_link)
+        links.append(_compile_link(link))
         # Edge 2i: face_a sends, delivered to face_b's owner (and vice versa).
         for sender, receiver in ((link.face_a, link.face_b), (link.face_b, link.face_a)):
             kind, idx = _owner_ref(receiver.owner)
@@ -708,38 +894,15 @@ def compile_topology(
             dest_kind.append(kind)
             dest_idx.append(idx)
 
-    scheme_owner: Dict[int, str] = {}
-    compiled_routers = [_compile_router(r, scheme_owner) for r in routers]
-    # A scheme kernel draws k_C in blocks, so its generator may have no
-    # second holder (the reference interleaves consumers in event order).
-    # Streams are compared by key, which builds no generator (rng.stream_key).
-    drawn_by: Dict[Hashable, str] = {}  # stream key -> router whose scheme holds it
-    for router in routers:
-        rng = getattr(router.scheme, "rng", None)
-        if rng is not None:
-            first = drawn_by.setdefault(stream_key(rng), router.name)
-            shared = f"{first}'s scheme and {router.name}'s scheme"
-            _require(first == router.name, shared + " share one random generator")
-    for cr in compiled_routers:
-        for stream in (cr.policy_stream, cr.strategy_stream):
-            owner = drawn_by.get(stream_key(stream)) if stream is not None else None
-            if owner is not None:
-                shared = f"{owner}'s scheme and {cr.name}'s policy/strategy"
-                raise BatchCompileError(shared + " share one random generator")
+    router_shapes = [_router_shape(r) for r in routers]
 
     # Everything above is per link or per router, so a network that
     # cannot lower is refused before any per-name work is spent on it.
     names, name_ids, name_class, class_reps = _intern_vocabulary(scripts, routers)
     class_hops: List[List[Tuple[int, ...]]] = []
-    for router, compiled_router in zip(routers, compiled_routers):
-        compiled_router.kernel = kernel = router.scheme.make_kernel(names)
-        _require(
-            kernel is not None,
-            f"router {router.name}: scheme {type(router.scheme).__name__} "
-            f"provides no kernel",
-        )
+    for router, shaped in zip(routers, router_shapes):
         hops = _class_next_hops(router, class_reps, face_to_edge)
-        compiled_router.next_hops = [hops[cid] for cid in name_class]
+        shaped.next_hops = [hops[cid] for cid in name_class]
         class_hops.append(hops)
 
     name_private: List[Optional[bool]] = [None] * len(names)
@@ -756,17 +919,15 @@ def compile_topology(
         consumer_script_of_entity[consumer_index[id(entity)]] = pos
     _check_acyclic_routes(class_hops, dest_kind, dest_idx)
 
-    return CompiledTopology(
-        net=net,
-        scripts=scripts,
+    return TopologyShape(
         names=names,
         name_private=[bool(flag) for flag in name_private],
         links=links,
         dest_kind=dest_kind,
         dest_idx=dest_idx,
-        routers=compiled_routers,
+        routers=router_shapes,
         consumers=compiled_consumers,
         producers=compiled_producers,
         consumer_script_of_entity=consumer_script_of_entity,
-        count_origin_hops=count_origin_hops,
+        forwarders=routers,
     )

@@ -77,7 +77,7 @@ from repro.sim.batch.compile import (
     CompiledTopology,
     compile_topology,
 )
-from repro.sim.batch.script import ConsumerScript, TopologyObservables, mark_spent
+from repro.sim.batch.script import ConsumerScript, TopologyObservables
 from repro.sim.rng import as_generator
 
 # Router counter indices, in COUNTER_NAMES order (see compile.py).
@@ -133,26 +133,30 @@ def _make_policy(kind: str, stream, n_names: int):
 def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     """Execute a compiled topology and assemble its observables.
 
-    The run draws from the network's own generators, so it leaves
-    ``ct.net`` spent (:class:`~repro.sim.batch.script.NetworkSpentError`
-    on any later run, this one's topology included).
+    The run draws from the program's generators, so it leaves ``ct``
+    spent — and ``ct.net`` with it, for a program
+    :func:`~repro.sim.batch.compile.compile_topology` read from a network
+    (:class:`~repro.sim.batch.script.NetworkSpentError` on any later run
+    of either).
     """
-    mark_spent(ct.net)
-    n_names = len(ct.names)
-    name_priv = ct.name_private
+    ct.claim()
+    shape = ct.shape
+    n_names = len(shape.names)
+    name_priv = shape.name_private
 
     # ---- links ---------------------------------------------------------
-    n_links = len(ct.links)
-    l_kind = [cl.delay_kind for cl in ct.links]
-    l_params = [cl.params for cl in ct.links]
-    l_stream = [cl.stream for cl in ct.links]
-    l_fix = [cl.params[0] if cl.delay_kind == DELAY_FIXED else 0.0 for cl in ct.links]
+    links = shape.links
+    n_links = len(links)
+    l_kind = [cl.delay_kind for cl in links]
+    l_params = [cl.params for cl in links]
+    l_stream = ct.link_streams
+    l_fix = [cl.params[0] if cl.delay_kind == DELAY_FIXED else 0.0 for cl in links]
     l_buf: List[List[float]] = [[] for _ in range(n_links)]
     l_pos = [0] * n_links
     l_pkts = [0] * n_links
 
-    dest_kind = ct.dest_kind
-    dest_idx = ct.dest_idx
+    dest_kind = shape.dest_kind
+    dest_idx = shape.dest_idx
 
     # ---- routers -------------------------------------------------------
     n_routers = len(ct.routers)
@@ -164,13 +168,14 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     r_size = [0] * n_routers
     r_evict = [0] * n_routers
     r_peak = [0] * n_routers
-    r_cap = [cr.capacity for cr in ct.routers]
-    r_proc = [cr.processing_delay for cr in ct.routers]
+    r_cap = [rs.capacity for rs in shape.routers]
+    r_proc = [rs.processing_delay for rs in shape.routers]
     r_dmode = [cr.delay_mode for cr in ct.routers]
     r_gamma = [cr.delay_gamma for cr in ct.routers]
-    r_hops = [cr.next_hops for cr in ct.routers]
+    r_hops = [rs.next_hops for rs in shape.routers]
     policies = [
-        _make_policy(cr.policy_kind, cr.policy_stream, n_names) for cr in ct.routers
+        _make_policy(cr.shape.policy_kind, cr.policy_stream, n_names)
+        for cr in ct.routers
     ]
     pol_insert = [p.insert for p in policies]
     pol_access = [p.access for p in policies]
@@ -183,24 +188,25 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     s_param = [cr.strategy_param for cr in ct.routers]
     s_stream = [cr.strategy_stream for cr in ct.routers]
     s_rng = [None] * n_routers  # resolved at the router's first admission draw
-    r_never = [cr.never_cache for cr in ct.routers]
+    r_never = [rs.never_cache for rs in shape.routers]
     track = ct.count_origin_hops
 
     # ---- producers -----------------------------------------------------
-    p_serve = [cp.serve for cp in ct.producers]
-    p_proc = [cp.processing_delay for cp in ct.producers]
+    p_serve = [cp.serve for cp in shape.producers]
+    p_proc = [cp.processing_delay for cp in shape.producers]
 
     # ---- consumers (indexed in *script* order) -------------------------
-    n_cons = len(ct.consumers)
-    c_edge = [cc.edge for cc in ct.consumers]
-    c_steps = [cc.steps for cc in ct.consumers]
+    consumers = shape.consumers
+    n_cons = len(consumers)
+    c_edge = [cc.edge for cc in consumers]
+    c_steps = [cc.steps for cc in consumers]
     c_pc = [0] * n_cons
     c_out = [-1] * n_cons  # outstanding fetch nid, -1 when idle
     c_sent = [0.0] * n_cons
     c_tseq = [0] * n_cons  # the outstanding fetch's timeout timer seq
     c_deliv = [0] * n_cons
     c_rtts: List[List[float]] = [[] for _ in range(n_cons)]
-    script_of_entity = ct.consumer_script_of_entity
+    script_of_entity = shape.consumer_script_of_entity
 
     q: List[tuple] = []
     lane: deque = deque()  # cancellable timers, strictly (time, seq)-sorted
@@ -543,13 +549,13 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
     counter_names = COUNTER_NAMES
     router_counters = {}
     router_stats = {}
-    for rid, cr in enumerate(ct.routers):
+    for rid, rs in enumerate(shape.routers):
         ctr = r_ctr[rid]
-        router_counters[cr.name] = {
+        router_counters[rs.name] = {
             counter_names[i]: ctr[i] for i in range(len(ctr)) if ctr[i]
         }
-        cap = cr.capacity
-        router_stats[cr.name] = {
+        cap = rs.capacity
+        router_stats[rs.name] = {
             "pit_size": float(len(r_pit[rid])),
             "pit_peak_size": float(r_peak[rid]),
             "pit_capacity": float("inf"),
@@ -569,13 +575,13 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
             "cs_stale_drops": 0.0,
         }
         for reason in ("congestion", "pit_full", "no_route"):
-            router_stats[cr.name]["nack_in_" + reason] = 0.0
-            router_stats[cr.name]["nack_out_" + reason] = 0.0
+            router_stats[rs.name]["nack_in_" + reason] = 0.0
+            router_stats[rs.name]["nack_out_" + reason] = 0.0
     return TopologyObservables(
         kernel="batch",
-        delivered={cc.name: c_deliv[i] for i, cc in enumerate(ct.consumers)},
-        rtts={cc.name: c_rtts[i] for i, cc in enumerate(ct.consumers)},
-        link_packets={cl.name: l_pkts[i] for i, cl in enumerate(ct.links)},
+        delivered={cc.name: c_deliv[i] for i, cc in enumerate(consumers)},
+        rtts={cc.name: c_rtts[i] for i, cc in enumerate(consumers)},
+        link_packets={cl.name: l_pkts[i] for i, cl in enumerate(links)},
         router_counters=router_counters,
         router_stats=router_stats,
         events_processed=events,

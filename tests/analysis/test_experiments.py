@@ -22,10 +22,18 @@ from repro.attacks.amplification import (
     empirical_amplified_success,
     fragments_needed,
 )
+from repro.ndn.topology import TOPOLOGIES
 from repro.workload.ircache import small_test_trace
 
 FIG3_TRIALS = 6
 FIG3_OBJECTS = 60
+#: Each panel's ``Fig3Result.description`` (what its builder says).
+FIG3_DESCRIPTIONS = {
+    "fig3a_lan": "LAN: U/Adv on Fast Ethernet to shared first-hop router R",
+    "fig3b_wan": "WAN: shared first-hop R, producer 3 hops upstream",
+    "fig3c_wan_producer": "WAN producer privacy: P adjacent to R, U/Adv 3 hops away",
+    "fig3d_local_host": "Local host: malicious application probing the ccnd cache",
+}
 
 
 def fig3_panel(setting):
@@ -64,6 +72,22 @@ class TestFig3Driver:
     def test_unknown_setting_rejected(self):
         with pytest.raises(ValueError, match="unknown setting"):
             run_fig3("fig9z_nonsense")
+
+    @pytest.mark.parametrize("setting", sorted(FIG3_DESCRIPTIONS))
+    def test_panel_builds_one_topology_per_trial(self, setting, monkeypatch):
+        """The description comes from the campaign's first trial (the
+        topology at ``seed``), not from one more build."""
+        builder = TOPOLOGIES[setting]
+        seeds = []
+
+        def counting(**kwargs):
+            seeds.append(kwargs["seed"])
+            return builder(**kwargs)
+
+        monkeypatch.setitem(TOPOLOGIES, setting, counting)
+        result = run_fig3(setting, objects_per_trial=4, trials=3, seed=5)
+        assert seeds == [5, 6, 7]
+        assert result.description == FIG3_DESCRIPTIONS[setting]
 
 
 class TestFig4Drivers:

@@ -52,11 +52,6 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown defense preset"):
             DefenseConfig.preset("rubber-stamp")
 
-    def test_monitoring_only_copy(self):
-        config = DefenseConfig()
-        assert config.mitigate
-        assert not config.monitoring_only().mitigate
-
 
 class TestInstall:
     def test_install_and_uninstall_toggle_the_forwarder_slot(self, engine):

@@ -142,5 +142,5 @@ def test_route_classes_equal_per_name_routing(n_routers, routes, vocabulary):
         assert cyclic
         return
     assert not cyclic
-    assert compiled.names == names
-    assert [router.next_hops for router in compiled.routers] == tables
+    assert compiled.shape.names == names
+    assert [router.next_hops for router in compiled.shape.routers] == tables

@@ -23,6 +23,10 @@ differential kills all of them: every case cancels timers at the lane's
 head, and its 4.3 ms tree case arms fetch timeouts that sort before a
 4 000 ms PIT expiry at the lane's tail.
 
+Three mutants sit on :meth:`CompiledTopology.rebind`, each killed by
+``rebind_mismatches`` (``tests/sim/test_rebind.py``: two points rebound
+from one ``fat_tree`` shape against fresh builds and compiles).
+
 Two mutants sit on the Fig. 5 grid's per-point draws and columns.  The
 geometric block without its near-integer fix-up is killed by
 ``TestGeometricBoundaries``' draws (uniforms whose quotient lands on an
@@ -44,6 +48,7 @@ from repro.core.privacy.distributions import TruncatedGeometric
 from repro.ndn import packets
 from repro.sim import batch
 from repro.sim.batch import kernel
+from repro.sim.batch.compile import CompiledTopology
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.validation.differential import validate_topology_differential
@@ -54,6 +59,7 @@ from repro.workload.zipf import ZipfSampler
 from tests.core.test_distributions import geometric_boundary_mismatches
 from tests.ndn.test_link_bytes import CASES, byte_mismatches
 from tests.sim import test_process
+from tests.sim.test_rebind import rebind_mismatches
 from tests.workload.test_ircache import narrow_sort_mismatches
 from tests.workload.test_lru_grid import fraction_memo_mismatches
 from tests.workload.test_zipf import searchsorted_mismatches
@@ -103,6 +109,10 @@ def _geometric_block_inexact(monkeypatch) -> bool:
 
 def _flag_memo_stale(monkeypatch) -> bool:
     return bool(fraction_memo_mismatches())
+
+
+def _rebind_diverges(monkeypatch) -> bool:
+    return bool(rebind_mismatches())
 
 
 MUTANTS = {
@@ -164,6 +174,24 @@ MUTANTS = {
         CompiledTrace, "grid_flags",
         "key = (str(rule.salt), rule.fraction)", "key = (str(rule.salt),)",
         _flag_memo_stale,
+    ),
+    # The second point rebound from one shape draws from streams the
+    # first consumed; the first alone would match.
+    "rebind reuses the shape's link streams": (
+        CompiledTopology, "rebind",
+        "link_streams=[", "link_streams=self.link_streams or [",
+        _rebind_diverges,
+    ),
+    "rebind puts the scheme on every router": (
+        CompiledTopology, "rebind",
+        "place_scheme(scheme, router.name, probe)", "place_scheme(scheme, probe, probe)",
+        _rebind_diverges,
+    ),
+    "rebind carries count_origin_hops from the shape": (
+        CompiledTopology, "rebind",
+        "count_origin_hops=any(counts_origin_hops(s) for s in strategies)",
+        "count_origin_hops=self.count_origin_hops",
+        _rebind_diverges,
     ),
     # repro.sim.batch re-exports run_compiled for run_scripts; the
     # kernel module binds it for run_scripts_batch.
