@@ -264,30 +264,32 @@ class Fig5Result:
         return format_series("cache_size", x, self.hit_rates, title=self.title)
 
 
-def _run_fig5_sweep(
+def _fig5_result(
+    title: str,
     workload: Union[Workload, IrcacheConfig],
     specs: Sequence[ReplaySpec],
+    cache_sizes: Sequence[Optional[int]],
     workers: Optional[int],
     sharded: bool,
-) -> List[ReplayStats]:
-    """Dispatch a figure-5 grid onto the right workload pathway.
+) -> Fig5Result:
+    """Run a figure-5 grid and file each point under its (label, size).
 
-    Any other workload is compiled in RAM (a compiled trace as it is);
-    an :class:`IrcacheConfig` goes through the on-disk trace cache, and
-    with ``sharded=True`` through the memory-mapped shard cache — built
-    by streaming generation, so the full request log never has to fit
-    in RAM.  All three pathways are bit-identical.
+    An :class:`IrcacheConfig` goes through the on-disk trace cache (with
+    ``sharded=True`` the memory-mapped shard cache, built by streaming
+    generation); any other workload is compiled in RAM.  All pathways are
+    bit-identical.
     """
-    if isinstance(workload, IrcacheConfig):
-        return run_replay_sweep(
-            specs, trace_config=workload, workers=workers, sharded=sharded
-        )
-    if sharded:
-        raise ValueError(
-            "sharded fig5 sweeps take an IrcacheConfig workload "
-            "(a trace held in RAM defeats the constant-memory point)"
-        )
-    return run_replay_sweep(specs, trace=workload, workers=workers)
+    source = (
+        {"trace_config": workload}
+        if isinstance(workload, IrcacheConfig)
+        else {"trace": workload}
+    )
+    sweep = run_replay_sweep(specs, workers=workers, sharded=sharded, **source)
+    result = Fig5Result(title=title, cache_sizes=tuple(cache_sizes))
+    for spec, stats in zip(specs, sweep):
+        result.stats[(spec.label, spec.cache_size)] = stats
+        result.hit_rates.setdefault(spec.label, []).append(100.0 * stats.hit_rate)
+    return result
 
 
 def run_fig5a(
@@ -309,8 +311,8 @@ def run_fig5a(
 
     The (scheme × size) grid runs through
     :func:`repro.perf.parallel.run_replay_sweep`; ``workers`` (default:
-    ``REPRO_WORKERS`` / CPU count) never changes the numbers.  ``trace``
-    may be any workload — a compiled trace, a
+    the CPU count) never changes the numbers.  ``trace`` may be any
+    workload — a compiled trace, a
     :class:`~repro.workload.streaming.TsvWorkload` — or an
     :class:`IrcacheConfig` (cache-backed; combine with ``sharded=True``
     for the constant-memory streaming pathway at large scale).
@@ -318,13 +320,6 @@ def run_fig5a(
     marking = ContentMarking(private_fraction, salt=seed)
     params = {"k": k, "epsilon": epsilon, "delta": delta}
     scheme_names = ("no-privacy", "exponential", "uniform", "always-delay")
-    result = Fig5Result(
-        title=(
-            f"Figure 5(a) — cache hit rate (%) vs cache size; k={k}, "
-            f"eps={epsilon}, delta={delta}, {private_fraction:.0%} private"
-        ),
-        cache_sizes=tuple(cache_sizes),
-    )
     specs = [
         ReplaySpec(
             scheme=name,
@@ -337,11 +332,11 @@ def run_fig5a(
         for name in scheme_names
         for size in cache_sizes
     ]
-    sweep = _run_fig5_sweep(trace, specs, workers, sharded)
-    for spec, stats in zip(specs, sweep):
-        result.stats[(spec.label, spec.cache_size)] = stats
-        result.hit_rates.setdefault(spec.label, []).append(100.0 * stats.hit_rate)
-    return result
+    title = (
+        f"Figure 5(a) — cache hit rate (%) vs cache size; k={k}, "
+        f"eps={epsilon}, delta={delta}, {private_fraction:.0%} private"
+    )
+    return _fig5_result(title, trace, specs, cache_sizes, workers, sharded)
 
 
 def run_fig5b(
@@ -360,13 +355,6 @@ def run_fig5b(
     Accepts the same workload forms as :func:`run_fig5a`.
     """
     params = {"k": k, "epsilon": epsilon, "delta": delta}
-    result = Fig5Result(
-        title=(
-            f"Figure 5(b) — Exponential-Random-Cache hit rate (%) vs cache "
-            f"size; k={k}, eps={epsilon}, delta={delta}"
-        ),
-        cache_sizes=tuple(cache_sizes),
-    )
     specs = [
         ReplaySpec(
             scheme="exponential",
@@ -379,11 +367,11 @@ def run_fig5b(
         for fraction in private_fractions
         for size in cache_sizes
     ]
-    sweep = _run_fig5_sweep(trace, specs, workers, sharded)
-    for spec, stats in zip(specs, sweep):
-        result.stats[(spec.label, spec.cache_size)] = stats
-        result.hit_rates.setdefault(spec.label, []).append(100.0 * stats.hit_rate)
-    return result
+    title = (
+        f"Figure 5(b) — Exponential-Random-Cache hit rate (%) vs cache "
+        f"size; k={k}, eps={epsilon}, delta={delta}"
+    )
+    return _fig5_result(title, trace, specs, cache_sizes, workers, sharded)
 
 
 # ======================================================================

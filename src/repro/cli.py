@@ -137,9 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=0.005)
         p.add_argument("--delta", type=float, default=0.01)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=None,
-                       help="sweep worker processes (default: REPRO_WORKERS "
-                            "or CPU count; results are worker-independent)")
         if name == "fig5a":
             p.add_argument("--private-fraction", type=float, default=0.2)
         else:
@@ -318,8 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             IrcacheConfig(requests=args.requests, seed=args.seed),
             cache_sizes=_parse_sizes(args.sizes),
             k=args.k, epsilon=args.epsilon, delta=args.delta,
-            private_fraction=args.private_fraction, seed=args.seed,
-            workers=args.workers, sharded=True,
+            private_fraction=args.private_fraction, seed=args.seed, sharded=True,
         )
         print(result.render())
         return 0
@@ -329,8 +325,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             IrcacheConfig(requests=args.requests, seed=args.seed),
             cache_sizes=_parse_sizes(args.sizes),
             k=args.k, epsilon=args.epsilon, delta=args.delta,
-            private_fractions=args.private_fractions, seed=args.seed,
-            workers=args.workers, sharded=True,
+            private_fractions=args.private_fractions, seed=args.seed, sharded=True,
         )
         print(result.render())
         return 0

@@ -16,9 +16,7 @@ randomized schedules are generated from an explicit RNG
 from repro.faults.adversarial import (
     AdaptiveAttackLog,
     AdaptivePollutionWindow,
-    CachePollutionSchedule,
     CachePollutionWindow,
-    InterestFloodSchedule,
     InterestFloodWindow,
 )
 from repro.faults.errors import FaultConfigError, FaultError
@@ -38,9 +36,7 @@ __all__ = [
     "AdaptiveAttackLog",
     "AdaptivePollutionWindow",
     "BurstLossWindow",
-    "CachePollutionSchedule",
     "CachePollutionWindow",
-    "InterestFloodSchedule",
     "InterestFloodWindow",
     "DelaySpikeWindow",
     "Fault",

@@ -24,9 +24,6 @@ freely with link outages, burst loss, and router crashes in a single
 schedule.  Attack timing and name choice are derived from the window's
 own ``seed`` (never from wall-clock or global state), so a schedule is
 bit-reproducible and independent of everything else in the run.
-
-:class:`InterestFloodSchedule` and :class:`CachePollutionSchedule` are
-one-window conveniences for the common single-attacker scenario.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from repro.faults.errors import FaultConfigError
-from repro.faults.schedule import FaultSchedule, _check_window
+from repro.faults.schedule import _check_window
 
 if TYPE_CHECKING:  # typing only: faults must not import ndn at runtime
     from repro.ndn.network import Network
@@ -345,30 +342,3 @@ class AdaptivePollutionWindow:
                 losses[arm] += 1.0
             yield Timeout(self.arms[arm])
 
-
-class InterestFloodSchedule(FaultSchedule):
-    """A :class:`FaultSchedule` holding one interest-flood window.
-
-    Convenience for the common single-attacker case; further faults (or
-    more attack windows) can still be :meth:`~FaultSchedule.add`-ed.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__([InterestFloodWindow(**kwargs)])
-
-    @property
-    def window(self) -> InterestFloodWindow:
-        """The flood window this schedule was built from."""
-        return self.faults[0]
-
-
-class CachePollutionSchedule(FaultSchedule):
-    """A :class:`FaultSchedule` holding one cache-pollution window."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__([CachePollutionWindow(**kwargs)])
-
-    @property
-    def window(self) -> CachePollutionWindow:
-        """The pollution window this schedule was built from."""
-        return self.faults[0]

@@ -1,9 +1,9 @@
 """Performance infrastructure: the parallel sweep runner and the
 sim-core workload builders.
 
-* :mod:`repro.perf.parallel` — a process-pool sweep runner for Figure-5
-  style (scheme × cache-size × trial) grids, with deterministic per-task
-  seeding and an on-disk trace cache shared between workers,
+* :mod:`repro.perf.parallel` — the sweep runner for Figure-5 style
+  (scheme × cache-size × trial) grids, with per-spec seeds and an
+  on-disk trace cache shared between workers,
 * :mod:`repro.perf.simcore` — the star / tree / fat-tree packet-level
   workloads both simulation engines run.
 
@@ -15,9 +15,7 @@ perf ledger (``python3 benchmarks/ledger/run.py``, declared in
 from repro.perf.parallel import (
     ReplaySpec,
     build_scheme,
-    derive_seeds,
     ensure_trace_cached,
-    resolve_workers,
     run_replay_sweep,
     trace_cache_dir,
 )
@@ -25,9 +23,7 @@ from repro.perf.parallel import (
 __all__ = [
     "ReplaySpec",
     "build_scheme",
-    "derive_seeds",
     "ensure_trace_cached",
-    "resolve_workers",
     "run_replay_sweep",
     "trace_cache_dir",
 ]

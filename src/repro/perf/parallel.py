@@ -10,25 +10,22 @@ memoised LRU stack distances
 (:func:`~repro.workload.lru_grid.lru_grid_stats`), run in the calling
 process over the one trace the sweep loaded.  Every other point (FIFO,
 LFU, random, the refresh ablation, grouping, naive-threshold and
-kernel-less schemes) is a replay, and those are embarrassingly parallel:
-this module fans them across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  A sweep of grid points
-only starts no pool and writes no ``trace-shards-*`` entry.  Results are
-**independent of the worker count and of the route**:
+kernel-less schemes) is a replay.  A sweep over a handed-in trace runs
+them in this process too; a sweep over an
+:class:`~repro.workload.ircache.IrcacheConfig` fans them across a
+:class:`~concurrent.futures.ProcessPoolExecutor` whose workers map the
+config's own cache entry.  Results are **independent of the worker
+count and of the route**:
 
 * each sweep point is a picklable :class:`ReplaySpec` carrying its own
-  seed; trial seeds come from :func:`derive_seeds`
-  (``np.random.SeedSequence.spawn``), so the RNG stream of a point never
-  depends on which worker ran it or in what order,
+  seed, so the RNG stream of a point never depends on which worker ran
+  it or in what order,
 * results are collected by spec index, returned in spec order,
-* workers obtain the trace from an on-disk cache instead of regenerating
-  or unpickling it per task: a generated trace keyed by the
+* workers obtain the trace from an on-disk cache keyed by the
   :class:`~repro.workload.ircache.IrcacheConfig` hash (a TSV file or a
-  shard directory), any other workload compiled into a shard directory
-  keyed by the sha256 of its compiled columns,
-* the in-process points (all of them with ``REPRO_WORKERS=1`` or a
-  single spec, else the grid points) round-trip each spec through pickle
-  so scheme/marking state is isolated exactly as process transport would
+  shard directory) instead of regenerating or unpickling it per task,
+* the in-process points round-trip each spec through pickle so
+  scheme/marking state is isolated exactly as process transport would
   isolate it — bit-identical to any worker count.
 
 Pooled points run through one ``ProcessPoolExecutor.map``; a worker
@@ -37,13 +34,8 @@ verified before use — a TSV entry against its ``.sha256`` sidecar, a
 shard directory against its manifest's per-file checksums — and a
 truncated or corrupted entry is regenerated instead of silently
 poisoning the whole sweep (see ``tests/perf/test_trace_cache.py``).
-
-Environment knobs:
-
-* ``REPRO_WORKERS`` — worker-process count (default: CPU count; ``1``
-  forces the in-process serial path),
-* ``REPRO_TRACE_CACHE`` — trace cache directory (default:
-  ``~/.cache/repro/traces``).
+``REPRO_TRACE_CACHE`` sets the cache directory (default:
+``~/.cache/repro/traces``).
 """
 
 from __future__ import annotations
@@ -56,6 +48,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
 
@@ -88,7 +81,6 @@ from repro.workload.sharded import (
 )
 from repro.workload.streaming import TsvWorkload, Workload, save_tsv
 
-ENV_WORKERS = "REPRO_WORKERS"
 ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
 
 
@@ -179,27 +171,6 @@ class ReplaySpec:
     label: str = ""
 
 
-def derive_seeds(base_seed: int, count: int) -> List[int]:
-    """``count`` statistically independent task seeds from one base seed.
-
-    Uses ``np.random.SeedSequence.spawn`` so the seeds are stable across
-    runs, platforms, and worker counts.
-    """
-    children = np.random.SeedSequence(base_seed).spawn(count)
-    return [int(child.generate_state(1, np.uint32)[0]) for child in children]
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: explicit arg, else ``REPRO_WORKERS``, else
-    the CPU count."""
-    if workers is None:
-        env = os.environ.get(ENV_WORKERS)
-        workers = int(env) if env else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 # ======================================================================
 # On-disk trace cache (content-checksummed)
 # ======================================================================
@@ -268,15 +239,18 @@ def _write_digest(path: Path) -> None:
 def verify_trace_cache(path: Union[str, Path]) -> bool:
     """True iff the cache entry exists and matches its recorded digest.
 
-    A missing sidecar counts as invalid: an entry whose integrity cannot
-    be established is treated the same as a corrupted one and the caller
-    regenerates it.
+    A missing or undecodable sidecar counts as invalid: an entry whose
+    integrity cannot be established is treated the same as a corrupted
+    one and the caller regenerates it.
     """
     path = Path(path)
     sidecar = _digest_sidecar(path)
     if not path.exists() or not sidecar.exists():
         return False
-    recorded = sidecar.read_text(encoding="utf-8").strip()
+    try:
+        recorded = sidecar.read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError:
+        return False
     return bool(recorded) and recorded == file_sha256(path)
 
 
@@ -298,34 +272,8 @@ def ensure_trace_cached(config: IrcacheConfig) -> Path:
     return path
 
 
-def _ensure_shard_entry(name: str, build: Callable[[Path], object]) -> Path:
-    """The shard directory ``name`` in the trace cache, built by
-    ``build(staging)`` unless an entry there passes its checksums.
-
-    A corrupted entry is deleted and rebuilt.  The build lands in a
-    staging directory and is renamed into place, so a killed build never
-    leaves a half-written entry under the cache key.
-    """
-    path = trace_cache_dir() / name
-    if path.is_dir():
-        try:
-            ShardedCompiledTrace.open(path).verify()
-            return path
-        except (ShardIntegrityError, OSError, ValueError):
-            shutil.rmtree(path, ignore_errors=True)
-    staging = Path(
-        tempfile.mkdtemp(dir=str(trace_cache_dir()), prefix=f".build-{name}-")
-    )
-    try:
-        build(staging)
-        try:
-            os.replace(staging, path)
-        except OSError:
-            # Lost a build race: keep the winner if it verifies.
-            ShardedCompiledTrace.open(path).verify()
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return path
+def _sharded_entry_name(key: str) -> str:
+    return f"ircache-shards-{key}"
 
 
 def ensure_sharded_trace_cached(
@@ -336,36 +284,39 @@ def ensure_sharded_trace_cached(
     Returns the shard-directory path.  The workload is streamed straight
     into the sharded format (:func:`~repro.workload.sharded.compile_stream`)
     so the cache build itself never holds the full trace in RAM — peak
-    RSS stays bounded by one shard.  The config makes a rebuild of a
-    corrupted entry deterministic.
+    RSS stays bounded by one shard.  An entry that fails its checksums is
+    deleted and rebuilt (the config makes the rebuild deterministic).
+    The build lands in a staging directory and is renamed into place, so
+    a killed build never leaves a half-written entry under the cache key.
     """
     key = _config_key(config, layout="sharded", shard_size=shard_size)
+    path = trace_cache_dir() / _sharded_entry_name(key)
+    if path.is_dir():
+        try:
+            ShardedCompiledTrace.open(path).verify()
+            return path
+        except (ShardIntegrityError, OSError, ValueError):
+            shutil.rmtree(path, ignore_errors=True)
+    staging = Path(
+        tempfile.mkdtemp(dir=str(trace_cache_dir()), prefix=f".build-{path.name}-")
+    )
     source = {
         "kind": "ircache",
         "config_key": key,
         "algorithm_version": IRCACHE_ALGORITHM_VERSION,
     }
-    return _ensure_shard_entry(
-        _sharded_entry_name(key),
-        lambda staging: compile_stream(
+    try:
+        compile_stream(
             IrcacheGenerator(config).stream(), staging, shard_size, source=source
-        ),
-    )
-
-
-def _sharded_entry_name(key: str) -> str:
-    return f"ircache-shards-{key}"
-
-
-def _trace_digest(compiled: CompiledTrace) -> str:
-    """sha256 over a compiled trace's columns and name table (the
-    occurrence columns follow from the ids)."""
-    digest = hashlib.sha256()
-    for column in (compiled.ids, compiled.times, compiled.users):
-        digest.update(column.tobytes())
-    for uri in compiled.iter_uris():
-        digest.update(uri.encode("utf-8") + b"\n")
-    return digest.hexdigest()
+        )
+        try:
+            os.replace(staging, path)
+        except OSError:
+            # Lost a build race: keep the winner if it verifies.
+            ShardedCompiledTrace.open(path).verify()
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return path
 
 
 #: Per-process memo of the last compiled TSV entry, so each worker pays
@@ -465,10 +416,10 @@ def _execute(
     )
 
 
-def _worker_run(args: tuple) -> ReplayStats:
-    trace_path, spec, layout = args
-    load = _load_sharded if layout == "sharded" else _load_trace
-    return _execute(load(trace_path), spec, _scheme_of(spec))
+def _worker_run(
+    load: Callable[[str], CompiledTrace], path: str, spec: ReplaySpec
+) -> ReplayStats:
+    return _execute(load(path), spec, _scheme_of(spec))
 
 
 def run_replay_sweep(
@@ -482,12 +433,11 @@ def run_replay_sweep(
     """Run every sweep point; results in spec order.
 
     Exactly one of ``trace`` / ``trace_config`` supplies the workload.
-    With ``trace_config`` the workload goes through the on-disk cache.
-    Any other workload ``trace`` is compiled once (a compiled trace as it
-    is) and evaluated in process by one worker; for more, the points
-    that need a pool get it written into the shard store under the
-    sha256 of its compiled columns (``trace-shards-<digest>``) and
-    workers map it.
+    Any workload ``trace`` is compiled once (a compiled trace as it is)
+    and every point runs on it in this process, whatever ``workers``
+    says.  With ``trace_config`` the workload goes through the on-disk
+    cache, and the points that are not grid points run in a pool of
+    ``workers`` processes (default: the CPU count) that map the entry.
 
     ``sharded=True`` (requires ``trace_config``) routes the sweep through
     the memory-mapped sharded trace cache instead of the TSV one: the
@@ -500,12 +450,12 @@ def run_replay_sweep(
     grid point (:func:`~repro.workload.lru_grid.runs_on_grid`) is an
     array pass over the loaded trace's stack distances, in this process
     at any ``workers``; any other point runs on
-    :func:`~repro.workload.fast_replay.fast_replay`, in a pool worker
-    when ``workers > 1``.  Both are bit-identical to the reference
-    ``replay()``.  Results are independent of ``workers``, because every
-    spec carries its own seed and schemes are isolated per task (pickle
-    round-trip in process, process transport otherwise).  A pool worker
-    that dies raises :class:`SweepError`.
+    :func:`~repro.workload.fast_replay.fast_replay`.  Both are
+    bit-identical to the reference ``replay()``.  Results are independent
+    of ``workers``, because every spec carries its own seed and schemes
+    are isolated per task (pickle round-trip in process, process
+    transport otherwise).  A pool worker that dies raises
+    :class:`SweepError`.
     """
     if (trace is None) == (trace_config is None):
         raise ValueError("provide exactly one of trace= or trace_config=")
@@ -514,12 +464,14 @@ def run_replay_sweep(
     spec_list = list(specs)
     if not spec_list:
         return []
-    workers = min(resolve_workers(workers), len(spec_list))
-    if trace is not None:
-        trace = compile_workload(trace)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    pool_size = 1 if trace is not None else min(workers, len(spec_list))
 
-    # Grid points run here, over the one loaded trace; with one worker,
-    # every point does.  Only the rest needs a pool.  Each spec is
+    # Grid points run here, over the one loaded trace; with a pool of
+    # one, every point does.  Only the rest needs a pool.  Each spec is
     # pickle round-tripped so scheme/marking RNG state is isolated exactly
     # as process transport isolates it, and its scheme is built once, for
     # the routing test and the run.
@@ -528,13 +480,13 @@ def run_replay_sweep(
     for index, spec in enumerate(spec_list):
         spec = pickle.loads(pickle.dumps(spec))
         scheme = _scheme_of(spec)
-        if workers <= 1 or runs_on_grid(
+        if pool_size == 1 or runs_on_grid(
             scheme, spec.policy, spec.refresh_delayed_hits
         ):
             local.append((index, spec, scheme))
     if local:
         if trace is not None:
-            workload: CompiledTrace = trace
+            workload: CompiledTrace = compile_workload(trace)
         elif sharded:
             workload = _held_or_verified_sharded(trace_config, shard_size, local)
         else:
@@ -545,22 +497,16 @@ def run_replay_sweep(
     if not pooled:
         return results
 
-    if trace is not None:
-        digest = _trace_digest(trace)
-        source = {"kind": "trace", "sha256": digest}
-        path = _ensure_shard_entry(
-            f"trace-shards-{digest[:16]}",
-            lambda staging: compile_stream(trace, staging, shard_size, source=source),
-        )
-    elif sharded:
-        path = ensure_sharded_trace_cached(trace_config, shard_size)
+    if sharded:
+        load, path = _load_sharded, ensure_sharded_trace_cached(trace_config, shard_size)
     else:
-        path = ensure_trace_cached(trace_config)
-    layout = "sharded" if sharded or trace is not None else "tsv"
-    tasks = [(str(path), spec_list[index], layout) for index in pooled]
+        load, path = _load_trace, ensure_trace_cached(trace_config)
+    task = partial(_worker_run, load, str(path))
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(pooled))) as pool:
-            for index, stats in zip(pooled, pool.map(_worker_run, tasks)):
+        with ProcessPoolExecutor(max_workers=min(pool_size, len(pooled))) as pool:
+            for index, stats in zip(
+                pooled, pool.map(task, [spec_list[index] for index in pooled])
+            ):
                 results[index] = stats
     except BrokenProcessPool as exc:
         raise SweepError(

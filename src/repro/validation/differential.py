@@ -374,22 +374,15 @@ def _build_topology_case(
     if case.topology == "rocketfuel":
         # Imported here: the attack suite is not needed by the replay and
         # deployment differentials that share this module.
-        from repro.attacks.timing import CacheProbeAttack, probe_campaign
+        from repro.attacks.timing import probe_attack_campaign
 
         hot = [f"{CONTENT_PREFIX}/private/hot-{i}" for i in range(10)]
         cold = [f"{CONTENT_PREFIX}/private/cold-{i}" for i in range(10)]
-        # The placement frontier's campaign (``run_probe_attack``): prime
-        # and sample the reference, then probe every target once.
-        primed = [f"{CONTENT_PREFIX}/ref"] * (1 + CacheProbeAttack.REFERENCE_PROBES)
-        return topo.network, probe_campaign(
-            topo,
-            prefetch=hot,
-            probes=primed + hot + cold,
-            warmup=1200.0,
-            user_gap=2.0,
-            probe_gap=CacheProbeAttack.GAP,
-            private=True,
+        # The placement frontier's campaign (``run_probe_attack``).
+        _, scripts = probe_attack_campaign(
+            topo, hot, cold, f"{CONTENT_PREFIX}/ref", warmup=1200.0, private=True
         )
+        return topo.network, scripts
     names = list(topo.network.consumers)
     # Four objects per consumer, the sim-core workloads' own ratio.
     return topo.network, simcore_scripts(

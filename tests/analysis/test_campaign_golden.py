@@ -1,11 +1,15 @@
 """The probe experiments ride the batch kernel with unchanged results.
 
-``golden_probe_campaigns.json`` was recorded at the commit *before* the
-campaigns became consumer scripts (hand-written generator processes on
-the reference engine): the 72-point placement grid at two
-(trials, seed) settings, the four Figure 3 panels at two seeds, and
-``attack_accuracy`` on two topologies.  Every float must still be
-bit-equal, and every point and panel must now report the batch kernel.
+``golden_probe_campaigns.json`` holds the 72-point placement grid
+(``fig3a_lan``, ``fat_tree``, ``rocketfuel`` and ``geant`` × three
+schemes × six strategies) at two (trials, seed) settings, the four
+Figure 3 panels at two seeds, and ``attack_accuracy`` on two topologies.
+All but the (1 trial, seed 0) grid were recorded at the commit *before*
+the campaigns became consumer scripts (hand-written generator processes
+on the reference engine); that grid was recorded before the placement
+sweep started compiling one shape per (topology, trial) and rebinding it
+per point.  Every field must still be bit-equal, and every point and
+panel must report the batch kernel.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ import pytest
 from repro.faults import (
     AdaptiveAttackLog,
     AdaptivePollutionWindow,
-    CachePollutionSchedule,
     CachePollutionWindow,
     FaultConfigError,
     FaultSchedule,
-    InterestFloodSchedule,
     InterestFloodWindow,
     LinkDownWindow,
 )
@@ -174,17 +172,11 @@ class TestComposition:
         net.run()
 
     def test_one_window_schedules(self):
-        flood = InterestFloodSchedule(
-            attacker="a", prefix="/flood", start=10.0, end=20.0, interval=5.0
-        )
-        assert isinstance(flood.window, InterestFloodWindow)
-        pollution = CachePollutionSchedule(
-            attacker="a", prefix="/data", start=10.0, end=20.0, interval=5.0
-        )
-        assert isinstance(pollution.window, CachePollutionWindow)
+        window = {"start": 10.0, "end": 20.0, "interval": 5.0}
+        schedule = FaultSchedule([InterestFloodWindow("a", "/flood", **window)])
+        schedule.add(CachePollutionWindow("a", "/data", **window))
         net = star()
-        flood.add(pollution.window)
-        assert net.apply_faults(flood) == 2 + 2
+        assert net.apply_faults(schedule) == 2 + 2
         net.run()
 
 

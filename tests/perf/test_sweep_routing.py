@@ -1,10 +1,12 @@
-"""Where a sweep point runs: LRU grid points in the calling process, the
-rest on the pool.
+"""Where a sweep point runs: LRU grid points and every point over a
+handed-in trace in the calling process, the rest of a config sweep on the
+pool.
 
 An eligible point (:func:`~repro.workload.lru_grid.runs_on_grid`) is an
 array pass over the one trace the sweep loaded, so a sweep of only such
-points starts no pool and writes no ``trace-shards-*`` entry; every other
-point goes where it always went.  Neither route may show in the results.
+points starts no pool.  A handed-in trace starts no pool and writes
+nothing to the trace cache at any worker count.  Neither route may show
+in the results.
 """
 
 from __future__ import annotations
@@ -75,8 +77,6 @@ def test_an_all_eligible_fig5_pair_starts_no_pool(
     fig5b = run_fig5b(workload, workers=2, sharded=sharded)
     assert pools == []
     assert distance_passes == [1]  # one trace loaded, one pass
-    entries = sorted(p.name for p in cache_dir.iterdir()) if cache_dir.exists() else []
-    assert not [name for name in entries if name.startswith("trace-shards-")]
     # And the in-process route is the serial one, bit for bit.
     assert fig5a.stats == run_fig5a(workload, workers=1, sharded=sharded).stats
     assert fig5b.stats == run_fig5b(workload, workers=1, sharded=sharded).stats
@@ -137,9 +137,23 @@ def test_a_mixed_sweep_is_independent_of_its_route(source, cache_dir, pools):
     serial = run_replay_sweep(specs, workers=1, **kwargs)
     assert pools == []
     pooled = run_replay_sweep(specs, workers=2, **kwargs)
-    assert pools == [1]  # the seven non-grid points went to one pool
+    if source == "adhoc":
+        # A handed-in trace runs every point here and caches nothing.
+        assert pools == []
+        assert not cache_dir.exists()
+    else:
+        assert pools == [1]  # the seven non-grid points went to one pool
     assert pooled == serial  # results in spec order, whichever route
     assert [stats.requests for stats in pooled] == [CONFIG.requests] * len(specs)
+
+
+def test_workers_default_to_the_cpu_count(cache_dir, pools, monkeypatch):
+    """``workers=None`` sizes the pool by the CPU count: on one CPU a
+    config sweep's off-grid points run in this process, on two in a pool."""
+    for cpus, started in ((1, []), (2, [1])):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        run_replay_sweep(_mixed_specs(), trace_config=CONFIG)
+        assert pools == started
 
 
 def test_the_process_memos_keep_one_trace_each(cache_dir):

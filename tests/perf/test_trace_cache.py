@@ -21,29 +21,18 @@ from repro.perf.parallel import (
     ReplaySpec,
     SweepError,
     TraceCacheError,
-    derive_seeds,
     ensure_trace_cached,
     run_replay_sweep,
     verify_trace_cache,
 )
-from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
-from repro.workload.compiled import CompiledTrace
-from repro.workload.sharded import ShardedCompiledTrace, compile_stream
+from repro.workload.ircache import IrcacheConfig
 
 #: The pid of the process that imported this module: pool workers differ.
 _TEST_PID = os.getpid()
 
 
-@pytest.fixture(scope="module")
-def trace() -> CompiledTrace:
-    return IrcacheGenerator(
-        IrcacheConfig(requests=1200, objects=900, seed=13)
-    ).generate()
-
-
-def _specs(count=6):
-    # FIFO keeps these points off the in-process LRU grid, so a pooled
-    # sweep of them really starts workers.
+def _specs():
+    # FIFO keeps these points off the LRU grid: each replays the trace.
     return [
         ReplaySpec(
             scheme="exponential",
@@ -53,7 +42,7 @@ def _specs(count=6):
             seed=seed,
             label=f"spec-{i}",
         )
-        for i, seed in enumerate(derive_seeds(base_seed=99, count=count))
+        for i, seed in enumerate([3816471015, 1632958224])
     ]
 
 
@@ -73,17 +62,18 @@ class DiesInWorker(NoPrivacyScheme):
         return super().make_kernel(names)
 
 
-def test_a_dead_worker_raises_sweep_error_and_leaves_no_child(trace, cache_dir):
+def test_a_dead_worker_raises_sweep_error_and_leaves_no_child(cache_dir):
+    config = IrcacheConfig(requests=1200, objects=900, seed=13)
     specs = [
         ReplaySpec(scheme=DiesInWorker(), cache_size=150, policy="fifo", seed=seed)
         for seed in (1, 2)
     ]
     with pytest.raises(SweepError, match="a sweep worker died"):
-        run_replay_sweep(specs, trace=trace, workers=2)
+        run_replay_sweep(specs, trace_config=config, workers=2)
     assert multiprocessing.active_children() == []
     plain = [replace(spec, scheme=NoPrivacyScheme()) for spec in specs]
-    assert run_replay_sweep(specs, trace=trace, workers=1) == run_replay_sweep(
-        plain, trace=trace, workers=1
+    assert run_replay_sweep(specs, trace_config=config, workers=1) == (
+        run_replay_sweep(plain, trace_config=config, workers=1)
     )
 
 
@@ -107,6 +97,16 @@ class TestTraceCacheIntegrity:
         parallel._digest_sidecar(path).unlink()
         assert not verify_trace_cache(path)
         assert verify_trace_cache(ensure_trace_cached(config))
+
+    def test_undecodable_sidecar_treated_as_invalid(self, cache_dir):
+        config = IrcacheConfig(requests=400, objects=300, seed=22)
+        path = ensure_trace_cached(config)
+        good = path.read_bytes()
+        parallel._digest_sidecar(path).write_bytes(b"\xff\xfe\x00garbage")
+        assert not verify_trace_cache(path)
+        assert ensure_trace_cached(config) == path
+        assert verify_trace_cache(path)
+        assert path.read_bytes() == good
 
     def test_load_trace_refuses_corrupt_entry(self, cache_dir, monkeypatch):
         config = IrcacheConfig(requests=400, objects=300, seed=23)
@@ -136,10 +136,10 @@ class TestTraceCacheIntegrity:
         Path(path).write_text("0.000\t0\t/poison\n", encoding="utf-8")
         assert parallel._execute(loaded, spec, spec.scheme) == before
 
-    def test_sweep_self_heals_poisoned_cache(self, trace, cache_dir, monkeypatch):
+    def test_sweep_self_heals_poisoned_cache(self, cache_dir, monkeypatch):
         """End-to-end: a corrupted cache file cannot poison sweep results."""
         config = IrcacheConfig(requests=400, objects=300, seed=24)
-        specs = _specs(2)
+        specs = _specs()
         clean = run_replay_sweep(specs, trace_config=config, workers=1)
 
         path = ensure_trace_cached(config)
@@ -147,30 +147,3 @@ class TestTraceCacheIntegrity:
         monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
         healed = run_replay_sweep(specs, trace_config=config, workers=1)
         assert healed == clean
-
-    def test_adhoc_trace_cache_checksummed(self, cache_dir, trace):
-        """A pooled sweep over an ad-hoc trace maps a ``trace-shards-*``
-        entry; a corrupted entry is rebuilt, not replayed."""
-        specs = _specs(2)
-        clean = run_replay_sweep(specs, trace=trace, workers=2)
-        (entry,) = (cache_dir / "traces").iterdir()
-        assert entry.name.startswith("trace-shards-")
-        ShardedCompiledTrace.open(entry).verify()
-        (entry / "shard-00000.ids.npy").write_bytes(b"garbage")
-        assert run_replay_sweep(specs, trace=trace, workers=2) == clean
-        assert [p.name for p in (cache_dir / "traces").iterdir()] == [entry.name]
-        ShardedCompiledTrace.open(entry).verify()
-
-    def test_adhoc_pre_checksum_entry_adopted(self, cache_dir, trace):
-        """An ad-hoc entry already in the cache, written outside any sweep,
-        is adopted once it verifies: the sweep neither rebuilds nor
-        rewrites it."""
-        digest = parallel._trace_digest(trace)
-        entry = cache_dir / "traces" / f"trace-shards-{digest[:16]}"
-        compile_stream(trace, entry, source={"kind": "trace", "sha256": digest})
-        before = {p.name: p.stat().st_mtime_ns for p in entry.iterdir()}
-        specs = _specs(2)
-        pooled = run_replay_sweep(specs, trace=trace, workers=2)
-        assert pooled == run_replay_sweep(specs, trace=trace, workers=1)
-        assert [p.name for p in (cache_dir / "traces").iterdir()] == [entry.name]
-        assert {p.name: p.stat().st_mtime_ns for p in entry.iterdir()} == before
