@@ -24,9 +24,8 @@ from repro.core.privacy.utility import (
     exponential_utility,
     uniform_utility,
 )
-from repro.core.schemes.base import CacheScheme
 from repro.ndn.topology import FIG3_PANELS, TOPOLOGIES, AttackTopology
-from repro.perf.parallel import ReplaySpec, build_scheme, run_replay_sweep
+from repro.perf.parallel import ReplaySpec, run_replay_sweep
 from repro.workload.ircache import IrcacheConfig
 from repro.workload.marking import ContentMarking
 from repro.workload.replay import ReplayStats
@@ -241,12 +240,6 @@ def run_fig4b(
 # ======================================================================
 #: Cache-size sweep of Section VII; None is the paper's "Inf" point.
 FIG5_CACHE_SIZES: Tuple[Optional[int], ...] = (2000, 4000, 8000, 16000, 32000, None)
-
-
-def _scheme_factory(
-    name: str, k: int, epsilon: float, delta: float, seed: int
-) -> CacheScheme:
-    return build_scheme(name, seed=seed, k=k, epsilon=epsilon, delta=delta)
 
 
 @dataclass

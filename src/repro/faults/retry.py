@@ -48,23 +48,24 @@ class RetryPolicy:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Written as ``not x > y`` so that a NaN fails every guard.
         if self.retries < 0:
             raise FaultConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise FaultConfigError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise FaultConfigError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_timeout is not None and self.max_timeout < self.timeout:
+        if self.max_timeout is not None and not self.max_timeout >= self.timeout:
             raise FaultConfigError(
                 f"max_timeout {self.max_timeout} < base timeout {self.timeout}"
             )
-        if self.max_delay is not None and self.max_delay < self.timeout:
+        if self.max_delay is not None and not self.max_delay >= self.timeout:
             raise FaultConfigError(
                 f"max_delay {self.max_delay} < base timeout {self.timeout}"
             )
         if not 0.0 <= self.jitter < 1.0:
             raise FaultConfigError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:
             raise FaultConfigError(f"deadline must be > 0, got {self.deadline}")
 
     @property

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Optional
 
 from repro.ndn.errors import PacketError
@@ -96,8 +97,10 @@ class Interest:
     def __post_init__(self) -> None:
         if self.scope is not None and self.scope < 1:
             raise PacketError(f"interest scope must be >= 1, got {self.scope}")
-        if self.lifetime <= 0:
-            raise PacketError(f"interest lifetime must be > 0, got {self.lifetime}")
+        if not 0 < self.lifetime < inf:  # NaN fails this too
+            raise PacketError(
+                f"interest lifetime must be > 0 and finite, got {self.lifetime}"
+            )
         if self.hops < 1:
             raise PacketError(f"interest hops must be >= 1, got {self.hops}")
 
@@ -165,9 +168,9 @@ class Data:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise PacketError(f"content size must be >= 0, got {self.size}")
-        if self.freshness is not None and self.freshness <= 0:
+        if self.freshness is not None and not 0 < self.freshness < inf:
             raise PacketError(
-                f"content freshness must be > 0, got {self.freshness}"
+                f"content freshness must be > 0 and finite, got {self.freshness}"
             )
         if self.origin_hops < 0:
             raise PacketError(

@@ -741,31 +741,22 @@ def _compile_consumer_scripts(
             edge is not None,
             f"consumer {script.consumer!r}: face not on a compiled link",
         )
-        steps: List[tuple] = []
-        # Once per step: a message is formatted only when its check fails.
-        for step in script.steps:
-            if isinstance(step, SleepStep):
-                if not step.delay >= 0:
-                    raise BatchCompileError(f"negative sleep in {script.consumer!r}")
-                steps.append(("S", step.delay))
-            else:
-                if not (step.timeout is not None and step.timeout > 0):
-                    raise BatchCompileError(
-                        f"fetch timeout must be positive in {script.consumer!r}"
-                    )
-                if not step.lifetime > 0:
-                    raise BatchCompileError(
-                        f"interest lifetime must be positive in {script.consumer!r}"
-                    )
-                steps.append(
-                    (
-                        "F",
-                        name_ids[step.name],
-                        step.timeout,
-                        step.lifetime,
-                        bool(step.private),
-                    )
-                )
+        _require(
+            script.retry is None,
+            f"consumer {script.consumer!r}: fetch retries are not supported",
+        )
+        _require(
+            script.until is None,
+            f"consumer {script.consumer!r}: a script cut-off time (until) "
+            "is not supported",
+        )
+        # The steps checked their own values when they were built.
+        steps = [
+            ("S", step.delay)
+            if isinstance(step, SleepStep)
+            else ("F", name_ids[step.name], step.timeout, step.lifetime, bool(step.private))
+            for step in script.steps
+        ]
         compiled.append(
             CompiledConsumer(name=script.consumer, edge=edge, steps=steps)
         )

@@ -4,18 +4,21 @@ Both engines — the reference object-graph engine and the batch kernel —
 interpret the same :class:`ConsumerScript` lists and report the same
 :class:`TopologyObservables`, so "bit-identical" is a checkable statement
 about concrete values rather than a claim about internals.  The scripts
-are deliberately restricted to what :meth:`Consumer.fetch` does on the
-seed path (one outstanding interest per consumer, fixed timeout, no
-retries): that is exactly the workload shape the sim-core benchmarks and
-the fig3 panels drive, and the restriction is what makes the kernel's
+run one outstanding interest per consumer, each fetch waiting its own
+fixed timeout: that is exactly the workload shape the sim-core benchmarks
+and the fig3 panels drive, and the restriction is what makes the kernel's
 single-outstanding-fetch consumer state exact rather than approximate.
+Two script-level fields, ``retry`` and ``until``, serve the reference
+engine's attack harnesses; the batch compiler refuses both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.faults.retry import RetryPolicy
 from repro.ndn.network import Network
 from repro.sim.process import Timeout
 
@@ -48,6 +51,10 @@ def mark_spent(net: Network) -> None:
     net._spent_on_batch = True
 
 
+class ScriptError(ValueError):
+    """A step or script value no engine can run (NaN, infinite, out of range)."""
+
+
 @dataclass(frozen=True)
 class FetchStep:
     """One ``consumer.fetch`` call: name, wait budget, privacy marking."""
@@ -57,6 +64,17 @@ class FetchStep:
     lifetime: float = 4000.0
     private: bool = False
 
+    def __post_init__(self) -> None:
+        # Chained so that NaN (every comparison false) and None fail too.
+        if self.timeout is None or not 0 < self.timeout < inf:
+            raise ScriptError(
+                f"fetch timeout must be positive and finite, got {self.timeout!r}"
+            )
+        if not 0 < self.lifetime < inf:
+            raise ScriptError(
+                f"interest lifetime must be positive and finite, got {self.lifetime!r}"
+            )
+
 
 @dataclass(frozen=True)
 class SleepStep:
@@ -64,20 +82,39 @@ class SleepStep:
 
     delay: float
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.delay < inf:
+            raise ScriptError(
+                f"negative sleep or non-finite delay, got {self.delay!r}"
+            )
+
 
 Step = Union[FetchStep, SleepStep]
 
 
 @dataclass(frozen=True)
 class ConsumerScript:
-    """A consumer's whole sequential workload, executed step by step."""
+    """A consumer's whole sequential workload, executed step by step.
+
+    ``retry`` replaces every fetch's single attempt (and its step's
+    ``timeout``) with the policy's retransmissions; ``until`` ends the
+    script at the first fetch step reached at or after that time (ms).
+    Only the reference engine runs either.
+    """
 
     consumer: str
     steps: Tuple[Step, ...]
+    retry: Optional[RetryPolicy] = None
+    until: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.steps, tuple):
             object.__setattr__(self, "steps", tuple(self.steps))
+        if self.until is not None and not 0 < self.until < inf:
+            raise ScriptError(
+                f"script {self.consumer!r}: until must be positive and "
+                f"finite, got {self.until!r}"
+            )
 
 
 @dataclass
@@ -168,15 +205,21 @@ def _describe_mismatch(field_name: str, a, b) -> str:
 
 def _script_process(script: ConsumerScript, consumer, delivered: Dict[str, int]):
     """The reference-engine interpretation of one script (a process)."""
+    engine = consumer.engine
+    until = inf if script.until is None else script.until
+    retry = script.retry
     for step in script.steps:
         if isinstance(step, SleepStep):
             yield Timeout(step.delay)
+        elif engine.now >= until:
+            return
         else:
             result = yield from consumer.fetch(
                 step.name,
                 private=step.private,
                 lifetime=step.lifetime,
                 timeout=step.timeout,
+                retry=retry,
             )
             if result is not None:
                 delivered[script.consumer] += 1
@@ -219,11 +262,25 @@ def run_scripts_reference(
     continues from its state; one the batch kernel ran is refused.
     """
     refuse_spent(net)
+    delivered = spawn_scripts(net, scripts)
+    end = net.run()
+    return collect_observables(net, scripts, delivered, end, kernel="reference")
+
+
+def spawn_scripts(
+    net: Network, scripts: Sequence[ConsumerScript]
+) -> Dict[str, int]:
+    """Spawn each script as a reference-engine process, in list order.
+
+    Returns the per-consumer delivered counts the processes fill in as
+    they run: a harness that wires its own faults, agents or checkers
+    around the spawn and runs its own horizon hands them to
+    :func:`collect_observables` afterwards.
+    """
     delivered = {s.consumer: 0 for s in scripts}
     for script in scripts:
         net.spawn(
             _script_process(script, net[script.consumer], delivered),
             label=f"script:{script.consumer}",
         )
-    end = net.run()
-    return collect_observables(net, scripts, delivered, end, kernel="reference")
+    return delivered

@@ -56,7 +56,7 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this too
             raise ProcessError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
 

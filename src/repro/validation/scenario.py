@@ -8,8 +8,8 @@ One star topology exercises every overload mechanism at once::
 
 The attacker floods distinct ``/flood/...`` names that producer ``f``
 never answers, so every flood interest dangles in R's PIT until its
-lifetime expires — the resource-exhaustion attack.  The consumer cycles
-through 20 ``/data/...`` objects with retries and measures delivery.
+lifetime expires — the resource-exhaustion attack.  The consumer is one
+script cycling through 20 ``/data/...`` objects with retries.
 
 :func:`run_overload_scenario` runs the scenario against a given router
 configuration (unbounded baseline vs bounded/rate-limited/Nacking) with
@@ -20,7 +20,7 @@ router configurations both run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.faults.retry import RetryPolicy
@@ -29,7 +29,8 @@ from repro.faults.adversarial import CachePollutionWindow, InterestFloodWindow
 from repro.ndn.admission import InterestRateLimit
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
-from repro.sim.process import Timeout
+from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep
+from repro.sim.batch.script import collect_observables, spawn_scripts
 from repro.validation.differential import CaseResult, DifferentialReport
 from repro.validation.invariants import InvariantChecker
 
@@ -66,7 +67,6 @@ class OverloadResult:
     events: int
     router_summary: Dict[str, float]
     checker: InvariantChecker
-    network: Network = field(repr=False)
 
     @property
     def delivery_rate(self) -> float:
@@ -107,7 +107,7 @@ def run_overload_scenario(
     caller decides whether to ``assert_ok``.
     """
     net = Network()
-    router = net.add_router(
+    net.add_router(
         "R",
         capacity=cs_capacity,
         pit_capacity=pit_capacity,
@@ -152,34 +152,32 @@ def run_overload_scenario(
         )
     net.apply_faults(schedule)
 
-    tally = {"delivered": 0, "attempted": 0}
-
-    def legitimate():
-        retry = RetryPolicy(retries=5, timeout=60.0, backoff=2.0)
-        for i in range(fetches):
-            result = yield from consumer.fetch(
-                f"/data/obj-{i % 20}", retry=retry
-            )
-            tally["attempted"] += 1
-            if result is not None:
-                tally["delivered"] += 1
-            yield Timeout(fetch_interval)
-
-    net.spawn(legitimate(), label="legit-consumer")
+    objects = [FetchStep(f"/data/obj-{i}") for i in range(20)]
+    pause = SleepStep(fetch_interval)
+    scripts = [
+        ConsumerScript(
+            consumer="c",
+            steps=[s for i in range(fetches) for s in (objects[i % 20], pause)],
+            retry=RetryPolicy(retries=5, timeout=60.0, backoff=2.0),
+        )
+    ]
+    delivered = spawn_scripts(net, scripts)
 
     horizon = flood_end + flood_lifetime + 4000.0
     monitor = checker if checker is not None else InvariantChecker()
     monitor.install(net, interval=check_interval, horizon=horizon)
-    net.run(until=horizon + 4000.0)
+    end = net.run(until=horizon + 4000.0)
     monitor.check_network(net)
+    observed = collect_observables(net, scripts, delivered, end, kernel="reference")
 
+    failures = consumer.monitor.counter("fetch_failures")
     return OverloadResult(
-        delivered=tally["delivered"],
-        attempted=tally["attempted"],
-        events=net.engine.events_processed,
-        router_summary=router.stats_summary(),
+        delivered=observed.delivered["c"],
+        # A fetch that returned either delivered or spent its retries.
+        attempted=observed.delivered["c"] + failures,
+        events=observed.events_processed,
+        router_summary=observed.router_stats["R"],
         checker=monitor,
-        network=net,
     )
 
 

@@ -23,6 +23,7 @@ from repro.attacks.amplification import (
     fragments_needed,
 )
 from repro.ndn.topology import TOPOLOGIES
+from repro.perf.parallel import build_scheme
 from repro.workload.ircache import small_test_trace
 
 FIG3_TRIALS = 6
@@ -222,14 +223,10 @@ class TestAmplificationDriver:
 
 class TestSchemeFactory:
     def test_unknown_scheme_rejected(self):
-        from repro.analysis.experiments import _scheme_factory
-
         with pytest.raises(ValueError, match="unknown scheme"):
-            _scheme_factory("mystery", k=5, epsilon=0.01, delta=0.05, seed=0)
+            build_scheme("mystery", seed=0, k=5, epsilon=0.01, delta=0.05)
 
     def test_all_known_schemes_construct(self):
-        from repro.analysis.experiments import _scheme_factory
-
         for name in ("no-privacy", "always-delay", "uniform", "exponential"):
-            scheme = _scheme_factory(name, k=5, epsilon=0.01, delta=0.05, seed=0)
+            scheme = build_scheme(name, seed=0, k=5, epsilon=0.01, delta=0.05)
             assert scheme is not None

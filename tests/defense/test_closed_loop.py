@@ -142,7 +142,7 @@ class TestDeterminism:
         )
         a = run_defense_scenario(DefenseScenarioSpec(seed=0, **kwargs))
         b = run_defense_scenario(DefenseScenarioSpec(seed=1, **kwargs))
-        assert a.router_stats != b.router_stats
+        assert a.observables.router_stats != b.observables.router_stats
 
 
 def _chaos_run(seed: int):

@@ -29,6 +29,15 @@ class TestValidation:
         with pytest.raises(FaultConfigError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["timeout", "backoff", "max_timeout", "max_delay", "deadline"]
+    )
+    def test_rejects_nan(self, field):
+        # A NaN fails every comparison: a guard written ``x < bound`` lets
+        # it through to NaN per-attempt waits or a silently ignored cap.
+        with pytest.raises(FaultConfigError):
+            RetryPolicy(**{field: float("nan")})
+
 
 class TestBackoff:
     def test_exponential_growth(self):

@@ -37,6 +37,12 @@ class TestInterest:
         with pytest.raises(PacketError):
             Interest(name=Name.parse("/a"), lifetime=0.0)
 
+    @pytest.mark.parametrize("lifetime", [float("nan"), float("inf")])
+    def test_non_finite_lifetime_rejected_when_built(self, lifetime):
+        # Not at encode time (OverflowError / ValueError from ``int()``).
+        with pytest.raises(PacketError):
+            Interest(name=Name.parse("/a"), lifetime=lifetime)
+
     def test_invalid_hops_rejected(self):
         with pytest.raises(PacketError):
             Interest(name=Name.parse("/a"), hops=0)
@@ -96,6 +102,11 @@ class TestData:
     def test_invalid_freshness_rejected(self):
         with pytest.raises(PacketError):
             Data(name=Name.parse("/a"), freshness=0.0)
+
+    @pytest.mark.parametrize("freshness", [float("nan"), float("inf")])
+    def test_non_finite_freshness_rejected_when_built(self, freshness):
+        with pytest.raises(PacketError):
+            Data(name=Name.parse("/a"), freshness=freshness)
 
     def test_str_shows_private_marker(self):
         assert "[private]" in str(Data(name=Name.parse("/a"), private=True))

@@ -51,15 +51,6 @@ def _grid_specs(trial_seeds):
     ]
 
 
-def test_sweep_independent_of_worker_count(trace, tmp_path, monkeypatch):
-    """Determinism: the same results for 1 and 4 workers."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    specs = _grid_specs([2684470948, 4091952314])
-    serial = run_replay_sweep(specs, trace=trace, workers=1)
-    parallel = run_replay_sweep(specs, trace=trace, workers=4)
-    assert serial == parallel
-
-
 def test_sweep_engines_agree(trace):
     """The sweep (fast kernel) against direct reference ``replay()`` calls."""
     specs = _grid_specs([0])

@@ -126,14 +126,14 @@ def _mixed_specs():
     ]
 
 
-@pytest.mark.parametrize("source", ["sharded", "adhoc"])
+@pytest.mark.parametrize("source", ["sharded", "adhoc", "tsv"])
 def test_a_mixed_sweep_is_independent_of_its_route(source, cache_dir, pools):
     specs = _mixed_specs()
-    kwargs = (
-        {"trace": IrcacheGenerator(CONFIG).generate()}
-        if source == "adhoc"
-        else {"trace_config": CONFIG, "sharded": True}
-    )
+    kwargs = {
+        "adhoc": {"trace": IrcacheGenerator(CONFIG).generate()},
+        "sharded": {"trace_config": CONFIG, "sharded": True},
+        "tsv": {"trace_config": CONFIG},
+    }[source]
     serial = run_replay_sweep(specs, workers=1, **kwargs)
     assert pools == []
     pooled = run_replay_sweep(specs, workers=2, **kwargs)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from repro.faults.retry import RetryPolicy
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
 from repro.perf.simcore import build_star, build_tree, simcore_scripts
@@ -24,6 +27,7 @@ from repro.sim.batch import (
     run_scripts_reference,
 )
 from repro.sim.batch import kernel
+from repro.sim.batch.script import ScriptError
 from repro.sim.rng import RngRegistry
 
 
@@ -377,18 +381,81 @@ def test_constant_duration_timers_never_enter_the_heap(monkeypatch):
     assert pushed[kernel.K_TO] == pushed[kernel.K_PIT] == 0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
     "step, reason",
     [
-        (SleepStep(-1.0), "negative sleep"),
-        (SleepStep(float("nan")), "negative sleep"),
-        (FetchStep("/content/obj-0", timeout=0.0), "fetch timeout must be positive"),
-        (FetchStep("/content/obj-0", timeout=None), "fetch timeout must be positive"),
-        (FetchStep("/content/obj-0", lifetime=0.0), "lifetime must be positive"),
+        (partial(SleepStep, -1.0), "negative sleep"),
+        (partial(SleepStep, NAN), "negative sleep"),
+        (partial(FetchStep, "/content/obj-0", timeout=0.0), "fetch timeout must be positive"),
+        (partial(FetchStep, "/content/obj-0", timeout=None), "fetch timeout must be positive"),
+        (partial(FetchStep, "/content/obj-0", lifetime=0.0), "lifetime must be positive"),
+        (partial(SleepStep, INF), "non-finite delay"),
+        (partial(FetchStep, "/content/obj-0", timeout=NAN), "fetch timeout must be positive"),
+        (partial(FetchStep, "/content/obj-0", timeout=INF), "fetch timeout must be positive"),
+        (partial(FetchStep, "/content/obj-0", lifetime=NAN), "lifetime must be positive"),
+        (partial(FetchStep, "/content/obj-0", lifetime=INF), "lifetime must be positive"),
     ],
 )
 def test_invalid_step_is_refused_with_its_reason(step, reason):
-    net, _ = small_star()
-    script = ConsumerScript(consumer="C0", steps=(FetchStep("/content/obj-1"), step))
-    with pytest.raises(BatchCompileError, match=re.escape(f"{reason} in 'C0'")):
-        compile_topology(net, [script])
+    """Refused when built, so neither engine meets it mid-run (a NaN sleep
+    used to reach the reference engine's clock; ``kernel="auto"`` fell
+    back on a compile refusal and then failed there)."""
+    with pytest.raises(ScriptError, match=re.escape(reason)):
+        step()
+
+
+@pytest.mark.parametrize("until", [0.0, -1.0, NAN, INF])
+def test_invalid_until_is_refused_when_built(until):
+    with pytest.raises(ScriptError, match="until must be positive"):
+        ConsumerScript("C0", (FetchStep("/content/obj-0"),), until=until)
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("retry", RetryPolicy(retries=2, timeout=50.0), "fetch retries are not supported"),
+        ("until", 30.0, "a script cut-off time (until) is not supported"),
+    ],
+)
+def test_retry_and_until_are_refused_by_name_and_ride_the_reference(field, value, reason):
+    net, names = small_star()
+    scripts = [replace(s, **{field: value}) for s in star_scripts(names)]
+    with pytest.raises(BatchCompileError, match=re.escape(f"'C0': {reason}")):
+        compile_topology(net, scripts)
+    observed = run_scripts(net, scripts, kernel="auto")
+    assert observed.kernel == "reference"
+    assert reason in observed.fallback_reason
+
+
+def _one_miss_every_10ms(**script_fields):
+    """One consumer fetching fresh names: each fetch is a 6 ms miss, then
+    4 ms of sleep, so fetch k starts at exactly 10 k ms."""
+    net, _ = small_star(consumers=1, capacity=64, fixed_delays=True)
+    steps = [s for i in range(8) for s in (FetchStep(f"/content/obj-{i}"), SleepStep(4.0))]
+    return net, [ConsumerScript("C0", steps, **script_fields)]
+
+
+@pytest.mark.parametrize("until, started", [(35.0, 4), (30.0, 3), (1000.0, 8)])
+def test_until_starts_no_fetch_at_or_after_it(until, started):
+    net, scripts = _one_miss_every_10ms(until=until)
+    observed = run_scripts_reference(net, scripts)
+    assert observed.delivered == {"C0": started}
+    assert net["C0"].monitor.counter("interests_sent") == started
+    # The script ends at the fetch it may not start, after that sleep.
+    assert observed.end_time == 10.0 * started
+
+
+def test_retry_policy_replaces_the_steps_single_attempt():
+    # A 1 ms wait never sees the 6 ms miss: every attempt times out.
+    net, scripts = _one_miss_every_10ms(
+        retry=RetryPolicy(retries=2, timeout=1.0, backoff=1.0)
+    )
+    observed = run_scripts_reference(net, scripts)
+    counters = net["C0"].monitor.counters
+    assert observed.delivered == {"C0": 0}
+    assert counters["interests_sent"] == 3 * 8
+    assert counters["fetch_retransmits"] == 2 * 8
+    assert counters["fetch_failures"] == 8

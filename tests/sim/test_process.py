@@ -40,6 +40,10 @@ class TestTimeout:
         with pytest.raises(ProcessError):
             Timeout(-1.0)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ProcessError):
+            Timeout(float("nan"))
+
 
 class TestWaitSignal:
     def test_receives_payload(self, engine):
