@@ -217,12 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--requests", type=int, default=60)
     geo.add_argument("--probes", type=int, default=12)
     geo.add_argument("--catalog", type=int, default=24)
-    geo.add_argument("--loss", type=float, default=0.0,
-                     help="chaos-proxy loss rate on the user link; nonzero "
-                          "skips the exact differential (loss changes "
-                          "decisions) and reports summaries only")
-    geo.add_argument("--skip-sim", action="store_true",
-                     help="socket run only (no differential)")
 
     soak = deploy_sub.add_parser(
         "soak",
@@ -489,15 +483,8 @@ def _run_deploy(args) -> int:
 
 
 def _run_deploy_geo(args) -> int:
-    from repro.deploy import (
-        ChaosConfig,
-        GeoSpec,
-        differential,
-        run_geo_sim,
-        run_geo_socket,
-    )
+    from repro.deploy import GeoSpec, differential, run_geo_sim, run_geo_socket
 
-    chaos = ChaosConfig.lossy(args.loss) if args.loss > 0 else None
     failed = False
     for scheme in args.schemes:
         spec = GeoSpec(
@@ -507,23 +494,12 @@ def _run_deploy_geo(args) -> int:
             probes=args.probes,
             catalog_size=args.catalog,
         )
-        socket_result = run_geo_socket(spec, chaos=chaos)
-        print(f"[{scheme}] socket: {socket_result.summary()}")
-        if socket_result.violations:
-            failed = True
-            for violation in socket_result.violations:
+        socket_result, sim_result = run_geo_socket(spec), run_geo_sim(spec)
+        for result in (socket_result, sim_result):
+            print(f"[{scheme}] {result.mode + ':':8}{result.summary()}")
+            failed |= bool(result.violations)
+            for violation in result.violations:
                 print(f"  violation: {violation}")
-        if args.skip_sim:
-            continue
-        sim_result = run_geo_sim(spec)
-        print(f"[{scheme}] sim:    {sim_result.summary()}")
-        if sim_result.violations:
-            failed = True
-            for violation in sim_result.violations:
-                print(f"  violation: {violation}")
-        if args.loss > 0:
-            print(f"[{scheme}] differential skipped (lossy proxy)")
-            continue
         mismatches = differential(sim_result, socket_result)
         if mismatches:
             failed = True

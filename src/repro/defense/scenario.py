@@ -362,8 +362,7 @@ def defense_transparency_mismatches(
     observables (every honest RTT, link packet count, router counter and
     summary, and the events fired), honest request counts and invariant
     violations: installing detection cannot perturb what it watches.
-    Returns the differences (observables call ``off`` the ``oracle`` and
-    ``monitor`` the ``batch``), empty when the guarantee holds.
+    Returns the differences, empty when the guarantee holds.
     """
     mismatches: List[str] = []
     for attack in attacks:
@@ -379,7 +378,9 @@ def defense_transparency_mismatches(
                 mismatches.append(f"{attack}: {name}: off={a!r} monitor={b!r}")
         mismatches += [
             f"{attack}: {line}"
-            for line in diff_observables(off.observables, monitor.observables)
+            for line in diff_observables(
+                off.observables, monitor.observables, ("off", "monitor")
+            )
         ]
     return mismatches
 

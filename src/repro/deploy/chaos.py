@@ -17,9 +17,8 @@ PR-2 fault vocabulary to real datagrams:
 
 The proxy is transparent: endpoint A sends to the proxy's A-side port
 and the proxy relays to B from its B-side port (and vice versa), so each
-endpoint sees the proxy as its peer.  ``zero_loss()`` gives a pass-through
-configuration — used by the geo differential, where the socket run must
-reproduce the simulator bit-for-bit and the proxy must add nothing.
+endpoint sees the proxy as its peer.  The default ``ChaosConfig()``
+relays every packet untouched, immediately.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.faults.errors import FaultConfigError
-from repro.faults.loss import IidLoss, LossModel
+from repro.faults.loss import LossModel
 
 Address = Tuple[str, int]
 
@@ -69,16 +68,6 @@ class ChaosConfig:
                 f"delay_range must satisfy 0 <= min <= max, got {self.delay_range}"
             )
 
-    @classmethod
-    def zero_loss(cls) -> "ChaosConfig":
-        """Pass-through: relay every packet untouched, immediately."""
-        return cls()
-
-    @classmethod
-    def lossy(cls, rate: float, delay_range: Tuple[float, float] = (0.0, 0.0)) -> "ChaosConfig":
-        """I.i.d. loss at ``rate`` plus an optional delay band."""
-        return cls(loss=IidLoss(rate), delay_range=delay_range)
-
 
 class _ProxyEnd(asyncio.DatagramProtocol):
     """One side of the proxy: receives from its endpoint, relays across."""
@@ -108,7 +97,7 @@ class ChaosUdpProxy:
         host: str = "127.0.0.1",
     ) -> None:
         self.rng = rng
-        self.config = config if config is not None else ChaosConfig.zero_loss()
+        self.config = config if config is not None else ChaosConfig()
         self.host = host
         self._ends = {"a": _ProxyEnd(self, "a"), "b": _ProxyEnd(self, "b")}
         self.addr_a: Optional[Address] = None

@@ -36,12 +36,11 @@ from repro.core.schemes.uniform import UniformRandomCache
 from repro.deploy.clock import RealTimeEngine
 from repro.deploy.faces import Address, AsyncUdpFace
 from repro.ndn.admission import InterestRateLimit
-from repro.ndn.cs import ContentStore
 from repro.ndn.errors import TopologyError
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name, name_of
+from repro.ndn.network import Network
 from repro.ndn.packets import NACK_CONGESTION, Interest, Nack
-from repro.ndn.pit import Pit
 from repro.sim.rng import RngRegistry
 
 #: Scheme factories for the mgmt channel's ``scheme`` command.  Each gets
@@ -91,6 +90,25 @@ class DaemonConfig:
     defense: Optional[str] = None
 
 
+def add_forwarder(net: Network, config: DaemonConfig) -> Forwarder:
+    """Add the forwarder ``config`` describes to ``net`` as a router.
+
+    The one place a :class:`DaemonConfig` becomes a forwarder: the daemon
+    builds its own through a one-router network on its real-time engine,
+    and the simulated geo scenario builds its VPN exit and CDN edge here,
+    so both run the same CS, scheme stream (``scheme:{name}`` of the
+    network's registry), PIT bound, admission limit and Nack plane.
+    """
+    return net.add_router(
+        config.name,
+        capacity=config.cs_capacity,
+        scheme=make_scheme(config.scheme, net.rng.stream(f"scheme:{config.name}")),
+        pit_capacity=config.pit_capacity,
+        rate_limit=config.rate_limit,
+        nack_on_no_route=True,
+    )
+
+
 class ForwarderDaemon:
     """A supervised real-socket NDN forwarder."""
 
@@ -115,15 +133,7 @@ class ForwarderDaemon:
             return self
         cfg = self.config
         self.engine = RealTimeEngine(asyncio.get_running_loop())
-        self.forwarder = Forwarder(
-            engine=self.engine,
-            name=cfg.name,
-            cs=ContentStore(capacity=cfg.cs_capacity),
-            scheme=make_scheme(cfg.scheme, self.rng.stream(f"scheme:{cfg.name}")),
-            pit=Pit(capacity=cfg.pit_capacity),
-            rate_limit=cfg.rate_limit,
-            nack_on_no_route=True,
-        )
+        self.forwarder = add_forwarder(Network(engine=self.engine, rng=self.rng), cfg)
         if cfg.defense is not None:
             self.set_defense(cfg.defense)
         self._started = True
@@ -306,6 +316,7 @@ __all__ = [
     "DaemonConfig",
     "ForwarderDaemon",
     "SCHEME_FACTORIES",
+    "add_forwarder",
     "make_scheme",
     "Name",
 ]

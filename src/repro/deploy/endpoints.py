@@ -348,9 +348,6 @@ class AsyncProducer:
         """Publish one object (see :meth:`Producer.publish`)."""
         return self.producer.publish(name, **kwargs)
 
-    def publish_many(self, count: int, stem: str = "object", **kwargs) -> list:
-        return self.producer.publish_many(count, stem=stem, **kwargs)
-
     @property
     def repo(self):
         return self.producer.repo

@@ -1,22 +1,24 @@
 """The CDN/VPN geo scenario and the soak harness, sim and socket.
 
 One :class:`GeoSpec` describes a UoE_NDNx-style deployment — a user
-device behind a VPN exit reaching a CDN edge cache, with an adversary
-attached directly to the edge — and two runners execute it:
+device behind a VPN exit reaching a CDN edge cache that fronts a private
+origin, with an adversary attached directly to the edge — and two
+runners execute it:
 
 * :func:`run_geo_sim` in the discrete-event simulator (the reproduction
   substrate every prior PR validated);
 * :func:`run_geo_socket` over real UDP sockets on loopback, through
-  :class:`~repro.deploy.daemon.ForwarderDaemon` processes and a
-  :class:`~repro.deploy.chaos.ChaosUdpProxy`.
+  :class:`~repro.deploy.daemon.ForwarderDaemon` processes.
 
-Both runners replay the *same* concrete request sequence (derived once
-from the spec's seed) against forwarders built from the *same* named RNG
-streams, and privacy-scheme decisions depend only on request order and
-those streams — never on wall-clock time.  With a zero-loss proxy the
-socket run must therefore reproduce the simulator's per-request cache
-decisions and scope-probe verdicts exactly; :func:`differential` diffs
-the two reports and returns every disagreement.
+Both runners build the VPN exit and the edge from the same
+:class:`~repro.deploy.daemon.DaemonConfig` through
+:func:`~repro.deploy.daemon.add_forwarder`, and both step one request
+driver (:func:`_geo_driver`) over the same concrete request sequence
+(derived once from the spec's seed).  Privacy-scheme decisions depend
+only on request order and the named RNG streams — never on wall-clock
+time — so the socket run must reproduce the simulator's per-request
+cache decisions and scope-probe verdicts exactly; :func:`differential`
+diffs the two reports and returns every disagreement.
 
 :func:`run_soak` is the robustness counterpart: a supervised daemon
 behind a *faulty* chaos proxy survives a malformed-datagram flood, an
@@ -37,11 +39,13 @@ import numpy as np
 
 from repro.deploy.chaos import ChaosConfig, ChaosUdpProxy
 from repro.deploy.clock import RealTimeEngine
-from repro.deploy.daemon import DaemonConfig, ForwarderDaemon, make_scheme
+from repro.deploy.daemon import DaemonConfig, ForwarderDaemon, add_forwarder
 from repro.deploy.endpoints import AsyncConsumer, AsyncProducer
+from repro.deploy.faces import AsyncUdpFace
 from repro.deploy.supervisor import Supervisor
 from repro.faults.loss import IidLoss
 from repro.faults.retry import RetryPolicy
+from repro.ndn.forwarder import Forwarder
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
 from repro.sim.process import Timeout
@@ -101,6 +105,24 @@ def build_workload(spec: GeoSpec) -> Tuple[List[str], List[str]]:
     return requests, targets
 
 
+def _geo_configs(spec: GeoSpec) -> Tuple[DaemonConfig, DaemonConfig]:
+    """The VPN exit (no privacy) and the CDN edge (the spec's scheme)."""
+    return (
+        DaemonConfig(
+            name="vpn",
+            seed=spec.seed,
+            scheme="no-privacy",
+            cs_capacity=spec.vpn_cs_capacity,
+        ),
+        DaemonConfig(
+            name="edge",
+            seed=spec.seed,
+            scheme=spec.scheme,
+            cs_capacity=spec.edge_cs_capacity,
+        ),
+    )
+
+
 @dataclass
 class GeoRunResult:
     """What one geo run observed — the unit the differential compares."""
@@ -115,9 +137,7 @@ class GeoRunResult:
     probe_verdicts: List[Tuple[str, bool]] = field(default_factory=list)
     #: Edge CS contents right before the probe phase (ground truth).
     cached_at_probe_time: List[str] = field(default_factory=list)
-    rtts: List[float] = field(default_factory=list)
     fetch_failures: int = 0
-    counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -188,220 +208,137 @@ def differential(sim: GeoRunResult, socket: GeoRunResult) -> List[str]:
     return mismatches
 
 
+def _geo_driver(
+    spec: GeoSpec, result: GeoRunResult, vpn: Forwarder, edge: Forwarder,
+    user, adversary,
+):
+    """The geo request sequence, written once for both runners.
+
+    Yields each fetch as ``(consumer, name, scope, timeout)`` and is sent
+    its result (None for a failed fetch).  Records each request's
+    decision at both hops, the edge cache before the probe phase and each
+    scope-2 probe's verdict into ``result``.
+    """
+    requests, targets = build_workload(spec)
+    for name in requests:
+        before_vpn = dict(vpn.monitor.counters)
+        before_edge = dict(edge.monitor.counters)
+        fetched = yield user, name, None, GEO_FETCH_TIMEOUT
+        result.fetch_failures += fetched is None
+        result.decisions.append(
+            (
+                name,
+                _decision_delta(before_vpn, vpn.monitor.counters),
+                _decision_delta(before_edge, edge.monitor.counters),
+            )
+        )
+    result.cached_at_probe_time = [str(n) for n in edge.cs.names]
+    for target in targets:
+        fetched = yield adversary, target, 2, spec.probe_timeout
+        result.probe_verdicts.append((target, fetched is not None))
+
+
 # ----------------------------------------------------------------------
 # Simulator runner
 # ----------------------------------------------------------------------
 def run_geo_sim(spec: GeoSpec) -> GeoRunResult:
     """Run the geo scenario in the discrete-event simulator."""
-    requests, targets = build_workload(spec)
     result = GeoRunResult(mode="sim", scheme=spec.scheme, seed=spec.seed)
     net = Network(rng=RngRegistry(spec.seed))
-    vpn = net.add_router(
-        "vpn",
-        capacity=spec.vpn_cs_capacity,
-        scheme=make_scheme("no-privacy", net.rng.stream("scheme:vpn")),
-        nack_on_no_route=True,
-    )
-    edge = net.add_router(
-        "edge",
-        capacity=spec.edge_cs_capacity,
-        scheme=make_scheme(spec.scheme, net.rng.stream("scheme:edge")),
-        nack_on_no_route=True,
-    )
-    net.add_producer("origin", PREFIX, auto_generate=True)
+    vpn, edge = (add_forwarder(net, config) for config in _geo_configs(spec))
+    net.add_producer("origin", PREFIX, private=True)
     user = net.add_consumer("user")
     adversary = net.add_consumer("adversary")
     delay = FixedDelay(5.0)  # one-way ms; irrelevant to decisions
-    net.connect("user", "vpn", delay)
-    net.connect("vpn", "edge", delay)
-    net.connect("edge", "origin", delay)
-    net.connect("adversary", "edge", delay)
+    for a, b in (
+        ("user", "vpn"), ("vpn", "edge"), ("edge", "origin"), ("adversary", "edge")
+    ):
+        net.connect(a, b, delay)
     net.add_route_chain(PREFIX, "user", "vpn", "edge", "origin")
+    driver = _geo_driver(spec, result, vpn, edge, user, adversary)
 
-    def driver():
-        for name in requests:
-            before_vpn = dict(vpn.monitor.counters)
-            before_edge = dict(edge.monitor.counters)
-            fetched = yield from user.fetch(name, timeout=GEO_FETCH_TIMEOUT)
-            if fetched is None:
-                result.fetch_failures += 1
-            else:
-                result.rtts.append(fetched.rtt)
-            result.decisions.append(
-                (
-                    name,
-                    _decision_delta(before_vpn, vpn.monitor.counters),
-                    _decision_delta(before_edge, edge.monitor.counters),
-                )
-            )
-            yield Timeout(1.0)
-        result.cached_at_probe_time = [str(n) for n in edge.cs.names]
-        for target in targets:
-            fetched = yield from adversary.fetch(
-                target, scope=2, timeout=spec.probe_timeout
-            )
-            result.probe_verdicts.append((target, fetched is not None))
+    def stepper():
+        # Each fetch is followed by a 1 ms gap before the driver reads the
+        # counters: no packet is in flight by then, so the reading is the
+        # one the socket runner takes right after its fetch returns.
+        fetched = None
+        while True:
+            try:
+                consumer, name, scope, timeout = driver.send(fetched)
+            except StopIteration:
+                return
+            fetched = yield from consumer.fetch(name, scope=scope, timeout=timeout)
             yield Timeout(1.0)
 
-    net.spawn(driver(), label="geo-driver")
+    net.spawn(stepper(), label="geo-driver")
     net.run()
-    checker = InvariantChecker()
-    result.violations = [str(v) for v in checker.check_network(net)]
-    result.counters = {
-        "vpn": dict(vpn.monitor.counters),
-        "edge": dict(edge.monitor.counters),
-    }
+    result.violations = [str(v) for v in InvariantChecker().check_network(net)]
     return result
 
 
 # ----------------------------------------------------------------------
 # Socket runner
 # ----------------------------------------------------------------------
-@dataclass
-class _GeoRig:
-    """The live objects of one socket-mode geo deployment."""
-
-    engine: RealTimeEngine
-    vpn: ForwarderDaemon
-    edge: ForwarderDaemon
-    origin: AsyncProducer
-    user: AsyncConsumer
-    adversary: AsyncConsumer
-    proxy: ChaosUdpProxy
-
-    async def close(self) -> None:
-        await self.user.close()
-        await self.adversary.close()
-        await self.origin.close()
-        await self.proxy.close()
-        await self.vpn.stop()
-        await self.edge.stop()
+async def _attach(endpoint, daemon: ForwarderDaemon, label: str) -> AsyncUdpFace:
+    """Attach ``endpoint`` to a new face of ``daemon``, each pinned to the
+    other; returns the daemon's face."""
+    face = await daemon.add_udp_face(label=label)
+    await endpoint.attach(peer=face.local_addr)
+    face.set_peer(endpoint.face.local_addr)
+    return face
 
 
-async def _build_geo_rig(
-    spec: GeoSpec, chaos: Optional[ChaosConfig] = None
-) -> _GeoRig:
-    """Bring the geo deployment up on loopback (all ports ephemeral)."""
+async def _run_geo_socket_async(spec: GeoSpec) -> GeoRunResult:
+    result = GeoRunResult(mode="socket", scheme=spec.scheme, seed=spec.seed)
     engine = RealTimeEngine(asyncio.get_running_loop())
-    vpn = ForwarderDaemon(
-        DaemonConfig(
-            name="vpn",
-            seed=spec.seed,
-            scheme="no-privacy",
-            cs_capacity=spec.vpn_cs_capacity,
-        )
-    )
-    edge = ForwarderDaemon(
-        DaemonConfig(
-            name="edge",
-            seed=spec.seed,
-            scheme=spec.scheme,
-            cs_capacity=spec.edge_cs_capacity,
-        )
-    )
-    await vpn.start()
-    await edge.start()
-    vpn_face_user = await vpn.add_udp_face(label="vpn:user")
-    vpn_face_edge = await vpn.add_udp_face(label="vpn:edge")
-    edge_face_vpn = await edge.add_udp_face(label="edge:vpn")
-    edge_face_origin = await edge.add_udp_face(label="edge:origin")
-    edge_face_adv = await edge.add_udp_face(label="edge:adv")
-
-    origin = AsyncProducer(engine, PREFIX, producer_id="origin")
-    await origin.attach(peer=edge_face_origin.local_addr, label="origin:edge")
-    edge_face_origin.set_peer(origin.face.local_addr)
-
+    vpn, edge = (ForwarderDaemon(config) for config in _geo_configs(spec))
+    origin = AsyncProducer(engine, PREFIX, producer_id="origin", private=True)
     user = AsyncConsumer(engine, name="user")
     adversary = AsyncConsumer(engine, name="adversary")
-    await user.attach(label="user:vpn")
-    await adversary.attach(peer=edge_face_adv.local_addr, label="adv:edge")
-    edge_face_adv.set_peer(adversary.face.local_addr)
-
-    # User ↔ VPN rides the chaos proxy (zero-loss for the differential).
-    proxy = ChaosUdpProxy(
-        RngRegistry(spec.seed).stream("chaos:geo"),
-        config=chaos if chaos is not None else ChaosConfig.zero_loss(),
-    )
-    await proxy.start(
-        peer_a=user.face.local_addr, peer_b=vpn_face_user.local_addr
-    )
-    user.face.set_peer(proxy.addr_a)
-    vpn_face_user.set_peer(proxy.addr_b)
-
-    vpn_face_edge.set_peer(edge_face_vpn.local_addr)
-    edge_face_vpn.set_peer(vpn_face_edge.local_addr)
-
-    vpn.add_route(PREFIX, vpn_face_edge.face_id)
-    edge.add_route(PREFIX, edge_face_origin.face_id)
-    return _GeoRig(
-        engine=engine,
-        vpn=vpn,
-        edge=edge,
-        origin=origin,
-        user=user,
-        adversary=adversary,
-        proxy=proxy,
-    )
-
-
-async def _run_geo_socket_async(
-    spec: GeoSpec, chaos: Optional[ChaosConfig] = None
-) -> GeoRunResult:
-    requests, targets = build_workload(spec)
-    result = GeoRunResult(mode="socket", scheme=spec.scheme, seed=spec.seed)
-    rig = await _build_geo_rig(spec, chaos=chaos)
     try:
-        vpn_mon = rig.vpn.forwarder.monitor
-        edge_mon = rig.edge.forwarder.monitor
-        one_shot = RetryPolicy(retries=0, timeout=GEO_FETCH_TIMEOUT, backoff=1.0)
-        for name in requests:
-            before_vpn = dict(vpn_mon.counters)
-            before_edge = dict(edge_mon.counters)
-            fetched = await rig.user.fetch_or_none(name, retry=one_shot)
-            if fetched is None:
-                result.fetch_failures += 1
-            else:
-                result.rtts.append(fetched.rtt)
-            result.decisions.append(
-                (
-                    name,
-                    _decision_delta(before_vpn, vpn_mon.counters),
-                    _decision_delta(before_edge, edge_mon.counters),
-                )
-            )
-        result.cached_at_probe_time = [
-            str(n) for n in rig.edge.forwarder.cs.names
-        ]
-        probe_policy = RetryPolicy(
-            retries=0, timeout=spec.probe_timeout, backoff=1.0
+        await vpn.start()
+        await edge.start()
+        await _attach(user, vpn, "vpn:user")
+        vpn_face_edge = await vpn.add_udp_face(label="vpn:edge")
+        edge_face_vpn = await edge.add_udp_face(label="edge:vpn")
+        vpn_face_edge.set_peer(edge_face_vpn.local_addr)
+        edge_face_vpn.set_peer(vpn_face_edge.local_addr)
+        vpn.add_route(PREFIX, vpn_face_edge.face_id)
+        edge.add_route(PREFIX, (await _attach(origin, edge, "edge:origin")).face_id)
+        await _attach(adversary, edge, "edge:adv")
+
+        driver = _geo_driver(
+            spec, result, vpn.forwarder, edge.forwarder, user, adversary
         )
-        for target in targets:
-            fetched = await rig.adversary.fetch_or_none(
-                target, scope=2, retry=probe_policy
+        fetched = None
+        while True:
+            try:
+                consumer, name, scope, timeout = driver.send(fetched)
+            except StopIteration:
+                break
+            fetched = await consumer.fetch_or_none(
+                name,
+                scope=scope,
+                retry=RetryPolicy(retries=0, timeout=timeout, backoff=1.0),
             )
-            result.probe_verdicts.append((target, fetched is not None))
         # Quiescence before auditing: scope-dropped probes leave no PIT
         # state, but give in-flight timers a moment to settle.
-        await rig.vpn.wait_pit_drained()
-        await rig.edge.wait_pit_drained()
         checker = InvariantChecker()
-        for daemon in (rig.vpn, rig.edge):
+        for daemon in (vpn, edge):
+            await daemon.wait_pit_drained()
             checker.check_forwarder(daemon.forwarder)
         result.violations = [str(v) for v in checker.violations]
-        result.counters = {
-            "vpn": dict(vpn_mon.counters),
-            "edge": dict(edge_mon.counters),
-        }
     finally:
-        await rig.close()
+        for endpoint in (user, adversary, origin):
+            await endpoint.close()
+        await vpn.stop()
+        await edge.stop()
     return result
 
 
-def run_geo_socket(
-    spec: GeoSpec, chaos: Optional[ChaosConfig] = None
-) -> GeoRunResult:
+def run_geo_socket(spec: GeoSpec) -> GeoRunResult:
     """Run the geo scenario over real UDP sockets on loopback."""
-    return asyncio.run(_run_geo_socket_async(spec, chaos=chaos))
+    return asyncio.run(_run_geo_socket_async(spec))
 
 
 # ----------------------------------------------------------------------
@@ -481,14 +418,11 @@ async def _run_soak_async(spec: SoakSpec) -> SoakReport:
     supervisor = Supervisor(daemon)
     await supervisor.start()
     face_user = await daemon.add_udp_face(label="soak:user")
-    face_origin = await daemon.add_udp_face(label="soak:origin")
+    producer = AsyncProducer(engine, PREFIX, producer_id="origin")
+    face_origin = await _attach(producer, daemon, "soak:origin")
+    producer_port = producer.face.local_addr
     #: Deliberately unpinned: the malformed flood lands here.
     face_open = await daemon.add_udp_face(label="soak:open")
-
-    producer = AsyncProducer(engine, PREFIX, producer_id="origin")
-    await producer.attach(peer=face_origin.local_addr, label="origin:soak")
-    face_origin.set_peer(producer.face.local_addr)
-    producer_port = producer.face.local_addr
 
     def faulty() -> ChaosConfig:
         return ChaosConfig(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from math import ceil
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.ndn.errors import NameError_, PacketError
@@ -194,7 +195,7 @@ def encode_interest(interest: Interest) -> bytes:
     body = encode_name(interest.name)
     body += _tlv(TLV_NONCE, _nonneg_int_bytes(interest.nonce))
     body += _tlv(
-        TLV_INTEREST_LIFETIME, _nonneg_int_bytes(int(interest.lifetime))
+        TLV_INTEREST_LIFETIME, _nonneg_int_bytes(ceil(interest.lifetime))
     )
     if interest.scope is not None:
         body += _tlv(TLV_APP_SCOPE, _nonneg_int_bytes(interest.scope))
@@ -433,7 +434,7 @@ def fast_wire_size(packet: Union[Interest, Data, Nack]) -> int:
         body = (
             _name_size(packet.name)
             + _uint_tlv_len(packet.nonce)
-            + _uint_tlv_len(int(packet.lifetime))
+            + _uint_tlv_len(ceil(packet.lifetime))
             + _uint_tlv_len(packet.hops)
         )
         if packet.scope is not None:

@@ -172,10 +172,13 @@ class TopologyObservables:
 
 
 def diff_observables(
-    oracle: TopologyObservables, fast: TopologyObservables
+    oracle: TopologyObservables,
+    fast: TopologyObservables,
+    sides: Tuple[str, str] = ("oracle", "batch"),
 ) -> List[str]:
     """Field-by-field differences (``kernel``/``fallback_reason``
-    excluded); empty when bit-identical."""
+    excluded); empty when bit-identical.  Each line names the two runs
+    by ``sides``."""
     mismatches: List[str] = []
     for f in fields(TopologyObservables):
         if f.name in ("kernel", "fallback_reason"):
@@ -183,24 +186,25 @@ def diff_observables(
         a = getattr(oracle, f.name)
         b = getattr(fast, f.name)
         if a != b:
-            mismatches.append(_describe_mismatch(f.name, a, b))
+            mismatches.append(_describe_mismatch(f.name, a, b, sides))
     return mismatches
 
 
-def _describe_mismatch(field_name: str, a, b) -> str:
+def _describe_mismatch(field_name: str, a, b, sides: Tuple[str, str]) -> str:
     """A compact, debuggable description of one mismatching field."""
+    left, right = sides
     if isinstance(a, dict) and isinstance(b, dict):
         keys = sorted(set(a) | set(b), key=str)
         parts = []
         for key in keys:
             va, vb = a.get(key), b.get(key)
             if va != vb:
-                parts.append(f"{key}: oracle={va!r} batch={vb!r}")
+                parts.append(f"{key}: {left}={va!r} {right}={vb!r}")
             if len(parts) >= 4:
                 parts.append("...")
                 break
         return f"{field_name}: " + "; ".join(parts)
-    return f"{field_name}: oracle={a!r} batch={b!r}"
+    return f"{field_name}: {left}={a!r} {right}={b!r}"
 
 
 def _script_process(script: ConsumerScript, consumer, delivered: Dict[str, int]):

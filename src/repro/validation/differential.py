@@ -612,7 +612,7 @@ def validate_streaming_differential(
         mismatches.append("driver scripts differ between representations")
     obs_compiled = run_scripts_reference(net_compiled, scripts_compiled)
     obs_stream = run_scripts_reference(net_stream, scripts_stream)
-    mismatches.extend(diff_observables(obs_compiled, obs_stream))
+    mismatches.extend(diff_observables(obs_compiled, obs_stream, ("compiled", "stream")))
     if obs_stream.total_delivered == 0:
         mismatches.append("streaming simulator leg delivered nothing")
     results.append(CaseResult("simulator:star-edge", mismatches))

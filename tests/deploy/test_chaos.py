@@ -46,7 +46,7 @@ def test_zero_loss_proxy_is_transparent_both_ways():
     async def scenario():
         t_a, p_a, addr_a = await udp_endpoint()
         t_b, p_b, addr_b = await udp_endpoint()
-        proxy = ChaosUdpProxy(np.random.default_rng(0), ChaosConfig.zero_loss())
+        proxy = ChaosUdpProxy(np.random.default_rng(0), ChaosConfig())
         side_a, side_b = await proxy.start(peer_a=addr_a, peer_b=addr_b)
         try:
             for i in range(10):

@@ -2,9 +2,9 @@
 
 The differential is the deployment mode's correctness proof: the same
 geo spec run in the discrete-event simulator and over real UDP sockets
-(zero-loss proxy) must produce identical per-request cache decisions,
-identical edge-cache contents at probe time, and identical probe
-verdicts.  The soak is the robustness proof: a supervised daemon behind
+must produce identical per-request cache decisions, identical
+edge-cache contents at probe time, and identical probe verdicts, under
+every privacy scheme.  The soak is the robustness proof: a supervised daemon behind
 a faulty proxy survives malformed floods, mgmt garbage, an interest
 flood, and a producer crash with zero task deaths and the conservation
 invariants intact.
@@ -12,9 +12,10 @@ invariants intact.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.deploy.chaos import ChaosConfig
 from repro.deploy.scenario import (
     GeoSpec,
     SoakSpec,
@@ -50,7 +51,50 @@ class TestWorkload:
         assert all(t.startswith("/cdn/cold-") for t in cold)
 
 
+SCHEMES = ["no-privacy", "uniform", "exponential", "always-delay"]
+
+#: ``run_geo_sim`` at ``GeoSpec(seed=7)``: per-hop decision counts (VPN
+#: exit, CDN edge).  The no-privacy row was recorded while the origin
+#: still published public content; private content leaves it unmoved
+#: and turns edge hits into disguised (delayed) hits under the schemes.
+PINNED_SEED7 = {
+    "no-privacy": {"cs_miss": 22, "cs_hit": 9},
+    "uniform": {"cs_miss": 22, "cs_disguised_hit": 8, "cs_hit": 1},
+    "exponential": {"cs_miss": 22, "cs_disguised_hit": 4, "cs_hit": 5},
+    "always-delay": {"cs_miss": 22, "cs_disguised_hit": 9},
+}
+#: The VPN exit runs no privacy scheme, so its decisions never move.
+PINNED_VPN_SEED7 = {"cs_miss": 31, "cs_hit": 29}
+#: Probe verdicts at seed 7 (six hot targets, then six cold ones).
+PINNED_VERDICTS_SEED7 = [True, False, True, True] + [False] * 8
+
+
+def hop_counts(result, hop):
+    """Decision counts at one hop (1 = VPN exit, 2 = edge); "none" dropped."""
+    counts = Counter(decision[hop] for decision in result.decisions)
+    del counts["none"]
+    return dict(counts)
+
+
 class TestGeoSim:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_seed7_decisions_and_verdicts_are_pinned(self, scheme):
+        result = run_geo_sim(GeoSpec(seed=7, scheme=scheme))
+        assert hop_counts(result, 1) == PINNED_VPN_SEED7
+        assert hop_counts(result, 2) == PINNED_SEED7[scheme]
+        assert [answered for _, answered in result.probe_verdicts] == (
+            PINNED_VERDICTS_SEED7
+        )
+        assert result.summary()["edge_hit_rate"] == 0.2903
+        assert result.probe_accuracy == 1.0
+
+    @pytest.mark.parametrize("scheme", SCHEMES[1:])
+    def test_private_origin_makes_the_edge_disguise_hits(self, scheme):
+        """The origin publishes private content, so every privacy scheme
+        at the edge answers some cached requests as disguised hits."""
+        result = run_geo_sim(GeoSpec(scheme=scheme))
+        assert hop_counts(result, 2).get("cs_disguised_hit", 0) > 0
+
     def test_sim_run_is_reproducible(self):
         spec = GeoSpec(seed=5, scheme="uniform", **SMALL)
         a, b = run_geo_sim(spec), run_geo_sim(spec)
@@ -66,9 +110,9 @@ class TestGeoSim:
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("scheme", ["no-privacy", "uniform"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_socket_run_reproduces_sim_decisions(self, scheme):
-        """The acceptance differential: zero mismatches, both schemes."""
+        """The acceptance differential: zero mismatches, every scheme."""
         spec = GeoSpec(seed=7, scheme=scheme, **SMALL)
         sim = run_geo_sim(spec)
         socket = run_geo_socket(spec)

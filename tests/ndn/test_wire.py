@@ -88,6 +88,17 @@ class TestInterestCodec:
         assert decoded.lifetime == 250.0
         assert decoded.hops == 3
 
+    @pytest.mark.parametrize("lifetime, on_wire", [(0.5, 1.0), (1.5, 2.0), (255.5, 256.0)])
+    def test_fractional_lifetime_rounds_up_to_whole_ms(self, lifetime, on_wire):
+        """Every constructible Interest round-trips: a sub-millisecond
+        lifetime goes on the wire as 1 ms, not as the undecodable 0."""
+        from repro.ndn.wire import fast_wire_size
+
+        interest = Interest(name=Name.parse("/a"), lifetime=lifetime)
+        wire = encode_packet(interest)
+        assert decode_packet(wire).lifetime == on_wire
+        assert fast_wire_size(interest) == len(wire)
+
     def test_missing_name_rejected(self):
         from repro.ndn.wire import _tlv, TLV_INTEREST, TLV_NONCE
 

@@ -92,6 +92,23 @@ def test_star_parity_bit_identical():
     assert batch.end_time == oracle.end_time  # full float precision
 
 
+def test_mismatch_lines_name_the_compared_runs():
+    net, names = small_star()
+    off = run_scripts_reference(net, star_scripts(names))
+    monitor = replace(
+        off,
+        events_processed=off.events_processed + 1,
+        router_counters={**off.router_counters, "R": {"cs_hit": -1}},
+    )
+    assert diff_observables(off, monitor, ("off", "monitor")) == [
+        f"router_counters: R: off={off.router_counters['R']!r} "
+        "monitor={'cs_hit': -1}",
+        f"events_processed: off={off.events_processed} "
+        f"monitor={off.events_processed + 1}",
+    ]
+    assert "oracle=" in diff_observables(off, monitor)[0]
+
+
 def test_tree_parity_with_timeouts_and_retransmission():
     def build():
         net = Network(rng=RngRegistry(3))
