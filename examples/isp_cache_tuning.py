@@ -21,12 +21,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.tables import format_table
-from repro.core.schemes import (
-    AlwaysDelayScheme,
-    ExponentialRandomCache,
-    NoPrivacyScheme,
-    UniformRandomCache,
-)
+from repro.core.schemes import AlwaysDelayScheme, NoPrivacyScheme, SchemeSpec
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking
@@ -54,10 +49,10 @@ def compare_schemes(trace):
     rows = []
     for label, scheme in [
         ("no privacy (vanilla NDN)", NoPrivacyScheme()),
-        ("exponential-random-cache", ExponentialRandomCache.for_privacy_target(
-            k=5, epsilon=0.005, delta=0.01)),
-        ("uniform-random-cache", UniformRandomCache.for_privacy_target(
-            k=5, delta=0.01)),
+        ("exponential-random-cache", SchemeSpec(
+            "exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}).build()),
+        ("uniform-random-cache", SchemeSpec(
+            "uniform", {"k": 5, "delta": 0.01}).build()),
         ("always delay private", AlwaysDelayScheme()),
     ]:
         stats = fast_replay(trace, scheme=scheme, marking=marking,
@@ -86,7 +81,8 @@ def sweep_privacy_knob(trace):
         (5, 0.005, 0.01),
         (10, 0.005, 0.01),
     ]:
-        scheme = ExponentialRandomCache.for_privacy_target(k, eps, delta)
+        scheme = SchemeSpec(
+            "exponential", {"k": k, "epsilon": eps, "delta": delta}).build()
         stats = fast_replay(trace, scheme=scheme, marking=marking,
                             cache_size=CACHE_SIZE)
         rows.append([

@@ -24,6 +24,7 @@ from repro.core.privacy.utility import (
     exponential_utility,
     uniform_utility,
 )
+from repro.core.schemes.registry import SchemeSpec
 from repro.ndn.topology import FIG3_PANELS, TOPOLOGIES, AttackTopology
 from repro.perf.parallel import ReplaySpec, run_replay_sweep
 from repro.workload.ircache import IrcacheConfig
@@ -251,6 +252,8 @@ class Fig5Result:
     #: configuration label -> hit rate (%) per cache size.
     hit_rates: Dict[str, List[float]] = field(default_factory=dict)
     stats: Dict[Tuple[str, Optional[int]], ReplayStats] = field(default_factory=dict)
+    #: The schemes the sweep ran, in first-use order.
+    schemes: Tuple[SchemeSpec, ...] = ()
 
     def render(self) -> str:
         x = [size if size is not None else "Inf" for size in self.cache_sizes]
@@ -278,7 +281,11 @@ def _fig5_result(
         else {"trace": workload}
     )
     sweep = run_replay_sweep(specs, workers=workers, sharded=sharded, **source)
-    result = Fig5Result(title=title, cache_sizes=tuple(cache_sizes))
+    result = Fig5Result(
+        title=title,
+        cache_sizes=tuple(cache_sizes),
+        schemes=tuple(dict.fromkeys(spec.scheme for spec in specs)),
+    )
     for spec, stats in zip(specs, sweep):
         result.stats[(spec.label, spec.cache_size)] = stats
         result.hit_rates.setdefault(spec.label, []).append(100.0 * stats.hit_rate)
@@ -311,18 +318,21 @@ def run_fig5a(
     for the constant-memory streaming pathway at large scale).
     """
     marking = ContentMarking(private_fraction, salt=seed)
-    params = {"k": k, "epsilon": epsilon, "delta": delta}
-    scheme_names = ("no-privacy", "exponential", "uniform", "always-delay")
+    schemes = (
+        SchemeSpec("no-privacy"),
+        SchemeSpec("exponential", {"k": k, "epsilon": epsilon, "delta": delta}),
+        SchemeSpec("uniform", {"k": k, "delta": delta}),
+        SchemeSpec("always-delay"),
+    )
     specs = [
         ReplaySpec(
-            scheme=name,
-            scheme_params=params,
+            scheme=scheme,
             cache_size=size,
             marking=marking,
             seed=seed,
-            label=name,
+            label=scheme.name,
         )
-        for name in scheme_names
+        for scheme in schemes
         for size in cache_sizes
     ]
     title = (
@@ -347,11 +357,10 @@ def run_fig5b(
 
     Accepts the same workload forms as :func:`run_fig5a`.
     """
-    params = {"k": k, "epsilon": epsilon, "delta": delta}
+    scheme = SchemeSpec("exponential", {"k": k, "epsilon": epsilon, "delta": delta})
     specs = [
         ReplaySpec(
-            scheme="exponential",
-            scheme_params=params,
+            scheme=scheme,
             cache_size=size,
             marking=ContentMarking(fraction, salt=seed),
             seed=seed,

@@ -36,6 +36,7 @@ from repro.analysis.experiments import (
     run_fig5a,
     run_fig5b,
 )
+from repro.core.schemes.registry import SchemeSpec, describe
 from repro.defense import defense_transparency_mismatches
 from repro.ndn.topology import FIG3_PANELS
 from repro.validation import (
@@ -311,6 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             k=args.k, epsilon=args.epsilon, delta=args.delta,
             private_fraction=args.private_fraction, seed=args.seed, sharded=True,
         )
+        _print_scheme_headers(result.schemes)
         print(result.render())
         return 0
 
@@ -321,6 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             k=args.k, epsilon=args.epsilon, delta=args.delta,
             private_fractions=args.private_fractions, seed=args.seed, sharded=True,
         )
+        _print_scheme_headers(result.schemes)
         print(result.render())
         return 0
 
@@ -375,6 +378,12 @@ def _run_validate(args) -> int:
     return 1 if failed else 0
 
 
+def _print_scheme_headers(specs) -> None:
+    """One line per scheme a command runs: its spec and its guarantee."""
+    for spec in specs:
+        print(describe(spec))
+
+
 def _engine_summary(what: str, engines) -> str:
     """One line saying which simulation engine ran: ``engines`` maps a
     label to ``"batch"`` or ``"reference: <why the compiler refused>"``."""
@@ -413,6 +422,7 @@ def _run_strategy(args) -> int:
     capacity = args.cache_capacity if args.cache_capacity > 0 else None
     schemes = args.schemes if args.schemes else SWEEP_SCHEMES
     strategies = args.strategies if args.strategies else SWEEP_STRATEGIES
+    _print_scheme_headers(SchemeSpec(name) for name in schemes)
     frontier = run_placement_sweep(
         topologies=args.topologies,
         schemes=schemes,
@@ -484,7 +494,9 @@ def _run_deploy(args) -> int:
 
 def _run_deploy_geo(args) -> int:
     from repro.deploy import GeoSpec, differential, run_geo_sim, run_geo_socket
+    from repro.deploy.daemon import daemon_scheme
 
+    _print_scheme_headers(daemon_scheme(name) for name in args.schemes)
     failed = False
     for scheme in args.schemes:
         spec = GeoSpec(

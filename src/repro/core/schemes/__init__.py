@@ -10,6 +10,9 @@ Scheme hierarchy::
         ├── UniformRandomCache       K ~ U(0, K)
         └── ExponentialRandomCache   K ~ truncated geometric
 
+A scheme is built by name only through :class:`SchemeSpec`
+(:mod:`~repro.core.schemes.registry`), which also gives its (k, ε, δ).
+
 Supporting pieces: delay policies (constant / content-specific / dynamic),
 grouping functions for correlated content, and the privacy-marking rules.
 """
@@ -34,6 +37,7 @@ from repro.core.schemes.marking import MarkingDecision, MarkingPolicy
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.random_cache import RandomCacheScheme
+from repro.core.schemes.registry import SchemeError, SchemeSpec, describe
 from repro.core.schemes.uniform import UniformRandomCache
 
 __all__ = [
@@ -46,6 +50,9 @@ __all__ = [
     "NaiveThresholdScheme",
     "UniformRandomCache",
     "ExponentialRandomCache",
+    "SchemeSpec",
+    "SchemeError",
+    "describe",
     "DelayPolicy",
     "ConstantDelay",
     "ContentSpecificDelay",

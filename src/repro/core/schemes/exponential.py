@@ -7,7 +7,8 @@ utility) at the cost of a nonzero ε.  Theorem VI.3: the scheme is
 
 ``K=None`` gives the untruncated geometric — the K → ∞ limit where
 δ = 1 − α^k, the smallest δ attainable for a given α, used on the
-ε = −ln(1−δ) boundary of Figure 4(b).
+ε = −ln(1−δ) boundary of Figure 4(b).  ``SchemeSpec("exponential", {"k":
+k, "epsilon": ε, "delta": δ})`` builds the instance meeting that target.
 """
 
 from __future__ import annotations
@@ -43,31 +44,3 @@ class ExponentialRandomCache(RandomCacheScheme):
         )
         self.alpha = alpha
         self.K = K
-
-    @classmethod
-    def for_privacy_target(
-        cls,
-        k: int,
-        epsilon: float,
-        delta: float,
-        rng: Optional[np.random.Generator] = None,
-        delay_policy: Optional[DelayPolicy] = None,
-        grouping: Optional[GroupingFunction] = None,
-    ) -> "ExponentialRandomCache":
-        """Build the best-utility instance that is (k, epsilon, delta)-private.
-
-        Theorem VI.3 gives ε = −k·ln α, so α = exp(−ε/k); K is then solved
-        so the truncated tail meets δ (K=None when only the untruncated
-        limit attains it).  Requires 1 − e^(−ε) <= δ, the feasibility
-        boundary noted in the scheme comparison.
-        """
-        from repro.core.privacy.guarantees import solve_exponential_params
-
-        alpha, K = solve_exponential_params(k, epsilon, delta)
-        return cls(
-            alpha=alpha,
-            K=K,
-            rng=rng,
-            delay_policy=delay_policy,
-            grouping=grouping,
-        )

@@ -3,7 +3,8 @@
 Random-Cache with k_C ~ U(0, K).  Theorem VI.1: if cached content is
 statistically independent, the scheme is (k, 0, 2k/K)-private — ε is
 exactly 0 (uniform shifts are indistinguishable inside the overlap) and δ
-shrinks as 1/K.  Utility follows Theorem VI.2.
+shrinks as 1/K.  Utility follows Theorem VI.2.  ``SchemeSpec("uniform",
+{"k": k, "delta": δ})`` builds the smallest K meeting a (k, 0, δ) target.
 """
 
 from __future__ import annotations
@@ -37,25 +38,3 @@ class UniformRandomCache(RandomCacheScheme):
             grouping=grouping,
         )
         self.K = K
-
-    @classmethod
-    def for_privacy_target(
-        cls,
-        k: int,
-        delta: float,
-        rng: Optional[np.random.Generator] = None,
-        delay_policy: Optional[DelayPolicy] = None,
-        grouping: Optional[GroupingFunction] = None,
-    ) -> "UniformRandomCache":
-        """Build the smallest-K instance that is (k, 0, delta)-private.
-
-        Theorem VI.1 gives δ = 2k/K, so K = ceil(2k/δ).
-        """
-        from repro.core.privacy.guarantees import solve_uniform_K
-
-        return cls(
-            K=solve_uniform_K(k, delta),
-            rng=rng,
-            delay_policy=delay_policy,
-            grouping=grouping,
-        )

@@ -9,9 +9,8 @@ surface a process needs:
 
 * face and route management (callable locally or over the TCP management
   channel, :mod:`repro.deploy.mgmt`);
-* live privacy-scheme swap by name (``no-privacy``, ``uniform``,
-  ``exponential``, ``always-delay``), preserving the CS evict-listener
-  wiring;
+* live privacy-scheme swap by name (one of :data:`DAEMON_SCHEMES`),
+  preserving the CS evict-listener wiring;
 * **drain mode** — new interests are refused with a congestion Nack
   while in-flight PIT entries are allowed to complete, the first phase of
   graceful shutdown;
@@ -28,11 +27,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.schemes.always_delay import AlwaysDelayScheme
 from repro.core.schemes.base import CacheScheme
-from repro.core.schemes.exponential import ExponentialRandomCache
-from repro.core.schemes.no_privacy import NoPrivacyScheme
-from repro.core.schemes.uniform import UniformRandomCache
+from repro.core.schemes.registry import SchemeError, SchemeSpec
 from repro.deploy.clock import RealTimeEngine
 from repro.deploy.faces import Address, AsyncUdpFace
 from repro.ndn.admission import InterestRateLimit
@@ -43,25 +39,29 @@ from repro.ndn.network import Network
 from repro.ndn.packets import NACK_CONGESTION, Interest, Nack
 from repro.sim.rng import RngRegistry
 
-#: Scheme factories for the mgmt channel's ``scheme`` command.  Each gets
-#: the daemon's RNG stream so swaps stay seed-reproducible.
-SCHEME_FACTORIES = {
-    "no-privacy": lambda rng: NoPrivacyScheme(),
-    "uniform": lambda rng: UniformRandomCache(K=8, rng=rng),
-    "exponential": lambda rng: ExponentialRandomCache(alpha=0.5, K=16, rng=rng),
-    "always-delay": lambda rng: AlwaysDelayScheme(),
+#: The schemes a daemon runs, by mgmt-channel name.  The two random
+#: caches use small demo parameters, far weaker than the sweeps':
+#: uniform(K=8) is (1, 0, 0.25)-private and guarantees nothing from
+#: k = 4 on.  They stay until the perf ledger's ``daemon_loopback``
+#: workload, which runs the daemon's "uniform", is re-pinned.
+DAEMON_SCHEMES: Dict[str, SchemeSpec] = {
+    "no-privacy": SchemeSpec("no-privacy"),
+    "uniform": SchemeSpec("uniform", {"K": 8}),
+    "exponential": SchemeSpec("exponential", {"alpha": 0.5, "K": 16}),
+    "always-delay": SchemeSpec("always-delay"),
 }
+
+
+def daemon_scheme(name: str) -> SchemeSpec:
+    """The :data:`DAEMON_SCHEMES` spec called ``name``."""
+    if name not in DAEMON_SCHEMES:
+        raise SchemeError(f"unknown scheme {name!r}; a daemon runs {sorted(DAEMON_SCHEMES)}")
+    return DAEMON_SCHEMES[name]
 
 
 def make_scheme(name: str, rng: Optional[np.random.Generator] = None) -> CacheScheme:
     """Build a privacy scheme by mgmt-channel name."""
-    try:
-        factory = SCHEME_FACTORIES[name]
-    except KeyError:
-        raise TopologyError(
-            f"unknown scheme {name!r}; choose from {sorted(SCHEME_FACTORIES)}"
-        ) from None
-    return factory(rng)
+    return daemon_scheme(name).build(rng)
 
 
 @dataclass
@@ -211,8 +211,9 @@ class ForwarderDaemon:
         face = self._face(face_id)
         self.forwarder.fib.remove_route(name_of(prefix), face)
 
-    def set_scheme(self, scheme_name: str) -> CacheScheme:
-        """Swap the privacy scheme live, preserving listener wiring.
+    def set_scheme(self, scheme_name: str) -> SchemeSpec:
+        """Swap the privacy scheme live, preserving listener wiring;
+        returns the spec now running.
 
         The CS is flushed: per-entry scheme state (k_C counters) does not
         transfer between schemes, and a half-initialized cache would
@@ -220,16 +221,14 @@ class ForwarderDaemon:
         """
         if self.forwarder is None:
             raise TopologyError("daemon not started")
-        new = make_scheme(
-            scheme_name,
-            self.rng.stream(f"scheme:{self.config.name}:{scheme_name}"),
-        )
+        spec = daemon_scheme(scheme_name)
+        new = spec.build(self.rng.stream(f"scheme:{self.config.name}:{scheme_name}"))
         old = self.forwarder.scheme
         self.forwarder.flush_cache()
         self.forwarder.cs.remove_evict_listener(old.on_evict)
         self.forwarder.cs.add_evict_listener(new.on_evict)
         self.forwarder.scheme = new
-        return new
+        return spec
 
     def set_defense(self, preset: str):
         """Install (or remove) the online defense agent by preset name.
@@ -315,8 +314,9 @@ class ForwarderDaemon:
 __all__ = [
     "DaemonConfig",
     "ForwarderDaemon",
-    "SCHEME_FACTORIES",
+    "DAEMON_SCHEMES",
     "add_forwarder",
+    "daemon_scheme",
     "make_scheme",
     "Name",
 ]

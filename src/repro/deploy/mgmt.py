@@ -14,7 +14,8 @@ Commands::
     faces                          face table (json)
     add-route <prefix> <face-id>   install a FIB route
     remove-route <prefix> <face-id>
-    scheme <name>                  swap privacy scheme (flushes the CS)
+    scheme <name>                  swap privacy scheme (flushes the CS);
+                                   replies with its spec, e.g. uniform(K=8)
     defense <preset>               swap defense preset (off/static/monitor/
                                    adaptive) on the live forwarder
     alarms                         defense alarm/mitigation snapshot (json)
@@ -149,8 +150,7 @@ class MgmtServer:
         if command == "scheme":
             if len(args) != 1:
                 raise MgmtError("usage: scheme <name>")
-            scheme = daemon.set_scheme(args[0])
-            return f"ok scheme {scheme.name}"
+            return f"ok scheme {daemon.set_scheme(args[0])}"
         if command == "defense":
             if len(args) != 1:
                 raise MgmtError("usage: defense <preset>")

@@ -51,10 +51,10 @@ from repro.sim.rng import RngRegistry
 #: string (instantiated per router with its own RNG stream) or ``None``.
 CachingSpec = Union[str, CachingStrategy, None]
 
-#: A privacy-scheme spec accepted by every builder: one instance (placed
+#: Where a builder puts privacy schemes: one instance (placed
 #: on the probe router), a zero-argument factory (called once per router,
 #: in creation order) or ``None``.
-SchemeSpec = Union[CacheScheme, Callable[[], CacheScheme], None]
+SchemePlacement = Union[CacheScheme, Callable[[], CacheScheme], None]
 
 #: Default prefix all experiment content lives under.
 CONTENT_PREFIX = "/content"
@@ -90,10 +90,10 @@ class AttackTopology:
 
 
 def place_scheme(
-    scheme: SchemeSpec, router: str, probe: str
+    scheme: SchemePlacement, router: str, probe: str
 ) -> Optional[CacheScheme]:
-    """The scheme :data:`SchemeSpec` gives ``router`` (``probe`` names the
-    router U and Adv share).
+    """The scheme :data:`SchemePlacement` gives ``router`` (``probe``
+    names the router U and Adv share).
 
     An instance is per-router state and must not be shared between
     forwarders: it guards the probe point only.  A factory is called
@@ -107,7 +107,7 @@ def place_scheme(
 def _start(
     seed: int,
     probe: str,
-    scheme: SchemeSpec,
+    scheme: SchemePlacement,
     cache_capacity: Optional[int],
     caching: CachingSpec,
     policy: str,
@@ -118,7 +118,7 @@ def _start(
     Every router of a topology is created through the returned function,
     which is what makes the shared builder keywords mean the same thing
     everywhere: they reach ``Network.add_router`` (which rejects unknown
-    values) for each router, and the scheme lands as :data:`SchemeSpec`
+    values) for each router, and the scheme lands as :data:`SchemePlacement`
     says.  ``probe`` names the router U and Adv share.  A builder may
     override one router's ``capacity`` or give it a ``processing_delay``.
     """
@@ -144,7 +144,7 @@ def _start(
 
 def local_lan(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -180,7 +180,7 @@ def local_lan(
 
 def wan(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -230,7 +230,7 @@ def wan(
 
 def wan_producer(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -297,7 +297,7 @@ def wan_producer(
 
 def local_host(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -391,7 +391,7 @@ def _path_to_root(parent: Dict[str, Optional[str]], start: str) -> List[str]:
 
 def fat_tree(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -475,7 +475,7 @@ def fat_tree(
 
 def rocketfuel_isp(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -583,7 +583,7 @@ _GEANT_EDGES = (
 
 def geant_backbone(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -635,7 +635,7 @@ def geant_backbone(
 # ----------------------------------------------------------------------
 def star(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",
@@ -675,7 +675,7 @@ def star(
 
 def tree(
     seed: int = 0,
-    scheme: SchemeSpec = None,
+    scheme: SchemePlacement = None,
     cache_capacity: Optional[int] = None,
     caching: CachingSpec = None,
     policy: str = "lru",

@@ -253,7 +253,7 @@ def encode_data(data: Data) -> bytes:
     if data.private:
         body += _tlv(TLV_APP_PRIVATE, b"\x01")
     if data.freshness is not None:
-        body += _tlv(TLV_FRESHNESS_PERIOD, _nonneg_int_bytes(int(data.freshness)))
+        body += _tlv(TLV_FRESHNESS_PERIOD, _nonneg_int_bytes(ceil(data.freshness)))
     if data.exact_match_only:
         body += _tlv(TLV_APP_EXACT_MATCH_ONLY, b"\x01")
     if data.origin_hops:
@@ -449,7 +449,7 @@ def fast_wire_size(packet: Union[Interest, Data, Nack]) -> int:
         if packet.private:
             body += 3
         if packet.freshness is not None:
-            body += _uint_tlv_len(int(packet.freshness))
+            body += _uint_tlv_len(ceil(packet.freshness))
         if packet.exact_match_only:
             body += 3
         if packet.origin_hops:

@@ -47,19 +47,15 @@ import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.core.schemes.always_delay import AlwaysDelayScheme
 from repro.core.schemes.base import CacheScheme
-from repro.core.schemes.exponential import ExponentialRandomCache
-from repro.core.schemes.naive_threshold import NaiveThresholdScheme
-from repro.core.schemes.no_privacy import NoPrivacyScheme
-from repro.core.schemes.uniform import UniformRandomCache
+from repro.core.schemes.registry import SchemeError, SchemeSpec
 from repro.workload.compiled import CompiledTrace
 from repro.workload.fast_replay import fast_replay
 from repro.workload.lru_grid import lru_grid_stats, runs_on_grid
@@ -92,58 +88,9 @@ class TraceCacheError(RuntimeError):
     """A trace-cache entry failed its integrity check."""
 
 
-# ======================================================================
-# Scheme registry (picklable sweep points reference schemes by name)
-# ======================================================================
-def _build_no_privacy(rng: np.random.Generator, **_: object) -> CacheScheme:
-    return NoPrivacyScheme()
-
-
-def _build_always_delay(rng: np.random.Generator, **_: object) -> CacheScheme:
-    return AlwaysDelayScheme()
-
-
-def _build_uniform(
-    rng: np.random.Generator, *, k: int = 5, delta: float = 0.01, **_: object
-) -> CacheScheme:
-    return UniformRandomCache.for_privacy_target(k, delta, rng=rng)
-
-
-def _build_exponential(
-    rng: np.random.Generator,
-    *,
-    k: int = 5,
-    epsilon: float = 0.005,
-    delta: float = 0.01,
-    **_: object,
-) -> CacheScheme:
-    return ExponentialRandomCache.for_privacy_target(k, epsilon, delta, rng=rng)
-
-
-def _build_naive_threshold(
-    rng: np.random.Generator, *, k: int = 5, **_: object
-) -> CacheScheme:
-    return NaiveThresholdScheme(k, rng=rng)
-
-
-SCHEME_BUILDERS: Dict[str, Callable[..., CacheScheme]] = {
-    "no-privacy": _build_no_privacy,
-    "always-delay": _build_always_delay,
-    "uniform": _build_uniform,
-    "exponential": _build_exponential,
-    "naive-threshold": _build_naive_threshold,
-}
-
-
 def build_scheme(name: str, seed: int = 0, **params: object) -> CacheScheme:
-    """Build a scheme by registry name with an RNG seeded from ``seed``."""
-    try:
-        builder = SCHEME_BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; choose from {sorted(SCHEME_BUILDERS)}"
-        ) from None
-    return builder(np.random.default_rng(seed), **params)
+    """``SchemeSpec(name, params)`` built with an RNG seeded from ``seed``."""
+    return SchemeSpec(name, params).build(np.random.default_rng(seed))
 
 
 # ======================================================================
@@ -153,14 +100,13 @@ def build_scheme(name: str, seed: int = 0, **params: object) -> CacheScheme:
 class ReplaySpec:
     """One sweep point: everything one replay task needs, picklable.
 
-    ``scheme`` is either a registry name (built in the worker with an RNG
-    seeded from ``seed`` — the recommended form) or a ready
+    ``scheme`` is either a :class:`SchemeSpec` (built in the worker with
+    an RNG seeded from ``seed`` — the recommended form) or a ready
     :class:`CacheScheme` instance (pickled to the worker; its RNG state
     travels with it).
     """
 
-    scheme: Union[str, CacheScheme]
-    scheme_params: Mapping[str, object] = field(default_factory=dict)
+    scheme: Union[SchemeSpec, CacheScheme]
     cache_size: Optional[int] = None
     marking: Optional[MarkingRule] = None
     policy: str = "lru"
@@ -169,6 +115,12 @@ class ReplaySpec:
     refresh_delayed_hits: bool = True
     #: Free-form tag echoed back with results (e.g. a figure-series key).
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if isinstance(self.scheme, str):
+            raise SchemeError(
+                f"ReplaySpec takes SchemeSpec({self.scheme!r}), not a bare name"
+            )
 
 
 # ======================================================================
@@ -389,8 +341,8 @@ def _held_or_verified_sharded(
 # ======================================================================
 def _scheme_of(spec: ReplaySpec) -> CacheScheme:
     scheme = spec.scheme
-    if isinstance(scheme, str):
-        scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
+    if isinstance(scheme, SchemeSpec):
+        scheme = scheme.build(np.random.default_rng(spec.seed))
     return scheme
 
 

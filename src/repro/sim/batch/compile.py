@@ -88,7 +88,7 @@ from repro.ndn.strategy import (
     ProbCacheStrategy,
     betweenness_ranking,
 )
-from repro.ndn.topology import CachingSpec, SchemeSpec, place_scheme
+from repro.ndn.topology import CachingSpec, SchemePlacement, place_scheme
 from repro.sim.batch.script import (
     ConsumerScript,
     FetchStep,
@@ -291,14 +291,14 @@ class CompiledTopology:
         self.spent = True
 
     def rebind(
-        self, seed: int, scheme: SchemeSpec, caching: CachingSpec, probe: str
+        self, seed: int, scheme: SchemePlacement, caching: CachingSpec, probe: str
     ) -> "CompiledTopology":
         """A fresh program on this shape: what a builder would bind to
         the same wiring given ``seed``, ``scheme`` and ``caching``.
 
         The streams are ``RngRegistry(seed)``'s, named as
         :class:`~repro.ndn.network.Network` names them; ``scheme`` lands
-        as :data:`~repro.ndn.topology.SchemeSpec` says (``probe`` names
+        as :data:`~repro.ndn.topology.SchemePlacement` says (``probe`` names
         the router an instance guards; every other router gets the
         forwarder's default, no privacy); ``caching`` is built per router
         as ``Network.add_router`` builds it.  Everything is lowered by the

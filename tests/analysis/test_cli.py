@@ -62,6 +62,7 @@ class TestFig5Commands:
         """The only pathway: a verified shard entry, no TSV, and the
         table the in-RAM replay of the same trace renders."""
         from repro.analysis.experiments import run_fig5a
+        from repro.core.schemes.registry import describe
         from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
         from repro.workload.sharded import ShardedCompiledTrace
 
@@ -75,7 +76,11 @@ class TestFig5Commands:
         assert not list(tmp_path.glob("*.tsv"))
         trace = IrcacheGenerator(IrcacheConfig(requests=3000, seed=0)).generate()
         in_ram = run_fig5a(trace, cache_sizes=(200, None), workers=1)
-        assert out == in_ram.render() + "\n"
+        headers = "".join(describe(spec) + "\n" for spec in in_ram.schemes)
+        assert out == headers + in_ram.render() + "\n"
+        assert headers.splitlines()[2] == (
+            "scheme uniform(k=5, delta=0.01): (5, 0, 0.01)-privacy"
+        )
 
     @pytest.mark.parametrize("command", ["fig5a", "fig5b"])
     def test_streaming_flag_is_gone(self, command):

@@ -227,6 +227,14 @@ class TestSchemeFactory:
             build_scheme("mystery", seed=0, k=5, epsilon=0.01, delta=0.05)
 
     def test_all_known_schemes_construct(self):
-        for name in ("no-privacy", "always-delay", "uniform", "exponential"):
-            scheme = build_scheme(name, seed=0, k=5, epsilon=0.01, delta=0.05)
+        """Each name gets only its own target keywords: no-privacy and
+        always-delay take none, uniform takes no epsilon."""
+        target = {"k": 5, "epsilon": 0.01, "delta": 0.05}
+        for name, keys in (
+            ("no-privacy", ()),
+            ("always-delay", ()),
+            ("uniform", ("k", "delta")),
+            ("exponential", ("k", "epsilon", "delta")),
+        ):
+            scheme = build_scheme(name, seed=0, **{key: target[key] for key in keys})
             assert scheme is not None

@@ -11,6 +11,7 @@ from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.grouping import NamespaceGrouping
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.random_cache import RandomCacheScheme
+from repro.core.schemes.registry import SchemeSpec
 from repro.core.schemes.uniform import UniformRandomCache
 from tests.conftest import make_entry
 
@@ -183,10 +184,8 @@ class TestInstantiations:
         assert np.mean(np.asarray(ks) == 0) > 0.55
 
     def test_for_privacy_target_constructors(self):
-        uni = UniformRandomCache.for_privacy_target(k=5, delta=0.05)
+        uni = SchemeSpec("uniform", {"k": 5, "delta": 0.05}).build()
         assert uni.K == 200
-        expo = ExponentialRandomCache.for_privacy_target(
-            k=5, epsilon=0.04, delta=0.05
-        )
+        expo = SchemeSpec("exponential", {"k": 5, "epsilon": 0.04, "delta": 0.05}).build()
         assert expo.alpha == pytest.approx(np.exp(-0.04 / 5))
         assert expo.K is not None

@@ -19,11 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.schemes.always_delay import AlwaysDelayScheme
-from repro.core.schemes.exponential import ExponentialRandomCache
-from repro.core.schemes.no_privacy import NoPrivacyScheme
-from repro.core.schemes.uniform import UniformRandomCache
 from repro.defense import DefenseConfig, install_defense
+from repro.deploy.daemon import make_scheme
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
 from repro.ndn.strategy import STRATEGIES
@@ -36,15 +33,6 @@ SCHEMES = ("no-privacy", "uniform", "exponential", "always-delay")
 #: Consumer faces at the edge; trace users hash onto them, so each face
 #: aggregates a handful of users — the per-face view the detectors see.
 FACES = 4
-
-
-def _make_scheme(name: str, rng):
-    return {
-        "no-privacy": lambda: NoPrivacyScheme(),
-        "uniform": lambda: UniformRandomCache(K=8, rng=rng),
-        "exponential": lambda: ExponentialRandomCache(alpha=0.5, K=16, rng=rng),
-        "always-delay": lambda: AlwaysDelayScheme(),
-    }[name]()
 
 
 @lru_cache(maxsize=4)
@@ -78,7 +66,7 @@ def _replay(scheme: str, strategy: str, trace_seed: int = 0, jitter_ms: float = 
     edge = net.add_router(
         "E",
         capacity=64,
-        scheme=_make_scheme(scheme, net.rng.stream("scheme:E")),
+        scheme=make_scheme(scheme, net.rng.stream("scheme:E")),
         caching=strategy,
     )
     net.add_producer("P", "/")

@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.core.schemes.registry import SchemeError
 from repro.deploy.daemon import DaemonConfig, ForwarderDaemon, make_scheme
 from repro.deploy.endpoints import AsyncConsumer, AsyncProducer, FetchFailed
 from repro.faults.retry import RetryPolicy
@@ -143,7 +144,7 @@ def test_scheme_swap_flushes_cache_and_serves():
         try:
             await consumer.fetch("/shop/item", retry=ONE_SHOT)
             assert len(daemon.forwarder.cs) == 1
-            daemon.set_scheme("uniform")
+            assert str(daemon.set_scheme("uniform")) == "uniform(K=8)"
             assert len(daemon.forwarder.cs) == 0
             assert daemon.forwarder.scheme.name == "uniform-random-cache"
             result = await consumer.fetch("/shop/item", retry=ONE_SHOT)
@@ -202,5 +203,7 @@ def test_deadline_propagates_into_interest_lifetime():
 
 
 def test_make_scheme_rejects_unknown_name():
-    with pytest.raises(TopologyError):
+    with pytest.raises(SchemeError, match="a daemon runs"):
         make_scheme("definitely-not-a-scheme")
+    with pytest.raises(SchemeError):
+        make_scheme("naive-threshold")  # a registry name the daemon does not run

@@ -58,7 +58,7 @@ def test_route_and_scheme_commands():
                 Name.parse("/shop/x")
             )
             reply = await client.send("scheme uniform")
-            assert "uniform" in reply
+            assert reply == "scheme uniform(K=8)"
             assert daemon.forwarder.scheme.name == "uniform-random-cache"
         finally:
             await teardown(daemon, server, client)

@@ -138,6 +138,17 @@ class TestDataCodec:
         data = Data(name=Name.parse("/a"), size=0)
         assert decode_packet(encode_packet(data)).size == 0
 
+    @pytest.mark.parametrize("freshness, on_wire", [(0.5, 1.0), (1.5, 2.0), (255.5, 256.0)])
+    def test_fractional_freshness_rounds_up_to_whole_ms(self, freshness, on_wire):
+        """A fractional freshness goes on the wire rounded up: 0.5 ms is
+        1 ms, not the undecodable 0, and 1.5 ms is 2 ms, never less."""
+        from repro.ndn.wire import fast_wire_size
+
+        data = Data(name=Name.parse("/a"), freshness=freshness)
+        wire = encode_packet(data)
+        assert decode_packet(wire).freshness == on_wire
+        assert fast_wire_size(data) == len(wire)
+
 
 class TestTopLevel:
     def test_unknown_type_rejected(self):

@@ -12,6 +12,7 @@ import hashlib
 from types import SimpleNamespace
 
 from repro.analysis.experiments import run_fig5a, run_fig5b
+from repro.core.schemes.registry import SchemeSpec
 from repro.perf.parallel import ReplaySpec, build_scheme, run_replay_sweep
 from repro.workload import marking
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
@@ -57,7 +58,7 @@ def test_specs_alternating_two_salts_each_replay_like_the_oracle(monkeypatch):
     calls = _count_marking_hashes(monkeypatch)
     specs = [
         ReplaySpec(
-            scheme="exponential",
+            scheme=SchemeSpec("exponential"),
             cache_size=120,
             marking=ContentMarking(fraction, salt=salt),
             seed=index,

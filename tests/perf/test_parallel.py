@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.schemes.no_privacy import NoPrivacyScheme
+from repro.core.schemes.registry import SchemeSpec
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.perf.parallel import (
     ReplaySpec,
@@ -38,8 +39,7 @@ def trace() -> CompiledTrace:
 def _grid_specs(trial_seeds):
     return [
         ReplaySpec(
-            scheme=name,
-            scheme_params={"k": 5, "epsilon": 0.005, "delta": 0.01},
+            scheme=SchemeSpec(name),  # the Fig. 5 target: k=5, eps=0.005, delta=0.01
             cache_size=size,
             marking=ContentMarking(0.2, salt=1),
             seed=seed,
@@ -58,7 +58,7 @@ def test_sweep_engines_agree(trace):
     reference = [
         replay(
             trace,
-            scheme=build_scheme(spec.scheme, seed=spec.seed, **dict(spec.scheme_params)),
+            scheme=spec.scheme.build(np.random.default_rng(spec.seed)),
             marking=spec.marking,
             cache_size=spec.cache_size,
             seed=spec.seed,
@@ -70,7 +70,7 @@ def test_sweep_engines_agree(trace):
 
 def test_sweep_results_in_spec_order(trace):
     specs = [
-        ReplaySpec(scheme="no-privacy", cache_size=size, seed=0)
+        ReplaySpec(scheme=SchemeSpec("no-privacy"), cache_size=size, seed=0)
         for size in (100, 400, 1600)
     ]
     stats = run_replay_sweep(specs, trace=trace, workers=1)
@@ -84,7 +84,7 @@ def test_sweep_input_validation(trace):
     with pytest.raises(ValueError):
         run_replay_sweep([])
     assert run_replay_sweep([ ], trace=trace) == []
-    spec = ReplaySpec(scheme="no-privacy", cache_size=100)
+    spec = ReplaySpec(scheme=SchemeSpec("no-privacy"), cache_size=100)
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_replay_sweep([spec], trace=trace, workers=workers)
@@ -162,7 +162,7 @@ def test_kernelless_schemes_replay_on_the_oracle_from_a_tsv_entry(
             cache_size=300, marking=marking, seed=3,
         ),
         ReplaySpec(scheme=OpaqueNoPrivacy(), cache_size=300, seed=1),
-        ReplaySpec(scheme="uniform", cache_size=300, marking=marking, seed=3),
+        ReplaySpec(scheme=SchemeSpec("uniform"), cache_size=300, marking=marking, seed=3),
     ]  # fmt: skip
     workload = (
         {"trace": trace}
@@ -172,8 +172,8 @@ def test_kernelless_schemes_replay_on_the_oracle_from_a_tsv_entry(
     got = run_replay_sweep(specs, workers=workers, **workload)
 
     def scheme(spec):
-        if isinstance(spec.scheme, str):
-            return build_scheme(spec.scheme, seed=spec.seed)
+        if isinstance(spec.scheme, SchemeSpec):
+            return spec.scheme.build(np.random.default_rng(spec.seed))
         return pickle.loads(pickle.dumps(spec.scheme))
 
     expected = [
@@ -192,13 +192,14 @@ def test_kernelless_schemes_replay_on_the_oracle_from_a_tsv_entry(
 
 def test_replay_spec_picklable(trace):
     spec = ReplaySpec(
-        scheme="uniform",
-        scheme_params={"k": 5, "delta": 0.01},
+        scheme=SchemeSpec("uniform", {"k": 5, "delta": 0.01}),
         cache_size=100,
         marking=ContentMarking(0.2),
         seed=4,
     )
     clone = pickle.loads(pickle.dumps(spec))
-    assert (clone.scheme, clone.cache_size, clone.seed) == ("uniform", 100, 4)
-    assert dict(clone.scheme_params) == {"k": 5, "delta": 0.01}
+    assert (str(clone.scheme), clone.cache_size, clone.seed) == (
+        "uniform(k=5, delta=0.01)", 100, 4
+    )
+    assert clone.scheme == spec.scheme
     assert clone.marking.fraction == spec.marking.fraction

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.schemes.base import Decision
 from repro.core.schemes.no_privacy import NoPrivacyScheme
+from repro.core.schemes.registry import SchemeSpec
 from repro.perf.parallel import (
     ReplaySpec,
     _config_key,
@@ -26,22 +27,20 @@ CONFIG = IrcacheConfig(requests=6000, users=40, objects=500, sites=8, seed=21)
 
 SPECS = [
     ReplaySpec(
-        scheme="uniform",
-        scheme_params={"k": 5, "delta": 0.01},
+        scheme=SchemeSpec("uniform", {"k": 5, "delta": 0.01}),
         cache_size=64,
         marking=ContentMarking(0.15, salt=3),
         seed=11,
     ),
     ReplaySpec(
-        scheme="exponential",
-        scheme_params={"k": 5, "epsilon": 0.005, "delta": 0.01},
+        scheme=SchemeSpec("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}),
         cache_size=128,
         policy="lfu",
         marking=RequestMarking(0.2, seed=5),
         seed=12,
     ),
-    ReplaySpec(scheme="no-privacy", cache_size=None, policy="random", seed=13),
-    ReplaySpec(scheme="always-delay", cache_size=48, policy="fifo", seed=14),
+    ReplaySpec(scheme=SchemeSpec("no-privacy"), cache_size=None, policy="random", seed=13),
+    ReplaySpec(scheme=SchemeSpec("always-delay"), cache_size=48, policy="fifo", seed=14),
 ]
 
 

@@ -18,6 +18,7 @@ import repro.perf.parallel as parallel
 import repro.workload.lru_grid as lru_grid
 from repro.analysis.experiments import run_fig5a, run_fig5b
 from repro.core.schemes.grouping import NamespaceGrouping
+from repro.core.schemes.registry import SchemeSpec
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.perf.parallel import (
     ReplaySpec,
@@ -94,10 +95,9 @@ def test_grid_points_map_each_shard_once_per_trace(cache_dir, monkeypatch):
         return real(self, index, verify)
 
     monkeypatch.setattr(ShardedCompiledTrace, "load_shard", counting)
-    params = {"k": 5, "epsilon": 0.005, "delta": 0.01}
     marking = ContentMarking(0.3, salt=2)
     specs = [
-        ReplaySpec(scheme, params, size, marking, seed=1)
+        ReplaySpec(SchemeSpec(scheme), size, marking, seed=1)
         for scheme in ("no-privacy", "always-delay", "uniform", "exponential")
         for size in (50, 200, None)
     ]
@@ -106,23 +106,22 @@ def test_grid_points_map_each_shard_once_per_trace(cache_dir, monkeypatch):
 
 
 def _mixed_specs():
-    params = {"k": 5, "epsilon": 0.005, "delta": 0.01}
     marking = ContentMarking(0.3, salt=2)
     grouped = UniformRandomCache(
         K=40, rng=np.random.default_rng(3), grouping=NamespaceGrouping(depth=1)
     )
     return [
-        ReplaySpec("exponential", params, 100, marking, seed=1),  # grid
-        ReplaySpec("uniform", params, 100, marking, policy="fifo", seed=2),
-        ReplaySpec("no-privacy", params, None, marking, seed=3),  # grid
-        ReplaySpec("exponential", params, 300, marking, policy="lfu", seed=4),
-        ReplaySpec("uniform", params, 100, marking, seed=5, refresh_delayed_hits=False),
-        ReplaySpec(grouped, {}, 100, marking, seed=6),
-        ReplaySpec("naive-threshold", params, 100, marking, seed=7),
-        ReplaySpec(OpaqueNoPrivacy(), {}, 100, marking, seed=8),
-        ReplaySpec("always-delay", params, 100, marking, policy="random", seed=9),
-        ReplaySpec("uniform", params, 50, RequestMarking(0.4, seed=3), seed=10),  # grid
-        ReplaySpec("always-delay", params, 1, marking, fetch_delay=0.1, seed=11),  # grid
+        ReplaySpec(SchemeSpec("exponential"), 100, marking, seed=1),  # grid
+        ReplaySpec(SchemeSpec("uniform"), 100, marking, policy="fifo", seed=2),
+        ReplaySpec(SchemeSpec("no-privacy"), None, marking, seed=3),  # grid
+        ReplaySpec(SchemeSpec("exponential"), 300, marking, policy="lfu", seed=4),
+        ReplaySpec(SchemeSpec("uniform"), 100, marking, seed=5, refresh_delayed_hits=False),
+        ReplaySpec(grouped, 100, marking, seed=6),
+        ReplaySpec(SchemeSpec("naive-threshold"), 100, marking, seed=7),
+        ReplaySpec(OpaqueNoPrivacy(), 100, marking, seed=8),
+        ReplaySpec(SchemeSpec("always-delay"), 100, marking, policy="random", seed=9),
+        ReplaySpec(SchemeSpec("uniform"), 50, RequestMarking(0.4, seed=3), seed=10),  # grid
+        ReplaySpec(SchemeSpec("always-delay"), 1, marking, fetch_delay=0.1, seed=11),  # grid
     ]
 
 
@@ -185,6 +184,6 @@ def test_a_repeated_all_grid_sweep_verifies_the_held_entry_once(
     sweeps = [run_fig5b(CONFIG, workers=1, sharded=True).stats for _ in range(3)]
     assert verified == [1]
     assert sweeps[0] == sweeps[1] == sweeps[2]
-    unmarked = [ReplaySpec("no-privacy", {}, 100, None, seed=1)]  # maps the shards
+    unmarked = [ReplaySpec(SchemeSpec("no-privacy"), 100, None, seed=1)]  # maps the shards
     run_replay_sweep(unmarked, workers=1, trace_config=CONFIG, sharded=True)
     assert verified == [1, 1]

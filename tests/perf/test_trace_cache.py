@@ -17,6 +17,7 @@ import pytest
 
 import repro.perf.parallel as parallel
 from repro.core.schemes.no_privacy import NoPrivacyScheme
+from repro.core.schemes.registry import SchemeSpec
 from repro.perf.parallel import (
     ReplaySpec,
     SweepError,
@@ -35,8 +36,7 @@ def _specs():
     # FIFO keeps these points off the LRU grid: each replays the trace.
     return [
         ReplaySpec(
-            scheme="exponential",
-            scheme_params={"k": 5, "epsilon": 0.005, "delta": 0.01},
+            scheme=SchemeSpec("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}),
             cache_size=150,
             policy="fifo",
             seed=seed,

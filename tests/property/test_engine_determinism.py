@@ -62,7 +62,7 @@ def test_different_seeds_differ_somewhere(seed):
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=20, deadline=None)
 def test_replay_determinism(seed):
-    from repro.core.schemes.uniform import UniformRandomCache
+    from repro.core.schemes.registry import SchemeSpec
     from repro.workload.ircache import small_test_trace
     from repro.workload.marking import ContentMarking
     from repro.workload.replay import replay
@@ -72,7 +72,7 @@ def test_replay_determinism(seed):
     def run():
         return replay(
             trace,
-            scheme=UniformRandomCache.for_privacy_target(3, 0.1),
+            scheme=SchemeSpec("uniform", {"k": 3, "delta": 0.1}).build(),
             marking=ContentMarking(0.3, salt=seed),
             cache_size=40,
             seed=seed,

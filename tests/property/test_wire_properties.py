@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from math import ceil
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ interests = st.builds(
     nonce=st.integers(min_value=0, max_value=2**40),
     scope=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
     private=st.booleans(),
-    lifetime=st.integers(min_value=1, max_value=100_000).map(float),
+    lifetime=st.floats(min_value=0.0, max_value=100_000.0, exclude_min=True),
     hops=st.integers(min_value=1, max_value=32),
 )
 
@@ -37,7 +38,7 @@ datas = st.builds(
     private=st.booleans(),
     size=st.integers(min_value=0, max_value=2**24),
     freshness=st.one_of(
-        st.none(), st.integers(min_value=1, max_value=10**7).map(float)
+        st.none(), st.floats(min_value=0.0, max_value=1e7, exclude_min=True)
     ),
     exact_match_only=st.booleans(),
     origin_hops=st.integers(min_value=0, max_value=300),
@@ -54,16 +55,26 @@ nacks = st.builds(
 packets = st.one_of(interests, datas, nacks)
 
 
+def on_wire(packet):
+    """``packet`` as the wire carries it: lifetime and freshness are whole
+    milliseconds, rounded up."""
+    if isinstance(packet, Interest):
+        return dataclasses.replace(packet, lifetime=float(ceil(packet.lifetime)))
+    if isinstance(packet, Data) and packet.freshness is not None:
+        return dataclasses.replace(packet, freshness=float(ceil(packet.freshness)))
+    return packet
+
+
 @given(interests)
 @settings(max_examples=300, deadline=None)
 def test_interest_roundtrip(interest):
-    assert decode_packet(encode_packet(interest)) == interest
+    assert decode_packet(encode_packet(interest)) == on_wire(interest)
 
 
 @given(datas)
 @settings(max_examples=300, deadline=None)
 def test_data_roundtrip(data):
-    assert decode_packet(encode_packet(data)) == data
+    assert decode_packet(encode_packet(data)) == on_wire(data)
 
 
 @given(nacks)
@@ -88,10 +99,11 @@ def test_data_memo_is_invisible_and_not_inherited_by_copies(data):
     before = (hash(data), repr(data), dataclasses.asdict(data))
     wire = encode_packet(data)
     assert (hash(data), repr(data), dataclasses.asdict(data)) == before
-    assert data == twin == decode_packet(wire)
+    assert data == twin
+    assert decode_packet(wire) == on_wire(data)
     hopped = dataclasses.replace(data, origin_hops=data.origin_hops + 1)
     assert encode_packet(hopped) != wire
-    assert decode_packet(encode_packet(hopped)) == hopped
+    assert decode_packet(encode_packet(hopped)) == on_wire(hopped)
     assert len(encode_packet(hopped)) == fast_wire_size(hopped)
     assert encode_packet(dataclasses.replace(hopped)) == encode_packet(hopped)
 

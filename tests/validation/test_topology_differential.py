@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,12 +12,14 @@ from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
 from repro.ndn.replacement import RandomPolicy
 from repro.ndn.topology import TOPOLOGIES
-from repro.perf.parallel import SCHEME_BUILDERS, build_scheme
+from repro.perf.parallel import build_scheme
+from repro.perf.simcore import simcore_scripts
 from repro.sim.batch import (
     ConsumerScript,
     FetchStep,
     SleepStep,
     diff_observables,
+    run_scripts,
     run_scripts_batch,
     run_scripts_reference,
 )
@@ -85,26 +90,29 @@ def test_default_grid_is_bit_identical():
     assert 0.1 * fetches < sub_rtt.oracle.total_delivered < 0.9 * fetches
 
 
-def test_overriding_scheme_subclass_rides_the_reference_engine(monkeypatch):
-    for key, cls in (("k4", UniformRandomCache), ("k4-hiding", NeverRevealingUniform)):
-        monkeypatch.setitem(
-            SCHEME_BUILDERS, key, lambda rng, cls=cls: cls(K=4, rng=rng)
-        )
-    # Every fetch private, caches large enough to be hit.
-    shape = dict(cache_capacity=16, private_period=1)
-    report = validate_topology_differential(
-        cases=[
-            TopologyCase("tree", "k4", **shape),
-            TopologyCase("tree", "k4-hiding", expect_fallback=True, **shape),
-        ]
-    )
-    assert report.ok, report.summary()
-    base, hiding = report.results
-    assert base.batch.kernel == "batch"
-    assert "provides no kernel" in hiding.batch.fallback_reason
+def test_overriding_scheme_subclass_rides_the_reference_engine():
+    def build(cls):
+        """The grid's tree, a fresh ``cls(K=4)`` on every router, every
+        fetch private and caches large enough to be hit."""
+        ordinal = itertools.count(1)
+        topo = TOPOLOGIES["tree"](
+            seed=0,
+            scheme=lambda: cls(K=4, rng=np.random.default_rng(next(ordinal))),
+            cache_capacity=16, processing_delay=0.2, producer_delay=0.4,
+        )  # fmt: skip
+        names = list(topo.network.consumers)
+        scripts = simcore_scripts(names, 30, universe=4 * len(names), private_period=1)
+        return topo.network, scripts
 
-    def total(result, counter):
-        return sum(c.get(counter, 0) for c in result.batch.router_counters.values())
+    base = run_scripts_batch(*build(UniformRandomCache))
+    hiding = run_scripts(*build(NeverRevealingUniform), kernel="auto")
+    assert diff_observables(run_scripts_reference(*build(UniformRandomCache)), base) == []
+    assert diff_observables(run_scripts_reference(*build(NeverRevealingUniform)), hiding) == []
+    assert hiding.kernel == "reference"
+    assert "provides no kernel" in hiding.fallback_reason
+
+    def total(observed, counter):
+        return sum(c.get(counter, 0) for c in observed.router_counters.values())
 
     # The override shows: Algorithm 1 reveals after at most K requests.
     assert total(base, "cs_hit") > 0 and total(base, "cs_disguised_hit") > 0

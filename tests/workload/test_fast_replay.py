@@ -20,6 +20,7 @@ from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.grouping import NamespaceGrouping
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
+from repro.core.schemes.registry import SchemeSpec
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
 from repro.ndn.name import Name
@@ -47,14 +48,13 @@ def trace() -> Workload:
     ).stream()
 
 
-SCHEME_FACTORIES = {
-    "no-privacy": lambda rng: NoPrivacyScheme(),
-    "always-delay": lambda rng: AlwaysDelayScheme(),
-    "uniform": lambda rng: UniformRandomCache.for_privacy_target(5, 0.01, rng=rng),
-    "exponential": lambda rng: ExponentialRandomCache.for_privacy_target(
-        5, 0.005, 0.01, rng=rng
-    ),
-    "naive-threshold": lambda rng: NaiveThresholdScheme(5, rng=rng),
+#: rng -> scheme: every registry name at its sweep defaults, plus a
+#: grouped scheme no name builds.
+SCHEMES = {
+    **{
+        name: SchemeSpec(name).build
+        for name in ("no-privacy", "always-delay", "uniform", "exponential", "naive-threshold")
+    },
     "exponential-grouped": lambda rng: ExponentialRandomCache(
         alpha=0.99, K=500, rng=rng, grouping=NamespaceGrouping(depth=1)
     ),
@@ -140,20 +140,20 @@ def _run_both(trace, scheme_key, marking_key, **kwargs):
     seed = kwargs.get("seed", 0)
     reference = replay(
         trace,
-        scheme=SCHEME_FACTORIES[scheme_key](np.random.default_rng(seed)),
+        scheme=SCHEMES[scheme_key](np.random.default_rng(seed)),
         marking=MARKING_FACTORIES[marking_key](),
         **kwargs,
     )
     fast = fast_replay(
         trace,
-        scheme=SCHEME_FACTORIES[scheme_key](np.random.default_rng(seed)),
+        scheme=SCHEMES[scheme_key](np.random.default_rng(seed)),
         marking=MARKING_FACTORIES[marking_key](),
         **kwargs,
     )
     return reference, fast
 
 
-@pytest.mark.parametrize("scheme_key", sorted(SCHEME_FACTORIES))
+@pytest.mark.parametrize("scheme_key", sorted(SCHEMES))
 @pytest.mark.parametrize("marking_key", sorted(MARKING_FACTORIES))
 def test_parity_schemes_and_markings(trace, scheme_key, marking_key):
     reference, fast = _run_both(
@@ -267,7 +267,7 @@ def representations(trace, tmp_path_factory):
 
 REPRESENTATION_GRID = [
     (scheme_key, marking_key, "lru")
-    for scheme_key in sorted(SCHEME_FACTORIES)
+    for scheme_key in sorted(SCHEMES)
     for marking_key in ("content", "none", "odd-repeat", "request", "third-on")
 ] + [
     ("exponential", marking_key, policy)
@@ -304,7 +304,7 @@ def test_every_representation_replays_like_the_oracle(
             cls = cls.__mro__[1] if parent_class else cls
             scheme = cls(**arguments(np.random.default_rng(4)))
         else:
-            scheme = SCHEME_FACTORIES[scheme_key](np.random.default_rng(4))
+            scheme = SCHEMES[scheme_key](np.random.default_rng(4))
         return engine(
             workload,
             scheme=scheme,

@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.schemes.exponential import ExponentialRandomCache
-from repro.core.schemes.uniform import UniformRandomCache
+from repro.core.schemes.registry import SchemeSpec
 from repro.workload.hierarchy import HierarchyStats, LevelConfig, replay_hierarchy
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
@@ -30,11 +29,11 @@ def test_hierarchy_stats_match_the_recorded_golden(marking, seed):
     trace = IrcacheGenerator(
         IrcacheConfig(requests=3000, users=30, objects=600, seed=seed)
     ).generate()
-    edge_scheme = UniformRandomCache.for_privacy_target(
-        5, 0.01, rng=np.random.default_rng(seed)
+    edge_scheme = SchemeSpec("uniform", {"k": 5, "delta": 0.01}).build(
+        np.random.default_rng(seed)
     )
-    core_scheme = ExponentialRandomCache.for_privacy_target(
-        5, 0.005, 0.01, rng=np.random.default_rng(seed + 1)
+    core_scheme = SchemeSpec("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}).build(
+        np.random.default_rng(seed + 1)
     )
     levels = [
         LevelConfig("edge", cache_size=60, scheme=edge_scheme, link_delay=1.0),

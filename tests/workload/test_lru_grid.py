@@ -25,6 +25,7 @@ from repro.core.schemes.grouping import NamespaceGrouping, NoGrouping
 from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.random_cache import RandomCacheScheme
+from repro.core.schemes.registry import SchemeSpec
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
 from repro.ndn.name import Name
@@ -156,10 +157,8 @@ def test_fig5_settings_equal_fast_replay():
     trace = IrcacheGenerator(IrcacheConfig(requests=6000, objects=4000, seed=3)).generate()
     marking = ContentMarking(0.2, salt=3)
     for name, build in (
-        ("uniform", lambda: UniformRandomCache.for_privacy_target(
-            5, 0.01, rng=np.random.default_rng(4))),
-        ("exponential", lambda: ExponentialRandomCache.for_privacy_target(
-            5, 0.005, 0.01, rng=np.random.default_rng(4))),
+        ("uniform", lambda: SchemeSpec("uniform").build(np.random.default_rng(4))),
+        ("exponential", lambda: SchemeSpec("exponential").build(np.random.default_rng(4))),
         ("always-delay", AlwaysDelayScheme),
     ):  # fmt: skip
         for size in (1, 50, 400, 3000, None):
@@ -213,7 +212,7 @@ def test_a_size_sweep_builds_its_flags_once(monkeypatch):
     trace = IrcacheGenerator(MEMO_TRACE).generate()
     calls = _count_trace_flags(monkeypatch)
     specs = [
-        ReplaySpec(scheme="exponential", cache_size=size,
+        ReplaySpec(scheme=SchemeSpec("exponential"), cache_size=size,
                    marking=ContentMarking(0.2, salt=4), seed=size or 0)
         for size in (10, 50, 100, 200, 400, None)
     ]  # fmt: skip

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.schemes.always_delay import AlwaysDelayScheme
-from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.no_privacy import NoPrivacyScheme
-from repro.core.schemes.uniform import UniformRandomCache
+from repro.core.schemes.registry import SchemeSpec
 from repro.ndn.name import Name
 from repro.perf.parallel import ReplaySpec, run_replay_sweep
 from repro.workload.ircache import small_test_trace
@@ -98,8 +97,8 @@ class TestReplayAccounting:
         rates = {}
         for label, scheme in (
             ("none", NoPrivacyScheme()),
-            ("expo", ExponentialRandomCache.for_privacy_target(5, 0.05, 0.1)),
-            ("uni", UniformRandomCache.for_privacy_target(5, 0.1)),
+            ("expo", SchemeSpec("exponential", {"k": 5, "epsilon": 0.05, "delta": 0.1}).build()),
+            ("uni", SchemeSpec("uniform", {"k": 5, "delta": 0.1}).build()),
             ("delay", AlwaysDelayScheme()),
         ):
             rates[label] = replay(trace, scheme=scheme, marking=marking).hit_rate
@@ -132,7 +131,7 @@ class TestReplayAccounting:
 
     def test_replay_reproducible(self):
         trace = small_test_trace(requests=2000, seed=6)
-        scheme_factory = lambda: UniformRandomCache.for_privacy_target(5, 0.1)  # noqa: E731
+        scheme_factory = lambda: SchemeSpec("uniform", {"k": 5, "delta": 0.1}).build()  # noqa: E731
         a = replay(trace, scheme=scheme_factory(), marking=ContentMarking(0.3))
         b = replay(trace, scheme=scheme_factory(), marking=ContentMarking(0.3))
         assert a.hits == b.hits
@@ -161,12 +160,12 @@ class TestDelayedHitRefresh:
         sizes = (2000, 8000, 32000)
         specs = [
             ReplaySpec(
-                scheme=name, scheme_params=params, cache_size=size,
+                scheme=scheme, cache_size=size,
                 marking=ContentMarking(0.4), refresh_delayed_hits=refresh,
             )
-            for name, params in (
-                ("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}),
-                ("always-delay", {}),
+            for scheme in (
+                SchemeSpec("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}),
+                SchemeSpec("always-delay"),
             )
             for size in sizes
             for refresh in (True, False)
@@ -201,8 +200,7 @@ class TestReplacementPolicy:
         policies, sizes = ("lru", "lfu", "fifo", "random"), (4000, 16000)
         specs = [
             ReplaySpec(
-                scheme="exponential",
-                scheme_params={"k": 5, "epsilon": 0.005, "delta": 0.01},
+                scheme=SchemeSpec("exponential", {"k": 5, "epsilon": 0.005, "delta": 0.01}),
                 cache_size=size, marking=ContentMarking(0.2), policy=policy,
             )
             for policy in policies

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.schemes.always_delay import AlwaysDelayScheme
-from repro.core.schemes.exponential import ExponentialRandomCache
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
+from repro.deploy.daemon import make_scheme
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
@@ -407,16 +406,6 @@ def test_shards_are_memory_mapped_and_releasable(tmp_path):
 # ----------------------------------------------------------------------
 # Replay parity: shard-by-shard fast_replay equals in-RAM fast_replay
 # ----------------------------------------------------------------------
-def _scheme(name: str, seed: int):
-    rng = np.random.default_rng(seed)
-    return {
-        "no-privacy": lambda: NoPrivacyScheme(),
-        "always-delay": lambda: AlwaysDelayScheme(),
-        "uniform": lambda: UniformRandomCache(K=8, rng=rng),
-        "exponential": lambda: ExponentialRandomCache(alpha=0.5, K=16, rng=rng),
-    }[name]()
-
-
 @pytest.mark.parametrize(
     "scheme_name,marking_factory,policy,cache_size",
     [
@@ -439,7 +428,7 @@ def test_sharded_replay_bit_identical(
     )
     in_ram = fast_replay(
         trace,
-        scheme=_scheme(scheme_name, 5),
+        scheme=make_scheme(scheme_name, np.random.default_rng(5)),
         marking=marking_factory(),
         cache_size=cache_size,
         policy=policy,
@@ -447,7 +436,7 @@ def test_sharded_replay_bit_identical(
     )
     streamed = fast_replay(
         sharded,
-        scheme=_scheme(scheme_name, 5),
+        scheme=make_scheme(scheme_name, np.random.default_rng(5)),
         marking=marking_factory(),
         cache_size=cache_size,
         policy=policy,
