@@ -161,14 +161,16 @@ def probe_campaign(
     U fetches ``prefetch`` in order (marked ``private`` if asked),
     thinking ``user_gap`` ms after each; Adv sleeps ``warmup`` ms, then
     fetches ``probes`` the same way — so after :func:`run_campaign`,
-    ``rtts[topo.adversary.name][i]`` is the RTT of ``probes[i]``.
+    ``rtts[topo.adversary.name][i]`` is the RTT of ``probes[i]``.  One
+    :class:`SleepStep` serves every pause of one gap value.
     """
+    pause = {gap: SleepStep(gap) for gap in (warmup, user_gap, probe_gap)}
     user: list = []
     for name in prefetch:
-        user += FetchStep(name, timeout=timeout, private=private), SleepStep(user_gap)
-    adversary: list = [SleepStep(warmup)]
+        user += FetchStep(name, timeout=timeout, private=private), pause[user_gap]
+    adversary: list = [pause[warmup]]
     for name in probes:
-        adversary += FetchStep(name, timeout=timeout), SleepStep(probe_gap)
+        adversary += FetchStep(name, timeout=timeout), pause[probe_gap]
     return [
         ConsumerScript(topo.user.name, user),
         ConsumerScript(topo.adversary.name, adversary),

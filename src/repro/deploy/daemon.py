@@ -228,6 +228,7 @@ class ForwarderDaemon:
         self.forwarder.cs.remove_evict_listener(old.on_evict)
         self.forwarder.cs.add_evict_listener(new.on_evict)
         self.forwarder.scheme = new
+        self.config.scheme = scheme_name
         return spec
 
     def set_defense(self, preset: str):
@@ -291,7 +292,7 @@ class ForwarderDaemon:
             return {"started": False}
         return {
             "name": self.config.name,
-            "scheme": fwd.scheme.name,
+            "scheme": str(daemon_scheme(self.config.scheme)),
             "summary": fwd.stats_summary(),
             "counters": fwd.monitor.counters,
             "drained_interests": self.drained_interests,

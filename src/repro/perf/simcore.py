@@ -27,13 +27,18 @@ topology+workload pair runs on either engine through
 :func:`repro.sim.batch.run_scripts` (``kernel="reference"`` or
 ``"batch"``) with bit-identical
 :class:`~repro.sim.batch.script.TopologyObservables`.  The perf
-ledger's ``sim_packet`` workload times them, and with ``--trace 1``
-attributes the time per layer.
+ledger's ``sim_packet`` workload times them, script building included,
+and with ``--trace 1`` attributes the time per layer.  Both script
+builders share one :class:`FetchStep` per distinct (name, private) pair,
+so building a script and compiling it cost per distinct fetch, not per
+request; only the fat tree's sleep gaps are one step per request.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
+
+import numpy as np
 
 from repro.ndn.network import Network
 from repro.ndn.topology import CONTENT_PREFIX, TOPOLOGIES, fat_tree
@@ -61,21 +66,24 @@ def simcore_scripts(
     ``timeout`` is each fetch's wait budget (set it below the topology
     RTT to exercise timeout, PIT expiry and retransmission);
     ``private_period`` > 0 marks every N-th fetch of the interleaving
-    private.
+    private.  Each distinct (object, private) fetch is one shared
+    :class:`FetchStep`.
     """
-    return [
-        ConsumerScript(
-            consumer=name,
-            steps=tuple(
-                FetchStep(
-                    f"{SIMCORE_PREFIX}/obj-{(i * 3 + j) % universe}",
-                    timeout=timeout,
-                    private=private_period > 0 and (i + j) % private_period == 0,
-                )
-                for i in range(requests_per_consumer)
-            ),
+    i = np.arange(requests_per_consumer)
+    j = np.arange(len(consumer_names))[:, None]
+    # One code per (object, private) pair: object * 2 + private.
+    codes = (i * 3 + j) % universe * 2
+    if private_period > 0:
+        codes += (i + j) % private_period == 0
+    fetches = {
+        code: FetchStep(
+            f"{SIMCORE_PREFIX}/obj-{code >> 1}", timeout=timeout, private=bool(code & 1)
         )
-        for j, name in enumerate(consumer_names)
+        for code in np.unique(codes).tolist()
+    }
+    return [
+        ConsumerScript(consumer=name, steps=tuple(map(fetches.__getitem__, row)))
+        for name, row in zip(consumer_names, codes.tolist())
     ]
 
 

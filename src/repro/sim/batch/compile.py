@@ -91,7 +91,6 @@ from repro.ndn.strategy import (
 from repro.ndn.topology import CachingSpec, SchemePlacement, place_scheme
 from repro.sim.batch.script import (
     ConsumerScript,
-    FetchStep,
     NetworkSpentError,
     SleepStep,
     mark_spent,
@@ -364,14 +363,17 @@ def _collect_entities(net: Network):
 
 def _intern_vocabulary(
     scripts: Sequence[ConsumerScript], routers: List[Forwarder]
-) -> Tuple[List[Name], Dict[object, int], List[int], List[Name]]:
-    """One pass over the scripts: vocabulary, name ids, route classes.
+) -> Tuple[List[Name], Dict[int, tuple], List[int], List[Name]]:
+    """One pass over the scripts' distinct steps: vocabulary, lowered
+    steps, route classes.
 
-    Returns ``(names, name_ids, name_class, class_reps)``: the workload
-    vocabulary in first-seen order (prefix-free checked), the name id of
-    every fetch name *as the scripts spell it* (so lowering the steps
-    parses nothing twice), the route class of each name id, and the
-    first-seen member of each class.
+    Returns ``(names, lowered, name_class, class_reps)``: the workload
+    vocabulary in first-seen order (prefix-free checked), the kernel's
+    step tuple of every distinct step object keyed by its ``id`` (steps
+    are shared values, so a step object is lowered once however many
+    scripts hold it; the scripts keep every step alive for the compile
+    call, so no id is recycled while the memo lives), the route class of
+    each name id, and the first-seen member of each class.
 
     A name's route class is its longest match in the union of all
     routers' FIB prefixes (or "no match").  Every prefix of the name
@@ -384,32 +386,41 @@ def _intern_vocabulary(
     }
     lengths = sorted({len(prefix) for prefix in prefixes}, reverse=True)
     names: List[Name] = []
+    # Fetch names as the scripts spell them, and as interned Names.
     name_ids: Dict[object, int] = {}
+    lowered: Dict[int, tuple] = {}
     name_class: List[int] = []
     class_ids: Dict[Optional[Tuple[str, ...]], int] = {}
     class_reps: List[Name] = []
     for script in scripts:
-        for step in script.steps:
-            if not isinstance(step, FetchStep) or step.name in name_ids:
+        for key, step in dict(zip(map(id, script.steps), script.steps)).items():
+            if key in lowered:
                 continue
-            name = Name.intern(step.name)
-            nid = name_ids.get(name)
+            if isinstance(step, SleepStep):
+                lowered[key] = ("S", step.delay)
+                continue
+            nid = name_ids.get(step.name)
             if nid is None:
-                nid = name_ids[name] = len(names)
-                names.append(name)
-                comps = name.components
-                matched = None
-                for length in lengths:
-                    candidate = comps[:length]
-                    if len(candidate) == length and candidate in prefixes:
-                        matched = candidate
-                        break
-                cid = class_ids.get(matched)
-                if cid is None:
-                    cid = class_ids[matched] = len(class_reps)
-                    class_reps.append(name)
-                name_class.append(cid)
-            name_ids[step.name] = nid
+                name = Name.intern(step.name)
+                nid = name_ids.get(name)
+                if nid is None:
+                    nid = name_ids[name] = len(names)
+                    names.append(name)
+                    comps = name.components
+                    matched = None
+                    for length in lengths:
+                        candidate = comps[:length]
+                        if len(candidate) == length and candidate in prefixes:
+                            matched = candidate
+                            break
+                    cid = class_ids.get(matched)
+                    if cid is None:
+                        cid = class_ids[matched] = len(class_reps)
+                        class_reps.append(name)
+                    name_class.append(cid)
+                name_ids[step.name] = nid
+            # The step checked its own values when it was built.
+            lowered[key] = ("F", nid, step.timeout, step.lifetime, bool(step.private))
     _require(bool(names), "scripts contain no fetch steps")
     # Prefix-freeness: sorted component tuples put any prefix immediately
     # before an extension of it.
@@ -420,7 +431,7 @@ def _intern_vocabulary(
                 f"vocabulary is not prefix-free: {'/' + '/'.join(a)} is a "
                 f"prefix of {'/' + '/'.join(b)}"
             )
-    return names, name_ids, name_class, class_reps
+    return names, lowered, name_class, class_reps
 
 
 def _compile_link(link) -> CompiledLink:
@@ -708,7 +719,7 @@ def _compile_producer(
 def _compile_consumer_scripts(
     net: Network,
     scripts: Sequence[ConsumerScript],
-    name_ids: Dict[object, int],
+    lowered: Dict[int, tuple],
     face_to_edge: Dict[int, int],
 ) -> List[CompiledConsumer]:
     compiled: List[CompiledConsumer] = []
@@ -750,13 +761,7 @@ def _compile_consumer_scripts(
             f"consumer {script.consumer!r}: a script cut-off time (until) "
             "is not supported",
         )
-        # The steps checked their own values when they were built.
-        steps = [
-            ("S", step.delay)
-            if isinstance(step, SleepStep)
-            else ("F", name_ids[step.name], step.timeout, step.lifetime, bool(step.private))
-            for step in script.steps
-        ]
+        steps = list(map(lowered.__getitem__, map(id, script.steps)))
         compiled.append(
             CompiledConsumer(name=script.consumer, edge=edge, steps=steps)
         )
@@ -889,7 +894,7 @@ def _compile_shape(
 
     # Everything above is per link or per router, so a network that
     # cannot lower is refused before any per-name work is spent on it.
-    names, name_ids, name_class, class_reps = _intern_vocabulary(scripts, routers)
+    names, lowered, name_class, class_reps = _intern_vocabulary(scripts, routers)
     class_hops: List[List[Tuple[int, ...]]] = []
     for router, shaped in zip(routers, router_shapes):
         hops = _class_next_hops(router, class_reps, face_to_edge)
@@ -902,7 +907,7 @@ def _compile_shape(
     ]
 
     compiled_consumers = _compile_consumer_scripts(
-        net, scripts, name_ids, face_to_edge
+        net, scripts, lowered, face_to_edge
     )
     consumer_script_of_entity = [-1] * len(consumers)
     for pos, compiled_consumer in enumerate(compiled_consumers):

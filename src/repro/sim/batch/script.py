@@ -55,7 +55,7 @@ class ScriptError(ValueError):
     """A step or script value no engine can run (NaN, infinite, out of range)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchStep:
     """One ``consumer.fetch`` call: name, wait budget, privacy marking."""
 
@@ -76,7 +76,7 @@ class FetchStep:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SleepStep:
     """Idle think time between fetches (``yield Timeout(delay)``)."""
 

@@ -17,14 +17,23 @@ times become relative :class:`SleepStep` gaps, so the script replays the
 workload's arrival process on the simulated clock (optionally rescaled —
 proxy-day traces are in wall-clock ms, far slower than a packet sim
 needs).
+
+The slot, gap and private-flag arithmetic runs per block on the numpy
+columns, carrying each slot's clock and fetch count into the next block.
+Steps are shared values: one :class:`FetchStep` per distinct (name,
+private) pair, so a script is a tuple of references and the step guards
+run once per distinct fetch; every positive gap is its own
+:class:`SleepStep`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep
-from repro.workload.streaming import Workload
+from repro.workload.streaming import DEFAULT_CHUNK, Workload
 
 
 def scripts_from_workload(
@@ -55,31 +64,50 @@ def scripts_from_workload(
         raise ValueError(f"time_scale must be > 0, got {time_scale}")
     fan_out = len(consumers)
     steps: List[List[object]] = [[] for _ in consumers]
-    clocks = [0.0] * fan_out
-    counts = [0] * fan_out
-    uri_cache: Dict[int, str] = {}
+    # A slot's clock is the latest request time it has slept to (never
+    # below 0): a request at or before it gets no sleep step.
+    clocks = np.zeros(fan_out)
+    counts = np.zeros(fan_out, dtype=np.int64)
+    # Keyed by content key * 2 + private: a key names one content.
+    fetches: Dict[int, FetchStep] = {}
+    uris: Dict[int, str] = {}
+    # Native blocks can be a few hundred requests; the per-slot numpy
+    # work below costs per block, so pull full-size blocks by default.
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK
     for block in workload.iter_blocks(chunk_size):
-        times = block.times.tolist()
-        users = block.users.tolist()
-        keys = block.keys.tolist()
-        for time, user, key in zip(times, users, keys):
-            slot = user % fan_out
-            uri = uri_cache.get(key)
-            if uri is None:
-                uri = uri_prefix + workload.uri_of(key)
-                uri_cache[key] = uri
-            at = time * time_scale
-            gap = at - clocks[slot]
+        slots = block.users % fan_out
+        at = block.times * time_scale
+        gaps = np.empty_like(at)
+        private = np.zeros(len(at), dtype=np.int64)
+        order = np.argsort(slots, kind="stable")
+        grouped = slots[order]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1)).tolist()
+        for start, end in zip(starts, starts[1:] + [len(order)]):
+            mine = order[start:end]
+            slot = grouped[start]
+            # fmax skips NaN as the scalar clock update `at > clock` does.
+            slept = np.fmax.accumulate(np.concatenate(([clocks[slot]], at[mine])))
+            gaps[mine] = at[mine] - slept[:-1]
+            clocks[slot] = slept[-1]
+            if private_period > 0:
+                nth = np.arange(counts[slot], counts[slot] + (end - start))
+                private[mine] = nth % private_period == 0
+            counts[slot] += end - start
+        codes = block.keys * 2 + private
+        for slot, gap, code in zip(slots.tolist(), gaps.tolist(), codes.tolist()):
+            script = steps[slot]
             if gap > 0:
-                steps[slot].append(SleepStep(gap))
-                clocks[slot] = at
-            private = private_period > 0 and counts[slot] % private_period == 0
-            counts[slot] += 1
-            steps[slot].append(
-                FetchStep(uri, timeout=timeout, lifetime=lifetime, private=private)
-            )
+                script.append(SleepStep(gap))
+            fetch = fetches.get(code)
+            if fetch is None:
+                key = code >> 1
+                uri = uris.get(key)
+                if uri is None:
+                    uri = uris[key] = uri_prefix + workload.uri_of(key)
+                fetch = fetches[code] = FetchStep(uri, timeout, lifetime, bool(code & 1))
+            script.append(fetch)
     return [
         ConsumerScript(consumer=name, steps=tuple(step_list))
         for name, step_list in zip(consumers, steps)
     ]
-

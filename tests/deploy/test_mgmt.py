@@ -66,6 +66,20 @@ def test_route_and_scheme_commands():
     asyncio.run(scenario())
 
 
+def test_stats_names_the_spec_the_daemon_runs():
+    async def scenario():
+        daemon, face, server, client = await mgmt_rig()
+        try:
+            assert (await client.send_json("stats"))["scheme"] == "no-privacy"
+            await client.send("scheme uniform")
+            assert daemon.config.scheme == "uniform"
+            assert (await client.send_json("stats"))["scheme"] == "uniform(K=8)"
+        finally:
+            await teardown(daemon, server, client)
+
+    asyncio.run(scenario())
+
+
 def test_drain_undrain_flow():
     async def scenario():
         daemon, face, server, client = await mgmt_rig()

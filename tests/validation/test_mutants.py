@@ -27,6 +27,13 @@ Three mutants sit on :meth:`CompiledTopology.rebind`, each killed by
 ``rebind_mismatches`` (``tests/sim/test_rebind.py``: two points rebound
 from one ``fat_tree`` shape against fresh builds and compiles).
 
+Two mutants sit on the shared script steps.  The driver's fetch memo
+keyed without the private flag is killed by ``builder_mismatches``
+(``tests/sim/test_script_builders.py``: both builders against their
+per-request oracles); the compiler's step memo keyed by fetch name
+instead of step object by the topology differential, whose sim-core
+cases fetch one name both private and public.
+
 Two mutants sit on the Fig. 5 grid's per-point draws and columns.  The
 geometric block without its near-integer fix-up is killed by
 ``TestGeometricBoundaries``' draws (uniforms whose quotient lands on an
@@ -47,7 +54,8 @@ import pytest
 from repro.core.privacy.distributions import TruncatedGeometric
 from repro.ndn import packets
 from repro.sim import batch
-from repro.sim.batch import kernel
+from repro.sim import workload_driver
+from repro.sim.batch import compile as batch_compile, kernel
 from repro.sim.batch.compile import CompiledTopology
 from repro.sim.engine import Engine
 from repro.sim.process import Process
@@ -60,6 +68,7 @@ from tests.core.test_distributions import geometric_boundary_mismatches
 from tests.ndn.test_link_bytes import CASES, byte_mismatches
 from tests.sim import test_process
 from tests.sim.test_rebind import rebind_mismatches
+from tests.sim.test_script_builders import builder_mismatches
 from tests.workload.test_ircache import narrow_sort_mismatches
 from tests.workload.test_lru_grid import fraction_memo_mismatches
 from tests.workload.test_zipf import searchsorted_mismatches
@@ -113,6 +122,10 @@ def _flag_memo_stale(monkeypatch) -> bool:
 
 def _rebind_diverges(monkeypatch) -> bool:
     return bool(rebind_mismatches())
+
+
+def _builder_off_oracle(monkeypatch) -> bool:
+    return bool(builder_mismatches())
 
 
 MUTANTS = {
@@ -192,6 +205,23 @@ MUTANTS = {
         "count_origin_hops=any(counts_origin_hops(s) for s in strategies)",
         "count_origin_hops=self.count_origin_hops",
         _rebind_diverges,
+    ),
+    # Steps are shared values.  A driver memo that ignores the private
+    # flag hands a fetch the step of the same name with the other flag;
+    # a compile memo keyed by name lowers every fetch of a name as its
+    # first one (the grid's sim-core cases fetch each name both private
+    # and public).
+    "driver fetch memo keyed without private": (
+        workload_driver, "scripts_from_workload",
+        "fetch = fetches.get(code)", "fetch = fetches.get(code) or fetches.get(code ^ 1)",
+        _builder_off_oracle,
+    ),
+    "compile memo lowers a fetch by name alone": (
+        batch_compile, "_intern_vocabulary",
+        'lowered[key] = ("F", nid, step.timeout, step.lifetime, bool(step.private))',
+        'lowered[key] = lowered.setdefault(step.name, ("F", nid, step.timeout, '
+        "step.lifetime, bool(step.private)))",
+        _differential_fails,
     ),
     # repro.sim.batch re-exports run_compiled for run_scripts; the
     # kernel module binds it for run_scripts_batch.
