@@ -292,6 +292,18 @@ def _fig5_result(
     return result
 
 
+def fig5a_schemes(
+    k: int = 5, epsilon: float = 0.005, delta: float = 0.01
+) -> Tuple[SchemeSpec, ...]:
+    """Figure 5(a)'s four algorithms, in plotting order."""
+    return (
+        SchemeSpec("no-privacy"),
+        SchemeSpec("exponential", {"k": k, "epsilon": epsilon, "delta": delta}),
+        SchemeSpec("uniform", {"k": k, "delta": delta}),
+        SchemeSpec("always-delay"),
+    )
+
+
 def run_fig5a(
     trace: Union[Workload, IrcacheConfig],
     cache_sizes: Sequence[Optional[int]] = FIG5_CACHE_SIZES,
@@ -318,12 +330,6 @@ def run_fig5a(
     for the constant-memory streaming pathway at large scale).
     """
     marking = ContentMarking(private_fraction, salt=seed)
-    schemes = (
-        SchemeSpec("no-privacy"),
-        SchemeSpec("exponential", {"k": k, "epsilon": epsilon, "delta": delta}),
-        SchemeSpec("uniform", {"k": k, "delta": delta}),
-        SchemeSpec("always-delay"),
-    )
     specs = [
         ReplaySpec(
             scheme=scheme,
@@ -332,7 +338,7 @@ def run_fig5a(
             seed=seed,
             label=scheme.name,
         )
-        for scheme in schemes
+        for scheme in fig5a_schemes(k, epsilon, delta)
         for size in cache_sizes
     ]
     title = (

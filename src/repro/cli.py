@@ -42,13 +42,11 @@ from repro.ndn.topology import FIG3_PANELS
 from repro.validation import (
     OVERLOAD_CONFIGS,
     DifferentialReport,
-    validate_differential,
     validate_overload,
-    validate_streaming_differential,
+    validate_replay_differential,
 )
 from repro.validation.differential import (
     CaseResult,
-    small_validation_trace,
     validate_topology_differential,
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
@@ -66,14 +64,11 @@ VALIDATION_CHECKS: Dict[str, Callable[[int, int], DifferentialReport]] = {
         )
         for config in OVERLOAD_CONFIGS
     },
-    "differential": lambda seed, requests: validate_differential(
-        trace=small_validation_trace(requests=requests, seed=seed), seed=seed
+    "replay differential": lambda seed, requests: (
+        validate_replay_differential(seed=seed, requests=requests)
     ),
     "topology differential": lambda seed, requests: (
         validate_topology_differential(seed=seed)
-    ),
-    "streaming differential": lambda seed, requests: (
-        validate_streaming_differential(seed=seed, requests=min(requests, 2500))
     ),
     "defense transparency": lambda seed, requests: DifferentialReport(
         [

@@ -32,21 +32,12 @@ class RealTimeEngine:
     """The sim Engine scheduling interface over an asyncio loop.
 
     Construct it with the asyncio loop it schedules on.
-    Time starts at 0.0 ms at construction and advances with the loop's
-    monotonic clock; ``time_scale`` stretches real time relative to the
-    engine clock (``time_scale=2.0`` makes 1 engine-ms take 2 real ms —
-    useful to slow a scenario down without touching its parameters).
+    Time starts at 0.0 ms at construction and advances at wall speed
+    with the loop's monotonic clock.
     """
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        time_scale: float = 1.0,
-    ) -> None:
-        if time_scale <= 0:
-            raise ClockError(f"time_scale must be > 0, got {time_scale}")
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        self._scale = time_scale
         self._t0 = self._loop.time()
         self._seq = 0
         self._events_processed = 0
@@ -58,7 +49,7 @@ class RealTimeEngine:
     @property
     def now(self) -> float:
         """Milliseconds of engine time since construction."""
-        return (self._loop.time() - self._t0) * 1000.0 / self._scale
+        return (self._loop.time() - self._t0) * 1000.0
 
     @property
     def events_processed(self) -> int:
@@ -69,9 +60,6 @@ class RealTimeEngine:
     def pending_count(self) -> int:
         """Timers scheduled but not yet fired or cancelled."""
         return self._pending
-
-    def _to_loop_delay(self, delay_ms: float) -> float:
-        return (delay_ms * self._scale) / 1000.0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -94,9 +82,7 @@ class RealTimeEngine:
         event = Event(self.now + delay, self._seq, callback, args, label=label)
         self._seq += 1
         self._pending += 1
-        handle = self._loop.call_later(
-            self._to_loop_delay(delay), self._fire, event
-        )
+        handle = self._loop.call_later(delay / 1000.0, self._fire, event)
         event.on_cancel = lambda: self._on_cancel(handle)
         return event
 
@@ -123,9 +109,7 @@ class RealTimeEngine:
         if delay < 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
         self._pending += 1
-        self._loop.call_later(
-            self._to_loop_delay(delay), self._fire_fast, callback, args
-        )
+        self._loop.call_later(delay / 1000.0, self._fire_fast, callback, args)
 
     def _fire(self, event: Event) -> None:
         if not event.pending:  # cancelled between expiry and callback

@@ -13,8 +13,8 @@ deployment side of the recovery story:
   budget, so routers along the path never hold PIT state for a request
   whose requester has already given up;
 * **retransmission** — per-attempt timeouts come from
-  :class:`repro.faults.retry.RetryPolicy` (exponential backoff + jitter +
-  ``max_delay`` cap), with attempts cut short by the deadline;
+  :class:`repro.faults.retry.RetryPolicy` (exponential backoff +
+  jitter), with attempts cut short by the deadline;
 * **Nack awareness** — a ``congestion``/``pit-full`` Nack backs off and
   retries; a ``no-route`` Nack fails fast (retrying cannot help until
   topology changes);
@@ -158,9 +158,7 @@ class AsyncConsumer:
                 self.fetch_retransmits += 1
             self.face.send_interest(interest)
             # One timer per attempt; it resolves the future with None.
-            timer = loop.call_later(
-                self.engine._to_loop_delay(wait), _resolve, future, None
-            )
+            timer = loop.call_later(wait / 1000.0, _resolve, future, None)
             outcome = None
             try:
                 outcome = await future
@@ -182,7 +180,7 @@ class AsyncConsumer:
                 # Congestion pushback: sit out the attempt's budget.
                 backoff = min(wait, deadline - (self.engine.now - start))
                 if backoff > 0:
-                    await asyncio.sleep(self.engine._to_loop_delay(backoff))
+                    await asyncio.sleep(backoff / 1000.0)
                 reason = "nacked"
                 continue
             result = AsyncFetchResult(

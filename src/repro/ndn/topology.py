@@ -346,29 +346,29 @@ def local_host(
 
 
 def _install_bfs_routes(
-    net: Network,
-    adjacency: Dict[str, List[str]],
-    root: str,
-    producer_name: str,
+    net: Network, root: str, producer_name: str
 ) -> Dict[str, Optional[str]]:
     """Route ``CONTENT_PREFIX`` on every router toward its BFS parent.
 
-    BFS order follows ``adjacency`` insertion order, so the tree (and
-    therefore every FIB) is a pure function of the graph construction —
-    no RNG draws.  The root routes to the producer.  Returns the parent
-    map (root maps to ``None``).
+    A router's neighbours are the routers at the far end of its faces, in
+    the order ``net.connect`` made them, so the tree (and therefore every
+    FIB) is a pure function of the graph construction — no RNG draws.
+    The root routes to the producer.  Returns the parent map (root maps
+    to ``None``).
     """
+    routers = net.routers
     parent: Dict[str, Optional[str]] = {root: None}
     frontier = [root]
     while frontier:
         nxt: List[str] = []
         for node in frontier:
-            for neighbor in adjacency[node]:
-                if neighbor not in parent:
-                    parent[neighbor] = node
-                    nxt.append(neighbor)
+            for face in routers[node].faces:
+                neighbor = face.peer.owner
+                if isinstance(neighbor, Forwarder) and neighbor.name not in parent:
+                    parent[neighbor.name] = node
+                    nxt.append(neighbor.name)
         frontier = nxt
-    unreached = [name for name in adjacency if name not in parent]
+    unreached = [name for name in routers if name not in parent]
     if unreached:
         raise TopologyError(
             f"graph is disconnected: {unreached!r} cannot reach {root!r}"
@@ -420,28 +420,16 @@ def fat_tree(
     net, add_router = _start(
         seed, probe, scheme, cache_capacity, caching, policy, forwarding
     )
-    adjacency: Dict[str, List[str]] = {}
-
-    def router(name: str) -> str:
-        add_router(name)
-        adjacency[name] = []
-        return name
-
-    def wire(a: str, b: str, delay) -> None:
-        net.connect(a, b, delay)
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    cores = [router(f"core{i}") for i in range(half * half)]
+    cores = [add_router(f"core{i}").name for i in range(half * half)]
     for p in range(k):
-        aggs = [router(f"agg{p}-{a}") for a in range(half)]
-        edges = [router(f"edge{p}-{e}") for e in range(half)]
+        aggs = [add_router(f"agg{p}-{a}").name for a in range(half)]
+        edges = [add_router(f"edge{p}-{e}").name for e in range(half)]
         for edge_name in edges:
             for agg_name in aggs:
-                wire(edge_name, agg_name, FixedDelay(1.0))
+                net.connect(edge_name, agg_name, FixedDelay(1.0))
         for a, agg_name in enumerate(aggs):
             for c in range(half):
-                wire(agg_name, cores[a * half + c], FixedDelay(2.0))
+                net.connect(agg_name, cores[a * half + c], FixedDelay(2.0))
 
     host_delay = lambda: GaussianJitterDelay(base=0.5, jitter_std=0.05, floor=0.3)  # noqa: E731
     user = adversary = None
@@ -461,7 +449,7 @@ def fat_tree(
 
     producer = net.add_producer("P", CONTENT_PREFIX)
     net.connect("core0", "P", LogNormalDelay(base=1.0, tail_scale=0.5, sigma=0.8))
-    parent = _install_bfs_routes(net, adjacency, "core0", "P")
+    parent = _install_bfs_routes(net, "core0", "P")
     return AttackTopology(
         network=net,
         user=user,
@@ -499,22 +487,10 @@ def rocketfuel_isp(
     net, add_router = _start(
         seed, probe, scheme, cache_capacity, caching, policy, forwarding
     )
-    adjacency: Dict[str, List[str]] = {}
-
-    def router(name: str) -> str:
-        add_router(name)
-        adjacency[name] = []
-        return name
-
-    def wire(a: str, b: str, delay) -> None:
-        net.connect(a, b, delay)
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    core = [router(f"b{i}") for i in range(backbones)]
+    core = [add_router(f"b{i}").name for i in range(backbones)]
     backbone_link = lambda: LogNormalDelay(base=2.0, tail_scale=0.4, sigma=0.7)  # noqa: E731
     for i in range(backbones):
-        wire(core[i], core[(i + 1) % backbones], backbone_link())
+        net.connect(core[i], core[(i + 1) % backbones], backbone_link())
     # Seeded chords across the ring (reject self, neighbors, duplicates).
     rng = net.rng.stream("topo:rocketfuel")
     added = 0
@@ -523,19 +499,19 @@ def rocketfuel_isp(
         attempts += 1
         i, j = (int(v) for v in rng.integers(0, backbones, size=2))
         a, b = core[i], core[j]
-        if a == b or b in adjacency[a]:
+        if a == b or f"{a}<->{b}" in net.links or f"{b}<->{a}" in net.links:
             continue
-        wire(a, b, backbone_link())
+        net.connect(a, b, backbone_link())
         added += 1
 
     access_link = lambda: LogNormalDelay(base=1.2, tail_scale=0.3, sigma=0.6)  # noqa: E731
     for i in range(backbones):
         for g in range(gateways_per_backbone):
-            gateway = router(f"g{i}-{g}")
-            wire(gateway, core[i], access_link())
+            gateway = add_router(f"g{i}-{g}").name
+            net.connect(gateway, core[i], access_link())
             for leaf in range(leaves_per_gateway):
-                leaf_name = router(f"l{i}-{g}-{leaf}")
-                wire(leaf_name, gateway, access_link())
+                leaf_name = add_router(f"l{i}-{g}-{leaf}").name
+                net.connect(leaf_name, gateway, access_link())
 
     lan = lambda: GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5)  # noqa: E731
     user = net.add_consumer("U")
@@ -544,7 +520,7 @@ def rocketfuel_isp(
     net.connect("Adv", probe, lan())
     producer = net.add_producer("P", CONTENT_PREFIX)
     net.connect("b0", "P", GaussianJitterDelay(base=1.0, jitter_std=0.1, floor=0.8))
-    parent = _install_bfs_routes(net, adjacency, "b0", "P")
+    parent = _install_bfs_routes(net, "b0", "P")
     return AttackTopology(
         network=net,
         user=user,
@@ -599,15 +575,11 @@ def geant_backbone(
     net, add_router = _start(
         seed, "madrid", scheme, cache_capacity, caching, policy, forwarding
     )
-    adjacency: Dict[str, List[str]] = {}
     for a, b in _GEANT_EDGES:
         for city in (a, b):
-            if city not in adjacency:
+            if city not in net:
                 add_router(city)
-                adjacency[city] = []
         net.connect(a, b, LogNormalDelay(base=3.0, tail_scale=0.5, sigma=0.7))
-        adjacency[a].append(b)
-        adjacency[b].append(a)
 
     lan = lambda: GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5)  # noqa: E731
     user = net.add_consumer("U")
@@ -618,7 +590,7 @@ def geant_backbone(
     net.connect(
         "frankfurt", "P", GaussianJitterDelay(base=1.0, jitter_std=0.1, floor=0.8)
     )
-    parent = _install_bfs_routes(net, adjacency, "frankfurt", "P")
+    parent = _install_bfs_routes(net, "frankfurt", "P")
     return AttackTopology(
         network=net,
         user=user,

@@ -8,26 +8,25 @@ Two independent nets under the simulator, reporting in one shape
   (satisfied, dropped, Nacked, or still pending), and no table may exceed
   its configured capacity.  It can be asserted once at end of run or
   installed as a periodic in-run monitor.
-* :func:`validate_differential` replays the same trace through the
-  event-driven oracle (:func:`repro.workload.replay.replay`) and the
-  interned fast kernel (:func:`repro.workload.fast_replay.fast_replay`)
-  and demands bit-identical :class:`~repro.workload.replay.ReplayStats` —
-  the guard that keeps the performance path honest.
+* :func:`validate_replay_differential` runs every
+  :class:`~repro.perf.parallel.ReplaySpec` case on each trace
+  representation (``generate()``, the sharded cache, the TSV import)
+  through :func:`~repro.perf.parallel.run_replay_sweep` — the
+  stack-distance grid or the replay kernel, as Figure 5 dispatches — and
+  demands :class:`~repro.workload.replay.ReplayStats` bit-identical to
+  the event-driven oracle (:func:`repro.workload.replay.replay`) over the
+  generator stream — the guard that keeps the performance paths honest.
 
 Both are wired into ``repro validate`` (CLI, one table of checks next to
-the topology, streaming and defense-transparency differentials), the
-overload tests, and CI.
+the topology and defense-transparency differentials), the overload
+tests, and CI.
 """
 
 from repro.validation.differential import (
-    DifferentialCase,
     DifferentialReport,
-    StreamingCase,
-    default_differential_cases,
-    default_streaming_cases,
+    default_replay_cases,
     diff_replay_stats,
-    validate_differential,
-    validate_streaming_differential,
+    validate_replay_differential,
 )
 from repro.validation.invariants import (
     InvariantChecker,
@@ -42,19 +41,15 @@ from repro.validation.scenario import (
 )
 
 __all__ = [
-    "DifferentialCase",
     "DifferentialReport",
     "InvariantChecker",
     "InvariantError",
     "OVERLOAD_CONFIGS",
     "OverloadResult",
     "Violation",
-    "StreamingCase",
-    "default_differential_cases",
-    "default_streaming_cases",
+    "default_replay_cases",
     "diff_replay_stats",
     "run_overload_scenario",
-    "validate_differential",
     "validate_overload",
-    "validate_streaming_differential",
+    "validate_replay_differential",
 ]

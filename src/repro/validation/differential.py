@@ -1,21 +1,21 @@
 """Differential validation: every fast path against its oracle.
 
-Three bit-identity contracts, one report shape
+Two bit-identity contracts, one report shape
 (:class:`CaseResult` / :class:`DifferentialReport`):
 
-* :func:`validate_differential` — the interned
-  :func:`~repro.workload.fast_replay.fast_replay` kernel vs the reference
-  :func:`~repro.workload.replay.replay`: identical
-  :class:`~repro.workload.replay.ReplayStats` for any (trace, scheme,
-  marking, cache-size) configuration,
+* :func:`validate_replay_differential` — every trace representation
+  (``generate()``, the sharded cache, the TSV import) through the sweep's
+  own dispatch (:func:`~repro.perf.parallel.run_replay_sweep`: the
+  stack-distance grid or the replay kernel) vs the reference
+  :func:`~repro.workload.replay.replay` of the generator stream:
+  identical :class:`~repro.workload.replay.ReplayStats` for every
+  :class:`~repro.perf.parallel.ReplaySpec`; plus the packet simulator
+  driven from the stream vs from its compiled twin,
 * :func:`validate_topology_differential` — the batch simulation kernel
   vs the reference engine over whole registry topologies: identical
-  :class:`~repro.sim.batch.script.TopologyObservables`,
-* :func:`validate_streaming_differential` — the streamed/sharded and
-  TSV-imported workload representations vs the in-RAM compiled one.
+  :class:`~repro.sim.batch.script.TopologyObservables`.
 
-The oracle leg of a replay differential reads the *source* workload —
-the generator stream or the TSV reader — never the compiled trace under
+The oracle reads the *source* stream, never a compiled trace under
 test, so an interning defect shows as a mismatch instead of identically
 on both sides.
 
@@ -28,24 +28,26 @@ second, reporting a false mismatch.
 from __future__ import annotations
 
 import itertools
+import pickle
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.schemes.registry import SchemeSpec
 from repro.ndn.network import Network
 from repro.ndn.topology import CONTENT_PREFIX, TOPOLOGIES
-from repro.perf.parallel import build_scheme
+from repro.perf.parallel import ReplaySpec, _scheme_of, build_scheme, run_replay_sweep
 from repro.perf.simcore import simcore_scripts
 from repro.sim.batch.script import (
     ConsumerScript,
     diff_observables,
     run_scripts_reference,
 )
-from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
-from repro.workload.marking import RequestMarking
+from repro.workload.lru_grid import runs_on_grid
+from repro.workload.marking import ContentMarking, RequestMarking
 from repro.workload.replay import ReplayStats, replay
-from repro.workload.sharded import compile_stream, compile_workload
-from repro.workload.streaming import TsvWorkload, Workload, save_tsv
+from repro.workload.sharded import compile_stream
+from repro.workload.streaming import TsvWorkload, save_tsv
 
 
 def diff_replay_stats(oracle: ReplayStats, fast: ReplayStats) -> List[str]:
@@ -59,34 +61,6 @@ def diff_replay_stats(oracle: ReplayStats, fast: ReplayStats) -> List[str]:
     return mismatches
 
 
-@dataclass(frozen=True)
-class DifferentialCase:
-    """One (scheme, cache size, marking) configuration to cross-check."""
-
-    scheme: str
-    cache_size: Optional[int] = None
-    mark_fraction: float = 0.3
-    seed: int = 0
-
-    @property
-    def label(self) -> str:
-        """Human-readable configuration tag."""
-        cap = self.cache_size if self.cache_size is not None else "inf"
-        return f"{self.scheme}/cap={cap}/mark={self.mark_fraction}/seed={self.seed}"
-
-
-def default_differential_cases(seed: int = 0) -> List[DifferentialCase]:
-    """The fig5-style grid: every registered scheme family at a bounded
-    and an unbounded cache size."""
-    cases = []
-    for scheme in ("no-privacy", "always-delay", "uniform", "exponential"):
-        for cache_size in (64, None):
-            cases.append(
-                DifferentialCase(scheme=scheme, cache_size=cache_size, seed=seed)
-            )
-    return cases
-
-
 @dataclass
 class CaseResult:
     """Outcome of one cross-checked configuration.
@@ -94,8 +68,8 @@ class CaseResult:
     ``label`` and ``mismatches`` are the verdict every differential
     fills in.  The rest is the evidence a test may want to read, set by
     the differentials that have it: the ``case`` that was run, the
-    ``oracle`` leg's payload, and the leg under test — ``fast`` (replay
-    kernel :class:`ReplayStats`) or ``batch`` (batch simulation kernel
+    ``oracle`` leg's payload, and the leg under test — ``fast`` (a replay
+    sweep's :class:`ReplayStats`) or ``batch`` (batch simulation kernel
     :class:`~repro.sim.batch.script.TopologyObservables`).
     """
 
@@ -151,73 +125,184 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
-def small_validation_trace(
-    requests: int = 2000, seed: int = 0
-) -> Workload:
-    """A small, seed-reproducible generator stream for CI-speed
-    validation runs."""
-    return IrcacheGenerator(
-        IrcacheConfig(
-            requests=requests,
-            users=20,
-            objects=400,
-            sites=40,
-            duration_hours=1.0,
+# ======================================================================
+# Replay differential: every trace representation, through the sweep's
+# dispatch, against the reference replay of the source stream
+# ======================================================================
+def default_replay_cases(seed: int = 0) -> List[ReplaySpec]:
+    """Every scheme family at a bounded and an unbounded cache under
+    per-request marking; FIFO, LFU, random and the refresh ablation
+    (the replay kernel's corners); and Figure 5(a)'s four algorithms
+    under its per-content marking at one bounded size (grid points)."""
+    from repro.analysis.experiments import fig5a_schemes
+
+    families = ("no-privacy", "always-delay", "uniform", "exponential")
+    cases = [
+        ReplaySpec(SchemeSpec(name), size, RequestMarking(0.3, seed=seed), seed=seed)
+        for name in families
+        for size in (64, None)
+    ]
+    cases += [
+        ReplaySpec(SchemeSpec("no-privacy"), 64, seed=seed),
+        ReplaySpec(SchemeSpec("uniform"), 48, ContentMarking(0.25, salt=seed),
+                   policy="fifo", seed=seed),
+        ReplaySpec(SchemeSpec("exponential"), 96, RequestMarking(0.25, seed=seed),
+                   policy="lfu", seed=seed),
+        ReplaySpec(SchemeSpec("always-delay"), None, RequestMarking(0.25, seed=seed),
+                   policy="random", seed=seed),
+        ReplaySpec(SchemeSpec("uniform"), 64, RequestMarking(0.3, seed=seed),
+                   seed=seed, refresh_delayed_hits=False),
+    ]  # fmt: skip
+    cases += [
+        ReplaySpec(scheme, 64, ContentMarking(0.2, salt=seed), seed=seed)
+        for scheme in fig5a_schemes()
+    ]
+    return cases
+
+
+def _case_label(spec: ReplaySpec) -> str:
+    """The configuration a replay case runs, spelled out."""
+    cap = spec.cache_size if spec.cache_size is not None else "inf"
+    marking = spec.marking
+    kind = type(marking).__name__.replace("Marking", "").lower()
+    mark = "none" if marking is None else kind
+    if hasattr(marking, "fraction"):
+        mark += f"({marking.fraction})"
+    tag = f"{spec.scheme}/{spec.policy}/cap={cap}/mark={mark}/seed={spec.seed}"
+    return tag if spec.refresh_delayed_hits else tag + "/no-refresh"
+
+
+def _simulator_case(seed: int, requests: int) -> CaseResult:
+    """The packet simulator driven from a streaming workload vs from its
+    compiled twin through the same
+    :func:`~repro.sim.workload_driver.scripts_from_workload` driver:
+    identical scripts and identical observables (reference engine on
+    both legs; they differ only in the workload's representation)."""
+    from repro.sim.workload_driver import scripts_from_workload
+
+    config = IrcacheConfig(
+        requests=requests,
+        users=12,
+        objects=120,
+        sites=16,
+        session_locality=0.3,
+        duration_hours=0.25,
+        seed=seed + 1,
+    )
+
+    def edge() -> Network:
+        # Fresh per leg: the registry star, a uniform scheme on its router.
+        return TOPOLOGIES["star"](
             seed=seed,
-        )
-    ).stream()
+            scheme=build_scheme("uniform", seed=seed),
+            cache_capacity=64,
+            consumers=4,
+        ).network
 
-
-def _run_case(trace: Workload, case: DifferentialCase, engine) -> ReplayStats:
-    # Fresh scheme AND fresh marking per engine: both are RNG-stateful.
-    scheme = build_scheme(case.scheme, seed=case.seed)
-    marking = (
-        RequestMarking(case.mark_fraction, seed=case.seed)
-        if case.mark_fraction > 0
-        else None
+    net_compiled, net_stream = edge(), edge()
+    consumers = list(net_compiled.consumers)
+    driver_kwargs = dict(
+        uri_prefix=CONTENT_PREFIX,
+        time_scale=1e-3,
+        timeout=5000.0,
+        private_period=7,
     )
-    return engine(
-        trace,
-        scheme=scheme,
-        marking=marking,
-        cache_size=case.cache_size,
-        seed=case.seed,
+    scripts_compiled = scripts_from_workload(
+        IrcacheGenerator(config).generate(), consumers, **driver_kwargs
     )
+    scripts_stream = scripts_from_workload(
+        IrcacheGenerator(config).stream(), consumers, **driver_kwargs
+    )
+    mismatches: List[str] = []
+    if scripts_compiled != scripts_stream:
+        mismatches.append("driver scripts differ between representations")
+    obs_compiled = run_scripts_reference(net_compiled, scripts_compiled)
+    obs_stream = run_scripts_reference(net_stream, scripts_stream)
+    mismatches.extend(diff_observables(obs_compiled, obs_stream, ("compiled", "stream")))
+    if obs_stream.total_delivered == 0:
+        mismatches.append("streaming simulator leg delivered nothing")
+    return CaseResult("simulator:star-edge", mismatches)
 
 
-def validate_differential(
-    trace: Optional[Workload] = None,
-    cases: Optional[Sequence[DifferentialCase]] = None,
+def validate_replay_differential(
+    cases: Optional[Sequence[ReplaySpec]] = None,
     seed: int = 0,
+    requests: int = 2500,
+    sim_requests: int = 500,
 ) -> DifferentialReport:
-    """Cross-check oracle vs fast replay over ``cases``.
+    """Cross-check every trace representation against the reference
+    :func:`~repro.workload.replay.replay` of the generator stream.
 
-    The oracle iterates ``trace`` itself; the fast kernel replays its
-    compiled form (:func:`~repro.workload.sharded.compile_workload`, once
-    for all cases), so the interning pass is under test too.  Defaults: a
-    small synthetic generator stream and the full
-    :func:`default_differential_cases` grid.  The report's :attr:`~DifferentialReport.ok`
-    is the ship/no-ship bit; per-field mismatches are in the results.
+    Three legs — ``generate()`` (in RAM), the
+    :func:`~repro.workload.sharded.compile_stream` shards (mmap'd) and
+    the TSV import — each run every case through
+    :func:`~repro.perf.parallel.run_replay_sweep`, the dispatch Figure 5
+    uses: a grid point on the stack-distance grid, any other on the
+    replay kernel.  Each (leg, case) result must equal, field for field,
+    the oracle's replay of the *source* stream, which no interning pass
+    touches.  Every oracle run replays its own pickle copy of the case
+    (schemes and markings are RNG-stateful).  One more case drives the
+    packet simulator from both representations (:func:`_simulator_case`).
+
+    The report's note says how many cases took the grid path.
     """
-    if trace is None:
-        trace = small_validation_trace(seed=seed)
+    import tempfile
+
     if cases is None:
-        cases = default_differential_cases(seed=seed)
-    compiled = compile_workload(trace)
+        cases = default_replay_cases(seed=seed)
+    config = IrcacheConfig(
+        requests=requests,
+        users=24,
+        objects=400,
+        sites=30,
+        session_locality=0.3,
+        duration_hours=1.0,
+        seed=seed,
+    )
+    stream = IrcacheGenerator(config).stream()
+    with tempfile.TemporaryDirectory(prefix="repro-replaydiff-") as tmp:
+        sharded = compile_stream(stream, tmp, shard_size=max(1, requests // 7))
+        sharded.verify()
+        tsv = TsvWorkload(f"{tmp}/trace.tsv")
+        save_tsv(stream, tsv.path)
+        legs = {
+            "generate": IrcacheGenerator(config).generate(),
+            "shards": sharded,
+            "tsv": tsv,
+        }
+        swept = {leg: run_replay_sweep(cases, trace=trace) for leg, trace in legs.items()}
     results: List[CaseResult] = []
-    for case in cases:
-        oracle_stats = _run_case(trace, case, replay)
-        fast_stats = _run_case(compiled, case, fast_replay)
-        results.append(
-            CaseResult(
-                label=case.label,
-                mismatches=diff_replay_stats(oracle_stats, fast_stats),
-                case=case,
-                oracle=oracle_stats,
-                fast=fast_stats,
-            )
+    on_grid = 0
+    for index, case in enumerate(cases):
+        spec = pickle.loads(pickle.dumps(case))
+        scheme = _scheme_of(spec)
+        on_grid += runs_on_grid(scheme, spec.policy, spec.refresh_delayed_hits)
+        oracle = replay(
+            stream,
+            scheme=scheme,
+            marking=spec.marking,
+            cache_size=spec.cache_size,
+            policy=spec.policy,
+            fetch_delay=spec.fetch_delay,
+            seed=spec.seed,
+            refresh_delayed_hits=spec.refresh_delayed_hits,
         )
-    return DifferentialReport(results=results, trace_requests=compiled.n_requests)
+        for leg, stats in swept.items():
+            results.append(
+                CaseResult(
+                    label=f"{leg}:{_case_label(case)}",
+                    mismatches=diff_replay_stats(oracle, stats[index]),
+                    case=case,
+                    oracle=oracle,
+                    fast=stats[index],
+                )
+            )
+    results.append(_simulator_case(seed, sim_requests))
+    return DifferentialReport(
+        results=results,
+        trace_requests=requests,
+        note=f"{on_grid} of {len(cases)} specs on the grid",
+    )
 
 
 # ======================================================================
@@ -350,7 +435,7 @@ def _build_topology_case(
 
     Called once per engine: schemes and jittery links are RNG-stateful,
     so sharing a network between runs would desynchronize the second run
-    and report a false mismatch (same rule as :func:`_run_case`).
+    and report a false mismatch (the replay differential's rule).
     """
     if case.topology not in TOPOLOGIES:
         raise ValueError(
@@ -443,177 +528,3 @@ def validate_topology_differential(
             )
         )
     return DifferentialReport(results=results)
-
-
-# ======================================================================
-# Streaming differential: stream→shards→replay vs generate()→replay
-# ======================================================================
-@dataclass(frozen=True)
-class StreamingCase:
-    """One replay configuration cross-checked between the sharded and
-    the in-RAM fast path."""
-
-    scheme: str
-    policy: str = "lru"
-    cache_size: Optional[int] = 64
-    marking: str = "request"  # "none" | "content" | "request"
-    seed: int = 0
-
-    @property
-    def label(self) -> str:
-        cap = self.cache_size if self.cache_size is not None else "inf"
-        return (
-            f"{self.scheme}/{self.policy}/cap={cap}/"
-            f"mark={self.marking}/seed={self.seed}"
-        )
-
-
-def default_streaming_cases(seed: int = 0) -> List[StreamingCase]:
-    """Scheme × policy × marking corners of the streaming-replay grid."""
-    return [
-        StreamingCase("no-privacy", "lru", 64, "none", seed),
-        StreamingCase("uniform", "fifo", 48, "content", seed),
-        StreamingCase("exponential", "lfu", 96, "request", seed),
-        StreamingCase("always-delay", "random", None, "request", seed),
-    ]
-
-
-def _streaming_marking(kind: str, fraction: float, seed: int):
-    """Fresh marking instance per replay leg (RequestMarking is RNG-
-    stateful: sharing one across legs would continue its stream)."""
-    from repro.workload.marking import ContentMarking
-
-    if kind == "none":
-        return None
-    if kind == "content":
-        return ContentMarking(fraction, salt=seed)
-    if kind == "request":
-        return RequestMarking(fraction, seed=seed)
-    raise ValueError(f"unknown marking kind {kind!r}")
-
-
-def validate_streaming_differential(
-    cases: Optional[Sequence[StreamingCase]] = None,
-    seed: int = 0,
-    requests: int = 2500,
-    sim_requests: int = 500,
-) -> DifferentialReport:
-    """Cross-check the streaming pipeline against the in-RAM compiled trace.
-
-    Three layers, all bit-identity:
-
-    * **replay grid** — ``stream → compile_stream → fast_replay`` (shard
-      by shard, mmap'd) and ``save_tsv → TsvWorkload → compile_workload →
-      fast_replay`` (a sweep worker's TSV path) vs ``generate() →
-      fast_replay`` over the scheme/policy/marking grid: identical
-      :class:`ReplayStats`,
-    * **oracle anchor** — one cell of each also compared against the
-      reference event-driven :func:`~repro.workload.replay.replay` of
-      its *source* (the generator stream, the TSV reader), pinning the
-      sharded and TSV paths to the original semantics rather than just
-      to the fast kernel, with no interning pass on the oracle side,
-    * **simulator observables** — the packet simulator driven from the
-      streaming workload vs from its compiled twin through the same
-      :func:`~repro.sim.workload_driver.scripts_from_workload` driver:
-      identical scripts and identical :class:`TopologyObservables`.
-
-    Every leg gets freshly built scheme/marking instances (both are
-    RNG-stateful).
-    """
-    import tempfile
-
-    from repro.sim.workload_driver import scripts_from_workload
-
-    if cases is None:
-        cases = default_streaming_cases(seed=seed)
-    config = IrcacheConfig(
-        requests=requests,
-        users=24,
-        objects=400,
-        sites=30,
-        session_locality=0.3,
-        duration_hours=1.0,
-        seed=seed,
-    )
-    trace = IrcacheGenerator(config).generate()
-    stream = IrcacheGenerator(config).stream()
-    results: List[CaseResult] = []
-    with tempfile.TemporaryDirectory(prefix="repro-streamdiff-") as tmp:
-        sharded = compile_stream(stream, tmp, shard_size=max(1, requests // 7))
-        sharded.verify()
-        tsv = TsvWorkload(f"{tmp}/trace.tsv")
-        save_tsv(stream, tsv.path)
-        # leg -> (source workload, its compiled form under test)
-        legs = {"": (stream, sharded), "tsv-": (tsv, compile_workload(tsv))}
-
-        def run(workload, case: StreamingCase, engine) -> ReplayStats:
-            return engine(
-                workload,
-                scheme=build_scheme(case.scheme, seed=case.seed),
-                marking=_streaming_marking(case.marking, 0.25, case.seed),
-                cache_size=case.cache_size,
-                policy=case.policy,
-                seed=case.seed,
-            )
-
-        for case in cases:
-            in_ram = run(trace, case, fast_replay)
-            for leg, (_, held) in legs.items():
-                streamed = run(held, case, fast_replay)
-                label = f"{leg}replay:{case.label}"
-                results.append(CaseResult(label, diff_replay_stats(in_ram, streamed)))
-
-        # Oracle anchor: the sharded and TSV paths against the reference
-        # replay of their sources.
-        anchor = cases[0]
-        for leg, (source, held) in legs.items():
-            oracle = run(source, anchor, replay)
-            streamed = run(held, anchor, fast_replay)
-            label = f"{leg}oracle-anchor:{anchor.label}"
-            results.append(CaseResult(label, diff_replay_stats(oracle, streamed)))
-
-    # Simulator observables: streaming vs compiled through the same
-    # driver (reference engine both legs; the legs differ only in the
-    # workload's representation).
-    sim_config = IrcacheConfig(
-        requests=sim_requests,
-        users=12,
-        objects=120,
-        sites=16,
-        session_locality=0.3,
-        duration_hours=0.25,
-        seed=seed + 1,
-    )
-
-    def edge() -> Network:
-        # Fresh per leg: the registry star, a uniform scheme on its router.
-        return TOPOLOGIES["star"](
-            seed=seed,
-            scheme=build_scheme("uniform", seed=seed),
-            cache_capacity=64,
-            consumers=4,
-        ).network
-
-    net_compiled, net_stream = edge(), edge()
-    consumers = list(net_compiled.consumers)
-    driver_kwargs = dict(
-        uri_prefix=CONTENT_PREFIX,
-        time_scale=1e-3,
-        timeout=5000.0,
-        private_period=7,
-    )
-    sim_trace = IrcacheGenerator(sim_config).generate()
-    scripts_compiled = scripts_from_workload(sim_trace, consumers, **driver_kwargs)
-    scripts_stream = scripts_from_workload(
-        IrcacheGenerator(sim_config).stream(), consumers, **driver_kwargs
-    )
-    mismatches: List[str] = []
-    if scripts_compiled != scripts_stream:
-        mismatches.append("driver scripts differ between representations")
-    obs_compiled = run_scripts_reference(net_compiled, scripts_compiled)
-    obs_stream = run_scripts_reference(net_stream, scripts_stream)
-    mismatches.extend(diff_observables(obs_compiled, obs_stream, ("compiled", "stream")))
-    if obs_stream.total_delivered == 0:
-        mismatches.append("streaming simulator leg delivered nothing")
-    results.append(CaseResult("simulator:star-edge", mismatches))
-    return DifferentialReport(results=results, trace_requests=requests)

@@ -119,9 +119,8 @@ class TestValidateCommand:
         "invariants [bounded-evict]",
         "invariants [bounded-drop-new]",
         "invariants [bounded-polluted]",
-        "differential",
+        "replay differential",
         "topology differential",
-        "streaming differential",
         "defense transparency",
     )
 
@@ -136,7 +135,7 @@ class TestValidateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[:-1]] == list(self.CHECKS)
         assert all(": ok (" in line for line in lines[:-1])
-        assert "2000 requests" in lines[4] and "2000 requests" in lines[6]
+        assert "2000 requests" in lines[4] and "specs on the grid" in lines[4]
         assert lines[-1] == "validation passed"
 
         # One failing entry: its mismatch is printed, the rest still run.

@@ -62,20 +62,7 @@ def test_schedule_at_absolute_time():
     asyncio.run(scenario())
 
 
-def test_time_scale_stretches_real_time():
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        engine = RealTimeEngine(loop, time_scale=2.0)
-        # 10 engine-ms should take ~20 real ms.
-        assert engine._to_loop_delay(10.0) == pytest.approx(0.02)
-        start = loop.time()
-        await asyncio.sleep(0.04)
-        assert engine.now == pytest.approx((loop.time() - start) * 500.0, rel=0.25)
-
-    asyncio.run(scenario())
-
-
-def test_negative_delay_and_bad_scale_rejected():
+def test_negative_delay_rejected():
     async def scenario():
         engine = RealTimeEngine(asyncio.get_running_loop())
         with pytest.raises(ClockError):
@@ -84,12 +71,6 @@ def test_negative_delay_and_bad_scale_rejected():
             engine.schedule_fire_and_forget(-1.0, lambda: None)
 
     asyncio.run(scenario())
-    loop = asyncio.new_event_loop()
-    try:
-        with pytest.raises(ClockError):
-            RealTimeEngine(loop, time_scale=0.0)
-    finally:
-        loop.close()
 
 
 def test_sim_only_features_raise():

@@ -34,6 +34,14 @@ per-request oracles); the compiler's step memo keyed by fetch name
 instead of step object by the topology differential, whose sim-core
 cases fetch one name both private and public.
 
+Two mutants sit on the paths from a trace to its Fig. 5 numbers, each
+killed by the replay differential (``validate_replay_differential``:
+every trace representation through ``run_replay_sweep`` against
+``replay()`` of the generator stream, which no interning pass touches).
+The interner merging two content ids fails every (leg, case) pair; the
+grid's trigger rule dropped (a public request between two private ones
+no longer ends a run of private hits) fails the grid cases of every leg.
+
 Two mutants sit on the Fig. 5 grid's per-point draws and columns.  The
 geometric block without its near-integer fix-up is killed by
 ``TestGeometricBoundaries``' draws (uniforms whose quotient lands on an
@@ -59,8 +67,11 @@ from repro.sim.batch import compile as batch_compile, kernel
 from repro.sim.batch.compile import CompiledTopology
 from repro.sim.engine import Engine
 from repro.sim.process import Process
-from repro.validation.differential import validate_topology_differential
-from repro.workload import compiled, ircache
+from repro.validation.differential import (
+    validate_replay_differential,
+    validate_topology_differential,
+)
+from repro.workload import compiled, ircache, lru_grid, sharded
 from repro.workload.compiled import CompiledTrace
 from repro.workload.zipf import ZipfSampler
 
@@ -86,6 +97,10 @@ def _mutated(owner, attribute: str, old: str, new: str):
 
 def _differential_fails(monkeypatch) -> bool:
     return not validate_topology_differential().ok
+
+
+def _replay_differential_fails(monkeypatch) -> bool:
+    return not validate_replay_differential().ok
 
 
 def _bytes_inexact(monkeypatch) -> bool:
@@ -182,6 +197,17 @@ MUTANTS = {
         TruncatedGeometric, "sample_array",
         "if near.size:", "if False:",
         _geometric_block_inexact,
+    ),
+    "interner merges two content ids": (
+        sharded, "_intern_pass",
+        "cids32 = cids.astype(np.int32)",
+        "cids32 = np.where(cids == 1, 0, cids).astype(np.int32)",
+        _replay_differential_fails,
+    ),
+    "grid trigger rule dropped": (
+        lru_grid, "_private_runs",
+        "np.not_equal(at[1:], at[:-1] + 1, out=stop[1:-1])", "stop[1:-1] = False",
+        _replay_differential_fails,
     ),
     "flag memo keyed without fraction": (
         CompiledTrace, "grid_flags",
