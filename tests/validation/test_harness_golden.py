@@ -2,13 +2,16 @@
 
 ``golden_harness_tallies.json`` pins what each harness reports of its run
 for the four :data:`~repro.validation.scenario.OVERLOAD_CONFIGS` at seed 7
-and for every run of the ledger's ``frontier_sweep`` defense grid (``off``
-and ``adaptive`` against no attack, pollution, flood and the adaptive
-attacker; 3 000 ms, the attack from 20% to 70% of it) at seeds 0 and 1:
-engine events fired, requests made and delivered, edge hits and every
-router's ``stats_summary()``.  It was recorded while both harnesses still
-drove their consumers with hand-written processes and hand-kept tallies,
-so a traffic description that moves one event, draw or counter shows here
+and for every defense preset (``off``, ``static``, ``monitor`` and
+``adaptive``) against no attack, pollution, flood and the adaptive
+attacker, at the ledger's ``frontier_sweep`` window (3 000 ms, the attack
+from 20% to 70% of it) and seeds 0 and 1: engine events fired, requests
+made and delivered, edge hits and every router's ``stats_summary()``.
+The ``off``/``adaptive`` runs were recorded while both harnesses still
+drove their consumers with hand-written processes and hand-kept tallies;
+the ``static``/``monitor`` runs while the defense tree was still built by
+hand, so ``static`` pins which routers carry its rate limit.  A traffic
+description or topology that moves one event, draw or counter shows here
 as a named value of a named run.
 """
 
