@@ -1,23 +1,12 @@
 """Closed-loop defense scenarios: seeded attacks against a live defense.
 
-The acceptance demo for the defense loop (ROADMAP item 5): a two-level
-tree topology carries honest Zipf traffic while a seeded attack window
-(:mod:`repro.faults.adversarial`) runs from one leaf.  The run reports
+The acceptance demo for the defense loop (ROADMAP item 5): the registry's
+two-level tree (:func:`~repro.ndn.topology.defense_tree`) carries honest
+Zipf traffic from U1 and U2 while a seeded attack window
+(:mod:`repro.faults.adversarial`) runs from the leaf A.  The run reports
 detection latency (alarm time vs. attack start, and attacker requests
 spent before detection), mitigation activity, and the honest consumers'
 *edge hit rate* — the utility metric mitigation must restore.
-
-Topology (all :class:`~repro.ndn.link.FixedDelay` links, so serving tier
-is exactly recoverable from RTT — an edge hit costs ``2 × 0.5`` ms, a
-core hit 5 ms, a producer fetch 7 ms)::
-
-            P   Pvoid            P      auto-generating producer
-             \\ /                 Pvoid  dead prefix (flood sink)
-              R0                  R0     core router
-             /  \\
-           R1    R2               edge routers (defense installed here)
-          / |     |
-        U1  A    U2               honest consumers U1/U2, attacker A
 
 Defense is installed at the EDGE only: per-face attribution is
 meaningful where attacker and honest traffic arrive on different faces.
@@ -47,24 +36,24 @@ from repro.faults.adversarial import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.ndn.admission import InterestRateLimit
-from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
+from repro.ndn.topology import TOPOLOGIES
 from repro.sim.batch.script import (
     ConsumerScript,
     FetchStep,
     SleepStep,
     TopologyObservables,
-    collect_observables,
     diff_observables,
-    spawn_scripts,
+    run_scripts_reference,
 )
-from repro.sim.rng import RngRegistry
 from repro.validation.invariants import InvariantChecker
 
-#: Leaf access delay (ms, one way) — an edge hit RTT is exactly 1.0 ms.
-_LEAF_DELAY = 0.5
-#: RTT at or under this is an edge-cache hit (core hits cost 5 ms).
+#: RTT at or under this is an edge-cache hit (an edge hit RTT is exactly
+#: 1.0 ms, a core hit 5 ms).
 EDGE_HIT_RTT = 1.5
+#: The honest consumers and the edge routers the defense is installed on.
+_HONEST = ("U1", "U2")
+_EDGES = ("R1", "R2")
 
 #: The attacks a scenario can drive (``none`` = attack-free baseline;
 #: ``adaptive`` is the Thompson-sampling pollution attacker that reacts
@@ -127,23 +116,19 @@ class DefenseRunResult:
     edge_hit_rate: float  # edge hits / honest requests (the utility)
     delivery_rate: float  # delivered / honest requests
     alarms: int
-    first_alarm_time: Optional[float]
     detection_latency: Optional[float]  # first alarm − attack start (ms)
     attacker_requests_before_alarm: Optional[int]
     mitigations: int
     throttled: int  # defense_throttled across defended routers
     quarantined: int  # cache_quarantined across defended routers
     shed: int  # pit_shed across defended routers
-    edge_pit_peak: int
     invariant_violations: int
     #: The honest consumers' run: the transparency check's evidence.
     observables: TopologyObservables
     alarm_lines: Tuple[str, ...] = ()
-    mitigation_lines: Tuple[str, ...] = ()
     #: Adaptive attacker only: its own telemetry (None otherwise).
     attacker_attempts: Optional[int] = None
     attacker_delivered: Optional[int] = None
-    attacker_favored_interval: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -177,39 +162,6 @@ class ClosedLoopReport:
         return min(1.0, max(0.0, 1.0 - self.recovery_ratio))
 
 
-def _build_tree(spec: DefenseScenarioSpec):
-    """The two-level defense tree; returns (net, honest, edges)."""
-    net = Network(rng=RngRegistry(spec.seed))
-    # The "static" preset: 200 interests/s per face, no agent.
-    rate_limit = InterestRateLimit(rate=200.0) if spec.defense == "static" else None
-    for name in ("R1", "R2"):
-        net.add_router(
-            name,
-            capacity=CACHE_CAPACITY,
-            pit_capacity=PIT_CAPACITY,
-            rate_limit=rate_limit,
-        )
-    net.add_router("R0", capacity=CACHE_CAPACITY, pit_capacity=PIT_CAPACITY)
-    u1 = net.add_consumer("U1")
-    u2 = net.add_consumer("U2")
-    net.add_consumer("A")
-    net.add_producer("P", "/content")
-    net.add_producer("Pvoid", "/void", auto_generate=False)
-    net.connect("U1", "R1", FixedDelay(_LEAF_DELAY))
-    net.connect("A", "R1", FixedDelay(_LEAF_DELAY))
-    net.connect("U2", "R2", FixedDelay(_LEAF_DELAY))
-    net.connect("R1", "R0", FixedDelay(2.0))
-    net.connect("R2", "R0", FixedDelay(2.0))
-    net.connect("R0", "P", FixedDelay(1.0))
-    net.connect("R0", "Pvoid", FixedDelay(1.0))
-    for prefix in ("/content", "/void"):
-        net.add_route("R1", prefix, "R0")
-        net.add_route("R2", prefix, "R0")
-    net.add_route("R0", "/content", "P")
-    net.add_route("R0", "/void", "Pvoid")
-    return net, (u1, u2), ("R1", "R2")
-
-
 def _zipf_picks(rng, count: int) -> np.ndarray:
     """``count`` hot-catalog ranks, each what ``rng.choice(HOT_CATALOG,
     p=weights)`` would pick from the same single ``random()`` draw: the
@@ -220,7 +172,7 @@ def _zipf_picks(rng, count: int) -> np.ndarray:
     return np.searchsorted(cdf, rng.random(count), side="right")
 
 
-def _honest_scripts(net: Network, honest, spec: DefenseScenarioSpec):
+def _honest_scripts(net: Network, spec: DefenseScenarioSpec):
     """One script per honest consumer: Zipf fetches ``HONEST_INTERVAL``
     apart until the horizon.  At most ``ceil(horizon / HONEST_INTERVAL)``
     start; all are drawn up front from the consumer's own stream, which
@@ -232,11 +184,11 @@ def _honest_scripts(net: Network, honest, spec: DefenseScenarioSpec):
     pause = SleepStep(HONEST_INTERVAL)
     rounds = ceil(spec.horizon / HONEST_INTERVAL)
     scripts = []
-    for consumer in honest:
-        picks = _zipf_picks(net.rng.stream(f"workload:{consumer.name}"), rounds)
+    for consumer in _HONEST:
+        picks = _zipf_picks(net.rng.stream(f"workload:{consumer}"), rounds)
         scripts.append(
             ConsumerScript(
-                consumer=consumer.name,
+                consumer=consumer,
                 steps=[step for pick in picks.tolist() for step in (hot[pick], pause)],
                 until=spec.horizon,
             )
@@ -244,11 +196,11 @@ def _honest_scripts(net: Network, honest, spec: DefenseScenarioSpec):
     return scripts
 
 
-def _attack_schedule(spec: DefenseScenarioSpec):
-    """The attack window for ``spec`` (None for the baseline) and its
-    schedule, so the caller can read adaptive-attacker telemetry back."""
+def _attack_window(spec: DefenseScenarioSpec):
+    """The attack window for ``spec`` (None for the baseline); the caller
+    reads adaptive-attacker telemetry back from it."""
     if spec.attack == "none":
-        return None, None
+        return None
     common = dict(
         attacker="A", start=spec.attack_start, end=spec.attack_end, seed=spec.seed + 77
     )
@@ -267,37 +219,36 @@ def _attack_schedule(spec: DefenseScenarioSpec):
         window = InterestFloodWindow(
             prefix="/void", interval=ATTACK_INTERVAL, lifetime=1500.0, **common
         )
-    return FaultSchedule([window]), window
+    return window
 
 
 def run_defense_scenario(spec: DefenseScenarioSpec) -> DefenseRunResult:
     """One seeded closed-loop run; see :class:`DefenseScenarioSpec`."""
-    net, honest, edge_names = _build_tree(spec)
+    # The "static" preset: 200 interests/s per edge face, no agent.
+    static = InterestRateLimit(rate=200.0) if spec.defense == "static" else None
+    net = TOPOLOGIES["defense_tree"](
+        seed=spec.seed, cache_capacity=CACHE_CAPACITY, pit_capacity=PIT_CAPACITY,
+        rate_limit=static,
+    ).network
     config = DefenseConfig.preset(spec.defense)
     agents: Dict[str, DefenseAgent] = {}
     if config is not None:
-        agents = install_network_defense(net, config, routers=edge_names)
-    schedule, window = _attack_schedule(spec)
-    if schedule is not None:
-        schedule.apply(net)
-    scripts = _honest_scripts(net, honest, spec)
-    delivered = spawn_scripts(net, scripts)
+        agents = install_network_defense(net, config, routers=_EDGES)
+    window = _attack_window(spec)
+    if window is not None:
+        FaultSchedule([window]).apply(net)
     checker = InvariantChecker()
     checker.install(net, interval=500.0, horizon=spec.horizon)
-    end = net.run()
+    observed = run_scripts_reference(net, _honest_scripts(net, spec))
     checker.check_network(net)
-    observed = collect_observables(net, scripts, delivered, end, kernel="reference")
 
     # No retries: every fetch started sent exactly one interest.
-    requests = sum(c.monitor.counter("interests_sent") for c in honest)
+    requests = sum(net[name].monitor.counter("interests_sent") for name in _HONEST)
     edge_hits = sum(
         rtt <= EDGE_HIT_RTT for rtts in observed.rtts.values() for rtt in rtts
     )
     alarms = [a for agent in agents.values() for a in agent.log.alarms]
     alarms.sort(key=lambda a: a.time)
-    mitigations = [m for agent in agents.values() for m in agent.mitigations]
-    mitigations.sort(key=lambda m: m.time)
-    first_alarm = alarms[0].time if alarms else None
     latency = None
     before_alarm = None
     # The adaptive attacker's own telemetry (None for the other attacks).
@@ -320,7 +271,7 @@ def run_defense_scenario(spec: DefenseScenarioSpec) -> DefenseRunResult:
                 before_alarm = bandit.requests_before(detected[0].time)
             else:
                 before_alarm = int(latency / ATTACK_INTERVAL)
-    edges = [observed.router_stats[name] for name in edge_names]
+    edges = [observed.router_stats[name] for name in _EDGES]
     return DefenseRunResult(
         defense=spec.defense,
         attack=spec.attack,
@@ -330,25 +281,17 @@ def run_defense_scenario(spec: DefenseScenarioSpec) -> DefenseRunResult:
         edge_hit_rate=edge_hits / requests if requests else 0.0,
         delivery_rate=observed.total_delivered / requests if requests else 0.0,
         alarms=sum(agent.log.total for agent in agents.values()),
-        first_alarm_time=first_alarm,
         detection_latency=latency,
         attacker_requests_before_alarm=before_alarm,
-        mitigations=len(mitigations),
+        mitigations=sum(len(agent.mitigations) for agent in agents.values()),
         throttled=int(sum(e["defense_throttled"] for e in edges)),
         quarantined=int(sum(e["cache_quarantined"] for e in edges)),
         shed=int(sum(e["pit_shed"] for e in edges)),
-        edge_pit_peak=int(max(e["pit_peak_size"] for e in edges)),
         invariant_violations=len(checker.violations),
         observables=observed,
         alarm_lines=tuple(str(a) for a in alarms[:16]),
-        mitigation_lines=tuple(str(m) for m in mitigations[:16]),
         attacker_attempts=None if bandit is None else bandit.attempts,
         attacker_delivered=None if bandit is None else bandit.delivered,
-        attacker_favored_interval=(
-            window.arms[bandit.favored_arm()]
-            if bandit is not None and bandit.favored_arm() >= 0
-            else None
-        ),
     )
 
 

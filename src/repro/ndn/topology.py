@@ -27,8 +27,9 @@ hit/miss RTT distributions matches the corresponding paper subfigure:
 Absolute milliseconds are calibrated, not measured on the NDN testbed the
 paper used; EXPERIMENTS.md records the substitution.  Beyond the paper
 the registry holds three multi-hop scale graphs (:func:`fat_tree`,
-:func:`rocketfuel_isp`, :func:`geant_backbone`) and the two sim-core
-shapes (:func:`star`, :func:`tree`).
+:func:`rocketfuel_isp`, :func:`geant_backbone`), the two sim-core
+shapes (:func:`star`, :func:`tree`) and the two attack-harness shapes
+(:func:`defense_tree`, :func:`overload_star`, which take bounded PITs).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.schemes.base import CacheScheme
+from repro.ndn.admission import InterestRateLimit
 from repro.ndn.apps.consumer import Consumer
 from repro.ndn.apps.producer import Producer
 from repro.ndn.errors import TopologyError
@@ -112,6 +114,9 @@ def _start(
     caching: CachingSpec,
     policy: str,
     forwarding: str,
+    pit_capacity: Optional[int] = None,
+    pit_overflow: str = "drop-new",
+    rate_limit: Optional[InterestRateLimit] = None,
 ):
     """A fresh network plus its ``add_router(name)``.
 
@@ -120,7 +125,8 @@ def _start(
     everywhere: they reach ``Network.add_router`` (which rejects unknown
     values) for each router, and the scheme lands as :data:`SchemePlacement`
     says.  ``probe`` names the router U and Adv share.  A builder may
-    override one router's ``capacity`` or give it a ``processing_delay``.
+    override one router's ``capacity`` or ``rate_limit``, or give it a
+    ``processing_delay``.
     """
     net = Network(rng=RngRegistry(seed))
 
@@ -128,6 +134,7 @@ def _start(
         name: str,
         capacity: Optional[int] = cache_capacity,
         processing_delay: float = 0.0,
+        rate_limit: Optional[InterestRateLimit] = rate_limit,
     ) -> Forwarder:
         return net.add_router(
             name,
@@ -136,6 +143,9 @@ def _start(
             policy=policy,
             processing_delay=processing_delay,
             strategy=forwarding,
+            pit_capacity=pit_capacity,
+            pit_overflow=pit_overflow,
+            rate_limit=rate_limit,
             caching=caching,
         )
 
@@ -699,9 +709,118 @@ def tree(
     )
 
 
+# ----------------------------------------------------------------------
+# Attack-harness shapes (the overload and closed-loop defense runs)
+# ----------------------------------------------------------------------
+def defense_tree(
+    seed: int = 0,
+    scheme: SchemePlacement = None,
+    cache_capacity: Optional[int] = None,
+    caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
+    pit_capacity: Optional[int] = None,
+    rate_limit: Optional[InterestRateLimit] = None,
+) -> AttackTopology:
+    """The closed-loop defense run's two-level tree (all
+    :class:`~repro.ndn.link.FixedDelay` links, so the serving tier is
+    exactly recoverable from RTT: an edge hit costs ``2 × 0.5`` ms, a core
+    hit 5 ms, a producer fetch 7 ms)::
+
+                P   Pvoid            P      auto-generating producer
+                 \\ /                 Pvoid  dead prefix (flood sink)
+                  R0                  R0     core router
+                 /  \\
+               R1    R2               edge routers
+              / |     |
+            U1  A    U2               honest consumers U1/U2, attacker A
+
+    U1 (U) and A (Adv) share the edge R1.  ``rate_limit`` arms the edges
+    only: R0's faces carry honest and attack traffic mixed.
+    """
+    net, add_router = _start(
+        seed, "R1", scheme, cache_capacity, caching, policy, forwarding,
+        pit_capacity=pit_capacity, rate_limit=rate_limit,
+    )
+    add_router("R1")
+    add_router("R2")
+    add_router("R0", rate_limit=None)
+    user = net.add_consumer("U1")
+    net.add_consumer("U2")
+    adversary = net.add_consumer("A")
+    producer = net.add_producer("P", CONTENT_PREFIX)
+    net.add_producer("Pvoid", "/void", auto_generate=False)
+    for a, b, delay in (
+        ("U1", "R1", 0.5), ("A", "R1", 0.5), ("U2", "R2", 0.5), ("R1", "R0", 2.0),
+        ("R2", "R0", 2.0), ("R0", "P", 1.0), ("R0", "Pvoid", 1.0),
+    ):
+        net.connect(a, b, FixedDelay(delay))
+    for prefix, origin in ((CONTENT_PREFIX, "P"), ("/void", "Pvoid")):
+        net.add_route("R1", prefix, "R0")
+        net.add_route("R2", prefix, "R0")
+        net.add_route("R0", prefix, origin)
+    return AttackTopology(
+        network=net,
+        user=user,
+        adversary=adversary,
+        router=net["R1"],
+        producer=producer,
+        description="defense tree: U1/A under edge R1, U2 under R2, core R0",
+        producer_path=[net["R0"]],
+    )
+
+
+def overload_star(
+    seed: int = 0,
+    scheme: SchemePlacement = None,
+    cache_capacity: Optional[int] = None,
+    caching: CachingSpec = None,
+    policy: str = "lru",
+    forwarding: str = "best-route",
+    pit_capacity: Optional[int] = None,
+    pit_overflow: str = "drop-new",
+    rate_limit: Optional[InterestRateLimit] = None,
+) -> AttackTopology:
+    """The overload run's star: one router between a consumer, an
+    attacker and two producers::
+
+        consumer c ──┐
+        attacker a ──┤── router R ──┬── producer p   (/content, answers)
+                     │              └── producer f   (/flood, silent)
+
+    ``f`` never answers, so an interest for ``/flood/...`` dangles in R's
+    PIT until its lifetime expires.  c is U and a is Adv.
+    """
+    net, add_router = _start(
+        seed, "R", scheme, cache_capacity, caching, policy, forwarding,
+        pit_capacity=pit_capacity, pit_overflow=pit_overflow,
+        rate_limit=rate_limit,
+    )
+    router = add_router("R")
+    user = net.add_consumer("c")
+    adversary = net.add_consumer("a")
+    producer = net.add_producer("p", CONTENT_PREFIX)
+    net.add_producer("f", "/flood", auto_generate=False)
+    for a, b, delay in (
+        ("c", "R", 1.0), ("a", "R", 1.0), ("R", "p", 5.0), ("R", "f", 5.0),
+    ):
+        net.connect(a, b, FixedDelay(delay))
+    net.add_route("R", CONTENT_PREFIX, "p")
+    net.add_route("R", "/flood", "f")
+    return AttackTopology(
+        network=net,
+        user=user,
+        adversary=adversary,
+        router=router,
+        producer=producer,
+        description="overload star: c and attacker a around R, silent /flood sink",
+    )
+
+
 #: The one name -> builder registry.  Every other mapping in the package
 #: (the Figure 3 panels, the placement sweep's defaults, the differential
-#: grid, the sim-core workloads) is a view of it.
+#: grid, the sim-core workloads, the attack harnesses) is a view of it,
+#: and the views below partition it.
 TOPOLOGIES: Dict[str, Callable[..., AttackTopology]] = {
     "fig3a_lan": local_lan,
     "fig3b_wan": wan,
@@ -712,6 +831,8 @@ TOPOLOGIES: Dict[str, Callable[..., AttackTopology]] = {
     "geant": geant_backbone,
     "star": star,
     "tree": tree,
+    "defense_tree": defense_tree,
+    "overload_star": overload_star,
 }
 
 #: The paper's four measurement settings, keyed by Figure 3 subfigure.
@@ -722,3 +843,6 @@ SCALE_GRAPHS = ("fat_tree", "rocketfuel", "geant")
 
 #: The sim-core shapes (:mod:`repro.perf.simcore` drives them).
 SIM_CORE_SHAPES = ("star", "tree")
+
+#: The shapes the defense and overload harnesses run.
+HARNESS_SHAPES = ("defense_tree", "overload_star")

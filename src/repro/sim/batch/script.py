@@ -229,62 +229,35 @@ def _script_process(script: ConsumerScript, consumer, delivered: Dict[str, int])
                 delivered[script.consumer] += 1
 
 
-def collect_observables(
-    net: Network,
-    scripts: Sequence[ConsumerScript],
-    delivered: Dict[str, int],
-    end_time: float,
-    kernel: str,
-) -> TopologyObservables:
-    """Assemble the observables contract from a finished reference run."""
-    rtts = {s.consumer: list(net[s.consumer].rtts) for s in scripts}
-    link_packets = {name: link.packets_sent for name, link in net.links.items()}
-    router_counters = {
-        name: {k: v for k, v in router.monitor.counters.items() if v}
-        for name, router in net.routers.items()
-    }
-    router_stats = net.router_summaries()
-    return TopologyObservables(
-        kernel=kernel,
-        delivered=dict(delivered),
-        rtts=rtts,
-        link_packets=link_packets,
-        router_counters=router_counters,
-        router_stats=router_stats,
-        events_processed=net.engine.events_processed,
-        end_time=end_time,
-    )
-
-
 def run_scripts_reference(
     net: Network, scripts: Sequence[ConsumerScript]
 ) -> TopologyObservables:
     """Run the scripts on the reference engine (the oracle path).
 
     Scripts spawn in list order; each spawn executes the script inline up
-    to its first suspension.  A network the reference engine already ran
-    continues from its state; one the batch kernel ran is refused.
+    to its first suspension.  The run drains the event queue, faults,
+    agents and audits scheduled on ``net`` beforehand included.  A network
+    the reference engine already ran continues from its state; one the
+    batch kernel ran is refused.
     """
     refuse_spent(net)
-    delivered = spawn_scripts(net, scripts)
-    end = net.run()
-    return collect_observables(net, scripts, delivered, end, kernel="reference")
-
-
-def spawn_scripts(
-    net: Network, scripts: Sequence[ConsumerScript]
-) -> Dict[str, int]:
-    """Spawn each script as a reference-engine process, in list order.
-
-    Returns the per-consumer delivered counts the processes fill in as
-    they run: a harness that wires its own faults, agents or checkers
-    around the spawn and runs its own horizon hands them to
-    :func:`collect_observables` afterwards.
-    """
     delivered = {s.consumer: 0 for s in scripts}
     for script in scripts:
         net.spawn(
             _script_process(script, net[script.consumer], delivered),
             label=f"script:{script.consumer}",
         )
-    return delivered
+    end = net.run()
+    return TopologyObservables(
+        kernel="reference",
+        delivered=delivered,
+        rtts={s.consumer: list(net[s.consumer].rtts) for s in scripts},
+        link_packets={name: link.packets_sent for name, link in net.links.items()},
+        router_counters={
+            name: {k: v for k, v in router.monitor.counters.items() if v}
+            for name, router in net.routers.items()
+        },
+        router_stats=net.router_summaries(),
+        events_processed=net.engine.events_processed,
+        end_time=end,
+    )

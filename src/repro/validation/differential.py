@@ -374,8 +374,8 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
     and local-host panels, a fat tree and one placement campaign on the
     ISP graph, covering NoPrivacy and the privacy schemes, all four
     replacement policies, every caching strategy, never-cache routers,
-    a small-timeout retransmission case, and one asserted compiler
-    fallback."""
+    a small-timeout retransmission case, the two attack-harness shapes
+    on their unbounded defaults, and one asserted compiler fallback."""
     return [
         TopologyCase("star", "no-privacy", "lru", seed=seed),
         TopologyCase("star", "uniform", "random", seed=seed),
@@ -413,6 +413,9 @@ def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
         TopologyCase("fat_tree", "exponential", "lru", caching="cl4m", seed=seed),
         # The frontier's own workload: one probe campaign, 42 CL4M routers.
         TopologyCase("rocketfuel", "uniform", "lru", caching="cl4m", seed=seed),
+        # The attack harnesses' shapes, unbounded, each with a silent producer.
+        TopologyCase("defense_tree", "uniform", "lru", seed=seed),
+        TopologyCase("overload_star", "exponential", "random", caching="lcd", seed=seed),
         # Multicast forwarding is outside the kernel's subset: the case
         # must *fall back* transparently, not diverge (the tree has one
         # upstream per prefix, so multicast forwards identically).

@@ -25,10 +25,6 @@ is in flight is still ``len(pit)`` — which is why the periodic monitor
 (:meth:`InvariantChecker.install`) checks from *scheduled events* (the
 engine is quiescent inside an event callback) rather than from arbitrary
 python code.
-
-The checker is toggleable: construct with ``enabled=False`` (or set
-``checker.enabled = False``) to make every check a no-op, so harnesses
-can leave the wiring in place and pay nothing in production sweeps.
 """
 
 from __future__ import annotations
@@ -72,8 +68,7 @@ class InvariantChecker:
     monitor actually ran when a run reports zero violations).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.violations: List[Violation] = []
         self.checks_run = 0
 
@@ -82,8 +77,6 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def check_forwarder(self, forwarder: "Forwarder") -> List[Violation]:
         """Audit one router; returns (and accumulates) its violations."""
-        if not self.enabled:
-            return []
         found: List[Violation] = []
         name = forwarder.name
         c = forwarder.monitor.counter
@@ -181,8 +174,6 @@ class InvariantChecker:
 
     def check_network(self, network: "Network") -> List[Violation]:
         """Audit every router of ``network``; returns new violations."""
-        if not self.enabled:
-            return []
         found: List[Violation] = []
         for router in network.routers.values():
             found.extend(self.check_forwarder(router))
@@ -194,8 +185,6 @@ class InvariantChecker:
     def assert_ok(self, network: Optional["Network"] = None) -> None:
         """Check ``network`` (when given), then raise on any accumulated
         violation — including ones found by earlier periodic checks."""
-        if not self.enabled:
-            return
         if network is not None:
             self.check_network(network)
         if self.violations:
@@ -213,8 +202,6 @@ class InvariantChecker:
         """
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        if not self.enabled:
-            return 0
         count = 0
         t = network.engine.now + interval
         while t <= horizon:
@@ -229,6 +216,6 @@ class InvariantChecker:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"InvariantChecker(enabled={self.enabled}, "
-            f"checks={self.checks_run}, violations={len(self.violations)})"
+            f"InvariantChecker(checks={self.checks_run}, "
+            f"violations={len(self.violations)})"
         )

@@ -1,15 +1,11 @@
 """The canonical overload scenario: legitimate traffic under interest flood.
 
-One star topology exercises every overload mechanism at once::
-
-    consumer c ──┐
-    attacker a ──┤── router R ──┬── producer p   (/data, answers)
-                 │              └── producer f   (/flood, silent)
-
-The attacker floods distinct ``/flood/...`` names that producer ``f``
-never answers, so every flood interest dangles in R's PIT until its
-lifetime expires — the resource-exhaustion attack.  The consumer is one
-script cycling through 20 ``/data/...`` objects with retries.
+The registry's :func:`~repro.ndn.topology.overload_star` exercises every
+overload mechanism at once.  The attacker ``a`` floods distinct
+``/flood/...`` names that producer ``f`` never answers, so every flood
+interest dangles in R's PIT until its lifetime expires — the
+resource-exhaustion attack.  The consumer ``c`` is one script cycling
+through 20 ``/content/...`` objects with retries.
 
 :func:`run_overload_scenario` runs the scenario against a given router
 configuration (unbounded baseline vs bounded/rate-limited/Nacking) with
@@ -27,15 +23,27 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.faults.adversarial import CachePollutionWindow, InterestFloodWindow
 from repro.ndn.admission import InterestRateLimit
-from repro.ndn.link import FixedDelay
-from repro.ndn.network import Network
+from repro.ndn.topology import CONTENT_PREFIX, TOPOLOGIES
 from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep
-from repro.sim.batch.script import collect_observables, spawn_scripts
+from repro.sim.batch.script import run_scripts_reference
 from repro.validation.differential import CaseResult, DifferentialReport
 from repro.validation.invariants import InvariantChecker
 
-#: PIT capacity of the hardened configurations.
+#: PIT capacity of the hardened configurations, and R's CS capacity.
 OVERLOAD_PIT_CAPACITY = 64
+CS_CAPACITY = 32
+#: Legitimate fetches, the think time (ms) after each, and how often (ms)
+#: the invariant checker audits.
+FETCHES = 200
+FETCH_INTERVAL = 10.0
+CHECK_INTERVAL = 250.0
+#: The flood window (ms): one interest every ``FLOOD_INTERVAL``, each
+#: living ``FLOOD_LIFETIME``, so an unbounded PIT holds about 1000 at
+#: once, more than 10x a 64-entry bounded table.
+FLOOD_START = 100.0
+FLOOD_END = 2100.0
+FLOOD_INTERVAL = 2.0
+FLOOD_LIFETIME = 2000.0
 
 _HARDENED = dict(
     pit_capacity=OVERLOAD_PIT_CAPACITY,
@@ -83,101 +91,59 @@ def run_overload_scenario(
     pit_capacity: Optional[int] = None,
     pit_overflow: str = "evict-oldest-expiry",
     rate_limit: Optional[InterestRateLimit] = None,
-    cs_capacity: int = 32,
-    fetches: int = 200,
-    fetch_interval: float = 10.0,
-    flood_start: float = 100.0,
-    flood_end: float = 2100.0,
-    flood_interval: float = 2.0,
-    flood_lifetime: float = 2000.0,
     pollution: bool = False,
     seed: int = 7,
-    check_interval: float = 250.0,
-    checker: Optional[InvariantChecker] = None,
 ) -> OverloadResult:
     """Run the flood scenario against one router configuration.
 
     ``pit_capacity=None`` is the unbounded baseline the attack crushes;
     a bounded PIT plus ``rate_limit`` is the hardened configuration.
-    With an unbounded PIT the flood sustains ~``flood_lifetime /
-    flood_interval`` dangling entries, so e.g. the defaults drive the
-    baseline peak to ~1000 — more than 10x a 64-entry bounded table.
-    ``pollution=True`` adds a CS-churn attack on the ``/data`` prefix.
+    ``pollution=True`` adds a CS-churn attack on the content prefix.
     The returned result carries the (already-run) invariant checker; the
     caller decides whether to ``assert_ok``.
     """
-    net = Network()
-    net.add_router(
-        "R",
-        capacity=cs_capacity,
-        pit_capacity=pit_capacity,
-        pit_overflow=pit_overflow,
-        rate_limit=rate_limit,
-    )
-    consumer = net.add_consumer("c")
-    net.add_consumer("a")
-    net.add_producer("p", "/data", auto_generate=True)
-    net.add_producer("f", "/flood", auto_generate=False)
-    net.connect("c", "R", FixedDelay(1.0))
-    net.connect("a", "R", FixedDelay(1.0))
-    net.connect("R", "p", FixedDelay(5.0))
-    net.connect("R", "f", FixedDelay(5.0))
-    net.add_route("R", "/data", "p")
-    net.add_route("R", "/flood", "f")
-
-    schedule = FaultSchedule(
-        [
-            InterestFloodWindow(
-                attacker="a",
-                prefix="/flood",
-                start=flood_start,
-                end=flood_end,
-                interval=flood_interval,
-                lifetime=flood_lifetime,
-                seed=seed,
-            )
-        ]
-    )
-    if pollution:
-        schedule.add(
-            CachePollutionWindow(
-                attacker="a",
-                prefix="/data",
-                start=flood_start,
-                end=flood_end,
-                interval=flood_interval * 2,
-                catalog=cs_capacity * 20,
-                seed=seed + 1,
-            )
-        )
-    net.apply_faults(schedule)
-
-    objects = [FetchStep(f"/data/obj-{i}") for i in range(20)]
-    pause = SleepStep(fetch_interval)
-    scripts = [
-        ConsumerScript(
-            consumer="c",
-            steps=[s for i in range(fetches) for s in (objects[i % 20], pause)],
-            retry=RetryPolicy(retries=5, timeout=60.0, backoff=2.0),
+    net = TOPOLOGIES["overload_star"](
+        seed=seed, cache_capacity=CS_CAPACITY, pit_capacity=pit_capacity,
+        pit_overflow=pit_overflow, rate_limit=rate_limit,
+    ).network
+    window = dict(attacker="a", start=FLOOD_START, end=FLOOD_END)
+    faults = [
+        InterestFloodWindow(
+            prefix="/flood", interval=FLOOD_INTERVAL, lifetime=FLOOD_LIFETIME,
+            seed=seed, **window,
         )
     ]
-    delivered = spawn_scripts(net, scripts)
+    if pollution:
+        faults.append(
+            CachePollutionWindow(
+                prefix=CONTENT_PREFIX, interval=FLOOD_INTERVAL * 2,
+                catalog=CS_CAPACITY * 20, seed=seed + 1, **window,
+            )
+        )
+    FaultSchedule(faults).apply(net)
+    checker = InvariantChecker()
+    checker.install(
+        net, interval=CHECK_INTERVAL, horizon=FLOOD_END + FLOOD_LIFETIME + 4000.0
+    )
 
-    horizon = flood_end + flood_lifetime + 4000.0
-    monitor = checker if checker is not None else InvariantChecker()
-    monitor.install(net, interval=check_interval, horizon=horizon)
-    end = net.run(until=horizon + 4000.0)
-    monitor.check_network(net)
-    observed = collect_observables(net, scripts, delivered, end, kernel="reference")
+    objects = [FetchStep(f"{CONTENT_PREFIX}/obj-{i}") for i in range(20)]
+    pause = SleepStep(FETCH_INTERVAL)
+    script = ConsumerScript(
+        consumer="c",
+        steps=[s for i in range(FETCHES) for s in (objects[i % 20], pause)],
+        retry=RetryPolicy(retries=5, timeout=60.0, backoff=2.0),
+    )
+    observed = run_scripts_reference(net, [script])
+    checker.check_network(net)
 
-    failures = consumer.monitor.counter("fetch_failures")
+    delivered = observed.delivered["c"]
     return OverloadResult(
-        delivered=observed.delivered["c"],
+        delivered=delivered,
         # A fetch that returned either delivered or spent its retries.
-        attempted=observed.delivered["c"] + failures,
+        attempted=delivered + net["c"].monitor.counter("fetch_failures"),
         events=observed.events_processed,
         router_summary=observed.router_stats["R"],
-        checker=monitor,
+        checker=checker,
     )
 
 

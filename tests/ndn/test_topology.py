@@ -7,6 +7,7 @@ import pytest
 
 from repro.ndn.topology import (
     FIG3_PANELS,
+    HARNESS_SHAPES,
     SCALE_GRAPHS,
     SIM_CORE_SHAPES,
     TOPOLOGIES,
@@ -50,7 +51,7 @@ class TestRegistry:
             "fig3d_local_host",
         }
         # The named views partition the one registry.
-        views = FIG3_PANELS + SCALE_GRAPHS + SIM_CORE_SHAPES
+        views = FIG3_PANELS + SCALE_GRAPHS + SIM_CORE_SHAPES + HARNESS_SHAPES
         assert sorted(views) == sorted(TOPOLOGIES)
 
     @pytest.mark.parametrize("builder", [TOPOLOGIES[name] for name in FIG3_PANELS])

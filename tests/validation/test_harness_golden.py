@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -53,6 +54,25 @@ def defense_tallies(defense: str, attack: str, seed: int) -> dict:
         "edge_hit_rate": result.edge_hit_rate,
         "router_stats": observed.router_stats,
     }
+
+
+def overload_mismatches() -> List[str]:
+    """The overload configs whose tallies differ from the golden."""
+    return [
+        config
+        for config in sorted(GOLDEN["overload"])
+        if overload_tallies(config) != GOLDEN["overload"][config]
+    ]
+
+
+def defense_mismatches(defense: str) -> List[str]:
+    """The golden runs of one defense preset whose tallies differ."""
+    mismatches = []
+    for run, want in sorted(GOLDEN["defense"].items()):
+        seed, preset, attack = run.split("/")
+        if preset == defense and defense_tallies(preset, attack, int(seed)) != want:
+            mismatches.append(run)
+    return mismatches
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN["overload"]))

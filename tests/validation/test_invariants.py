@@ -151,25 +151,6 @@ class TestSeededViolations:
         assert excinfo.value.violations == checker.violations
 
 
-class TestToggle:
-    def test_disabled_checker_is_a_noop(self):
-        net = chain()
-        run_workload(net)
-        net["R"].monitor.count("interest_in")  # would violate law A
-        checker = InvariantChecker(enabled=False)
-        assert checker.check_network(net) == []
-        assert checker.checks_run == 0
-        checker.assert_ok(net)  # does not raise
-
-    def test_disabled_install_schedules_nothing(self):
-        net = chain()
-        before = net.engine.pending_count
-        assert InvariantChecker(enabled=False).install(
-            net, interval=10.0, horizon=100.0
-        ) == 0
-        assert net.engine.pending_count == before
-
-
 class TestPeriodicInstall:
     def test_install_rejects_nonpositive_interval(self):
         net = chain()

@@ -6,8 +6,8 @@ live source of the attribute with one edit applied (``old`` must occur
 exactly once, so a rewrite of the code fails here loudly instead of
 leaving a mutant that no longer mutates anything), compiled in its own
 module's namespace and installed with ``monkeypatch`` on the owner — on
-each owner, when a tuple names every module that binds the attribute;
-no file changes.
+each owner, when a tuple names every module (or registry dict) that
+binds the attribute; no file changes.
 
 Each check keeps its oracle off the mutated code: the topology
 differential compares the reference engine against the batch kernel,
@@ -42,6 +42,17 @@ The interner merging two content ids fails every (leg, case) pair; the
 grid's trigger rule dropped (a public request between two private ones
 no longer ends a run of private hits) fails the grid cases of every leg.
 
+Two mutants sit on the attack harnesses' registry shapes, each killed
+by ``golden_harness_tallies.json`` (``tests/validation/test_harness_golden.py``,
+recorded while both shapes were still built by hand): the defense tree
+arming the static preset's rate limit on the core R0 as well as on the
+edges changes the ``static`` runs, and the overload star's silent
+``/flood`` producer answering the flood changes every overload config.
+
+Each check's verdict on the unmutated code is computed once per session
+(``_UNMUTATED``), so the table runs each differential unmutated once, not
+once per mutant, while a lone ``-k`` run still asserts it.
+
 Two mutants sit on the Fig. 5 grid's per-point draws and columns.  The
 geometric block without its near-integer fix-up is killed by
 ``TestGeometricBoundaries``' draws (uniforms whose quotient lands on an
@@ -60,7 +71,7 @@ import textwrap
 import pytest
 
 from repro.core.privacy.distributions import TruncatedGeometric
-from repro.ndn import packets
+from repro.ndn import packets, topology
 from repro.sim import batch
 from repro.sim import workload_driver
 from repro.sim.batch import compile as batch_compile, kernel
@@ -80,6 +91,7 @@ from tests.ndn.test_link_bytes import CASES, byte_mismatches
 from tests.sim import test_process
 from tests.sim.test_rebind import rebind_mismatches
 from tests.sim.test_script_builders import builder_mismatches
+from tests.validation.test_harness_golden import defense_mismatches, overload_mismatches
 from tests.workload.test_ircache import narrow_sort_mismatches
 from tests.workload.test_lru_grid import fraction_memo_mismatches
 from tests.workload.test_zipf import searchsorted_mismatches
@@ -141,6 +153,14 @@ def _rebind_diverges(monkeypatch) -> bool:
 
 def _builder_off_oracle(monkeypatch) -> bool:
     return bool(builder_mismatches())
+
+
+def _static_golden_differs(monkeypatch) -> bool:
+    return bool(defense_mismatches("static"))
+
+
+def _overload_golden_differs(monkeypatch) -> bool:
+    return bool(overload_mismatches())
 
 
 MUTANTS = {
@@ -249,6 +269,19 @@ MUTANTS = {
         "step.lifetime, bool(step.private)))",
         _differential_fails,
     ),
+    # The harnesses build their shapes through TOPOLOGIES, which binds
+    # the builders the module defines.
+    "defense tree rate-limits the core too": (
+        (topology, topology.TOPOLOGIES), "defense_tree",
+        'add_router("R0", rate_limit=None)', 'add_router("R0")',
+        _static_golden_differs,
+    ),
+    "overload star's flood producer answers": (
+        (topology, topology.TOPOLOGIES), "overload_star",
+        'net.add_producer("f", "/flood", auto_generate=False)',
+        'net.add_producer("f", "/flood", auto_generate=True)',
+        _overload_golden_differs,
+    ),
     # repro.sim.batch re-exports run_compiled for run_scripts; the
     # kernel module binds it for run_scripts_batch.
     "timer lane takes every timer": (
@@ -269,12 +302,21 @@ MUTANTS = {
 }
 
 
+#: Each check's verdict on the unmutated code, filled on first use.
+_UNMUTATED = {}
+
+
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_each_mutant_is_killed(mutant, monkeypatch):
     owner, attribute, old, new, check = MUTANTS[mutant]
     owners = owner if isinstance(owner, tuple) else (owner,)
-    assert not check(monkeypatch), "the check fails without the mutant"
+    if check not in _UNMUTATED:
+        _UNMUTATED[check] = check(monkeypatch)
+    assert not _UNMUTATED[check], "the check fails without the mutant"
     mutated = _mutated(owners[0], attribute, old, new)
     for module in owners:
-        monkeypatch.setattr(module, attribute, mutated)
+        if isinstance(module, dict):
+            monkeypatch.setitem(module, attribute, mutated)
+        else:
+            monkeypatch.setattr(module, attribute, mutated)
     assert check(monkeypatch), f"{mutant!r} survived"

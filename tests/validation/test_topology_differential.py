@@ -41,13 +41,14 @@ def test_default_grid_is_bit_identical():
     assert report.failures == []
     # The grid covers the advertised surface: the sim-core shapes, the
     # Figure 3 panels (never_cache access routers included), the scale
-    # graphs with the frontier's own probe campaign, the privacy schemes
-    # next to no-privacy, every replacement policy, and a sub-RTT
-    # timeout case.
+    # graphs with the frontier's own probe campaign, the attack
+    # harnesses' shapes, the privacy schemes next to no-privacy, every
+    # replacement policy, and a sub-RTT timeout case.
     cases = [r.case for r in report.results]
     assert {c.topology for c in cases} == {
         "star", "tree", "fig3a_lan", "fig3c_wan_producer",
         "fig3d_local_host", "fat_tree", "rocketfuel",
+        "defense_tree", "overload_star",
     }
     skipped = [
         sum(c.get("cache_skipped", 0) for c in r.batch.router_counters.values())
