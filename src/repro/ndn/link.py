@@ -228,7 +228,6 @@ class Link:
         face_b.link = self
         self.packets_sent = 0
         self.packets_lost = 0
-        self.bytes_sent = 0
         #: Nacks addressed to a handler lacking ``receive_nack``.
         self.nacks_unhandled = 0
         # Fault-injection state (see repro.faults).
@@ -299,11 +298,11 @@ class Link:
     def transmit(self, packet, from_face: Face) -> None:
         """Deliver ``packet`` to the opposite endpoint after a sampled delay.
 
-        The per-hop fast path: a packet's TLV size is memoised on the
-        packet (:attr:`~repro.ndn.packets.Interest.wire_size`), so a Data
-        crossing several hops as one object is sized once, and delivery
-        rides the engine's fire-and-forget lane (deliveries are never
-        cancelled), so a forwarded packet allocates no :class:`Event`.
+        The per-hop fast path: a packet is counted, never sized (no
+        experiment reads a link's bytes, only its RTTs and packet counts),
+        and delivery rides the engine's fire-and-forget lane (deliveries
+        are never cancelled), so a forwarded packet allocates no
+        :class:`Event`.
         """
         if from_face is self.face_a:
             to_face = self.face_b
@@ -315,17 +314,13 @@ class Link:
             )
         if isinstance(packet, Interest):
             handler = to_face.owner.receive_interest
-            size = packet.wire_size
         elif isinstance(packet, Data):
             handler = to_face.owner.receive_data
-            size = packet.wire_size + packet.size
         elif isinstance(packet, Nack):
             handler = getattr(to_face.owner, "receive_nack", None)
-            size = packet.wire_size
         else:
             raise TopologyError(f"unknown packet type {type(packet).__name__}")
         self.packets_sent += 1
-        self.bytes_sent += size
         if not self.up:
             self.packets_dropped_down += 1
             return

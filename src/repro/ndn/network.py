@@ -320,8 +320,3 @@ class Network:
         """Flush every router's CS and scheme state (between trials)."""
         for router in self.routers.values():
             router.flush_cache()
-
-    def apply_faults(self, schedule) -> int:
-        """Bind a :class:`~repro.faults.schedule.FaultSchedule` to this
-        network; returns the number of fault events scheduled."""
-        return schedule.apply(self)

@@ -39,34 +39,14 @@ def _next_nonce() -> int:
     return next(_nonce_counter)
 
 
-class _WireSize:
-    """``packet.wire_size``: the TLV bytes of the packet's encoding
-    (:func:`repro.ndn.wire.fast_wire_size`), computed at the first read and
-    then a plain instance attribute — ``functools.cached_property`` without
-    its lock.  Exact because packets are frozen: a Data crossing several
-    hops as one object is sized once."""
-
-    def __get__(self, packet, owner=None):
-        if packet is None:
-            return self
-        size = packet.__dict__["wire_size"] = _wire.fast_wire_size(packet)
-        return size
-
-
 def _hop_copy(packet, hops: int):
     """``packet`` with ``hops`` replaced: a trusted copy of fields the
     constructor already validated (no ``__post_init__``, no
-    ``dataclasses.replace``).
-
-    The copy keeps the parent's memoised ``wire_size`` unless the hop
-    count's TLV integer grows a byte, which happens exactly when ``hops``
-    is a power of 256 (256, 65 536, ...)."""
+    ``dataclasses.replace``)."""
     copy = object.__new__(type(packet))
     state = copy.__dict__
     state.update(packet.__dict__)
     state["hops"] = hops
-    if hops.bit_length() % 8 == 1 and not hops & (hops - 1):
-        state.pop("wire_size", None)
     return copy
 
 
@@ -103,8 +83,6 @@ class Interest:
             )
         if self.hops < 1:
             raise PacketError(f"interest hops must be >= 1, got {self.hops}")
-
-    wire_size = _WireSize()
 
     def hop(self) -> "Interest":
         """Return a copy with the hop count incremented (same nonce)."""
@@ -177,11 +155,8 @@ class Data:
                 f"content origin_hops must be >= 0, got {self.origin_hops}"
             )
 
-    wire_size = _WireSize()
-
     def hop(self) -> "Data":
-        """Return a copy with the origin hop count incremented (sized
-        afresh: ``dataclasses.replace`` copies fields only)."""
+        """Return a copy with the origin hop count incremented."""
         return replace(self, origin_hops=self.origin_hops + 1)
 
     def at_origin(self) -> "Data":
@@ -248,15 +223,9 @@ class Nack:
         """The Nack rejecting ``interest`` (same name and nonce)."""
         return cls(name=interest.name, nonce=interest.nonce, reason=reason)
 
-    wire_size = _WireSize()
-
     def hop(self) -> "Nack":
         """Return a copy with the hop count incremented (same nonce)."""
         return _hop_copy(self, self.hops + 1)
 
     def __str__(self) -> str:
         return f"Nack({self.name}, reason={self.reason})"
-
-
-# Last: ``wire`` imports this module's classes.
-from repro.ndn import wire as _wire  # noqa: E402

@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from math import ceil
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.ndn.errors import NameError_, PacketError
 from repro.ndn.name import Name
@@ -360,105 +360,3 @@ def wire_size(packet: Union[Interest, Data, Nack]) -> int:
     """On-wire byte size of a packet (header only; payload is ``size``)."""
     return len(encode_packet(packet))
 
-
-# ----------------------------------------------------------------------
-# Fast size computation (no encoding)
-# ----------------------------------------------------------------------
-# The per-packet-hop fast path only needs *sizes*, never bytes, so the
-# sizes are computed arithmetically: fixed TLV framing overhead plus
-# memoized name/string encoding lengths.  ``fast_wire_size`` is
-# bit-identical to ``wire_size`` by construction (the parity suite
-# asserts it), just without building a single bytes object.
-
-#: Name -> encoded Name-TLV length (names repeat across every hop).
-_NAME_SIZE_CACHE: Dict[Name, int] = {}
-#: Producer/reason string -> UTF-8 byte length.
-_STR_LEN_CACHE: Dict[str, int] = {}
-
-
-def _var_number_len(value: int) -> int:
-    """Length of the TLV-VAR-NUMBER encoding of ``value``."""
-    if value < 253:
-        return 1
-    if value <= 0xFFFF:
-        return 3
-    if value <= 0xFFFFFFFF:
-        return 5
-    return 9
-
-
-def _tlv_len(type_code: int, payload_len: int) -> int:
-    """Total length of a TLV with ``payload_len`` payload bytes."""
-    return _var_number_len(type_code) + _var_number_len(payload_len) + payload_len
-
-
-def _name_size(name: Name) -> int:
-    size = _NAME_SIZE_CACHE.get(name)
-    if size is None:
-        payload = 0
-        for component in name.components:
-            payload += _tlv_len(TLV_NAME_COMPONENT, len(component.encode("utf-8")))
-        size = _tlv_len(TLV_NAME, payload)
-        _NAME_SIZE_CACHE[name] = size
-    return size
-
-
-def _str_len(value: str) -> int:
-    length = _STR_LEN_CACHE.get(value)
-    if length is None:
-        length = _STR_LEN_CACHE[value] = len(value.encode("utf-8"))
-    return length
-
-
-def clear_size_caches() -> None:
-    """Drop the wire-size memo tables (tests / memory pressure)."""
-    _NAME_SIZE_CACHE.clear()
-    _STR_LEN_CACHE.clear()
-
-
-def _uint_tlv_len(value: int) -> int:
-    """Total length of an integer field (``_nonneg_int_bytes(value)`` as
-    payload) whose type code is below 253, as every field type here is."""
-    payload = (value.bit_length() + 7) // 8 or 1
-    if payload < 253:
-        return payload + 2
-    return payload + 1 + _var_number_len(payload)
-
-
-def fast_wire_size(packet: Union[Interest, Data, Nack]) -> int:
-    """``wire_size`` without encoding: arithmetic over memoized lengths.
-
-    A one-byte flag field (private, exact-match-only) is 3 bytes on the
-    wire; integer fields go through :func:`_uint_tlv_len`."""
-    if isinstance(packet, Interest):
-        body = (
-            _name_size(packet.name)
-            + _uint_tlv_len(packet.nonce)
-            + _uint_tlv_len(ceil(packet.lifetime))
-            + _uint_tlv_len(packet.hops)
-        )
-        if packet.scope is not None:
-            body += _uint_tlv_len(packet.scope)
-        if packet.private:
-            body += 3
-        return _tlv_len(TLV_INTEREST, body)
-    if isinstance(packet, Data):
-        body = _name_size(packet.name)
-        body += _tlv_len(TLV_APP_PRODUCER, _str_len(packet.producer))
-        body += _uint_tlv_len(packet.size)
-        if packet.private:
-            body += 3
-        if packet.freshness is not None:
-            body += _uint_tlv_len(ceil(packet.freshness))
-        if packet.exact_match_only:
-            body += 3
-        if packet.origin_hops:
-            body += _uint_tlv_len(packet.origin_hops)
-        return _tlv_len(TLV_DATA, body)
-    if isinstance(packet, Nack):
-        body = _name_size(packet.name)
-        body += _uint_tlv_len(packet.nonce)
-        body += _tlv_len(TLV_APP_NACK_REASON, _str_len(packet.reason))
-        body += _uint_tlv_len(packet.hops)
-        return _tlv_len(TLV_APP_NACK, body)
-    raise PacketError(f"cannot size {type(packet).__name__}")

@@ -59,13 +59,13 @@ class TestValidation:
             [InterestFloodWindow("ghost", "/flood", 10.0, 20.0)]
         )
         with pytest.raises(FaultConfigError, match="unknown entity"):
-            net.apply_faults(schedule)
+            schedule.apply(net)
 
     def test_router_attacker_rejected(self):
         net = star()
         schedule = FaultSchedule([InterestFloodWindow("R", "/flood", 10.0, 20.0)])
         with pytest.raises(FaultConfigError, match="no attached face"):
-            net.apply_faults(schedule)
+            schedule.apply(net)
 
     def test_window_in_the_past_rejected(self):
         net = star()
@@ -73,7 +73,7 @@ class TestValidation:
         net.run(until=50.0)
         schedule = FaultSchedule([InterestFloodWindow("a", "/flood", 10.0, 20.0)])
         with pytest.raises(FaultConfigError, match="past"):
-            net.apply_faults(schedule)
+            schedule.apply(net)
 
 
 class TestInterestFlood:
@@ -86,7 +86,7 @@ class TestInterestFlood:
         window = InterestFloodWindow(
             "a", "/flood", start=10.0, end=50.0, interval=2.0, lifetime=5000.0
         )
-        assert net.apply_faults(FaultSchedule([window])) == window.count
+        assert FaultSchedule([window]).apply(net) == window.count
         net.run(until=60.0)
         router = net["R"]
         # Nothing answers /flood, so every distinct name dangles.
@@ -98,7 +98,7 @@ class TestInterestFlood:
         window = InterestFloodWindow(
             "a", "/flood", start=10.0, end=30.0, interval=5.0, lifetime=100.0
         )
-        net.apply_faults(FaultSchedule([window]))
+        FaultSchedule([window]).apply(net)
         net.run()
         router = net["R"]
         assert len(router.pit) == 0
@@ -107,16 +107,14 @@ class TestInterestFlood:
     def test_same_seed_same_attack(self):
         def pending_names(seed):
             net = star()
-            net.apply_faults(
-                FaultSchedule(
-                    [
-                        InterestFloodWindow(
-                            "a", "/flood", 10.0, 40.0, interval=3.0,
-                            lifetime=5000.0, jitter=2.0, seed=seed,
-                        )
-                    ]
-                )
-            )
+            FaultSchedule(
+                [
+                    InterestFloodWindow(
+                        "a", "/flood", 10.0, 40.0, interval=3.0,
+                        lifetime=5000.0, jitter=2.0, seed=seed,
+                    )
+                ]
+            ).apply(net)
             net.run(until=50.0)
             return net["R"].pit.names
 
@@ -130,7 +128,7 @@ class TestCachePollution:
         window = CachePollutionWindow(
             "a", "/data", start=10.0, end=210.0, interval=5.0, catalog=100,
         )
-        net.apply_faults(FaultSchedule([window]))
+        FaultSchedule([window]).apply(net)
         net.run()
         router = net["R"]
         # A wide catalog over a tiny CS forces real evictions...
@@ -142,16 +140,14 @@ class TestCachePollution:
     def test_same_seed_same_request_sequence(self):
         def insertions(seed):
             net = star(cs_capacity=4)
-            net.apply_faults(
-                FaultSchedule(
-                    [
-                        CachePollutionWindow(
-                            "a", "/data", 10.0, 110.0, interval=5.0,
-                            catalog=50, seed=seed,
-                        )
-                    ]
-                )
-            )
+            FaultSchedule(
+                [
+                    CachePollutionWindow(
+                        "a", "/data", 10.0, 110.0, interval=5.0,
+                        catalog=50, seed=seed,
+                    )
+                ]
+            ).apply(net)
             net.run()
             return net["R"].cs.insertions
 
@@ -166,7 +162,7 @@ class TestComposition:
         schedule.add(
             CachePollutionWindow("a", "/data", 10.0, 30.0, interval=10.0)
         )
-        scheduled = net.apply_faults(schedule)
+        scheduled = schedule.apply(net)
         # Two events per down window plus one per attack interest.
         assert scheduled == 2 + flood.count + 2
         net.run()
@@ -176,7 +172,7 @@ class TestComposition:
         schedule = FaultSchedule([InterestFloodWindow("a", "/flood", **window)])
         schedule.add(CachePollutionWindow("a", "/data", **window))
         net = star()
-        assert net.apply_faults(schedule) == 2 + 2
+        assert schedule.apply(net) == 2 + 2
         net.run()
 
 
@@ -219,7 +215,7 @@ class TestAdaptivePollution:
         window = AdaptivePollutionWindow(
             "a", "/data", start=10.0, end=500.0, catalog=50, seed=3
         )
-        assert net.apply_faults(FaultSchedule([window])) == 1
+        assert FaultSchedule([window]).apply(net) == 1
         net.run()
         log = window.log
         assert log.attempts > 0
@@ -237,7 +233,7 @@ class TestAdaptivePollution:
             window = AdaptivePollutionWindow(
                 "a", "/data", start=10.0, end=400.0, catalog=50, seed=7
             )
-            net.apply_faults(FaultSchedule([window]))
+            FaultSchedule([window]).apply(net)
             net.run()
             return window.log
 

@@ -50,9 +50,8 @@ def burst_loss():
 
 
 def crash_flush(network, at, restart_at):
-    network.apply_faults(
-        FaultSchedule([RouterCrash("R", at=at, restart_at=restart_at, mode="flush")])
-    )
+    crash = RouterCrash("R", at=at, restart_at=restart_at, mode="flush")
+    FaultSchedule([crash]).apply(network)
 
 
 #: name -> setup(topology) for the probe-accuracy scenarios.
@@ -65,15 +64,13 @@ ATTACK_SCENARIOS = {
 
 
 def flaps(net, horizon):
-    net.apply_faults(
-        random_link_flaps(
-            net.rng.fork("flaps"),
-            ["c<->R", "R<->p"],
-            horizon=horizon,
-            mean_uptime=800.0,
-            mean_downtime=80.0,
-        )
-    )
+    random_link_flaps(
+        net.rng.fork("flaps"),
+        ["c<->R", "R<->p"],
+        horizon=horizon,
+        mean_uptime=800.0,
+        mean_downtime=80.0,
+    ).apply(net)
 
 
 #: name -> setup(network, horizon) for the delivery scenarios.

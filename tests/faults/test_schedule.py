@@ -54,20 +54,20 @@ class TestValidation:
         schedule = FaultSchedule([LinkDownWindow("c<->X", 10, 20)])
         before = net.engine.pending_count
         with pytest.raises(FaultConfigError, match="unknown link"):
-            net.apply_faults(schedule)
+            schedule.apply(net)
         assert net.engine.pending_count == before  # nothing partially applied
 
     def test_unknown_router_rejected(self):
         net = chain()
         with pytest.raises(FaultConfigError, match="unknown router"):
-            net.apply_faults(FaultSchedule([RouterCrash("X", 10)]))
+            FaultSchedule([RouterCrash("X", 10)]).apply(net)
 
     def test_window_in_the_past_rejected(self):
         net = chain()
         net.engine.schedule(100.0, lambda: None)
         net.run(until=50.0)
         with pytest.raises(FaultConfigError, match="past"):
-            net.apply_faults(FaultSchedule([LinkDownWindow("c<->R", 10, 20)]))
+            FaultSchedule([LinkDownWindow("c<->R", 10, 20)]).apply(net)
 
     @pytest.mark.parametrize(
         "fault",
@@ -111,7 +111,7 @@ class TestLinkWindows:
         net = chain()
         record = []
         # Fetches at t=0,51,102,...; link down for [40, 160).
-        net.apply_faults(FaultSchedule([LinkDownWindow("c<->R", 40.0, 160.0)]))
+        FaultSchedule([LinkDownWindow("c<->R", 40.0, 160.0)]).apply(net)
         fetch_loop(net, count=6, gap=43.0, record=record)
         net.run()
         outcomes = dict(record)
@@ -123,7 +123,7 @@ class TestLinkWindows:
     def test_retry_policy_rides_through_outage(self):
         net = chain()
         record = []
-        net.apply_faults(FaultSchedule([LinkDownWindow("c<->R", 40.0, 160.0)]))
+        FaultSchedule([LinkDownWindow("c<->R", 40.0, 160.0)]).apply(net)
         retry = RetryPolicy(retries=6, timeout=40.0, backoff=1.5)
         fetch_loop(net, count=6, gap=43.0, retry=retry, record=record)
         net.run()
@@ -133,9 +133,8 @@ class TestLinkWindows:
     def test_delay_spike_window(self):
         net = chain()
         rtts = net["c"].rtts
-        net.apply_faults(
-            FaultSchedule([DelaySpikeWindow("c<->R", 100.0, 200.0, extra_delay=20.0)])
-        )
+        spike = DelaySpikeWindow("c<->R", 100.0, 200.0, extra_delay=20.0)
+        FaultSchedule([spike]).apply(net)
         fetch_loop(net, count=3, gap=100.0, timeout=300.0)
         net.run()
         # Fetch 0 at t=0 (clean), fetch 1 at ~t=108 (spiked both ways).
@@ -147,7 +146,7 @@ class TestLinkWindows:
         net = chain(seed=11)
         link = net.links["c<->R"]
         model = GilbertElliottLoss(p=1.0, r=0.0, loss_bad=1.0)  # all-loss after 1 pkt
-        net.apply_faults(FaultSchedule([BurstLossWindow("c<->R", 50.0, 150.0, model)]))
+        FaultSchedule([BurstLossWindow("c<->R", 50.0, 150.0, model)]).apply(net)
         record = []
         fetch_loop(net, count=4, gap=60.0, record=record)
         net.run()
@@ -165,7 +164,7 @@ class TestRouterCrash:
         schedule = FaultSchedule(
             [RouterCrash("R", at=100.0, restart_at=150.0, mode=mode)]
         )
-        net.apply_faults(schedule)
+        schedule.apply(net)
         consumer = net["c"]
 
         def proc():
@@ -199,7 +198,7 @@ class TestRouterCrash:
 
     def test_down_router_drops_and_counts(self):
         net = chain()
-        net.apply_faults(FaultSchedule([RouterCrash("R", at=0.5)]))  # no restart
+        FaultSchedule([RouterCrash("R", at=0.5)]).apply(net)  # no restart
         record = []
         fetch_loop(net, count=2, gap=40.0, record=record)
         net.run()
@@ -210,7 +209,7 @@ class TestRouterCrash:
         net = chain()
         router = net["R"]
         net["p"].auto_generate = False  # never answers: PIT entry lingers
-        net.apply_faults(FaultSchedule([RouterCrash("R", at=20.0, restart_at=30.0)]))
+        FaultSchedule([RouterCrash("R", at=20.0, restart_at=30.0)]).apply(net)
         fetch_loop(net, count=1)
         net.run()
         assert len(router.pit) == 0
@@ -238,7 +237,7 @@ def run_fault_scenario(seed):
     )
     schedule.add(RouterCrash("R", at=900.0, restart_at=1000.0, mode="flush"))
     schedule.add(DelaySpikeWindow("R<->p", 1200.0, 1500.0, extra_delay=15.0))
-    net.apply_faults(schedule)
+    schedule.apply(net)
     record = []
     fetch_loop(
         net,

@@ -304,32 +304,3 @@ class TestFaultSurface:
         engine.run()
         assert link.packets_lost == 10
         assert b.interests == []
-
-
-class TestByteAccounting:
-    def test_bytes_counted_per_packet(self, engine):
-        from repro.ndn.wire import wire_size
-
-        a, b, face_a, face_b, link = wire(engine)
-        interest = Interest(name=Name.parse("/x"))
-        face_a.send_interest(interest)
-        engine.run()
-        assert link.bytes_sent == wire_size(interest)
-
-    def test_data_bytes_include_payload(self, engine):
-        from repro.ndn.wire import wire_size
-
-        a, b, face_a, face_b, link = wire(engine)
-        data = Data(name=Name.parse("/x"), size=4096)
-        face_b.send_data(data)
-        engine.run()
-        assert link.bytes_sent == wire_size(data) + 4096
-
-    def test_lost_packets_still_consume_bandwidth(self, engine):
-        a, b, face_a, _, link = wire(engine, loss=0.5, seed=3)
-        for _ in range(100):
-            face_a.send_interest(Interest(name=Name.parse("/x")))
-        engine.run()
-        # The sender transmitted every packet; loss happens in flight.
-        assert link.bytes_sent > 0
-        assert link.packets_lost > 0

@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.ndn.errors import PacketError
 from repro.ndn.name import Name
-from repro.ndn.packets import Data, Interest
+from repro.ndn.packets import NACK_NO_ROUTE, Data, Interest, Nack
+
+
+def hop_copy_mismatches():
+    """``[(packet type, field)]`` that ``Interest.hop()``/``Nack.hop()``
+    got wrong: each copy must equal its original built afresh by
+    ``dataclasses.replace`` with one more hop (name, nonce, scope,
+    private, lifetime and reason kept)."""
+    originals = (
+        Interest(Name.parse("/a/b"), nonce=7, scope=5, private=True,
+                 lifetime=250.0, hops=3),
+        Nack(Name.parse("/a/b"), nonce=7, reason=NACK_NO_ROUTE, hops=3),
+    )
+    bad = []
+    for packet in originals:
+        hopped = packet.hop()
+        expected = dataclasses.replace(packet, hops=packet.hops + 1)
+        for field in dataclasses.fields(packet):
+            if getattr(hopped, field.name) != getattr(expected, field.name):
+                bad.append((type(packet).__name__, field.name))
+    return bad
+
+
+def test_hop_copies_keep_every_field_but_hops():
+    assert hop_copy_mismatches() == []
 
 
 class TestInterest:

@@ -92,12 +92,8 @@ class TestInterestCodec:
     def test_fractional_lifetime_rounds_up_to_whole_ms(self, lifetime, on_wire):
         """Every constructible Interest round-trips: a sub-millisecond
         lifetime goes on the wire as 1 ms, not as the undecodable 0."""
-        from repro.ndn.wire import fast_wire_size
-
         interest = Interest(name=Name.parse("/a"), lifetime=lifetime)
-        wire = encode_packet(interest)
-        assert decode_packet(wire).lifetime == on_wire
-        assert fast_wire_size(interest) == len(wire)
+        assert decode_packet(encode_packet(interest)).lifetime == on_wire
 
     def test_missing_name_rejected(self):
         from repro.ndn.wire import _tlv, TLV_INTEREST, TLV_NONCE
@@ -142,12 +138,8 @@ class TestDataCodec:
     def test_fractional_freshness_rounds_up_to_whole_ms(self, freshness, on_wire):
         """A fractional freshness goes on the wire rounded up: 0.5 ms is
         1 ms, not the undecodable 0, and 1.5 ms is 2 ms, never less."""
-        from repro.ndn.wire import fast_wire_size
-
         data = Data(name=Name.parse("/a"), freshness=freshness)
-        wire = encode_packet(data)
-        assert decode_packet(wire).freshness == on_wire
-        assert fast_wire_size(data) == len(wire)
+        assert decode_packet(encode_packet(data)).freshness == on_wire
 
 
 class TestTopLevel:
@@ -226,90 +218,3 @@ class TestGoldenVectors:
         assert encode_packet(packet) == wire  # the memoized answer too
         assert decode_packet(wire) == packet
         assert wire_size(packet) == len(wire)
-
-
-class TestFastWireSize:
-    """fast_wire_size must equal wire_size bit-for-bit on every packet
-    shape — bytes_sent is an observable statistic of the simulator."""
-
-    def test_interest_field_grid(self):
-        from repro.ndn.wire import fast_wire_size
-
-        names = [Name.parse("/"), Name.parse("/a"),
-                 Name.parse("/cnn/news/2013may20"), Name(("café", "日本"))]
-        # Nonces straddling every var-int byte-length boundary.
-        nonces = [0, 1, 255, 256, 65535, 65536, 2**24, 2**32 - 1, 2**32]
-        for name in names:
-            for nonce in nonces:
-                for scope in (None, 1, 2, 300):
-                    for private in (False, True):
-                        for hops in (1, 254, 70000):
-                            packet = Interest(
-                                name=name, nonce=nonce, scope=scope,
-                                private=private, lifetime=4000.0, hops=hops,
-                            )
-                            assert fast_wire_size(packet) == wire_size(packet)
-
-    def test_data_field_grid(self):
-        from repro.ndn.wire import fast_wire_size
-
-        for name in (Name.parse("/a/b"), Name(("日本", "x"))):
-            for producer in ("p", "producer-with-longer-id", "日本"):
-                for size in (0, 1, 1024, 2**20):
-                    for private in (False, True):
-                        for freshness in (None, 0.5, 5000.0):
-                            for exact in (False, True):
-                                packet = Data(
-                                    name=name, producer=producer, size=size,
-                                    private=private, freshness=freshness,
-                                    exact_match_only=exact,
-                                )
-                                assert fast_wire_size(packet) == wire_size(packet)
-
-    def test_nack_parity(self):
-        from repro.ndn.packets import Nack
-        from repro.ndn.wire import fast_wire_size
-
-        for nonce in (0, 255, 256, 2**32):
-            for reason in ("congestion", "no-route", "pit-full"):
-                for hops in (1, 300):
-                    packet = Nack(
-                        name=Name.parse("/x/y"), nonce=nonce,
-                        reason=reason, hops=hops,
-                    )
-                    assert fast_wire_size(packet) == wire_size(packet)
-
-    def test_randomized_interests(self):
-        import random
-
-        from repro.ndn.wire import fast_wire_size
-
-        rng = random.Random(7)
-        for _ in range(300):
-            depth = rng.randint(0, 5)
-            name = Name(tuple(
-                "c" * rng.randint(1, 12) for _ in range(depth)
-            ))
-            packet = Interest(
-                name=name,
-                nonce=rng.randrange(2**rng.choice([1, 8, 16, 32, 40])),
-                scope=rng.choice([None, rng.randint(1, 500)]),
-                private=rng.random() < 0.5,
-                lifetime=rng.choice([0.5, 500.0, 4000.0, 1e6]),
-                hops=rng.randint(1, 10**6),
-            )
-            assert fast_wire_size(packet) == wire_size(packet)
-
-    def test_unsizeable_rejected(self):
-        from repro.ndn.wire import fast_wire_size
-
-        with pytest.raises(PacketError):
-            fast_wire_size("not a packet")  # type: ignore[arg-type]
-
-    def test_cache_clear_keeps_parity(self):
-        from repro.ndn.wire import clear_size_caches, fast_wire_size
-
-        packet = Interest(name=Name.parse("/clear/test"))
-        first = fast_wire_size(packet)
-        clear_size_caches()
-        assert fast_wire_size(packet) == first == wire_size(packet)

@@ -1,12 +1,14 @@
-"""The reference engine's per-packet path does each piece of work once.
+"""The reference engine's per-packet path does only the work a decision needs.
 
 Count-based (no timing), over one defense sweep shaped like the perf
 ledger's ``frontier_sweep`` (off/adaptive × the three attacks, a 3 000 ms
 window, the attack from 20% to 70% of it):
 
-* a packet's TLV size is computed once per packet object, and never for
-  an Interest/Nack hop copy whose hop-count length did not change (no hop
-  count reaches 256 here, so only originals are sized);
+* no packet is encoded or sized: ``wire.encode_packet``,
+  ``wire.wire_size`` and the three per-type encoders they reach through
+  the module's globals (so a caller that imported either by name is
+  counted too) are never called.  A simulated link counts packets, and
+  nothing reads its bytes;
 * ``Interest.hop``/``Nack.hop`` copy without ``dataclasses.replace``;
 * ``Consumer.fetch(retry=None)`` builds one ``RetryPolicy`` per distinct
   timeout, not one per fetch.
@@ -19,19 +21,24 @@ from collections import Counter
 from repro.analysis.defense import run_defense_sweep
 from repro.faults.retry import RetryPolicy
 from repro.ndn import packets, wire
-from repro.ndn.packets import Data, Interest, Nack
+from repro.ndn.packets import Interest, Nack
 
 HORIZON = 3000.0
 
 
-def test_defense_sweep_sizes_copies_and_policies_once(monkeypatch):
-    sized, replaced, hops, policies = [], [], Counter(), Counter()
-    fast_wire_size, replace = wire.fast_wire_size, packets.replace
+def test_defense_sweep_sizes_nothing_and_copies_and_policies_once(monkeypatch):
+    coded, replaced, hops, policies = Counter(), [], Counter(), Counter()
+    replace = packets.replace
     post_init = RetryPolicy.__post_init__
 
-    def counting_size(packet):
-        sized.append(packet)  # held, so no id is reused
-        return fast_wire_size(packet)
+    def counting(name):
+        function = getattr(wire, name)
+
+        def counted(packet):
+            coded[name] += 1
+            return function(packet)
+
+        monkeypatch.setattr(wire, name, counted)
 
     def counting_replace(obj, **changes):
         replaced.append(type(obj))
@@ -50,7 +57,9 @@ def test_defense_sweep_sizes_copies_and_policies_once(monkeypatch):
         policies[policy.timeout] += 1
         post_init(policy)
 
-    monkeypatch.setattr(wire, "fast_wire_size", counting_size)
+    for name in ("encode_packet", "wire_size", "encode_interest", "encode_data",
+                 "encode_nack"):
+        counting(name)
     monkeypatch.setattr(packets, "replace", counting_replace)
     monkeypatch.setattr(RetryPolicy, "__post_init__", counting_post_init)
     counting_hop(Interest)
@@ -65,10 +74,8 @@ def test_defense_sweep_sizes_copies_and_policies_once(monkeypatch):
     )
 
     assert len(frontier.points) == 6
-    assert len({id(p) for p in sized}) == len(sized)
-    assert {type(p) for p in sized} == {Interest, Data, Nack}
-    assert all(p.hops == 1 for p in sized if not isinstance(p, Data))
-    # The copies were made, and none was sized or built by ``replace``.
+    assert coded == {}
+    # The copies were made, and none was built by ``replace``.
     assert hops[Interest] > 1000 and hops[Nack] > 0
     assert Interest not in replaced and Nack not in replaced
     # Thousands of single-attempt fetches; at most one policy per timeout

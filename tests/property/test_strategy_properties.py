@@ -8,7 +8,7 @@ from repro.ndn.errors import PacketError
 from repro.ndn.name import Name
 from repro.ndn.packets import Data, Interest, Nack
 from repro.ndn.strategy import make_strategy
-from repro.ndn.wire import decode_packet, encode_packet, fast_wire_size
+from repro.ndn.wire import decode_packet, encode_packet
 from repro.sim.rng import RngRegistry
 
 router_names = st.lists(
@@ -126,12 +126,6 @@ def test_origin_hops_roundtrip(data):
     decoded = decode_packet(encode_packet(data))
     assert decoded == data
     assert decoded.origin_hops == data.origin_hops
-
-
-@given(datas_with_hops)
-@settings(max_examples=200, deadline=None)
-def test_fast_wire_size_matches_encoding(data):
-    assert fast_wire_size(data) == len(encode_packet(data))
 
 
 @given(datas_with_hops.filter(lambda d: d.origin_hops > 0))

@@ -11,9 +11,10 @@ binds the attribute; no file changes.
 
 Each check keeps its oracle off the mutated code: the topology
 differential compares the reference engine against the batch kernel,
-the byte and wait tests compute their expectation independently
-(``encode_packet``, a hand-timed schedule), and the Zipf and sort-key
-checks compare against ``np.searchsorted`` and an int64 ``argsort``.
+the hop-copy, horizon and wait tests compute their expectation
+independently (``dataclasses.replace``, hand-timed schedules), and the
+Zipf and sort-key checks compare against ``np.searchsorted`` and an
+int64 ``argsort``.
 ``golden_defense_frontier.json`` kills none of the engine mutants: a
 fired cancelled timer finds its PIT entry gone or its wait token
 withdrawn, and the defense tree has no private or scoped interests and
@@ -87,8 +88,8 @@ from repro.workload.compiled import CompiledTrace
 from repro.workload.zipf import ZipfSampler
 
 from tests.core.test_distributions import geometric_boundary_mismatches
-from tests.ndn.test_link_bytes import CASES, byte_mismatches
-from tests.sim import test_process
+from tests.ndn.test_packets import hop_copy_mismatches
+from tests.sim import test_engine, test_process
 from tests.sim.test_rebind import rebind_mismatches
 from tests.sim.test_script_builders import builder_mismatches
 from tests.validation.test_harness_golden import defense_mismatches, overload_mismatches
@@ -115,9 +116,18 @@ def _replay_differential_fails(monkeypatch) -> bool:
     return not validate_replay_differential().ok
 
 
-def _bytes_inexact(monkeypatch) -> bool:
-    bad, _ = byte_mismatches(monkeypatch, CASES["hop-chain"])
-    return bool(bad)
+def _hop_copy_lossy(monkeypatch) -> bool:
+    return bool(hop_copy_mismatches())
+
+
+def _until_overrun(monkeypatch) -> bool:
+    controls = test_engine.TestRunControl()
+    try:
+        controls.test_run_until_stops_clock_at_horizon(Engine())
+        controls.test_run_until_leaves_future_events_pending(Engine())
+    except AssertionError:
+        return True
+    return False
 
 
 def _stale_wait_resumes(monkeypatch) -> bool:
@@ -164,17 +174,12 @@ def _overload_golden_differs(monkeypatch) -> bool:
 
 
 MUTANTS = {
-    "size memo carried across a length change": (
-        packets, "_hop_copy",
-        'state.pop("wire_size", None)', "pass",
-        _bytes_inexact,
-    ),
     # The grid's only scoped interests (scope 2) are never forwarded, so
-    # a dropped scope shows in the bytes, not in the differential.
+    # a dropped scope shows in the copy's fields, not in the differential.
     "hop copy drops scope": (
         packets, "_hop_copy",
         'state["hops"] = hops', "state.update(hops=hops, scope=None)",
-        _bytes_inexact,
+        _hop_copy_lossy,
     ),
     "hop copy drops private": (
         packets, "_hop_copy",
@@ -189,7 +194,7 @@ MUTANTS = {
     "loop ignores until": (
         Engine, "run",
         "if time > horizon:", "if False:",
-        _bytes_inexact,
+        _until_overrun,
     ),
     "stale wait token accepted": (
         Process, "_wait_signalled",
