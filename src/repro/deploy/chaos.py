@@ -1,11 +1,11 @@
 """Chaos UDP proxy: seed-reproducible network faults for real sockets.
 
-A :class:`ChaosUdpProxy` sits between two UDP endpoints and applies the
-PR-2 fault vocabulary to real datagrams:
+A :class:`ChaosUdpProxy` sits between two UDP endpoints and applies
+seeded network faults to real datagrams:
 
-* **drop** — per-packet loss from a :class:`repro.faults.loss.LossModel`
-  (i.i.d. or Gilbert–Elliott bursts), drawn from a named RNG stream so a
-  chaos schedule replays exactly from the root seed;
+* **drop** — i.i.d. per-packet loss with probability ``loss_prob``,
+  drawn from a named RNG stream so a chaos schedule replays exactly from
+  the root seed;
 * **delay** — uniform extra latency in a configured band (per packet,
   independent per direction);
 * **duplicate** — the datagram is delivered twice;
@@ -24,13 +24,13 @@ relays every packet untouched, immediately.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.faults.errors import FaultConfigError
-from repro.faults.loss import LossModel
 
 Address = Tuple[str, int]
 
@@ -44,8 +44,8 @@ CORRUPT_BYTES = 4
 class ChaosConfig:
     """Per-direction fault intensities (probabilities in [0, 1])."""
 
-    #: Loss model consulted per packet (None = never drop).
-    loss: Optional[LossModel] = None
+    #: Probability a packet is dropped.
+    loss_prob: float = 0.0
     #: Extra latency band in seconds (min, max); (0, 0) = immediate relay.
     delay_range: Tuple[float, float] = (0.0, 0.0)
     duplicate_prob: float = 0.0
@@ -56,6 +56,7 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         for label, prob in (
+            ("loss_prob", self.loss_prob),
             ("duplicate_prob", self.duplicate_prob),
             ("reorder_prob", self.reorder_prob),
             ("corrupt_prob", self.corrupt_prob),
@@ -63,9 +64,11 @@ class ChaosConfig:
             if not 0.0 <= prob <= 1.0:
                 raise FaultConfigError(f"{label} must be in [0, 1], got {prob}")
         lo, hi = self.delay_range
-        if lo < 0 or hi < lo:
+        # Written as a negation so a NaN fails it too.
+        if not 0 <= lo <= hi < math.inf:
             raise FaultConfigError(
-                f"delay_range must satisfy 0 <= min <= max, got {self.delay_range}"
+                "delay_range must satisfy 0 <= min <= max < inf, "
+                f"got {self.delay_range}"
             )
 
 
@@ -171,7 +174,7 @@ class ChaosUdpProxy:
             self.unroutable += 1
             return
         cfg = self.config
-        if cfg.loss is not None and cfg.loss.drops(self.rng):
+        if cfg.loss_prob > 0.0 and self.rng.random() < cfg.loss_prob:
             self.dropped += 1
             return
         if cfg.corrupt_prob > 0.0 and self.rng.random() < cfg.corrupt_prob:

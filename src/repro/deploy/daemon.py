@@ -275,7 +275,7 @@ class ForwarderDaemon:
         fwd = self.forwarder
         return {
             "name": self.config.name,
-            "up": bool(fwd is not None and fwd.up),
+            "up": fwd is not None,
             "ready": self.ready,
             "draining": self.draining,
             "faces": len(self.faces),

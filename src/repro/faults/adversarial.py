@@ -1,7 +1,6 @@
 """Adversarial load generators: interest flooding and cache pollution.
 
-Where :mod:`repro.faults.schedule` models *failures*, this module models
-*attacks* on the forwarding plane's finite resources:
+This module models *attacks* on the forwarding plane's finite resources:
 
 * :class:`InterestFloodWindow` — an attacker face emits interests for
   distinct, never-published names at a fixed cadence.  Each interest opens
@@ -17,13 +16,13 @@ Where :mod:`repro.faults.schedule` models *failures*, this module models
   live defense, probing for the fastest rate the mitigation still
   admits.
 
-Both are plain fault objects: frozen dataclasses exposing
-``plan(network) -> [(time, action, label), ...]``, the extension protocol
-:class:`~repro.faults.schedule.FaultSchedule` accepts.  They compose
-freely with link outages, burst loss, and router crashes in a single
-schedule.  Attack timing and name choice are derived from the window's
-own ``seed`` (never from wall-clock or global state), so a schedule is
-bit-reproducible and independent of everything else in the run.
+All three are plain fault objects: frozen dataclasses exposing
+``plan(network) -> [(time, action, label), ...]``, the protocol
+:class:`~repro.faults.schedule.FaultSchedule` accepts, so several compose
+in a single schedule.  Attack timing and name choice are derived from the
+window's own ``seed`` (never from wall-clock or global state), so a
+schedule is bit-reproducible and independent of everything else in the
+run.
 """
 
 from __future__ import annotations
@@ -34,10 +33,19 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from repro.faults.errors import FaultConfigError
-from repro.faults.schedule import _check_window
 
 if TYPE_CHECKING:  # typing only: faults must not import ndn at runtime
     from repro.ndn.network import Network
+
+
+def _check_window(kind: str, start: float, end: float) -> None:
+    # Written as negations so a NaN fails them too.
+    if not start >= 0:
+        raise FaultConfigError(f"{kind} start must be >= 0, got {start}")
+    if not end > start:
+        raise FaultConfigError(
+            f"{kind} window must have end > start, got [{start}, {end})"
+        )
 
 
 def _attacker_face(network: "Network", attacker: str, kind: str):

@@ -41,7 +41,7 @@ Every interest entering the router is classified exactly once, so the
 and the PIT ledger
 
     pit_insert == pit_satisfied + pit_expired + pit_nacked
-                  + pit_preempted + pit_drained + pit_shed + len(pit).
+                  + pit_preempted + pit_shed + len(pit).
 
 The optional online defense agent (:mod:`repro.defense`) observes the
 pipeline through five hooks — ``allow_interest`` (throttle gate, before
@@ -178,8 +178,6 @@ class Forwarder:
         #: path pays nothing for the defense axis.
         self.defense = None
         self.faces: List[Face] = []
-        #: False while crashed: every arriving packet is dropped.
-        self.up = True
         self.cs.add_evict_listener(self.scheme.on_evict)
         self.pit.add_evict_listener(self._on_pit_preempted)
 
@@ -201,9 +199,6 @@ class Forwarder:
         The engine's clock is read once: every stage sees the arrival
         time (on the simulator it cannot move inside a callback)."""
         count = self.monitor.count
-        if not self.up:
-            count("down_dropped_interest")
-            return
         count("interest_in")
         now = self.engine.now
         defense = self.defense
@@ -366,9 +361,6 @@ class Forwarder:
     def receive_data(self, data: Data, face: Face) -> None:
         """Process a content object arriving on ``face``."""
         count = self.monitor.count
-        if not self.up:
-            count("down_dropped_data")
-            return
         count("data_in")
         pit_entry = self.pit.satisfy(data.name)
         if pit_entry is None:
@@ -440,9 +432,6 @@ class Forwarder:
     # ------------------------------------------------------------------
     def receive_nack(self, nack: Nack, face: Face) -> None:
         """Process a negative acknowledgement arriving from upstream."""
-        if not self.up:
-            self.monitor.count("down_dropped_nack")
-            return
         self.monitor.count("nack_in")
         reason_counter = _NACK_IN_COUNTERS.get(nack.reason)
         if reason_counter is not None:
@@ -536,43 +525,12 @@ class Forwarder:
     # Maintenance
     # ------------------------------------------------------------------
     def flush_cache(self) -> None:
-        """Empty the CS and reset scheme state (between attack trials)."""
+        """Empty the CS and reset scheme and caching-strategy state (a
+        daemon switching its privacy scheme starts from a cold cache)."""
         self.cs.clear()
         self.scheme.reset()
         if self.caching is not None:
             self.caching.reset()
-
-    # ------------------------------------------------------------------
-    # Fault injection (see repro.faults)
-    # ------------------------------------------------------------------
-    def crash(self, mode: str = "flush") -> None:
-        """Take the router down.
-
-        Pending interests are lost in either mode (their timers are
-        cancelled, the PIT emptied).  ``mode="flush"`` also wipes the
-        Content Store and scheme state (cold restart); ``mode="warm"``
-        models a deployment that persists its CS across restarts.
-        """
-        if mode not in ("flush", "warm"):
-            raise ValueError(f"crash mode must be 'flush' or 'warm', got {mode!r}")
-        if not self.up:
-            return
-        self.up = False
-        self.monitor.count("crashes")
-        drained = self.pit.drain()
-        self.monitor.count("pit_drained", len(drained))
-        for entry in drained:
-            if entry.timer is not None and entry.timer.pending:
-                entry.timer.cancel()
-        if mode == "flush":
-            self.flush_cache()
-
-    def restart(self) -> None:
-        """Bring a crashed router back up (CS per the crash mode)."""
-        if self.up:
-            return
-        self.up = True
-        self.monitor.count("restarts")
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

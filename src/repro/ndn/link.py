@@ -8,13 +8,6 @@ Links apply a :class:`DelayModel` per packet plus an optional i.i.d. loss
 probability.  Delay models are where the Figure-3 topologies get their
 character: a near-deterministic Fast-Ethernet LAN, a jittery multi-hop WAN,
 and a microsecond-scale local host (app ↔ local daemon).
-
-Links also carry the fault-injection surface used by
-:mod:`repro.faults`: an up/down state (:meth:`Link.set_down` /
-:meth:`Link.set_up`), a stack of installable :class:`~repro.faults.loss.LossModel`
-instances for burst-loss episodes, and an additive delay component for
-congestion spikes — each with its own drop/usage accounting so
-experiments can attribute every lost packet to a cause.
 """
 
 from __future__ import annotations
@@ -22,16 +15,13 @@ from __future__ import annotations
 import abc
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.ndn.errors import TopologyError
 from repro.ndn.packets import Data, Interest, Nack
 from repro.sim.rng import Stream, as_generator
-
-if TYPE_CHECKING:  # typing only: keep ndn importable without repro.faults
-    from repro.faults.loss import LossModel
 
 
 @runtime_checkable
@@ -184,13 +174,11 @@ class Face:
 
 
 class Link:
-    """A bidirectional point-to-point link with delay, loss, and faults.
+    """A bidirectional point-to-point link with delay and i.i.d. loss.
 
     ``loss_rate == 1.0`` is legal and models a blackhole link — exactly
-    what fault-injection tests need.  ``loss_model`` installs a stateful
-    model (e.g. Gilbert–Elliott burst loss) *instead of* the i.i.d.
-    ``loss_rate``; fault windows may push further models on top of it at
-    runtime (:meth:`push_loss_model`).
+    what failure-path tests need.  ``loss_rate`` is a plain attribute: a
+    test may change it between events to cut a link off and restore it.
 
     ``rng`` may be a :class:`~repro.sim.rng.LazyStream`: the link builds
     its generator at its first draw, so a fixed-delay link that loses
@@ -205,16 +193,10 @@ class Link:
         delay_model: DelayModel,
         rng: Stream,
         loss_rate: float = 0.0,
-        loss_model: Optional["LossModel"] = None,
         name: str = "",
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
             raise TopologyError(f"loss_rate must be in [0, 1], got {loss_rate}")
-        if loss_model is not None and loss_rate > 0.0:
-            raise TopologyError(
-                "give either loss_rate or loss_model, not both "
-                f"(loss_rate={loss_rate}, loss_model={loss_model!r})"
-            )
         if face_a.link is not None or face_b.link is not None:
             raise TopologyError("face already attached to a link")
         self.engine = engine
@@ -230,62 +212,12 @@ class Link:
         self.packets_lost = 0
         #: Nacks addressed to a handler lacking ``receive_nack``.
         self.nacks_unhandled = 0
-        # Fault-injection state (see repro.faults).
-        self.up = True
-        self.extra_delay = 0.0
-        self.packets_dropped_down = 0
-        self.down_windows = 0
-        self._loss_models: list = [loss_model] if loss_model is not None else []
 
     @cached_property
     def rng(self) -> np.random.Generator:
         """The link's generator, built at its first read (then a plain
         attribute)."""
         return as_generator(self._stream)
-
-    # ------------------------------------------------------------------
-    # Fault-injection surface
-    # ------------------------------------------------------------------
-    def set_down(self) -> None:
-        """Take the link down: every packet is dropped (both directions)."""
-        if self.up:
-            self.up = False
-            self.down_windows += 1
-
-    def set_up(self) -> None:
-        """Restore the link."""
-        self.up = True
-
-    @property
-    def loss_model(self) -> Optional["LossModel"]:
-        """The active loss model (top of the stack), if any."""
-        return self._loss_models[-1] if self._loss_models else None
-
-    def push_loss_model(self, model: "LossModel") -> None:
-        """Install ``model`` on top of the current loss behavior."""
-        self._loss_models.append(model)
-
-    def pop_loss_model(self, model: Optional["LossModel"] = None) -> None:
-        """Remove the active loss model (must be ``model`` when given)."""
-        if not self._loss_models:
-            raise TopologyError(f"{self.name}: no loss model to remove")
-        if model is not None and self._loss_models[-1] is not model:
-            raise TopologyError(
-                f"{self.name}: active loss model is not the one being removed"
-            )
-        self._loss_models.pop()
-
-    def add_extra_delay(self, extra: float) -> None:
-        """Add a per-packet delay component (congestion spike)."""
-        if not 0 <= extra < math.inf:
-            raise TopologyError(f"extra delay must be finite and >= 0, got {extra}")
-        self.extra_delay += extra
-
-    def remove_extra_delay(self, extra: float) -> None:
-        """Remove a previously added delay component."""
-        if not 0 <= extra < math.inf:
-            raise TopologyError(f"extra delay must be finite and >= 0, got {extra}")
-        self.extra_delay = max(0.0, self.extra_delay - extra)
 
     def other_end(self, face: Face) -> Face:
         """The opposite endpoint of ``face``."""
@@ -321,18 +253,11 @@ class Link:
         else:
             raise TopologyError(f"unknown packet type {type(packet).__name__}")
         self.packets_sent += 1
-        if not self.up:
-            self.packets_dropped_down += 1
-            return
-        if self._loss_models:
-            if self._loss_models[-1].drops(self.rng):
-                self.packets_lost += 1
-                return
-        elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self.packets_lost += 1
             return
         model = self.delay_model
-        delay = model.sample(self.rng if model.draws else None) + self.extra_delay
+        delay = model.sample(self.rng if model.draws else None)
         if handler is None:
             # A Nack for a pre-Nack handler (legacy stubs, producers
             # without the method): dropped at the link, visibly, after

@@ -225,14 +225,9 @@ class Network:
         b: str,
         delay_model: DelayModel,
         loss_rate: float = 0.0,
-        loss_model=None,
     ) -> Tuple[Face, Face]:
-        """Create a bidirectional link between entities ``a`` and ``b``.
-
-        ``loss_model`` installs a stateful loss process (e.g.
-        :class:`~repro.faults.loss.GilbertElliottLoss`) instead of the
-        i.i.d. ``loss_rate``.
-        """
+        """Create a bidirectional link between entities ``a`` and ``b``
+        that drops each packet independently with ``loss_rate``."""
         entity_a, entity_b = self[a], self[b]
         face_a = entity_a.create_face(label=f"{a}->{b}")
         face_b = entity_b.create_face(label=f"{b}->{a}")
@@ -243,7 +238,6 @@ class Network:
             delay_model=delay_model,
             rng=link_stream(self.rng, f"{a}<->{b}"),
             loss_rate=loss_rate,
-            loss_model=loss_model,
             name=f"{a}<->{b}",
         )
         self.links[link.name] = link
@@ -315,8 +309,3 @@ class Network:
             name: router.stats_summary()
             for name, router in self.routers.items()
         }
-
-    def flush_caches(self) -> None:
-        """Flush every router's CS and scheme state (between trials)."""
-        for router in self.routers.values():
-            router.flush_cache()

@@ -185,13 +185,6 @@ class Pit:
         """Unconditionally remove and return the entry for ``name``."""
         return self._entries.pop(name, None)
 
-    def drain(self) -> List[PitEntry]:
-        """Remove and return every entry (router crash: pending state is
-        lost).  The caller owns cancelling any attached timers."""
-        entries = list(self._entries.values())
-        self._entries.clear()
-        return entries
-
     def has_seen_nonce(self, name: Name, nonce: int) -> bool:
         """True if ``nonce`` was already recorded for ``name`` (loop check)."""
         entry = self._entries.get(name)

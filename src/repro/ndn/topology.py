@@ -86,10 +86,6 @@ class AttackTopology:
         """The topology's simulation engine."""
         return self.network.engine
 
-    def flush_caches(self) -> None:
-        """Empty every router cache (fresh attack trial)."""
-        self.network.flush_caches()
-
 
 def place_scheme(
     scheme: SchemePlacement, router: str, probe: str

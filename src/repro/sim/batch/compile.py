@@ -107,7 +107,7 @@ class BatchCompileError(Exception):
 # Router monitor counters the kernel maintains (index = position here).
 # This is the complete set the reference forwarder can touch on the
 # supported subset; anything outside it (Nacks, rate limiting, scope
-# drops, crashes) is excluded by a compile-time check below.
+# drops) is excluded by a compile-time check below.
 # ----------------------------------------------------------------------
 COUNTER_NAMES: Tuple[str, ...] = (
     "interest_in",
@@ -435,15 +435,7 @@ def _intern_vocabulary(
 
 
 def _compile_link(link) -> CompiledLink:
-    _require(link.up, f"link {link.name}: down links are not supported")
-    _require(
-        link.loss_rate == 0.0 and not link._loss_models,
-        f"link {link.name}: loss is not supported",
-    )
-    _require(
-        link.extra_delay == 0.0,
-        f"link {link.name}: extra_delay is not supported",
-    )
+    _require(link.loss_rate == 0.0, f"link {link.name}: loss is not supported")
     model = link.delay_model
     if type(model) is FixedDelay:
         return CompiledLink(link.name, DELAY_FIXED, (model._delay,))
@@ -478,7 +470,6 @@ def _router_shape(router: Forwarder) -> RouterShape:
     """Everything about ``router`` that no seed, scheme or strategy
     changes, except ``next_hops`` (filled once the names are known)."""
     name = router.name
-    _require(router.up, f"router {name}: crashed routers are not supported")
     _require(
         router.strategy == "best-route",
         f"router {name}: strategy {router.strategy!r} is not supported",

@@ -13,7 +13,7 @@ makes the following laws checkable at any instant the engine is quiescent
 **B — PIT ledger** (per router)::
 
     pit_insert == pit_satisfied + pit_expired + pit_nacked
-                  + pit_preempted + pit_drained + pit_shed + len(pit)
+                  + pit_preempted + pit_shed + len(pit)
 
 **C — capacity bounds**: ``len(pit) <= pit.capacity`` (and the peak high
 water mark too), ``len(cs) <= cs.capacity``.
@@ -108,7 +108,6 @@ class InvariantChecker:
             + c("pit_expired")
             + c("pit_nacked")
             + c("pit_preempted")
-            + c("pit_drained")
             + c("pit_shed")
             + len(forwarder.pit)
         )

@@ -144,7 +144,7 @@ class TestCampaignFailsLoudly:
     def test_undelivered_fetch_raises_typed_error_naming_the_consumer(self):
         def cut_off_lan(seed):
             topo = local_lan(seed=seed)
-            topo.network.links["R<->P"].set_down()
+            topo.network.links["R<->P"].loss_rate = 1.0
             return topo
 
         with pytest.raises(CampaignError, match=r"U: 3 of 3 .* not delivered"):

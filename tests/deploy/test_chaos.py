@@ -9,7 +9,6 @@ import pytest
 
 from repro.deploy.chaos import ChaosConfig, ChaosUdpProxy
 from repro.faults.errors import FaultConfigError
-from repro.faults.loss import IidLoss
 
 
 class _Echo(asyncio.DatagramProtocol):
@@ -71,7 +70,7 @@ def test_loss_is_seeded_and_accounted():
         t_a, p_a, addr_a = await udp_endpoint()
         t_b, p_b, addr_b = await udp_endpoint()
         proxy = ChaosUdpProxy(
-            np.random.default_rng(7), ChaosConfig(loss=IidLoss(0.5))
+            np.random.default_rng(7), ChaosConfig(loss_prob=0.5)
         )
         side_a, _ = await proxy.start(peer_a=addr_a, peer_b=addr_b)
         try:
@@ -83,8 +82,7 @@ def test_loss_is_seeded_and_accounted():
             # Same seed, same draws: the exact split is reproducible.
             assert proxy.dropped > 10 and proxy.relayed > 10
             rng = np.random.default_rng(7)
-            model = IidLoss(0.5)
-            drops = sum(model.drops(rng) for _ in range(60))
+            drops = sum(rng.random() < 0.5 for _ in range(60))
             assert proxy.dropped == drops
         finally:
             await proxy.close()
@@ -172,6 +170,11 @@ def test_unpinned_side_is_unroutable_until_learned():
         {"corrupt_prob": 2.0},
         {"delay_range": (-0.1, 0.2)},
         {"delay_range": (0.2, 0.1)},
+        # NaN compares false both ways, and an infinite band never relays.
+        {"delay_range": (float("nan"), 0.1)},
+        {"delay_range": (0.0, float("nan"))},
+        {"delay_range": (0.0, float("inf"))},
+        {"loss_prob": float("nan")},
     ],
 )
 def test_config_validation(kwargs):

@@ -11,7 +11,6 @@ from repro.faults import (
     FaultConfigError,
     FaultSchedule,
     InterestFloodWindow,
-    LinkDownWindow,
 )
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
@@ -155,18 +154,6 @@ class TestCachePollution:
 
 
 class TestComposition:
-    def test_attacks_compose_with_builtin_faults(self):
-        net = star()
-        flood = InterestFloodWindow("a", "/flood", 10.0, 30.0, interval=5.0)
-        schedule = FaultSchedule([LinkDownWindow("c<->R", 15.0, 25.0), flood])
-        schedule.add(
-            CachePollutionWindow("a", "/data", 10.0, 30.0, interval=10.0)
-        )
-        scheduled = schedule.apply(net)
-        # Two events per down window plus one per attack interest.
-        assert scheduled == 2 + flood.count + 2
-        net.run()
-
     def test_one_window_schedules(self):
         window = {"start": 10.0, "end": 20.0, "interval": 5.0}
         schedule = FaultSchedule([InterestFloodWindow("a", "/flood", **window)])

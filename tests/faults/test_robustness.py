@@ -1,12 +1,9 @@
-"""Probe accuracy and delivery under faults, at EXPERIMENTS.md's scale.
+"""Probe accuracy and delivery under loss, at EXPERIMENTS.md's scale.
 
-The Section III cache-probe attack and a plain fetch workload run through
-the :mod:`repro.faults` scenarios (i.i.d. loss, Gilbert–Elliott burst loss
-at the same mean rate, random link flaps, a router crash that flushes its
-CS).  The LAN attack stays near-perfect on a clean network; loss only
-*hurts* the adversary (retried probes read as misses); a CS-flushing
-crash wipes the evidence and drags accuracy toward coin flipping;
-retransmission keeps delivery high under every scenario.
+The Section III cache-probe attack and a plain fetch workload run on a
+clean network and with i.i.d. loss on one link.  The LAN attack stays
+near-perfect on a clean network; loss only *hurts* the adversary
+(retried probes read as misses); retransmission keeps delivery high.
 """
 
 from __future__ import annotations
@@ -14,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.classifier import ThresholdClassifier
-from repro.faults import (
-    FaultSchedule,
-    GilbertElliottLoss,
-    IidLoss,
-    RetryPolicy,
-    RouterCrash,
-    random_link_flaps,
-)
+from repro.faults import RetryPolicy
 from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
 from repro.ndn.topology import local_lan
@@ -36,52 +26,25 @@ FAULT_TARGETS = 24
 FAULT_REQUESTS = 400
 
 MEAN_LOSS = 0.05
-BURST_LENGTH = 8.0
 
 RETRY = RetryPolicy(retries=5, timeout=60.0, backoff=2.0)
 
 
-def lossy(network, link, model_factory):
-    network.links[link].push_loss_model(model_factory())
-
-
-def burst_loss():
-    return GilbertElliottLoss.for_mean_loss(MEAN_LOSS, BURST_LENGTH)
-
-
-def crash_flush(network, at, restart_at):
-    crash = RouterCrash("R", at=at, restart_at=restart_at, mode="flush")
-    FaultSchedule([crash]).apply(network)
+def lossy(network, link):
+    network.links[link].loss_rate = MEAN_LOSS
 
 
 #: name -> setup(topology) for the probe-accuracy scenarios.
 ATTACK_SCENARIOS = {
     "baseline": lambda topo: None,
-    "iid-loss": lambda topo: lossy(topo.network, "Adv<->R", lambda: IidLoss(MEAN_LOSS)),
-    "burst-loss": lambda topo: lossy(topo.network, "Adv<->R", burst_loss),
-    "crash-flush": lambda topo: crash_flush(topo.network, 600.0, 610.0),
+    "iid-loss": lambda topo: lossy(topo.network, "Adv<->R"),
 }
 
 
-def flaps(net, horizon):
-    random_link_flaps(
-        net.rng.fork("flaps"),
-        ["c<->R", "R<->p"],
-        horizon=horizon,
-        mean_uptime=800.0,
-        mean_downtime=80.0,
-    ).apply(net)
-
-
-#: name -> setup(network, horizon) for the delivery scenarios.
+#: name -> setup(network) for the delivery scenarios.
 DELIVERY_SCENARIOS = {
-    "baseline": lambda net, horizon: None,
-    "iid-loss": lambda net, horizon: lossy(net, "c<->R", lambda: IidLoss(MEAN_LOSS)),
-    "burst-loss": lambda net, horizon: lossy(net, "c<->R", burst_loss),
-    "link-flaps": flaps,
-    "crash-flush": lambda net, horizon: crash_flush(
-        net, horizon / 2, horizon / 2 + 100.0
-    ),
+    "baseline": lambda net: None,
+    "iid-loss": lambda net: lossy(net, "c<->R"),
 }
 
 
@@ -143,7 +106,7 @@ def run_delivery_scenario(setup, seed=7, objects=20, gap=10.0):
     net.connect("R", "p", FixedDelay(3.0))
     net.add_route("R", "/data", "p")
     horizon = FAULT_REQUESTS * gap
-    setup(net, horizon)
+    setup(net)
     outcomes = []
     latencies = []
 
@@ -159,8 +122,7 @@ def run_delivery_scenario(setup, seed=7, objects=20, gap=10.0):
             yield Timeout(gap)
 
     net.spawn(proc(), "workload")
-    # Conservation laws A-D must hold throughout every fault scenario,
-    # crashes and flaps included.
+    # Conservation laws A-D must hold throughout every scenario.
     checker = InvariantChecker()
     checker.install(net, interval=horizon / 20, horizon=horizon)
     net.run()
@@ -174,7 +136,6 @@ def run_delivery_scenario(setup, seed=7, objects=20, gap=10.0):
         "mean_latency": float(np.mean(latencies)) if latencies else float("nan"),
         "retransmits": net["c"].monitor.counter("fetch_retransmits"),
         "link_lost": net.links["c<->R"].packets_lost,
-        "link_dropped_down": net.links["c<->R"].packets_dropped_down,
     }
 
 
@@ -186,12 +147,7 @@ def test_probe_accuracy_under_faults():
     assert accuracy["baseline"] > 0.9
     # Loss only hurts the adversary (inflated probe RTTs read as misses).
     assert accuracy["iid-loss"] <= accuracy["baseline"] + 0.05
-    assert accuracy["burst-loss"] <= accuracy["baseline"] + 0.05
     assert accuracy["iid-loss"] >= 0.6
-    assert accuracy["burst-loss"] >= 0.6
-    # A CS flush destroys the cached evidence mid-probe.
-    assert accuracy["crash-flush"] < accuracy["baseline"]
-    assert accuracy["crash-flush"] >= 0.3
 
 
 def test_delivery_under_faults():
@@ -202,16 +158,10 @@ def test_delivery_under_faults():
     baseline = stats["baseline"]
     assert baseline["delivered"] == 1.0
     assert baseline["retransmits"] == 0
-    for name, row in stats.items():
-        # Retransmission keeps delivery high under every scenario.
-        assert row["delivered"] >= 0.9, name
-    for name in ("iid-loss", "burst-loss", "link-flaps", "crash-flush"):
-        assert stats[name]["retransmits"] > 0, name
-    # Loss shows up in the loss counters; outages in the down counters.
-    assert stats["iid-loss"]["link_lost"] > 0
-    assert stats["burst-loss"]["link_lost"] > 0
-    assert stats["link-flaps"]["link_dropped_down"] > 0
-    # Losing packets costs latency; flushing the CS costs hit rate.
-    assert stats["iid-loss"]["mean_latency"] > baseline["mean_latency"]
-    assert stats["burst-loss"]["mean_latency"] > baseline["mean_latency"]
-    assert stats["crash-flush"]["hit_rate"] < baseline["hit_rate"]
+    row = stats["iid-loss"]
+    # Retransmission keeps delivery high under loss.
+    assert row["delivered"] >= 0.9
+    assert row["retransmits"] > 0
+    # Loss shows up in the loss counter, and costs latency.
+    assert row["link_lost"] > 0
+    assert row["mean_latency"] > baseline["mean_latency"]

@@ -1,8 +1,8 @@
 """Forwarder failure paths: PIT expiry, no_route, scope_drop, and
 retransmission re-forwarding when the upstream drops packets.
 
-Complements test_forwarder.py (happy paths) with the loss/outage behaviors
-exercised by the fault-injection subsystem.
+Complements test_forwarder.py (happy paths) with the loss behaviors the
+consumer's retransmission machinery must ride through.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import IidLoss, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.ndn.cs import ContentStore
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.link import Face, FixedDelay, Link
@@ -151,34 +151,18 @@ class TestScopeDrop:
 class TestRetransmitUnderLoss:
     def test_retransmission_reforwarded_after_upstream_outage(self, engine):
         router, consumer, producer, c_face, up_link = build(engine)
-        up_link.set_down()
+        # The upstream link loses everything until t=10.
+        engine.schedule(0.0, setattr, up_link, "loss_rate", 1.0)
         c_face.send_interest(Interest(name=Name.parse("/a")))
 
         def recover():
-            up_link.set_up()
-            c_face.send_interest(Interest(name=Name.parse("/a")))
-
-        engine.schedule(10.0, recover)
-        engine.run()
-        assert up_link.packets_dropped_down == 1
-        assert router.monitor.counter("interest_forwarded") == 1
-        assert router.monitor.counter("interest_retransmitted") == 1
-        assert producer.served == 1
-        assert len(consumer.data) == 1
-
-    def test_retransmission_reforwarded_after_burst_loss(self, engine):
-        router, consumer, producer, c_face, up_link = build(engine)
-        blackhole = IidLoss(1.0)
-        up_link.push_loss_model(blackhole)
-        c_face.send_interest(Interest(name=Name.parse("/a")))
-
-        def recover():
-            up_link.pop_loss_model(blackhole)
+            up_link.loss_rate = 0.0
             c_face.send_interest(Interest(name=Name.parse("/a")))
 
         engine.schedule(10.0, recover)
         engine.run()
         assert up_link.packets_lost == 1
+        assert router.monitor.counter("interest_forwarded") == 1
         assert router.monitor.counter("interest_retransmitted") == 1
         assert producer.served == 1
         assert len(consumer.data) == 1
@@ -222,7 +206,7 @@ class TestConsumerRetry:
 
     def test_retry_recovers_from_lossy_link(self):
         net = self._chain(seed=5)
-        net.links["c<->R"].push_loss_model(IidLoss(0.3))
+        net.links["c<->R"].loss_rate = 0.3
         record = []
 
         def proc():
@@ -243,7 +227,7 @@ class TestConsumerRetry:
     def test_jittered_retry_is_seed_reproducible(self):
         def run(seed):
             net = self._chain(seed=3)
-            net.links["c<->R"].push_loss_model(IidLoss(0.4))
+            net.links["c<->R"].loss_rate = 0.4
             times = []
 
             def proc():

@@ -111,25 +111,6 @@ class TestNonFiniteDelays:
             with pytest.raises(TopologyError):
                 LogNormalDelay(**kwargs)
 
-    @pytest.mark.parametrize("value", NON_FINITE)
-    def test_link_extra_delay(self, engine, value):
-        *_, link = wire(engine)
-        with pytest.raises(TopologyError):
-            link.add_extra_delay(value)
-        assert link.extra_delay == 0.0
-
-    @pytest.mark.parametrize("value", NON_FINITE + (-1.0,))
-    def test_link_extra_delay_removal(self, engine, value):
-        # Two overlapping spikes: a bad removal must leave both in place.
-        *_, link = wire(engine)
-        link.add_extra_delay(10.0)
-        link.add_extra_delay(5.0)
-        with pytest.raises(TopologyError):
-            link.remove_extra_delay(value)
-        assert link.extra_delay == 15.0
-        link.remove_extra_delay(10.0)
-        assert link.extra_delay == 5.0
-
 
 class TestLinkTransmission:
     def test_interest_delivered_to_peer(self, engine):
@@ -215,17 +196,6 @@ class TestWiringErrors:
                 np.random.default_rng(0), loss_rate=rate,
             )
 
-    def test_loss_rate_and_loss_model_are_exclusive(self, engine):
-        from repro.faults.loss import IidLoss
-
-        a, b = Recorder(), Recorder()
-        with pytest.raises(TopologyError):
-            Link(
-                engine, Face(a), Face(b), FixedDelay(1.0),
-                np.random.default_rng(0), loss_rate=0.3,
-                loss_model=IidLoss(0.3),
-            )
-
     def test_unknown_packet_type_rejected(self, engine):
         a, b, face_a, _, link = wire(engine)
         with pytest.raises(TopologyError):
@@ -234,73 +204,10 @@ class TestWiringErrors:
 
 class TestFaultSurface:
     def test_blackhole_link_accepted_and_drops_everything(self, engine):
-        """loss_rate == 1.0 is a legal blackhole (the fault-test staple)."""
+        """loss_rate == 1.0 is a legal blackhole (the failure-test staple)."""
         a, b, face_a, _, link = wire(engine, loss=1.0)
         for _ in range(20):
             face_a.send_interest(Interest(name=Name.parse("/x")))
         engine.run()
         assert b.interests == []
         assert link.packets_lost == 20
-
-    def test_down_link_drops_and_accounts(self, engine):
-        a, b, face_a, face_b, link = wire(engine)
-        link.set_down()
-        face_a.send_interest(Interest(name=Name.parse("/x")))
-        face_b.send_data(Data(name=Name.parse("/x")))
-        engine.run()
-        assert b.interests == [] and a.data == []
-        assert link.packets_dropped_down == 2
-        assert link.packets_lost == 0  # down-drops are not random loss
-        assert link.down_windows == 1
-        link.set_up()
-        face_a.send_interest(Interest(name=Name.parse("/y")))
-        engine.run()
-        assert len(b.interests) == 1
-
-    def test_set_down_idempotent_window_count(self, engine):
-        *_, link = wire(engine)
-        link.set_down()
-        link.set_down()
-        link.set_up()
-        link.set_down()
-        assert link.down_windows == 2
-
-    def test_extra_delay_add_remove(self, engine):
-        a, b, face_a, _, link = wire(engine, delay=2.0)
-        link.add_extra_delay(10.0)
-        face_a.send_interest(Interest(name=Name.parse("/x")))
-        engine.run()
-        assert engine.now == 12.0
-        link.remove_extra_delay(10.0)
-        face_a.send_interest(Interest(name=Name.parse("/y")))
-        engine.run()
-        assert engine.now == 14.0
-        with pytest.raises(TopologyError):
-            link.add_extra_delay(-1.0)
-
-    def test_loss_model_stack(self, engine):
-        from repro.faults.loss import GilbertElliottLoss, IidLoss
-
-        a, b, face_a, _, link = wire(engine)
-        burst = GilbertElliottLoss(p=1.0, r=0.0)  # all-bad after first packet
-        link.push_loss_model(IidLoss(0.0))
-        link.push_loss_model(burst)
-        assert link.loss_model is burst
-        link.pop_loss_model(burst)
-        assert isinstance(link.loss_model, IidLoss)
-        with pytest.raises(TopologyError):
-            link.pop_loss_model(burst)  # not the active model
-        link.pop_loss_model()
-        with pytest.raises(TopologyError):
-            link.pop_loss_model()  # empty stack
-
-    def test_installed_loss_model_consulted(self, engine):
-        from repro.faults.loss import IidLoss
-
-        a, b, face_a, _, link = wire(engine)
-        link.push_loss_model(IidLoss(1.0))
-        for _ in range(10):
-            face_a.send_interest(Interest(name=Name.parse("/x")))
-        engine.run()
-        assert link.packets_lost == 10
-        assert b.interests == []

@@ -111,18 +111,6 @@ class TestEndToEnd:
         assert rtts[0] == pytest.approx(6.0)
         assert rtts[1] == pytest.approx(2.0)  # R1 cache hit
 
-    def test_flush_caches(self):
-        net = linear_network()
-
-        def proc():
-            yield from net["c"].fetch("/data/obj")
-
-        net.spawn(proc())
-        net.run()
-        net.flush_caches()
-        assert len(net["R1"].cs) == 0
-        assert len(net["R2"].cs) == 0
-
     def test_deterministic_across_instances(self):
         def run_once():
             net = linear_network()

@@ -107,18 +107,6 @@ class TestStructure:
             assert len(router.cs) == 0
         assert len(topo.router.cs) == 1  # R itself caches
 
-    def test_flush_caches_helper(self):
-        topo = local_lan(seed=0)
-
-        def proc():
-            yield from topo.adversary.fetch("/content/x")
-
-        topo.engine.spawn(proc())
-        topo.engine.run()
-        assert len(topo.router.cs) == 1
-        topo.flush_caches()
-        assert len(topo.router.cs) == 0
-
     def test_scheme_injection(self):
         from repro.core.schemes.always_delay import AlwaysDelayScheme
 

@@ -73,6 +73,7 @@ import pytest
 
 from repro.core.privacy.distributions import TruncatedGeometric
 from repro.ndn import packets, topology
+from repro.ndn.link import Link
 from repro.sim import batch
 from repro.sim import workload_driver
 from repro.sim.batch import compile as batch_compile, kernel
@@ -88,6 +89,7 @@ from repro.workload.compiled import CompiledTrace
 from repro.workload.zipf import ZipfSampler
 
 from tests.core.test_distributions import geometric_boundary_mismatches
+from tests.ndn import test_link
 from tests.ndn.test_packets import hop_copy_mismatches
 from tests.sim import test_engine, test_process
 from tests.sim.test_rebind import rebind_mismatches
@@ -118,6 +120,15 @@ def _replay_differential_fails(monkeypatch) -> bool:
 
 def _hop_copy_lossy(monkeypatch) -> bool:
     return bool(hop_copy_mismatches())
+
+
+def _blackhole_delivers(monkeypatch) -> bool:
+    try:
+        blackhole = test_link.TestFaultSurface()
+        blackhole.test_blackhole_link_accepted_and_drops_everything(Engine())
+    except AssertionError:
+        return True
+    return False
 
 
 def _until_overrun(monkeypatch) -> bool:
@@ -185,6 +196,13 @@ MUTANTS = {
         packets, "_hop_copy",
         'state["hops"] = hops', "state.update(hops=hops, private=False)",
         _differential_fails,
+    ),
+    # The link's one loss test: no differential case loses packets (the
+    # batch compiler refuses a lossy link), so a blackhole link kills it.
+    "link skips the loss draw": (
+        Link, "transmit",
+        "self.loss_rate > 0.0", "self.loss_rate > 1.0",
+        _blackhole_delivers,
     ),
     "loop fires a cancelled entry": (
         Engine, "run",
