@@ -28,6 +28,7 @@ run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
@@ -102,12 +103,12 @@ class InterestFloodWindow:
 
     def __post_init__(self) -> None:
         _check_window("InterestFloodWindow", self.start, self.end)
-        if self.interval <= 0:
-            raise FaultConfigError(f"interval must be > 0, got {self.interval}")
-        if self.lifetime <= 0:
-            raise FaultConfigError(f"lifetime must be > 0, got {self.lifetime}")
-        if self.jitter < 0:
-            raise FaultConfigError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0 < self.interval < inf:
+            raise FaultConfigError(f"interval must be in (0, inf), got {self.interval}")
+        if not 0 < self.lifetime < inf:
+            raise FaultConfigError(f"lifetime must be in (0, inf), got {self.lifetime}")
+        if not 0 <= self.jitter < inf:
+            raise FaultConfigError(f"jitter must be in [0, inf), got {self.jitter}")
 
     @property
     def count(self) -> int:
@@ -168,12 +169,12 @@ class CachePollutionWindow:
 
     def __post_init__(self) -> None:
         _check_window("CachePollutionWindow", self.start, self.end)
-        if self.interval <= 0:
-            raise FaultConfigError(f"interval must be > 0, got {self.interval}")
+        if not 0 < self.interval < inf:
+            raise FaultConfigError(f"interval must be in (0, inf), got {self.interval}")
         if self.catalog < 1:
             raise FaultConfigError(f"catalog must be >= 1, got {self.catalog}")
-        if self.lifetime <= 0:
-            raise FaultConfigError(f"lifetime must be > 0, got {self.lifetime}")
+        if not 0 < self.lifetime < inf:
+            raise FaultConfigError(f"lifetime must be in (0, inf), got {self.lifetime}")
 
     @property
     def count(self) -> int:
@@ -284,16 +285,16 @@ class AdaptivePollutionWindow:
 
     def __post_init__(self) -> None:
         _check_window("AdaptivePollutionWindow", self.start, self.end)
-        if not self.arms or any(a <= 0 for a in self.arms):
+        if not self.arms or any(not 0 < a < inf for a in self.arms):
             raise FaultConfigError(
-                f"arms must be non-empty positive intervals, got {self.arms}"
+                f"arms must be non-empty positive finite intervals, got {self.arms}"
             )
         if self.catalog < 1:
             raise FaultConfigError(f"catalog must be >= 1, got {self.catalog}")
-        if self.lifetime <= 0:
-            raise FaultConfigError(f"lifetime must be > 0, got {self.lifetime}")
-        if self.timeout <= 0:
-            raise FaultConfigError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.lifetime < inf:
+            raise FaultConfigError(f"lifetime must be in (0, inf), got {self.lifetime}")
+        if not 0 < self.timeout < inf:
+            raise FaultConfigError(f"timeout must be in (0, inf), got {self.timeout}")
 
     def plan(self, network: "Network") -> List[Tuple[float, object, str]]:
         """One event: spawn the bandit process at the window start."""

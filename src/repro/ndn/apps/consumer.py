@@ -1,16 +1,17 @@
 """Consumer application: expresses interests and collects content.
 
-The consumer exposes both a callback API (:meth:`express_interest` returns
-a :class:`~repro.sim.events.Signal`) and a process-friendly coroutine
-helper (:meth:`fetch`).  Every completed fetch records the measured RTT —
-the observable the paper's timing attacks are built on.
+The consumer exposes a callback API (:meth:`express_interest` returns a
+:class:`~repro.sim.events.Signal`), one callback-driven fetch loop
+(:meth:`start_fetch`) and a process wrapper over it (:meth:`fetch`).
+Every completed fetch records the measured RTT — the observable the
+paper's timing attacks are built on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from repro.ndn.packets import Data, Interest, Nack
 from repro.sim.engine import Engine
 from repro.sim.events import Signal
 from repro.sim.monitor import Monitor
-from repro.sim.process import TIMED_OUT, Timeout, WaitSignal
+from repro.sim.process import WaitSignal
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -55,11 +56,12 @@ class Consumer:
         self.name = name
         self.monitor = monitor if monitor is not None else Monitor()
         self.face: Optional[Face] = None
-        # Pending fetches: interest name -> [(signal, send_time, nonce), ...].
+        # Pending fetches: interest name -> [(waiter, send_time, nonce), ...];
+        # a waiter (Signal or _Fetch) is resumed by ``trigger``.
         # The nonce identifies which transmission a Nack rejects, so a Nack
         # for an attempt that already timed out locally cannot be delivered
         # to the attempt that replaced it (duplicate-retry suppression).
-        self._pending: Dict[Name, List[Tuple[Signal, float, int]]] = {}
+        self._pending: Dict[Name, List[Tuple[Union[Signal, _Fetch], float, int]]] = {}
         self.rtts: List[float] = []
 
     # ------------------------------------------------------------------
@@ -86,19 +88,47 @@ class Consumer:
         Multiple outstanding interests for the same name are each satisfied
         (oldest first) as matching content arrives.
         """
+        target = name_of(name)
+        signal = Signal(name=f"{self.name}:fetch:{target}")
+        self._express(target, scope, private, lifetime, signal)
+        return signal
+
+    def _express(self, target: Name, scope, private, lifetime, waiter) -> None:
+        """Record ``waiter`` as pending on ``target``, then transmit."""
         if self.face is None:
             raise RuntimeError(f"consumer {self.name} has no face attached")
-        target = name_of(name)
         interest = Interest(
             name=target, scope=scope, private=private, lifetime=lifetime
         )
-        signal = Signal(name=f"{self.name}:fetch:{target}")
         self._pending.setdefault(target, []).append(
-            (signal, self.engine.now, interest.nonce)
+            (waiter, self.engine.now, interest.nonce)
         )
         self.monitor.count("interests_sent")
         self.face.send_interest(interest)
-        return signal
+
+    def start_fetch(
+        self,
+        name: Union[str, Name],
+        done: Callable[[Optional[FetchResult]], None],
+        scope: Optional[int] = None,
+        private: bool = False,
+        lifetime: float = 4000.0,
+        timeout: Optional[float] = None,
+        retry: Optional[RetryPolicy] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> None:
+        """Send the first interest of a fetch; ``done`` later receives the
+        :class:`FetchResult`, or None once the retry budget is exhausted.
+
+        Without ``retry`` the fetch is a single attempt waiting ``timeout``
+        ms (defaulting to the interest lifetime) — the seed behavior.
+        With a :class:`~repro.faults.retry.RetryPolicy` the interest is
+        retransmitted on timeout with exponential backoff (and jitter
+        drawn from ``rng``, when given) up to the policy's budget.
+        """
+        if retry is None:
+            retry = _single_attempt(timeout if timeout is not None else lifetime)
+        _Fetch(self, (name_of(name), scope, private, lifetime), retry, rng, done)
 
     def fetch(
         self,
@@ -112,50 +142,20 @@ class Consumer:
     ):
         """Coroutine helper: ``result = yield from consumer.fetch(...)``.
 
-        Returns the :class:`FetchResult`, or None once the retry budget is
-        exhausted.  Without ``retry`` the fetch is a single attempt waiting
-        ``timeout`` ms (defaulting to the interest lifetime) — the seed
-        behavior.  With a :class:`~repro.faults.retry.RetryPolicy` the
-        interest is retransmitted on timeout with exponential backoff (and
-        jitter drawn from ``rng``, when given) up to the policy's budget —
-        the loop previously private to the interactive endpoints,
-        available to every consumer.
+        :meth:`start_fetch` for a process: returns the
+        :class:`FetchResult`, or None once the retry budget is exhausted.
         """
-        if retry is None:
-            retry = _single_attempt(timeout if timeout is not None else lifetime)
-        target = name_of(name)
-        for attempt in range(retry.attempts):
-            signal = self.express_interest(
-                target, scope=scope, private=private, lifetime=lifetime
-            )
-            if attempt > 0:
-                self.monitor.count("fetch_retransmits")
-            wait = retry.timeout_for(attempt, rng)
-            result = yield WaitSignal(signal, timeout=wait)
-            if isinstance(result, Nack):
-                # Upstream congestion: the network explicitly refused this
-                # interest.  Back off for the attempt's full timeout (the
-                # Nack already withdrew the pending entry) before retrying.
-                self.monitor.count("fetch_nacked")
-                yield Timeout(wait)
-                continue
-            if result is not TIMED_OUT:
-                return result
-            self.monitor.count("fetch_timeouts")
-            # Withdraw the stale pending entry so late or retried data is
-            # not consumed by this abandoned fetch (which would starve a
-            # later fetch of the same name).
-            self._cancel_pending(target, signal)
-        self.monitor.count("fetch_failures")
-        return None
+        done = Signal(name=f"{self.name}:fetch")
+        self.start_fetch(name, done.trigger, scope, private, lifetime, timeout, retry, rng)
+        return (yield WaitSignal(done))
 
-    def _cancel_pending(self, name: Name, signal: Signal) -> None:
-        """Remove one abandoned (signal, send-time) record for ``name``."""
+    def _cancel_pending(self, name: Name, waiter: _Fetch) -> None:
+        """Remove one abandoned (waiter, send-time) record for ``name``."""
         waiters = self._pending.get(name)
         if not waiters:
             return
         self._pending[name] = [
-            entry for entry in waiters if entry[0] is not signal
+            entry for entry in waiters if entry[0] is not waiter
         ]
         if not self._pending[name]:
             del self._pending[name]
@@ -172,14 +172,14 @@ class Consumer:
             if not pending_name.is_prefix_of(data.name):
                 continue
             waiters = self._pending[pending_name]
-            signal, send_time, _nonce = waiters.pop(0)
+            waiter, send_time, _nonce = waiters.pop(0)
             if not waiters:
                 del self._pending[pending_name]
             now = self.engine.now
             result = FetchResult(data=data, send_time=send_time, receive_time=now)
             self.rtts.append(result.rtt)
             self.monitor.count("data_received")
-            signal.trigger(result, time=now)
+            waiter.trigger(result, time=now)
             matched = True
             break
         if not matched:
@@ -192,8 +192,8 @@ class Consumer:
     def receive_nack(self, nack: Nack, face: Face) -> None:
         """Deliver an upstream rejection to the waiter it belongs to.
 
-        The waiter's signal fires with the :class:`Nack` itself so
-        :meth:`fetch` (and :meth:`express_interest` callers) can
+        The waiter fires with the :class:`Nack` itself so the fetch loop
+        (and :meth:`express_interest` callers) can
         distinguish explicit congestion pushback from a silent timeout
         and back off accordingly.
 
@@ -220,11 +220,11 @@ class Consumer:
                 return
         else:
             index = 0
-        signal, _send_time, _nonce = waiters.pop(index)
+        waiter, _send_time, _nonce = waiters.pop(index)
         if not waiters:
             del self._pending[nack.name]
         self.monitor.count("nacks_received")
-        signal.trigger(nack, time=self.engine.now)
+        waiter.trigger(nack, time=self.engine.now)
 
     @property
     def pending_count(self) -> int:
@@ -233,3 +233,55 @@ class Consumer:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Consumer({self.name}, pending={self.pending_count})"
+
+
+class _Fetch:
+    """One fetch's retry loop, driven by callbacks: each attempt transmits,
+    then arms its timeout; its pending record holds the fetch, so Data or
+    a Nack resumes it through :meth:`trigger`, as it would a Signal."""
+
+    __slots__ = ("consumer", "interest", "retry", "rng", "done", "attempt", "wait",
+                 "timer")
+
+    def __init__(self, consumer: Consumer, interest: tuple, retry, rng, done) -> None:
+        self.consumer, self.interest, self.retry, self.rng, self.done = (
+            consumer, interest, retry, rng, done
+        )
+        self.attempt = 0
+        self._send()
+
+    def _send(self) -> None:
+        consumer = self.consumer
+        consumer._express(*self.interest, self)
+        if self.attempt > 0:
+            consumer.monitor.count("fetch_retransmits")
+        self.wait = self.retry.timeout_for(self.attempt, self.rng)
+        self.timer = consumer.engine.schedule(self.wait, self._timed_out)
+
+    def trigger(self, payload: Union[FetchResult, Nack], time: float) -> None:
+        """Data or a Nack answered the live attempt: cancel, then resume."""
+        self.timer.cancel()
+        if type(payload) is Nack:
+            # Upstream congestion: the network explicitly refused this
+            # interest.  Back off for the attempt's full timeout (the
+            # Nack already withdrew the pending record) before retrying.
+            self.consumer.monitor.count("fetch_nacked")
+            self.consumer.engine.schedule_fire_and_forget(self.wait, self._retry)
+        else:
+            self.done(payload)
+
+    def _timed_out(self) -> None:
+        self.consumer.monitor.count("fetch_timeouts")
+        # Withdraw the stale pending record so late or retried data is
+        # not consumed by this abandoned attempt (which would starve a
+        # later fetch of the same name).
+        self.consumer._cancel_pending(self.interest[0], self)
+        self._retry()
+
+    def _retry(self) -> None:
+        self.attempt += 1
+        if self.attempt < self.retry.attempts:
+            self._send()
+        else:
+            self.consumer.monitor.count("fetch_failures")
+            self.done(None)

@@ -154,6 +154,8 @@ class Forwarder:
         self.scheme = scheme if scheme is not None else NoPrivacyScheme()
         self.marking = marking if marking is not None else MarkingPolicy()
         self.monitor = monitor if monitor is not None else Monitor()
+        # Bound once: a count on the packet path is a dict add, not a call.
+        self._counts = self.monitor.live
         self.honor_scope = honor_scope
         self.processing_delay = processing_delay
         self.cache_filter = cache_filter
@@ -198,21 +200,21 @@ class Forwarder:
 
         The engine's clock is read once: every stage sees the arrival
         time (on the simulator it cannot move inside a callback)."""
-        count = self.monitor.count
-        count("interest_in")
+        counts = self._counts
+        counts["interest_in"] += 1
         now = self.engine.now
         defense = self.defense
         if defense is not None and not defense.allow_interest(interest, face, now):
             # Mitigation throttle: an escalated per-face budget, distinct
             # from the static rate limiter so de-escalation restores the
             # configured admission exactly.
-            count("defense_throttled")
+            counts["defense_throttled"] += 1
             self._send_nack_on(
                 face, Nack.for_interest(interest, NACK_CONGESTION)
             )
             return
         if self.rate_limiter is not None and not self.rate_limiter.allow(face, now):
-            count("rate_limited")
+            counts["rate_limited"] += 1
             self._send_nack_on(
                 face, Nack.for_interest(interest, NACK_CONGESTION)
             )
@@ -227,28 +229,28 @@ class Forwarder:
                 entry.data.at_origin() if self.count_origin_hops else entry.data
             )
             if decision.kind is DecisionKind.HIT:
-                count("cs_hit")
+                counts["cs_hit"] += 1
                 if defense is not None:
                     defense.observe_interest(interest.name, face, now, hit=True)
                 self._send_data_on(face, served, self.processing_delay)
                 return
             if decision.kind is DecisionKind.DELAYED_HIT:
-                count("cs_disguised_hit")
+                counts["cs_disguised_hit"] += 1
                 if defense is not None:
                     defense.observe_interest(interest.name, face, now, hit=True)
                 self._send_data_on(
                     face, served, self.processing_delay + decision.delay
                 )
                 return
-            count("cs_forced_miss")
+            counts["cs_forced_miss"] += 1
         else:
-            count("cs_miss")
+            counts["cs_miss"] += 1
         if defense is not None:
             defense.observe_interest(interest.name, face, now, hit=False)
         self._forward_interest(interest, face, now)
 
     def _forward_interest(self, interest: Interest, face: Face, now: float) -> None:
-        count = self.monitor.count
+        counts = self._counts
         name = interest.name
         existing = self.pit.lookup(name)
         is_retransmission = (
@@ -259,13 +261,13 @@ class Forwarder:
         pit_entry, is_new = self.pit.insert_or_collapse(interest, face, now)
         if pit_entry is None:
             # Bounded PIT, drop-new policy: the interest is rejected.
-            count("pit_overflow_drop")
+            counts["pit_overflow_drop"] += 1
             if self.defense is not None:
                 self.defense.observe_pit_overflow(name, face, now)
             self._send_nack_on(face, Nack.for_interest(interest, NACK_PIT_FULL))
             return
         if not is_new:
-            count("pit_collapse")
+            counts["pit_collapse"] += 1
             if is_retransmission and not (self.honor_scope and interest.scope_exhausted):
                 # A fresh nonce from a face that already has an in-record is
                 # a consumer retransmission (the earlier interest or its
@@ -273,7 +275,7 @@ class Forwarder:
                 # it.  A *different* face with a fresh nonce is ordinary
                 # aggregation and is not re-forwarded.
                 for upstream in self._select_upstreams(name, face):
-                    count("interest_retransmitted")
+                    counts["interest_retransmitted"] += 1
                     self.engine.schedule_fire_and_forget(
                         self.processing_delay,
                         upstream.send_interest,
@@ -283,19 +285,19 @@ class Forwarder:
         if self.honor_scope and interest.scope_exhausted:
             # Cannot satisfy locally and the scope budget ends here: the
             # interest dies (the consumer observes a timeout).
-            count("scope_drop")
+            counts["scope_drop"] += 1
             self.pit.remove(name)
             return
         upstreams = self._select_upstreams(name, face)
         if not upstreams:
-            count("no_route")
+            counts["no_route"] += 1
             self.pit.remove(name)
             if self.nack_on_no_route:
                 self._send_nack_on(
                     face, Nack.for_interest(interest, NACK_NO_ROUTE)
                 )
             return
-        count("pit_insert")
+        counts["pit_insert"] += 1
         engine = self.engine
         pit_entry.timer = engine.schedule(
             interest.lifetime,
@@ -304,7 +306,7 @@ class Forwarder:
             label=self._pit_expiry_label,
         )
         for upstream in upstreams:
-            count("interest_forwarded")
+            counts["interest_forwarded"] += 1
             engine.schedule_fire_and_forget(
                 self.processing_delay,
                 upstream.send_interest,
@@ -340,7 +342,7 @@ class Forwarder:
             return
         expired = self.pit.expire(name, self.engine.now)
         if expired is not None:
-            self.monitor.count("pit_expired")
+            self._counts["pit_expired"] += 1
             if self.defense is not None:
                 self.defense.observe_pit_expired(
                     name, expired.faces, self.engine.now
@@ -350,7 +352,7 @@ class Forwarder:
         """A bounded PIT evicted ``entry`` to admit a new interest."""
         if entry.timer is not None and entry.timer.pending:
             entry.timer.cancel()
-        self.monitor.count("pit_preempted")
+        self._counts["pit_preempted"] += 1
         nack = Nack(name=entry.name, reason=NACK_PIT_FULL)
         for downstream in entry.faces:
             self._send_nack_on(downstream, nack)
@@ -360,14 +362,14 @@ class Forwarder:
     # ------------------------------------------------------------------
     def receive_data(self, data: Data, face: Face) -> None:
         """Process a content object arriving on ``face``."""
-        count = self.monitor.count
-        count("data_in")
+        counts = self._counts
+        counts["data_in"] += 1
         pit_entry = self.pit.satisfy(data.name)
         if pit_entry is None:
             # Content is never forwarded unless preceded by an interest.
-            count("unsolicited_data")
+            counts["unsolicited_data"] += 1
             return
-        count("pit_satisfied")
+        counts["pit_satisfied"] += 1
         if pit_entry.timer is not None and pit_entry.timer.pending:
             pit_entry.timer.cancel()
         now = self.engine.now
@@ -391,7 +393,7 @@ class Forwarder:
         now: float,
     ) -> None:
         if self.cache_filter is not None and not self.cache_filter(data):
-            self.monitor.count("cache_skipped")
+            self._counts["cache_skipped"] += 1
             return
         is_new = data.name not in self.cs
         if (
@@ -402,7 +404,7 @@ class Forwarder:
             # Quarantine: content fanning out only to faces under active
             # pollution mitigation is not admitted.  No insert, no ledger
             # movement — law D stays balanced, like a strategy decline.
-            self.monitor.count("cache_quarantined")
+            self._counts["cache_quarantined"] += 1
             return
         if (
             is_new
@@ -411,17 +413,17 @@ class Forwarder:
         ):
             # The caching strategy declined this hop: no insert, no
             # ledger movement (law D stays balanced by construction).
-            self.monitor.count("cache_declined")
+            self._counts["cache_declined"] += 1
             return
         private = self.marking.privacy_at_insert(data, requested_private)
         entry = self.cs.insert(data, now, fetch_delay=fetch_delay, private=private)
         if is_new:
             self.marking.annotate_entry(entry, data)
             self.scheme.on_insert(entry, private=private, now=now)
-            self.monitor.count("cs_insert")
+            self._counts["cs_insert"] += 1
 
     def _send_data_on(self, face: Face, data: Data, delay: float) -> None:
-        self.monitor.count("data_out")
+        self._counts["data_out"] += 1
         if delay <= 0:
             face.send_data(data)
         else:
@@ -432,16 +434,17 @@ class Forwarder:
     # ------------------------------------------------------------------
     def receive_nack(self, nack: Nack, face: Face) -> None:
         """Process a negative acknowledgement arriving from upstream."""
-        self.monitor.count("nack_in")
+        counts = self._counts
+        counts["nack_in"] += 1
         reason_counter = _NACK_IN_COUNTERS.get(nack.reason)
         if reason_counter is not None:
-            self.monitor.count(reason_counter)
+            counts[reason_counter] += 1
         entry = self.pit.remove(nack.name)
         if entry is None:
             # The entry was already satisfied, expired, or never existed.
-            self.monitor.count("nack_no_pit")
+            counts["nack_no_pit"] += 1
             return
-        self.monitor.count("pit_nacked")
+        counts["pit_nacked"] += 1
         if entry.timer is not None and entry.timer.pending:
             entry.timer.cancel()
         downstream_nack = nack.hop()
@@ -462,17 +465,18 @@ class Forwarder:
             return False
         if entry.timer is not None and entry.timer.pending:
             entry.timer.cancel()
-        self.monitor.count("pit_shed")
+        self._counts["pit_shed"] += 1
         nack = Nack(name=entry.name, reason=NACK_CONGESTION)
         for downstream in entry.faces:
             self._send_nack_on(downstream, nack)
         return True
 
     def _send_nack_on(self, face: Face, nack: Nack) -> None:
-        self.monitor.count("nack_out")
+        counts = self._counts
+        counts["nack_out"] += 1
         reason_counter = _NACK_OUT_COUNTERS.get(nack.reason)
         if reason_counter is not None:
-            self.monitor.count(reason_counter)
+            counts[reason_counter] += 1
         if self.processing_delay <= 0:
             face.send_nack(nack)
         else:

@@ -244,14 +244,15 @@ class Link:
             raise TopologyError(
                 f"{from_face.label} is not an endpoint of {self.name}"
             )
-        if isinstance(packet, Interest):
+        kind = type(packet)
+        if kind is Interest:
             handler = to_face.owner.receive_interest
-        elif isinstance(packet, Data):
+        elif kind is Data:
             handler = to_face.owner.receive_data
-        elif isinstance(packet, Nack):
+        elif kind is Nack:
             handler = getattr(to_face.owner, "receive_nack", None)
         else:
-            raise TopologyError(f"unknown packet type {type(packet).__name__}")
+            raise TopologyError(f"unknown packet type {kind.__name__}")
         self.packets_sent += 1
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self.packets_lost += 1

@@ -9,7 +9,7 @@ of ordering or randomness is mirrored exactly:
 
 * **sequence numbers** — one monotonic counter, consumed at precisely the
   reference's schedule call sites.  Per link transmit: the fire-and-forget
-  delivery.  Per consumer fetch: the delivery, *then* the WaitSignal
+  delivery.  Per consumer fetch: the delivery, *then* the fetch's
   timeout timer.  Per new PIT entry: the expiry timer *before* the
   (always-scheduled, even at zero processing delay) upstream-forward
   event.  Per delayed data send: the send event, then the transmit at
@@ -268,15 +268,15 @@ def run_compiled(ct: CompiledTopology) -> TopologyObservables:
         c_pc[ci] = pc + 1
         if step[0] == "F":
             _, nid, timeout, lifetime, priv = step
-            # express_interest transmits first, then the WaitSignal
-            # timeout timer is armed (seq order matters at equal times).
+            # The fetch transmits first, then arms its timeout timer
+            # (seq order matters at equal times).
             send_interest(c_edge[ci], t, nid, priv, lifetime)
             c_out[ci] = nid
             c_sent[ci] = t
             c_tseq[ci] = seq
             arm((t + timeout, seq, K_TO, ci))
             seq += 1
-        else:  # ("S", delay) — yield Timeout(delay)
+        else:  # ("S", delay) — one sleep event
             heappush(q, (t + step[1], seq, K_SLEEP, ci))
             seq += 1
 

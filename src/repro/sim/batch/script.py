@@ -9,7 +9,8 @@ fixed timeout: that is exactly the workload shape the sim-core benchmarks
 and the fig3 panels drive, and the restriction is what makes the kernel's
 single-outstanding-fetch consumer state exact rather than approximate.
 Two script-level fields, ``retry`` and ``until``, serve the reference
-engine's attack harnesses; the batch compiler refuses both.
+engine's attack harnesses; the batch compiler refuses both.  The
+reference engine runs scripts by callback, never as processes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.retry import RetryPolicy
 from repro.ndn.network import Network
-from repro.sim.process import Timeout
 
 
 class NetworkSpentError(Exception):
@@ -78,7 +78,7 @@ class FetchStep:
 
 @dataclass(frozen=True, slots=True)
 class SleepStep:
-    """Idle think time between fetches (``yield Timeout(delay)``)."""
+    """Idle think time between fetches (one engine event)."""
 
     delay: float
 
@@ -207,26 +207,28 @@ def _describe_mismatch(field_name: str, a, b, sides: Tuple[str, str]) -> str:
     return f"{field_name}: {left}={a!r} {right}={b!r}"
 
 
-def _script_process(script: ConsumerScript, consumer, delivered: Dict[str, int]):
-    """The reference-engine interpretation of one script (a process)."""
+def _run_script(script: ConsumerScript, consumer, delivered: Dict[str, int]) -> None:
+    """Run one script on the reference engine: ``advance`` runs it to its
+    next sleep or fetch, whose end calls it back (the first call is inline)."""
     engine = consumer.engine
     until = inf if script.until is None else script.until
     retry = script.retry
-    for step in script.steps:
+    steps = iter(script.steps)
+    name = script.consumer
+
+    def advance(result=None) -> None:
+        if result is not None:
+            delivered[name] += 1
+        step = next(steps, None)
         if isinstance(step, SleepStep):
-            yield Timeout(step.delay)
-        elif engine.now >= until:
-            return
-        else:
-            result = yield from consumer.fetch(
-                step.name,
-                private=step.private,
-                lifetime=step.lifetime,
-                timeout=step.timeout,
-                retry=retry,
+            engine.schedule_fire_and_forget(step.delay, advance)
+        elif step is not None and engine.now < until:
+            consumer.start_fetch(
+                step.name, advance, None, step.private, step.lifetime,
+                step.timeout, retry,
             )
-            if result is not None:
-                delivered[script.consumer] += 1
+
+    advance()
 
 
 def run_scripts_reference(
@@ -234,19 +236,16 @@ def run_scripts_reference(
 ) -> TopologyObservables:
     """Run the scripts on the reference engine (the oracle path).
 
-    Scripts spawn in list order; each spawn executes the script inline up
-    to its first suspension.  The run drains the event queue, faults,
-    agents and audits scheduled on ``net`` beforehand included.  A network
-    the reference engine already ran continues from its state; one the
-    batch kernel ran is refused.
+    Scripts start in list order, each run inline to its first sleep or
+    fetch, then by callback (fetches through :meth:`Consumer.start_fetch`).
+    The run drains the event queue, faults, agents and audits scheduled on
+    ``net`` beforehand included.  A network the reference engine already
+    ran continues from its state; one the batch kernel ran is refused.
     """
     refuse_spent(net)
     delivered = {s.consumer: 0 for s in scripts}
     for script in scripts:
-        net.spawn(
-            _script_process(script, net[script.consumer], delivered),
-            label=f"script:{script.consumer}",
-        )
+        _run_script(script, net[script.consumer], delivered)
     end = net.run()
     return TopologyObservables(
         kernel="reference",

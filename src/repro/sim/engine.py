@@ -162,9 +162,9 @@ class Engine:
         Returns the simulated time at which execution stopped.
 
         One loop serves every call: ``until=None`` is an infinite horizon
-        and ``max_events=None`` no budget.  Cancelled heads are skipped
-        inline (the :meth:`_purge_cancelled` rule, without a call per
-        event).
+        and ``max_events=None`` no budget.  Each entry is popped once:
+        cancelled ones are skipped (the :meth:`_purge_cancelled` rule),
+        and the one past the horizon or the budget is pushed back.
         """
         if self._running:
             raise SimulationError("engine is not reentrant: run() called from a callback")
@@ -174,28 +174,27 @@ class Engine:
         executed = 0
         queue = self._queue
         heappop = heapq.heappop
+        heappush = heapq.heappush
         fired = EventState.FIRED
         cancelled = EventState.CANCELLED
         try:
             while queue:
-                entry = queue[0]
-                event = entry[4]
+                entry = heappop(queue)
+                time, _seq, callback, args, event = entry
                 if event is not None and event.state is cancelled:
-                    heappop(queue)
                     continue
-                time = entry[0]
                 if time > horizon:
+                    heappush(queue, entry)
                     self._now = horizon
                     break
                 if executed >= budget:
+                    heappush(queue, entry)
                     break
-                heappop(queue)
                 self._now = time
                 if event is not None:
                     event.state = fired
                 self._pending -= 1
-                entry[2](*entry[3])
-                self._events_processed += 1
+                callback(*args)
                 executed += 1
             else:
                 # Queue drained; if a horizon was given, advance to it so
@@ -204,6 +203,7 @@ class Engine:
                 if until is not None and until > self._now:
                     self._now = until
         finally:
+            self._events_processed += executed
             self._running = False
         return self._now
 

@@ -10,14 +10,14 @@ objects to suspend itself:
 
 Example::
 
-    def consumer(engine, face):
+    def browse(consumer, name):
         yield Timeout(10.0)              # think time
-        sig = face.express_interest(name)
+        sig = consumer.express_interest(name)
         data = yield WaitSignal(sig, timeout=4000.0)
         if data is TIMED_OUT:
             ...  # retransmit
 
-Processes are used for application-level behavior (consumers, producers,
+Processes are used for application-level behavior (the adaptive attacker,
 attack probes) where sequential code reads far better than callback chains.
 """
 

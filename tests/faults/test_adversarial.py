@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import pytest
 
 from repro.faults import (
@@ -46,6 +48,14 @@ class TestValidation:
             lambda: CachePollutionWindow("a", "/data", 0, 10, interval=0.0),
             lambda: CachePollutionWindow("a", "/data", 0, 10, catalog=0),
             lambda: CachePollutionWindow("a", "/data", 0, 10, lifetime=0.0),
+            # Non-finite values fail closed (every check is a negation).
+            lambda: InterestFloodWindow("a", "/flood", 0, 10, interval=nan),
+            lambda: InterestFloodWindow("a", "/flood", 0, 10, interval=inf),
+            lambda: InterestFloodWindow("a", "/flood", 0, 10, lifetime=nan),
+            lambda: InterestFloodWindow("a", "/flood", 0, 10, jitter=nan),
+            lambda: CachePollutionWindow("a", "/data", 0, 10, interval=nan),
+            lambda: CachePollutionWindow("a", "/data", 0, 10, interval=inf),
+            lambda: CachePollutionWindow("a", "/data", 0, 10, lifetime=nan),
         ],
     )
     def test_bad_parameters_rejected_at_construction(self, bad):
@@ -175,6 +185,10 @@ class TestAdaptivePollution:
             lambda: AdaptivePollutionWindow("a", "/data", 0, 10, catalog=0),
             lambda: AdaptivePollutionWindow("a", "/data", 0, 10, lifetime=0.0),
             lambda: AdaptivePollutionWindow("a", "/data", 0, 10, timeout=0.0),
+            lambda: AdaptivePollutionWindow("a", "/data", 0, 10, arms=(nan,)),
+            lambda: AdaptivePollutionWindow("a", "/data", 0, 10, arms=(inf,)),
+            lambda: AdaptivePollutionWindow("a", "/data", 0, 10, lifetime=nan),
+            lambda: AdaptivePollutionWindow("a", "/data", 0, 10, timeout=nan),
         ],
     )
     def test_bad_parameters_rejected_at_construction(self, bad):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 import pytest
 
+from repro.faults.retry import RetryPolicy
 from repro.ndn.apps.consumer import Consumer, FetchResult
 from repro.ndn.apps.producer import Producer
 from repro.ndn.link import Face, FixedDelay, Link
@@ -25,6 +28,31 @@ def wire_pair(engine, delay=2.0):
         np.random.default_rng(0),
     )
     return consumer, producer
+
+
+def late_data_mismatches() -> List[str]:
+    """A retried fetch whose first Data arrives after its timeout, timed by
+    hand: 10 ms links each way, 15 ms per attempt.  The first attempt
+    times out at 15 and withdraws its record; the retry goes out at 15;
+    the first Data (t=20) answers the retry (RTT 5), and the second
+    (t=35) finds nothing pending."""
+    engine = Engine()
+    consumer, _producer = wire_pair(engine, delay=10.0)
+    results = []
+    consumer.start_fetch(
+        "/shop/a", results.append, retry=RetryPolicy(retries=1, timeout=15.0, backoff=1.0)
+    )
+    engine.run()
+    want = {
+        "results": [5.0], "rtts": [5.0], "pending": 0, "fetch_timeouts": 1,
+        "fetch_retransmits": 1, "unsolicited_data": 1, "fetch_failures": 0,
+    }
+    got = {
+        "results": [r and r.rtt for r in results], "rtts": consumer.rtts,
+        "pending": consumer.pending_count,
+        **{key: consumer.monitor.counter(key) for key in list(want)[3:]},
+    }
+    return [f"{key}: want {want[key]!r}, got {got[key]!r}" for key in want if got[key] != want[key]]
 
 
 class TestProducer:
@@ -158,6 +186,9 @@ class TestConsumer:
         engine.run()
         assert results == [None]
         assert consumer.monitor.counter("fetch_timeouts") == 1
+
+    def test_late_data_answers_the_retry_once(self):
+        assert late_data_mismatches() == []
 
     def test_multiple_outstanding_same_name(self, engine):
         consumer, producer = wire_pair(engine)

@@ -11,7 +11,11 @@ window, the attack from 20% to 70% of it):
   nothing reads its bytes;
 * ``Interest.hop``/``Nack.hop`` copy without ``dataclasses.replace``;
 * ``Consumer.fetch(retry=None)`` builds one ``RetryPolicy`` per distinct
-  timeout, not one per fetch.
+  timeout, not one per fetch;
+* consumer scripts run by callback: the only ``Process`` is the adaptive
+  attacker's (one per adaptive-attack run, 2 per sweep; 16 more while
+  each script was a process), and the only ``WaitSignal`` is one per
+  attacker fetch, none for a script fetch.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.analysis.defense import run_defense_sweep
 from repro.faults.retry import RetryPolicy
 from repro.ndn import packets, wire
 from repro.ndn.packets import Interest, Nack
+from repro.sim.process import Process, WaitSignal
 
 HORIZON = 3000.0
 
@@ -64,6 +69,19 @@ def test_defense_sweep_sizes_nothing_and_copies_and_policies_once(monkeypatch):
     monkeypatch.setattr(RetryPolicy, "__post_init__", counting_post_init)
     counting_hop(Interest)
     counting_hop(Nack)
+    built = Counter()
+
+    def counting_init(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting_init(Process)
+    counting_init(WaitSignal)
 
     frontier = run_defense_sweep(
         defenses=("off", "adaptive"),
@@ -81,3 +99,10 @@ def test_defense_sweep_sizes_nothing_and_copies_and_policies_once(monkeypatch):
     # Thousands of single-attempt fetches; at most one policy per timeout
     # (none when an earlier sweep in this process already built it).
     assert max(policies.values(), default=0) <= 1
+    # Scripts run by callback: the adaptive attacker is the only process,
+    # and its fetches the only waits.
+    attacker_fetches = [p.attacker_attempts for p in frontier.points if p.attack == "adaptive"]
+    assert len(attacker_fetches) == 2 and min(attacker_fetches) > 0
+    assert built[Process] == 2
+    assert built[WaitSignal] == sum(attacker_fetches)
+

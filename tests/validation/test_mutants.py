@@ -15,14 +15,25 @@ the hop-copy, horizon and wait tests compute their expectation
 independently (``dataclasses.replace``, hand-timed schedules), and the
 Zipf and sort-key checks compare against ``np.searchsorted`` and an
 int64 ``argsort``.
-``golden_defense_frontier.json`` kills none of the engine mutants: a
-fired cancelled timer finds its PIT entry gone or its wait token
-withdrawn, and the defense tree has no private or scoped interests and
-no ``run(until=...)``; it runs on the reference engine, so the batch
-kernel's timer-lane mutants never reach it either.  The topology
+``golden_defense_frontier.json`` kills one engine mutant.  A fetch
+keeps no wait token (its answer cancels its timeout instead), so the
+loop firing a cancelled entry times out a fetch that already returned
+and the sweep fails; a fired cancelled PIT timer still finds its entry
+gone.  The defense tree has no private or scoped interests and no
+``run(until=...)``, its one process (the adaptive attacker) waits on
+nothing that can go stale, and it runs on the reference engine, so the
+batch kernel's timer-lane mutants never reach it either.  The topology
 differential kills all of them: every case cancels timers at the lane's
 head, and its 4.3 ms tree case arms fetch timeouts that sort before a
 4 000 ms PIT expiry at the lane's tail.
+
+Three mutants sit on the consumer's fetch loop.  A timed-out attempt
+that keeps its pending record, and an answered one that leaves its
+timeout armed, are killed by ``late_data_mismatches``
+(``tests/ndn/test_apps.py``: a retried fetch whose Data comes late, timed
+by hand); a Nacked attempt retried without its back-off by the overload
+entries of ``golden_harness_tallies.json``, whose ``drop-new`` run is
+Nacked and retried.
 
 Three mutants sit on :meth:`CompiledTopology.rebind`, each killed by
 ``rebind_mismatches`` (``tests/sim/test_rebind.py``: two points rebound
@@ -73,6 +84,7 @@ import pytest
 
 from repro.core.privacy.distributions import TruncatedGeometric
 from repro.ndn import packets, topology
+from repro.ndn.apps import consumer as consumer_app
 from repro.ndn.link import Link
 from repro.sim import batch
 from repro.sim import workload_driver
@@ -90,6 +102,7 @@ from repro.workload.zipf import ZipfSampler
 
 from tests.core.test_distributions import geometric_boundary_mismatches
 from tests.ndn import test_link
+from tests.ndn.test_apps import late_data_mismatches
 from tests.ndn.test_packets import hop_copy_mismatches
 from tests.sim import test_engine, test_process
 from tests.sim.test_rebind import rebind_mismatches
@@ -148,6 +161,10 @@ def _stale_wait_resumes(monkeypatch) -> bool:
     except AssertionError:
         return True
     return False
+
+
+def _late_data_misread(monkeypatch) -> bool:
+    return bool(late_data_mismatches())
 
 
 def _zipf_inexact(monkeypatch) -> bool:
@@ -218,6 +235,25 @@ MUTANTS = {
         Process, "_wait_signalled",
         "token != self._wait", "self._wait is None",
         _stale_wait_resumes,
+    ),
+    # The fetch loop's two ways back: a timed-out attempt must withdraw
+    # its record (else late Data resolves the fetch again), and a Nacked
+    # one must wait out its back-off (the Nacked, retried overload runs).
+    "timed-out fetch keeps its pending record": (
+        consumer_app._Fetch, "_timed_out",
+        "self.consumer._cancel_pending(self.interest[0], self)", "pass",
+        _late_data_misread,
+    ),
+    "answered fetch leaves its timeout armed": (
+        consumer_app._Fetch, "trigger",
+        "self.timer.cancel()", "pass",
+        _late_data_misread,
+    ),
+    "Nacked fetch retries without its back-off": (
+        consumer_app._Fetch, "trigger",
+        "self.consumer.engine.schedule_fire_and_forget(self.wait, self._retry)",
+        "self._retry()",
+        _overload_golden_differs,
     ),
     "guide-table resolve runs one pass short": (
         ZipfSampler, "sample",
