@@ -120,8 +120,8 @@ class AsyncConsumer:
         """Fetch ``name``; raises :class:`FetchFailed` on exhaustion.
 
         ``deadline`` (engine ms) is the overall budget across all
-        attempts; it defaults to the policy's ``deadline`` when the
-        policy carries one, else to the policy's total worst-case wait.
+        attempts; it defaults to the policy's total worst-case wait
+        (:meth:`~repro.faults.retry.RetryPolicy.total_budget`).
         Each interest's lifetime is the remaining budget at send time —
         deadline propagation down the forwarding path.
         """
@@ -130,9 +130,7 @@ class AsyncConsumer:
         if retry is None:
             retry = RetryPolicy(retries=0, timeout=1000.0, backoff=1.0)
         if deadline is None:
-            deadline = (
-                retry.deadline if retry.deadline is not None else retry.total_budget()
-            )
+            deadline = retry.total_budget()
         target = name_of(name)
         loop = asyncio.get_running_loop()
         start = self.engine.now

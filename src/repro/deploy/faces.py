@@ -242,10 +242,7 @@ class AsyncUdpFace(Face):
             self.owner.receive_data(packet, self)
         else:
             self.nacks_in += 1
-            handler = getattr(self.owner, "receive_nack", None)
-            if handler is None:
-                return
-            handler(packet, self)
+            self.owner.receive_nack(packet, self)
 
     # ------------------------------------------------------------------
     # Observability

@@ -1,8 +1,10 @@
 """Retransmission policy: exponential backoff, jitter, retry budget.
 
-One policy object drives every retransmission loop in the codebase —
-:meth:`repro.ndn.apps.consumer.Consumer.fetch` and
-:meth:`repro.ndn.apps.interactive.InteractiveEndpoint.run_session` — so
+One policy object drives both retransmission loops in the codebase —
+the simulator's :meth:`repro.ndn.apps.consumer.Consumer.start_fetch`
+(which :meth:`~repro.ndn.apps.consumer.Consumer.fetch` and
+:meth:`repro.ndn.apps.interactive.InteractiveEndpoint.run_session` ride)
+and the live :meth:`repro.deploy.endpoints.AsyncConsumer.fetch` — so
 experiments state their recovery behavior in one place and tests can
 assert on it.
 
@@ -28,18 +30,12 @@ class RetryPolicy:
     scaled by a uniform ±``jitter`` fraction when an RNG is supplied.
     ``retries`` is the number of *re*-transmissions, so a fetch makes
     ``retries + 1`` attempts total.
-
-    ``deadline`` is an optional overall wall budget (ms) across the whole
-    fetch: retry loops honoring it stop retrying once the total elapsed
-    wait would exceed it, and deadline-propagating consumers clamp each
-    interest's lifetime to the remaining budget.
     """
 
     retries: int = 3
     timeout: float = 200.0
     backoff: float = 2.0
     jitter: float = 0.0
-    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         # Written as ``not x > y`` so that a NaN fails every guard.
@@ -51,8 +47,6 @@ class RetryPolicy:
             raise FaultConfigError(f"backoff must be >= 1, got {self.backoff}")
         if not 0.0 <= self.jitter < 1.0:
             raise FaultConfigError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.deadline is not None and not self.deadline > 0:
-            raise FaultConfigError(f"deadline must be > 0, got {self.deadline}")
 
     @property
     def attempts(self) -> int:
@@ -72,12 +66,5 @@ class RetryPolicy:
         return wait
 
     def total_budget(self) -> float:
-        """Worst-case total wait (ms) across all attempts, sans jitter.
-
-        When a ``deadline`` is set it bounds the total regardless of the
-        per-attempt schedule.
-        """
-        total = sum(self.timeout_for(i) for i in range(self.attempts))
-        if self.deadline is not None:
-            total = min(total, self.deadline)
-        return total
+        """Worst-case total wait (ms) across all attempts, sans jitter."""
+        return sum(self.timeout_for(i) for i in range(self.attempts))

@@ -4,27 +4,29 @@ Each endpoint of an interactive session is producer *and* consumer at once:
 it publishes its own frames under per-frame unpredictable names and fetches
 the peer's frames by predicting their names from the shared secret.  Frames
 are published ``exact_match_only`` per footnote 5, so a router never leaks
-them to prefix probes.
+them to prefix probes.  The endpoint is a
+:class:`~repro.ndn.apps.consumer.Consumer`: each frame is fetched through
+the consumer's one fetch loop, so its pending records, Nack matching,
+timeouts and retransmissions (and their ``fetch_*`` counters) are the
+consumer's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # avoid a runtime ndn->naming->ndn import cycle
     from repro.naming.session import SessionNamer
 
-import numpy as np
-
 from repro.faults.retry import RetryPolicy
+from repro.ndn.apps.consumer import Consumer
 from repro.ndn.link import Face
 from repro.ndn.name import Name
-from repro.ndn.packets import Data, Interest, Nack
+from repro.ndn.packets import Data, Interest
 from repro.sim.engine import Engine
-from repro.sim.events import Signal
 from repro.sim.monitor import Monitor
-from repro.sim.process import TIMED_OUT, Timeout, WaitSignal
+from repro.sim.process import Timeout
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class FrameStats:
     retransmitted: bool
 
 
-class InteractiveEndpoint:
+class InteractiveEndpoint(Consumer):
     """One party of a two-way interactive session over NDN."""
 
     def __init__(
@@ -47,29 +49,12 @@ class InteractiveEndpoint:
         frame_size: int = 256,
         monitor: Optional[Monitor] = None,
     ) -> None:
-        self.engine = engine
+        super().__init__(engine, name=label, monitor=monitor)
         self.namer = namer
         self.label = label
         self.frame_size = frame_size
-        self.monitor = monitor if monitor is not None else Monitor()
-        self.face: Optional[Face] = None
         self.repo: Dict[Name, Data] = {}
-        # Pending frame fetches: name -> (signal, send_time, nonce).  The
-        # nonce ties a Nack to the exact transmission it rejects so a Nack
-        # arriving after the local timeout already re-armed (same name,
-        # fresh nonce) is dropped as stale instead of aborting the live
-        # replacement attempt (duplicate-retry suppression).
-        self._pending: Dict[Name, Tuple[Signal, float, int]] = {}
         self.frame_stats: List[FrameStats] = []
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def create_face(self, label: str = "") -> Face:
-        """Create the endpoint's (single) network face."""
-        face = Face(self, label=label or f"{self.label}:face")
-        self.face = face
-        return face
 
     # ------------------------------------------------------------------
     # Producing
@@ -91,73 +76,43 @@ class InteractiveEndpoint:
     # ------------------------------------------------------------------
     # Consuming
     # ------------------------------------------------------------------
-    def request_frame(self, sequence: int, lifetime: float = 4000.0) -> Signal:
-        """Express interest in the peer's frame ``sequence``."""
-        if self.face is None:
-            raise RuntimeError(f"{self.label} has no face attached")
-        name = self.namer.incoming_name(sequence)
-        signal = Signal(name=f"{self.label}:frame:{sequence}")
-        interest = Interest(name=name, private=True, lifetime=lifetime)
-        self._pending[name] = (signal, self.engine.now, interest.nonce)
-        self.face.send_interest(interest)
-        self.monitor.count("frames_requested")
-        return signal
-
     def run_session(
         self,
         frames: int,
         frame_interval: float,
         retransmit_timeout: float = 200.0,
         max_retransmits: int = 3,
-        retry: Optional[RetryPolicy] = None,
-        rng: Optional["np.random.Generator"] = None,
     ):
         """Coroutine: publish and fetch ``frames`` frames at a fixed cadence.
 
-        Lost frames are re-requested per the :class:`RetryPolicy` (by
-        default ``max_retransmits`` extra attempts at a fixed
-        ``retransmit_timeout`` — the seed behavior); the re-issued
+        A frame not answered within ``retransmit_timeout`` (or Nacked) is
+        re-requested up to ``max_retransmits`` times; the re-issued
         interest is what benefits from router caching near the loss point
         (the paper's rationale for caching interactive traffic at all).
-        Pass an explicit ``retry`` for backoff/jitter under bursty loss,
-        with ``rng`` supplying the jitter draws.
+        A frame's latency runs from its first send.
         """
-        if retry is None:
-            retry = RetryPolicy(
-                retries=max_retransmits, timeout=retransmit_timeout, backoff=1.0
-            )
+        retry = RetryPolicy(
+            retries=max_retransmits, timeout=retransmit_timeout, backoff=1.0
+        )
         for seq in range(frames):
             self.publish_frame(seq)
             send_time = self.engine.now
-            retransmitted = False
-            result = None
-            for attempt in range(retry.attempts):
-                wait = retry.timeout_for(attempt, rng)
-                signal = self.request_frame(seq, lifetime=wait * 4)
-                result = yield WaitSignal(signal, timeout=wait)
-                if isinstance(result, Nack):
-                    # Explicit congestion pushback from the network: wait
-                    # out the attempt before re-requesting, like a timeout
-                    # but without leaving a dangling pending entry.
-                    self.monitor.count("frames_nacked")
-                    yield Timeout(wait)
-                    retransmitted = True
-                    self.monitor.count("retransmits")
-                    continue
-                if result is not TIMED_OUT:
-                    break
-                retransmitted = True
-                self.monitor.count("retransmits")
-            if result is not None and result is not TIMED_OUT and not isinstance(result, Nack):
+            result = yield from self.fetch(
+                self.namer.incoming_name(seq),
+                private=True,
+                lifetime=4 * retransmit_timeout,
+                retry=retry,
+            )
+            if result is None:
+                self.monitor.count("frames_lost")
+            else:
                 self.frame_stats.append(
                     FrameStats(
                         sequence=seq,
                         latency=self.engine.now - send_time,
-                        retransmitted=retransmitted,
+                        retransmitted=result.send_time != send_time,
                     )
                 )
-            else:
-                self.monitor.count("frames_lost")
             yield Timeout(frame_interval)
         return self.frame_stats
 
@@ -172,37 +127,6 @@ class InteractiveEndpoint:
             return
         self.monitor.count("frames_served")
         face.send_data(data)
-
-    def receive_data(self, data: Data, face: Face) -> None:
-        """Resolve a pending frame fetch (exact name)."""
-        pending = self._pending.pop(data.name, None)
-        if pending is None:
-            self.monitor.count("unsolicited_data")
-            return
-        signal, _send_time, _nonce = pending
-        self.monitor.count("frames_received")
-        signal.trigger(data, time=self.engine.now)
-
-    def receive_nack(self, nack: Nack, face: Face) -> None:
-        """Resolve a pending frame fetch with the upstream rejection.
-
-        A Nack whose nonce does not match the pending transmission is a
-        leftover from an attempt that already timed out and was re-armed;
-        it is counted stale and the live entry is kept (suppressing the
-        duplicate retry a spurious abort would cause).  Nonce 0 marks a
-        synthesized PIT-preemption Nack, which matches any entry.
-        """
-        pending = self._pending.get(nack.name)
-        if pending is None:
-            self.monitor.count("unsolicited_nack")
-            return
-        signal, _send_time, nonce = pending
-        if nack.nonce != 0 and nack.nonce != nonce:
-            self.monitor.count("stale_nacks")
-            return
-        del self._pending[nack.name]
-        self.monitor.count("nacks_received")
-        signal.trigger(nack, time=self.engine.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"InteractiveEndpoint({self.label}, frames={len(self.frame_stats)})"

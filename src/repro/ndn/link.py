@@ -34,11 +34,8 @@ class PacketHandler(Protocol):
     def receive_data(self, data: Data, face: "Face") -> None:
         """Handle a content object arriving on ``face``."""
 
-    # ``receive_nack(nack, face)`` is an *optional* extension of this
-    # protocol: handlers that predate the overload-robustness layer need
-    # not implement it.  Links deliver Nacks only to handlers that do
-    # (and count the rest as ``nacks_unhandled``), so legacy stubs keep
-    # working unchanged.
+    def receive_nack(self, nack: Nack, face: "Face") -> None:
+        """Handle an upstream rejection arriving on ``face``."""
 
 
 class DelayModel(abc.ABC):
@@ -210,8 +207,6 @@ class Link:
         face_b.link = self
         self.packets_sent = 0
         self.packets_lost = 0
-        #: Nacks addressed to a handler lacking ``receive_nack``.
-        self.nacks_unhandled = 0
 
     @cached_property
     def rng(self) -> np.random.Generator:
@@ -250,7 +245,7 @@ class Link:
         elif kind is Data:
             handler = to_face.owner.receive_data
         elif kind is Nack:
-            handler = getattr(to_face.owner, "receive_nack", None)
+            handler = to_face.owner.receive_nack
         else:
             raise TopologyError(f"unknown packet type {kind.__name__}")
         self.packets_sent += 1
@@ -259,12 +254,6 @@ class Link:
             return
         model = self.delay_model
         delay = model.sample(self.rng if model.draws else None)
-        if handler is None:
-            # A Nack for a pre-Nack handler (legacy stubs, producers
-            # without the method): dropped at the link, visibly, after
-            # its delay draw.
-            self.nacks_unhandled += 1
-            return
         self.engine.schedule_fire_and_forget(delay, handler, packet, to_face)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

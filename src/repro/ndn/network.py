@@ -32,7 +32,7 @@ from repro.sim.engine import Engine
 from repro.sim.monitor import Monitor
 from repro.sim.rng import LazyStream, RngRegistry
 
-Entity = Union[Forwarder, Consumer, Producer, InteractiveEndpoint]
+Entity = Union[Forwarder, Consumer, Producer]
 
 
 # ----------------------------------------------------------------------

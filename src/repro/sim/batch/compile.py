@@ -350,7 +350,7 @@ def _collect_entities(net: Network):
     for name, entity in net._entities.items():
         if isinstance(entity, Forwarder):
             routers.append(entity)
-        elif isinstance(entity, Consumer):
+        elif type(entity) is Consumer:  # a subclass (InteractiveEndpoint) also serves
             consumers.append(entity)
         elif isinstance(entity, Producer):
             producers.append(entity)

@@ -102,24 +102,6 @@ def test_deadline_bounds_total_wait():
     asyncio.run(scenario())
 
 
-def test_retry_deadline_field_is_default_budget():
-    async def scenario():
-        engine, consumer, upstream = await consumer_rig()
-        try:
-            policy = RetryPolicy(
-                retries=10, timeout=100.0, backoff=1.0, deadline=200.0
-            )
-            start = engine.now
-            with pytest.raises(FetchFailed):
-                await consumer.fetch("/a/never", retry=policy)
-            assert engine.now - start < 500.0
-        finally:
-            await consumer.close()
-            await upstream.face.close()
-
-    asyncio.run(scenario())
-
-
 def test_stale_nack_is_suppressed_live_attempt_survives():
     async def scenario():
         engine, consumer, upstream = await consumer_rig()

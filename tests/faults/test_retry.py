@@ -28,7 +28,7 @@ class TestValidation:
         with pytest.raises(FaultConfigError):
             RetryPolicy(**kwargs)
 
-    @pytest.mark.parametrize("field", ["timeout", "backoff", "deadline"])
+    @pytest.mark.parametrize("field", ["timeout", "backoff", "jitter"])
     def test_rejects_nan(self, field):
         # A NaN fails every comparison: a guard written ``x < bound`` lets
         # it through to NaN per-attempt waits or a NaN budget.
@@ -84,21 +84,3 @@ class TestJitter:
     def test_no_rng_means_no_jitter(self):
         policy = RetryPolicy(retries=0, timeout=100.0, jitter=0.25)
         assert policy.timeout_for(0) == 100.0
-
-
-class TestDeadline:
-    def test_deadline_bounds_total_budget(self):
-        policy = RetryPolicy(retries=3, timeout=100.0, backoff=2.0,
-                             deadline=600.0)
-        assert policy.total_budget() == 600.0
-
-    def test_loose_deadline_leaves_budget_alone(self):
-        policy = RetryPolicy(retries=3, timeout=100.0, backoff=2.0,
-                             deadline=10_000.0)
-        assert policy.total_budget() == 1500.0
-
-    def test_rejects_nonpositive_deadline(self):
-        with pytest.raises(FaultConfigError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(FaultConfigError):
-            RetryPolicy(deadline=-5.0)

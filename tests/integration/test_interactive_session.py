@@ -63,10 +63,15 @@ class TestSessionDelivery:
         net.run()
         delivered = len(alice.frame_stats) + len(bob.frame_stats)
         assert delivered >= 55  # most frames make it despite 25% loss
-        retransmitted = alice.monitor.counter("retransmits") + bob.monitor.counter(
-            "retransmits"
-        )
+        retransmitted = alice.monitor.counter(
+            "fetch_retransmits"
+        ) + bob.monitor.counter("fetch_retransmits")
         assert retransmitted > 0
+        # Every send after a frame's first is a retransmission.
+        for endpoint in (alice, bob):
+            assert endpoint.monitor.counter("fetch_retransmits") == (
+                endpoint.monitor.counter("interests_sent") - 30
+            )
 
     def test_frames_cached_at_router(self):
         """Caching still helps loss recovery: frames sit in R's cache."""

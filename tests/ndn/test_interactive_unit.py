@@ -6,10 +6,13 @@ from __future__ import annotations
 import pytest
 
 from repro.naming.session import SessionNamer
-from repro.ndn.apps.interactive import InteractiveEndpoint
+from repro.ndn.apps.interactive import FrameStats, InteractiveEndpoint
 from repro.ndn.link import Face, FixedDelay, Link
 from repro.ndn.name import Name
+from repro.ndn.network import Network
 from repro.ndn.packets import Data, Interest
+from repro.sim.batch import BatchCompileError, compile_topology
+from repro.sim.batch.script import ConsumerScript, FetchStep
 from repro.sim.engine import Engine
 
 import numpy as np
@@ -67,11 +70,6 @@ class TestServing:
 
 
 class TestRequesting:
-    def test_request_frame_requires_face(self, engine):
-        ep = endpoint(engine)
-        with pytest.raises(RuntimeError):
-            ep.request_frame(0)
-
     def test_unsolicited_data_counted(self, engine):
         ep = endpoint(engine)
         ep.receive_data(Data(name=Name.parse("/bob/voip/0/ffff")), None)
@@ -90,8 +88,27 @@ class TestRequesting:
 
         Link(engine, ep.face, Face(Absorb(), "net"), FixedDelay(0.1),
              np.random.default_rng(0))
-        signal = ep.request_frame(0)
-        expected = ep.namer.incoming_name(0)
-        ep.receive_data(Data(name=expected), ep.face)
-        assert signal.triggered
-        assert ep.monitor.counter("frames_received") == 1
+        proc = engine.spawn(ep.run_session(frames=1, frame_interval=10.0))
+        frame = Data(name=ep.namer.incoming_name(0))
+        engine.schedule(5.0, ep.receive_data, frame, ep.face)
+        engine.run()
+        assert proc.result == [FrameStats(sequence=0, latency=5.0, retransmitted=False)]
+        assert ep.monitor.counter("data_received") == 1
+
+
+def test_batch_compiler_refuses_an_endpoint():
+    """An endpoint is a Consumer that also serves frames, which the batch
+    kernel does not model: a network holding one stays on the reference
+    engine."""
+    net = Network()
+    net.add_router("R")
+    net.add_endpoint(
+        "alice", InteractiveEndpoint(net.engine, SessionNamer(SECRET, "/a", "/b"), "alice")
+    )
+    net.connect("alice", "R", FixedDelay(1.0))
+    net.add_route("R", "/a", "alice")
+    net.add_consumer("c")
+    net.connect("c", "R", FixedDelay(1.0))
+    script = ConsumerScript("c", (FetchStep("/a/x"),))
+    with pytest.raises(BatchCompileError, match="unsupported type InteractiveEndpoint"):
+        compile_topology(net, [script])

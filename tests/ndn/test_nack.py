@@ -44,19 +44,6 @@ class NackRecorder:
         self.nacks.append((self.engine.now, nack))
 
 
-class LegacyRecorder:
-    """Pre-Nack handler: no ``receive_nack`` method at all."""
-
-    def __init__(self):
-        self.data = []
-
-    def receive_interest(self, interest, face):
-        pass
-
-    def receive_data(self, data, face):
-        self.data.append(data)
-
-
 class SilentProducer:
     """Never answers: every forwarded interest dangles in the PIT."""
 
@@ -243,23 +230,6 @@ class TestNackPropagation:
         engine.run()
         assert router.monitor.counter("nack_no_pit") == 1
         assert consumer.nacks == []
-
-    def test_legacy_handler_without_receive_nack_keeps_working(self, engine):
-        legacy = LegacyRecorder()
-        router = Forwarder(engine, "R", pit=Pit(capacity=1, overflow="drop-new"))
-        c_face = Face(legacy, "c")
-        link = Link(engine, c_face, router.create_face(), FixedDelay(1.0),
-                    np.random.default_rng(0))
-        p_face = Face(SilentProducer(), "p")
-        r_up = router.create_face("up")
-        Link(engine, r_up, p_face, FixedDelay(5.0), np.random.default_rng(1))
-        router.fib.add_route(Name.root(), r_up)
-        c_face.send_interest(Interest(name=Name.parse("/a")))
-        c_face.send_interest(Interest(name=Name.parse("/b")))
-        engine.run(until=50.0)
-        # The Nack for /b died at the link, visibly, and nothing crashed.
-        assert link.nacks_unhandled == 1
-        assert router.monitor.counter("pit_overflow_drop") == 1
 
 
 class TestConsumerBackoff:

@@ -1,5 +1,9 @@
 """Late-Nack duplicate-retry suppression (consumer + interactive).
 
+The interactive endpoint fetches through the consumer's fetch loop, so
+the Nack-matching rules are checked once, on :class:`Consumer`; the
+endpoint's test checks that a session run gets them.
+
 A Nack names the nonce of the transmission it rejects.  When the local
 timeout fires first, the retry loop withdraws the pending entry and
 re-arms a fresh attempt under the same name — so a Nack for the *old*
@@ -184,29 +188,44 @@ class TestInteractiveSuppression:
         stats = proc.result
         assert len(stats) == 1 and stats[0].retransmitted
         assert ep.monitor.counter("stale_nacks") == 1
-        assert ep.monitor.counter("frames_nacked") == 0
+        assert ep.monitor.counter("fetch_nacked") == 0
         # One timeout-driven retransmit; the stale Nack added none.
-        assert ep.monitor.counter("retransmits") == 1
+        assert ep.monitor.counter("fetch_retransmits") == 1
         assert len(hole.interests) == 2
 
-    def test_matching_nack_still_delivered(self, engine):
+    def one_frame_session(self, engine, nonce_of):
+        """One frame, no retransmission, and a Nack for its interest at
+        t=50 whose nonce ``nonce_of`` picks from the transmission."""
         ep, hole = rigged_endpoint(engine)
-        signal = ep.request_frame(0, lifetime=1000.0)
-        # The interest is still in flight on the link; read the pending
-        # entry's nonce directly.
-        name = ep.namer.incoming_name(0)
-        _, _, nonce = ep._pending[name]
-        ep.receive_nack(
-            Nack(name=name, nonce=nonce, reason=NACK_CONGESTION), ep.face
+        proc = engine.spawn(
+            ep.run_session(
+                frames=1, frame_interval=10.0,
+                retransmit_timeout=100.0, max_retransmits=0,
+            )
         )
-        assert signal.triggered and isinstance(signal.payload, Nack)
+
+        def nack():
+            sent = hole.interests[0]
+            ep.receive_nack(
+                Nack(name=sent.name, nonce=nonce_of(sent),
+                     reason=NACK_CONGESTION),
+                ep.face,
+            )
+
+        engine.schedule(50.0, nack)
+        engine.run()
+        return ep, proc
+
+    def test_matching_nack_still_delivered(self, engine):
+        ep, proc = self.one_frame_session(engine, lambda sent: sent.nonce)
+        assert proc.result == []
         assert ep.monitor.counter("nacks_received") == 1
+        assert ep.monitor.counter("fetch_nacked") == 1
+        assert ep.monitor.counter("frames_lost") == 1
 
     def test_nonceless_nack_matches_any_entry(self, engine):
-        ep, _ = rigged_endpoint(engine)
-        signal = ep.request_frame(0, lifetime=1000.0)
-        name = ep.namer.incoming_name(0)
-        ep.receive_nack(
-            Nack(name=name, nonce=0, reason=NACK_PIT_FULL), ep.face
-        )
-        assert signal.triggered and isinstance(signal.payload, Nack)
+        ep, proc = self.one_frame_session(engine, lambda sent: 0)
+        assert proc.result == []
+        assert ep.monitor.counter("nacks_received") == 1
+        assert ep.monitor.counter("stale_nacks") == 0
+        assert ep.monitor.counter("frames_lost") == 1

@@ -33,7 +33,11 @@ timeout armed, are killed by ``late_data_mismatches``
 (``tests/ndn/test_apps.py``: a retried fetch whose Data comes late, timed
 by hand); a Nacked attempt retried without its back-off by the overload
 entries of ``golden_harness_tallies.json``, whose ``drop-new`` run is
-Nacked and retried.
+Nacked and retried.  The interactive endpoint fetches through the same
+loop; its one mutant, a frame marked retransmitted although its first
+attempt answered, is killed by ``golden_interactive_sessions.json``
+(``tests/integration/test_interactive_golden.py``), which pins every
+frame's flag.
 
 Three mutants sit on :meth:`CompiledTopology.rebind`, each killed by
 ``rebind_mismatches`` (``tests/sim/test_rebind.py``: two points rebound
@@ -85,6 +89,7 @@ import pytest
 from repro.core.privacy.distributions import TruncatedGeometric
 from repro.ndn import packets, topology
 from repro.ndn.apps import consumer as consumer_app
+from repro.ndn.apps.interactive import InteractiveEndpoint
 from repro.ndn.link import Link
 from repro.sim import batch
 from repro.sim import workload_driver
@@ -101,6 +106,7 @@ from repro.workload.compiled import CompiledTrace
 from repro.workload.zipf import ZipfSampler
 
 from tests.core.test_distributions import geometric_boundary_mismatches
+from tests.integration.test_interactive_golden import grid_keys, session_mismatches
 from tests.ndn import test_link
 from tests.ndn.test_apps import late_data_mismatches
 from tests.ndn.test_packets import hop_copy_mismatches
@@ -165,6 +171,10 @@ def _stale_wait_resumes(monkeypatch) -> bool:
 
 def _late_data_misread(monkeypatch) -> bool:
     return bool(late_data_mismatches())
+
+
+def _interactive_golden_differs(monkeypatch) -> bool:
+    return bool(session_mismatches(grid_keys("nacking", "jitter")))
 
 
 def _zipf_inexact(monkeypatch) -> bool:
@@ -254,6 +264,14 @@ MUTANTS = {
         "self.consumer.engine.schedule_fire_and_forget(self.wait, self._retry)",
         "self._retry()",
         _overload_golden_differs,
+    ),
+    # A frame is retransmitted iff the attempt that answered it is not
+    # the first; the interactive golden pins the flag of every frame.
+    "frame marked retransmitted on its first attempt": (
+        InteractiveEndpoint, "run_session",
+        "retransmitted=result.send_time != send_time",
+        "retransmitted=result.send_time >= send_time",
+        _interactive_golden_differs,
     ),
     "guide-table resolve runs one pass short": (
         ZipfSampler, "sample",
