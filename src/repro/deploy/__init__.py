@@ -21,9 +21,10 @@ real-world implementations of both seams —
   Nack plane, a line-based TCP management channel (PiCN pattern), and
   drain/health/readiness hooks;
 * :class:`~repro.deploy.endpoints.AsyncConsumer` /
-  :class:`~repro.deploy.endpoints.AsyncProducer` — socket-side
-  applications with deadline propagation and Nack-aware retransmission
-  via :class:`~repro.faults.retry.RetryPolicy`;
+  :class:`~repro.deploy.endpoints.AsyncProducer` — the simulator's
+  consumer and producer bound to a UDP face; a fetch runs the
+  consumer's one fetch loop (deadline propagation, Nack-aware
+  retransmission via :class:`~repro.faults.retry.RetryPolicy`);
 * :class:`~repro.deploy.supervisor.Supervisor` — the daemon's
   management channel and graceful drain-then-close shutdown;
 * :class:`~repro.deploy.chaos.ChaosUdpProxy` — seed-reproducible

@@ -22,6 +22,7 @@ exactly once, PIT ledger balance) carry over to the daemon untouched.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import ClockError
@@ -79,11 +80,12 @@ class RealTimeEngine:
         """
         if delay < 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, self._seq, callback, args, label=label)
+        at = self._loop.time()
+        event = Event((at - self._t0) * 1000.0 + delay, self._seq, callback, args, label)
         self._seq += 1
         self._pending += 1
-        handle = self._loop.call_later(delay / 1000.0, self._fire, event)
-        event.on_cancel = lambda: self._on_cancel(handle)
+        handle = self._loop.call_at(at + delay / 1000.0, self._fire, event)
+        event.on_cancel = partial(self._on_cancel, handle)
         return event
 
     def schedule_at(

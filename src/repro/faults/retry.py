@@ -1,10 +1,10 @@
 """Retransmission policy: exponential backoff, jitter, retry budget.
 
-One policy object drives both retransmission loops in the codebase —
-the simulator's :meth:`repro.ndn.apps.consumer.Consumer.start_fetch`
-(which :meth:`~repro.ndn.apps.consumer.Consumer.fetch` and
-:meth:`repro.ndn.apps.interactive.InteractiveEndpoint.run_session` ride)
-and the live :meth:`repro.deploy.endpoints.AsyncConsumer.fetch` — so
+One policy object drives the codebase's one retransmission loop,
+:meth:`repro.ndn.apps.consumer.Consumer.start_fetch` — which
+:meth:`~repro.ndn.apps.consumer.Consumer.fetch`,
+:meth:`repro.ndn.apps.interactive.InteractiveEndpoint.run_session` and the
+live :meth:`repro.deploy.endpoints.AsyncConsumer.fetch` all ride — so
 experiments state their recovery behavior in one place and tests can
 assert on it.
 

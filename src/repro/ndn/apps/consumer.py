@@ -2,23 +2,26 @@
 
 The consumer exposes a callback API (:meth:`express_interest` returns a
 :class:`~repro.sim.events.Signal`), one callback-driven fetch loop
-(:meth:`start_fetch`) and a process wrapper over it (:meth:`fetch`).
-Every completed fetch records the measured RTT — the observable the
-paper's timing attacks are built on.
+(:meth:`start_fetch`) and a process wrapper over it (:meth:`fetch`).  The
+live daemon's :class:`~repro.deploy.endpoints.AsyncConsumer` awaits the
+same loop, so every retry, Nack and deadline decision is made here.  A
+:class:`FetchResult` carries its fetch's RTT, the observable the paper's
+timing attacks are built on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from itertools import count
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.faults.retry import RetryPolicy
 from repro.ndn.link import Face
 from repro.ndn.name import Name, name_of
-from repro.ndn.packets import Data, Interest, Nack
+from repro.ndn.packets import NACK_NO_ROUTE, Data, Interest, Nack
 from repro.sim.engine import Engine
 from repro.sim.events import Signal
 from repro.sim.monitor import Monitor
@@ -46,6 +49,13 @@ class FetchResult:
         return self.receive_time - self.send_time
 
 
+class _Waiters(list):
+    """One name's pending ``(waiter, send_time, nonce)`` records, oldest
+    first; ``rank`` orders the names by when each entered the table."""
+
+    __slots__ = ("rank",)
+
+
 class Consumer:
     """An end host that requests content by name."""
 
@@ -55,14 +65,14 @@ class Consumer:
         self.engine = engine
         self.name = name
         self.monitor = monitor if monitor is not None else Monitor()
+        self._counts = self.monitor.live
         self.face: Optional[Face] = None
-        # Pending fetches: interest name -> [(waiter, send_time, nonce), ...];
-        # a waiter (Signal or _Fetch) is resumed by ``trigger``.
-        # The nonce identifies which transmission a Nack rejects, so a Nack
+        # Pending fetches by interest name; a waiter (Signal or _Fetch) is
+        # resumed by ``trigger``.  The nonce identifies which transmission a Nack rejects, so a Nack
         # for an attempt that already timed out locally cannot be delivered
         # to the attempt that replaced it (duplicate-retry suppression).
-        self._pending: Dict[Name, List[Tuple[Union[Signal, _Fetch], float, int]]] = {}
-        self.rtts: List[float] = []
+        self._pending: Dict[Name, _Waiters] = {}
+        self._ranks = count()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -100,10 +110,12 @@ class Consumer:
         interest = Interest(
             name=target, scope=scope, private=private, lifetime=lifetime
         )
-        self._pending.setdefault(target, []).append(
-            (waiter, self.engine.now, interest.nonce)
-        )
-        self.monitor.count("interests_sent")
+        waiters = self._pending.get(target)
+        if waiters is None:
+            waiters = self._pending[target] = _Waiters()
+            waiters.rank = next(self._ranks)
+        waiters.append((waiter, self.engine.now, interest.nonce))
+        self._counts["interests_sent"] += 1
         self.face.send_interest(interest)
 
     def start_fetch(
@@ -116,7 +128,8 @@ class Consumer:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
-    ) -> None:
+        deadline: Optional[float] = None,
+    ) -> _Fetch:
         """Send the first interest of a fetch; ``done`` later receives the
         :class:`FetchResult`, or None once the retry budget is exhausted.
 
@@ -125,10 +138,15 @@ class Consumer:
         With a :class:`~repro.faults.retry.RetryPolicy` the interest is
         retransmitted on timeout with exponential backoff (and jitter
         drawn from ``rng``, when given) up to the policy's budget.
+        ``deadline`` (ms) bounds the whole fetch: an attempt waits, and its
+        interest lives, at most the remaining budget.  Returns the fetch,
+        whose ``cancel`` abandons it.
         """
         if retry is None:
             retry = _single_attempt(timeout if timeout is not None else lifetime)
-        _Fetch(self, (name_of(name), scope, private, lifetime), retry, rng, done)
+        return _Fetch(
+            self, (name_of(name), scope, private, lifetime), retry, rng, done, deadline
+        )
 
     def fetch(
         self,
@@ -154,61 +172,48 @@ class Consumer:
         waiters = self._pending.get(name)
         if not waiters:
             return
-        self._pending[name] = [
-            entry for entry in waiters if entry[0] is not waiter
-        ]
-        if not self._pending[name]:
+        waiters[:] = [entry for entry in waiters if entry[0] is not waiter]
+        if not waiters:
             del self._pending[name]
 
     # ------------------------------------------------------------------
     # PacketHandler interface
     # ------------------------------------------------------------------
     def receive_data(self, data: Data, face: Face) -> None:
-        """Match returning content against pending interests (prefix rule)."""
-        matched = False
-        # Safe to iterate the dict directly: the loop breaks right after
-        # the single mutation below, so no entries are visited afterwards.
-        for pending_name in self._pending:
-            if not pending_name.is_prefix_of(data.name):
-                continue
-            waiters = self._pending[pending_name]
-            waiter, send_time, _nonce = waiters.pop(0)
-            if not waiters:
-                del self._pending[pending_name]
-            now = self.engine.now
-            result = FetchResult(data=data, send_time=send_time, receive_time=now)
-            self.rtts.append(result.rtt)
-            self.monitor.count("data_received")
-            waiter.trigger(result, time=now)
-            matched = True
-            break
-        if not matched:
-            self.monitor.count("unsolicited_data")
+        """Answer the oldest record of the earliest-entered pending name
+        that is a prefix of the Data's (looked up along its prefix chain)."""
+        pending = self._pending
+        match = None
+        for prefix in data.name.prefixes():
+            waiters = pending.get(prefix)
+            if waiters is not None and (match is None or waiters.rank < match.rank):
+                match, matched = waiters, prefix
+        if match is None:
+            self._counts["unsolicited_data"] += 1
+            return
+        waiter, send_time, _nonce = match.pop(0)
+        if not match:
+            del pending[matched]
+        now = self.engine.now
+        self._counts["data_received"] += 1
+        waiter.trigger(FetchResult(data=data, send_time=send_time, receive_time=now), time=now)
 
     def receive_interest(self, interest: Interest, face: Face) -> None:
         """Consumers do not serve content."""
-        self.monitor.count("unexpected_interest")
+        self._counts["unexpected_interest"] += 1
 
     def receive_nack(self, nack: Nack, face: Face) -> None:
-        """Deliver an upstream rejection to the waiter it belongs to.
+        """Deliver an upstream rejection, as the :class:`Nack` itself, to
+        the transmission its nonce names on its exact name.
 
-        The waiter fires with the :class:`Nack` itself so the fetch loop
-        (and :meth:`express_interest` callers) can
-        distinguish explicit congestion pushback from a silent timeout
-        and back off accordingly.
-
-        Nacks carry the nonce of the interest they reject, so the Nack
-        is matched to that exact transmission.  If the attempt already
-        timed out locally (its pending entry was withdrawn and a
-        retransmission re-armed under the same name), the late Nack is
-        counted as stale and dropped — it must not abort the live
-        replacement attempt, which would trigger a duplicate retry.
-        PIT-preemption Nacks are synthesized without a nonce (nonce 0)
-        and fall back to the oldest waiter.
+        A Nack for an attempt that already timed out (its record withdrawn,
+        a retransmission re-armed) is counted as stale and dropped: it must
+        not abort the live attempt, which would double the retry.
+        PIT-preemption Nacks carry nonce 0 and go to the oldest waiter.
         """
         waiters = self._pending.get(nack.name)
         if not waiters:
-            self.monitor.count("unsolicited_nack")
+            self._counts["unsolicited_nack"] += 1
             return
         if nack.nonce != 0:
             index = next(
@@ -216,14 +221,14 @@ class Consumer:
                 None,
             )
             if index is None:
-                self.monitor.count("stale_nacks")
+                self._counts["stale_nacks"] += 1
                 return
         else:
             index = 0
         waiter, _send_time, _nonce = waiters.pop(index)
         if not waiters:
             del self._pending[nack.name]
-        self.monitor.count("nacks_received")
+        self._counts["nacks_received"] += 1
         waiter.trigger(nack, time=self.engine.now)
 
     @property
@@ -238,40 +243,63 @@ class Consumer:
 class _Fetch:
     """One fetch's retry loop, driven by callbacks: each attempt transmits,
     then arms its timeout; its pending record holds the fetch, so Data or
-    a Nack resumes it through :meth:`trigger`, as it would a Signal."""
+    a Nack resumes it through :meth:`trigger`, as it would a Signal.
+    ``sent`` counts its interests; ``reason`` says why it failed."""
 
-    __slots__ = ("consumer", "interest", "retry", "rng", "done", "attempt", "wait",
-                 "timer")
+    __slots__ = ("consumer", "interest", "retry", "rng", "done", "end", "sent",
+                 "wait", "timer", "reason")
 
-    def __init__(self, consumer: Consumer, interest: tuple, retry, rng, done) -> None:
+    def __init__(
+        self, consumer: Consumer, interest: tuple, retry, rng, done, deadline
+    ) -> None:
         self.consumer, self.interest, self.retry, self.rng, self.done = (
             consumer, interest, retry, rng, done
         )
-        self.attempt = 0
+        self.end = None if deadline is None else consumer.engine.now + deadline
+        self.sent = 0
         self._send()
 
     def _send(self) -> None:
         consumer = self.consumer
-        consumer._express(*self.interest, self)
-        if self.attempt > 0:
-            consumer.monitor.count("fetch_retransmits")
-        self.wait = self.retry.timeout_for(self.attempt, self.rng)
-        self.timer = consumer.engine.schedule(self.wait, self._timed_out)
+        name, scope, private, lifetime = self.interest
+        if self.end is None:
+            wait = self.retry.timeout_for(self.sent, self.rng)
+        else:
+            remaining = self.end - consumer.engine.now
+            if remaining <= 0:
+                self._fail("deadline")
+                return
+            wait = min(self.retry.timeout_for(self.sent, self.rng), remaining)
+            lifetime = max(wait, 1.0)
+        consumer._express(name, scope, private, lifetime, self)
+        if self.sent > 0:
+            consumer._counts["fetch_retransmits"] += 1
+        self.sent += 1
+        self.wait = wait
+        self.timer = consumer.engine.schedule(wait, self._timed_out)
 
     def trigger(self, payload: Union[FetchResult, Nack], time: float) -> None:
         """Data or a Nack answered the live attempt: cancel, then resume."""
         self.timer.cancel()
-        if type(payload) is Nack:
-            # Upstream congestion: the network explicitly refused this
-            # interest.  Back off for the attempt's full timeout (the
-            # Nack already withdrew the pending record) before retrying.
-            self.consumer.monitor.count("fetch_nacked")
-            self.consumer.engine.schedule_fire_and_forget(self.wait, self._retry)
-        else:
+        if type(payload) is not Nack:
             self.done(payload)
+            return
+        self.consumer._counts["fetch_nacked"] += 1
+        if payload.reason == NACK_NO_ROUTE:
+            # No amount of back-off creates a route.
+            self._fail("no-route")
+            return
+        # Upstream congestion: back off for the attempt's wait (the Nack
+        # already withdrew the pending record), then retry.
+        self.reason = "nacked"
+        backoff = self.wait
+        if self.end is not None:
+            backoff = max(0.0, min(backoff, self.end - self.consumer.engine.now))
+        self.timer = self.consumer.engine.schedule(backoff, self._retry)
 
     def _timed_out(self) -> None:
-        self.consumer.monitor.count("fetch_timeouts")
+        self.consumer._counts["fetch_timeouts"] += 1
+        self.reason = "timeout"
         # Withdraw the stale pending record so late or retried data is
         # not consumed by this abandoned attempt (which would starve a
         # later fetch of the same name).
@@ -279,9 +307,19 @@ class _Fetch:
         self._retry()
 
     def _retry(self) -> None:
-        self.attempt += 1
-        if self.attempt < self.retry.attempts:
+        if self.sent < self.retry.attempts:
             self._send()
         else:
-            self.consumer.monitor.count("fetch_failures")
-            self.done(None)
+            self._fail(self.reason)
+
+    def _fail(self, reason: str) -> None:
+        self.reason = reason
+        self.consumer._counts["fetch_failures"] += 1
+        self.done(None)
+
+    def cancel(self) -> None:
+        """Abandon the fetch: its timer is cancelled and its pending record
+        withdrawn, so nothing is retransmitted and ``done`` is not called."""
+        if self.timer.pending:
+            self.timer.cancel()
+        self.consumer._cancel_pending(self.interest[0], self)

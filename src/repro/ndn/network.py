@@ -9,7 +9,7 @@ read declaratively.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.schemes.base import CacheScheme
 from repro.ndn.admission import InterestRateLimit
@@ -102,6 +102,9 @@ class Network:
         # generators without filling the objects' caches or advancing the
         # engine (repro.sim.batch.script.NetworkSpentError).
         self._spent_on_batch = False
+        # Script consumer -> RTTs of its reference-engine fetches, kept
+        # across continued runs (repro.sim.batch.script).
+        self._script_rtts: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     # Entity creation

@@ -735,7 +735,7 @@ def _compile_consumer_scripts(
             f"consumer {script.consumer!r} has no connected face",
         )
         _require(
-            not consumer._pending and not consumer.rtts,
+            not consumer._pending and not consumer.monitor.counter("interests_sent"),
             f"consumer {script.consumer!r} already has fetch state",
         )
         edge = face_to_edge.get(id(consumer.face))

@@ -207,9 +207,12 @@ def _describe_mismatch(field_name: str, a, b, sides: Tuple[str, str]) -> str:
     return f"{field_name}: {left}={a!r} {right}={b!r}"
 
 
-def _run_script(script: ConsumerScript, consumer, delivered: Dict[str, int]) -> None:
+def _run_script(
+    script: ConsumerScript, consumer, delivered: Dict[str, int], rtts: List[float]
+) -> None:
     """Run one script on the reference engine: ``advance`` runs it to its
-    next sleep or fetch, whose end calls it back (the first call is inline)."""
+    next sleep or fetch, whose end calls it back (the first call is inline)
+    and records the fetch's RTT in ``rtts``."""
     engine = consumer.engine
     until = inf if script.until is None else script.until
     retry = script.retry
@@ -219,6 +222,7 @@ def _run_script(script: ConsumerScript, consumer, delivered: Dict[str, int]) -> 
     def advance(result=None) -> None:
         if result is not None:
             delivered[name] += 1
+            rtts.append(result.rtt)
         step = next(steps, None)
         if isinstance(step, SleepStep):
             engine.schedule_fire_and_forget(step.delay, advance)
@@ -240,17 +244,22 @@ def run_scripts_reference(
     fetch, then by callback (fetches through :meth:`Consumer.start_fetch`).
     The run drains the event queue, faults, agents and audits scheduled on
     ``net`` beforehand included.  A network the reference engine already
-    ran continues from its state; one the batch kernel ran is refused.
+    ran continues from its state, its scripts' RTTs included; one the
+    batch kernel ran is refused.
     """
     refuse_spent(net)
     delivered = {s.consumer: 0 for s in scripts}
+    rtts = net._script_rtts
     for script in scripts:
-        _run_script(script, net[script.consumer], delivered)
+        _run_script(
+            script, net[script.consumer], delivered,
+            rtts.setdefault(script.consumer, []),
+        )
     end = net.run()
     return TopologyObservables(
         kernel="reference",
         delivered=delivered,
-        rtts={s.consumer: list(net[s.consumer].rtts) for s in scripts},
+        rtts={s.consumer: list(rtts[s.consumer]) for s in scripts},
         link_packets={name: link.packets_sent for name, link in net.links.items()},
         router_counters={
             name: {k: v for k, v in router.monitor.counters.items() if v}

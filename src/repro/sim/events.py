@@ -65,6 +65,9 @@ class Event:
             )
         if self.state is EventState.PENDING:
             self.state = EventState.CANCELLED
+            # A callback bound to the canceller (a fetch holding its own
+            # timeout) would otherwise keep a reference cycle alive.
+            self.callback = self.args = None
             if self.on_cancel is not None:
                 self.on_cancel()
 

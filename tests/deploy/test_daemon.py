@@ -48,7 +48,8 @@ def test_fetch_roundtrip_and_cache_hit():
         try:
             result = await consumer.fetch("/shop/item", retry=ONE_SHOT)
             assert result.data.name == Name.parse("/shop/item")
-            assert result.attempts == 1
+            assert consumer.monitor.counter("interests_sent") == 1
+            assert consumer.monitor.counter("fetch_retransmits") == 0
             assert result.rtt > 0.0
             counters = daemon.forwarder.monitor.counters
             assert counters.get("cs_miss", 0) == 1
@@ -127,7 +128,7 @@ def test_drain_mode_refuses_with_congestion_nack():
                     retry=RetryPolicy(retries=0, timeout=200.0, backoff=1.0),
                 )
             assert daemon.drained_interests == 1
-            assert consumer.fetch_nacked == 1
+            assert consumer.monitor.counter("fetch_nacked") == 1
             # Undrain restores service.
             daemon.undrain()
             result = await consumer.fetch("/shop/item", retry=ONE_SHOT)

@@ -1,4 +1,10 @@
-"""AsyncConsumer: retransmission, deadline budget, stale-Nack suppression."""
+"""AsyncConsumer over UDP: deadline, cancellation, Nacks, prefix matching.
+
+The fetch loop's own rules (retransmission, stale-Nack suppression,
+unsolicited Data) are the simulator consumer's, checked in
+``tests/ndn/test_apps.py`` and ``tests/ndn/test_nack_suppression.py``;
+these cases check what only a socket run shows.
+"""
 
 from __future__ import annotations
 
@@ -11,13 +17,7 @@ from repro.deploy.endpoints import AsyncConsumer, AsyncProducer, FetchFailed
 from repro.deploy.faces import AsyncUdpFace
 from repro.faults.retry import RetryPolicy
 from repro.ndn.name import Name
-from repro.ndn.packets import (
-    NACK_CONGESTION,
-    NACK_NO_ROUTE,
-    Data,
-    Interest,
-    Nack,
-)
+from repro.ndn.packets import NACK_NO_ROUTE, Data, Nack
 
 
 class SilentUpstream:
@@ -52,31 +52,6 @@ async def settle(predicate, timeout=2.0):
         await asyncio.sleep(0.005)
 
 
-def test_timeout_drives_retransmission_then_success():
-    async def scenario():
-        engine, consumer, upstream = await consumer_rig()
-        try:
-            task = asyncio.ensure_future(
-                consumer.fetch(
-                    "/a/x",
-                    retry=RetryPolicy(retries=2, timeout=80.0, backoff=1.0),
-                )
-            )
-            # Let attempt 0 time out; answer attempt 1.
-            await settle(lambda: len(upstream.interests) == 2)
-            upstream.face.send_data(Data(name=Name.parse("/a/x")))
-            result = await task
-            assert result.attempts == 2
-            assert consumer.fetch_retransmits == 1
-            assert consumer.fetch_timeouts == 1
-            assert consumer.pending_count == 0
-        finally:
-            await consumer.close()
-            await upstream.face.close()
-
-    asyncio.run(scenario())
-
-
 def test_deadline_bounds_total_wait():
     async def scenario():
         engine, consumer, upstream = await consumer_rig()
@@ -95,36 +70,6 @@ def test_deadline_bounds_total_wait():
             assert excinfo.value.reason in ("timeout", "deadline")
             # Lifetimes never exceeded the remaining budget.
             assert all(i.lifetime <= 250.0 for i in upstream.interests)
-        finally:
-            await consumer.close()
-            await upstream.face.close()
-
-    asyncio.run(scenario())
-
-
-def test_stale_nack_is_suppressed_live_attempt_survives():
-    async def scenario():
-        engine, consumer, upstream = await consumer_rig()
-        try:
-            task = asyncio.ensure_future(
-                consumer.fetch(
-                    "/a/x",
-                    retry=RetryPolicy(retries=2, timeout=120.0, backoff=1.0),
-                )
-            )
-            # Wait until attempt 0 timed out and attempt 1 is in flight.
-            await settle(lambda: len(upstream.interests) == 2)
-            stale_nonce = upstream.interests[0].nonce
-            upstream.face.send_nack(
-                Nack(name=Name.parse("/a/x"), nonce=stale_nonce,
-                     reason=NACK_CONGESTION)
-            )
-            await settle(lambda: consumer.stale_nacks == 1)
-            # The live attempt was not aborted: data still satisfies it.
-            upstream.face.send_data(Data(name=Name.parse("/a/x")))
-            result = await task
-            assert result.attempts == 2
-            assert consumer.fetch_nacked == 0
         finally:
             await consumer.close()
             await upstream.face.close()
@@ -152,20 +97,8 @@ def test_matching_nack_aborts_and_no_route_fails_fast():
                 await task
             assert excinfo.value.reason == "no-route"
             assert excinfo.value.attempts == 1
-            assert consumer.fetch_nacked == 1
-        finally:
-            await consumer.close()
-            await upstream.face.close()
-
-    asyncio.run(scenario())
-
-
-def test_unsolicited_data_counted():
-    async def scenario():
-        engine, consumer, upstream = await consumer_rig()
-        try:
-            upstream.face.send_data(Data(name=Name.parse("/nobody/asked")))
-            await settle(lambda: consumer.unsolicited_data == 1)
+            assert consumer.monitor.counter("interests_sent") == 1
+            assert consumer.monitor.counter("fetch_nacked") == 1
         finally:
             await consumer.close()
             await upstream.face.close()
@@ -189,11 +122,12 @@ def test_cancelled_fetch_withdraws_its_nonce():
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(consumer.fetch("/a/slow"), 0.01)
             assert consumer.pending_count == 0
-            assert not consumer._by_nonce and not consumer._by_name
-            # Data for a cancelled fetch finds no waiter.
+            # Data for a cancelled fetch finds no waiter, and no abandoned
+            # attempt is retransmitted.
             upstream.face.send_data(Data(name=Name.parse("/a/0")))
-            await settle(lambda: consumer.unsolicited_data == 1)
-            assert consumer.fetches_ok == 0
+            await settle(lambda: consumer.monitor.counter("unsolicited_data") == 1)
+            assert consumer.monitor.counter("data_received") == 0
+            assert engine.pending_count == 0
         finally:
             await consumer.close()
             await upstream.face.close()
@@ -210,7 +144,8 @@ def test_prefix_interest_resolved_by_longer_data_name():
             upstream.face.send_data(Data(name=Name.parse("/a/b")))
             result = await task
             assert result.data.name == Name.parse("/a/b")
-            assert consumer.pending_count == 0 and consumer.unsolicited_data == 0
+            assert consumer.pending_count == 0
+            assert consumer.monitor.counter("unsolicited_data") == 0
         finally:
             await consumer.close()
             await upstream.face.close()
@@ -249,7 +184,9 @@ def test_earlier_prefix_waiter_wins_over_later_exact_waiter():
             other = asyncio.ensure_future(consumer.fetch("/z"))
             await settle(lambda: len(upstream.interests) == 3)
             upstream.face.send_data(Data(name=Name.parse("/a/b")))
-            assert (await prefix).data.name == Name.parse("/a/b")
+            await settle(lambda: prefix.done() or exact.done())
+            assert prefix.done() and not exact.done()
+            assert prefix.result().data.name == Name.parse("/a/b")
             await asyncio.sleep(0.02)
             assert not exact.done() and not other.done()
             upstream.face.send_data(Data(name=Name.parse("/a/b")))

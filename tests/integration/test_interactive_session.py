@@ -13,13 +13,14 @@ from repro.ndn.link import FixedDelay
 from repro.ndn.name import Name
 from repro.ndn.network import Network
 from repro.sim.process import Timeout
+from repro.sim.rng import RngRegistry
 
 SECRET = b"alice-bob-session-key"
 
 
 def build_session(loss_rate=0.0, seed=0):
     """alice -- R -- bob, both endpoints of one interactive session."""
-    net = Network()
+    net = Network(rng=RngRegistry(seed))
     router = net.add_router("R")
     alice = InteractiveEndpoint(
         net.engine,

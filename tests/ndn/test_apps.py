@@ -44,13 +44,12 @@ def late_data_mismatches() -> List[str]:
     )
     engine.run()
     want = {
-        "results": [5.0], "rtts": [5.0], "pending": 0, "fetch_timeouts": 1,
+        "results": [5.0], "pending": 0, "fetch_timeouts": 1,
         "fetch_retransmits": 1, "unsolicited_data": 1, "fetch_failures": 0,
     }
     got = {
-        "results": [r and r.rtt for r in results], "rtts": consumer.rtts,
-        "pending": consumer.pending_count,
-        **{key: consumer.monitor.counter(key) for key in list(want)[3:]},
+        "results": [r and r.rtt for r in results], "pending": consumer.pending_count,
+        **{key: consumer.monitor.counter(key) for key in list(want)[2:]},
     }
     return [f"{key}: want {want[key]!r}, got {got[key]!r}" for key in want if got[key] != want[key]]
 
@@ -150,9 +149,9 @@ class TestConsumer:
     def test_rtt_recorded(self, engine):
         consumer, producer = wire_pair(engine, delay=5.0)
         producer.publish("/shop/a")
-        consumer.express_interest("/shop/a")
+        signal = consumer.express_interest("/shop/a")
         engine.run()
-        assert consumer.rtts == [pytest.approx(10.0)]
+        assert signal.payload.rtt == pytest.approx(10.0)
         assert consumer.monitor.counter("data_received") == 1
 
     def test_fetch_coroutine(self, engine):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.faults.retry import RetryPolicy
+from repro.ndn.apps.consumer import Consumer
 from repro.ndn.admission import InterestRateLimit
 from repro.ndn.errors import PacketError
 from repro.ndn.forwarder import Forwarder
@@ -23,6 +24,7 @@ from repro.ndn.packets import (
 )
 from repro.ndn.pit import Pit
 from repro.ndn.wire import decode_packet, encode_packet, wire_size
+from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
 
@@ -233,35 +235,49 @@ class TestNackPropagation:
 
 
 class TestConsumerBackoff:
-    def net(self, nack_on_no_route=True):
+    def net(self):
         net = Network(rng=RngRegistry(3))
-        net.add_router("R", nack_on_no_route=nack_on_no_route)
+        net.add_router("R")
         net.add_consumer("c")
         net.connect("c", "R", FixedDelay(1.0))
         return net
 
+    def fetch(self, upstream, **rig):
+        """A three-attempt fetch by a Consumer on R of ``build``'s rig (1 ms
+        away); returns its result, the time it ended and its counters."""
+        engine = Engine()
+        router, _recorder, _face = build(engine, upstream, **rig)
+        consumer = Consumer(engine, name="c")
+        Link(engine, consumer.create_face(), router.create_face("c"),
+             FixedDelay(1.0), np.random.default_rng(2))
+        outcome = []
+        consumer.start_fetch(
+            "/x/y", lambda result: outcome.append((result, engine.now)),
+            retry=RetryPolicy(retries=2, timeout=50.0, backoff=2.0),
+        )
+        engine.run()
+        [(result, end)] = outcome
+        return result, end, consumer.monitor
+
     def test_fetch_backs_off_on_nack_and_exhausts_budget(self):
-        net = self.net()
-        outcome = {}
-
-        def proc():
-            result = yield from net["c"].fetch(
-                "/nowhere/x",
-                retry=RetryPolicy(retries=2, timeout=50.0, backoff=2.0),
-            )
-            outcome["result"] = result
-            outcome["time"] = net.engine.now
-
-        net.spawn(proc(), "fetcher")
-        net.run()
-        assert outcome["result"] is None
-        consumer = net["c"].monitor
+        result, end, consumer = self.fetch(NackingProducer())
+        assert result is None
         assert consumer.counter("fetch_nacked") == 3  # every attempt refused
         assert consumer.counter("nacks_received") == 3
         assert consumer.counter("fetch_failures") == 1
         # Each Nacked attempt waits out its full backoff window before
-        # retrying: 50 + 100 + 200 ms, plus the 2 ms Nack round trips.
-        assert outcome["time"] >= 350.0
+        # retrying: 50 + 100 + 200 ms, plus the 12 ms Nack round trips.
+        assert end == pytest.approx(386.0)
+
+    def test_no_route_nack_ends_the_fetch_at_once(self):
+        result, end, consumer = self.fetch(
+            SilentProducer(), nack_on_no_route=True, routed=False
+        )
+        assert result is None
+        assert consumer.counter("interests_sent") == 1
+        assert consumer.counter("fetch_nacked") == 1
+        assert consumer.counter("fetch_failures") == 1
+        assert end == pytest.approx(2.0)  # the Nack's round trip, no back-off
 
     def test_unsolicited_nack_counted(self):
         net = self.net()

@@ -27,13 +27,20 @@ differential kills all of them: every case cancels timers at the lane's
 head, and its 4.3 ms tree case arms fetch timeouts that sort before a
 4 000 ms PIT expiry at the lane's tail.
 
-Three mutants sit on the consumer's fetch loop.  A timed-out attempt
+Six mutants sit on the consumer's fetch loop.  A timed-out attempt
 that keeps its pending record, and an answered one that leaves its
 timeout armed, are killed by ``late_data_mismatches``
 (``tests/ndn/test_apps.py``: a retried fetch whose Data comes late, timed
 by hand); a Nacked attempt retried without its back-off by the overload
 entries of ``golden_harness_tallies.json``, whose ``drop-new`` run is
-Nacked and retried.  The interactive endpoint fetches through the same
+Nacked and retried.  The daemon's consumer runs the same loop on the
+real-time engine, and three rules only its socket tests reach: a
+``no-route`` Nack retried instead of ending the fetch (killed by
+``tests/deploy/test_endpoints.py``'s no-route case), an attempt's
+lifetime not cut to the remaining deadline (``tests/deploy/test_daemon.py``'s
+``deadline=700.0`` case) and Data answering the latest-registered of two
+matching pending prefixes (the endpoint case where an earlier prefix
+waiter wins).  The interactive endpoint fetches through the same
 loop; its one mutant, a frame marked retransmitted although its first
 attempt answered, is killed by ``golden_interactive_sessions.json``
 (``tests/integration/test_interactive_golden.py``), which pins every
@@ -106,6 +113,7 @@ from repro.workload.compiled import CompiledTrace
 from repro.workload.zipf import ZipfSampler
 
 from tests.core.test_distributions import geometric_boundary_mismatches
+from tests.deploy import test_daemon, test_endpoints
 from tests.integration.test_interactive_golden import grid_keys, session_mismatches
 from tests.ndn import test_link
 from tests.ndn.test_apps import late_data_mismatches
@@ -127,6 +135,14 @@ def _mutated(owner, attribute: str, old: str, new: str):
     namespace = dict(vars(sys.modules[function.__module__]))
     exec(compile(source.replace(old, new), f"<mutant {attribute}>", "exec"), namespace)
     return namespace[function.__name__]
+
+
+def _fails(test) -> bool:
+    try:
+        test()
+    except AssertionError:
+        return True
+    return False
 
 
 def _differential_fails(monkeypatch) -> bool:
@@ -171,6 +187,18 @@ def _stale_wait_resumes(monkeypatch) -> bool:
 
 def _late_data_misread(monkeypatch) -> bool:
     return bool(late_data_mismatches())
+
+
+def _no_route_retried(monkeypatch) -> bool:
+    return _fails(test_endpoints.test_matching_nack_aborts_and_no_route_fails_fast)
+
+
+def _lifetime_unclamped(monkeypatch) -> bool:
+    return _fails(test_daemon.test_deadline_propagates_into_interest_lifetime)
+
+
+def _later_prefix_wins(monkeypatch) -> bool:
+    return _fails(test_endpoints.test_earlier_prefix_waiter_wins_over_later_exact_waiter)
 
 
 def _interactive_golden_differs(monkeypatch) -> bool:
@@ -261,9 +289,26 @@ MUTANTS = {
     ),
     "Nacked fetch retries without its back-off": (
         consumer_app._Fetch, "trigger",
-        "self.consumer.engine.schedule_fire_and_forget(self.wait, self._retry)",
+        "self.timer = self.consumer.engine.schedule(backoff, self._retry)",
         "self._retry()",
         _overload_golden_differs,
+    ),
+    # The daemon's consumer is this loop on the real-time engine: its
+    # socket tests pin the rules no simulator golden reaches.
+    "no-route Nack retried instead of failing fast": (
+        consumer_app._Fetch, "trigger",
+        "if payload.reason == NACK_NO_ROUTE:", "if False:",
+        _no_route_retried,
+    ),
+    "attempt's lifetime not clamped to the deadline": (
+        consumer_app._Fetch, "_send",
+        "lifetime = max(wait, 1.0)", "pass",
+        _lifetime_unclamped,
+    ),
+    "Data matched to the latest-registered pending prefix": (
+        consumer_app.Consumer, "receive_data",
+        "waiters.rank < match.rank", "waiters.rank > match.rank",
+        _later_prefix_wins,
     ),
     # A frame is retransmitted iff the attempt that answered it is not
     # the first; the interactive golden pins the flag of every frame.
