@@ -119,7 +119,10 @@ class RealTimeEngine:
         event.state = EventState.FIRED
         self._pending -= 1
         self._events_processed += 1
-        event.callback(*event.args)
+        # As Event.cancel does: on_cancel's partial holds the handle, which holds event.
+        callback, args = event.callback, event.args
+        event.callback = event.args = event.on_cancel = None
+        callback(*args)
 
     def _fire_fast(self, callback: Callable[..., None], args: tuple) -> None:
         self._pending -= 1

@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import logging
 from typing import Optional, Tuple
 
 from repro.deploy.daemon import ForwarderDaemon
+from repro.ndn.errors import NdnError
 
-log = logging.getLogger("repro.deploy.mgmt")
-
-#: Refuse absurd command lines (a mgmt-port flood must not grow memory).
+#: Bytes before a newline past which a command line is dropped whole (bounded memory).
 MAX_LINE = 4096
 
 
@@ -65,7 +63,7 @@ class MgmtServer:
     async def start(self) -> Tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+            self._handle_connection, host=self.host, port=self.port, limit=MAX_LINE
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -83,18 +81,27 @@ class MgmtServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        overlong = False
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as end:
+                    line = end.partial
+                except asyncio.LimitOverrunError as error:
+                    # Drop the buffered bytes; the rest go with their newline.
+                    await reader.readexactly(error.consumed)
+                    overlong = True
+                    continue
+                except ConnectionError:
                     break
-                if not line:
-                    break
-                if len(line) > MAX_LINE:
+                if overlong:
+                    overlong = False
                     writer.write(b"error line-too-long\n")
                     await writer.drain()
                     continue
+                if not line:
+                    break
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
@@ -124,8 +131,13 @@ class MgmtServer:
             return f"error {type(exc).__name__}: {exc}"
 
     def _dispatch(self, line: str) -> str:
-        parts = line.split()
-        command, args = parts[0], parts[1:]
+        """Run one command; raises only :class:`MgmtError`."""
+        try:
+            return self._command(*line.split() or [""])
+        except (ValueError, NdnError) as error:  # a bad argument, a refusal
+            raise MgmtError(f"{type(error).__name__}: {error}") from error
+
+    def _command(self, command: str, *args: str) -> str:
         daemon = self.daemon
 
         if command == "health":

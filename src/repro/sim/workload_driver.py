@@ -6,7 +6,7 @@ and lowered straight into per-consumer
 :class:`~repro.sim.batch.script.ConsumerScript` step lists — no
 :class:`~repro.workload.streaming.Request` objects in between.  Because
 the lowering consumes only the block columns (times / users / keys) and
-the ``uri_of`` decoding, a streaming generator and its compiled trace
+the ``uris_of`` decoding, a streaming generator and its compiled trace
 (``generate()``) produce **identical scripts**, which is what makes the
 streaming-vs-compiled simulator differential a bit-identity check rather
 than a statistical one.
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.sim.batch.script import ConsumerScript, FetchStep, SleepStep
-from repro.workload.streaming import DEFAULT_CHUNK, Workload
+from repro.workload.streaming import DEFAULT_CHUNK, Workload, unseen_uris
 
 
 def scripts_from_workload(
@@ -76,6 +76,8 @@ def scripts_from_workload(
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK
     for block in workload.iter_blocks(chunk_size):
+        fresh = unseen_uris(workload, block.keys, uris)
+        uris.update((key, uri_prefix + uri) for key, uri in fresh)
         slots = block.users % fan_out
         at = block.times * time_scale
         gaps = np.empty_like(at)
@@ -101,11 +103,9 @@ def scripts_from_workload(
                 script.append(SleepStep(gap))
             fetch = fetches.get(code)
             if fetch is None:
-                key = code >> 1
-                uri = uris.get(key)
-                if uri is None:
-                    uri = uris[key] = uri_prefix + workload.uri_of(key)
-                fetch = fetches[code] = FetchStep(uri, timeout, lifetime, bool(code & 1))
+                fetch = fetches[code] = FetchStep(
+                    uris[code >> 1], timeout, lifetime, bool(code & 1)
+                )
             script.append(fetch)
     return [
         ConsumerScript(consumer=name, steps=tuple(step_list))

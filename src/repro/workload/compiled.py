@@ -34,7 +34,7 @@ directly: that is how a scheme without a fast kernel replays any input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,11 +145,9 @@ class CompiledTrace:
     def key_space(self) -> int:
         return self.n_names
 
-    def uri_of(self, key: int) -> str:
-        return str(self.names[key])
-
-    def components_of(self, key: int) -> Tuple[str, ...]:
-        return self.names[key].components
+    def uris_of(self, keys: np.ndarray) -> List[str]:
+        table = self.names.uris() if hasattr(self.names, "uris") else self.names
+        return [str(table[key]) for key in keys.tolist()]
 
     def iter_blocks(self, chunk_size: Optional[int] = None) -> Iterator[RequestBlock]:
         """The shards as request blocks (one per shard unless re-cut)."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -333,11 +333,9 @@ class IrcacheStream:
             self._object_site = self.generator.object_sites()
         return self._object_site
 
-    def uri_of(self, key: int) -> str:
-        return f"/s{self._sites().item(key)}/o{int(key)}"
-
-    def components_of(self, key: int) -> Tuple[str, ...]:
-        return (f"s{self._sites().item(key)}", f"o{int(key)}")
+    def uris_of(self, keys: np.ndarray) -> List[str]:
+        sites = self._sites()[keys].tolist()
+        return [f"/s{site}/o{key}" for site, key in zip(sites, keys.tolist())]
 
     def iter_blocks(
         self, chunk_size: Optional[int] = None

@@ -6,7 +6,7 @@ columns — ids, times, users, the occurrence index (computed in the same
 single streaming pass) and first-occurrence flags — and writes them as
 ``.npy`` files under one directory, next to the name table
 (``names.tsv``, one URI per content id, in first-appearance order) and a
-JSON manifest listing the shards with a sha256 per file.
+JSON manifest listing the shards with a sha256 per file (a shard's as it is written).
 :class:`ShardedCompiledTrace` is the ``CompiledTrace`` over such a
 directory.  :func:`compile_workload` is the same pass with no files: one
 in-RAM shard and the URI list as the name table.
@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import io
 import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib import format as npy
 
 from repro.ndn.name import Name, uri_components
 from repro.workload.compiled import CompiledTrace, TraceShard, _occurrence_index
@@ -121,19 +123,24 @@ class _ShardWriter:
                     parts.append(head[:need])
                     buf[0] = head[need:]
                     need = 0
-            out[field] = (
-                np.concatenate(parts) if len(parts) > 1 else parts[0]
-            ).astype(dtype, copy=False)
+            out[field] = np.ascontiguousarray(
+                np.concatenate(parts) if len(parts) > 1 else parts[0], dtype=dtype
+            )
         return out
 
     def _flush(self, count: int) -> None:
         index = len(self.shards)
         columns = self._take(count)
         checksums: Dict[str, str] = {}
-        for field, _ in _FIELDS:
-            path = self.out_dir / _shard_file(index, field)
-            np.save(path, columns[field])
-            checksums[field] = file_sha256(path)
+        for field, column in columns.items():
+            # np.save's bytes, hashed on the way out: a 1.0 header, the column.
+            header = io.BytesIO()
+            npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(column))
+            digest = hashlib.sha256(header.getvalue())
+            digest.update(column.data)
+            with (self.out_dir / _shard_file(index, field)).open("wb") as handle:
+                handle.writelines((header.getvalue(), column.data))
+            checksums[field] = digest.hexdigest()
         self.shards.append(
             {"index": index, "start": self.written, "count": count,
              "checksums": checksums}
@@ -174,7 +181,7 @@ def _intern_pass(
         if missing.any():
             uniq, first_idx = np.unique(keys[missing], return_index=True)
             new_keys = uniq[np.argsort(first_idx, kind="stable")]
-            new_uris = [workload.uri_of(key) for key in new_keys.tolist()]
+            new_uris = workload.uris_of(new_keys)
             key_to_cid[new_keys] = np.arange(n_names, n_names + len(new_keys))
             cids = key_to_cid[keys]
             n_names += len(new_keys)
@@ -242,8 +249,8 @@ def compile_stream(
     The interning pass is :func:`compile_workload`'s (bit-equal to it on
     the same request sequence, for any ``shard_size``/``chunk_size``);
     here each block's
-    new URIs are appended to the name table file and its columns to the
-    current shard.  Returns the opened :class:`ShardedCompiledTrace`.
+    new URIs are appended to the name table file in one write and its
+    columns to the current shard.  Returns the opened :class:`ShardedCompiledTrace`.
     ``source`` is an arbitrary JSON-able provenance dict stored in the
     manifest (the sweep cache puts the generator fingerprint here).
     """
@@ -255,7 +262,7 @@ def compile_stream(
     n_names = 0
     with (out / NAMES_FILE).open("w", encoding="utf-8") as names_out:
         for columns, new_uris in _intern_pass(workload, chunk_size):
-            names_out.writelines(uri + "\n" for uri in new_uris)
+            names_out.write("".join([uri + "\n" for uri in new_uris]))
             n_names += len(new_uris)
             writer.push(columns)
     writer.finish()
@@ -283,9 +290,9 @@ class LazyNameTable(Sequence[Name]):
 
     The URIs are held in RAM (``LazyNameTable(uris)``, what
     :func:`compile_workload` builds) or read from a shard directory's
-    table file (``LazyNameTable(path, count)``).  ``len()`` and
-    :meth:`iter_uris` build no :class:`Name` (what the replay kernels and
-    the coin pass use).  Names are built on demand, outside the global
+    table file (``LazyNameTable(path, count)``).  ``len()``, :meth:`iter_uris`
+    and :meth:`uris` build no :class:`Name` (the replay kernels, the coin
+    pass, ``uris_of``).  Names are built on demand, outside the global
     intern pool: iterating builds them once and keeps them in RAM, but
     once per pass from a file, so walking a million-name table pins
     nothing; random access builds and keeps them all.
@@ -320,6 +327,12 @@ class LazyNameTable(Sequence[Name]):
             raise ShardIntegrityError(
                 f"{self.path}: expected {self._count} names, found {found}"
             )
+
+    def uris(self) -> List[str]:
+        """The URIs as a list; a file is read once and kept."""
+        if self.path is not None and len(self._uris) != self._count:
+            self._uris = list(self.iter_uris())
+        return self._uris
 
     def _kept(self) -> List[Name]:
         if self._names is None:

@@ -69,8 +69,8 @@ class RequestBlock:
     """One batch of consecutive requests as flat numpy columns.
 
     ``keys`` are workload-scoped integer content keys — stable across
-    iterations of the same workload, decodable to names via
-    :meth:`Workload.uri_of` / :meth:`Workload.components_of`.  Keys are
+    iterations of the same workload, decodable to URIs via
+    :meth:`Workload.uris_of`.  Keys are
     non-negative, and dense unless the workload states a ``key_space``:
     the synthetic generator uses the global object rank (so the key space
     is the catalog even if a tail object is never requested), while
@@ -100,6 +100,7 @@ class Workload(Protocol):
     for generators and traces, estimates for one-pass readers);
     ``key_space`` is an exclusive upper bound on content keys when one is
     known, else ``None`` and keys are dense (consumers index arrays by key).
+    ``uris_of(keys)`` is the URI of each key in order: one call per block.
     """
 
     @property
@@ -111,9 +112,7 @@ class Workload(Protocol):
     @property
     def key_space(self) -> Optional[int]: ...
 
-    def uri_of(self, key: int) -> str: ...
-
-    def components_of(self, key: int) -> Tuple[str, ...]: ...
+    def uris_of(self, keys: np.ndarray) -> List[str]: ...
 
     def iter_blocks(
         self, chunk_size: Optional[int] = None
@@ -190,17 +189,19 @@ def iter_requests(workload: "Workload") -> Iterator[Request]:
     million-user workload does not pin a million names in the process-
     wide pool.
     """
-    cache: dict = {}
+    names: Dict[int, Name] = {}
     for block in workload.iter_blocks():
-        times = block.times.tolist()
-        users = block.users.tolist()
         keys = block.keys.tolist()
-        for time, user, key in zip(times, users, keys):
-            name = cache.get(key)
-            if name is None:
-                name = Name(workload.components_of(key))
-                cache[key] = name
-            yield Request(time=time, user=user, name=name)
+        fresh = unseen_uris(workload, block.keys, names)
+        names.update((key, Name(uri_components(uri))) for key, uri in fresh)
+        for time, user, key in zip(block.times.tolist(), block.users.tolist(), keys):
+            yield Request(time=time, user=user, name=names[key])
+
+
+def unseen_uris(workload: "Workload", keys: np.ndarray, seen) -> Iterator[Tuple[int, str]]:
+    """``(key, URI)`` per distinct key of ``keys`` not in ``seen``: one ``uris_of`` call."""
+    fresh = [key for key in np.unique(keys).tolist() if key not in seen]
+    return zip(fresh, workload.uris_of(np.array(fresh, dtype=np.int64)))
 
 
 class TsvWorkload:
@@ -247,11 +248,8 @@ class TsvWorkload:
         # full pass has fixed the vocabulary.
         return len(self._uris) if self._exact else None
 
-    def uri_of(self, key: int) -> str:
-        return self._uris[key]
-
-    def components_of(self, key: int) -> Tuple[str, ...]:
-        return uri_components(self._uris[key])
+    def uris_of(self, keys: np.ndarray) -> List[str]:
+        return list(map(self._uris.__getitem__, keys.tolist()))
 
     def _block(
         self, times: List[float], users: List[int], keys: List[int], lines: List[int]
@@ -338,9 +336,7 @@ def save_tsv(workload: "Workload", path: Union[str, Path]) -> Tuple[int, int, in
     written = 0
     with Path(path).open("w", encoding="utf-8") as handle:
         for block in workload.iter_blocks():
-            for key in np.unique(block.keys).tolist():
-                if key not in uris:
-                    uris[key] = workload.uri_of(key)
+            uris.update(unseen_uris(workload, block.keys, uris))
             users = block.users.tolist()
             users_seen.update(users)
             handle.writelines(

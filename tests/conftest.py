@@ -101,11 +101,8 @@ class RequestList:
 
     key_space = n_names
 
-    def uri_of(self, key: int) -> str:
-        return str(self.names[key])
-
-    def components_of(self, key: int):
-        return self.names[key].components
+    def uris_of(self, keys):
+        return [str(self.names[key]) for key in keys.tolist()]
 
     def iter_blocks(self, chunk_size=None):
         if self.requests:

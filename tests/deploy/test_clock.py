@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 
 import pytest
 
@@ -47,6 +48,35 @@ def test_cancel_prevents_firing():
         assert engine.events_processed == 0
 
     asyncio.run(scenario())
+
+
+def _garbage_after(timers: int) -> int:
+    """What ``gc.collect()`` finds after one loop, run with the collector
+    off, that fires ``timers`` timers and cancels as many more."""
+
+    async def scenario():
+        engine = RealTimeEngine(asyncio.get_running_loop())
+        fired = []
+        for _ in range(timers):
+            engine.schedule(0.0, fired.append, None)
+            engine.schedule(60_000.0, fired.append, None).cancel()
+        while engine.pending_count:
+            await asyncio.sleep(0)
+        assert len(fired) == engine.events_processed == timers
+
+    gc.collect()
+    gc.disable()
+    try:
+        asyncio.run(scenario())
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_fired_and_cancelled_timers_leave_no_reference_cycle():
+    """A fired or cancelled timer is freed by reference counting alone:
+    neither leaves its event, partial and asyncio handle in a cycle."""
+    assert _garbage_after(1_000) <= _garbage_after(0)
 
 
 def test_schedule_at_absolute_time():

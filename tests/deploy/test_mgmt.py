@@ -5,9 +5,10 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.deploy.daemon import DaemonConfig, ForwarderDaemon
-from repro.deploy.mgmt import MgmtClient, MgmtError, MgmtServer
+from repro.deploy.mgmt import MAX_LINE, MgmtClient, MgmtError, MgmtServer
 from repro.ndn.name import Name
 
 
@@ -135,3 +136,70 @@ def test_raw_garbage_lines_get_error_replies():
             await teardown(daemon, server, client)
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("spaces, reply", [
+    (MAX_LINE - len("health"), b"ok "),
+    (MAX_LINE - len("health") + 1, b"error line-too-long\n"),
+    (70_000 - len("drain\n"), b"error line-too-long\n"),
+])
+def test_overlong_lines_are_refused_whole(spaces, reply):
+    """A line longer than MAX_LINE gets ``error line-too-long`` and is
+    dropped through its newline: no tail of it runs, and the connection
+    keeps serving.  The spaces go out first, so the server's buffer
+    overflows before the newline arrives; the overlong lines end in
+    ``drain``, which any tail of them would run."""
+
+    async def scenario():
+        daemon, face, server, client = await mgmt_rig()
+        try:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(b" " * spaces)
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.write((b"health" if spaces < MAX_LINE else b"drain") + b"\n")
+            assert (await reader.readline()).startswith(reply)
+            writer.write(b"ready\n")
+            assert await reader.readline() == b"ok ready\n"
+            assert not daemon.draining
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await teardown(daemon, server, client)
+
+    asyncio.run(scenario())
+
+
+#: One line per command ``_execute`` runs (``quit`` is the connection's).
+COMMANDS = (
+    "health", "ready", "stats", "faces", "alarms", "drain", "undrain",
+    "add-route /shop FACE", "remove-route /shop FACE",
+    "scheme uniform", "defense adaptive",
+)
+
+
+def _edit(data, line: str) -> str:
+    """``line`` with one character inserted, deleted or replaced."""
+    at = data.draw(st.integers(min_value=0, max_value=len(line)))
+    char = data.draw(st.one_of(st.sampled_from(" /-0123456789\t"), st.characters()))
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    return line[:at] + ("" if kind == "delete" else char) + line[at + (kind != "insert"):]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(COMMANDS), data=st.data())
+def test_any_single_edit_of_a_command_is_ok_or_a_mgmt_error(command, data):
+    """Every edited command line is answered ``ok …`` or
+    ``error MgmtError: …``: no parse or daemon-side exception escapes
+    ``_dispatch`` under its own type."""
+    line = _edit(data, command)
+
+    async def scenario():
+        daemon, face, server, client = await mgmt_rig()
+        try:
+            return server._execute(line.replace("FACE", str(face.face_id)))
+        finally:
+            await teardown(daemon, server, client)
+
+    reply = asyncio.run(scenario())
+    assert reply.startswith(("ok ", "error MgmtError: ")), reply

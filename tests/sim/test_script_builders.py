@@ -15,6 +15,7 @@ from __future__ import annotations
 from math import inf, nan
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 import pytest
 
 from repro.ndn.topology import CONTENT_PREFIX, fat_tree
@@ -77,7 +78,7 @@ def oracle_scripts_from_workload(
             slot = user % fan_out
             uri = uri_cache.get(key)
             if uri is None:
-                uri = uri_prefix + workload.uri_of(key)
+                uri = uri_prefix + workload.uris_of(np.array([key]))[0]
                 uri_cache[key] = uri
             at = time * time_scale
             gap = at - clocks[slot]

@@ -65,6 +65,15 @@ The interner merging two content ids fails every (leg, case) pair; the
 grid's trigger rule dropped (a public request between two private ones
 no longer ends a run of private hits) fails the grid cases of every leg.
 
+Two mutants sit on compiling a streamed trace.  The generator's
+batched ``uris_of`` pairing each key with the site of the key before it
+is killed by the ``uris`` digest of ``tests/workload/test_trace_digests.py``
+(``uniform_64``); a shard digest taken as the file is written that skips
+the ``.npy`` header by both ``as_written_mismatches`` and
+``test_verify_passes_then_catches_corruption``
+(``tests/workload/test_sharded.py``), whose fresh directory no longer
+verifies.
+
 Two mutants sit on the attack harnesses' registry shapes, each killed
 by ``golden_harness_tallies.json`` (``tests/validation/test_harness_golden.py``,
 recorded while both shapes were still built by hand): the defense tree
@@ -89,7 +98,9 @@ from __future__ import annotations
 
 import inspect
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +121,7 @@ from repro.validation.differential import (
 )
 from repro.workload import compiled, ircache, lru_grid, sharded
 from repro.workload.compiled import CompiledTrace
+from repro.workload.ircache import IrcacheConfig
 from repro.workload.zipf import ZipfSampler
 
 from tests.core.test_distributions import geometric_boundary_mismatches
@@ -124,6 +136,11 @@ from tests.sim.test_script_builders import builder_mismatches
 from tests.validation.test_harness_golden import defense_mismatches, overload_mismatches
 from tests.workload.test_ircache import narrow_sort_mismatches
 from tests.workload.test_lru_grid import fraction_memo_mismatches
+from tests.workload.test_sharded import (
+    as_written_mismatches,
+    test_verify_passes_then_catches_corruption,
+)
+from tests.workload.test_trace_digests import CONFIGS, GOLDEN, _digests
 from tests.workload.test_zipf import searchsorted_mismatches
 
 
@@ -225,6 +242,23 @@ def _flag_memo_stale(monkeypatch) -> bool:
 
 def _rebind_diverges(monkeypatch) -> bool:
     return bool(rebind_mismatches())
+
+
+def _uri_digest_differs(monkeypatch) -> bool:
+    return _digests(IrcacheConfig(**CONFIGS["uniform_64"]))["uris"] != GOLDEN["uniform_64"]["uris"]
+
+
+def _shard_digests_off(monkeypatch) -> bool:
+    # Both checks must fail: the digest test, and verify() refusing the
+    # fresh, uncorrupted directory.
+    with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as other:
+        if not as_written_mismatches(Path(ours)):
+            return False
+        try:
+            test_verify_passes_then_catches_corruption(Path(other))
+        except (AssertionError, sharded.ShardIntegrityError):
+            return True
+    return False
 
 
 def _builder_off_oracle(monkeypatch) -> bool:
@@ -350,6 +384,22 @@ MUTANTS = {
         lru_grid, "_private_runs",
         "np.not_equal(at[1:], at[:-1] + 1, out=stop[1:-1])", "stop[1:-1] = False",
         _replay_differential_fails,
+    ),
+    # The generator's one batched decoding: a key paired with its
+    # predecessor's site renames objects, which the URI digests pin.
+    "generator URIs take the previous key's site": (
+        ircache.IrcacheStream, "uris_of",
+        "sites = self._sites()[keys].tolist()",
+        "sites = np.roll(self._sites()[keys], 1).tolist()",
+        _uri_digest_differs,
+    ),
+    # A shard file hashed as it is written: its digest must cover the
+    # .npy header too, or the manifest disagrees with every file.
+    "shard digest skips the .npy header": (
+        sharded._ShardWriter, "_flush",
+        "digest = hashlib.sha256(header.getvalue())",
+        "digest = hashlib.sha256()",
+        _shard_digests_off,
     ),
     "flag memo keyed without fraction": (
         CompiledTrace, "grid_flags",

@@ -4,8 +4,11 @@ checksummed integrity, and bounded-residency replay parity."""
 from __future__ import annotations
 
 import copy
+import filecmp
 import json
 from contextlib import contextmanager
+from pathlib import Path
+from typing import List
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro.deploy.daemon import make_scheme
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
+from repro.workload import sharded as sharded_module
 from repro.workload.replay import replay
 from repro.workload.sharded import (
     ShardedCompiledTrace,
@@ -160,6 +164,61 @@ def test_verify_passes_then_catches_corruption(tmp_path):
         ShardedCompiledTrace.open(tmp_path).verify()
     with pytest.raises(ShardIntegrityError, match="checksum"):
         ShardedCompiledTrace.open(tmp_path).load_shard(1, verify=True)
+
+
+def _flush_by_reread(self, count: int) -> None:
+    """``_ShardWriter._flush`` hashing each file read back after
+    ``np.save`` wrote it: the digest the as-written hash must equal."""
+    index = len(self.shards)
+    columns = self._take(count)
+    checksums = {}
+    for field, _ in sharded_module._FIELDS:
+        path = self.out_dir / sharded_module._shard_file(index, field)
+        np.save(path, columns[field])
+        checksums[field] = file_sha256(path)
+    self.shards.append(
+        {"index": index, "start": self.written, "count": count, "checksums": checksums}
+    )
+    self.written += count
+    self.buffered -= count
+
+
+def _compile_multi_shard(out: Path) -> ShardedCompiledTrace:
+    """Four shards of 700 requests from 500-request blocks: every shard
+    boundary but the last falls inside a block."""
+    stream = IrcacheGenerator(_config(2500, seed=4)).stream()
+    return compile_stream(stream, out, shard_size=700, chunk_size=500)
+
+
+def as_written_mismatches(root: Path) -> List[str]:
+    """The files of a fresh multi-shard compile under ``root`` whose
+    manifest digest is not the SHA-256 of the file on disk."""
+    trace = _compile_multi_shard(root)
+    assert trace.n_shards == 4
+    wrong = []
+    for meta in trace.manifest["shards"]:
+        for field, digest in meta["checksums"].items():
+            name = sharded_module._shard_file(meta["index"], field)
+            if file_sha256(root / name) != digest:
+                wrong.append(name)
+    if trace.manifest["names_sha256"] != file_sha256(root / "names.tsv"):
+        wrong.append("names.tsv")
+    return wrong
+
+
+def test_checksums_are_the_files_as_written(tmp_path, monkeypatch):
+    """Each digest taken while writing is the file's own, and the whole
+    directory is byte-identical to one whose shards were hashed by
+    reading each file back."""
+    assert as_written_mismatches(tmp_path / "ours") == []
+    monkeypatch.setattr(sharded_module._ShardWriter, "_flush", _flush_by_reread)
+    _compile_multi_shard(tmp_path / "reread")
+    files = sorted(path.name for path in (tmp_path / "ours").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "reread").iterdir())
+    _, differ, errors = filecmp.cmpfiles(
+        tmp_path / "ours", tmp_path / "reread", files, shallow=False
+    )
+    assert (differ, errors) == ([], [])
 
 
 def test_corrupted_name_table_detected(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ndn.errors import NameError_
 from repro.perf import parallel
+from repro.workload.compiled import CompiledTrace
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.sharded import compile_stream, compile_workload
 from repro.workload.streaming import (
@@ -18,6 +19,7 @@ from repro.workload.streaming import (
     rechunk,
     save_tsv,
 )
+from tests.conftest import RequestList
 
 CONFIG = IrcacheConfig(requests=5000, users=60, objects=800, sites=12, seed=3)
 
@@ -333,4 +335,43 @@ def test_trace_workload_uses_compiled_ids():
     np.testing.assert_array_equal(times, expected["times"])
     np.testing.assert_array_equal(users, expected["users"])
     np.testing.assert_array_equal(keys, expected["ids"])
-    assert trace.uri_of(int(keys[-1])) == str(expected["names"][int(keys[-1])])
+    assert trace.uris_of(keys[-1:]) == [str(expected["names"][int(keys[-1])])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=5), data=st.data())
+def test_uris_of_equals_the_scalar_decoding(tmp_path_factory, seed, data):
+    """``uris_of(keys)`` is each key's URI in the order given, for every
+    workload type: the generator's ``/s<site>/o<key>`` over
+    ``object_sites()``, a compiled trace's ``str(names[k])`` (URI table
+    in RAM, on disk, or a list of names), the TSV file's own URIs and the
+    test workload's names.  Each is asked for drawn keys (repeats
+    allowed), no key, and the last key twice."""
+    config = IrcacheConfig(requests=600, users=20, objects=150, sites=9, seed=seed)
+    generator = IrcacheGenerator(config)
+    stream = generator.stream()
+    trace = compile_workload(stream)
+    root = tmp_path_factory.mktemp("uris")
+    save_tsv(stream, root / "trace.tsv")
+    tsv = TsvWorkload(root / "trace.tsv")
+    list(tsv.iter_blocks())  # keys exist once a pass has read them
+    file_uris = list(dict.fromkeys(
+        line.split("\t")[2] for line in (root / "trace.tsv").read_text().splitlines()
+    ))  # fmt: skip
+    sites = generator.object_sites()
+    named = (
+        trace,
+        compile_stream(stream, root / "shards", shard_size=200),
+        CompiledTrace(list(trace.names), list(trace.iter_shards())),
+        RequestList(iter_requests(stream)),
+    )
+    cases = [
+        (stream, config.objects, lambda key: f"/s{sites[key]}/o{key}"),
+        (tsv, len(file_uris), file_uris.__getitem__),
+        *((w, w.n_names, lambda key, w=w: str(w.names[key])) for w in named),
+    ]
+    for workload, space, scalar in cases:
+        drawn = data.draw(st.lists(st.integers(0, space - 1), max_size=40))
+        for keys in (drawn, [], [space - 1, space - 1]):
+            got = workload.uris_of(np.array(keys, dtype=np.int64))
+            assert got == [scalar(key) for key in keys], type(workload).__name__
