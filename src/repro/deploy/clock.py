@@ -119,7 +119,7 @@ class RealTimeEngine:
         event.state = EventState.FIRED
         self._pending -= 1
         self._events_processed += 1
-        # As Event.cancel does: on_cancel's partial holds the handle, which holds event.
+        # As Event.cancel does: on_cancel's partial holds the handle, which holds the event.
         callback, args = event.callback, event.args
         event.callback = event.args = event.on_cancel = None
         callback(*args)

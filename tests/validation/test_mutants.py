@@ -245,7 +245,8 @@ def _rebind_diverges(monkeypatch) -> bool:
 
 
 def _uri_digest_differs(monkeypatch) -> bool:
-    return _digests(IrcacheConfig(**CONFIGS["uniform_64"]))["uris"] != GOLDEN["uniform_64"]["uris"]
+    uris = _digests(IrcacheConfig(**CONFIGS["uniform_64"]))["uris"]
+    return uris != GOLDEN["uniform_64"]["uris"]
 
 
 def _shard_digests_off(monkeypatch) -> bool:

@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.deploy.daemon import make_scheme
+from repro.workload import sharded as sharded_module
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
-from repro.workload import sharded as sharded_module
 from repro.workload.replay import replay
 from repro.workload.sharded import (
     ShardedCompiledTrace,
